@@ -15,6 +15,7 @@ script reproduces identical bytes.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -189,7 +190,6 @@ QUESTIONS = [
         "reasoning": "Memory entries say Ethan visited the Harbor Museum.",
         "judge": 1.0,
         "alt_query": "Ethan museum visit Harbor Museum",
-        "keywords": ["Ethan", "museum"],
         "persons": ["Ethan"],
     },
     {
@@ -201,7 +201,6 @@ QUESTIONS = [
         "reasoning": "An entry records that Ethan adopted a beagle puppy named Biscuit.",
         "judge": 1.0,
         "alt_query": "Ethan beagle puppy name",
-        "keywords": ["Ethan", "beagle", "puppy"],
         "persons": ["Ethan"],
     },
     {
@@ -213,7 +212,6 @@ QUESTIONS = [
         "reasoning": "The entry's event time for the Riverside 10K is 2024-03-10.",
         "judge": 1.0,
         "alt_query": "Maya Riverside 10K race date",
-        "keywords": ["Maya", "Riverside 10K", "race"],
         "persons": ["Maya"],
     },
     {
@@ -225,7 +223,6 @@ QUESTIONS = [
         "reasoning": "Guessing from the general timeline of the conversation.",
         "judge": 0.0,
         "alt_query": "Ethan pottery class Clayworks Studio start date",
-        "keywords": ["Ethan", "pottery", "Clayworks Studio"],
         "persons": ["Ethan"],
     },
     {
@@ -237,7 +234,6 @@ QUESTIONS = [
         "reasoning": "One entry has Ethan learning ukulele chords and another has him photographing herons at Miller Pond.",
         "judge": 1.0,
         "alt_query": "Ethan ukulele chords herons Miller Pond",
-        "keywords": ["Ethan", "ukulele", "herons"],
         "persons": ["Ethan"],
     },
     {
@@ -249,7 +245,6 @@ QUESTIONS = [
         "reasoning": "Maya attended the Blue Lantern jazz concert and brewed ginger kombucha.",
         "judge": 1.0,
         "alt_query": "Blue Lantern jazz concert attendee brewing",
-        "keywords": ["jazz", "Blue Lantern", "kombucha"],
         "persons": ["Maya"],
     },
     {
@@ -261,7 +256,6 @@ QUESTIONS = [
         "reasoning": "No direct statement about national parks was found.",
         "judge": 0.0,
         "alt_query": "Maya outdoor activities hiking",
-        "keywords": ["Maya", "national park", "outdoors"],
         "persons": ["Maya"],
     },
     {
@@ -273,7 +267,6 @@ QUESTIONS = [
         "reasoning": "An entry says Maya painted the kitchen a pale sage green.",
         "judge": 1.0,
         "alt_query": "Maya kitchen paint color",
-        "keywords": ["Maya", "kitchen", "paint"],
         "persons": ["Maya"],
     },
 ]
@@ -322,17 +315,6 @@ def base_rules() -> list[dict]:
             "response": json.dumps({
                 "reasoning": "One targeted query alongside the original.",
                 "queries": [question, q["alt_query"]],
-            }),
-            "sticky": True,
-        })
-        rules.append({
-            "contains": ["extract key information", f"Query: {question}"],
-            "response": json.dumps({
-                "keywords": q["keywords"],
-                "persons": q["persons"],
-                "time_expression": None,
-                "location": None,
-                "entities": [],
             }),
             "sticky": True,
         })
@@ -419,12 +401,15 @@ def make_golden() -> None:
         for name in ("corpus.json", "fixture.jsonl", "qa.jsonl"):
             shutil.copy(DATA / name, tmp / name)
         env_cmd = [sys.executable, "-m", "trimem.cli"]
+        # run the checkout's engine, installed or not
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
         subprocess.run(env_cmd + ["build", "--corpus", "corpus.json",
                                   "--store", "store", "--scripted", "fixture.jsonl"],
-                       cwd=tmp, check=True, capture_output=True)
+                       cwd=tmp, env=env, check=True, capture_output=True)
         subprocess.run(env_cmd + ["eval", "--store", "store", "--qa", "qa.jsonl",
                                   "--scripted", "fixture.jsonl", "--out", "eval"],
-                       cwd=tmp, check=True, capture_output=True)
+                       cwd=tmp, env=env, check=True, capture_output=True)
         shutil.copy(tmp / "eval" / "report.json", DATA / "golden_report.json")
         shutil.copy(tmp / "eval" / "detailed_results.jsonl",
                     DATA / "golden_detailed.jsonl")

@@ -17,7 +17,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,8 +26,11 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     FixtureExhausted,
+    ParseFailure,
     TransportError,
 )
+
+T = TypeVar("T")
 
 DEFAULT_EMBED_DIM = 64
 RETRY_ATTEMPTS = 3
@@ -46,6 +49,54 @@ class ChatRequest:
             raise ValueError("prompt must be non-empty")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+
+
+def complete_parsed(backend: "Backend", prompt: str,
+                    parse: Callable[[str], T], hint: str) -> T:
+    """Send ``prompt`` and return ``parse(reply)``, repairing a bad reply once.
+
+    On ParseFailure the prompt is sent again with the failure and ``hint``
+    appended. A second ParseFailure propagates; each caller applies its own
+    fallback rule.
+    """
+    reply = backend.complete(ChatRequest(prompt=prompt))
+    try:
+        return parse(reply)
+    except ParseFailure as exc:
+        repair = f"{prompt}\n\nYour previous reply could not be parsed ({exc}). {hint}"
+        return parse(backend.complete(ChatRequest(prompt=repair)))
+
+
+def _is_object(value) -> bool:
+    return isinstance(value, dict)
+
+
+def parse_json(text: str, accept: Callable[[object], bool] = _is_object):
+    """The first JSON list or dict embedded in ``text`` that ``accept`` takes.
+
+    Every ``[`` and ``{`` of the raw reply is tried in order, so prose around
+    the payload is skipped. A value that starts inside a broken one (a reply
+    cut short, an unescaped quote) is part of it and is not read on its own,
+    so a broken payload fails instead of yielding one of its inner lists.
+    Markdown fences need no stripping: a fence body is a substring of the
+    reply and decodes the same in place, while a stripped copy would cut
+    short a payload whose strings quote a fence.
+    """
+    decoder = json.JSONDecoder()
+    broken_until = 0
+    for start, char in enumerate(text):
+        if char not in "[{" or start < broken_until:
+            continue
+        try:
+            value, _ = decoder.raw_decode(text, start)
+        except json.JSONDecodeError as exc:
+            broken_until = exc.pos  # the decoder read this far into the value
+            continue
+        except RecursionError:  # too deep to read, and its end is unknown
+            break
+        if accept(value):
+            return value
+    raise ParseFailure("no usable JSON in model output")
 
 
 @dataclass

@@ -13,10 +13,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import Backend, BackendRouter, ChatRequest
+from .backend import Backend, BackendRouter, ChatRequest, complete_parsed, parse_json
 from .corpus import DialogueCorpus, SegmentationConfig
 from .errors import EmptyRecordSet, ParseFailure, PlaceholderLost, StoreIOError
-from .extraction import strip_code_fences
 from .metrics import EvalRecord
 from .prompts import EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS, render, seed_prompts
 from .store import RetrievalConfig
@@ -83,21 +82,13 @@ class TextGradient:
     change_summary: str = ""
 
 
-def _parse_json_object(text: str) -> dict:
-    decoder = json.JSONDecoder()
-    # scan the raw reply first: stripping fences up front would truncate
-    # payloads whose string values themselves contain fenced examples
-    for body in (text, strip_code_fences(text)):
-        for start in range(len(body)):
-            if body[start] != "{":
-                continue
-            try:
-                value, _ = decoder.raw_decode(body, start)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(value, dict):
-                return value
-    raise ParseFailure("no JSON object found in model output")
+def _parse_verdict(text: str) -> tuple[float, str]:
+    obj = parse_json(text)
+    try:
+        score = float(obj.get("score", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ParseFailure(f"non-numeric judge score: {exc}")
+    return (1.0 if score >= 0.5 else 0.0), str(obj.get("reasoning") or "")
 
 
 def judge(question: str, prediction: str, reference: str,
@@ -107,18 +98,11 @@ def judge(question: str, prediction: str, reference: str,
         raise ValueError("question, prediction, and reference must be non-empty")
     prompt = render(judge_prompt, question=question, reference=reference,
                     prediction=prediction)
-    reply = backend.complete(ChatRequest(prompt=prompt))
-    for attempt in range(2):
-        try:
-            obj = _parse_json_object(reply)
-            score = 1.0 if float(obj.get("score", 0.0)) >= 0.5 else 0.0
-            return score, str(obj.get("reasoning") or "")
-        except (ParseFailure, TypeError, ValueError):
-            if attempt == 0:
-                reply = backend.complete(ChatRequest(
-                    prompt=f"{prompt}\n\nYour previous reply was not valid JSON. "
-                           f"Return ONLY the JSON."))
-    return 0.0, "(judge unparsed)"
+    try:
+        return complete_parsed(backend, prompt, _parse_verdict,
+                               "Return ONLY the JSON.")
+    except ParseFailure:
+        return 0.0, "(judge unparsed)"
 
 
 def aggregate_loss(records: Sequence[EvalRecord],
@@ -155,7 +139,7 @@ def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
                     profile_prompt=prompts.profile,
                     detailed_results=detailed)
     reply = backend.complete(ChatRequest(prompt=prompt, max_output_tokens=8192))
-    obj = _parse_json_object(reply)
+    obj = parse_json(reply)
     gradient = TextGradient(
         rewritten_extraction_prompt=str(obj.get("rewritten_p_ext") or ""),
         rewritten_profile_prompt=str(obj.get("rewritten_p_prof") or ""),

@@ -7,14 +7,13 @@ verbatim turns of its origin window.
 """
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from typing import Optional, Sequence
 
-from .backend import Backend, ChatRequest
+from .backend import Backend, complete_parsed, parse_json
 from .corpus import Window, render_window
 from .errors import ParseFailure, ValidationFailure
 from .prompts import render
@@ -83,40 +82,16 @@ def _coerce_event_time(value: str) -> Optional[str]:
     return value
 
 
-def strip_code_fences(text: str) -> str:
-    """Drop markdown code fences, keeping the fenced body."""
-    text = text.strip()
-    match = re.search(r"```(?:json)?\s*\n?(.*?)```", text, re.DOTALL)
-    if match:
-        return match.group(1).strip()
-    return text
-
-
-def _first_json_array(text: str) -> tuple[list, int]:
-    """Decode the first well-formed JSON array embedded in ``text``."""
-    decoder = json.JSONDecoder()
-    for start in range(len(text)):
-        if text[start] != "[":
-            continue
-        try:
-            value, _ = decoder.raw_decode(text, start)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(value, list):
-            return value, start
-    raise ParseFailure("no JSON array found in model output", offset=0)
-
-
 def parse_entry_payload(text: str) -> list[dict]:
     """Tolerantly decode the JSON array of raw entry records.
 
-    Strips code fences and surrounding prose; missing optional fields
-    become absent (None), never empty-string sentinels.
+    Skips code fences and surrounding prose; missing optional fields
+    become absent (None), never empty-string sentinels. The first array
+    decides: a non-object element is a ParseFailure, so a broken outer
+    array is repaired rather than read through one of its inner lists.
     """
-    body = strip_code_fences(text)
-    records, _ = _first_json_array(body)
     parsed = []
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(parse_json(text, lambda v: isinstance(v, list))):
         if not isinstance(rec, dict):
             raise ParseFailure(f"array element {i} is not an object", offset=i)
         parsed.append({
@@ -195,14 +170,8 @@ def extract_entries(window: Window, extraction_prompt: str, backend: Backend,
     """
     dialogue_text = render_window(window)
     prompt = render(extraction_prompt, context=context, dialogue_text=dialogue_text)
-    reply = backend.complete(ChatRequest(prompt=prompt))
-    try:
-        records = parse_entry_payload(reply)
-    except ParseFailure as exc:
-        repair = (f"{prompt}\n\nYour previous reply could not be parsed "
-                  f"({exc}). Return ONLY the JSON array.")
-        reply = backend.complete(ChatRequest(prompt=repair))
-        records = parse_entry_payload(reply)  # second failure surfaces
+    records = complete_parsed(backend, prompt, parse_entry_payload,
+                              "Return ONLY the JSON array.")  # second failure surfaces
 
     entries: list[MemoryEntry] = []
     all_diagnostics: list[str] = []

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .backend import Backend, ChatRequest
+from .backend import Backend, complete_parsed
 from .errors import ParseFailure, ValidationFailure
 from .extraction import MemoryEntry, normalize_display, normalize_person_key
 from .prompts import render
@@ -142,14 +142,9 @@ def update_profile(person: str, new_entries: Sequence[MemoryEntry],
     existing_text = serialize_profile(existing) if existing else "No profile yet."
     prompt = render(profile_prompt, entity_name=display, facts=facts,
                     existing_profile=existing_text)
-    reply = backend.complete(ChatRequest(prompt=prompt))
-    try:
-        display_name, sections = parse_profile_text(reply)
-    except ParseFailure as exc:
-        repair = (f"{prompt}\n\nYour previous reply could not be parsed ({exc}). "
-                  f"Output the profile in the exact bracketed-label format.")
-        reply = backend.complete(ChatRequest(prompt=repair))
-        display_name, sections = parse_profile_text(reply)
+    display_name, sections = complete_parsed(
+        backend, prompt, parse_profile_text,
+        "Output the profile in the exact bracketed-label format.")
 
     return EntityProfile(
         entity_key=normalize_person_key(person),

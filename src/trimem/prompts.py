@@ -33,7 +33,6 @@ def seed_prompts() -> dict[str, str]:
             "answer",
             "question_analysis",
             "query_generation",
-            "key_info",
             "judge",
             "evolution",
         )

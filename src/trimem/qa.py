@@ -1,16 +1,13 @@
 """Context assembly, token estimation, and final answer generation."""
 from __future__ import annotations
 
-import json
 import logging
 import re
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .backend import Backend, ChatRequest
+from .backend import Backend, complete_parsed, parse_json
 from .errors import ParseFailure
-from .extraction import strip_code_fences
 from .profiles import serialize_profile
 from .prompts import render
 from .retrieval import RetrievedContext
@@ -27,7 +24,6 @@ class Answer:
     reasoning: str
     answer_text: str
     context_token_cost: int = 0
-    latency_ms: int = 0
 
 
 def estimate_tokens(text: str, calibration: float = TOKEN_CALIBRATION) -> int:
@@ -72,49 +68,37 @@ def assemble_context(ctx: RetrievedContext) -> str:
 
 
 def _parse_answer_payload(text: str) -> tuple[str, str]:
-    decoder = json.JSONDecoder()
-    for body in (text, strip_code_fences(text)):
-        for start in range(len(body)):
-            if body[start] != "{":
-                continue
-            try:
-                value, _ = decoder.raw_decode(body, start)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(value, dict) and "answer" in value:
-                return str(value.get("reasoning") or ""), str(value["answer"])
-    raise ParseFailure("no answer object found in model output")
+    obj = parse_json(text, lambda v: isinstance(v, dict) and "answer" in v)
+    return str(obj.get("reasoning") or ""), str(obj["answer"])
 
 
 def answer(question: str, ctx: RetrievedContext, answer_prompt: str,
            backend: Backend) -> Answer:
     """Produce the final structured answer from the assembled context.
 
-    Parsing is total: after one repair retry a still-malformed reply is
+    Parsing is total: when the repair retry fails too, the first reply is
     returned verbatim as the answer with reasoning "(unparsed)".
     """
     context_text = assemble_context(ctx)
     prompt = render(answer_prompt, query=question, context=context_text)
-    started = time.monotonic()
-    reply = backend.complete(ChatRequest(prompt=prompt))
+    replies: list[str] = []
+
+    def parse(reply: str) -> tuple[str, str]:
+        replies.append(reply)
+        return _parse_answer_payload(reply)
+
     try:
-        reasoning, answer_text = _parse_answer_payload(reply)
+        reasoning, answer_text = complete_parsed(
+            backend, prompt, parse,
+            'Return ONLY {"reasoning": "...", "answer": "..."}.')
     except ParseFailure:
-        repair = (f"{prompt}\n\nYour previous reply was not valid JSON. "
-                  f'Return ONLY {{"reasoning": "...", "answer": "..."}}.')
-        reply2 = backend.complete(ChatRequest(prompt=repair))
-        try:
-            reasoning, answer_text = _parse_answer_payload(reply2)
-        except ParseFailure:
-            logger.warning("answer output unparsed for question %r", question[:80])
-            reasoning, answer_text = "(unparsed)", reply
-    latency_ms = int((time.monotonic() - started) * 1000)
+        logger.warning("answer output unparsed for question %r", question[:80])
+        reasoning, answer_text = "(unparsed)", replies[0]
     if not answer_text.strip():  # answer_text must be non-empty
-        answer_text = reply.strip() or "(no answer)"
+        answer_text = replies[0].strip() or "(no answer)"
     return Answer(
         question=question,
         reasoning=reasoning,
         answer_text=answer_text,
         context_token_cost=estimate_tokens(context_text),
-        latency_ms=latency_ms,
     )

@@ -1,9 +1,9 @@
 """Question analysis, search planning, and top-K retrieval with anchor expansion.
 
-The search plan is produced by three LLM steps (required-information
-analysis, targeted query generation, key-information extraction), each of
-which degrades gracefully: any parse failure falls back to retrieving with
-the original question alone, so retrieval never fails on output shape.
+The search plan is produced by two LLM steps (required-information
+analysis, then targeted query generation), each of which degrades
+gracefully: any failure falls back to retrieving with the original question
+alone, so retrieval never fails on output shape.
 """
 from __future__ import annotations
 
@@ -13,10 +13,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .backend import Backend, ChatRequest
+from .backend import Backend, complete_parsed, parse_json
 from .corpus import DialogueTurn
-from .errors import ParseFailure
-from .extraction import normalize_person_key, strip_code_fences
+from .extraction import normalize_person_key
 from .profiles import EntityProfile
 from .prompts import render
 from .store import MemoryStore, RetrievalConfig
@@ -38,19 +37,9 @@ class InfoPlan:
 
 
 @dataclass(frozen=True)
-class KeyInfo:
-    keywords: tuple[str, ...] = ()
-    persons: tuple[str, ...] = ()
-    time_expression: Optional[str] = None
-    location: Optional[str] = None
-    entities: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class SearchPlan:
     original_question: str
     queries: tuple[str, ...]
-    key_info: KeyInfo = KeyInfo()
 
     def __post_init__(self):
         if not self.queries:
@@ -67,42 +56,13 @@ class RetrievedContext:
     token_cost: int = 0
 
 
-def _parse_json_object(text: str) -> dict:
-    decoder = json.JSONDecoder()
-    # raw reply first; fence-stripping only as a fallback so payloads whose
-    # string values contain fenced snippets are not truncated
-    for body in (text, strip_code_fences(text)):
-        for start in range(len(body)):
-            if body[start] != "{":
-                continue
-            try:
-                value, _ = decoder.raw_decode(body, start)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(value, dict):
-                return value
-    raise ParseFailure("no JSON object found in model output")
-
-
-def _complete_json(prompt: str, backend: Backend) -> dict:
-    """One model call with a single repair retry; raises ParseFailure after both."""
-    reply = backend.complete(ChatRequest(prompt=prompt))
-    try:
-        return _parse_json_object(reply)
-    except ParseFailure as exc:
-        repair = (f"{prompt}\n\nYour previous reply could not be parsed ({exc}). "
-                  f"Return ONLY the JSON.")
-        reply = backend.complete(ChatRequest(prompt=repair))
-        return _parse_json_object(reply)
-
-
 def analyze_question(question: str, analysis_prompt: str, backend: Backend) -> InfoPlan:
     """Derive the required-information plan; falls back to a degenerate plan."""
     if not question:
         raise ValueError("question must be non-empty")
     prompt = render(analysis_prompt, query=question)
     try:
-        obj = _complete_json(prompt, backend)
+        obj = complete_parsed(backend, prompt, parse_json, "Return ONLY the JSON.")
         return InfoPlan(
             question_type=str(obj.get("question_type") or "general"),
             key_entities=tuple(str(e) for e in obj.get("key_entities") or []),
@@ -116,20 +76,9 @@ def analyze_question(question: str, analysis_prompt: str, backend: Backend) -> I
         return InfoPlan.degenerate()
 
 
-def _parse_key_info(obj: dict) -> KeyInfo:
-    return KeyInfo(
-        keywords=tuple(str(k) for k in obj.get("keywords") or []),
-        persons=tuple(str(p) for p in obj.get("persons") or []),
-        time_expression=obj.get("time_expression") or None,
-        location=obj.get("location") or None,
-        entities=tuple(str(e) for e in obj.get("entities") or []),
-    )
-
-
 def generate_queries(question: str, plan: InfoPlan, query_prompt: str,
-                     key_info_prompt: str, backend: Backend,
-                     query_cap: int = 3) -> SearchPlan:
-    """Produce the deduplicated, capped query list plus key-info fields.
+                     backend: Backend, query_cap: int = 3) -> SearchPlan:
+    """Produce the deduplicated, capped query list.
 
     The original question is always present and first; the fallback plan
     is simply ``[question]``.
@@ -144,7 +93,7 @@ def generate_queries(question: str, plan: InfoPlan, query_prompt: str,
         minimal_queries_needed=str(plan.minimal_queries_needed),
     )
     try:
-        obj = _complete_json(prompt, backend)
+        obj = complete_parsed(backend, prompt, parse_json, "Return ONLY the JSON.")
         raw_queries = [str(q) for q in obj.get("queries") or [] if str(q).strip()]
     except Exception as exc:
         logger.warning("query generation fell back to the question: %s", exc)
@@ -158,17 +107,8 @@ def generate_queries(question: str, plan: InfoPlan, query_prompt: str,
             continue
         seen.add(key)
         queries.append(q)
-    queries = queries[:max(1, query_cap)]
-
-    key_info = KeyInfo()
-    try:
-        key_info = _parse_key_info(
-            _complete_json(render(key_info_prompt, query=question), backend))
-    except Exception as exc:
-        logger.warning("key-info extraction failed, continuing without: %s", exc)
-
-    return SearchPlan(original_question=question, queries=tuple(queries),
-                      key_info=key_info)
+    return SearchPlan(original_question=question,
+                      queries=tuple(queries[:max(1, query_cap)]))
 
 
 def retrieve(plan: SearchPlan, store: MemoryStore, config: RetrievalConfig,
@@ -226,5 +166,4 @@ def plan_for_question(question: str, prompts: dict[str, str], backend: Backend,
         return SearchPlan(original_question=question, queries=(question,))
     plan = analyze_question(question, prompts["question_analysis"], backend)
     return generate_queries(question, plan, prompts["query_generation"],
-                            prompts["key_info"], backend,
-                            query_cap=config.query_cap)
+                            backend, query_cap=config.query_cap)

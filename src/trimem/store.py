@@ -136,15 +136,19 @@ class MemoryStore:
         """Embed restatements and add entries, deduplicating exact repeats.
 
         Restatements that are byte-equal after whitespace normalization map
-        to the already-stored id instead of creating a new row.
+        to the already-stored id instead of creating a new row; a restatement
+        repeated within the batch is embedded once, at its first copy.
         """
         if self._sealed:
             raise StoreClosed("store is sealed")
-        fresh = [e for e in entries
-                 if _normalize_restatement(e.lossless_restatement) not in self._by_restatement]
+        fresh: dict[str, str] = {}  # normalized key -> first new restatement
+        for entry in entries:
+            key = _normalize_restatement(entry.lossless_restatement)
+            if key not in self._by_restatement:
+                fresh.setdefault(key, entry.lossless_restatement)
         vectors = None
         if fresh:
-            vectors = backend.embed([e.lossless_restatement for e in fresh])
+            vectors = backend.embed(list(fresh.values()))
         assigned: list[str] = []
         fresh_row = 0
         for entry in entries:
@@ -303,14 +307,20 @@ class MemoryStore:
                     raise SchemaVersionMismatch(
                         f"vector file schema {version} != {SCHEMA_VERSION}")
                 data = np.fromfile(fh, dtype="<f4", count=dim * count)
+            records = [json.loads(line) for line in
+                       (path / "entries.jsonl").read_text(encoding="utf-8").splitlines()
+                       if line.strip()]
+            rows = data.size // dim if dim else 0
+            if not rows == count == len(records) == manifest.get("entry_count"):
+                raise StoreIOError(
+                    f"{path}: store parts disagree: manifest lists "
+                    f"{manifest.get('entry_count')} entries, entries.jsonl holds "
+                    f"{len(records)}, vectors.bin holds {rows} of {count} rows")
             if dim:
                 store.dim = dim
-            vectors = data.reshape(count, dim) if count else np.zeros((0, dim or 0))
-            for row, line in enumerate(
-                    (path / "entries.jsonl").read_text(encoding="utf-8").splitlines()):
-                if not line.strip():
-                    continue
-                entry = _entry_from_record(json.loads(line))
+            vectors = data.reshape(count, dim)
+            for row, rec in enumerate(records):
+                entry = _entry_from_record(rec)
                 store.entries[entry.entry_id] = entry
                 store.insertion_order.append(entry.entry_id)
                 store._row_of[entry.entry_id] = row
@@ -322,8 +332,8 @@ class MemoryStore:
                 for line in profiles_path.read_text(encoding="utf-8").splitlines():
                     if line.strip():
                         store.add_profile(EntityProfile.from_dict(json.loads(line)))
-        except OSError as exc:
-            raise StoreIOError(str(exc))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise StoreIOError(f"{path}: {exc}")
         if manifest.get("sealed"):
             store.seal()
         return store

@@ -10,13 +10,21 @@ from trimem.backend import (
     HttpBackend,
     ScriptedBackend,
     hash_embedding,
+    parse_json,
 )
+from trimem.corpus import DialogueTurn, Window
 from trimem.errors import (
     AuthError,
     BudgetExceeded,
     FixtureExhausted,
+    ParseFailure,
     TransportError,
 )
+from trimem.evolution import judge
+from trimem.extraction import MemoryEntry, extract_entries
+from trimem.profiles import update_profile
+from trimem.qa import answer
+from trimem.retrieval import RetrievedContext, analyze_question
 
 
 # -- hash embeddings ---------------------------------------------------
@@ -221,3 +229,92 @@ def test_router_role_defaults():
     assert router.for_role("senior") is senior
     assert router.for_role("embedding") is pipeline
     assert BackendRouter(pipeline=pipeline).for_role("senior") is pipeline
+
+
+# -- reply parsing and repair ------------------------------------------
+
+def is_list(value):
+    return isinstance(value, list)
+
+
+def test_parse_json_reads_fenced_bodies():
+    assert parse_json("```json\n[1]\n```", is_list) == [1]
+    assert parse_json("```\n[1]\n```", is_list) == [1]
+    assert parse_json("[1]", is_list) == [1]
+    # a string value quoting a fence stays whole
+    quoted = {"answer": "use ```json\n[1]\n``` fences"}
+    assert parse_json("```json\n" + json.dumps(quoted) + "\n```") == quoted
+
+
+def test_parse_json_returns_first_accepted_value():
+    text = 'See [3] below: {"a": [1]} then {"answer": "x"}'
+    assert parse_json(text) == {"a": [1]}
+    assert parse_json(text, is_list) == [3]
+    assert parse_json(text, lambda v: isinstance(v, dict) and "answer" in v) \
+        == {"answer": "x"}
+    with pytest.raises(ParseFailure):
+        parse_json("no json {here", is_list)
+    with pytest.raises(ParseFailure):  # deeper than the decoder can recurse
+        parse_json("[" * 3000)
+
+
+def test_parse_json_does_not_read_inside_a_broken_value():
+    cut = '[{"entities": [], "keywords": ["Alice"], "topic": "tra'
+    with pytest.raises(ParseFailure):
+        parse_json(cut, is_list)
+    with pytest.raises(ParseFailure):
+        parse_json('[{"answer": "x"}, {"answer": "y"')
+    # a value after the broken one is still found
+    assert parse_json('{"a": "he said "hi""} so {"answer": "x"}') == {"answer": "x"}
+
+
+def _window():
+    turns = (DialogueTurn(turn_id=1, session_id=0, speaker="A", text="t1"),)
+    return Window(index=1, first_turn=1, last_turn=1, turns=turns)
+
+
+def _judge(backend):
+    return judge("q", "p", "r", "Judge.\n{question} {reference} {prediction}", backend)
+
+
+_ENTRY = MemoryEntry(lossless_restatement="Alice moved.",
+                     persons=frozenset({"Alice"}),
+                     source_dialogue_ids=frozenset({1}))
+
+# site -> (run the site on a backend, a valid reply, a malformed reply)
+REPAIR_SITES = {
+    "extraction": (
+        lambda b: extract_entries(_window(), "Extract.\n{dialogue_text}", b),
+        json.dumps([{"lossless_restatement": "A said t1.",
+                     "source_dialogue_ids": [1]}]),
+        "sorry, no JSON"),
+    "profile": (
+        lambda b: update_profile("alice", [_ENTRY], None,
+                                 "Profile {entity_name}.\n{facts}", b),
+        "Entity: Alice\n[Identity] Lives in Rome.",
+        "[Identity] no header"),
+    "plan": (
+        lambda b: analyze_question("when?", "Analyse.\nQuestion: {query}", b),
+        json.dumps({"question_type": "temporal"}),
+        "not json"),
+    "answer": (
+        lambda b: answer("where?", RetrievedContext([], [], []),
+                         "Answer.\nQuestion: {query}\n{context}", b),
+        json.dumps({"reasoning": "r", "answer": "Rome"}),
+        "free text"),
+    "judge": (_judge, json.dumps({"score": 1, "reasoning": "ok"}), "???"),
+    "judge-non-numeric-score": (
+        _judge, json.dumps({"score": 1, "reasoning": "ok"}),
+        json.dumps({"score": "high", "reasoning": "ok"})),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REPAIR_SITES))
+def test_every_site_repairs_once_with_the_same_note(site):
+    run_site, valid, malformed = REPAIR_SITES[site]
+    backend = ScriptedBackend(rules=[FixtureRule(response=malformed),
+                                     FixtureRule(response=valid)])
+    result = run_site(backend)
+    first, repair = backend.request_log
+    assert repair.startswith(first + "\n\nYour previous reply could not be parsed")
+    assert "unparsed" not in repr(result)  # the repaired reply was used

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import pytest
 
@@ -168,6 +169,32 @@ def test_inspect_store_and_entry(work_dir, capsys):
     assert result["entry_id"] == "e000001"
     assert result["anchored_turns"]
     assert result["profiles"]
+
+
+def _drop_vector_rows(path):
+    raw = path.read_bytes()
+    _, dim, _ = struct.unpack("<III", raw[4:16])
+    path.write_bytes(raw[:-10 * dim * 4])
+
+
+TRUNCATIONS = {
+    "vectors-10-rows-short": ("vectors.bin", _drop_vector_rows),
+    "entries-10-lines-short": ("entries.jsonl", lambda p: p.write_text(
+        "".join(p.read_text(encoding="utf-8").splitlines(keepends=True)[:-10]),
+        encoding="utf-8")),
+    "entries-cut-mid-record": ("entries.jsonl", lambda p: p.write_bytes(
+        p.read_bytes()[:-40])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUNCATIONS))
+def test_inspect_rejects_truncated_store(work_dir, capsys, case):
+    build(capsys)
+    part, truncate = TRUNCATIONS[case]
+    truncate(work_dir / "store" / part)
+    code, _, err = run(capsys, "inspect", "--store", "store")
+    assert code == EXIT_DATA
+    assert json.loads(err)["error"] == "StoreIOError"
 
 
 def test_ablate_unknown_knob(work_dir, capsys):

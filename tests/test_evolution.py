@@ -57,8 +57,8 @@ def test_prompt_set_persist_and_load(tmp_path):
 
 def test_as_prompt_dict_includes_aux_roles():
     prompts = PromptSet.seed().as_prompt_dict()
-    assert {"extraction", "profile", "answer", "judge", "question_analysis",
-            "query_generation", "key_info", "evolution"} <= set(prompts)
+    assert set(prompts) == {"extraction", "profile", "answer", "judge",
+                            "question_analysis", "query_generation", "evolution"}
 
 
 # -- judge -------------------------------------------------------------

@@ -13,7 +13,6 @@ from trimem.extraction import (
     normalize_display,
     normalize_person_key,
     parse_entry_payload,
-    strip_code_fences,
     validate_entry,
 )
 
@@ -44,12 +43,6 @@ def record(**overrides):
 
 
 # -- parsing -----------------------------------------------------------
-
-def test_strip_code_fences():
-    assert strip_code_fences("```json\n[1]\n```") == "[1]"
-    assert strip_code_fences("```\n[1]\n```") == "[1]"
-    assert strip_code_fences("[1]") == "[1]"
-
 
 def test_parse_entry_payload_with_prose_and_fences():
     text = "Here you go:\n```json\n" + json.dumps([record()]) + "\n```\nDone."
@@ -179,6 +172,27 @@ def test_extract_entries_double_parse_failure_surfaces():
     ])
     with pytest.raises(ParseFailure):
         extract_entries(window, EXTRACTION_PROMPT, backend)
+
+
+@pytest.mark.parametrize("second", ["valid", "cut"])
+def test_extract_entries_repairs_a_cut_array(second):
+    # the outer array does not decode, and its first inner list is empty:
+    # that list must not pass for the payload
+    valid = json.dumps([record()])
+    cut = json.dumps([{"entities": [], **record()}])[:-10]
+    window = make_window()
+    backend = ScriptedBackend(rules=[
+        FixtureRule(response=cut, contains=("Dialogues:",)),
+        FixtureRule(response=valid if second == "valid" else cut,
+                    contains=("Dialogues:",)),
+    ])
+    if second == "valid":
+        assert len(extract_entries(window, EXTRACTION_PROMPT, backend)) == 1
+    else:
+        with pytest.raises(ParseFailure):
+            extract_entries(window, EXTRACTION_PROMPT, backend)
+    first, repair = backend.request_log
+    assert repair.startswith(first + "\n\nYour previous reply could not be parsed")
 
 
 def test_extract_entries_validation_failure_carries_survivors():

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from trimem.backend import FixtureRule, ScriptedBackend, hash_embedding
+from trimem.backend import BackendRouter, FixtureRule, ScriptedBackend, hash_embedding
 from trimem.extraction import MemoryEntry
 from trimem.profiles import EntityProfile
+from trimem.pipeline import answer_question
+from trimem.prompts import seed_prompts
 from trimem.retrieval import (
     InfoPlan,
-    KeyInfo,
     SearchPlan,
     analyze_question,
     generate_queries,
@@ -21,12 +22,10 @@ ANALYSIS_PROMPT = "determine what specific information is required\nQuestion: {q
 QUERY_PROMPT = ("targeted search queries\nOriginal Question: {original_query}\n"
                 "{question_type} {key_entities} {required_info} {relationships} "
                 "{minimal_queries_needed}")
-KEY_INFO_PROMPT = "extract key information\nQuery: {query}"
 
 PROMPTS = {
     "question_analysis": ANALYSIS_PROMPT,
     "query_generation": QUERY_PROMPT,
-    "key_info": KEY_INFO_PROMPT,
 }
 
 
@@ -82,24 +81,23 @@ def test_generate_queries_dedup_and_cap():
         FixtureRule(response=json.dumps({
             "queries": ["WHEN?", "alpha", "beta", "gamma"]}),
             contains=("targeted search queries",)),
-        FixtureRule(response=json.dumps({"keywords": ["k"], "persons": ["P"]}),
-                    contains=("extract key information",)),
     ])
     plan = generate_queries("when?", InfoPlan.degenerate(), QUERY_PROMPT,
-                            KEY_INFO_PROMPT, backend, query_cap=3)
+                            backend, query_cap=3)
     # original first, case-insensitive dedup of "WHEN?", capped at 3
     assert plan.queries == ("when?", "alpha", "beta")
-    assert plan.key_info.keywords == ("k",)
-    assert plan.key_info.persons == ("P",)
+    # query generation is the only model call; no key-info step follows
+    assert backend.usage.calls == 1
 
 
 def test_generate_queries_full_fallback():
     backend = ScriptedBackend(rules=[
         FixtureRule(response="garbage", contains=("",), sticky=True)])
     plan = generate_queries("who?", InfoPlan.degenerate(), QUERY_PROMPT,
-                            KEY_INFO_PROMPT, backend)
+                            backend)
     assert plan.queries == ("who?",)
-    assert plan.key_info == KeyInfo()
+    # the first reply and its one repair; nothing else is asked
+    assert backend.usage.calls == 2
 
 
 def test_plan_for_question_disabled_search_plan():
@@ -108,6 +106,18 @@ def test_plan_for_question_disabled_search_plan():
     plan = plan_for_question("q?", PROMPTS, backend, config)
     assert plan.queries == ("q?",)
     assert backend.usage.calls == 0
+
+
+def test_planned_question_makes_three_chat_calls_and_one_embed(built_store, data_dir):
+    backend = ScriptedBackend.from_fixture_file(data_dir / "fixture.jsonl")
+    result, _ = answer_question("What museum did Ethan visit in March 2024?",
+                                built_store, seed_prompts(),
+                                BackendRouter(pipeline=backend), RetrievalConfig())
+    assert result.answer_text == "The Harbor Museum"
+    # analysis, query generation, answer; the rest of usage is the embed call
+    assert len(backend.request_log) == 3
+    assert backend.usage.calls - len(backend.request_log) == 1
+    assert not any("extract key information" in p for p in backend.request_log)
 
 
 # -- retrieve ----------------------------------------------------------

@@ -258,3 +258,25 @@ def test_round_trip_search_identical(tmp_path, backend):
     loaded = MemoryStore.load(tmp_path / "s")
     query = hash_embedding("Alice visited Rome.")
     assert store.similarity_search(query, 2) == loaded.similarity_search(query, 2)
+
+
+class EmbedLog(ScriptedBackend):
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def embed(self, texts):
+        self.batches.append(list(texts))
+        return super().embed(texts)
+
+
+def test_insert_repeat_inside_batch_keeps_vectors_aligned():
+    backend = EmbedLog()
+    store = MemoryStore(turns=make_turns(3))
+    a, b = "Alice visited Rome.", "Bob plays chess."
+    ids = store.insert_entries([make_entry(a), make_entry(a), make_entry(b)], backend)
+    assert ids == ["e000001", "e000001", "e000002"]
+    assert backend.batches == [[a, b]]
+    want = hash_embedding(b)
+    assert store.vector_of("e000002").tobytes() == \
+        (want / float(np.linalg.norm(want))).tobytes()
