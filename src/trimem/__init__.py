@@ -37,8 +37,8 @@ from .metrics import (
 )
 from .pipeline import QaItem, answer_question, build_store, run_eval
 from .profiles import EntityProfile, update_profile
-from .qa import Answer, answer, assemble_context, estimate_tokens
-from .retrieval import RetrievedContext, SearchPlan, plan_for_question, retrieve
+from .qa import Answer, RetrievedContext, answer, assemble_context, estimate_tokens
+from .retrieval import SearchPlan, plan_for_question, retrieve
 from .store import MemoryStore, RetrievalConfig
 
 __version__ = "1.0.0"

@@ -268,6 +268,7 @@ class ScriptedBackend(Backend):
         return reply
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
+        self._check_budget()
         vectors = _embed_batch(texts, lambda t: hash_embedding(t, self.dim))
         self._charge(" ".join(texts), "")
         return vectors

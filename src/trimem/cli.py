@@ -1,9 +1,9 @@
 """Operator command-line surface.
 
 Commands: ingest, build, query, answer, eval, evolve, ablate, inspect.
-Configuration precedence is flags > environment > config file; every
-command writes a run manifest (config hash, prompt round, backend usage)
-so scripted runs replay exactly.
+Configuration precedence is flags > environment > config file. ``build``,
+``eval``, ``evolve`` and ``ablate`` (one per eval row) write a run manifest
+(config hash, prompt round, backend usage) so scripted runs replay exactly.
 
 Exit codes: 0 success, 1 usage, 2 data/validation, 3 backend/transport.
 """
@@ -16,19 +16,18 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import errors
-from .backend import Backend, BackendRouter, HttpBackend, ScriptedBackend
+from .backend import BackendRouter, HttpBackend, ScriptedBackend
 from .corpus import SegmentationConfig, load_corpus, segment
 from .extraction import normalize_person_key
 from .evolution import PromptSet, best_round, evolve
 from .metrics import build_report, write_report
 from .pipeline import QaItem, answer_question, build_store, run_eval
 from .prompts import seed_prompts
-from .qa import assemble_context
 from .retrieval import plan_for_question, retrieve
 from .store import MemoryStore, RetrievalConfig
 
@@ -185,6 +184,22 @@ def write_manifest(path: Path, config: RunConfig, prompt_round: int,
                     encoding="utf-8")
 
 
+def _build_and_persist(config: RunConfig, router: BackendRouter,
+                       store_dir: Path) -> tuple[MemoryStore, int]:
+    """Build a store from ``config.corpus`` and persist it under the lock;
+    returns the store and the prompt round it was built with."""
+    corpus = load_corpus(config.corpus)
+    prompts, prompt_round = load_prompts(config)
+    with store_lock(store_dir):
+        store = build_store(corpus, prompts, router,
+                            seg_config=config.segmentation())
+        store.persist(store_dir, manifest_extra={
+            "config_hash": config.config_hash(),
+            "prompt_round": prompt_round,
+        })
+    return store, prompt_round
+
+
 def load_qa_set(path) -> list[QaItem]:
     items = []
     text = Path(path).read_text(encoding="utf-8")
@@ -218,21 +233,13 @@ def cmd_build(args) -> int:
     if store_dir.exists() and any(store_dir.iterdir()) and not args.force:
         raise errors.UsageError(
             f"{store_dir} is not empty; pass --force to rebuild")
-    corpus = load_corpus(config.corpus)
-    prompts, prompt_round = load_prompts(config)
     router = make_router(config)
-    with store_lock(store_dir):
-        store = build_store(corpus, prompts, router,
-                            seg_config=config.segmentation())
-        store.persist(store_dir, manifest_extra={
-            "config_hash": config.config_hash(),
-            "prompt_round": prompt_round,
-        })
-        write_manifest(store_dir / "run_manifest.json", config, prompt_round,
-                       router, extra={
-                           "entry_count": len(store),
-                           "profile_versions": len(store.profile_history),
-                       })
+    store, prompt_round = _build_and_persist(config, router, store_dir)
+    write_manifest(store_dir / "run_manifest.json", config, prompt_round,
+                   router, extra={
+                       "entry_count": len(store),
+                       "profile_versions": len(store.profile_history),
+                   })
     print(json.dumps({"store": str(store_dir), "entries": len(store),
                       "profiles": len(store.profile_history)}, indent=2))
     return EXIT_OK
@@ -273,12 +280,12 @@ def cmd_answer(args) -> int:
     result, ctx = answer_question(args.question, store, prompts, router,
                                   config.retrieval())
     if args.dump_context:
-        Path(args.dump_context).write_text(assemble_context(ctx), encoding="utf-8")
+        Path(args.dump_context).write_text(ctx.text, encoding="utf-8")
     print(json.dumps({
         "question": result.question,
         "reasoning": result.reasoning,
         "answer": result.answer_text,
-        "context_token_cost": result.context_token_cost,
+        "context_token_cost": ctx.token_cost,
     }, indent=2))
     return EXIT_OK
 
@@ -365,15 +372,7 @@ def cmd_ablate(args) -> int:
         router = make_router(sweep_config)
         if needs_rebuild:
             row_store = out_dir / f"store_{knob}_{value}"
-            corpus = load_corpus(sweep_config.corpus)
-            prompts, prompt_round = load_prompts(sweep_config)
-            with store_lock(row_store):
-                store = build_store(corpus, prompts, router,
-                                    seg_config=sweep_config.segmentation())
-                store.persist(row_store, manifest_extra={
-                    "config_hash": sweep_config.config_hash(),
-                    "prompt_round": prompt_round,
-                })
+            _build_and_persist(sweep_config, router, row_store)
             sweep_config = dataclasses.replace(sweep_config,
                                                store_dir=str(row_store))
             router = make_router(sweep_config)  # fresh fixture state for eval

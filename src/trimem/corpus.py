@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DuplicateTurnId, EmptyCorpus, MalformedDocument, MissingFile
 

@@ -38,15 +38,10 @@ class PromptSet:
         return cls(extraction=prompts["extraction"], profile=prompts["profile"],
                    answer=prompts["answer"], round=0, parent_round=None)
 
-    def as_prompt_dict(self, aux: Optional[dict[str, str]] = None) -> dict[str, str]:
+    def as_prompt_dict(self) -> dict[str, str]:
         """Full prompt mapping for the pipeline (aux roles are fixed assets)."""
-        prompts = dict(aux) if aux else {
-            k: v for k, v in seed_prompts().items()
-            if k not in ("extraction", "profile", "answer")
-        }
-        prompts.update(extraction=self.extraction, profile=self.profile,
-                       answer=self.answer)
-        return prompts
+        return {**seed_prompts(), "extraction": self.extraction,
+                "profile": self.profile, "answer": self.answer}
 
     def persist(self, prompt_dir) -> None:
         round_dir = Path(prompt_dir) / f"round_{self.round}"
@@ -217,8 +212,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
         raise EmptyRecordSet("empty train set")
 
     retrieval_config = retrieval_config or RetrievalConfig()
-    aux = {k: v for k, v in seed_prompts().items()
-           if k not in ("extraction", "profile", "answer")}
+    evolution_prompt = seed_prompts()["evolution"]
     prompt_dir = Path(prompt_dir)
     prompt_dir.mkdir(parents=True, exist_ok=True)
     log_path = prompt_dir / "gradients.jsonl"
@@ -228,7 +222,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     trajectory: list[tuple[PromptSet, float]] = []
 
     def evaluate(prompts: PromptSet) -> tuple[list[EvalRecord], float]:
-        pipeline_prompts = prompts.as_prompt_dict(aux)
+        pipeline_prompts = prompts.as_prompt_dict()
         store = build_store(corpus, pipeline_prompts, router, seg_config)
         records = run_eval(items, store, pipeline_prompts, router,
                            retrieval_config, with_coverage=False)
@@ -239,8 +233,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
             records, loss = evaluate(current)
             trajectory.append((current, loss))
             try:
-                gradient = textual_gradient(records, current,
-                                            aux["evolution"],
+                gradient = textual_gradient(records, current, evolution_prompt,
                                             router.for_role("senior"))
                 log.write(json.dumps({
                     "round": current.round,

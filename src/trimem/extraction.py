@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Optional, Sequence
+from typing import Optional
 
 from .backend import Backend, complete_parsed, parse_json
 from .corpus import Window, render_window
@@ -41,10 +41,6 @@ class MemoryEntry:
     origin_window: int = 0
     entry_id: str = ""  # assigned at insert
 
-    def person_keys(self) -> list[str]:
-        """Normalized person keys, display order preserved."""
-        return [normalize_person_key(p) for p in sorted(self.persons)]
-
 
 def normalize_person_key(name: str) -> str:
     return " ".join(name.split()).casefold()
@@ -57,29 +53,14 @@ def normalize_display(name: str) -> str:
 def _coerce_event_time(value: str) -> Optional[str]:
     value = value.strip()
     if _DATE_ONLY.match(value):
-        try:
-            datetime.fromisoformat(value)
-        except ValueError:
-            return None
-        return f"{value}T00:00:00"
-    if _DATE_HM.match(value):
-        coerced = f"{value.replace(' ', 'T')}:00"
-        try:
-            datetime.fromisoformat(coerced)
-        except ValueError:
-            return None
-        return coerced
-    if _DATE_HMS.match(value):
-        try:
-            datetime.fromisoformat(value)
-        except ValueError:
-            return None
-        return value.replace(" ", "T")
+        value += "T00:00:00"
+    elif _DATE_HM.match(value):
+        value += ":00"
     try:
         datetime.fromisoformat(value)
     except ValueError:
         return None
-    return value
+    return value.replace(" ", "T") if _DATE_HMS.match(value) else value
 
 
 def parse_entry_payload(text: str) -> list[dict]:

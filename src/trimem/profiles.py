@@ -7,7 +7,7 @@ retrieval.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .backend import Backend, complete_parsed
@@ -38,12 +38,6 @@ class EntityProfile:
     sections: tuple[tuple[str, str], ...]  # ordered (label, text)
     version: int = 0
     last_updated_window: int = 0
-
-    def section(self, label: str) -> Optional[str]:
-        for name, text in self.sections:
-            if name == label:
-                return text
-        return None
 
     def as_dict(self) -> dict:
         return {

@@ -1,16 +1,20 @@
-"""Context assembly, token estimation, and final answer generation."""
+"""The retrieved context, its rendering and token count, and the final answer.
+
+``RetrievedContext`` renders itself once, when it is built, through this
+module's ``assemble_context`` and ``estimate_tokens``; the answer prompt,
+the context's token cost and the coverage metric all read that one text.
+"""
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
 
 from .backend import Backend, complete_parsed, parse_json
+from .corpus import DialogueTurn
 from .errors import ParseFailure
-from .profiles import serialize_profile
+from .profiles import EntityProfile, serialize_profile
 from .prompts import render
-from .retrieval import RetrievedContext
 
 logger = logging.getLogger(__name__)
 
@@ -23,7 +27,20 @@ class Answer:
     question: str
     reasoning: str
     answer_text: str
-    context_token_cost: int = 0
+
+
+@dataclass
+class RetrievedContext:
+    """Ranked facts, their anchored turns and profiles, rendered once."""
+    ranked_entries: list  # (MemoryEntry, score), scores non-increasing
+    recovered_turns: list[DialogueTurn]
+    profiles: list[EntityProfile]
+    text: str = field(init=False)
+    token_cost: int = field(init=False)
+
+    def __post_init__(self):
+        self.text = assemble_context(self)
+        self.token_cost = estimate_tokens(self.text)
 
 
 def estimate_tokens(text: str, calibration: float = TOKEN_CALIBRATION) -> int:
@@ -79,8 +96,7 @@ def answer(question: str, ctx: RetrievedContext, answer_prompt: str,
     Parsing is total: when the repair retry fails too, the first reply is
     returned verbatim as the answer with reasoning "(unparsed)".
     """
-    context_text = assemble_context(ctx)
-    prompt = render(answer_prompt, query=question, context=context_text)
+    prompt = render(answer_prompt, query=question, context=ctx.text)
     replies: list[str] = []
 
     def parse(reply: str) -> tuple[str, str]:
@@ -96,9 +112,4 @@ def answer(question: str, ctx: RetrievedContext, answer_prompt: str,
         reasoning, answer_text = "(unparsed)", replies[0]
     if not answer_text.strip():  # answer_text must be non-empty
         answer_text = replies[0].strip() or "(no answer)"
-    return Answer(
-        question=question,
-        reasoning=reasoning,
-        answer_text=answer_text,
-        context_token_cost=estimate_tokens(context_text),
-    )
+    return Answer(question=question, reasoning=reasoning, answer_text=answer_text)

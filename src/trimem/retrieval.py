@@ -1,26 +1,32 @@
 """Question analysis, search planning, and top-K retrieval with anchor expansion.
 
 The search plan is produced by two LLM steps (required-information
-analysis, then targeted query generation), each of which degrades
-gracefully: any failure falls back to retrieving with the original question
-alone, so retrieval never fails on output shape.
+analysis, then targeted query generation). A step whose reply cannot be
+parsed or read degrades: it falls back to retrieving with the original
+question alone, so retrieval never fails on output shape. Backend errors
+(budget, auth, transport) surface. ``retrieve`` builds the
+``RetrievedContext``, which the qa module renders.
 """
 from __future__ import annotations
 
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 from .backend import Backend, complete_parsed, parse_json
 from .corpus import DialogueTurn
+from .errors import ParseFailure
 from .extraction import normalize_person_key
-from .profiles import EntityProfile
 from .prompts import render
+from .qa import RetrievedContext
 from .store import MemoryStore, RetrievalConfig
 
 logger = logging.getLogger(__name__)
+
+# a reply that does not parse, or a parsed plan with a field of the wrong
+# type or value; anything else (budget, auth, transport) is not a plan fault
+_PLAN_FAULTS = (ParseFailure, TypeError, ValueError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -48,14 +54,6 @@ class SearchPlan:
             raise ValueError("queries must contain the original question")
 
 
-@dataclass
-class RetrievedContext:
-    ranked_entries: list  # (MemoryEntry, score), scores non-increasing
-    recovered_turns: list[DialogueTurn]
-    profiles: list[EntityProfile]
-    token_cost: int = 0
-
-
 def analyze_question(question: str, analysis_prompt: str, backend: Backend) -> InfoPlan:
     """Derive the required-information plan; falls back to a degenerate plan."""
     if not question:
@@ -71,7 +69,7 @@ def analyze_question(question: str, analysis_prompt: str, backend: Backend) -> I
             relationships=tuple(str(r) for r in obj.get("relationships") or []),
             minimal_queries_needed=max(1, int(obj.get("minimal_queries_needed") or 1)),
         )
-    except Exception as exc:  # fallback contract: never surface
+    except _PLAN_FAULTS as exc:
         logger.warning("question analysis fell back to degenerate plan: %s", exc)
         return InfoPlan.degenerate()
 
@@ -95,7 +93,7 @@ def generate_queries(question: str, plan: InfoPlan, query_prompt: str,
     try:
         obj = complete_parsed(backend, prompt, parse_json, "Return ONLY the JSON.")
         raw_queries = [str(q) for q in obj.get("queries") or [] if str(q).strip()]
-    except Exception as exc:
+    except _PLAN_FAULTS as exc:
         logger.warning("query generation fell back to the question: %s", exc)
         raw_queries = []
 
@@ -152,11 +150,8 @@ def retrieve(plan: SearchPlan, store: MemoryStore, config: RetrievalConfig,
                              key=lambda p: (-person_counts[p], first_seen[p]))
     profiles = store.profiles_for(ordered_persons)[:config.profile_count]
 
-    ctx = RetrievedContext(ranked_entries=ranked, recovered_turns=recovered,
-                           profiles=profiles)
-    from .qa import assemble_context, estimate_tokens  # qa imports this module
-    ctx.token_cost = estimate_tokens(assemble_context(ctx))
-    return ctx
+    return RetrievedContext(ranked_entries=ranked, recovered_turns=recovered,
+                            profiles=profiles)
 
 
 def plan_for_question(question: str, prompts: dict[str, str], backend: Backend,

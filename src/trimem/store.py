@@ -190,9 +190,8 @@ class MemoryStore:
             raise DimensionMismatch(f"query dim {len(query)} != index dim {self.dim}")
         matrix = np.stack(self._vectors)
         scores = matrix @ query
-        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-        k = min(k, len(order))
-        return [(self.insertion_order[i], float(scores[i])) for i in order[:k]]
+        order = np.argsort(-scores, kind="stable")[:k]
+        return [(self.insertion_order[i], float(scores[i])) for i in order]
 
     # -- verbatim recovery ----------------------------------------------
 

@@ -121,14 +121,18 @@ def test_usage_accounting_monotone():
     assert all(t > 0 for _, t in seen)
 
 
-def test_call_budget_enforced():
+@pytest.mark.parametrize("call", [
+    lambda b: b.complete(ChatRequest(prompt="q")),
+    lambda b: b.embed(["q"]),
+], ids=["complete", "embed"])
+def test_call_budget_enforced(call):
     backend = ScriptedBackend(
         rules=[FixtureRule(response="r", contains=("q",), sticky=True)],
         max_calls=2)
-    backend.complete(ChatRequest(prompt="q"))
-    backend.complete(ChatRequest(prompt="q"))
+    call(backend)
+    call(backend)
     with pytest.raises(BudgetExceeded):
-        backend.complete(ChatRequest(prompt="q"))
+        call(backend)
 
 
 def test_token_budget_enforced():

@@ -1,0 +1,33 @@
+"""The benchmark's tracer wraps engine names by lookup; they must all exist.
+
+``perfbench/spans.py`` swaps module attributes and ``MemoryStore`` methods
+for timing wrappers and puts them back afterwards. A refactor that drops or
+renames one of those names would otherwise show only in a traced benchmark
+run (``perfbench/run.py --trace 1``).
+"""
+import importlib
+from pathlib import Path
+
+from trimem import evolution, metrics, pipeline, qa
+from trimem.store import MemoryStore
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+OWNERS = (pipeline, qa, evolution, metrics, MemoryStore)
+
+
+def test_spans_install_and_uninstall_restore_the_engine(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    before = [dict(vars(owner)) for owner in OWNERS]
+
+    uninstall = spans.install(spans.Tracer())
+    try:
+        assert qa.assemble_context is not before[1]["assemble_context"]
+        assert pipeline.retrieve is not before[0]["retrieve"]
+    finally:
+        uninstall()
+
+    for owner, saved in zip(OWNERS, before):
+        now = vars(owner)
+        changed = [k for k in saved if now.get(k) is not saved[k]]
+        assert not changed, f"{owner.__name__}: {changed} not restored"

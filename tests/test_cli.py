@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from trimem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
+from trimem.qa import estimate_tokens
 
 
 def run(capsys, *argv):
@@ -134,6 +135,17 @@ def test_query_and_answer(work_dir, capsys):
                        "--question", question, "--scripted", "fixture.jsonl")
     assert code == EXIT_OK
     assert json.loads(out)["answer"] == "The Harbor Museum"
+
+
+def test_answer_dump_context_matches_token_cost(work_dir, capsys):
+    build(capsys)
+    code, out, _ = run(capsys, "answer", "--store", "store",
+                       "--question", "What museum did Ethan visit in March 2024?",
+                       "--scripted", "fixture.jsonl", "--dump-context", "ctx.txt")
+    assert code == EXIT_OK
+    text = (work_dir / "ctx.txt").read_text(encoding="utf-8")
+    assert text.startswith("[Structured Memory Entries]")
+    assert json.loads(out)["context_token_cost"] == estimate_tokens(text)
 
 
 def test_answer_no_search_plan_uses_single_query(work_dir, capsys):

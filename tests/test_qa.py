@@ -2,12 +2,15 @@ import json
 
 import pytest
 
-from trimem.backend import FixtureRule, ScriptedBackend
+from trimem import pipeline, qa
+from trimem.backend import BackendRouter, FixtureRule, ScriptedBackend
 from trimem.corpus import DialogueTurn
 from trimem.extraction import MemoryEntry
 from trimem.profiles import EntityProfile
+from trimem.prompts import seed_prompts
 from trimem.qa import answer, assemble_context, estimate_tokens
 from trimem.retrieval import RetrievedContext
+from trimem.store import RetrievalConfig
 
 ANSWER_PROMPT = "Answer.\nQuestion: {query}\n{context}\nReturn JSON."
 
@@ -87,10 +90,11 @@ def test_answer_happy_path():
     backend = ScriptedBackend(rules=[FixtureRule(
         response=json.dumps({"reasoning": "entry 1", "answer": "Rome"}),
         contains=("Question: where?",))])
-    result = answer("where?", make_ctx(), ANSWER_PROMPT, backend)
+    ctx = make_ctx()
+    result = answer("where?", ctx, ANSWER_PROMPT, backend)
     assert result.answer_text == "Rome"
     assert result.reasoning == "entry 1"
-    assert result.context_token_cost == estimate_tokens(assemble_context(make_ctx()))
+    assert ctx.token_cost == estimate_tokens(assemble_context(make_ctx()))
 
 
 def test_answer_repair_then_parse():
@@ -120,3 +124,36 @@ def test_answer_never_empty():
                     contains=("where?",), sticky=True)])
     result = answer("where?", make_ctx(), ANSWER_PROMPT, backend)
     assert result.answer_text.strip()
+
+
+# -- one rendering per question ----------------------------------------
+
+def test_eval_renders_each_context_once(monkeypatch, built_store, qa_items, data_dir):
+    calls = {"assemble_context": 0, "estimate_tokens": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((qa, "assemble_context"), (qa, "estimate_tokens"),
+                         (pipeline, "assemble_context")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    backend = ScriptedBackend.from_fixture_file(data_dir / "fixture.jsonl")
+    records = pipeline.run_eval(qa_items[:1], built_store, seed_prompts(),
+                                BackendRouter(pipeline=backend), RetrievalConfig())
+    # answer, token cost and coverage all read the one rendered text
+    assert records[0].context_coverage is not None
+    assert records[0].token_cost > 0
+    assert calls == {"assemble_context": 1, "estimate_tokens": 1}
+
+
+def test_eval_coverage_is_none_for_a_stopword_reference(built_store, qa_items, data_dir):
+    backend = ScriptedBackend.from_fixture_file(data_dir / "fixture.jsonl")
+    item = pipeline.QaItem(question=qa_items[0].question, reference="the",
+                           category=4)
+    records = pipeline.run_eval([item], built_store, seed_prompts(),
+                                BackendRouter(pipeline=backend), RetrievalConfig(),
+                                judge_fn=lambda q, p, r: (1.0, "ok"))
+    assert records[0].context_coverage is None

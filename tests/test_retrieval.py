@@ -3,6 +3,7 @@ import json
 import pytest
 
 from trimem.backend import BackendRouter, FixtureRule, ScriptedBackend, hash_embedding
+from trimem.errors import BudgetExceeded
 from trimem.extraction import MemoryEntry
 from trimem.profiles import EntityProfile
 from trimem.pipeline import answer_question
@@ -74,6 +75,33 @@ def test_analyze_question_falls_back_on_garbage():
         FixtureRule(response="not json", contains=("information",), sticky=True)])
     plan = analyze_question("when?", ANALYSIS_PROMPT, backend)
     assert plan == InfoPlan.degenerate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("minimal_queries_needed", "many"),
+    ("minimal_queries_needed", float("inf")),
+    ("key_entities", 5),
+])
+def test_analyze_question_falls_back_on_malformed_field(field, value):
+    backend = ScriptedBackend(rules=[FixtureRule(
+        response=json.dumps({"question_type": "temporal", field: value}),
+        contains=("information",), sticky=True)])
+    plan = analyze_question("when?", ANALYSIS_PROMPT, backend)
+    assert plan == InfoPlan.degenerate()
+
+
+def test_generate_queries_falls_back_on_malformed_field():
+    backend = ScriptedBackend(rules=[FixtureRule(
+        response='{"queries": 5}', contains=("targeted",), sticky=True)])
+    plan = generate_queries("who?", InfoPlan.degenerate(), QUERY_PROMPT, backend)
+    assert plan.queries == ("who?",)
+
+
+def test_plan_for_question_surfaces_budget_exhaustion(caplog):
+    backend = ScriptedBackend(max_calls=0)
+    with pytest.raises(BudgetExceeded):
+        plan_for_question("when?", PROMPTS, backend, RetrievalConfig())
+    assert not [r for r in caplog.records if r.name == "trimem.retrieval"]
 
 
 def test_generate_queries_dedup_and_cap():
