@@ -26,6 +26,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     FixtureExhausted,
+    MissingFile,
     ParseFailure,
     TransportError,
 )
@@ -230,6 +231,8 @@ class ScriptedBackend(Backend):
     @classmethod
     def from_fixture_file(cls, path, **kwargs) -> "ScriptedBackend":
         """Load rules from a JSONL fixture, one rule object per line."""
+        if not Path(path).is_file():
+            raise MissingFile(str(path))
         rules = []
         for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             if not line.strip():

@@ -80,6 +80,18 @@ class RunConfig:
             use_search_plan=self.use_search_plan,
         )
 
+    def checked(self) -> "RunConfig":
+        """This config, or UsageError if a segmentation, retrieval or
+        evolution knob is invalid."""
+        try:
+            self.segmentation()
+            self.retrieval()
+            if self.rounds < 1:
+                raise ValueError("rounds must be >= 1")
+        except (TypeError, ValueError) as exc:
+            raise errors.UsageError(f"bad run config: {exc}")
+        return self
+
     def config_hash(self) -> str:
         payload = json.dumps(
             {k: v for k, v in dataclasses.asdict(self).items() if k != "api_key"},
@@ -110,7 +122,9 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             setattr(config, key, value)
     if getattr(args, "no_search_plan", False):
         config.use_search_plan = False
-    return config
+    if getattr(args, "question", None) is not None and not args.question.strip():
+        raise errors.UsageError("--question must be non-empty")
+    return config.checked()
 
 
 def make_router(config: RunConfig) -> BackendRouter:
@@ -147,7 +161,12 @@ def load_prompts(config: RunConfig) -> tuple[dict[str, str], int]:
             if not rounds:
                 raise errors.UsageError(f"no prompt rounds in {config.prompt_dir}")
             round_number = rounds[-1]
-        prompt_set = PromptSet.load_round(config.prompt_dir, round_number)
+        try:
+            prompt_set = PromptSet.load_round(config.prompt_dir, round_number)
+        except OSError as exc:
+            raise errors.MissingFile(f"prompt round {round_number}: {exc}")
+        except (KeyError, ValueError) as exc:
+            raise errors.MalformedDocument(f"prompt round {round_number}: {exc!r}")
         return prompt_set.as_prompt_dict(), round_number
     return seed_prompts(), 0
 
@@ -201,15 +220,18 @@ def _build_and_persist(config: RunConfig, router: BackendRouter,
 
 
 def load_qa_set(path) -> list[QaItem]:
-    items = []
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("["):
-        records = json.loads(text)
-    else:
-        records = [json.loads(line) for line in text.splitlines() if line.strip()]
-    for rec in records:
-        items.append(QaItem.from_dict(rec))
-    return items
+    path = Path(path)
+    if not path.is_file():
+        raise errors.MissingFile(str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+        if text.lstrip().startswith("["):
+            records = json.loads(text)
+        else:
+            records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        return [QaItem.from_dict(rec) for rec in records]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise errors.MalformedDocument(f"{path}: bad QA record: {exc!r}")
 
 
 # -- commands ------------------------------------------------------------
@@ -292,9 +314,9 @@ def cmd_answer(args) -> int:
 
 def _run_eval_to_dir(config: RunConfig, qa_path, out_dir: Path,
                      router: BackendRouter) -> dict:
+    qa_set = load_qa_set(qa_path)
     store = MemoryStore.load(config.store_dir)
     prompts, prompt_round = load_prompts(config)
-    qa_set = load_qa_set(qa_path)
     records = run_eval(qa_set, store, prompts, router, config.retrieval())
     evidence = {item.question: sorted(item.evidence) for item in qa_set
                 if item.evidence}
@@ -356,19 +378,18 @@ def cmd_ablate(args) -> int:
     if knob not in ABLATION_KNOBS:
         raise errors.UnknownKnob(
             f"unknown knob {knob!r}; choose from {sorted(ABLATION_KNOBS)}")
-    values = []
-    for raw in args.values.split(","):
-        raw = raw.strip()
-        if knob == "use_search_plan":
-            values.append(raw.lower() in ("1", "true", "on", "yes"))
-        else:
-            values.append(int(raw))
+    try:
+        values = [raw.strip().lower() in ("1", "true", "on", "yes")
+                  if knob == "use_search_plan" else int(raw)
+                  for raw in args.values.split(",")]
+    except ValueError:
+        raise errors.UsageError(f"--values for {knob} must be integers: {args.values!r}")
+    sweeps = [dataclasses.replace(config, **{knob: value}).checked() for value in values]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     needs_rebuild = knob in ("window_size", "stride")
     rows = []
-    for value in values:
-        sweep_config = dataclasses.replace(config, **{knob: value})
+    for value, sweep_config in zip(values, sweeps):
         router = make_router(sweep_config)
         if needs_rebuild:
             row_store = out_dir / f"store_{knob}_{value}"
@@ -511,18 +532,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (errors.UsageError, errors.UnknownKnob) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_USAGE
-    except (errors.TransportError, errors.AuthError,
-            errors.BudgetExceeded) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_BACKEND
     except errors.TriMemError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
+        if isinstance(exc, (errors.UsageError, errors.UnknownKnob)):
+            return EXIT_USAGE
+        if isinstance(exc, (errors.TransportError, errors.AuthError,
+                            errors.BudgetExceeded)):
+            return EXIT_BACKEND
         return EXIT_DATA
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import DuplicateTurnId, EmptyCorpus, MalformedDocument, MissingFile
 
@@ -45,7 +45,6 @@ class DialogueCorpus:
 class SegmentationConfig:
     window_size: int = 40
     stride: int = 38
-    per_session: bool = False
 
     def __post_init__(self):
         if self.window_size < 1:
@@ -151,47 +150,25 @@ def window_count(total_turns: int, window_size: int, stride: int) -> int:
     return max(n, 1)
 
 
-def _segment_span(turns: Sequence[DialogueTurn], config: SegmentationConfig,
-                  start_index: int) -> list[Window]:
-    t = len(turns)
-    l, s = config.window_size, config.stride
-    windows = []
-    for i in range(1, window_count(t, l, s) + 1):
-        first = (i - 1) * s + 1
-        last = min(t, (i - 1) * s + l)
-        windows.append(
-            Window(
-                index=start_index + i - 1,
-                first_turn=turns[first - 1].turn_id,
-                last_turn=turns[last - 1].turn_id,
-                turns=tuple(turns[first - 1:last]),
-            )
-        )
-    return windows
-
-
 def segment(corpus: DialogueCorpus, config: SegmentationConfig) -> list[Window]:
-    """Slice the corpus into overlapping windows.
-
-    With ``per_session`` enabled, each session is windowed independently;
-    by default windows run over the full history and may span sessions.
-    """
+    """Slice the corpus into overlapping windows over the full history;
+    a window may span sessions."""
     if corpus.turn_count == 0:
         raise EmptyCorpus(corpus.corpus_id)
-    if not config.per_session:
-        return _segment_span(corpus.turns, config, start_index=1)
-    windows: list[Window] = []
-    session: list[DialogueTurn] = []
-    current = None
-    for turn in corpus.turns + (None,):
-        if turn is not None and (current is None or turn.session_id == current):
-            session.append(turn)
-            current = turn.session_id
-            continue
-        windows.extend(_segment_span(session, config, start_index=len(windows) + 1))
-        if turn is not None:
-            session = [turn]
-            current = turn.session_id
+    turns = corpus.turns
+    l, s = config.window_size, config.stride
+    windows = []
+    for i in range(1, window_count(len(turns), l, s) + 1):
+        first = (i - 1) * s + 1
+        last = min(len(turns), (i - 1) * s + l)
+        windows.append(
+            Window(
+                index=i,
+                first_turn=turns[first - 1].turn_id,
+                last_turn=turns[last - 1].turn_id,
+                turns=turns[first - 1:last],
+            )
+        )
     return windows
 
 

@@ -48,9 +48,7 @@ class DimensionMismatch(TriMemError):
 # -- extraction / parsing ------------------------------------------------
 
 class ParseFailure(TriMemError):
-    def __init__(self, message, offset=None):
-        super().__init__(message)
-        self.offset = offset
+    pass
 
 
 class ValidationFailure(TriMemError):

@@ -100,18 +100,11 @@ def judge(question: str, prediction: str, reference: str,
         return 0.0, "(judge unparsed)"
 
 
-def aggregate_loss(records: Sequence[EvalRecord],
-                   metric: str = "judge") -> float:
-    """Empirical mean of the negated score; in [-1, 0] for the binary judge."""
+def aggregate_loss(records: Sequence[EvalRecord]) -> float:
+    """Empirical mean of the negated judge score; in [-1, 0] for the binary judge."""
     if not records:
         raise EmptyRecordSet("no evaluation records")
-    if metric == "judge":
-        scores = [r.judge_score for r in records]
-    elif metric == "f1":
-        scores = [r.f1 for r in records]
-    else:
-        raise ValueError(f"unknown loss metric {metric!r}")
-    return -sum(scores) / len(records)
+    return -sum(r.judge_score for r in records) / len(records)
 
 
 def _check_placeholders(gradient: TextGradient) -> None:
@@ -191,9 +184,7 @@ def replay_gradients(prompt_dir) -> list[PromptSet]:
 def evolve(corpus: DialogueCorpus, train_set, rounds: int,
            router: BackendRouter, prompt_dir,
            seg_config: Optional[SegmentationConfig] = None,
-           retrieval_config: Optional[RetrievalConfig] = None,
-           initial: Optional[PromptSet] = None,
-           loss_metric: str = "judge") -> list[tuple[PromptSet, float]]:
+           retrieval_config: Optional[RetrievalConfig] = None) -> list[tuple[PromptSet, float]]:
     """Run the optimization loop and return the (prompts, loss) trajectory.
 
     Each of the ``rounds`` gradient steps rebuilds memory from scratch with
@@ -217,7 +208,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     prompt_dir.mkdir(parents=True, exist_ok=True)
     log_path = prompt_dir / "gradients.jsonl"
 
-    current = initial or PromptSet.seed()
+    current = PromptSet.seed()
     current.persist(prompt_dir)
     trajectory: list[tuple[PromptSet, float]] = []
 
@@ -226,7 +217,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
         store = build_store(corpus, pipeline_prompts, router, seg_config)
         records = run_eval(items, store, pipeline_prompts, router,
                            retrieval_config, with_coverage=False)
-        return records, aggregate_loss(records, metric=loss_metric)
+        return records, aggregate_loss(records)
 
     with log_path.open("a", encoding="utf-8") as log:
         for _ in range(rounds):

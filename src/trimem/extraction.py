@@ -60,7 +60,9 @@ def _coerce_event_time(value: str) -> Optional[str]:
         datetime.fromisoformat(value)
     except ValueError:
         return None
-    return value.replace(" ", "T") if _DATE_HMS.match(value) else value
+    if _DATE_HMS.match(value):  # "T" between date and time, no space before an offset
+        return value[:10] + "T" + value[11:].replace(" ", "")
+    return value
 
 
 def parse_entry_payload(text: str) -> list[dict]:
@@ -74,7 +76,7 @@ def parse_entry_payload(text: str) -> list[dict]:
     parsed = []
     for i, rec in enumerate(parse_json(text, lambda v: isinstance(v, list))):
         if not isinstance(rec, dict):
-            raise ParseFailure(f"array element {i} is not an object", offset=i)
+            raise ParseFailure(f"array element {i} is not an object")
         parsed.append({
             "lossless_restatement": rec.get("lossless_restatement"),
             "keywords": rec.get("keywords") or [],

@@ -38,9 +38,9 @@ class QaItem:
 
 def build_store(corpus: DialogueCorpus, prompts: dict[str, str],
                 router: BackendRouter,
-                seg_config: Optional[SegmentationConfig] = None,
-                seal: bool = True) -> MemoryStore:
-    """Segment, extract, insert, and update profiles window-by-window.
+                seg_config: Optional[SegmentationConfig] = None) -> MemoryStore:
+    """Segment, extract, insert, and update profiles window-by-window; the
+    returned store is sealed.
 
     Entries failing validation are dropped (with logged diagnostics) and
     ingestion continues with the survivors of each window.
@@ -72,8 +72,7 @@ def build_store(corpus: DialogueCorpus, prompts: dict[str, str],
                 backend, window_index=window.index)
             store.add_profile(profile)
     store.verify_anchors()
-    if seal:
-        store.seal()
+    store.seal()
     return store
 
 

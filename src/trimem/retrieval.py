@@ -125,8 +125,7 @@ def retrieve(plan: SearchPlan, store: MemoryStore, config: RetrievalConfig,
         for entry_id, score in store.similarity_search(vectors[row], per_query_k):
             if entry_id not in best or score > best[entry_id]:
                 best[entry_id] = score
-    position = {entry_id: i for i, entry_id in enumerate(store.insertion_order)}
-    ranked_ids = sorted(best, key=lambda e: (-best[e], position[e]))[:config.top_k]
+    ranked_ids = sorted(best, key=lambda e: (-best[e], store.row_of(e)))[:config.top_k]
     ranked = [(store.entries[e], best[e]) for e in ranked_ids]
 
     anchor_ids = ranked_ids[:config.anchor_count]

@@ -6,7 +6,8 @@ version history. All three persist together under one store directory:
 
     entries.jsonl   one MemoryEntry per line
     vectors.bin     magic 'TRIM', version u32, dim u32, count u32,
-                    then little-endian float32 rows
+                    then little-endian float32 rows; loads into one
+                    (count, dim) matrix whose row i is the i-th entry
     turns.jsonl     one DialogueTurn per line
     profiles.jsonl  one profile version per line
     manifest.json   schema version, config snapshot, prompt round
@@ -37,7 +38,6 @@ from .profiles import EntityProfile
 
 SCHEMA_VERSION = 1
 VECTOR_MAGIC = b"TRIM"
-UNIT_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,21 +102,21 @@ def _entry_from_record(rec: dict) -> MemoryEntry:
 class MemoryStore:
     """Verbatim turns + embedded fact index + profile history."""
 
-    def __init__(self, turns: Iterable[DialogueTurn] = (), dim: Optional[int] = None):
+    def __init__(self, turns: Iterable[DialogueTurn] = ()):
         self.turns: dict[int, DialogueTurn] = {t.turn_id: t for t in turns}
         self.entries: dict[str, MemoryEntry] = {}
         self.insertion_order: list[str] = []
-        self._vectors: list[np.ndarray] = []
+        self._blocks: list[np.ndarray] = []  # one (rows, dim) block per insert
         self._row_of: dict[str, int] = {}
         self._by_restatement: dict[str, str] = {}
         self._profile_history: list[EntityProfile] = []
         self._latest_profile: dict[str, EntityProfile] = {}
-        self.dim = dim
+        self.dim: Optional[int] = None
         self._sealed = False
 
     @classmethod
-    def for_corpus(cls, corpus: DialogueCorpus, **kwargs) -> "MemoryStore":
-        return cls(turns=corpus.turns, **kwargs)
+    def for_corpus(cls, corpus: DialogueCorpus) -> "MemoryStore":
+        return cls(turns=corpus.turns)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -131,13 +131,31 @@ class MemoryStore:
 
     # -- fact index ------------------------------------------------------
 
+    @property
+    def _vectors(self) -> np.ndarray:
+        """The (n, dim) float32 index; row i holds ``insertion_order[i]``.
+
+        Inserts append blocks; the first read after an insert joins them.
+        """
+        if len(self._blocks) > 1:
+            self._blocks = [np.concatenate(self._blocks)]
+        if not self._blocks:
+            return np.empty((0, self.dim or 0), dtype=np.float32)
+        return self._blocks[0]
+
+    def row_of(self, entry_id: str) -> int:
+        """The entry's row in the index, which is its insertion position."""
+        return self._row_of[entry_id]
+
     def insert_entries(self, entries: Sequence[MemoryEntry],
                        backend: Backend) -> list[str]:
         """Embed restatements and add entries, deduplicating exact repeats.
 
         Restatements that are byte-equal after whitespace normalization map
         to the already-stored id instead of creating a new row; a restatement
-        repeated within the batch is embedded once, at its first copy.
+        repeated within the batch is embedded once, at its first copy. The new
+        rows go into the index as one block, and a batch with a zero-norm or
+        wrong-size embedding raises before it adds anything.
         """
         if self._sealed:
             raise StoreClosed("store is sealed")
@@ -146,35 +164,31 @@ class MemoryStore:
             key = _normalize_restatement(entry.lossless_restatement)
             if key not in self._by_restatement:
                 fresh.setdefault(key, entry.lossless_restatement)
-        vectors = None
         if fresh:
             vectors = backend.embed(list(fresh.values()))
+            rows = []
+            for i in range(len(fresh)):
+                vec = np.asarray(vectors[i], dtype=np.float32)
+                norm = float(np.linalg.norm(vec))
+                if norm == 0:
+                    raise ValueError("zero-norm embedding")
+                rows.append(vec / norm)
+            dim = self.dim or len(rows[0])
+            for row in rows:
+                if len(row) != dim:
+                    raise ValueError(f"embedding dim {len(row)} != index dim {dim}")
+            self.dim = dim
+            self._blocks.append(np.stack(rows))
         assigned: list[str] = []
-        fresh_row = 0
         for entry in entries:
             key = _normalize_restatement(entry.lossless_restatement)
-            existing = self._by_restatement.get(key)
-            if existing is not None:
-                assigned.append(existing)
-                continue
-            vec = np.asarray(vectors[fresh_row], dtype=np.float32)
-            fresh_row += 1
-            norm = float(np.linalg.norm(vec))
-            if norm == 0:
-                raise ValueError("zero-norm embedding")
-            vec = vec / norm
-            if self.dim is None:
-                self.dim = len(vec)
-            elif len(vec) != self.dim:
-                raise ValueError(f"embedding dim {len(vec)} != index dim {self.dim}")
-            entry_id = f"e{len(self.insertion_order) + 1:06d}"
-            stored = replace(entry, entry_id=entry_id)
-            self.entries[entry_id] = stored
-            self.insertion_order.append(entry_id)
-            self._row_of[entry_id] = len(self._vectors)
-            self._vectors.append(vec)
-            self._by_restatement[key] = entry_id
-            assigned.append(entry_id)
+            if key not in self._by_restatement:
+                entry_id = f"e{len(self.insertion_order) + 1:06d}"
+                self.entries[entry_id] = replace(entry, entry_id=entry_id)
+                self._row_of[entry_id] = len(self.insertion_order)
+                self.insertion_order.append(entry_id)
+                self._by_restatement[key] = entry_id
+            assigned.append(self._by_restatement[key])
         return assigned
 
     def vector_of(self, entry_id: str) -> np.ndarray:
@@ -188,8 +202,7 @@ class MemoryStore:
         query = np.asarray(query_vector, dtype=np.float32)
         if len(query) != self.dim:
             raise DimensionMismatch(f"query dim {len(query)} != index dim {self.dim}")
-        matrix = np.stack(self._vectors)
-        scores = matrix @ query
+        scores = self._vectors @ query
         order = np.argsort(-scores, kind="stable")[:k]
         return [(self.insertion_order[i], float(scores[i])) for i in order]
 
@@ -261,9 +274,8 @@ class MemoryStore:
             dim = self.dim or 0
             with (path / "vectors.bin").open("wb") as fh:
                 fh.write(VECTOR_MAGIC)
-                fh.write(struct.pack("<III", SCHEMA_VERSION, dim, len(self._vectors)))
-                if self._vectors:
-                    np.stack(self._vectors).astype("<f4").tofile(fh)
+                fh.write(struct.pack("<III", SCHEMA_VERSION, dim, len(self.insertion_order)))
+                self._vectors.astype("<f4", copy=False).tofile(fh)
             manifest = {
                 "schema_version": SCHEMA_VERSION,
                 "dim": dim,
@@ -317,13 +329,12 @@ class MemoryStore:
                     f"{len(records)}, vectors.bin holds {rows} of {count} rows")
             if dim:
                 store.dim = dim
-            vectors = data.reshape(count, dim)
+            store._blocks = [data.reshape(count, dim)]
             for row, rec in enumerate(records):
                 entry = _entry_from_record(rec)
                 store.entries[entry.entry_id] = entry
                 store.insertion_order.append(entry.entry_id)
                 store._row_of[entry.entry_id] = row
-                store._vectors.append(vectors[row].copy())
                 store._by_restatement[
                     _normalize_restatement(entry.lossless_restatement)] = entry.entry_id
             profiles_path = path / "profiles.jsonl"

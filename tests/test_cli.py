@@ -75,6 +75,40 @@ def test_fixture_exhaustion_is_backend_error(work_dir, capsys):
     assert json.loads(err)["error"] == "FixtureExhausted"
 
 
+BAD_INPUTS = {
+    "query-k-0": (["query", "--store", "store", "--question", "q", "--k", "0"],
+                  EXIT_USAGE, "UsageError"),
+    "ingest-window-0": (["ingest", "--corpus", "corpus.json", "--window", "0"],
+                        EXIT_USAGE, "UsageError"),
+    "ablate-non-integer-value": (["ablate", "--store", "store", "--qa", "qa.jsonl",
+                                  "--knob", "top_k", "--values", "5,x",
+                                  "--out", "sweep"], EXIT_USAGE, "UsageError"),
+    "answer-empty-question": (["answer", "--store", "store", "--question", ""],
+                              EXIT_USAGE, "UsageError"),
+    "eval-missing-qa": (["eval", "--store", "store", "--qa", "missing.jsonl"],
+                        EXIT_DATA, "MissingFile"),
+    "eval-qa-not-a-qa-set": (["eval", "--store", "store", "--qa", "corpus.json"],
+                             EXIT_DATA, "MalformedDocument"),
+    "eval-missing-fixture": (["eval", "--store", "store", "--qa", "qa.jsonl",
+                              "--scripted", "missing.jsonl"], EXIT_DATA, "MissingFile"),
+    "evolve-rounds-0": (["evolve", "--corpus", "corpus.json", "--qa", "qa.jsonl",
+                         "--rounds", "0", "--out", "evolved"], EXIT_USAGE, "UsageError"),
+    "build-missing-prompt-round": (["build", "--corpus", "corpus.json", "--store", "store",
+                                    "--prompts", "prompts", "--round", "3"],
+                                   EXIT_DATA, "MissingFile"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_json_error(work_dir, capsys, case):
+    (command, *options), want_code, want_error = BAD_INPUTS[case]
+    code, out, err = run(capsys, command, "--scripted", "fixture.jsonl", *options)
+    assert code == want_code
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == want_error
+
+
 # -- commands ----------------------------------------------------------
 
 def test_ingest_summary(work_dir, capsys):

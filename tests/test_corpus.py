@@ -16,12 +16,11 @@ from trimem.corpus import (
 from trimem.errors import DuplicateTurnId, EmptyCorpus, MalformedDocument, MissingFile
 
 
-def make_corpus(n, session_size=None, timestamps=False):
+def make_corpus(n, timestamps=False):
     turns = []
     for i in range(1, n + 1):
-        session = 0 if session_size is None else (i - 1) // session_size
         turns.append(DialogueTurn(
-            turn_id=i, session_id=session,
+            turn_id=i, session_id=0,
             speaker="A" if i % 2 else "B", text=f"turn {i}",
             timestamp=f"2024-01-01T00:{i % 60:02d}:00" if timestamps else None))
     return DialogueCorpus(corpus_id="t", turns=tuple(turns))
@@ -123,19 +122,6 @@ def test_segmentation_config_validation():
         SegmentationConfig(window_size=10, stride=11)
     with pytest.raises(ValueError):
         SegmentationConfig(window_size=10, stride=0)
-
-
-def test_per_session_segmentation():
-    corpus = make_corpus(10, session_size=5)
-    windows = segment(corpus, SegmentationConfig(window_size=4, stride=3,
-                                                 per_session=True))
-    # each 5-turn session yields ceil((5-4)/3)+1 = 2 windows
-    assert len(windows) == 4
-    assert [w.index for w in windows] == [1, 2, 3, 4]
-    # no window crosses the session boundary at turn 5/6
-    for w in windows:
-        sessions = {t.session_id for t in w.turns}
-        assert len(sessions) == 1
 
 
 # -- properties --------------------------------------------------------

@@ -97,11 +97,7 @@ def test_aggregate_loss_range_and_mean():
     assert aggregate_loss(records([1.0, 0.0])) == -0.5
 
 
-def test_aggregate_loss_f1_metric():
-    recs = records([0.25, 0.75])
-    assert aggregate_loss(recs, metric="f1") == pytest.approx(-0.5)
-    with pytest.raises(ValueError):
-        aggregate_loss(recs, metric="bleu")
+def test_aggregate_loss_rejects_empty_records():
     with pytest.raises(EmptyRecordSet):
         aggregate_loss([])
 

@@ -87,7 +87,8 @@ def test_person_key_normalization():
     ("not a time", None),
     ("2024-13-40", None),
     ("20240508", "20240508"),
-    ("2024-05-08 14:30:15 +00:00", "2024-05-08T14:30:15T+00:00"),
+    ("2024-05-08 14:30:15 +00:00", "2024-05-08T14:30:15+00:00"),
+    ("2024-05-08T14:30:15 +00:00", "2024-05-08T14:30:15+00:00"),
 ])
 def test_event_time_coercion(raw, expected):
     assert _coerce_event_time(raw) == expected

@@ -260,6 +260,63 @@ def test_round_trip_search_identical(tmp_path, backend):
     assert store.similarity_search(query, 2) == loaded.similarity_search(query, 2)
 
 
+def test_index_stays_joined_across_inserts_and_load(tmp_path, backend):
+    texts = {}
+
+    def insert(store, batch):
+        ids = store.insert_entries([make_entry(t) for t in batch], backend)
+        texts.update(zip(ids, batch))
+
+    def check(store):
+        """Rank against a brute-force loop over insertion order."""
+        rows = []
+        for entry_id in store.insertion_order:
+            raw = hash_embedding(texts[entry_id])
+            rows.append(raw / float(np.linalg.norm(raw)))
+            assert store.vector_of(entry_id).tobytes() == rows[-1].tobytes()
+        for text in ("fact 3", "fact 11", "another query"):
+            query = hash_embedding(text)
+            scores = np.stack(rows) @ query
+            want = sorted(range(len(rows)), key=lambda row: (-scores[row], row))
+            got = store.similarity_search(query, k=len(rows))
+            assert got == [(store.insertion_order[row], float(scores[row]))
+                           for row in want]
+
+    store = MemoryStore(turns=make_turns(1))
+    insert(store, [f"fact {i}" for i in range(8)])
+    check(store)
+    insert(store, [f"fact {i}" for i in range(4, 14)])
+    check(store)
+    store.persist(tmp_path / "s")
+    loaded = MemoryStore.load(tmp_path / "s")
+    assert not loaded.sealed
+    check(loaded)
+    insert(loaded, [f"fact {i}" for i in range(12, 20)])
+    check(loaded)
+    insert(loaded, ["fact 20"])
+    check(loaded)
+    assert len(loaded) == 21
+
+
+class ZeroSecond(ScriptedBackend):
+    def embed(self, texts):
+        vectors = super().embed(texts)
+        if len(vectors) > 1:
+            vectors[1] = 0.0
+        return vectors
+
+
+def test_insert_rejects_a_bad_batch_whole(backend):
+    store = MemoryStore(turns=make_turns(1))
+    with pytest.raises(ValueError):
+        store.insert_entries([make_entry("first"), make_entry("second")], ZeroSecond())
+    assert (len(store), store.insertion_order, store.dim) == (0, [], None)
+    assert store.insert_entries([make_entry("second")], backend) == ["e000001"]
+    want = hash_embedding("second")
+    assert store.vector_of("e000001").tobytes() == \
+        (want / float(np.linalg.norm(want))).tobytes()
+
+
 class EmbedLog(ScriptedBackend):
     def __init__(self):
         super().__init__()
