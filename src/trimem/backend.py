@@ -41,24 +41,22 @@ RETRY_BASE_DELAY = 1.0
 @dataclass
 class ChatRequest:
     prompt: str
-    temperature: float = 0.0
     max_output_tokens: int = 2048
-    model_tag: str = ""
 
     def __post_init__(self):
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 def complete_parsed(backend: "Backend", prompt: str,
                     parse: Callable[[str], T], hint: str) -> T:
     """Send ``prompt`` and return ``parse(reply)``, repairing a bad reply once.
 
-    On ParseFailure the prompt is sent again with the failure and ``hint``
-    appended. A second ParseFailure propagates; each caller applies its own
-    fallback rule.
+    ParseFailure is the one fault an unreadable reply raises at every site
+    (a missing JSON payload, a profile with no header or no section). On it
+    the prompt is sent again with the failure and ``hint`` appended. A
+    second ParseFailure propagates; each caller applies its own fallback
+    rule.
     """
     reply = backend.complete(ChatRequest(prompt=prompt))
     try:
@@ -327,9 +325,9 @@ class HttpBackend(Backend):
     def complete(self, request: ChatRequest) -> str:
         self._check_budget()
         body = self._post("/chat/completions", {
-            "model": request.model_tag or self.model_tag,
+            "model": self.model_tag,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "max_tokens": request.max_output_tokens,
         })
         try:
@@ -364,17 +362,15 @@ class HttpBackend(Backend):
 
 @dataclass
 class BackendRouter:
-    """Per-role backend handles: pipeline calls, senior-model analysis, embeddings.
+    """Per-role backend handles: pipeline calls and senior-model analysis.
 
-    Roles default to the pipeline backend when not set separately.
+    The senior role defaults to the pipeline backend when not set; every
+    other role, embeddings included, is the pipeline backend.
     """
     pipeline: Backend
     senior: Optional[Backend] = None
-    embedder: Optional[Backend] = None
 
     def for_role(self, role: str) -> Backend:
         if role == "senior" and self.senior is not None:
             return self.senior
-        if role == "embedding" and self.embedder is not None:
-            return self.embedder
         return self.pipeline

@@ -81,13 +81,15 @@ class RunConfig:
         )
 
     def checked(self) -> "RunConfig":
-        """This config, or UsageError if a segmentation, retrieval or
-        evolution knob is invalid."""
+        """This config, or UsageError if a segmentation, retrieval,
+        evolution or budget knob is invalid."""
         try:
             self.segmentation()
             self.retrieval()
             if self.rounds < 1:
                 raise ValueError("rounds must be >= 1")
+            if min(self.max_calls or 0, self.max_tokens or 0) < 0:
+                raise ValueError("max_calls and max_tokens must be >= 0")
         except (TypeError, ValueError) as exc:
             raise errors.UsageError(f"bad run config: {exc}")
         return self

@@ -172,17 +172,15 @@ def segment(corpus: DialogueCorpus, config: SegmentationConfig) -> list[Window]:
     return windows
 
 
-def render_window(window: Window) -> str:
-    """Render a window one line per turn: ``[ID:n] [timestamp] Speaker: text``.
+def render_turn(turn: DialogueTurn) -> str:
+    """One turn as ``[ID:n] [timestamp] Speaker: text``; a turn without a
+    timestamp omits the bracketed timestamp field entirely."""
+    stamp = f" [{turn.timestamp}]" if turn.timestamp else ""
+    return f"[ID:{turn.turn_id}]{stamp} {turn.speaker}: {turn.text}"
 
-    Turns without a timestamp omit the bracketed timestamp field entirely.
-    """
+
+def render_window(window: Window) -> str:
+    """Render a window one ``render_turn`` line per turn."""
     if not window.turns:
         raise ValueError("cannot render an empty window")
-    lines = []
-    for t in window.turns:
-        if t.timestamp:
-            lines.append(f"[ID:{t.turn_id}] [{t.timestamp}] {t.speaker}: {t.text}")
-        else:
-            lines.append(f"[ID:{t.turn_id}] {t.speaker}: {t.text}")
-    return "\n".join(lines)
+    return "\n".join(render_turn(t) for t in window.turns)

@@ -51,12 +51,6 @@ class ParseFailure(TriMemError):
     pass
 
 
-class ValidationFailure(TriMemError):
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or []
-
-
 # -- store ---------------------------------------------------------------
 
 class StoreClosed(TriMemError):

@@ -215,8 +215,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     def evaluate(prompts: PromptSet) -> tuple[list[EvalRecord], float]:
         pipeline_prompts = prompts.as_prompt_dict()
         store = build_store(corpus, pipeline_prompts, router, seg_config)
-        records = run_eval(items, store, pipeline_prompts, router,
-                           retrieval_config, with_coverage=False)
+        records = run_eval(items, store, pipeline_prompts, router, retrieval_config)
         return records, aggregate_loss(records)
 
     with log_path.open("a", encoding="utf-8") as log:

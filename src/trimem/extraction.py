@@ -15,7 +15,7 @@ from typing import Optional
 
 from .backend import Backend, complete_parsed, parse_json
 from .corpus import Window, render_window
-from .errors import ParseFailure, ValidationFailure
+from .errors import ParseFailure
 from .prompts import render
 
 logger = logging.getLogger(__name__)
@@ -90,16 +90,29 @@ def parse_entry_payload(text: str) -> list[dict]:
     return parsed
 
 
+def _list_field(record: dict, name: str) -> list:
+    value = record.get(name, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{name} is not a list: {value!r}")
+    return value
+
+
 def entry_from_record(record: dict, window_index: int) -> MemoryEntry:
+    """Build an entry from a raw record; ValueError names a wrong-typed field."""
+    ids = _list_field(record, "source_dialogue_ids")
+    try:
+        source_ids = frozenset(int(i) for i in ids)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"source_dialogue_ids are not all integers: {ids!r}")
     return MemoryEntry(
         lossless_restatement=str(record.get("lossless_restatement") or ""),
-        keywords=frozenset(str(k) for k in record.get("keywords", [])),
+        keywords=frozenset(str(k) for k in _list_field(record, "keywords")),
         event_time=record.get("timestamp"),
         location=record.get("location"),
-        persons=frozenset(str(p) for p in record.get("persons", [])),
-        entities=frozenset(str(e) for e in record.get("entities", [])),
+        persons=frozenset(str(p) for p in _list_field(record, "persons")),
+        entities=frozenset(str(e) for e in _list_field(record, "entities")),
         topic=str(record.get("topic") or ""),
-        source_dialogue_ids=frozenset(int(i) for i in record.get("source_dialogue_ids", [])),
+        source_dialogue_ids=source_ids,
         origin_window=window_index,
     )
 
@@ -141,37 +154,31 @@ def validate_entry(entry: MemoryEntry, window: Window) -> tuple[Optional[MemoryE
     return normalized, []
 
 
-def extract_entries(window: Window, extraction_prompt: str, backend: Backend,
-                    context: str = "") -> list[MemoryEntry]:
-    """Run fact extraction on one window and validate the structured output.
+def extract_entries(window: Window, extraction_prompt: str,
+                    backend: Backend) -> list[MemoryEntry]:
+    """Run fact extraction on one window; return the entries that validate.
 
-    Malformed output gets exactly one repair retry with the parse error
-    appended to the prompt. If any entry fails validation, the raised
-    ValidationFailure carries the surviving validated entries in
-    ``.entries`` alongside per-entry diagnostics, so ingestion callers can
-    drop the failures (never clamp them) and continue with the rest.
+    An unreadable reply gets the one repair of ``complete_parsed``, and a
+    second failure raises ParseFailure. Each entry that fails validation,
+    or has a wrong-typed field, is dropped with a logged diagnostic (never
+    clamped), and the rest of the window is kept.
     """
     dialogue_text = render_window(window)
-    prompt = render(extraction_prompt, context=context, dialogue_text=dialogue_text)
+    prompt = render(extraction_prompt, context="", dialogue_text=dialogue_text)
     records = complete_parsed(backend, prompt, parse_entry_payload,
-                              "Return ONLY the JSON array.")  # second failure surfaces
+                              "Return ONLY the JSON array.")
 
     entries: list[MemoryEntry] = []
-    all_diagnostics: list[str] = []
     for record in records:
-        candidate = entry_from_record(record, window.index)
-        validated, diagnostics = validate_entry(candidate, window)
+        try:
+            candidate = entry_from_record(record, window.index)
+        except ValueError as exc:  # a wrong-typed field
+            validated, diagnostics = None, [str(exc)]
+        else:
+            validated, diagnostics = validate_entry(candidate, window)
         if validated is None:
             logger.warning("dropping entry from window %d: %s",
                            window.index, "; ".join(diagnostics))
-            all_diagnostics.extend(diagnostics)
             continue
         entries.append(validated)
-    if all_diagnostics:
-        failure = ValidationFailure(
-            f"{len(all_diagnostics)} diagnostic(s) in window {window.index}",
-            diagnostics=all_diagnostics,
-        )
-        failure.entries = entries
-        raise failure
     return entries

@@ -92,11 +92,9 @@ def hit_at_k(retrieval_log: dict, evidence: dict, k: int = 5) -> float:
     return hits / len(retrieval_log)
 
 
-def coverage(reference_answer: str, haystack_text: str,
-             stopwords: Optional[frozenset[str]] = None) -> float:
+def coverage(reference_answer: str, haystack_text: str) -> float:
     """Set coverage of the reference's content tokens by the haystack."""
-    if stopwords is None:
-        stopwords = load_stopwords()
+    stopwords = load_stopwords()
     required = {t for t in normalize_tokens(reference_answer) if t not in stopwords}
     if not required:
         raise EmptyRequiredSet("reference has no content tokens after stopword removal")

@@ -1,13 +1,12 @@
 """End-to-end orchestration: memory build, question answering, evaluation."""
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .backend import BackendRouter
 from .corpus import DialogueCorpus, SegmentationConfig, segment
-from .errors import EmptyRecordSet, EmptyRequiredSet, ValidationFailure
+from .errors import EmptyRecordSet, EmptyRequiredSet
 from .extraction import extract_entries
 from .metrics import EvalRecord, bleu, coverage, token_f1
 from .profiles import group_by_person, update_profile
@@ -15,8 +14,6 @@ from .qa import Answer, RetrievedContext, answer as generate_answer
 from .qa import assemble_context  # noqa: F401  perfbench/spans.py wraps this name
 from .retrieval import plan_for_question, retrieve
 from .store import MemoryStore, RetrievalConfig
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -42,29 +39,23 @@ def build_store(corpus: DialogueCorpus, prompts: dict[str, str],
     """Segment, extract, insert, and update profiles window-by-window; the
     returned store is sealed.
 
-    Entries failing validation are dropped (with logged diagnostics) and
-    ingestion continues with the survivors of each window.
+    Extraction drops each invalid entry with a logged diagnostic, so a
+    window contributes its survivors. A reply that stays unreadable after
+    its one repair raises ParseFailure and aborts the build.
     """
     seg_config = seg_config or SegmentationConfig()
     store = MemoryStore.for_corpus(corpus)
     backend = router.for_role("pipeline")
     embedder = router.for_role("embedding")
     for window in segment(corpus, seg_config):
-        try:
-            entries = extract_entries(window, prompts["extraction"], backend)
-        except ValidationFailure as exc:
-            logger.warning("window %d: %s", window.index, exc)
-            entries = getattr(exc, "entries", [])
+        entries = extract_entries(window, prompts["extraction"], backend)
         if not entries:
             continue
-        ids = store.insert_entries(entries, embedder)
-        fresh, seen_ids = [], set()
-        for entry, assigned in zip(entries, ids):
-            if assigned in seen_ids:
-                continue
-            seen_ids.add(assigned)
-            if store.entries[assigned].origin_window == window.index:
-                fresh.append(store.entries[assigned])
+        before = len(store)
+        store.insert_entries(entries, embedder)
+        # ids are assigned in first-occurrence order, and a repeat of an
+        # existing restatement always maps to an earlier window's entry
+        fresh = [store.entries[i] for i in store.insertion_order[before:]]
         for person_key, person_entries in sorted(group_by_person(fresh).items()):
             existing = store.latest_profile(person_key)
             profile = update_profile(
@@ -88,24 +79,18 @@ def answer_question(question: str, store: MemoryStore, prompts: dict[str, str],
 
 def run_eval(qa_set: Sequence[QaItem], store: MemoryStore,
              prompts: dict[str, str], router: BackendRouter,
-             config: RetrievalConfig,
-             judge_fn=None,
-             with_coverage: bool = True) -> list[EvalRecord]:
-    """Answer every question and score it; returns per-question records.
+             config: RetrievalConfig) -> list[EvalRecord]:
+    """Answer every question, judge it with the LLM judge and score it;
+    returns per-question records."""
+    from .evolution import judge  # read at call time: perfbench/spans.py wraps it
 
-    ``judge_fn(question, prediction, reference) -> (score, reasoning)``
-    defaults to the LLM judge from the evolution module.
-    """
     if not qa_set:
         raise EmptyRecordSet("empty qa set")
-    if judge_fn is None:
-        from .evolution import judge
-        judge_fn = lambda q, p, r: judge(q, p, r, prompts["judge"],
-                                         router.for_role("pipeline"))
     records = []
     for item in qa_set:
         result, ctx = answer_question(item.question, store, prompts, router, config)
-        score, reasoning = judge_fn(item.question, result.answer_text, item.reference)
+        score, reasoning = judge(item.question, result.answer_text, item.reference,
+                                 prompts["judge"], router.for_role("pipeline"))
         record = EvalRecord(
             question=item.question,
             prediction=result.answer_text,
@@ -119,10 +104,9 @@ def run_eval(qa_set: Sequence[QaItem], store: MemoryStore,
             retrieved_src_sets=[sorted(e.source_dialogue_ids)
                                 for e, _ in ctx.ranked_entries],
         )
-        if with_coverage:
-            try:
-                record.context_coverage = coverage(item.reference, ctx.text)
-            except EmptyRequiredSet:
-                record.context_coverage = None
+        try:
+            record.context_coverage = coverage(item.reference, ctx.text)
+        except EmptyRequiredSet:
+            record.context_coverage = None
         records.append(record)
     return records

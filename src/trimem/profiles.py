@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .backend import Backend, complete_parsed
-from .errors import ParseFailure, ValidationFailure
+from .errors import ParseFailure
 from .extraction import MemoryEntry, normalize_display, normalize_person_key
 from .prompts import render
 
@@ -105,7 +105,7 @@ def parse_profile_text(text: str) -> tuple[str, tuple[tuple[str, str], ...]]:
         raise ParseFailure("profile output missing 'Entity:' header")
     sections = [(label, body) for label, body in sections if body]
     if not sections:
-        raise ValidationFailure("profile output has no populated sections")
+        raise ParseFailure("profile output has no populated sections")
     return display_name, tuple(sections)
 
 
@@ -123,8 +123,8 @@ def update_profile(person: str, new_entries: Sequence[MemoryEntry],
     """Synthesize the complete replacement profile for one person.
 
     With zero new entries no model call is made and the existing profile is
-    returned unchanged. Unlabeled output gets one repair retry before
-    surfacing ParseFailure.
+    returned unchanged. Output with no ``Entity:`` header or no populated
+    section gets one repair retry before surfacing ParseFailure.
     """
     if not new_entries:
         if existing is None:

@@ -5,6 +5,7 @@ replacement of known ``{placeholder}`` slots rather than str.format.
 """
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 EXTRACTION_PLACEHOLDERS = ("{context}", "{dialogue_text}")
@@ -39,6 +40,7 @@ def seed_prompts() -> dict[str, str]:
     }
 
 
+@cache
 def load_stopwords() -> frozenset[str]:
     text = resources.files("trimem.assets").joinpath("stopwords.txt").read_text(encoding="utf-8")
     return frozenset(w.strip() for w in text.splitlines() if w.strip())

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from .backend import Backend, complete_parsed, parse_json
-from .corpus import DialogueTurn
+from .corpus import DialogueTurn, render_turn
 from .errors import ParseFailure
 from .profiles import EntityProfile, serialize_profile
 from .prompts import render
@@ -70,11 +70,7 @@ def assemble_context(ctx: RetrievedContext) -> str:
         sections.append("\n".join(lines))
     if ctx.recovered_turns:
         lines = ["[Source Dialogues]"]
-        for turn in ctx.recovered_turns:
-            if turn.timestamp:
-                lines.append(f"[ID:{turn.turn_id}] [{turn.timestamp}] {turn.speaker}: {turn.text}")
-            else:
-                lines.append(f"[ID:{turn.turn_id}] {turn.speaker}: {turn.text}")
+        lines.extend(render_turn(turn) for turn in ctx.recovered_turns)
         sections.append("\n".join(lines))
     if ctx.profiles:
         lines = ["[Entity Profiles]"]

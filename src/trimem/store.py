@@ -342,8 +342,9 @@ class MemoryStore:
                 for line in profiles_path.read_text(encoding="utf-8").splitlines():
                     if line.strip():
                         store.add_profile(EntityProfile.from_dict(json.loads(line)))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreIOError(f"{path}: {exc}")
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            # unreadable file, bad JSON, missing or extra field, profile version gap
+            raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}")
         if manifest.get("sealed"):
             store.seal()
         return store

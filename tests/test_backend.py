@@ -155,8 +155,6 @@ def test_embed_rejects_empty_input():
 def test_chat_request_validation():
     with pytest.raises(ValueError):
         ChatRequest(prompt="")
-    with pytest.raises(ValueError):
-        ChatRequest(prompt="x", temperature=-1)
 
 
 # -- http backend (transport mocked) ----------------------------------
@@ -297,6 +295,11 @@ REPAIR_SITES = {
                                  "Profile {entity_name}.\n{facts}", b),
         "Entity: Alice\n[Identity] Lives in Rome.",
         "[Identity] no header"),
+    "profile-no-sections": (
+        lambda b: update_profile("alice", [_ENTRY], None,
+                                 "Profile {entity_name}.\n{facts}", b),
+        "Entity: Alice\n[Identity] Lives in Rome.",
+        "Entity: Alice\njust prose"),
     "plan": (
         lambda b: analyze_question("when?", "Analyse.\nQuestion: {query}", b),
         json.dumps({"question_type": "temporal"}),

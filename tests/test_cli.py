@@ -96,6 +96,10 @@ BAD_INPUTS = {
     "build-missing-prompt-round": (["build", "--corpus", "corpus.json", "--store", "store",
                                     "--prompts", "prompts", "--round", "3"],
                                    EXIT_DATA, "MissingFile"),
+    "query-negative-max-calls": (["query", "--store", "store", "--question", "q",
+                                  "--max-calls", "-1"], EXIT_USAGE, "UsageError"),
+    "build-negative-max-tokens": (["build", "--corpus", "corpus.json", "--store", "store",
+                                   "--max-tokens", "-1"], EXIT_USAGE, "UsageError"),
 }
 
 
@@ -223,6 +227,15 @@ def _drop_vector_rows(path):
     path.write_bytes(raw[:-10 * dim * 4])
 
 
+def _edit_first_record(edit):
+    def apply(path):
+        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rec = json.loads(first)
+        edit(rec)
+        path.write_text(json.dumps(rec) + "\n" + "".join(rest), encoding="utf-8")
+    return apply
+
+
 TRUNCATIONS = {
     "vectors-10-rows-short": ("vectors.bin", _drop_vector_rows),
     "entries-10-lines-short": ("entries.jsonl", lambda p: p.write_text(
@@ -230,6 +243,12 @@ TRUNCATIONS = {
         encoding="utf-8")),
     "entries-cut-mid-record": ("entries.jsonl", lambda p: p.write_bytes(
         p.read_bytes()[:-40])),
+    "entries-record-without-topic": ("entries.jsonl", _edit_first_record(
+        lambda rec: rec.pop("topic"))),
+    "turns-record-with-extra-field": ("turns.jsonl", _edit_first_record(
+        lambda rec: rec.update(extra=1))),
+    "profiles-version-gap": ("profiles.jsonl", _edit_first_record(
+        lambda rec: rec.update(version=rec["version"] + 1))),
 }
 
 

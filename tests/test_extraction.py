@@ -4,7 +4,7 @@ import pytest
 
 from trimem.backend import ChatRequest, FixtureRule, ScriptedBackend
 from trimem.corpus import DialogueTurn, Window
-from trimem.errors import ParseFailure, ValidationFailure
+from trimem.errors import ParseFailure
 from trimem.extraction import (
     MemoryEntry,
     _coerce_event_time,
@@ -198,15 +198,42 @@ def test_extract_entries_repairs_a_cut_array(second):
     assert repair.startswith(first + "\n\nYour previous reply could not be parsed")
 
 
-def test_extract_entries_validation_failure_carries_survivors():
+def _drop_warnings(caplog):
+    return [r for r in caplog.records
+            if r.name == "trimem.extraction" and r.getMessage().startswith("dropping entry")]
+
+
+def test_extract_entries_returns_survivors_and_logs_each_drop(caplog):
     window = make_window(first=1, last=3)
     good = record()
-    bad = record(lossless_restatement="Bob ran.", source_dialogue_ids=[50])
+    bad = [record(lossless_restatement="Bob ran.", source_dialogue_ids=[50]),
+           record(lossless_restatement="", source_dialogue_ids=[2])]
+    backend = ScriptedBackend(rules=[
+        FixtureRule(response=json.dumps([good, *bad]), contains=("Dialogues:",))])
+    with caplog.at_level("WARNING", logger="trimem.extraction"):
+        survivors = extract_entries(window, EXTRACTION_PROMPT, backend)
+    assert [e.lossless_restatement for e in survivors] == [good["lossless_restatement"]]
+    assert len(_drop_warnings(caplog)) == len(bad)
+    assert len(backend.request_log) == 1
+
+
+WRONG_TYPED_FIELDS = {
+    "source-id-not-a-number": {"source_dialogue_ids": ["x"]},
+    "keywords-not-a-list": {"keywords": 5},
+    "persons-a-string": {"persons": "Alice"},
+    "source-ids-a-string": {"source_dialogue_ids": "12"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPED_FIELDS))
+def test_extract_entries_drops_a_wrong_typed_field(caplog, case):
+    window = make_window(first=1, last=3)
+    good = record()
+    bad = record(lossless_restatement="Bob ran.", **WRONG_TYPED_FIELDS[case])
     backend = ScriptedBackend(rules=[
         FixtureRule(response=json.dumps([good, bad]), contains=("Dialogues:",))])
-    with pytest.raises(ValidationFailure) as err:
-        extract_entries(window, EXTRACTION_PROMPT, backend)
-    survivors = err.value.entries
-    assert len(survivors) == 1
-    assert survivors[0].lossless_restatement == good["lossless_restatement"]
-    assert err.value.diagnostics
+    with caplog.at_level("WARNING", logger="trimem.extraction"):
+        survivors = extract_entries(window, EXTRACTION_PROMPT, backend)
+    assert [e.lossless_restatement for e in survivors] == [good["lossless_restatement"]]
+    assert len(_drop_warnings(caplog)) == 1
+    assert len(backend.request_log) == 1  # a bad entry makes no extra call

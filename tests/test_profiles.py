@@ -1,7 +1,7 @@
 import pytest
 
 from trimem.backend import FixtureRule, ScriptedBackend
-from trimem.errors import ParseFailure, ValidationFailure
+from trimem.errors import ParseFailure
 from trimem.extraction import MemoryEntry
 from trimem.profiles import (
     SECTION_LABELS,
@@ -51,7 +51,7 @@ def test_parse_profile_missing_header():
 
 
 def test_parse_profile_no_sections():
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ParseFailure):
         parse_profile_text("Entity: Alice\njust prose")
 
 

@@ -154,6 +154,5 @@ def test_eval_coverage_is_none_for_a_stopword_reference(built_store, qa_items, d
     item = pipeline.QaItem(question=qa_items[0].question, reference="the",
                            category=4)
     records = pipeline.run_eval([item], built_store, seed_prompts(),
-                                BackendRouter(pipeline=backend), RetrievalConfig(),
-                                judge_fn=lambda q, p, r: (1.0, "ok"))
+                                BackendRouter(pipeline=backend), RetrievalConfig())
     assert records[0].context_coverage is None
