@@ -1,12 +1,13 @@
 """Chat-completion and embedding backends.
 
-Two implementations share one interface: an HTTP backend speaking the
-common ``/chat/completions`` + ``/embeddings`` request shapes, and a
-scripted backend that replays canned responses and derives embeddings
-from a content hash, for fully offline deterministic runs.
-
-Call and token accounting is tracked per backend instance and can be
-capped to abort runaway runs.
+The ``Backend`` base class owns the call protocol: ``complete`` and
+``embed`` check the call and token caps, make the round-trip, and charge
+the usage to the instance, and ``embed`` also checks the texts going out
+and the rows coming back. A concrete backend supplies only the provider
+round-trip, ``_complete`` and ``_embed``. Two exist: an HTTP backend
+speaking the common ``/chat/completions`` + ``/embeddings`` request shapes,
+and a scripted backend that replays canned responses and derives
+embeddings from a content hash, for fully offline deterministic runs.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ T = TypeVar("T")
 DEFAULT_EMBED_DIM = 64
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 1.0
+HTTP_TIMEOUT = 120.0
 
 
 @dataclass
@@ -124,7 +126,7 @@ def _rough_tokens(text: str) -> int:
 
 
 class Backend:
-    """Shared budget/accounting machinery for concrete backends."""
+    """The call protocol; subclasses supply ``_complete`` and ``_embed``."""
 
     def __init__(self, max_calls: Optional[int] = None,
                  max_tokens: Optional[int] = None):
@@ -147,9 +149,29 @@ class Backend:
                 raise BudgetExceeded(f"token cap {self._max_tokens} reached")
 
     def complete(self, request: ChatRequest) -> str:
-        raise NotImplementedError
+        self._check_budget()
+        reply = self._complete(request)
+        self._charge(request.prompt, reply)
+        return reply
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
+        if not texts or any(not t for t in texts):
+            raise ValueError("texts must be non-empty strings")
+        self._check_budget()
+        rows = [np.asarray(row, dtype=np.float32) for row in self._embed(texts)]
+        if len(rows) != len(texts):
+            raise DimensionMismatch(
+                f"provider returned {len(rows)} vectors for {len(texts)} texts")
+        dims = {len(row) for row in rows}
+        if len(dims) != 1:
+            raise DimensionMismatch(f"inconsistent embedding sizes: {sorted(dims)}")
+        self._charge(" ".join(texts), "")
+        return np.stack(rows)
+
+    def _complete(self, request: ChatRequest) -> str:
+        raise NotImplementedError
+
+    def _embed(self, texts: Sequence[str]) -> Sequence:
         raise NotImplementedError
 
 
@@ -174,18 +196,6 @@ def hash_embedding(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
         vec[0] = 1.0
         norm = 1.0
     return (vec / norm).astype(np.float32)
-
-
-def _embed_batch(texts: Sequence[str], one) -> np.ndarray:
-    if not texts:
-        raise ValueError("texts must be non-empty")
-    if any(not t for t in texts):
-        raise ValueError("each text must be non-empty")
-    vectors = [one(t) for t in texts]
-    dims = {len(v) for v in vectors}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"inconsistent embedding sizes: {sorted(dims)}")
-    return np.stack(vectors)
 
 
 @dataclass
@@ -214,16 +224,14 @@ class ScriptedBackend(Backend):
     """Deterministic stand-in for chat/embedding providers.
 
     Chat replies come from an ordered rule list (first match wins);
-    embeddings are content-hash unit vectors of a fixed dimension.
+    embeddings are content-hash unit vectors of ``DEFAULT_EMBED_DIM``.
     """
 
     def __init__(self, rules: Sequence[FixtureRule] = (),
-                 dim: int = DEFAULT_EMBED_DIM,
                  max_calls: Optional[int] = None,
                  max_tokens: Optional[int] = None):
         super().__init__(max_calls=max_calls, max_tokens=max_tokens)
         self.rules = list(rules)
-        self.dim = dim
         self.request_log: list[str] = []
 
     @classmethod
@@ -253,31 +261,18 @@ class ScriptedBackend(Backend):
             ))
         return cls(rules=rules, **kwargs)
 
-    def complete(self, request: ChatRequest) -> str:
-        self._check_budget()
+    def _complete(self, request: ChatRequest) -> str:
         with self._lock:
             self.request_log.append(request.prompt)
             for rule in self.rules:
                 if rule.matches(request.prompt):
                     rule.used = True
-                    reply = rule.response
-                    break
-            else:
-                head = request.prompt[:120].replace("\n", " ")
-                raise FixtureExhausted(f"no canned response matches prompt: {head!r}...")
-        self._charge(request.prompt, reply)
-        return reply
+                    return rule.response
+        head = request.prompt[:120].replace("\n", " ")
+        raise FixtureExhausted(f"no canned response matches prompt: {head!r}...")
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        self._check_budget()
-        vectors = _embed_batch(texts, lambda t: hash_embedding(t, self.dim))
-        self._charge(" ".join(texts), "")
-        return vectors
-
-    def reset(self) -> None:
-        """Restore all rules to unused; accounting is not reset."""
-        for rule in self.rules:
-            rule.used = False
+    def _embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        return [hash_embedding(t) for t in texts]
 
 
 class HttpBackend(Backend):
@@ -286,14 +281,12 @@ class HttpBackend(Backend):
     def __init__(self, api_base: str, api_key: str = "",
                  model_tag: str = "", embedding_model: str = "",
                  max_calls: Optional[int] = None,
-                 max_tokens: Optional[int] = None,
-                 timeout: float = 120.0):
+                 max_tokens: Optional[int] = None):
         super().__init__(max_calls=max_calls, max_tokens=max_tokens)
         self.api_base = api_base.rstrip("/")
         self.api_key = api_key
         self.model_tag = model_tag
         self.embedding_model = embedding_model or model_tag
-        self.timeout = timeout
 
     def _post(self, path: str, payload: dict) -> dict:
         import requests
@@ -306,7 +299,7 @@ class HttpBackend(Backend):
         for attempt in range(RETRY_ATTEMPTS):
             try:
                 resp = requests.post(url, json=payload, headers=headers,
-                                     timeout=self.timeout)
+                                     timeout=HTTP_TIMEOUT)
             except requests.RequestException as exc:
                 last_error = exc
                 time.sleep(RETRY_BASE_DELAY * 2 ** attempt)
@@ -322,8 +315,7 @@ class HttpBackend(Backend):
             return resp.json()
         raise TransportError(f"{url}: giving up after {RETRY_ATTEMPTS} attempts: {last_error}")
 
-    def complete(self, request: ChatRequest) -> str:
-        self._check_budget()
+    def _complete(self, request: ChatRequest) -> str:
         body = self._post("/chat/completions", {
             "model": self.model_tag,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -334,43 +326,31 @@ class HttpBackend(Backend):
             reply = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
             raise TransportError(f"malformed chat response: {str(body)[:200]}")
-        self._charge(request.prompt, reply or "")
         return reply or ""
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        if not texts or any(not t for t in texts):
-            raise ValueError("texts must be non-empty strings")
-        self._check_budget()
+    def _embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         body = self._post("/embeddings", {
             "model": self.embedding_model,
             "input": list(texts),
         })
         try:
             rows = sorted(body["data"], key=lambda d: d["index"])
-            vectors = [np.asarray(r["embedding"], dtype=np.float32) for r in rows]
+            return [np.asarray(r["embedding"], dtype=np.float32) for r in rows]
         except (KeyError, TypeError):
             raise TransportError(f"malformed embedding response: {str(body)[:200]}")
-        if len(vectors) != len(texts):
-            raise DimensionMismatch(
-                f"provider returned {len(vectors)} vectors for {len(texts)} texts")
-        dims = {len(v) for v in vectors}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"inconsistent embedding sizes: {sorted(dims)}")
-        self._charge(" ".join(texts), "")
-        return np.stack(vectors)
 
 
 @dataclass
 class BackendRouter:
-    """Per-role backend handles: pipeline calls and senior-model analysis.
+    """The backend for each role.
 
-    The senior role defaults to the pipeline backend when not set; every
-    other role, embeddings included, is the pipeline backend.
+    ``pipeline`` makes every extraction, profile, planning, answer and
+    judge call, and every embedding. ``senior`` writes the prompt
+    gradients during evolution; it is the pipeline backend when not given.
     """
     pipeline: Backend
     senior: Optional[Backend] = None
 
-    def for_role(self, role: str) -> Backend:
-        if role == "senior" and self.senior is not None:
-            return self.senior
-        return self.pipeline
+    def __post_init__(self):
+        if self.senior is None:
+            self.senior = self.pipeline

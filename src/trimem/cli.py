@@ -198,7 +198,7 @@ def write_manifest(path: Path, config: RunConfig, prompt_round: int,
                    if k != "api_key"},
         "config_hash": config.config_hash(),
         "prompt_round": prompt_round,
-        "backend_usage": router.for_role("pipeline").usage.as_dict(),
+        "backend_usage": router.pipeline.usage.as_dict(),
     }
     manifest.update(extra or {})
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -275,8 +275,8 @@ def cmd_query(args) -> int:
     prompts, _ = load_prompts(config)
     router = make_router(config)
     plan = plan_for_question(args.question, prompts,
-                             router.for_role("pipeline"), config.retrieval())
-    ctx = retrieve(plan, store, config.retrieval(), router.for_role("embedding"))
+                             router.pipeline, config.retrieval())
+    ctx = retrieve(plan, store, config.retrieval(), router.pipeline)
     print(json.dumps({
         "question": args.question,
         "queries": list(plan.queries),

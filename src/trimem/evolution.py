@@ -139,20 +139,27 @@ def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
     return gradient
 
 
-def apply_gradient(prompts: PromptSet, gradient: TextGradient,
-                   prompt_dir=None) -> PromptSet:
+def apply_gradient(prompts: PromptSet, gradient: TextGradient) -> PromptSet:
     """The prompt-editing operator: full-text replacement, version bumped."""
     _check_placeholders(gradient)
-    child = PromptSet(
+    return PromptSet(
         extraction=gradient.rewritten_extraction_prompt,
         profile=gradient.rewritten_profile_prompt,
         answer=prompts.answer,
         round=prompts.round + 1,
         parent_round=prompts.round,
     )
-    if prompt_dir is not None:
-        child.persist(prompt_dir)
-    return child
+
+
+def _next_round(current: PromptSet, rec: dict) -> PromptSet:
+    """The version a gradient-log record makes; a no-op keeps the prompts."""
+    if rec.get("no_op"):
+        return replace(current, round=current.round + 1, parent_round=current.round)
+    return apply_gradient(current, TextGradient(
+        rewritten_extraction_prompt=rec["rewritten_p_ext"],
+        rewritten_profile_prompt=rec["rewritten_p_prof"],
+        change_summary=rec.get("change_summary", ""),
+    ))
 
 
 def replay_gradients(prompt_dir) -> list[PromptSet]:
@@ -166,17 +173,7 @@ def replay_gradients(prompt_dir) -> list[PromptSet]:
     for line in log_path.read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
-        rec = json.loads(line)
-        if rec.get("no_op"):
-            current = replace(current, round=current.round + 1,
-                              parent_round=current.round)
-        else:
-            gradient = TextGradient(
-                rewritten_extraction_prompt=rec["rewritten_p_ext"],
-                rewritten_profile_prompt=rec["rewritten_p_prof"],
-                change_summary=rec.get("change_summary", ""),
-            )
-            current = apply_gradient(current, gradient)
+        current = _next_round(current, json.loads(line))
         trajectory.append(current)
     return trajectory
 
@@ -222,28 +219,19 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
         for _ in range(rounds):
             records, loss = evaluate(current)
             trajectory.append((current, loss))
+            rec = {"round": current.round, "loss": loss}
             try:
                 gradient = textual_gradient(records, current, evolution_prompt,
-                                            router.for_role("senior"))
-                log.write(json.dumps({
-                    "round": current.round,
-                    "loss": loss,
-                    "rewritten_p_ext": gradient.rewritten_extraction_prompt,
-                    "rewritten_p_prof": gradient.rewritten_profile_prompt,
-                    "change_summary": gradient.change_summary,
-                }, sort_keys=True) + "\n")
-                current = apply_gradient(current, gradient, prompt_dir)
+                                            router.senior)
+                rec.update(rewritten_p_ext=gradient.rewritten_extraction_prompt,
+                           rewritten_p_prof=gradient.rewritten_profile_prompt,
+                           change_summary=gradient.change_summary)
             except PlaceholderLost as exc:
                 logger.warning("round %d gradient rejected: %s", current.round, exc)
-                log.write(json.dumps({
-                    "round": current.round,
-                    "loss": loss,
-                    "no_op": True,
-                    "reason": str(exc),
-                }, sort_keys=True) + "\n")
-                current = replace(current, round=current.round + 1,
-                                  parent_round=current.round)
-                current.persist(prompt_dir)
+                rec.update(no_op=True, reason=str(exc))
+            log.write(json.dumps(rec, sort_keys=True) + "\n")
+            current = _next_round(current, rec)
+            current.persist(prompt_dir)
 
     _, final_loss = evaluate(current)
     trajectory.append((current, final_loss))

@@ -104,11 +104,14 @@ def entry_from_record(record: dict, window_index: int) -> MemoryEntry:
         source_ids = frozenset(int(i) for i in ids)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"source_dialogue_ids are not all integers: {ids!r}")
+    location = record.get("location")
+    if location is not None and not isinstance(location, str):
+        raise ValueError(f"location is not a string: {location!r}")
     return MemoryEntry(
         lossless_restatement=str(record.get("lossless_restatement") or ""),
         keywords=frozenset(str(k) for k in _list_field(record, "keywords")),
         event_time=record.get("timestamp"),
-        location=record.get("location"),
+        location=location,
         persons=frozenset(str(p) for p in _list_field(record, "persons")),
         entities=frozenset(str(e) for e in _list_field(record, "entities")),
         topic=str(record.get("topic") or ""),

@@ -45,14 +45,13 @@ def build_store(corpus: DialogueCorpus, prompts: dict[str, str],
     """
     seg_config = seg_config or SegmentationConfig()
     store = MemoryStore.for_corpus(corpus)
-    backend = router.for_role("pipeline")
-    embedder = router.for_role("embedding")
+    backend = router.pipeline
     for window in segment(corpus, seg_config):
         entries = extract_entries(window, prompts["extraction"], backend)
         if not entries:
             continue
         before = len(store)
-        store.insert_entries(entries, embedder)
+        store.insert_entries(entries, backend)
         # ids are assigned in first-occurrence order, and a repeat of an
         # existing restatement always maps to an earlier window's entry
         fresh = [store.entries[i] for i in store.insertion_order[before:]]
@@ -70,9 +69,9 @@ def build_store(corpus: DialogueCorpus, prompts: dict[str, str],
 def answer_question(question: str, store: MemoryStore, prompts: dict[str, str],
                     router: BackendRouter, config: RetrievalConfig,
                     ) -> tuple[Answer, RetrievedContext]:
-    backend = router.for_role("pipeline")
+    backend = router.pipeline
     plan = plan_for_question(question, prompts, backend, config)
-    ctx = retrieve(plan, store, config, router.for_role("embedding"))
+    ctx = retrieve(plan, store, config, backend)
     result = generate_answer(question, ctx, prompts["answer"], backend)
     return result, ctx
 
@@ -90,7 +89,7 @@ def run_eval(qa_set: Sequence[QaItem], store: MemoryStore,
     for item in qa_set:
         result, ctx = answer_question(item.question, store, prompts, router, config)
         score, reasoning = judge(item.question, result.answer_text, item.reference,
-                                 prompts["judge"], router.for_role("pipeline"))
+                                 prompts["judge"], router.pipeline)
         record = EvalRecord(
             question=item.question,
             prediction=result.answer_text,

@@ -84,7 +84,26 @@ def _entry_to_record(entry: MemoryEntry) -> dict:
     }
 
 
+# each field's type as _entry_to_record writes it; [t] is a list of t
+_RECORD_TYPES = {
+    "entry_id": str, "lossless_restatement": str, "keywords": [str],
+    "event_time": (str, type(None)), "location": (str, type(None)),
+    "persons": [str], "entities": [str], "topic": str,
+    "source_dialogue_ids": [int], "origin_window": int,
+}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _entry_from_record(rec: dict) -> MemoryEntry:
+    """The entry a record holds; a field of the wrong type is a ValueError."""
+    for name, kind in _RECORD_TYPES.items():
+        if not _has_type(rec[name], kind):
+            raise ValueError(f"entry field {name!r} has the wrong type: {rec[name]!r}")
     return MemoryEntry(
         entry_id=rec["entry_id"],
         lossless_restatement=rec["lossless_restatement"],
@@ -300,6 +319,8 @@ class MemoryStore:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise StoreIOError(f"{manifest_path}: {exc}")
+        if not isinstance(manifest, dict):
+            raise StoreIOError(f"{manifest_path}: not a JSON object")
         if manifest.get("schema_version") != SCHEMA_VERSION:
             raise SchemaVersionMismatch(
                 f"store schema {manifest.get('schema_version')} != {SCHEMA_VERSION}")

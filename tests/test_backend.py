@@ -16,6 +16,7 @@ from trimem.corpus import DialogueTurn, Window
 from trimem.errors import (
     AuthError,
     BudgetExceeded,
+    DimensionMismatch,
     FixtureExhausted,
     ParseFailure,
     TransportError,
@@ -89,8 +90,6 @@ def test_scripted_backend_request_log_and_reset():
     backend = ScriptedBackend(rules=[FixtureRule(response="r", contains=("q",))])
     backend.complete(ChatRequest(prompt="q one"))
     assert backend.request_log == ["q one"]
-    backend.reset()
-    assert backend.complete(ChatRequest(prompt="q two")) == "r"
 
 
 def test_fixture_file_loading(tmp_path):
@@ -221,16 +220,63 @@ def test_http_backend_embeddings(monkeypatch):
     assert list(vectors[0]) == [1.0, 0.0]  # re-sorted by index
 
 
+# -- the call protocol every backend inherits --------------------------
+
+def _scripted(monkeypatch, rows=None, **caps):
+    backend = ScriptedBackend(rules=[FixtureRule(response="r", sticky=True)], **caps)
+    if rows is not None:
+        monkeypatch.setattr(backend, "_embed", rows)
+    return backend
+
+
+def _http(monkeypatch, rows=lambda texts: [[1.0, 0.0]] * len(texts), **caps):
+    import requests
+
+    def fake_post(url, json, **kwargs):
+        if url.endswith("/embeddings"):
+            data = [{"index": i, "embedding": row}
+                    for i, row in enumerate(rows(json["input"]))]
+            return FakeResponse(200, {"data": data})
+        return FakeResponse(200, {"choices": [{"message": {"content": "r"}}]})
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    return HttpBackend("http://api.test", **caps)
+
+
+@pytest.mark.parametrize("make", [_scripted, _http], ids=["scripted", "http"])
+def test_backend_call_protocol(monkeypatch, make):
+    for call in (lambda b: b.complete(ChatRequest(prompt="q")),
+                 lambda b: b.embed(["q"])):
+        for caps in ({"max_calls": 1}, {"max_tokens": 1}):
+            backend = make(monkeypatch, **caps)
+            call(backend)
+            assert backend.usage.calls == 1  # one successful call charges once
+            with pytest.raises(BudgetExceeded):
+                call(backend)
+            assert backend.usage.calls == 1
+
+    backend = make(monkeypatch)
+    for texts in ([], ["ok", ""]):
+        with pytest.raises(ValueError):
+            backend.embed(texts)
+    assert backend.usage.calls == 0
+    for rows in (lambda texts: [[1.0, 0.0]],  # one row for two texts
+                 lambda texts: [[1.0, 0.0], [1.0]]):  # mixed sizes
+        backend = make(monkeypatch, rows=rows)
+        with pytest.raises(DimensionMismatch):
+            backend.embed(["a", "b"])
+        assert backend.usage.calls == 0
+
+
 # -- router ------------------------------------------------------------
 
 def test_router_role_defaults():
     pipeline = ScriptedBackend()
     senior = ScriptedBackend()
     router = BackendRouter(pipeline=pipeline, senior=senior)
-    assert router.for_role("pipeline") is pipeline
-    assert router.for_role("senior") is senior
-    assert router.for_role("embedding") is pipeline
-    assert BackendRouter(pipeline=pipeline).for_role("senior") is pipeline
+    assert router.pipeline is pipeline
+    assert router.senior is senior
+    assert BackendRouter(pipeline=pipeline).senior is pipeline
 
 
 # -- reply parsing and repair ------------------------------------------

@@ -31,3 +31,13 @@ def test_spans_install_and_uninstall_restore_the_engine(monkeypatch):
         now = vars(owner)
         changed = [k for k in saved if now.get(k) is not saved[k]]
         assert not changed, f"{owner.__name__}: {changed} not restored"
+
+
+def test_bench_backend_charges_through_the_engine(monkeypatch):
+    # perfbench/provider.py overrides complete/embed and charges through
+    # Backend._check_budget and Backend._charge
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    provider = importlib.import_module("provider")
+    backend = provider.BenchBackend(provider.Provider(1, dim=32))
+    backend.embed(["a b"])
+    assert backend.usage.calls == 1

@@ -249,6 +249,16 @@ TRUNCATIONS = {
         lambda rec: rec.update(extra=1))),
     "profiles-version-gap": ("profiles.jsonl", _edit_first_record(
         lambda rec: rec.update(version=rec["version"] + 1))),
+    "manifest-not-an-object": ("manifest.json", lambda p: p.write_text(
+        "[1]\n", encoding="utf-8")),
+    "entries-keywords-a-string": ("entries.jsonl", _edit_first_record(
+        lambda rec: rec.update(keywords="abc"))),
+    "entries-location-a-list": ("entries.jsonl", _edit_first_record(
+        lambda rec: rec.update(location=["Rome"]))),
+    "entries-source-ids-strings": ("entries.jsonl", _edit_first_record(
+        lambda rec: rec.update(source_dialogue_ids=["1"]))),
+    "entries-origin-window-a-string": ("entries.jsonl", _edit_first_record(
+        lambda rec: rec.update(origin_window="x"))),
 }
 
 

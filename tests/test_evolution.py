@@ -106,7 +106,8 @@ def test_aggregate_loss_rejects_empty_records():
 
 def test_apply_gradient_versions_and_persistence(tmp_path):
     seed = PromptSet.seed()
-    child = apply_gradient(seed, gradient("\nextra"), tmp_path)
+    child = apply_gradient(seed, gradient("\nextra"))
+    child.persist(tmp_path)
     assert child.round == 1
     assert child.parent_round == 0
     assert child.answer == seed.answer  # answer prompt frozen
@@ -159,8 +160,8 @@ def test_replay_gradients_reconstructs_chain(tmp_path):
     seed = PromptSet.seed()
     seed.persist(tmp_path)
     g1, g2 = gradient("\nA"), gradient("\nB", "\nC")
-    v1 = apply_gradient(seed, g1, tmp_path)
-    v2 = apply_gradient(v1, g2, tmp_path)
+    v1 = apply_gradient(seed, g1)
+    v2 = apply_gradient(v1, g2)
     with (tmp_path / "gradients.jsonl").open("w") as fh:
         for g, parent in ((g1, 0), (g2, 1)):
             fh.write(json.dumps({

@@ -222,6 +222,8 @@ WRONG_TYPED_FIELDS = {
     "keywords-not-a-list": {"keywords": 5},
     "persons-a-string": {"persons": "Alice"},
     "source-ids-a-string": {"source_dialogue_ids": "12"},
+    "location-a-list": {"location": ["Rome"]},
+    "location-a-number": {"location": 7},
 }
 
 
