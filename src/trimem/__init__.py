@@ -25,7 +25,7 @@ from .corpus import (
     window_count,
 )
 from .errors import TriMemError
-from .evolution import PromptSet, TextGradient, best_round, evolve, replay_gradients
+from .evolution import PromptSet, best_round, evolve, replay_gradients
 from .extraction import MemoryEntry, extract_entries
 from .metrics import (
     EvalRecord,
@@ -62,7 +62,6 @@ __all__ = [
     "ScriptedBackend",
     "SearchPlan",
     "SegmentationConfig",
-    "TextGradient",
     "TriMemError",
     "Usage",
     "Window",

@@ -157,12 +157,9 @@ def load_prompts(config: RunConfig) -> tuple[dict[str, str], int]:
     if config.prompt_dir:
         round_number = config.prompt_round
         if round_number is None:
-            rounds = sorted(
-                int(p.name.split("_", 1)[1])
-                for p in Path(config.prompt_dir).glob("round_*") if p.is_dir())
-            if not rounds:
-                raise errors.UsageError(f"no prompt rounds in {config.prompt_dir}")
-            round_number = rounds[-1]
+            round_number = PromptSet.latest_round(config.prompt_dir)
+        if round_number is None:
+            raise errors.UsageError(f"no prompt rounds in {config.prompt_dir}")
         try:
             prompt_set = PromptSet.load_round(config.prompt_dir, round_number)
         except OSError as exc:

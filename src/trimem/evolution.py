@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -21,6 +22,8 @@ from .prompts import EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS, render, seed
 from .store import RetrievalConfig
 
 logger = logging.getLogger(__name__)
+
+_ROUND_DIR = re.compile(r"round_(0|[1-9][0-9]*)")  # as PromptSet.persist names it
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,13 @@ class PromptSet:
         except OSError as exc:
             raise StoreIOError(str(exc))
 
+    @staticmethod
+    def latest_round(prompt_dir) -> Optional[int]:
+        """The highest round that ``persist`` wrote under prompt_dir, if any."""
+        rounds = [int(match[1]) for p in Path(prompt_dir).glob("round_*")
+                  if (match := _ROUND_DIR.fullmatch(p.name)) and p.is_dir()]
+        return max(rounds, default=None)
+
     @classmethod
     def load_round(cls, prompt_dir, round_number: int) -> "PromptSet":
         round_dir = Path(prompt_dir) / f"round_{round_number}"
@@ -68,13 +78,6 @@ class PromptSet:
             round=meta["round"],
             parent_round=meta["parent_round"],
         )
-
-
-@dataclass(frozen=True)
-class TextGradient:
-    rewritten_extraction_prompt: str
-    rewritten_profile_prompt: str
-    change_summary: str = ""
 
 
 def _parse_verdict(text: str) -> tuple[float, str]:
@@ -107,18 +110,22 @@ def aggregate_loss(records: Sequence[EvalRecord]) -> float:
     return -sum(r.judge_score for r in records) / len(records)
 
 
-def _check_placeholders(gradient: TextGradient) -> None:
+def _check_placeholders(gradient: dict) -> None:
     for placeholder in EXTRACTION_PLACEHOLDERS:
-        if placeholder not in gradient.rewritten_extraction_prompt:
+        if placeholder not in gradient["rewritten_p_ext"]:
             raise PlaceholderLost(f"extraction rewrite lost {placeholder}")
     for placeholder in PROFILE_PLACEHOLDERS:
-        if placeholder not in gradient.rewritten_profile_prompt:
+        if placeholder not in gradient["rewritten_p_prof"]:
             raise PlaceholderLost(f"profile rewrite lost {placeholder}")
 
 
 def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
-                     evolution_prompt: str, backend: Backend) -> TextGradient:
-    """Obtain full-text rewrites of the trainable prompts from the senior model."""
+                     evolution_prompt: str, backend: Backend) -> dict[str, str]:
+    """Obtain full-text rewrites of the trainable prompts from the senior model.
+
+    Returns the gradient-log fields ``rewritten_p_ext``, ``rewritten_p_prof``
+    and ``change_summary``.
+    """
     detailed = json.dumps(
         {"detailed_results": [r.detailed_record() for r in records]},
         indent=2)
@@ -128,38 +135,25 @@ def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
                     detailed_results=detailed)
     reply = backend.complete(ChatRequest(prompt=prompt, max_output_tokens=8192))
     obj = parse_json(reply)
-    gradient = TextGradient(
-        rewritten_extraction_prompt=str(obj.get("rewritten_p_ext") or ""),
-        rewritten_profile_prompt=str(obj.get("rewritten_p_prof") or ""),
-        change_summary=str(obj.get("change_summary") or ""),
-    )
-    if not gradient.rewritten_extraction_prompt or not gradient.rewritten_profile_prompt:
+    gradient = {key: str(obj.get(key) or "")
+                for key in ("rewritten_p_ext", "rewritten_p_prof", "change_summary")}
+    if not gradient["rewritten_p_ext"] or not gradient["rewritten_p_prof"]:
         raise ParseFailure("gradient reply missing a rewritten prompt")
     _check_placeholders(gradient)
     return gradient
 
 
-def apply_gradient(prompts: PromptSet, gradient: TextGradient) -> PromptSet:
-    """The prompt-editing operator: full-text replacement, version bumped."""
-    _check_placeholders(gradient)
-    return PromptSet(
-        extraction=gradient.rewritten_extraction_prompt,
-        profile=gradient.rewritten_profile_prompt,
-        answer=prompts.answer,
-        round=prompts.round + 1,
-        parent_round=prompts.round,
-    )
+def apply_gradient(prompts: PromptSet, rec: dict) -> PromptSet:
+    """The prompt-editing operator over one gradient-log record.
 
-
-def _next_round(current: PromptSet, rec: dict) -> PromptSet:
-    """The version a gradient-log record makes; a no-op keeps the prompts."""
-    if rec.get("no_op"):
-        return replace(current, round=current.round + 1, parent_round=current.round)
-    return apply_gradient(current, TextGradient(
-        rewritten_extraction_prompt=rec["rewritten_p_ext"],
-        rewritten_profile_prompt=rec["rewritten_p_prof"],
-        change_summary=rec.get("change_summary", ""),
-    ))
+    Full-text replacement of the trainable prompts, version bumped; a no-op
+    record carries the prompts forward.
+    """
+    rewrites = {}
+    if not rec.get("no_op"):
+        _check_placeholders(rec)
+        rewrites = {"extraction": rec["rewritten_p_ext"], "profile": rec["rewritten_p_prof"]}
+    return replace(prompts, **rewrites, round=prompts.round + 1, parent_round=prompts.round)
 
 
 def replay_gradients(prompt_dir) -> list[PromptSet]:
@@ -173,7 +167,7 @@ def replay_gradients(prompt_dir) -> list[PromptSet]:
     for line in log_path.read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
-        current = _next_round(current, json.loads(line))
+        current = apply_gradient(current, json.loads(line))
         trajectory.append(current)
     return trajectory
 
@@ -221,16 +215,13 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
             trajectory.append((current, loss))
             rec = {"round": current.round, "loss": loss}
             try:
-                gradient = textual_gradient(records, current, evolution_prompt,
-                                            router.senior)
-                rec.update(rewritten_p_ext=gradient.rewritten_extraction_prompt,
-                           rewritten_p_prof=gradient.rewritten_profile_prompt,
-                           change_summary=gradient.change_summary)
+                rec.update(textual_gradient(records, current, evolution_prompt,
+                                            router.senior))
             except PlaceholderLost as exc:
                 logger.warning("round %d gradient rejected: %s", current.round, exc)
                 rec.update(no_op=True, reason=str(exc))
             log.write(json.dumps(rec, sort_keys=True) + "\n")
-            current = _next_round(current, rec)
+            current = apply_gradient(current, rec)
             current.persist(prompt_dir)
 
     _, final_loss = evaluate(current)

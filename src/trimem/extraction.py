@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Optional
 
@@ -22,7 +22,7 @@ logger = logging.getLogger(__name__)
 
 PRONOUNS = frozenset({"he", "she", "it", "they", "this", "that"})
 
-# timestamp shapes the validator will coerce to full ISO 8601
+# timestamp shapes entry_from_record will coerce to full ISO 8601
 _DATE_ONLY = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _DATE_HM = re.compile(r"^\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}$")
 _DATE_HMS = re.compile(r"^\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}")
@@ -68,93 +68,83 @@ def _coerce_event_time(value: str) -> Optional[str]:
 def parse_entry_payload(text: str) -> list[dict]:
     """Tolerantly decode the JSON array of raw entry records.
 
-    Skips code fences and surrounding prose; missing optional fields
-    become absent (None), never empty-string sentinels. The first array
-    decides: a non-object element is a ParseFailure, so a broken outer
-    array is repaired rather than read through one of its inner lists.
+    Skips code fences and surrounding prose. The first array decides: a
+    non-object element is a ParseFailure, so a broken outer array is
+    repaired rather than read through one of its inner lists.
     """
-    parsed = []
-    for i, rec in enumerate(parse_json(text, lambda v: isinstance(v, list))):
+    records = parse_json(text, lambda v: isinstance(v, list))
+    for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ParseFailure(f"array element {i} is not an object")
-        parsed.append({
-            "lossless_restatement": rec.get("lossless_restatement"),
-            "keywords": rec.get("keywords") or [],
-            "timestamp": rec.get("timestamp") or None,
-            "location": rec.get("location") or None,
-            "persons": rec.get("persons") or [],
-            "entities": rec.get("entities") or [],
-            "topic": rec.get("topic") or "",
-            "source_dialogue_ids": rec.get("source_dialogue_ids") or [],
-        })
-    return parsed
+    return records
 
 
-def _list_field(record: dict, name: str) -> list:
-    value = record.get(name, [])
-    if not isinstance(value, list):
-        raise ValueError(f"{name} is not a list: {value!r}")
-    return value
+def has_type(value, kind) -> bool:
+    """Whether value is of kind; [t] is a list of t, and a bool is no number."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(has_type(v, kind[0]) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def entry_from_record(record: dict, window_index: int) -> MemoryEntry:
-    """Build an entry from a raw record; ValueError names a wrong-typed field."""
-    ids = _list_field(record, "source_dialogue_ids")
-    try:
-        source_ids = frozenset(int(i) for i in ids)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"source_dialogue_ids are not all integers: {ids!r}")
-    location = record.get("location")
-    if location is not None and not isinstance(location, str):
-        raise ValueError(f"location is not a string: {location!r}")
-    return MemoryEntry(
-        lossless_restatement=str(record.get("lossless_restatement") or ""),
-        keywords=frozenset(str(k) for k in _list_field(record, "keywords")),
-        event_time=record.get("timestamp"),
-        location=location,
-        persons=frozenset(str(p) for p in _list_field(record, "persons")),
-        entities=frozenset(str(e) for e in _list_field(record, "entities")),
-        topic=str(record.get("topic") or ""),
-        source_dialogue_ids=source_ids,
-        origin_window=window_index,
-    )
+# each reply field's type and its value when absent (missing, null, "" or [])
+_REPLY_FIELDS = {
+    "lossless_restatement": (str, ""), "keywords": ([str], ()),
+    "timestamp": (str, None), "location": (str, None),
+    "persons": ([str], ()), "entities": ([str], ()), "topic": (str, ""),
+    "source_dialogue_ids": ([int], ()),
+}
 
 
-def validate_entry(entry: MemoryEntry, window: Window) -> tuple[Optional[MemoryEntry], list[str]]:
-    """Check entry invariants against its origin window.
+def entry_from_record(record: dict, window: Window) -> MemoryEntry:
+    """Build the entry one reply record makes in its origin window.
 
-    Returns (normalized entry, diagnostics). A failing entry yields
-    (None, diagnostics); the caller decides whether to drop or abort.
+    Raises ValueError, its message the "; "-joined diagnostics, for a
+    wrong-typed field, an empty restatement, source ids missing or outside
+    the window, a pronoun person or keyword, or an unparseable event time.
+    Persons are display-normalized and the event time coerced to ISO 8601.
     """
-    diagnostics: list[str] = []
-    if not entry.lossless_restatement.strip():
-        diagnostics.append("empty restatement")
-    if not entry.source_dialogue_ids:
-        diagnostics.append("missing source_dialogue_ids")
-    elif not entry.source_dialogue_ids <= window.turn_ids:
-        outside = sorted(entry.source_dialogue_ids - window.turn_ids)
-        diagnostics.append(f"source ids {outside} outside window {window.index}")
-    for person in entry.persons:
-        if person.strip().casefold() in PRONOUNS:
-            diagnostics.append(f"pronoun person: {person!r}")
-    for keyword in entry.keywords:
-        if keyword.strip().casefold() in PRONOUNS:
-            diagnostics.append(f"pronoun keyword: {keyword!r}")
-
-    event_time = entry.event_time
-    if event_time is not None:
-        event_time = _coerce_event_time(str(event_time))
-        if event_time is None:
-            diagnostics.append(f"unparseable event_time: {entry.event_time!r}")
-
+    fields, diagnostics = {}, []
+    for name, (kind, absent) in _REPLY_FIELDS.items():
+        value = record.get(name)
+        if value is None or value == "" or value == []:
+            value = absent
+        elif not has_type(value, kind):
+            diagnostics.append(f"{name} has the wrong type: {value!r}")
+        fields[name] = value
     if diagnostics:
-        return None, diagnostics
-    normalized = replace(
-        entry,
-        persons=frozenset(normalize_display(p) for p in entry.persons if p.strip()),
+        raise ValueError("; ".join(diagnostics))
+
+    if not fields["lossless_restatement"].strip():
+        diagnostics.append("empty restatement")
+    source_ids = frozenset(fields["source_dialogue_ids"])
+    if not source_ids:
+        diagnostics.append("missing source_dialogue_ids")
+    elif not source_ids <= window.turn_ids:
+        outside = sorted(source_ids - window.turn_ids)
+        diagnostics.append(f"source ids {outside} outside window {window.index}")
+    for field, label in (("persons", "person"), ("keywords", "keyword")):
+        for value in fields[field]:
+            if value.strip().casefold() in PRONOUNS:
+                diagnostics.append(f"pronoun {label}: {value!r}")
+    event_time = fields["timestamp"]
+    if event_time is not None:
+        event_time = _coerce_event_time(event_time)
+        if event_time is None:
+            diagnostics.append(f"unparseable event_time: {fields['timestamp']!r}")
+    if diagnostics:
+        raise ValueError("; ".join(diagnostics))
+
+    return MemoryEntry(
+        lossless_restatement=fields["lossless_restatement"],
+        keywords=frozenset(fields["keywords"]),
         event_time=event_time,
+        location=fields["location"],
+        persons=frozenset(normalize_display(p) for p in fields["persons"] if p.strip()),
+        entities=frozenset(fields["entities"]),
+        topic=fields["topic"],
+        source_dialogue_ids=source_ids,
+        origin_window=window.index,
     )
-    return normalized, []
 
 
 def extract_entries(window: Window, extraction_prompt: str,
@@ -174,14 +164,7 @@ def extract_entries(window: Window, extraction_prompt: str,
     entries: list[MemoryEntry] = []
     for record in records:
         try:
-            candidate = entry_from_record(record, window.index)
-        except ValueError as exc:  # a wrong-typed field
-            validated, diagnostics = None, [str(exc)]
-        else:
-            validated, diagnostics = validate_entry(candidate, window)
-        if validated is None:
-            logger.warning("dropping entry from window %d: %s",
-                           window.index, "; ".join(diagnostics))
-            continue
-        entries.append(validated)
+            entries.append(entry_from_record(record, window))
+        except ValueError as exc:
+            logger.warning("dropping entry from window %d: %s", window.index, exc)
     return entries

@@ -33,7 +33,7 @@ from .errors import (
     StoreIOError,
     UnknownEntry,
 )
-from .extraction import MemoryEntry
+from .extraction import MemoryEntry, has_type
 from .profiles import EntityProfile
 
 SCHEMA_VERSION = 1
@@ -84,7 +84,7 @@ def _entry_to_record(entry: MemoryEntry) -> dict:
     }
 
 
-# each field's type as _entry_to_record writes it; [t] is a list of t
+# each field's type as _entry_to_record writes it, in has_type's terms
 _RECORD_TYPES = {
     "entry_id": str, "lossless_restatement": str, "keywords": [str],
     "event_time": (str, type(None)), "location": (str, type(None)),
@@ -93,16 +93,10 @@ _RECORD_TYPES = {
 }
 
 
-def _has_type(value, kind) -> bool:
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _entry_from_record(rec: dict) -> MemoryEntry:
     """The entry a record holds; a field of the wrong type is a ValueError."""
     for name, kind in _RECORD_TYPES.items():
-        if not _has_type(rec[name], kind):
+        if not has_type(rec[name], kind):
             raise ValueError(f"entry field {name!r} has the wrong type: {rec[name]!r}")
     return MemoryEntry(
         entry_id=rec["entry_id"],
@@ -358,11 +352,14 @@ class MemoryStore:
                 store._row_of[entry.entry_id] = row
                 store._by_restatement[
                     _normalize_restatement(entry.lossless_restatement)] = entry.entry_id
-            profiles_path = path / "profiles.jsonl"
-            if profiles_path.exists():
-                for line in profiles_path.read_text(encoding="utf-8").splitlines():
-                    if line.strip():
-                        store.add_profile(EntityProfile.from_dict(json.loads(line)))
+            for line in (path / "profiles.jsonl").read_text(encoding="utf-8").splitlines():
+                if line.strip():
+                    store.add_profile(EntityProfile.from_dict(json.loads(line)))
+            for key, found in (("turn_count", len(store.turns)),
+                               ("profile_versions", len(store._profile_history))):
+                if manifest.get(key) != found:
+                    raise StoreIOError(f"{path}: manifest lists {manifest.get(key)} "
+                                       f"{key}, the files hold {found}")
         except (OSError, KeyError, TypeError, ValueError) as exc:
             # unreadable file, bad JSON, missing or extra field, profile version gap
             raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}")

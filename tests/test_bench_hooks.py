@@ -3,9 +3,12 @@
 ``perfbench/spans.py`` swaps module attributes and ``MemoryStore`` methods
 for timing wrappers and puts them back afterwards. A refactor that drops or
 renames one of those names would otherwise show only in a traced benchmark
-run (``perfbench/run.py --trace 1``).
+run (``perfbench/run.py --trace 1``), so one such run is made here too.
 """
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from trimem import evolution, metrics, pipeline, qa
@@ -41,3 +44,13 @@ def test_bench_backend_charges_through_the_engine(monkeypatch):
     backend = provider.BenchBackend(provider.Provider(1, dim=32))
     backend.embed(["a b"])
     assert backend.usage.calls == 1
+
+
+def test_benchmark_ingest_op_passes_its_output_checks_traced():
+    # one ingest operation through every output check and through the tracer
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "ingest",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -1,10 +1,12 @@
 import json
 import os
 import struct
+from dataclasses import replace
 
 import pytest
 
 from trimem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
+from trimem.evolution import PromptSet
 from trimem.qa import estimate_tokens
 
 
@@ -140,6 +142,25 @@ def test_build_writes_store_and_manifest(work_dir, capsys):
     assert not (store / ".lock").exists()  # lock released
 
 
+def test_build_uses_the_latest_prompt_round(work_dir, capsys):
+    seed = PromptSet.seed()
+    for round_number in (0, 1):
+        replace(seed, round=round_number).persist(work_dir / "prompts")
+    for stray in ("round_best", "round_02", "round_1x"):
+        (work_dir / "prompts" / stray).mkdir()
+    code, _, err = build(capsys, extra=("--prompts", "prompts"))
+    assert code == EXIT_OK, err
+    manifest = json.loads((work_dir / "store" / "run_manifest.json").read_text())
+    assert manifest["prompt_round"] == 1
+
+
+def test_build_without_prompt_rounds_is_usage_error(work_dir, capsys):
+    (work_dir / "prompts" / "round_best").mkdir(parents=True)
+    code, _, err = build(capsys, extra=("--prompts", "prompts"))
+    assert code == EXIT_USAGE
+    assert json.loads(err)["error"] == "UsageError"
+
+
 def test_build_refuses_non_empty_dir_without_force(work_dir, capsys):
     assert build(capsys)[0] == EXIT_OK
     code, _, err = build(capsys)
@@ -227,6 +248,11 @@ def _drop_vector_rows(path):
     path.write_bytes(raw[:-10 * dim * 4])
 
 
+def _drop_lines(path, n):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-n]), encoding="utf-8")
+
+
 def _edit_first_record(edit):
     def apply(path):
         first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -238,9 +264,7 @@ def _edit_first_record(edit):
 
 TRUNCATIONS = {
     "vectors-10-rows-short": ("vectors.bin", _drop_vector_rows),
-    "entries-10-lines-short": ("entries.jsonl", lambda p: p.write_text(
-        "".join(p.read_text(encoding="utf-8").splitlines(keepends=True)[:-10]),
-        encoding="utf-8")),
+    "entries-10-lines-short": ("entries.jsonl", lambda p: _drop_lines(p, 10)),
     "entries-cut-mid-record": ("entries.jsonl", lambda p: p.write_bytes(
         p.read_bytes()[:-40])),
     "entries-record-without-topic": ("entries.jsonl", _edit_first_record(
@@ -259,6 +283,9 @@ TRUNCATIONS = {
         lambda rec: rec.update(source_dialogue_ids=["1"]))),
     "entries-origin-window-a-string": ("entries.jsonl", _edit_first_record(
         lambda rec: rec.update(origin_window="x"))),
+    "profiles-2-lines-short": ("profiles.jsonl", lambda p: _drop_lines(p, 2)),
+    "turns-3-lines-short": ("turns.jsonl", lambda p: _drop_lines(p, 3)),
+    "profiles-missing": ("profiles.jsonl", lambda p: p.unlink()),
 }
 
 

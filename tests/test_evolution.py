@@ -6,7 +6,6 @@ from trimem.backend import FixtureRule, ScriptedBackend
 from trimem.errors import EmptyRecordSet, ParseFailure, PlaceholderLost
 from trimem.evolution import (
     PromptSet,
-    TextGradient,
     aggregate_loss,
     apply_gradient,
     best_round,
@@ -30,10 +29,9 @@ def records(scores):
 
 def gradient(ext_extra="", prof_extra=""):
     seed = PromptSet.seed()
-    return TextGradient(
-        rewritten_extraction_prompt=seed.extraction + ext_extra,
-        rewritten_profile_prompt=seed.profile + prof_extra,
-        change_summary="test")
+    return {"rewritten_p_ext": seed.extraction + ext_extra,
+            "rewritten_p_prof": seed.profile + prof_extra,
+            "change_summary": "test"}
 
 
 # -- prompt set --------------------------------------------------------
@@ -117,14 +115,11 @@ def test_apply_gradient_versions_and_persistence(tmp_path):
 
 def test_placeholder_guard_rejects_lost_slots():
     seed = PromptSet.seed()
-    bad = TextGradient(
-        rewritten_extraction_prompt="no slots here",
-        rewritten_profile_prompt=seed.profile)
+    bad = {"rewritten_p_ext": "no slots here", "rewritten_p_prof": seed.profile}
     with pytest.raises(PlaceholderLost):
         apply_gradient(seed, bad)
-    bad_prof = TextGradient(
-        rewritten_extraction_prompt=seed.extraction,
-        rewritten_profile_prompt="missing {entity_name} only")
+    bad_prof = {"rewritten_p_ext": seed.extraction,
+                "rewritten_p_prof": "missing {entity_name} only"}
     with pytest.raises(PlaceholderLost):
         apply_gradient(seed, bad_prof)
 
@@ -139,8 +134,8 @@ def test_textual_gradient_parses_reply():
     backend = ScriptedBackend(rules=[
         FixtureRule(response=reply, contains=("backward pass",))])
     grad = textual_gradient(records([0.0]), seed, EVOLUTION_PROMPT, backend)
-    assert grad.change_summary == "added a rule"
-    assert grad.rewritten_extraction_prompt.endswith("more")
+    assert grad["change_summary"] == "added a rule"
+    assert grad["rewritten_p_ext"].endswith("more")
     # the detailed records were embedded in the prompt
     assert "detailed_results" in backend.request_log[0]
 
@@ -164,13 +159,7 @@ def test_replay_gradients_reconstructs_chain(tmp_path):
     v2 = apply_gradient(v1, g2)
     with (tmp_path / "gradients.jsonl").open("w") as fh:
         for g, parent in ((g1, 0), (g2, 1)):
-            fh.write(json.dumps({
-                "round": parent,
-                "loss": -0.5,
-                "rewritten_p_ext": g.rewritten_extraction_prompt,
-                "rewritten_p_prof": g.rewritten_profile_prompt,
-                "change_summary": g.change_summary,
-            }) + "\n")
+            fh.write(json.dumps({"round": parent, "loss": -0.5, **g}) + "\n")
     trajectory = replay_gradients(tmp_path)
     assert [p.round for p in trajectory] == [0, 1, 2]
     assert trajectory[1] == v1

@@ -13,7 +13,6 @@ from trimem.extraction import (
     normalize_display,
     normalize_person_key,
     parse_entry_payload,
-    validate_entry,
 )
 
 EXTRACTION_PROMPT = "Extract facts.\n{context}\nDialogues:\n{dialogue_text}\nGo."
@@ -54,9 +53,10 @@ def test_parse_entry_payload_with_prose_and_fences():
 def test_parse_entry_payload_missing_optionals_become_none():
     rec = {"lossless_restatement": "x", "source_dialogue_ids": [1]}
     [parsed] = parse_entry_payload(json.dumps([rec]))
-    assert parsed["timestamp"] is None
-    assert parsed["location"] is None
-    assert parsed["keywords"] == []
+    entry = entry_from_record(parsed, make_window())
+    assert entry.event_time is None
+    assert entry.location is None
+    assert entry.keywords == frozenset()
 
 
 def test_parse_entry_payload_rejects_non_array():
@@ -97,50 +97,34 @@ def test_event_time_coercion(raw, expected):
 # -- validation --------------------------------------------------------
 
 def test_validate_accepts_good_entry():
-    window = make_window()
-    entry = entry_from_record(record(), window.index)
-    validated, diags = validate_entry(entry, window)
-    assert diags == []
-    assert validated.event_time == "2024-01-01T09:00:00"
+    entry = entry_from_record(record(), make_window())
+    assert entry.event_time == "2024-01-01T09:00:00"
 
 
 def test_validate_rejects_pronoun_person():
-    window = make_window()
-    entry = entry_from_record(record(persons=["She"]), window.index)
-    validated, diags = validate_entry(entry, window)
-    assert validated is None
-    assert any("pronoun" in d for d in diags)
+    with pytest.raises(ValueError, match="pronoun person: 'She'"):
+        entry_from_record(record(persons=["She"]), make_window())
 
 
 def test_validate_rejects_pronoun_keyword():
-    window = make_window()
-    entry = entry_from_record(record(keywords=["they"]), window.index)
-    validated, diags = validate_entry(entry, window)
-    assert validated is None
+    with pytest.raises(ValueError, match="pronoun keyword: 'they'"):
+        entry_from_record(record(keywords=["they"]), make_window())
 
 
 def test_validate_rejects_out_of_window_source_ids():
-    window = make_window(first=1, last=3)
-    entry = entry_from_record(record(source_dialogue_ids=[1, 99]), window.index)
-    validated, diags = validate_entry(entry, window)
-    assert validated is None
-    assert any("99" in d for d in diags)
+    with pytest.raises(ValueError, match=r"source ids \[99\] outside window 1"):
+        entry_from_record(record(source_dialogue_ids=[1, 99]), make_window(first=1, last=3))
 
 
 def test_validate_rejects_empty_restatement_and_missing_sources():
-    window = make_window()
-    entry = entry_from_record(record(lossless_restatement="  ",
-                                     source_dialogue_ids=[]), window.index)
-    validated, diags = validate_entry(entry, window)
-    assert validated is None
-    assert len(diags) == 2
+    with pytest.raises(ValueError, match="^empty restatement; missing source_dialogue_ids$"):
+        entry_from_record(record(lossless_restatement="  ", source_dialogue_ids=[]),
+                          make_window())
 
 
 def test_validate_coerces_date_only_event_time():
-    window = make_window()
-    entry = entry_from_record(record(timestamp="2024-01-01"), window.index)
-    validated, _ = validate_entry(entry, window)
-    assert validated.event_time == "2024-01-01T00:00:00"
+    entry = entry_from_record(record(timestamp="2024-01-01"), make_window())
+    assert entry.event_time == "2024-01-01T00:00:00"
 
 
 # -- extraction flow ---------------------------------------------------
@@ -224,6 +208,12 @@ WRONG_TYPED_FIELDS = {
     "source-ids-a-string": {"source_dialogue_ids": "12"},
     "location-a-list": {"location": ["Rome"]},
     "location-a-number": {"location": 7},
+    "timestamp-a-number": {"timestamp": 20240508},
+    "restatement-a-number": {"lossless_restatement": 42},
+    "restatement-an-object": {"lossless_restatement": {"a": 1}},
+    "topic-a-list": {"topic": ["x", "y"]},
+    "keywords-hold-a-null": {"keywords": ["Rome", None]},
+    "source-id-a-numeric-string": {"source_dialogue_ids": ["1"]},
 }
 
 
@@ -231,7 +221,7 @@ WRONG_TYPED_FIELDS = {
 def test_extract_entries_drops_a_wrong_typed_field(caplog, case):
     window = make_window(first=1, last=3)
     good = record()
-    bad = record(lossless_restatement="Bob ran.", **WRONG_TYPED_FIELDS[case])
+    bad = record(**{"lossless_restatement": "Bob ran.", **WRONG_TYPED_FIELDS[case]})
     backend = ScriptedBackend(rules=[
         FixtureRule(response=json.dumps([good, bad]), contains=("Dialogues:",))])
     with caplog.at_level("WARNING", logger="trimem.extraction"):
