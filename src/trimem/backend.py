@@ -3,8 +3,9 @@
 The ``Backend`` base class owns the call protocol: ``complete`` and
 ``embed`` check the call and token caps, make the round-trip, and charge
 the usage to the instance, and ``embed`` also checks the texts going out
-and the rows coming back. A concrete backend supplies only the provider
-round-trip, ``_complete`` and ``_embed``. Two exist: an HTTP backend
+and the rows coming back, making one round-trip per ``EMBED_BATCH``
+texts. A concrete backend supplies only the provider round-trip,
+``_complete`` and ``_embed``. Two exist: an HTTP backend
 speaking the common ``/chat/completions`` + ``/embeddings`` request shapes,
 and a scripted backend that replays canned responses and derives
 embeddings from a content hash, for fully offline deterministic runs.
@@ -35,6 +36,7 @@ from .errors import (
 T = TypeVar("T")
 
 DEFAULT_EMBED_DIM = 64
+EMBED_BATCH = 2048  # texts per embed round-trip: the OpenAI /embeddings input cap
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 1.0
 HTTP_TIMEOUT = 120.0
@@ -51,7 +53,8 @@ class ChatRequest:
 
 
 def complete_parsed(backend: "Backend", prompt: str,
-                    parse: Callable[[str], T], hint: str) -> T:
+                    parse: Callable[[str], T], hint: str,
+                    max_output_tokens: int = 2048) -> T:
     """Send ``prompt`` and return ``parse(reply)``, repairing a bad reply once.
 
     ParseFailure is the one fault an unreadable reply raises at every site
@@ -60,12 +63,12 @@ def complete_parsed(backend: "Backend", prompt: str,
     second ParseFailure propagates; each caller applies its own fallback
     rule.
     """
-    reply = backend.complete(ChatRequest(prompt=prompt))
+    reply = backend.complete(ChatRequest(prompt, max_output_tokens))
     try:
         return parse(reply)
     except ParseFailure as exc:
         repair = f"{prompt}\n\nYour previous reply could not be parsed ({exc}). {hint}"
-        return parse(backend.complete(ChatRequest(prompt=repair)))
+        return parse(backend.complete(ChatRequest(repair, max_output_tokens)))
 
 
 def _is_object(value) -> bool:
@@ -155,17 +158,28 @@ class Backend:
         return reply
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text, in slices of at most ``EMBED_BATCH`` texts.
+
+        Each slice is one round-trip with its own cap check and charge, so
+        a cap that runs out between slices raises BudgetExceeded and
+        returns nothing. Every slice must return one row per text, and
+        every row of every slice the same size.
+        """
         if not texts or any(not t for t in texts):
             raise ValueError("texts must be non-empty strings")
-        self._check_budget()
-        rows = [np.asarray(row, dtype=np.float32) for row in self._embed(texts)]
-        if len(rows) != len(texts):
-            raise DimensionMismatch(
-                f"provider returned {len(rows)} vectors for {len(texts)} texts")
-        dims = {len(row) for row in rows}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"inconsistent embedding sizes: {sorted(dims)}")
-        self._charge(" ".join(texts), "")
+        rows: list[np.ndarray] = []
+        for start in range(0, len(texts), EMBED_BATCH):
+            batch = texts[start:start + EMBED_BATCH]
+            self._check_budget()
+            got = [np.asarray(row, dtype=np.float32) for row in self._embed(batch)]
+            if len(got) != len(batch):
+                raise DimensionMismatch(
+                    f"provider returned {len(got)} vectors for {len(batch)} texts")
+            dims = {len(row) for row in got + rows[:1]}
+            if len(dims) != 1:
+                raise DimensionMismatch(f"inconsistent embedding sizes: {sorted(dims)}")
+            self._charge(" ".join(batch), "")
+            rows.extend(got)
         return np.stack(rows)
 
     def _complete(self, request: ChatRequest) -> str:

@@ -248,12 +248,16 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _refuse_non_empty(path: Path, hint: str) -> None:
+    if path.exists() and (not path.is_dir() or any(path.iterdir())):
+        raise errors.UsageError(f"{path} is not an empty directory; {hint}")
+
+
 def cmd_build(args) -> int:
     config = load_run_config(args)
     store_dir = Path(config.store_dir)
-    if store_dir.exists() and any(store_dir.iterdir()) and not args.force:
-        raise errors.UsageError(
-            f"{store_dir} is not empty; pass --force to rebuild")
+    if not args.force:
+        _refuse_non_empty(store_dir, "pass --force to rebuild")
     router = make_router(config)
     store, prompt_round = _build_and_persist(config, router, store_dir)
     write_manifest(store_dir / "run_manifest.json", config, prompt_round,
@@ -347,9 +351,10 @@ def cmd_eval(args) -> int:
 
 def cmd_evolve(args) -> int:
     config = load_run_config(args)
+    out_dir = Path(args.out)
+    _refuse_non_empty(out_dir, "evolve writes one run per directory")
     corpus = load_corpus(config.corpus)
     router = make_router(config)
-    out_dir = Path(args.out)
     trajectory = evolve(
         corpus, load_qa_set(args.qa), config.rounds, router, out_dir,
         seg_config=config.segmentation(),

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import Backend, BackendRouter, ChatRequest, complete_parsed, parse_json
+from .backend import Backend, BackendRouter, complete_parsed, parse_json
 from .corpus import DialogueCorpus, SegmentationConfig
 from .errors import EmptyRecordSet, ParseFailure, PlaceholderLost, StoreIOError
+from .extraction import has_type
 from .metrics import EvalRecord
 from .prompts import EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS, render, seed_prompts
 from .store import RetrievalConfig
@@ -119,12 +120,30 @@ def _check_placeholders(gradient: dict) -> None:
             raise PlaceholderLost(f"profile rewrite lost {placeholder}")
 
 
+_GRADIENT_FIELDS = ("rewritten_p_ext", "rewritten_p_prof", "change_summary")
+
+
+def _parse_gradient(text: str) -> dict[str, str]:
+    """The gradient-log fields of a senior reply; each must be a string,
+    and both rewrites non-empty."""
+    obj = parse_json(text)
+    for key in _GRADIENT_FIELDS:
+        if not has_type(obj.get(key), str):
+            raise ParseFailure(f"gradient field {key} is not a string: {obj.get(key)!r}")
+    if not obj["rewritten_p_ext"] or not obj["rewritten_p_prof"]:
+        raise ParseFailure("gradient reply missing a rewritten prompt")
+    return {key: obj[key] for key in _GRADIENT_FIELDS}
+
+
 def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
                      evolution_prompt: str, backend: Backend) -> dict[str, str]:
     """Obtain full-text rewrites of the trainable prompts from the senior model.
 
     Returns the gradient-log fields ``rewritten_p_ext``, ``rewritten_p_prof``
-    and ``change_summary``.
+    and ``change_summary``. An unreadable reply, or one whose fields are not
+    strings, gets the one repair of ``complete_parsed``; a second failure
+    raises ParseFailure. A rewrite that lost a placeholder raises
+    PlaceholderLost.
     """
     detailed = json.dumps(
         {"detailed_results": [r.detailed_record() for r in records]},
@@ -133,12 +152,8 @@ def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
                     extraction_prompt=prompts.extraction,
                     profile_prompt=prompts.profile,
                     detailed_results=detailed)
-    reply = backend.complete(ChatRequest(prompt=prompt, max_output_tokens=8192))
-    obj = parse_json(reply)
-    gradient = {key: str(obj.get(key) or "")
-                for key in ("rewritten_p_ext", "rewritten_p_prof", "change_summary")}
-    if not gradient["rewritten_p_ext"] or not gradient["rewritten_p_prof"]:
-        raise ParseFailure("gradient reply missing a rewritten prompt")
+    gradient = complete_parsed(backend, prompt, _parse_gradient,
+                               "Return ONLY the JSON object.", max_output_tokens=8192)
     _check_placeholders(gradient)
     return gradient
 
@@ -181,8 +196,9 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     Each of the ``rounds`` gradient steps rebuilds memory from scratch with
     the current prompts, evaluates, and applies the rewrite; the final
     version is evaluated too, so the trajectory has rounds+1 points. A
-    rejected gradient (lost placeholder) records the loss and carries the
-    prompts forward unchanged.
+    rejected gradient (unreadable after its repair, or a lost placeholder)
+    is logged as a no-op round with its reason, and the prompts carry
+    forward unchanged.
     """
     from .pipeline import QaItem, build_store, run_eval
 
@@ -217,7 +233,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
             try:
                 rec.update(textual_gradient(records, current, evolution_prompt,
                                             router.senior))
-            except PlaceholderLost as exc:
+            except (ParseFailure, PlaceholderLost) as exc:
                 logger.warning("round %d gradient rejected: %s", current.round, exc)
                 rec.update(no_op=True, reason=str(exc))
             log.write(json.dumps(rec, sort_keys=True) + "\n")

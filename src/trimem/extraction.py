@@ -50,6 +50,11 @@ def normalize_display(name: str) -> str:
     return " ".join(name.split())
 
 
+def restatement_key(text: str) -> str:
+    """The dedup key: restatements equal after whitespace normalization are one fact."""
+    return " ".join(text.split())
+
+
 def _coerce_event_time(value: str) -> Optional[str]:
     value = value.strip()
     if _DATE_ONLY.match(value):

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 from .backend import BackendRouter
 from .corpus import DialogueCorpus, SegmentationConfig, segment
 from .errors import EmptyRecordSet, EmptyRequiredSet
-from .extraction import extract_entries
+from .extraction import MemoryEntry, extract_entries, restatement_key
 from .metrics import EvalRecord, bleu, coverage, token_f1
 from .profiles import group_by_person, update_profile
 from .qa import Answer, RetrievedContext, answer as generate_answer
@@ -36,31 +36,40 @@ class QaItem:
 def build_store(corpus: DialogueCorpus, prompts: dict[str, str],
                 router: BackendRouter,
                 seg_config: Optional[SegmentationConfig] = None) -> MemoryStore:
-    """Segment, extract, insert, and update profiles window-by-window; the
-    returned store is sealed.
+    """Extract and profile per window; index once per build, in slices of
+    ``EMBED_BATCH``. The returned store is sealed.
+
+    Windows run in order. A window's fresh entries are the first copy of
+    each restatement (by ``restatement_key``) that no earlier window gave,
+    and only they feed its profile updates. After the last window every
+    fresh entry goes to the store in one ``insert_entries`` call, which
+    gives the ids, rows and dedup map that window-by-window inserts would,
+    with one embed round-trip per ``EMBED_BATCH`` restatements instead of
+    one per window.
 
     Extraction drops each invalid entry with a logged diagnostic, so a
     window contributes its survivors. A reply that stays unreadable after
-    its one repair raises ParseFailure and aborts the build.
+    its one repair raises ParseFailure and aborts the build, and so does a
+    zero-norm embedding, after the last window.
     """
     seg_config = seg_config or SegmentationConfig()
     store = MemoryStore.for_corpus(corpus)
     backend = router.pipeline
+    kept: dict[str, MemoryEntry] = {}  # restatement key -> its first copy
     for window in segment(corpus, seg_config):
-        entries = extract_entries(window, prompts["extraction"], backend)
-        if not entries:
-            continue
-        before = len(store)
-        store.insert_entries(entries, backend)
-        # ids are assigned in first-occurrence order, and a repeat of an
-        # existing restatement always maps to an earlier window's entry
-        fresh = [store.entries[i] for i in store.insertion_order[before:]]
+        fresh = []
+        for entry in extract_entries(window, prompts["extraction"], backend):
+            key = restatement_key(entry.lossless_restatement)
+            if key not in kept:
+                kept[key] = entry
+                fresh.append(entry)
         for person_key, person_entries in sorted(group_by_person(fresh).items()):
             existing = store.latest_profile(person_key)
             profile = update_profile(
                 person_key, person_entries, existing, prompts["profile"],
                 backend, window_index=window.index)
             store.add_profile(profile)
+    store.insert_entries(list(kept.values()), backend)
     store.verify_anchors()
     store.seal()
     return store

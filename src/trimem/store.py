@@ -33,7 +33,7 @@ from .errors import (
     StoreIOError,
     UnknownEntry,
 )
-from .extraction import MemoryEntry, has_type
+from .extraction import MemoryEntry, has_type, restatement_key
 from .profiles import EntityProfile
 
 SCHEMA_VERSION = 1
@@ -63,10 +63,6 @@ class RetrievalConfig:
     @property
     def effective_per_query_k(self) -> int:
         return self.per_query_k if self.per_query_k is not None else self.top_k
-
-
-def _normalize_restatement(text: str) -> str:
-    return " ".join(text.split())
 
 
 def _entry_to_record(entry: MemoryEntry) -> dict:
@@ -164,17 +160,20 @@ class MemoryStore:
                        backend: Backend) -> list[str]:
         """Embed restatements and add entries, deduplicating exact repeats.
 
-        Restatements that are byte-equal after whitespace normalization map
-        to the already-stored id instead of creating a new row; a restatement
-        repeated within the batch is embedded once, at its first copy. The new
-        rows go into the index as one block, and a batch with a zero-norm or
-        wrong-size embedding raises before it adds anything.
+        Restatements with the same ``restatement_key`` map to the
+        already-stored id instead of creating a new row; a restatement
+        repeated within the batch is embedded once, at its first copy. The
+        new restatements go out in one ``backend.embed`` call, one
+        round-trip per ``EMBED_BATCH`` texts, so ``build_store`` indexes a
+        whole build with one insert. The new rows go into the index as one
+        block, and a zero-norm or wrong-size embedding, or a budget that
+        runs out between slices, raises before the batch adds anything.
         """
         if self._sealed:
             raise StoreClosed("store is sealed")
-        fresh: dict[str, str] = {}  # normalized key -> first new restatement
+        fresh: dict[str, str] = {}  # restatement key -> first new restatement
         for entry in entries:
-            key = _normalize_restatement(entry.lossless_restatement)
+            key = restatement_key(entry.lossless_restatement)
             if key not in self._by_restatement:
                 fresh.setdefault(key, entry.lossless_restatement)
         if fresh:
@@ -194,7 +193,7 @@ class MemoryStore:
             self._blocks.append(np.stack(rows))
         assigned: list[str] = []
         for entry in entries:
-            key = _normalize_restatement(entry.lossless_restatement)
+            key = restatement_key(entry.lossless_restatement)
             if key not in self._by_restatement:
                 entry_id = f"e{len(self.insertion_order) + 1:06d}"
                 self.entries[entry_id] = replace(entry, entry_id=entry_id)
@@ -209,14 +208,24 @@ class MemoryStore:
 
     def similarity_search(self, query_vector: np.ndarray,
                           k: int) -> list[tuple[str, float]]:
-        """Exact cosine top-k over the whole index, ties by insertion order."""
+        """Exact cosine top-k over the whole index, ties by insertion order.
+
+        A partial sort picks the k best rows; every row that ties the k-th
+        score joins them, so the cut at k falls by (-score, row) as a full
+        stable sort would.
+        """
         if not self.entries:
             raise EmptyIndex("no entries in store")
         query = np.asarray(query_vector, dtype=np.float32)
         if len(query) != self.dim:
             raise DimensionMismatch(f"query dim {len(query)} != index dim {self.dim}")
         scores = self._vectors @ query
-        order = np.argsort(-scores, kind="stable")[:k]
+        if k < len(scores):
+            kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
+            rows = np.flatnonzero(scores >= kth)
+        else:
+            rows = np.arange(len(scores))
+        order = rows[np.lexsort((rows, -scores[rows]))][:k]
         return [(self.insertion_order[i], float(scores[i])) for i in order]
 
     # -- verbatim recovery ----------------------------------------------
@@ -351,7 +360,7 @@ class MemoryStore:
                 store.insertion_order.append(entry.entry_id)
                 store._row_of[entry.entry_id] = row
                 store._by_restatement[
-                    _normalize_restatement(entry.lossless_restatement)] = entry.entry_id
+                    restatement_key(entry.lossless_restatement)] = entry.entry_id
             for line in (path / "profiles.jsonl").read_text(encoding="utf-8").splitlines():
                 if line.strip():
                     store.add_profile(EntityProfile.from_dict(json.loads(line)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trimem.backend import (
+    EMBED_BATCH,
     BackendRouter,
     ChatRequest,
     FixtureRule,
@@ -266,6 +267,20 @@ def test_backend_call_protocol(monkeypatch, make):
         with pytest.raises(DimensionMismatch):
             backend.embed(["a", "b"])
         assert backend.usage.calls == 0
+
+
+def test_embed_checks_row_sizes_across_slices(monkeypatch):
+    calls = []
+
+    def rows(texts):
+        calls.append(len(texts))
+        return [[1.0] * (2 if len(calls) == 1 else 3)] * len(texts)
+
+    backend = _scripted(monkeypatch, rows=rows)
+    with pytest.raises(DimensionMismatch):
+        backend.embed(["t"] * (EMBED_BATCH + 1))
+    assert calls == [EMBED_BATCH, 1]
+    assert backend.usage.calls == 1  # the first slice's round-trip is charged
 
 
 # -- router ------------------------------------------------------------

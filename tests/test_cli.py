@@ -299,6 +299,39 @@ def test_inspect_rejects_truncated_store(work_dir, capsys, case):
     assert json.loads(err)["error"] == "StoreIOError"
 
 
+def test_evolve_refuses_a_non_empty_out_dir(work_dir, capsys):
+    def evolve():
+        return run(capsys, "evolve", "--corpus", "corpus.json", "--qa", "qa.jsonl",
+                   "--rounds", "1", "--out", "evolved",
+                   "--scripted", "evolve_fixture.jsonl")
+
+    def snapshot():
+        return {p.relative_to(work_dir): p.read_bytes()
+                for p in sorted((work_dir / "evolved").rglob("*")) if p.is_file()}
+
+    assert evolve()[0] == EXIT_OK
+    first = snapshot()
+    assert len(first) > 5 and len((work_dir / "evolved" / "gradients.jsonl")
+                                  .read_text().splitlines()) == 1
+    code, out, err = evolve()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err)["error"] == "UsageError"
+    assert "not an empty directory" in json.loads(err)["message"]
+    assert snapshot() == first
+
+
+@pytest.mark.parametrize("command", [
+    ("build", "--corpus", "corpus.json", "--store", "taken"),
+    ("evolve", "--corpus", "corpus.json", "--qa", "qa.jsonl", "--out", "taken"),
+], ids=["build", "evolve"])
+def test_an_out_dir_that_is_a_file_is_a_usage_error(work_dir, capsys, command):
+    (work_dir / "taken").write_text("x")
+    code, _, err = run(capsys, *command, "--scripted", "fixture.jsonl")
+    assert code == EXIT_USAGE
+    assert json.loads(err)["error"] == "UsageError"
+    assert (work_dir / "taken").read_text() == "x"
+
+
 def test_ablate_unknown_knob(work_dir, capsys):
     build(capsys)
     code, _, err = run(capsys, "ablate", "--store", "store", "--qa", "qa.jsonl",

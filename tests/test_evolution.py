@@ -2,13 +2,14 @@ import json
 
 import pytest
 
-from trimem.backend import FixtureRule, ScriptedBackend
+from trimem.backend import BackendRouter, FixtureRule, ScriptedBackend
 from trimem.errors import EmptyRecordSet, ParseFailure, PlaceholderLost
 from trimem.evolution import (
     PromptSet,
     aggregate_loss,
     apply_gradient,
     best_round,
+    evolve,
     judge,
     replay_gradients,
     textual_gradient,
@@ -143,10 +144,75 @@ def test_textual_gradient_parses_reply():
 def test_textual_gradient_missing_field_raises():
     backend = ScriptedBackend(rules=[
         FixtureRule(response='{"rewritten_p_ext": "x"}',
-                    contains=("backward pass",))])
+                    contains=("backward pass",), sticky=True)])
     with pytest.raises(ParseFailure):
         textual_gradient(records([0.0]), PromptSet.seed(),
                          EVOLUTION_PROMPT, backend)
+    assert len(backend.request_log) == 2  # the reply and its one repair
+
+
+@pytest.mark.parametrize("field", ["rewritten_p_ext", "rewritten_p_prof",
+                                   "change_summary"])
+def test_textual_gradient_rejects_a_non_string_field(field):
+    # a list holding the prompt keeps its placeholders, but is never stringified
+    bad = {**gradient(), field: [gradient()[field]]}
+    backend = ScriptedBackend(rules=[
+        FixtureRule(response=json.dumps(bad), contains=("backward pass",),
+                    sticky=True)])
+    with pytest.raises(ParseFailure, match=field):
+        textual_gradient(records([0.0]), PromptSet.seed(),
+                         EVOLUTION_PROMPT, backend)
+    first, repair = backend.request_log
+    assert repair.startswith(first + "\n\nYour previous reply could not be parsed")
+
+
+def test_textual_gradient_repairs_an_unreadable_reply():
+    backend = ScriptedBackend(rules=[
+        FixtureRule(response="I would rather not.", contains=("backward pass",)),
+        FixtureRule(response=json.dumps(gradient("\nmore")),
+                    contains=("backward pass",))])
+    grad = textual_gradient(records([0.0]), PromptSet.seed(),
+                            EVOLUTION_PROMPT, backend)
+    assert grad == gradient("\nmore")
+    assert len(backend.request_log) == 2
+
+
+# -- one evolve round with a bad senior reply -------------------------
+
+def evolve_with_gradient_replies(data_dir, corpus, items, prompt_dir, replies):
+    """One evolve round on the gate-6 fixture, the senior sending ``replies``."""
+    backend = ScriptedBackend.from_fixture_file(data_dir / "evolve_fixture.jsonl")
+    backend.rules = [rule for rule in backend.rules
+                     if "backward pass" not in rule.contains]
+    backend.rules += [FixtureRule(response=reply, contains=("backward pass",))
+                      for reply in replies]
+    trajectory = evolve(corpus, items, rounds=1,
+                        router=BackendRouter(pipeline=backend),
+                        prompt_dir=prompt_dir)
+    senior = [p for p in backend.request_log if "backward pass" in p]
+    log = [json.loads(line) for line in
+           (prompt_dir / "gradients.jsonl").read_text().splitlines()]
+    return trajectory, senior, log
+
+
+@pytest.mark.parametrize("reply", [
+    "junk",
+    json.dumps({**gradient(), "rewritten_p_ext": [PromptSet.seed().extraction]}),
+], ids=["junk", "list-valued-rewrite"])
+def test_a_twice_bad_gradient_is_a_no_op_round(data_dir, fixture_corpus, qa_items,
+                                               tmp_path, reply):
+    trajectory, senior, log = evolve_with_gradient_replies(
+        data_dir, fixture_corpus, qa_items, tmp_path, [reply, reply])
+    assert len(senior) == 2  # the reply and its one repair
+    assert senior[1].startswith(senior[0] + "\n\nYour previous reply could not be parsed")
+    (rec,) = log
+    assert rec["no_op"] is True and rec["round"] == 0
+    want = "rewritten_p_ext is not a string" if reply != "junk" else "no usable JSON"
+    assert want in rec["reason"]
+    seed = PromptSet.seed()
+    assert [(ps.round, ps.extraction, ps.profile) for ps, _ in trajectory] == \
+        [(0, seed.extraction, seed.profile), (1, seed.extraction, seed.profile)]
+    assert replay_gradients(tmp_path)[1] == PromptSet.load_round(tmp_path, 1)
 
 
 # -- replay and selection ---------------------------------------------

@@ -119,6 +119,52 @@ def test_similarity_search_ties_break_by_insertion(backend):
     assert [e for e, _ in results] == ["e000001", "e000002"]
 
 
+def tied_store(backend, n, groups):
+    """A store of n rows in which the rows of each group share one vector."""
+    store = MemoryStore(turns=make_turns(1))
+    store.insert_entries([make_entry(f"fact {i}") for i in range(n)], backend)
+    for group in groups:
+        for row in group[1:]:
+            store._vectors[row] = store._vectors[group[0]]
+    return store
+
+
+def full_sort(store, query):
+    """The reference ranking: every row by (-score, row)."""
+    scores = store._vectors @ query
+    rows = sorted(range(len(store)), key=lambda row: (-scores[row], row))
+    return [(store.insertion_order[row], float(scores[row])) for row in rows]
+
+
+@pytest.mark.parametrize("k", [1, 5, 6, 7, 100])
+def test_similarity_search_k_at_or_past_the_store_size(backend, k):
+    store = tied_store(backend, 6, [(1, 4)])
+    query = hash_embedding("fact 4")
+    assert store.similarity_search(query, k) == full_sort(store, query)[:k]
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_similarity_search_all_scores_equal(backend, k):
+    store = tied_store(backend, 8, [range(8)])
+    results = store.similarity_search(hash_embedding("q"), k)
+    assert [e for e, _ in results] == store.insertion_order[:k]
+    assert len({score for _, score in results}) == 1
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_similarity_search_ties_straddling_the_kth_place(backend, k):
+    # rows 2, 5, 7 and 9 tie the best score and rows 0, 3, 8 and 11 the
+    # second best, so some cut at k falls inside each group of ties
+    store = tied_store(backend, 12, [(9, 2, 5, 7), (3, 0, 8, 11)])
+    best = store._vectors[9]
+    second = store._vectors[3]
+    query = best + 0.5 * second
+    results = store.similarity_search(query, k)
+    assert results == full_sort(store, query)[:k]
+    ids = [e for e, _ in results]
+    assert ids[:4] == [store.insertion_order[r] for r in (2, 5, 7, 9)][:k]
+
+
 def test_similarity_search_empty_index():
     store = MemoryStore(turns=make_turns(1))
     with pytest.raises(EmptyIndex):
