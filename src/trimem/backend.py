@@ -4,7 +4,8 @@ The ``Backend`` base class owns the call protocol: ``complete`` and
 ``embed`` check the call and token caps, make the round-trip, and charge
 the usage to the instance, and ``embed`` also checks the texts going out
 and the rows coming back, making one round-trip per ``EMBED_BATCH``
-texts. A concrete backend supplies only the provider round-trip,
+texts. ``read_reply`` reads every JSON model reply through a field table.
+A concrete backend supplies only the provider round-trip,
 ``_complete`` and ``_embed``. Two exist: an HTTP backend
 speaking the common ``/chat/completions`` + ``/embeddings`` request shapes,
 and a scripted backend that replays canned responses and derives
@@ -58,10 +59,10 @@ def complete_parsed(backend: "Backend", prompt: str,
     """Send ``prompt`` and return ``parse(reply)``, repairing a bad reply once.
 
     ParseFailure is the one fault an unreadable reply raises at every site
-    (a missing JSON payload, a profile with no header or no section). On it
-    the prompt is sent again with the failure and ``hint`` appended. A
-    second ParseFailure propagates; each caller applies its own fallback
-    rule.
+    (no JSON payload, a wrong-typed field, a profile with no header or no
+    section). On it the prompt is sent again with the failure and ``hint``
+    appended. A second ParseFailure propagates; each caller applies its own
+    fallback rule.
     """
     reply = backend.complete(ChatRequest(prompt, max_output_tokens))
     try:
@@ -101,6 +102,37 @@ def parse_json(text: str, accept: Callable[[object], bool] = _is_object):
         if accept(value):
             return value
     raise ParseFailure("no usable JSON in model output")
+
+
+def has_type(value, kind) -> bool:
+    """Whether value is of kind; [t] is a list of t, and a bool is no number."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(has_type(v, kind[0]) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def read_fields(obj: dict, fields: dict) -> tuple[dict, list[str]]:
+    """The values of ``fields`` (name -> (kind, absent)) in a reply object, and
+    a diagnostic per wrong-typed field. A missing, null, "" or [] value reads
+    as the field's absent value; nothing is coerced."""
+    values, faults = {}, []
+    for name, (kind, absent) in fields.items():
+        value = obj.get(name)
+        if value is None or value == "" or value == []:
+            value = absent
+        elif not has_type(value, kind):
+            faults.append(f"{name} has the wrong type: {value!r}")
+        values[name] = value
+    return values, faults
+
+
+def read_reply(text: str, fields: dict) -> dict:
+    """``read_fields`` over the first JSON object in ``text``; any diagnostic
+    is a ParseFailure."""
+    values, faults = read_fields(parse_json(text), fields)
+    if faults:
+        raise ParseFailure("; ".join(faults))
+    return values
 
 
 @dataclass

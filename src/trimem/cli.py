@@ -29,7 +29,7 @@ from .metrics import build_report, write_report
 from .pipeline import QaItem, answer_question, build_store, run_eval
 from .prompts import seed_prompts
 from .retrieval import plan_for_question, retrieve
-from .store import MemoryStore, RetrievalConfig
+from .store import MemoryStore, RetrievalConfig, refuse_non_empty
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,7 +173,10 @@ def load_prompts(config: RunConfig) -> tuple[dict[str, str], int]:
 @contextlib.contextmanager
 def store_lock(store_dir: Path):
     """One command per store directory at a time."""
-    store_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        store_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise errors.UsageError(f"{store_dir} is not a directory")
     lock_path = store_dir / ".lock"
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -248,16 +251,11 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _refuse_non_empty(path: Path, hint: str) -> None:
-    if path.exists() and (not path.is_dir() or any(path.iterdir())):
-        raise errors.UsageError(f"{path} is not an empty directory; {hint}")
-
-
 def cmd_build(args) -> int:
     config = load_run_config(args)
     store_dir = Path(config.store_dir)
     if not args.force:
-        _refuse_non_empty(store_dir, "pass --force to rebuild")
+        refuse_non_empty(store_dir, "pass --force to rebuild")
     router = make_router(config)
     store, prompt_round = _build_and_persist(config, router, store_dir)
     write_manifest(store_dir / "run_manifest.json", config, prompt_round,
@@ -352,7 +350,6 @@ def cmd_eval(args) -> int:
 def cmd_evolve(args) -> int:
     config = load_run_config(args)
     out_dir = Path(args.out)
-    _refuse_non_empty(out_dir, "evolve writes one run per directory")
     corpus = load_corpus(config.corpus)
     router = make_router(config)
     trajectory = evolve(

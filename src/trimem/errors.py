@@ -83,10 +83,6 @@ class EmptyRecordSet(TriMemError):
     pass
 
 
-class PlaceholderLost(TriMemError):
-    pass
-
-
 class KeyMismatch(TriMemError):
     pass
 

@@ -3,7 +3,8 @@
 One round: rebuild memory with the current extraction/profile prompts,
 answer the training questions, judge them, aggregate the loss, ask the
 senior model for full-text prompt rewrites, and apply them as the next
-version. The answer prompt is frozen across all rounds.
+version. The answer prompt is frozen across all rounds. A gradient
+reply must also keep every placeholder of the prompt it rewrites.
 """
 from __future__ import annotations
 
@@ -14,13 +15,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import Backend, BackendRouter, complete_parsed, parse_json
+from .backend import Backend, BackendRouter, complete_parsed, parse_json, read_reply
 from .corpus import DialogueCorpus, SegmentationConfig
-from .errors import EmptyRecordSet, ParseFailure, PlaceholderLost, StoreIOError
-from .extraction import has_type
+from .errors import EmptyRecordSet, ParseFailure, StoreIOError
 from .metrics import EvalRecord
 from .prompts import EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS, render, seed_prompts
-from .store import RetrievalConfig
+from .store import RetrievalConfig, refuse_non_empty
 
 logger = logging.getLogger(__name__)
 
@@ -81,13 +81,12 @@ class PromptSet:
         )
 
 
+_VERDICT_FIELDS = {"score": ((int, float), 0.0), "reasoning": (str, "")}
+
+
 def _parse_verdict(text: str) -> tuple[float, str]:
-    obj = parse_json(text)
-    try:
-        score = float(obj.get("score", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ParseFailure(f"non-numeric judge score: {exc}")
-    return (1.0 if score >= 0.5 else 0.0), str(obj.get("reasoning") or "")
+    verdict = read_reply(text, _VERDICT_FIELDS)
+    return (1.0 if verdict["score"] >= 0.5 else 0.0), verdict["reasoning"]
 
 
 def judge(question: str, prediction: str, reference: str,
@@ -111,28 +110,21 @@ def aggregate_loss(records: Sequence[EvalRecord]) -> float:
     return -sum(r.judge_score for r in records) / len(records)
 
 
-def _check_placeholders(gradient: dict) -> None:
-    for placeholder in EXTRACTION_PLACEHOLDERS:
-        if placeholder not in gradient["rewritten_p_ext"]:
-            raise PlaceholderLost(f"extraction rewrite lost {placeholder}")
-    for placeholder in PROFILE_PLACEHOLDERS:
-        if placeholder not in gradient["rewritten_p_prof"]:
-            raise PlaceholderLost(f"profile rewrite lost {placeholder}")
-
-
-_GRADIENT_FIELDS = ("rewritten_p_ext", "rewritten_p_prof", "change_summary")
+_GRADIENT_FIELDS = dict.fromkeys(("rewritten_p_ext", "rewritten_p_prof", "change_summary"),
+                                 (str, ""))
+_REWRITES = (("rewritten_p_ext", "extraction", EXTRACTION_PLACEHOLDERS),
+             ("rewritten_p_prof", "profile", PROFILE_PLACEHOLDERS))
 
 
 def _parse_gradient(text: str) -> dict[str, str]:
-    """The gradient-log fields of a senior reply; each must be a string,
-    and both rewrites non-empty."""
-    obj = parse_json(text)
-    for key in _GRADIENT_FIELDS:
-        if not has_type(obj.get(key), str):
-            raise ParseFailure(f"gradient field {key} is not a string: {obj.get(key)!r}")
-    if not obj["rewritten_p_ext"] or not obj["rewritten_p_prof"]:
-        raise ParseFailure("gradient reply missing a rewritten prompt")
-    return {key: obj[key] for key in _GRADIENT_FIELDS}
+    """The gradient-log fields of a senior reply or a logged round: two
+    rewrites that keep every placeholder of their prompt, and a summary."""
+    gradient = read_reply(text, _GRADIENT_FIELDS)
+    for name, label, placeholders in _REWRITES:
+        for placeholder in placeholders:
+            if placeholder not in gradient[name]:
+                raise ParseFailure(f"{label} rewrite lost {placeholder}")
+    return gradient
 
 
 def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
@@ -140,10 +132,9 @@ def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
     """Obtain full-text rewrites of the trainable prompts from the senior model.
 
     Returns the gradient-log fields ``rewritten_p_ext``, ``rewritten_p_prof``
-    and ``change_summary``. An unreadable reply, or one whose fields are not
-    strings, gets the one repair of ``complete_parsed``; a second failure
-    raises ParseFailure. A rewrite that lost a placeholder raises
-    PlaceholderLost.
+    and ``change_summary``. An unreadable reply, a field that is not a
+    string, or a rewrite that lost a placeholder gets the one repair of
+    ``complete_parsed``; a second failure raises ParseFailure.
     """
     detailed = json.dumps(
         {"detailed_results": [r.detailed_record() for r in records]},
@@ -152,27 +143,25 @@ def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
                     extraction_prompt=prompts.extraction,
                     profile_prompt=prompts.profile,
                     detailed_results=detailed)
-    gradient = complete_parsed(backend, prompt, _parse_gradient,
-                               "Return ONLY the JSON object.", max_output_tokens=8192)
-    _check_placeholders(gradient)
-    return gradient
+    return complete_parsed(backend, prompt, _parse_gradient,
+                           "Return ONLY the JSON object.", max_output_tokens=8192)
 
 
 def apply_gradient(prompts: PromptSet, rec: dict) -> PromptSet:
     """The prompt-editing operator over one gradient-log record.
 
-    Full-text replacement of the trainable prompts, version bumped; a no-op
-    record carries the prompts forward.
+    Full-text replacement of the trainable prompts by a parsed gradient,
+    version bumped; a no-op record carries the prompts forward.
     """
     rewrites = {}
     if not rec.get("no_op"):
-        _check_placeholders(rec)
         rewrites = {"extraction": rec["rewritten_p_ext"], "profile": rec["rewritten_p_prof"]}
     return replace(prompts, **rewrites, round=prompts.round + 1, parent_round=prompts.round)
 
 
 def replay_gradients(prompt_dir) -> list[PromptSet]:
-    """Rebuild every prompt version from round 0 plus the gradient log."""
+    """Rebuild every prompt version from round 0 plus the gradient log; a
+    logged gradient that ``_parse_gradient`` rejects raises ParseFailure."""
     prompt_dir = Path(prompt_dir)
     current = PromptSet.load_round(prompt_dir, 0)
     trajectory = [current]
@@ -182,7 +171,8 @@ def replay_gradients(prompt_dir) -> list[PromptSet]:
     for line in log_path.read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
-        current = apply_gradient(current, json.loads(line))
+        rec = parse_json(line)
+        current = apply_gradient(current, rec if rec.get("no_op") else _parse_gradient(line))
         trajectory.append(current)
     return trajectory
 
@@ -196,9 +186,11 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     Each of the ``rounds`` gradient steps rebuilds memory from scratch with
     the current prompts, evaluates, and applies the rewrite; the final
     version is evaluated too, so the trajectory has rounds+1 points. A
-    rejected gradient (unreadable after its repair, or a lost placeholder)
-    is logged as a no-op round with its reason, and the prompts carry
-    forward unchanged.
+    rejected gradient (unreadable, wrong-typed or missing a placeholder
+    after its repair) is logged as a no-op round with its reason, and the
+    prompts carry forward unchanged. A ``prompt_dir`` that is not missing or
+    empty is refused with UsageError before any model call, so one
+    directory holds one run and its log.
     """
     from .pipeline import QaItem, build_store, run_eval
 
@@ -212,6 +204,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     retrieval_config = retrieval_config or RetrievalConfig()
     evolution_prompt = seed_prompts()["evolution"]
     prompt_dir = Path(prompt_dir)
+    refuse_non_empty(prompt_dir, "evolve writes one run per directory")
     prompt_dir.mkdir(parents=True, exist_ok=True)
     log_path = prompt_dir / "gradients.jsonl"
 
@@ -225,7 +218,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
         records = run_eval(items, store, pipeline_prompts, router, retrieval_config)
         return records, aggregate_loss(records)
 
-    with log_path.open("a", encoding="utf-8") as log:
+    with log_path.open("w", encoding="utf-8") as log:
         for _ in range(rounds):
             records, loss = evaluate(current)
             trajectory.append((current, loss))
@@ -233,7 +226,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
             try:
                 rec.update(textual_gradient(records, current, evolution_prompt,
                                             router.senior))
-            except (ParseFailure, PlaceholderLost) as exc:
+            except ParseFailure as exc:
                 logger.warning("round %d gradient rejected: %s", current.round, exc)
                 rec.update(no_op=True, reason=str(exc))
             log.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Optional
 
-from .backend import Backend, complete_parsed, parse_json
+from .backend import Backend, complete_parsed, parse_json, read_fields
 from .corpus import Window, render_window
 from .errors import ParseFailure
 from .prompts import render
@@ -84,13 +84,6 @@ def parse_entry_payload(text: str) -> list[dict]:
     return records
 
 
-def has_type(value, kind) -> bool:
-    """Whether value is of kind; [t] is a list of t, and a bool is no number."""
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(has_type(v, kind[0]) for v in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 # each reply field's type and its value when absent (missing, null, "" or [])
 _REPLY_FIELDS = {
     "lossless_restatement": (str, ""), "keywords": ([str], ()),
@@ -106,16 +99,10 @@ def entry_from_record(record: dict, window: Window) -> MemoryEntry:
     Raises ValueError, its message the "; "-joined diagnostics, for a
     wrong-typed field, an empty restatement, source ids missing or outside
     the window, a pronoun person or keyword, or an unparseable event time.
-    Persons are display-normalized and the event time coerced to ISO 8601.
+    Persons are display-normalized, one per ``normalize_person_key`` (the
+    first form given), and the event time coerced to ISO 8601.
     """
-    fields, diagnostics = {}, []
-    for name, (kind, absent) in _REPLY_FIELDS.items():
-        value = record.get(name)
-        if value is None or value == "" or value == []:
-            value = absent
-        elif not has_type(value, kind):
-            diagnostics.append(f"{name} has the wrong type: {value!r}")
-        fields[name] = value
+    fields, diagnostics = read_fields(record, _REPLY_FIELDS)
     if diagnostics:
         raise ValueError("; ".join(diagnostics))
 
@@ -139,12 +126,16 @@ def entry_from_record(record: dict, window: Window) -> MemoryEntry:
     if diagnostics:
         raise ValueError("; ".join(diagnostics))
 
+    persons: dict[str, str] = {}  # person key -> its first display form
+    for person in fields["persons"]:
+        if person.strip():
+            persons.setdefault(normalize_person_key(person), normalize_display(person))
     return MemoryEntry(
         lossless_restatement=fields["lossless_restatement"],
         keywords=frozenset(fields["keywords"]),
         event_time=event_time,
         location=fields["location"],
-        persons=frozenset(normalize_display(p) for p in fields["persons"] if p.strip()),
+        persons=frozenset(persons.values()),
         entities=frozenset(fields["entities"]),
         topic=fields["topic"],
         source_dialogue_ids=source_ids,

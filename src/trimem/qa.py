@@ -10,7 +10,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from .backend import Backend, complete_parsed, parse_json
+from .backend import Backend, complete_parsed, read_reply
 from .corpus import DialogueTurn, render_turn
 from .errors import ParseFailure
 from .profiles import EntityProfile, serialize_profile
@@ -80,17 +80,24 @@ def assemble_context(ctx: RetrievedContext) -> str:
     return "\n\n".join(sections)
 
 
+_ANSWER_FIELDS = {"reasoning": (str, ""), "answer": ((str, int, float), "")}
+
+
 def _parse_answer_payload(text: str) -> tuple[str, str]:
-    obj = parse_json(text, lambda v: isinstance(v, dict) and "answer" in v)
-    return str(obj.get("reasoning") or ""), str(obj["answer"])
+    reply = read_reply(text, _ANSWER_FIELDS)
+    answer_text = str(reply["answer"])  # a string, or a number
+    if not answer_text.strip():
+        raise ParseFailure("answer is missing or blank")
+    return reply["reasoning"], answer_text
 
 
 def answer(question: str, ctx: RetrievedContext, answer_prompt: str,
            backend: Backend) -> Answer:
     """Produce the final structured answer from the assembled context.
 
-    Parsing is total: when the repair retry fails too, the first reply is
-    returned verbatim as the answer with reasoning "(unparsed)".
+    Parsing is total: when the repair fails too (no JSON, or no non-blank
+    string or number answer), the first reply is returned verbatim as the
+    answer ("(no answer)" if blank) with reasoning "(unparsed)".
     """
     prompt = render(answer_prompt, query=question, context=ctx.text)
     replies: list[str] = []
@@ -105,7 +112,6 @@ def answer(question: str, ctx: RetrievedContext, answer_prompt: str,
             'Return ONLY {"reasoning": "...", "answer": "..."}.')
     except ParseFailure:
         logger.warning("answer output unparsed for question %r", question[:80])
-        reasoning, answer_text = "(unparsed)", replies[0]
-    if not answer_text.strip():  # answer_text must be non-empty
-        answer_text = replies[0].strip() or "(no answer)"
+        reasoning = "(unparsed)"
+        answer_text = replies[0] if replies[0].strip() else "(no answer)"
     return Answer(question=question, reasoning=reasoning, answer_text=answer_text)

@@ -1,11 +1,12 @@
 """Question analysis, search planning, and top-K retrieval with anchor expansion.
 
 The search plan is produced by two LLM steps (required-information
-analysis, then targeted query generation). A step whose reply cannot be
-parsed or read degrades: it falls back to retrieving with the original
-question alone, so retrieval never fails on output shape. Backend errors
-(budget, auth, transport) surface. ``retrieve`` builds the
-``RetrievedContext``, which the qa module renders.
+analysis, then targeted query generation), each reply read through its
+field table by ``read_reply``. A step whose reply stays unreadable or
+wrong-typed after its one repair degrades: analysis to the degenerate
+plan, query generation to the original question alone, so retrieval never
+fails on output shape. Backend errors (budget, auth, transport) surface.
+``retrieve`` builds the ``RetrievedContext``, which the qa module renders.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 
-from .backend import Backend, complete_parsed, parse_json
+from .backend import Backend, complete_parsed, read_reply
 from .corpus import DialogueTurn
 from .errors import ParseFailure
 from .extraction import normalize_person_key
@@ -24,22 +25,15 @@ from .store import MemoryStore, RetrievalConfig
 
 logger = logging.getLogger(__name__)
 
-# a reply that does not parse, or a parsed plan with a field of the wrong
-# type or value; anything else (budget, auth, transport) is not a plan fault
-_PLAN_FAULTS = (ParseFailure, TypeError, ValueError, OverflowError)
-
-
-@dataclass(frozen=True)
-class InfoPlan:
-    question_type: str = "general"
-    key_entities: tuple[str, ...] = ()
-    required_info: tuple[dict, ...] = ()
-    relationships: tuple[str, ...] = ()
-    minimal_queries_needed: int = 1
-
-    @classmethod
-    def degenerate(cls) -> "InfoPlan":
-        return cls()
+# each analysis field's type and its value when absent; a plan is this
+# table's dict, and the all-absent one is the degenerate plan
+_ANALYSIS_FIELDS = {
+    "question_type": (str, "general"), "key_entities": ([str], ()),
+    "required_info": ([dict], ()), "relationships": ([str], ()),
+    "minimal_queries_needed": (int, 1),
+}
+DEGENERATE_PLAN = {name: absent for name, (_, absent) in _ANALYSIS_FIELDS.items()}
+_QUERY_FIELDS = {"queries": ([str], ())}
 
 
 @dataclass(frozen=True)
@@ -54,27 +48,21 @@ class SearchPlan:
             raise ValueError("queries must contain the original question")
 
 
-def analyze_question(question: str, analysis_prompt: str, backend: Backend) -> InfoPlan:
+def analyze_question(question: str, analysis_prompt: str, backend: Backend) -> dict:
     """Derive the required-information plan; falls back to a degenerate plan."""
     if not question:
         raise ValueError("question must be non-empty")
     prompt = render(analysis_prompt, query=question)
     try:
-        obj = complete_parsed(backend, prompt, parse_json, "Return ONLY the JSON.")
-        return InfoPlan(
-            question_type=str(obj.get("question_type") or "general"),
-            key_entities=tuple(str(e) for e in obj.get("key_entities") or []),
-            required_info=tuple(d for d in obj.get("required_info") or []
-                                if isinstance(d, dict)),
-            relationships=tuple(str(r) for r in obj.get("relationships") or []),
-            minimal_queries_needed=max(1, int(obj.get("minimal_queries_needed") or 1)),
-        )
-    except _PLAN_FAULTS as exc:
+        return complete_parsed(backend, prompt,
+                               lambda text: read_reply(text, _ANALYSIS_FIELDS),
+                               "Return ONLY the JSON.")
+    except ParseFailure as exc:
         logger.warning("question analysis fell back to degenerate plan: %s", exc)
-        return InfoPlan.degenerate()
+        return dict(DEGENERATE_PLAN)
 
 
-def generate_queries(question: str, plan: InfoPlan, query_prompt: str,
+def generate_queries(question: str, plan: dict, query_prompt: str,
                      backend: Backend, query_cap: int = 3) -> SearchPlan:
     """Produce the deduplicated, capped query list.
 
@@ -84,24 +72,25 @@ def generate_queries(question: str, plan: InfoPlan, query_prompt: str,
     prompt = render(
         query_prompt,
         original_query=question,
-        question_type=plan.question_type,
-        key_entities=json.dumps(list(plan.key_entities)),
-        required_info=json.dumps(list(plan.required_info)),
-        relationships=json.dumps(list(plan.relationships)),
-        minimal_queries_needed=str(plan.minimal_queries_needed),
+        question_type=plan["question_type"],
+        key_entities=json.dumps(plan["key_entities"]),
+        required_info=json.dumps(plan["required_info"]),
+        relationships=json.dumps(plan["relationships"]),
+        minimal_queries_needed=str(plan["minimal_queries_needed"]),
     )
     try:
-        obj = complete_parsed(backend, prompt, parse_json, "Return ONLY the JSON.")
-        raw_queries = [str(q) for q in obj.get("queries") or [] if str(q).strip()]
-    except _PLAN_FAULTS as exc:
+        raw_queries = complete_parsed(backend, prompt,
+                                      lambda text: read_reply(text, _QUERY_FIELDS),
+                                      "Return ONLY the JSON.")["queries"]
+    except ParseFailure as exc:
         logger.warning("query generation fell back to the question: %s", exc)
-        raw_queries = []
+        raw_queries = ()
 
     queries: list[str] = [question]
     seen = {question.casefold()}
     for q in raw_queries:
         key = q.casefold()
-        if key in seen:
+        if key in seen or not q.strip():
             continue
         seen.add(key)
         queries.append(q)

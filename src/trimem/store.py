@@ -11,6 +11,10 @@ version history. All three persist together under one store directory:
     turns.jsonl     one DialogueTurn per line
     profiles.jsonl  one profile version per line
     manifest.json   schema version, config snapshot, prompt round
+
+``load`` checks every count against the manifest, the entry row numbering
+and restatement uniqueness that ``insert_entries`` gives, and the type of
+every field of every record, and raises StoreIOError otherwise.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .backend import Backend
+from .backend import Backend, has_type
 from .corpus import DialogueCorpus, DialogueTurn
 from .errors import (
     DanglingAnchor,
@@ -32,8 +36,9 @@ from .errors import (
     StoreClosed,
     StoreIOError,
     UnknownEntry,
+    UsageError,
 )
-from .extraction import MemoryEntry, has_type, restatement_key
+from .extraction import MemoryEntry, restatement_key
 from .profiles import EntityProfile
 
 SCHEMA_VERSION = 1
@@ -80,20 +85,30 @@ def _entry_to_record(entry: MemoryEntry) -> dict:
     }
 
 
-# each field's type as _entry_to_record writes it, in has_type's terms
+# each field's type as persist writes it, in has_type's terms
 _RECORD_TYPES = {
     "entry_id": str, "lossless_restatement": str, "keywords": [str],
     "event_time": (str, type(None)), "location": (str, type(None)),
     "persons": [str], "entities": [str], "topic": str,
     "source_dialogue_ids": [int], "origin_window": int,
 }
+_TURN_TYPES = {"turn_id": int, "session_id": int, "speaker": str, "text": str,
+               "timestamp": (str, type(None))}
+_PROFILE_TYPES = {"entity_key": str, "display_name": str, "version": int,
+                  "window": int, "sections": dict}
+
+
+def _typed(rec: dict, types: dict, what: str) -> dict:
+    """rec, once each field in types has its type; otherwise a ValueError."""
+    for name, kind in types.items():
+        if not has_type(rec[name], kind):
+            raise ValueError(f"{what} field {name!r} has the wrong type: {rec[name]!r}")
+    return rec
 
 
 def _entry_from_record(rec: dict) -> MemoryEntry:
     """The entry a record holds; a field of the wrong type is a ValueError."""
-    for name, kind in _RECORD_TYPES.items():
-        if not has_type(rec[name], kind):
-            raise ValueError(f"entry field {name!r} has the wrong type: {rec[name]!r}")
+    _typed(rec, _RECORD_TYPES, "entry")
     return MemoryEntry(
         entry_id=rec["entry_id"],
         lossless_restatement=rec["lossless_restatement"],
@@ -106,6 +121,12 @@ def _entry_from_record(rec: dict) -> MemoryEntry:
         source_dialogue_ids=frozenset(rec["source_dialogue_ids"]),
         origin_window=rec["origin_window"],
     )
+
+
+def refuse_non_empty(path: Path, hint: str) -> None:
+    """Raise UsageError unless path is missing or an empty directory."""
+    if path.exists() and (not path.is_dir() or any(path.iterdir())):
+        raise UsageError(f"{path} is not an empty directory; {hint}")
 
 
 class MemoryStore:
@@ -332,7 +353,8 @@ class MemoryStore:
         try:
             for line in (path / "turns.jsonl").read_text(encoding="utf-8").splitlines():
                 if line.strip():
-                    store.turns.update({(t := DialogueTurn(**json.loads(line))).turn_id: t})
+                    turn = DialogueTurn(**_typed(json.loads(line), _TURN_TYPES, "turn"))
+                    store.turns[turn.turn_id] = turn
             with (path / "vectors.bin").open("rb") as fh:
                 magic = fh.read(4)
                 if magic != VECTOR_MAGIC:
@@ -356,21 +378,30 @@ class MemoryStore:
             store._blocks = [data.reshape(count, dim)]
             for row, rec in enumerate(records):
                 entry = _entry_from_record(rec)
+                key = restatement_key(entry.lossless_restatement)
+                if entry.entry_id != f"e{row + 1:06d}":  # as insert_entries numbers rows
+                    raise ValueError(f"row {row + 1} holds entry {entry.entry_id!r}")
+                if key in store._by_restatement:
+                    raise ValueError(f"entry {entry.entry_id} repeats the restatement "
+                                     f"of {store._by_restatement[key]}")
                 store.entries[entry.entry_id] = entry
                 store.insertion_order.append(entry.entry_id)
                 store._row_of[entry.entry_id] = row
-                store._by_restatement[
-                    restatement_key(entry.lossless_restatement)] = entry.entry_id
+                store._by_restatement[key] = entry.entry_id
             for line in (path / "profiles.jsonl").read_text(encoding="utf-8").splitlines():
                 if line.strip():
-                    store.add_profile(EntityProfile.from_dict(json.loads(line)))
+                    rec = _typed(json.loads(line), _PROFILE_TYPES, "profile")
+                    _typed(rec["sections"], dict.fromkeys(rec["sections"], str),
+                           "profile section")
+                    store.add_profile(EntityProfile.from_dict(rec))
             for key, found in (("turn_count", len(store.turns)),
                                ("profile_versions", len(store._profile_history))):
                 if manifest.get(key) != found:
                     raise StoreIOError(f"{path}: manifest lists {manifest.get(key)} "
                                        f"{key}, the files hold {found}")
         except (OSError, KeyError, TypeError, ValueError) as exc:
-            # unreadable file, bad JSON, missing or extra field, profile version gap
+            # unreadable file, bad JSON, missing, extra or wrong-typed field,
+            # misnumbered or repeated entry row, profile version gap
             raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}")
         if manifest.get("sealed"):
             store.seal()

@@ -22,11 +22,17 @@ from trimem.errors import (
     ParseFailure,
     TransportError,
 )
-from trimem.evolution import judge
+from trimem.evolution import PromptSet, judge, textual_gradient
 from trimem.extraction import MemoryEntry, extract_entries
+from trimem.metrics import EvalRecord
 from trimem.profiles import update_profile
 from trimem.qa import answer
-from trimem.retrieval import RetrievedContext, analyze_question
+from trimem.retrieval import (
+    DEGENERATE_PLAN,
+    RetrievedContext,
+    analyze_question,
+    generate_queries,
+)
 
 
 # -- hash embeddings ---------------------------------------------------
@@ -340,6 +346,22 @@ def _judge(backend):
     return judge("q", "p", "r", "Judge.\n{question} {reference} {prediction}", backend)
 
 
+def _answer(backend):
+    return answer("where?", RetrievedContext([], [], []),
+                  "Answer.\nQuestion: {query}\n{context}", backend)
+
+
+def _gradient(backend):
+    record = EvalRecord(question="q", prediction="p", reference="r", category=1,
+                        f1=0.0, judge_score=0.0)
+    return textual_gradient([record], PromptSet.seed(),
+                            "Evolve.\n{extraction_prompt}\n{profile_prompt}", backend)
+
+
+_SEED = PromptSet.seed()
+_GRADIENT = {"rewritten_p_ext": _SEED.extraction, "rewritten_p_prof": _SEED.profile,
+             "change_summary": "none"}
+
 _ENTRY = MemoryEntry(lossless_restatement="Alice moved.",
                      persons=frozenset({"Alice"}),
                      source_dialogue_ids=frozenset({1}))
@@ -365,15 +387,33 @@ REPAIR_SITES = {
         lambda b: analyze_question("when?", "Analyse.\nQuestion: {query}", b),
         json.dumps({"question_type": "temporal"}),
         "not json"),
+    "plan-wrong-typed-field": (
+        lambda b: analyze_question("when?", "Analyse.\nQuestion: {query}", b),
+        json.dumps({"question_type": "temporal", "minimal_queries_needed": 2}),
+        json.dumps({"question_type": "temporal", "minimal_queries_needed": 2.0})),
+    "queries-non-string": (
+        lambda b: generate_queries("who?", DEGENERATE_PLAN, "Queries.\n{original_query}", b),
+        json.dumps({"queries": ["Ann", "Bob"]}),
+        json.dumps({"queries": ["Ann", 5]})),
     "answer": (
-        lambda b: answer("where?", RetrievedContext([], [], []),
-                         "Answer.\nQuestion: {query}\n{context}", b),
-        json.dumps({"reasoning": "r", "answer": "Rome"}),
-        "free text"),
+        _answer, json.dumps({"reasoning": "r", "answer": "Rome"}), "free text"),
+    "answer-null": (
+        _answer, json.dumps({"reasoning": "r", "answer": "Rome"}),
+        json.dumps({"reasoning": "r", "answer": None})),
     "judge": (_judge, json.dumps({"score": 1, "reasoning": "ok"}), "???"),
     "judge-non-numeric-score": (
         _judge, json.dumps({"score": 1, "reasoning": "ok"}),
         json.dumps({"score": "high", "reasoning": "ok"})),
+    "judge-numeric-string-score": (
+        _judge, json.dumps({"score": 1, "reasoning": "ok"}),
+        json.dumps({"score": "0.7", "reasoning": "ok"})),
+    "judge-bool-score": (
+        _judge, json.dumps({"score": 1, "reasoning": "ok"}),
+        json.dumps({"score": True, "reasoning": "ok"})),
+    "gradient-lost-placeholder": (
+        _gradient, json.dumps(_GRADIENT),
+        json.dumps({**_GRADIENT, "rewritten_p_ext":
+                    _SEED.extraction.replace("{dialogue_text}", "the dialogue")})),
 }
 
 

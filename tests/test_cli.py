@@ -262,6 +262,26 @@ def _edit_first_record(edit):
     return apply
 
 
+def _edit_lines(edit):
+    def apply(path):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        edit(lines)
+        path.write_text("".join(lines), encoding="utf-8")
+    return apply
+
+
+def _swap_first_rows(lines):
+    lines[0], lines[1] = lines[1], lines[0]
+
+
+def _copy_row_1_over_row_2(lines):
+    lines[1] = lines[0]
+
+
+def _repeat_row_1_as_e000002(lines):
+    lines[1] = json.dumps({**json.loads(lines[0]), "entry_id": "e000002"}) + "\n"
+
+
 TRUNCATIONS = {
     "vectors-10-rows-short": ("vectors.bin", _drop_vector_rows),
     "entries-10-lines-short": ("entries.jsonl", lambda p: _drop_lines(p, 10)),
@@ -286,6 +306,33 @@ TRUNCATIONS = {
     "profiles-2-lines-short": ("profiles.jsonl", lambda p: _drop_lines(p, 2)),
     "turns-3-lines-short": ("turns.jsonl", lambda p: _drop_lines(p, 3)),
     "profiles-missing": ("profiles.jsonl", lambda p: p.unlink()),
+    "entries-rows-1-and-2-swapped": ("entries.jsonl", _edit_lines(_swap_first_rows)),
+    "entries-row-1-copied-over-row-2": ("entries.jsonl",
+                                        _edit_lines(_copy_row_1_over_row_2)),
+    "entries-restatement-repeated": ("entries.jsonl",
+                                     _edit_lines(_repeat_row_1_as_e000002)),
+    "turns-turn-id-a-string": ("turns.jsonl", _edit_first_record(
+        lambda rec: rec.update(turn_id="1"))),
+    "turns-session-id-a-string": ("turns.jsonl", _edit_first_record(
+        lambda rec: rec.update(session_id="1"))),
+    "turns-speaker-a-list": ("turns.jsonl", _edit_first_record(
+        lambda rec: rec.update(speaker=["A"]))),
+    "turns-text-a-number": ("turns.jsonl", _edit_first_record(
+        lambda rec: rec.update(text=7))),
+    "turns-timestamp-a-number": ("turns.jsonl", _edit_first_record(
+        lambda rec: rec.update(timestamp=20240101))),
+    "profiles-entity-key-a-number": ("profiles.jsonl", _edit_first_record(
+        lambda rec: rec.update(entity_key=1))),
+    "profiles-display-name-a-number": ("profiles.jsonl", _edit_first_record(
+        lambda rec: rec.update(display_name=1))),
+    "profiles-version-a-string": ("profiles.jsonl", _edit_first_record(
+        lambda rec: rec.update(version="1"))),
+    "profiles-window-a-string": ("profiles.jsonl", _edit_first_record(
+        lambda rec: rec.update(window="1"))),
+    "profiles-sections-a-list": ("profiles.jsonl", _edit_first_record(
+        lambda rec: rec.update(sections=[]))),
+    "profiles-section-text-a-list": ("profiles.jsonl", _edit_first_record(
+        lambda rec: rec["sections"].update(Identity=["x"]))),
 }
 
 
@@ -322,8 +369,9 @@ def test_evolve_refuses_a_non_empty_out_dir(work_dir, capsys):
 
 @pytest.mark.parametrize("command", [
     ("build", "--corpus", "corpus.json", "--store", "taken"),
+    ("build", "--corpus", "corpus.json", "--store", "taken", "--force"),
     ("evolve", "--corpus", "corpus.json", "--qa", "qa.jsonl", "--out", "taken"),
-], ids=["build", "evolve"])
+], ids=["build", "build-force", "evolve"])
 def test_an_out_dir_that_is_a_file_is_a_usage_error(work_dir, capsys, command):
     (work_dir / "taken").write_text("x")
     code, _, err = run(capsys, *command, "--scripted", "fixture.jsonl")

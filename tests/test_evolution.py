@@ -3,9 +3,10 @@ import json
 import pytest
 
 from trimem.backend import BackendRouter, FixtureRule, ScriptedBackend
-from trimem.errors import EmptyRecordSet, ParseFailure, PlaceholderLost
+from trimem.errors import EmptyRecordSet, ParseFailure, UsageError
 from trimem.evolution import (
     PromptSet,
+    _parse_gradient,
     aggregate_loss,
     apply_gradient,
     best_round,
@@ -117,12 +118,12 @@ def test_apply_gradient_versions_and_persistence(tmp_path):
 def test_placeholder_guard_rejects_lost_slots():
     seed = PromptSet.seed()
     bad = {"rewritten_p_ext": "no slots here", "rewritten_p_prof": seed.profile}
-    with pytest.raises(PlaceholderLost):
-        apply_gradient(seed, bad)
+    with pytest.raises(ParseFailure, match="extraction rewrite lost"):
+        _parse_gradient(json.dumps(bad))
     bad_prof = {"rewritten_p_ext": seed.extraction,
                 "rewritten_p_prof": "missing {entity_name} only"}
-    with pytest.raises(PlaceholderLost):
-        apply_gradient(seed, bad_prof)
+    with pytest.raises(ParseFailure, match="profile rewrite lost {facts}"):
+        _parse_gradient(json.dumps(bad_prof))
 
 
 def test_textual_gradient_parses_reply():
@@ -195,19 +196,27 @@ def evolve_with_gradient_replies(data_dir, corpus, items, prompt_dir, replies):
     return trajectory, senior, log
 
 
-@pytest.mark.parametrize("reply", [
-    "junk",
-    json.dumps({**gradient(), "rewritten_p_ext": [PromptSet.seed().extraction]}),
-], ids=["junk", "list-valued-rewrite"])
+BAD_GRADIENTS = {
+    "junk": ("junk", "no usable JSON"),
+    "list-valued-rewrite": (
+        json.dumps({**gradient(), "rewritten_p_ext": [PromptSet.seed().extraction]}),
+        "rewritten_p_ext has the wrong type"),
+    "lost-placeholder": (
+        json.dumps({**gradient(), "rewritten_p_ext": "Extract facts, with no slots."}),
+        "extraction rewrite lost {context}"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_GRADIENTS)
 def test_a_twice_bad_gradient_is_a_no_op_round(data_dir, fixture_corpus, qa_items,
-                                               tmp_path, reply):
+                                               tmp_path, case):
+    reply, want = BAD_GRADIENTS[case]
     trajectory, senior, log = evolve_with_gradient_replies(
         data_dir, fixture_corpus, qa_items, tmp_path, [reply, reply])
     assert len(senior) == 2  # the reply and its one repair
     assert senior[1].startswith(senior[0] + "\n\nYour previous reply could not be parsed")
     (rec,) = log
     assert rec["no_op"] is True and rec["round"] == 0
-    want = "rewritten_p_ext is not a string" if reply != "junk" else "no usable JSON"
     assert want in rec["reason"]
     seed = PromptSet.seed()
     assert [(ps.round, ps.extraction, ps.profile) for ps, _ in trajectory] == \
@@ -242,6 +251,33 @@ def test_replay_handles_no_op_rounds(tmp_path):
     assert len(trajectory) == 2
     assert trajectory[1].extraction == seed.extraction
     assert trajectory[1].round == 1
+
+
+@pytest.mark.parametrize("edit", [
+    {"rewritten_p_ext": 5},
+    {"rewritten_p_prof": "lost its slots"},
+    {"rewritten_p_ext": None},
+], ids=["number", "lost-placeholder", "null"])
+def test_replay_rejects_a_hand_edited_log_line(tmp_path, edit):
+    PromptSet.seed().persist(tmp_path)
+    (tmp_path / "gradients.jsonl").write_text(
+        json.dumps({"round": 0, "loss": -0.5, **gradient(), **edit}) + "\n")
+    with pytest.raises(ParseFailure):
+        replay_gradients(tmp_path)
+
+
+def test_evolve_refuses_a_directory_that_holds_a_run(data_dir, fixture_corpus,
+                                                      qa_items, tmp_path):
+    backend = ScriptedBackend.from_fixture_file(data_dir / "evolve_fixture.jsonl")
+    router = BackendRouter(pipeline=backend)
+    evolve(fixture_corpus, qa_items, rounds=1, router=router, prompt_dir=tmp_path)
+    log = (tmp_path / "gradients.jsonl").read_bytes()
+    calls = backend.usage.calls
+    with pytest.raises(UsageError, match="not an empty directory"):
+        evolve(fixture_corpus, qa_items, rounds=1, router=router, prompt_dir=tmp_path)
+    assert backend.usage.calls == calls  # refused before any model call
+    assert (tmp_path / "gradients.jsonl").read_bytes() == log
+    assert len(replay_gradients(tmp_path)) == 2
 
 
 def test_best_round_min_loss_earliest_tie():

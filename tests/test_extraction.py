@@ -14,6 +14,7 @@ from trimem.extraction import (
     normalize_person_key,
     parse_entry_payload,
 )
+from trimem.profiles import group_by_person
 
 EXTRACTION_PROMPT = "Extract facts.\n{context}\nDialogues:\n{dialogue_text}\nGo."
 
@@ -95,6 +96,14 @@ def test_event_time_coercion(raw, expected):
 
 
 # -- validation --------------------------------------------------------
+
+def test_an_entry_names_each_person_once():
+    entry = entry_from_record(
+        record(persons=["Maya", "maya", " MAYA ", "Bob  Lee", "bob lee"]), make_window())
+    assert entry.persons == {"Maya", "Bob Lee"}  # the first form of each person
+    assert {key: len(group) for key, group in group_by_person([entry]).items()} \
+        == {"maya": 1, "bob lee": 1}
+
 
 def test_validate_accepts_good_entry():
     entry = entry_from_record(record(), make_window())

@@ -9,7 +9,7 @@ from trimem.profiles import EntityProfile
 from trimem.pipeline import answer_question
 from trimem.prompts import seed_prompts
 from trimem.retrieval import (
-    InfoPlan,
+    DEGENERATE_PLAN,
     SearchPlan,
     analyze_question,
     generate_queries,
@@ -65,36 +65,40 @@ def test_analyze_question_parses_reply():
                              "minimal_queries_needed": 2}),
         contains=("information is required",))])
     plan = analyze_question("when?", ANALYSIS_PROMPT, backend)
-    assert plan.question_type == "temporal"
-    assert plan.key_entities == ("Alice",)
-    assert plan.minimal_queries_needed == 2
+    assert plan == {"question_type": "temporal", "key_entities": ["Alice"],
+                    "required_info": [{"info_type": "date"}],
+                    "relationships": ["Alice-event"], "minimal_queries_needed": 2}
 
 
 def test_analyze_question_falls_back_on_garbage():
     backend = ScriptedBackend(rules=[
         FixtureRule(response="not json", contains=("information",), sticky=True)])
     plan = analyze_question("when?", ANALYSIS_PROMPT, backend)
-    assert plan == InfoPlan.degenerate()
+    assert plan == DEGENERATE_PLAN
 
 
 @pytest.mark.parametrize("field,value", [
     ("minimal_queries_needed", "many"),
     ("minimal_queries_needed", float("inf")),
+    ("minimal_queries_needed", 2.0),
     ("key_entities", 5),
+    ("required_info", ["a string"]),
 ])
 def test_analyze_question_falls_back_on_malformed_field(field, value):
     backend = ScriptedBackend(rules=[FixtureRule(
         response=json.dumps({"question_type": "temporal", field: value}),
         contains=("information",), sticky=True)])
     plan = analyze_question("when?", ANALYSIS_PROMPT, backend)
-    assert plan == InfoPlan.degenerate()
+    assert plan == DEGENERATE_PLAN
+    assert len(backend.request_log) == 2  # the reply and its one repair
 
 
 def test_generate_queries_falls_back_on_malformed_field():
     backend = ScriptedBackend(rules=[FixtureRule(
-        response='{"queries": 5}', contains=("targeted",), sticky=True)])
-    plan = generate_queries("who?", InfoPlan.degenerate(), QUERY_PROMPT, backend)
+        response='{"queries": ["a", 5]}', contains=("targeted",), sticky=True)])
+    plan = generate_queries("who?", DEGENERATE_PLAN, QUERY_PROMPT, backend)
     assert plan.queries == ("who?",)
+    assert len(backend.request_log) == 2  # the reply and its one repair
 
 
 def test_plan_for_question_surfaces_budget_exhaustion(caplog):
@@ -110,7 +114,7 @@ def test_generate_queries_dedup_and_cap():
             "queries": ["WHEN?", "alpha", "beta", "gamma"]}),
             contains=("targeted search queries",)),
     ])
-    plan = generate_queries("when?", InfoPlan.degenerate(), QUERY_PROMPT,
+    plan = generate_queries("when?", DEGENERATE_PLAN, QUERY_PROMPT,
                             backend, query_cap=3)
     # original first, case-insensitive dedup of "WHEN?", capped at 3
     assert plan.queries == ("when?", "alpha", "beta")
@@ -121,7 +125,7 @@ def test_generate_queries_dedup_and_cap():
 def test_generate_queries_full_fallback():
     backend = ScriptedBackend(rules=[
         FixtureRule(response="garbage", contains=("",), sticky=True)])
-    plan = generate_queries("who?", InfoPlan.degenerate(), QUERY_PROMPT,
+    plan = generate_queries("who?", DEGENERATE_PLAN, QUERY_PROMPT,
                             backend)
     assert plan.queries == ("who?",)
     # the first reply and its one repair; nothing else is asked
