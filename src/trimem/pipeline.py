@@ -25,9 +25,16 @@ class QaItem:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "QaItem":
+        """The item a QA record holds; a ``question`` or a ``reference`` (or
+        else ``answer``) that is not a non-empty string is a ValueError."""
+        question = rec["question"]
+        reference = rec["reference"] if "reference" in rec else rec.get("answer")
+        for name, text in (("question", question), ("reference", reference)):
+            if not (isinstance(text, str) and text):
+                raise ValueError(f"{name} must be a non-empty string, got {text!r}")
         return cls(
-            question=rec["question"],
-            reference=rec.get("reference") or rec.get("answer") or "",
+            question=question,
+            reference=reference,
             category=int(rec.get("category", 4)),
             evidence=frozenset(int(i) for i in rec.get("evidence", [])),
         )

@@ -4,22 +4,32 @@ Holds three coexisting representation levels: the verbatim turn store, the
 embedded fact index with exact top-K cosine search, and the profile
 version history. All three persist together under one store directory:
 
-    entries.jsonl   one MemoryEntry per line
-    vectors.bin     magic 'TRIM', version u32, dim u32, count u32,
-                    then little-endian float32 rows; loads into one
-                    (count, dim) matrix whose row i is the i-th entry
-    turns.jsonl     one DialogueTurn per line
-    profiles.jsonl  one profile version per line
-    manifest.json   schema version, config snapshot, prompt round
+    entries.jsonl.gz   one MemoryEntry per line
+    vectors.bin        magic 'TRIM', version u32, dim u32, count u32,
+                       then little-endian float32 rows; loads into one
+                       (count, dim) matrix whose row i is the i-th entry
+    turns.jsonl.gz     one DialogueTurn per line
+    profiles.jsonl.gz  one profile version per line, sections in order
+    manifest.json      schema version, counts, the sha256 of each data
+                       file, config snapshot, prompt round
 
-``load`` checks every count against the manifest, the entry row numbering
-and restatement uniqueness that ``insert_entries`` gives, and the type of
-every field of every record, and raises StoreIOError otherwise.
+The three record files are gzip'd JSON lines with no file name and no
+timestamp in the header, so equal stores persist byte-identical; ``zcat``
+reads them. ``vectors.bin`` stays raw: gzip saves only about 7% of its
+float32 rows.
+
+``load`` checks each data file's sha256 against the manifest before it
+parses anything, then every count against the manifest, the entry row
+numbering and restatement uniqueness that ``insert_entries`` gives, and the
+type of every field of every record, and raises StoreIOError otherwise.
 """
 from __future__ import annotations
 
+import gzip
+import hashlib
 import json
 import struct
+import zlib
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -41,8 +51,12 @@ from .errors import (
 from .extraction import MemoryEntry, restatement_key
 from .profiles import EntityProfile
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 VECTOR_MAGIC = b"TRIM"
+GZIP_LEVEL = 6  # level 9 takes about 3x as long and saves under 0.5% of a store
+DATA_FILES = ("entries.jsonl.gz", "turns.jsonl.gz", "profiles.jsonl.gz",
+              "vectors.bin")
+_SCHEMA_1_FILES = ("entries.jsonl", "turns.jsonl", "profiles.jsonl")
 
 
 @dataclass(frozen=True)
@@ -121,6 +135,35 @@ def _entry_from_record(rec: dict) -> MemoryEntry:
         source_dialogue_ids=frozenset(rec["source_dialogue_ids"]),
         origin_window=rec["origin_window"],
     )
+
+
+def _jsonl(records: Iterable[dict], sort_keys: bool = True) -> bytes:
+    return "".join(json.dumps(rec, sort_keys=sort_keys) + "\n"
+                   for rec in records).encode("utf-8")
+
+
+def _write_part(path: Path, digests: dict, *chunks) -> None:
+    """Write one data file from its byte chunks, gzip'd if its name ends in
+    .gz, and record the sha256 of the bytes on disk in digests."""
+    if path.suffix == ".gz":
+        chunks = (gzip.compress(b"".join(chunks), compresslevel=GZIP_LEVEL,
+                                mtime=0),)
+    digest = hashlib.sha256()
+    with path.open("wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+    digests[path.name] = digest.hexdigest()
+
+
+def _read_part(path: Path, digests) -> bytes:
+    """One data file's bytes, once their sha256 matches digests, gunzip'd if
+    its name ends in .gz; a mismatch is a StoreIOError."""
+    data = path.read_bytes()
+    expected = digests.get(path.name) if isinstance(digests, dict) else None
+    if hashlib.sha256(data).hexdigest() != expected:
+        raise StoreIOError(f"{path}: sha256 does not match manifest.json")
+    return gzip.decompress(data) if path.suffix == ".gz" else data
 
 
 def refuse_non_empty(path: Path, hint: str) -> None:
@@ -301,24 +344,23 @@ class MemoryStore:
 
     def persist(self, path, manifest_extra: Optional[dict] = None) -> None:
         path = Path(path)
+        dim = self.dim or 0
+        digests: dict[str, str] = {}
         try:
             path.mkdir(parents=True, exist_ok=True)
-            with (path / "entries.jsonl").open("w", encoding="utf-8") as fh:
-                for entry_id in self.insertion_order:
-                    fh.write(json.dumps(_entry_to_record(self.entries[entry_id]),
-                                        sort_keys=True) + "\n")
-            with (path / "turns.jsonl").open("w", encoding="utf-8") as fh:
-                for turn_id in sorted(self.turns):
-                    fh.write(json.dumps(asdict(self.turns[turn_id]),
-                                        sort_keys=True) + "\n")
-            with (path / "profiles.jsonl").open("w", encoding="utf-8") as fh:
-                for profile in self._profile_history:
-                    fh.write(json.dumps(profile.as_dict(), sort_keys=True) + "\n")
-            dim = self.dim or 0
-            with (path / "vectors.bin").open("wb") as fh:
-                fh.write(VECTOR_MAGIC)
-                fh.write(struct.pack("<III", SCHEMA_VERSION, dim, len(self.insertion_order)))
-                self._vectors.astype("<f4", copy=False).tofile(fh)
+            _write_part(path / "entries.jsonl.gz", digests, _jsonl(
+                _entry_to_record(self.entries[e]) for e in self.insertion_order))
+            _write_part(path / "turns.jsonl.gz", digests, _jsonl(
+                asdict(self.turns[t]) for t in sorted(self.turns)))
+            # as_dict's own key order keeps each profile's section order
+            _write_part(path / "profiles.jsonl.gz", digests, _jsonl(
+                (p.as_dict() for p in self._profile_history), sort_keys=False))
+            _write_part(path / "vectors.bin", digests, VECTOR_MAGIC,
+                        struct.pack("<III", SCHEMA_VERSION, dim,
+                                    len(self.insertion_order)),
+                        memoryview(np.ascontiguousarray(self._vectors, dtype="<f4")))
+            for name in _SCHEMA_1_FILES:
+                (path / name).unlink(missing_ok=True)
             manifest = {
                 "schema_version": SCHEMA_VERSION,
                 "dim": dim,
@@ -326,6 +368,7 @@ class MemoryStore:
                 "turn_count": len(self.turns),
                 "profile_versions": len(self._profile_history),
                 "sealed": self._sealed,
+                "sha256": digests,
             }
             manifest.update(manifest_extra or {})
             (path / "manifest.json").write_text(
@@ -347,25 +390,27 @@ class MemoryStore:
             raise StoreIOError(f"{manifest_path}: not a JSON object")
         if manifest.get("schema_version") != SCHEMA_VERSION:
             raise SchemaVersionMismatch(
-                f"store schema {manifest.get('schema_version')} != {SCHEMA_VERSION}")
+                f"store schema {manifest.get('schema_version')} != {SCHEMA_VERSION}; "
+                f"rebuild it with `trimem build --force`")
 
         store = cls()
         try:
-            for line in (path / "turns.jsonl").read_text(encoding="utf-8").splitlines():
+            parts = {name: _read_part(path / name, manifest.get("sha256"))
+                     for name in DATA_FILES}
+            for line in parts["turns.jsonl.gz"].decode("utf-8").splitlines():
                 if line.strip():
                     turn = DialogueTurn(**_typed(json.loads(line), _TURN_TYPES, "turn"))
                     store.turns[turn.turn_id] = turn
-            with (path / "vectors.bin").open("rb") as fh:
-                magic = fh.read(4)
-                if magic != VECTOR_MAGIC:
-                    raise StoreIOError(f"bad vector file magic {magic!r}")
-                version, dim, count = struct.unpack("<III", fh.read(12))
-                if version != SCHEMA_VERSION:
-                    raise SchemaVersionMismatch(
-                        f"vector file schema {version} != {SCHEMA_VERSION}")
-                data = np.fromfile(fh, dtype="<f4", count=dim * count)
+            raw = parts["vectors.bin"]
+            if raw[:4] != VECTOR_MAGIC:
+                raise StoreIOError(f"bad vector file magic {raw[:4]!r}")
+            version, dim, count = struct.unpack_from("<III", raw, 4)
+            if version != SCHEMA_VERSION:
+                raise SchemaVersionMismatch(
+                    f"vector file schema {version} != {SCHEMA_VERSION}")
+            data = np.frombuffer(raw, dtype="<f4", offset=16)
             records = [json.loads(line) for line in
-                       (path / "entries.jsonl").read_text(encoding="utf-8").splitlines()
+                       parts["entries.jsonl.gz"].decode("utf-8").splitlines()
                        if line.strip()]
             rows = data.size // dim if dim else 0
             if not rows == count == len(records) == manifest.get("entry_count"):
@@ -388,7 +433,7 @@ class MemoryStore:
                 store.insertion_order.append(entry.entry_id)
                 store._row_of[entry.entry_id] = row
                 store._by_restatement[key] = entry.entry_id
-            for line in (path / "profiles.jsonl").read_text(encoding="utf-8").splitlines():
+            for line in parts["profiles.jsonl.gz"].decode("utf-8").splitlines():
                 if line.strip():
                     rec = _typed(json.loads(line), _PROFILE_TYPES, "profile")
                     _typed(rec["sections"], dict.fromkeys(rec["sections"], str),
@@ -399,9 +444,11 @@ class MemoryStore:
                 if manifest.get(key) != found:
                     raise StoreIOError(f"{path}: manifest lists {manifest.get(key)} "
                                        f"{key}, the files hold {found}")
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            # unreadable file, bad JSON, missing, extra or wrong-typed field,
-            # misnumbered or repeated entry row, profile version gap
+        except (OSError, EOFError, zlib.error, struct.error, KeyError,
+                TypeError, ValueError) as exc:
+            # unreadable file, cut or damaged gzip, short vector header, bad
+            # JSON, missing, extra or wrong-typed field, misnumbered or
+            # repeated entry row, profile version gap
             raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}")
         if manifest.get("sealed"):
             store.seal()

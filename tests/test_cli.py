@@ -1,3 +1,5 @@
+import gzip
+import hashlib
 import json
 import os
 import struct
@@ -115,6 +117,30 @@ def test_bad_input_is_one_json_error(work_dir, capsys, case):
     assert json.loads(err)["error"] == want_error
 
 
+BAD_QA_FIELDS = {
+    "reference-empty": {"reference": ""},
+    "reference-an-object": {"reference": {"a": 1}},
+    "reference-and-answer-missing": {"reference": None},
+    "question-a-number": {"question": 5},
+    "question-empty": {"question": ""},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_QA_FIELDS))
+def test_eval_refuses_bad_qa_record_before_any_call(work_dir, capsys, case):
+    assert build(capsys)[0] == EXIT_OK
+    good, *_ = (work_dir / "qa.jsonl").read_text().splitlines()
+    bad = {k: v for k, v in {**json.loads(good), **BAD_QA_FIELDS[case]}.items()
+           if v is not None}
+    (work_dir / "bad.jsonl").write_text(good + "\n" + json.dumps(bad) + "\n")
+    (work_dir / "empty.jsonl").write_text("")  # any model call would exit 3
+    code, out, err = run(capsys, "eval", "--store", "store", "--qa", "bad.jsonl",
+                         "--scripted", "empty.jsonl", "--out", "eval")
+    assert code == EXIT_DATA
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "MalformedDocument"
+
+
 # -- commands ----------------------------------------------------------
 
 def test_ingest_summary(work_dir, capsys):
@@ -133,9 +159,9 @@ def test_build_writes_store_and_manifest(work_dir, capsys):
     assert result["entries"] == 60
     assert result["profiles"] == 16
     store = work_dir / "store"
-    for name in ("entries.jsonl", "vectors.bin", "turns.jsonl",
-                 "profiles.jsonl", "manifest.json", "run_manifest.json"):
-        assert (store / name).exists()
+    assert sorted(p.name for p in store.iterdir()) == [
+        "entries.jsonl.gz", "manifest.json", "profiles.jsonl.gz",
+        "run_manifest.json", "turns.jsonl.gz", "vectors.bin"]
     manifest = json.loads((store / "run_manifest.json").read_text())
     assert manifest["prompt_round"] == 0
     assert manifest["backend_usage"]["calls"] > 0
@@ -282,11 +308,54 @@ def _repeat_row_1_as_e000002(lines):
     lines[1] = json.dumps({**json.loads(lines[0]), "entry_id": "e000002"}) + "\n"
 
 
+def _cut_40_bytes(path):
+    path.write_bytes(path.read_bytes()[:-40])
+
+
+def _flip_byte_at(fraction):
+    def apply(path):
+        raw = bytearray(path.read_bytes())
+        raw[int(fraction * (len(raw) - 1))] ^= 0xFF
+        path.write_bytes(bytes(raw))
+    return apply
+
+
+def _bad_deflate_block(path):
+    raw = bytearray(path.read_bytes())
+    raw[10] = 0xFF  # the first block header after the 10-byte gzip header
+    path.write_bytes(bytes(raw))
+
+
+def _corrupt(store, part, edit):
+    """Apply edit to part, then record the part's new sha256 in the manifest,
+    so load gets past the checksums to the check the edit is meant to reach.
+    An edit of a .jsonl part works on the text inside its .gz file, which is
+    then compressed again."""
+    packed = store / (part + ".gz")
+    if packed.exists():
+        (store / part).write_bytes(gzip.decompress(packed.read_bytes()))
+        edit(store / part)
+        packed.write_bytes(gzip.compress((store / part).read_bytes()))
+        (store / part).unlink()
+        part = packed.name
+    else:
+        edit(store / part)
+    if part != "manifest.json" and (store / part).exists():
+        manifest_path = store / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sha256"][part] = hashlib.sha256((store / part).read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+
+
 TRUNCATIONS = {
     "vectors-10-rows-short": ("vectors.bin", _drop_vector_rows),
+    "vectors-header-cut": ("vectors.bin", lambda p: p.write_bytes(p.read_bytes()[:10])),
+    "entries-gz-cut-40-bytes": ("entries.jsonl.gz", _cut_40_bytes),
+    "turns-gz-byte-flipped": ("turns.jsonl.gz", _flip_byte_at(0.5)),
+    "turns-gz-bad-deflate-block": ("turns.jsonl.gz", _bad_deflate_block),
+    "profiles-gz-not-gzip": ("profiles.jsonl.gz", lambda p: p.write_bytes(b"{}\n")),
     "entries-10-lines-short": ("entries.jsonl", lambda p: _drop_lines(p, 10)),
-    "entries-cut-mid-record": ("entries.jsonl", lambda p: p.write_bytes(
-        p.read_bytes()[:-40])),
+    "entries-cut-mid-record": ("entries.jsonl", _cut_40_bytes),
     "entries-record-without-topic": ("entries.jsonl", _edit_first_record(
         lambda rec: rec.pop("topic"))),
     "turns-record-with-extra-field": ("turns.jsonl", _edit_first_record(
@@ -305,7 +374,7 @@ TRUNCATIONS = {
         lambda rec: rec.update(origin_window="x"))),
     "profiles-2-lines-short": ("profiles.jsonl", lambda p: _drop_lines(p, 2)),
     "turns-3-lines-short": ("turns.jsonl", lambda p: _drop_lines(p, 3)),
-    "profiles-missing": ("profiles.jsonl", lambda p: p.unlink()),
+    "profiles-missing": ("profiles.jsonl.gz", lambda p: p.unlink()),
     "entries-rows-1-and-2-swapped": ("entries.jsonl", _edit_lines(_swap_first_rows)),
     "entries-row-1-copied-over-row-2": ("entries.jsonl",
                                         _edit_lines(_copy_row_1_over_row_2)),
@@ -339,11 +408,78 @@ TRUNCATIONS = {
 @pytest.mark.parametrize("case", sorted(TRUNCATIONS))
 def test_inspect_rejects_truncated_store(work_dir, capsys, case):
     build(capsys)
-    part, truncate = TRUNCATIONS[case]
-    truncate(work_dir / "store" / part)
+    _corrupt(work_dir / "store", *TRUNCATIONS[case])
+    code, out, err = run(capsys, "inspect", "--store", "store")
+    assert code == EXIT_DATA
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "StoreIOError"
+    assert "sha256" not in error["message"]  # a check past the checksum
+
+
+DATA_FILES = ("entries.jsonl.gz", "turns.jsonl.gz", "profiles.jsonl.gz", "vectors.bin")
+BYTE_FAULTS = {"first-byte-flipped": _flip_byte_at(0.0),
+               "middle-byte-flipped": _flip_byte_at(0.5),
+               "last-byte-flipped": _flip_byte_at(1.0),
+               "cut-40-bytes": _cut_40_bytes}
+
+
+@pytest.mark.parametrize("fault", sorted(BYTE_FAULTS))
+@pytest.mark.parametrize("part", DATA_FILES)
+def test_inspect_rejects_changed_bytes(work_dir, capsys, part, fault):
+    build(capsys)
+    BYTE_FAULTS[fault](work_dir / "store" / part)
+    code, out, err = run(capsys, "inspect", "--store", "store")
+    assert code == EXIT_DATA
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "StoreIOError"
+    assert part in error["message"] and "sha256" in error["message"]
+
+
+def test_store_parts_read_with_plain_gzip(work_dir, capsys):
+    build(capsys)
+    store = work_dir / "store"
+    manifest = json.loads((store / "manifest.json").read_text())
+    assert sorted(manifest["sha256"]) == sorted(DATA_FILES)
+    counts = {}
+    for name in ("entries", "turns", "profiles"):
+        with gzip.open(store / f"{name}.jsonl.gz", "rt", encoding="utf-8") as fh:
+            counts[name] = len([json.loads(line) for line in fh])
+    assert counts == {"entries": manifest["entry_count"],
+                      "turns": manifest["turn_count"],
+                      "profiles": manifest["profile_versions"]}
+
+
+def _downgrade_to_schema_1(store):
+    """Rewrite a store in the schema-1 layout: plain JSON lines, no checksums."""
+    for name in ("entries", "turns", "profiles"):
+        packed = store / f"{name}.jsonl.gz"
+        (store / f"{name}.jsonl").write_bytes(gzip.decompress(packed.read_bytes()))
+        packed.unlink()
+    raw = bytearray((store / "vectors.bin").read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    (store / "vectors.bin").write_bytes(bytes(raw))
+    manifest = json.loads((store / "manifest.json").read_text())
+    del manifest["sha256"]
+    manifest["schema_version"] = 1
+    (store / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_schema_1_store_is_refused_and_rebuilt(work_dir, capsys):
+    build(capsys)
+    store = work_dir / "store"
+    _downgrade_to_schema_1(store)
     code, _, err = run(capsys, "inspect", "--store", "store")
     assert code == EXIT_DATA
-    assert json.loads(err)["error"] == "StoreIOError"
+    error = json.loads(err)
+    assert error["error"] == "SchemaVersionMismatch"
+    assert "trimem build --force" in error["message"]
+
+    assert build(capsys, extra=("--force",))[0] == EXIT_OK
+    assert not any(p.suffix == ".jsonl" for p in store.iterdir())
+    code, out, _ = run(capsys, "inspect", "--store", "store")
+    assert code == EXIT_OK and json.loads(out)["entries"] == 60
 
 
 def test_evolve_refuses_a_non_empty_out_dir(work_dir, capsys):

@@ -14,13 +14,13 @@ from trimem.backend import (
 from trimem.corpus import DialogueCorpus, DialogueTurn, SegmentationConfig, segment
 from trimem.errors import BudgetExceeded
 from trimem.extraction import MemoryEntry, extract_entries
-from trimem.pipeline import build_store
+from trimem.pipeline import QaItem, build_store
 from trimem.profiles import group_by_person, update_profile
 from trimem.prompts import seed_prompts
 from trimem.store import MemoryStore
 
-STORE_FILES = ("entries.jsonl", "vectors.bin", "turns.jsonl", "profiles.jsonl",
-               "manifest.json")
+STORE_FILES = ("entries.jsonl.gz", "vectors.bin", "turns.jsonl.gz",
+               "profiles.jsonl.gz", "manifest.json")
 
 
 class EmbedLog(ScriptedBackend):
@@ -148,3 +148,9 @@ def test_a_cap_that_runs_out_between_slices_leaves_the_store_empty():
     assert backend.usage.calls == 1
     assert (len(store), store.insertion_order, store.dim) == (0, [], None)
     assert np.asarray(store._vectors).size == 0
+
+
+def test_a_qa_record_may_give_its_reference_as_answer():
+    assert QaItem.from_dict({"question": "q?", "answer": "a"}).reference == "a"
+    with pytest.raises(ValueError, match="reference"):
+        QaItem.from_dict({"question": "q?", "answer": 2022})

@@ -267,10 +267,15 @@ def test_persist_is_byte_stable(tmp_path, backend):
     store = build_small_store(backend)
     store.persist(tmp_path / "a")
     store.persist(tmp_path / "b")
-    for name in ("entries.jsonl", "turns.jsonl", "profiles.jsonl",
-                 "vectors.bin", "manifest.json"):
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == ["entries.jsonl.gz", "manifest.json", "profiles.jsonl.gz",
+                     "turns.jsonl.gz", "vectors.bin"]
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes()
+        if name.endswith(".gz"):  # no file name, zero timestamp
+            assert (tmp_path / "a" / name).read_bytes()[3:8] == bytes(5)
 
 
 def test_vector_file_header(tmp_path, backend):
@@ -289,8 +294,21 @@ def test_load_rejects_schema_mismatch(tmp_path, backend):
     manifest = (tmp_path / "s" / "manifest.json")
     manifest.write_text(manifest.read_text().replace(
         f'"schema_version": {SCHEMA_VERSION}', '"schema_version": 99'))
-    with pytest.raises(SchemaVersionMismatch):
+    with pytest.raises(SchemaVersionMismatch, match="trimem build --force"):
         MemoryStore.load(tmp_path / "s")
+
+
+def test_profile_sections_keep_their_order(tmp_path):
+    store = MemoryStore()
+    store.add_profile(EntityProfile(
+        entity_key="alice", display_name="Alice", version=1,
+        sections=(("Identity", "a painter"), ("Career", "teaches"),
+                  ("Beliefs/Spirituality", "none stated"))))
+    store.persist(tmp_path / "s")
+    loaded = MemoryStore.load(tmp_path / "s")
+    assert loaded.profile_history == store.profile_history
+    assert [label for label, _ in loaded.latest_profile("alice").sections] == \
+        ["Identity", "Career", "Beliefs/Spirituality"]
 
 
 def test_load_rejects_non_store_dir(tmp_path):
