@@ -106,6 +106,8 @@ def parse_json(text: str, accept: Callable[[object], bool] = _is_object):
 
 def has_type(value, kind) -> bool:
     """Whether value is of kind; [t] is a list of t, and a bool is no number."""
+    if kind is bool:
+        return isinstance(value, bool)
     if isinstance(kind, list):
         return isinstance(value, list) and all(has_type(v, kind[0]) for v in value)
     return isinstance(value, kind) and not isinstance(value, bool)

@@ -4,11 +4,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .backend import BackendRouter
+from .backend import BackendRouter, has_type
 from .corpus import DialogueCorpus, SegmentationConfig, segment
 from .errors import EmptyRecordSet, EmptyRequiredSet
 from .extraction import MemoryEntry, extract_entries, restatement_key
-from .metrics import EvalRecord, bleu, coverage, token_f1
+from .metrics import CATEGORY_NAMES, EvalRecord, bleu, coverage, token_f1
 from .profiles import group_by_person, update_profile
 from .qa import Answer, RetrievedContext, answer as generate_answer
 from .qa import assemble_context  # noqa: F401  perfbench/spans.py wraps this name
@@ -26,16 +26,21 @@ class QaItem:
     @classmethod
     def from_dict(cls, rec: dict) -> "QaItem":
         """The item a QA record holds; a ``question`` or a ``reference`` (or
-        else ``answer``) that is not a non-empty string is a ValueError."""
+        else ``answer``) that is not a non-empty string, or a ``category``
+        that is not an int key of ``CATEGORY_NAMES``, is a ValueError."""
         question = rec["question"]
         reference = rec["reference"] if "reference" in rec else rec.get("answer")
         for name, text in (("question", question), ("reference", reference)):
             if not (isinstance(text, str) and text):
                 raise ValueError(f"{name} must be a non-empty string, got {text!r}")
+        category = rec.get("category", 4)
+        if not (has_type(category, int) and category in CATEGORY_NAMES):
+            raise ValueError(f"category must be one of {sorted(CATEGORY_NAMES)}, "
+                             f"got {category!r}")
         return cls(
             question=question,
             reference=reference,
-            category=int(rec.get("category", 4)),
+            category=category,
             evidence=frozenset(int(i) for i in rec.get("evidence", [])),
         )
 

@@ -5,23 +5,34 @@ embedded fact index with exact top-K cosine search, and the profile
 version history. All three persist together under one store directory:
 
     entries.jsonl.gz   one MemoryEntry per line
-    vectors.bin        magic 'TRIM', version u32, dim u32, count u32,
-                       then little-endian float32 rows; loads into one
-                       (count, dim) matrix whose row i is the i-th entry
+    vectors.bin        magic 'TRIM', version u32, dim u32, count u32, then
+                       the byte planes of the little-endian float32
+                       (count, dim) matrix: planes 0-2 raw, plane 3 as one
+                       Huffman-only zlib stream; loads into one (count, dim)
+                       matrix whose row i is the i-th entry
     turns.jsonl.gz     one DialogueTurn per line
     profiles.jsonl.gz  one profile version per line, sections in order
-    manifest.json      schema version, counts, the sha256 of each data
-                       file, config snapshot, prompt round
+    manifest.json      schema version, dim, counts, sealed, the sha256 of
+                       each data file; from ``build`` the config hash and
+                       prompt round
 
 The three record files are gzip'd JSON lines with no file name and no
 timestamp in the header, so equal stores persist byte-identical; ``zcat``
-reads them. ``vectors.bin`` stays raw: gzip saves only about 7% of its
-float32 rows.
+reads them. Plane k of ``vectors.bin`` is byte k of every value in row
+order, count * dim bytes. Plane 3 holds each value's sign and top seven
+exponent bits, which on unit-norm embeddings carry under 3 bits of entropy,
+so a Huffman code alone shrinks it to about a third. Planes 0-2 are mantissa
+bits, close to random, and stay raw: gzip over raw float32 rows saves only
+about 7%. The file is about 0.83 of raw float32, and every value loads bit
+for bit.
 
-``load`` checks each data file's sha256 against the manifest before it
-parses anything, then every count against the manifest, the entry row
+``load`` checks the manifest's keys and their types, then each data file's
+sha256 against the manifest before it parses anything, then every count
+against the manifest, the length of every vector plane, the entry row
 numbering and restatement uniqueness that ``insert_entries`` gives, and the
-type of every field of every record, and raises StoreIOError otherwise.
+type of every field of every record, and raises StoreIOError otherwise. A
+store of another schema version raises SchemaVersionMismatch; rebuild it
+with ``trimem build --force``.
 """
 from __future__ import annotations
 
@@ -51,7 +62,7 @@ from .errors import (
 from .extraction import MemoryEntry, restatement_key
 from .profiles import EntityProfile
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 VECTOR_MAGIC = b"TRIM"
 GZIP_LEVEL = 6  # level 9 takes about 3x as long and saves under 0.5% of a store
 DATA_FILES = ("entries.jsonl.gz", "turns.jsonl.gz", "profiles.jsonl.gz",
@@ -110,6 +121,10 @@ _TURN_TYPES = {"turn_id": int, "session_id": int, "speaker": str, "text": str,
                "timestamp": (str, type(None))}
 _PROFILE_TYPES = {"entity_key": str, "display_name": str, "version": int,
                   "window": int, "sections": dict}
+_MANIFEST_TYPES = {"schema_version": int, "dim": int, "entry_count": int,
+                   "turn_count": int, "profile_versions": int, "sealed": bool,
+                   "sha256": dict}
+_MANIFEST_EXTRA_TYPES = {"config_hash": str, "prompt_round": int}  # where present
 
 
 def _typed(rec: dict, types: dict, what: str) -> dict:
@@ -142,6 +157,32 @@ def _jsonl(records: Iterable[dict], sort_keys: bool = True) -> bytes:
                    for rec in records).encode("utf-8")
 
 
+def _vector_planes(matrix: np.ndarray) -> tuple:
+    """The body of vectors.bin: byte planes 0-2 of the little-endian float32
+    matrix, then plane 3 as one Huffman-only zlib stream."""
+    planes = np.ascontiguousarray(matrix, dtype="<f4").view(np.uint8).reshape(-1, 4).T
+    coder = zlib.compressobj(strategy=zlib.Z_HUFFMAN_ONLY)
+    return (*(np.ascontiguousarray(planes[k]) for k in range(3)),
+            coder.compress(np.ascontiguousarray(planes[3])) + coder.flush())
+
+
+def _matrix_from_planes(body, count: int, dim: int) -> np.ndarray:
+    """The (count, dim) float32 matrix whose byte planes body holds; a plane
+    of the wrong length is a ValueError."""
+    size = count * dim
+    if len(body) < 3 * size:
+        raise ValueError(f"vectors.bin planes 0-2 hold {len(body)} of {3 * size} bytes")
+    values = np.empty((size, 4), dtype=np.uint8)
+    for k in range(3):
+        values[:, k] = np.frombuffer(body, dtype=np.uint8, count=size, offset=k * size)
+    inflater = zlib.decompressobj()
+    top = inflater.decompress(memoryview(body)[3 * size:], size)
+    if len(top) != size or not inflater.eof or inflater.unused_data:
+        raise ValueError(f"vectors.bin plane 3 is not one stream of {size} bytes")
+    values[:, 3] = np.frombuffer(top, dtype=np.uint8)
+    return values.view("<f4").reshape(count, dim)
+
+
 def _write_part(path: Path, digests: dict, *chunks) -> None:
     """Write one data file from its byte chunks, gzip'd if its name ends in
     .gz, and record the sha256 of the bytes on disk in digests."""
@@ -160,8 +201,7 @@ def _read_part(path: Path, digests) -> bytes:
     """One data file's bytes, once their sha256 matches digests, gunzip'd if
     its name ends in .gz; a mismatch is a StoreIOError."""
     data = path.read_bytes()
-    expected = digests.get(path.name) if isinstance(digests, dict) else None
-    if hashlib.sha256(data).hexdigest() != expected:
+    if hashlib.sha256(data).hexdigest() != digests[path.name]:
         raise StoreIOError(f"{path}: sha256 does not match manifest.json")
     return gzip.decompress(data) if path.suffix == ".gz" else data
 
@@ -358,7 +398,7 @@ class MemoryStore:
             _write_part(path / "vectors.bin", digests, VECTOR_MAGIC,
                         struct.pack("<III", SCHEMA_VERSION, dim,
                                     len(self.insertion_order)),
-                        memoryview(np.ascontiguousarray(self._vectors, dtype="<f4")))
+                        *_vector_planes(self._vectors))
             for name in _SCHEMA_1_FILES:
                 (path / name).unlink(missing_ok=True)
             manifest = {
@@ -388,14 +428,21 @@ class MemoryStore:
             raise StoreIOError(f"{manifest_path}: {exc}")
         if not isinstance(manifest, dict):
             raise StoreIOError(f"{manifest_path}: not a JSON object")
-        if manifest.get("schema_version") != SCHEMA_VERSION:
+        version = manifest.get("schema_version")
+        if has_type(version, int) and version != SCHEMA_VERSION:
             raise SchemaVersionMismatch(
-                f"store schema {manifest.get('schema_version')} != {SCHEMA_VERSION}; "
+                f"store schema {version} != {SCHEMA_VERSION}; "
                 f"rebuild it with `trimem build --force`")
 
         store = cls()
         try:
-            parts = {name: _read_part(path / name, manifest.get("sha256"))
+            _typed(manifest, _MANIFEST_TYPES, "manifest")
+            _typed(manifest, {name: kind for name, kind in _MANIFEST_EXTRA_TYPES.items()
+                              if name in manifest}, "manifest")
+            if sorted(manifest["sha256"]) != sorted(DATA_FILES):
+                raise ValueError(f"manifest lists checksums of {sorted(manifest['sha256'])}, "
+                                 f"not of the data files {sorted(DATA_FILES)}")
+            parts = {name: _read_part(path / name, manifest["sha256"])
                      for name in DATA_FILES}
             for line in parts["turns.jsonl.gz"].decode("utf-8").splitlines():
                 if line.strip():
@@ -408,19 +455,19 @@ class MemoryStore:
             if version != SCHEMA_VERSION:
                 raise SchemaVersionMismatch(
                     f"vector file schema {version} != {SCHEMA_VERSION}")
-            data = np.frombuffer(raw, dtype="<f4", offset=16)
             records = [json.loads(line) for line in
                        parts["entries.jsonl.gz"].decode("utf-8").splitlines()
                        if line.strip()]
-            rows = data.size // dim if dim else 0
-            if not rows == count == len(records) == manifest.get("entry_count"):
+            if (count and not dim) or dim != manifest["dim"] or \
+                    not count == len(records) == manifest["entry_count"]:
                 raise StoreIOError(
                     f"{path}: store parts disagree: manifest lists "
-                    f"{manifest.get('entry_count')} entries, entries.jsonl holds "
-                    f"{len(records)}, vectors.bin holds {rows} of {count} rows")
+                    f"{manifest['entry_count']} entries of dim {manifest['dim']}, "
+                    f"entries.jsonl holds {len(records)}, vectors.bin holds "
+                    f"{count} rows of dim {dim}")
             if dim:
                 store.dim = dim
-            store._blocks = [data.reshape(count, dim)]
+            store._blocks = [_matrix_from_planes(memoryview(raw)[16:], count, dim)]
             for row, rec in enumerate(records):
                 entry = _entry_from_record(rec)
                 key = restatement_key(entry.lossless_restatement)
@@ -441,16 +488,17 @@ class MemoryStore:
                     store.add_profile(EntityProfile.from_dict(rec))
             for key, found in (("turn_count", len(store.turns)),
                                ("profile_versions", len(store._profile_history))):
-                if manifest.get(key) != found:
-                    raise StoreIOError(f"{path}: manifest lists {manifest.get(key)} "
+                if manifest[key] != found:
+                    raise StoreIOError(f"{path}: manifest lists {manifest[key]} "
                                        f"{key}, the files hold {found}")
         except (OSError, EOFError, zlib.error, struct.error, KeyError,
                 TypeError, ValueError) as exc:
-            # unreadable file, cut or damaged gzip, short vector header, bad
-            # JSON, missing, extra or wrong-typed field, misnumbered or
-            # repeated entry row, profile version gap
+            # unreadable file, cut or damaged gzip or zlib data, short vector
+            # header or plane, bad JSON, missing, extra or wrong-typed field
+            # or manifest key, misnumbered or repeated entry row, profile
+            # version gap
             raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}")
-        if manifest.get("sealed"):
+        if manifest["sealed"]:
             store.seal()
         return store
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import struct
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -123,6 +124,10 @@ BAD_QA_FIELDS = {
     "reference-and-answer-missing": {"reference": None},
     "question-a-number": {"question": 5},
     "question-empty": {"question": ""},
+    "category-7": {"category": 7},
+    "category-a-string": {"category": "2"},
+    "category-a-float": {"category": 2.7},
+    "category-a-bool": {"category": True},
 }
 
 
@@ -268,10 +273,50 @@ def test_inspect_store_and_entry(work_dir, capsys):
     assert result["profiles"]
 
 
-def _drop_vector_rows(path):
-    raw = path.read_bytes()
-    _, dim, _ = struct.unpack("<III", raw[4:16])
-    path.write_bytes(raw[:-10 * dim * 4])
+def _vector_planes(raw):
+    """The header fields and the four byte planes of a schema-3 vectors.bin:
+    planes 0-2 raw, plane 3 as one zlib stream."""
+    version, dim, count = struct.unpack("<III", raw[4:16])
+    size = dim * count
+    planes = [raw[16 + k * size:16 + (k + 1) * size] for k in range(3)]
+    planes.append(zlib.decompress(raw[16 + 3 * size:]))
+    return version, dim, count, planes
+
+
+def _edit_vector_planes(edit):
+    """Apply edit(planes, dim, count) -> (planes, count) to the byte planes
+    of vectors.bin, then write them back, plane 3 Huffman-coded."""
+    def apply(path):
+        raw = path.read_bytes()
+        version, dim, count, planes = _vector_planes(raw)
+        planes, count = edit(planes, dim, count)
+        coder = zlib.compressobj(strategy=zlib.Z_HUFFMAN_ONLY)
+        path.write_bytes(raw[:4] + struct.pack("<III", version, dim, count)
+                         + b"".join(planes[:3])
+                         + coder.compress(planes[3]) + coder.flush())
+    return apply
+
+
+# every plane and the header's count lose the last 10 rows together, so
+# load reaches the check of the row count against entries.jsonl
+_drop_vector_rows = _edit_vector_planes(
+    lambda planes, dim, count: ([p[:-10 * dim] for p in planes], count - 10))
+
+
+def _damage_plane_3(path):
+    raw = bytearray(path.read_bytes())
+    _, dim, count = struct.unpack("<III", raw[4:16])
+    start = 16 + 3 * dim * count
+    raw[(start + len(raw)) // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def _edit_manifest_text(old, new):
+    def apply(path):
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+    return apply
 
 
 def _drop_lines(path, n):
@@ -350,6 +395,15 @@ def _corrupt(store, part, edit):
 TRUNCATIONS = {
     "vectors-10-rows-short": ("vectors.bin", _drop_vector_rows),
     "vectors-header-cut": ("vectors.bin", lambda p: p.write_bytes(p.read_bytes()[:10])),
+    "vectors-plane-3-damaged": ("vectors.bin", _damage_plane_3),
+    "vectors-plane-3-too-long": ("vectors.bin", _edit_vector_planes(
+        lambda planes, dim, count: (planes[:3] + [planes[3] + bytes(dim)], count))),
+    "vectors-plane-3-too-short": ("vectors.bin", _edit_vector_planes(
+        lambda planes, dim, count: (planes[:3] + [planes[3][:-dim]], count))),
+    "vectors-plane-2-too-short": ("vectors.bin", _edit_vector_planes(
+        lambda planes, dim, count: (planes[:2] + [planes[2][:-dim], planes[3]], count))),
+    "vectors-plane-3-trailing-bytes": ("vectors.bin", lambda p: p.write_bytes(
+        p.read_bytes() + b"\0")),
     "entries-gz-cut-40-bytes": ("entries.jsonl.gz", _cut_40_bytes),
     "turns-gz-byte-flipped": ("turns.jsonl.gz", _flip_byte_at(0.5)),
     "turns-gz-bad-deflate-block": ("turns.jsonl.gz", _bad_deflate_block),
@@ -364,6 +418,22 @@ TRUNCATIONS = {
         lambda rec: rec.update(version=rec["version"] + 1))),
     "manifest-not-an-object": ("manifest.json", lambda p: p.write_text(
         "[1]\n", encoding="utf-8")),
+    "manifest-sealed-key-renamed": ("manifest.json", _edit_manifest_text(
+        '"sealed"', '"sealee"')),
+    "manifest-dim-a-string": ("manifest.json", _edit_manifest_text(
+        '"dim": 64', '"dim": "64"')),
+    "manifest-dim-not-the-vectors-dim": ("manifest.json", _edit_manifest_text(
+        '"dim": 64', '"dim": 32')),
+    "manifest-sealed-a-string": ("manifest.json", _edit_manifest_text(
+        '"sealed": true', '"sealed": "true"')),
+    "manifest-prompt-round-a-string": ("manifest.json", _edit_manifest_text(
+        '"prompt_round": 0', '"prompt_round": "0"')),
+    "manifest-config-hash-a-number": ("manifest.json", _edit_manifest_text(
+        '"config_hash": "', '"config_hash": 1, "was": "')),
+    "manifest-schema-version-a-string": ("manifest.json", _edit_manifest_text(
+        '"schema_version": 3', '"schema_version": "3"')),
+    "manifest-sha256-names-a-fifth-file": ("manifest.json", _edit_manifest_text(
+        '"sha256": {', '"sha256": {"extra.bin": "0", ')),
     "entries-keywords-a-string": ("entries.jsonl", _edit_first_record(
         lambda rec: rec.update(keywords="abc"))),
     "entries-location-a-list": ("entries.jsonl", _edit_first_record(
@@ -480,6 +550,27 @@ def test_schema_1_store_is_refused_and_rebuilt(work_dir, capsys):
     assert not any(p.suffix == ".jsonl" for p in store.iterdir())
     code, out, _ = run(capsys, "inspect", "--store", "store")
     assert code == EXIT_OK and json.loads(out)["entries"] == 60
+
+
+def test_schema_2_store_is_refused(work_dir, capsys):
+    """A schema-2 store kept vectors.bin as raw float32 rows."""
+    build(capsys)
+    store = work_dir / "store"
+    raw = (store / "vectors.bin").read_bytes()
+    _, dim, count, planes = _vector_planes(raw)
+    rows = bytes(b for value in zip(*planes) for b in value)
+    (store / "vectors.bin").write_bytes(raw[:4] + struct.pack("<III", 2, dim, count)
+                                        + rows)
+    manifest = json.loads((store / "manifest.json").read_text())
+    manifest["schema_version"] = 2
+    manifest["sha256"]["vectors.bin"] = hashlib.sha256(
+        (store / "vectors.bin").read_bytes()).hexdigest()
+    (store / "manifest.json").write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "inspect", "--store", "store")
+    assert (code, out) == (EXIT_DATA, "")
+    error = json.loads(err)
+    assert error["error"] == "SchemaVersionMismatch"
+    assert "trimem build --force" in error["message"]
 
 
 def test_evolve_refuses_a_non_empty_out_dir(work_dir, capsys):

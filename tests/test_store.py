@@ -1,7 +1,12 @@
 import struct
+import tempfile
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trimem.backend import ScriptedBackend, hash_embedding
 from trimem.corpus import DialogueCorpus, DialogueTurn
@@ -285,7 +290,42 @@ def test_vector_file_header(tmp_path, backend):
     assert raw[:4] == VECTOR_MAGIC
     version, dim, count = struct.unpack("<III", raw[4:16])
     assert (version, dim, count) == (SCHEMA_VERSION, 64, 2)
-    assert len(raw) == 16 + 4 * dim * count
+    # byte planes 0-2 of the little-endian float32 rows raw, then plane 3 as
+    # one zlib stream that ends with the file
+    size = dim * count
+    rows = np.stack([store.vector_of(e) for e in store.insertion_order])
+    planes = rows.astype("<f4").view(np.uint8).reshape(-1, 4).T
+    assert raw[16:16 + 3 * size] == planes[:3].tobytes()
+    inflater = zlib.decompressobj()
+    assert inflater.decompress(raw[16 + 3 * size:]) == planes[3].tobytes()
+    assert inflater.eof and not inflater.unused_data
+    assert len(raw) < 16 + 4 * size
+
+
+EDGE_ROW = np.array([-0.0, 0.0, 1e-45, -1e-45, 1.1754942e-38, -1.1754944e-38,
+                     3.4028235e38, -3.4028235e38] * 8, dtype=np.float32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float32, st.tuples(st.integers(1, 4), st.just(64)),
+                  elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+@example(EDGE_ROW.reshape(1, 64))
+def test_any_finite_rows_persist_bit_for_bit(rows):
+    """-0.0, subnormals and extreme exponents load bit for bit, and equal
+    stores persist to equal bytes."""
+    store = MemoryStore(turns=make_turns(1))
+    store.insert_entries([make_entry(f"fact {i}") for i in range(len(rows))],
+                         ScriptedBackend())
+    store._vectors[:] = rows
+    with tempfile.TemporaryDirectory() as tmp:
+        store.persist(Path(tmp, "a"))
+        store.persist(Path(tmp, "b"))
+        raw = Path(tmp, "a", "vectors.bin").read_bytes()
+        assert raw == Path(tmp, "b", "vectors.bin").read_bytes()
+        loaded = MemoryStore.load(Path(tmp, "a"))
+    assert loaded._vectors.dtype == np.float32
+    assert loaded._vectors.shape == rows.shape
+    assert loaded._vectors.tobytes() == rows.astype("<f4").tobytes()
 
 
 def test_load_rejects_schema_mismatch(tmp_path, backend):
