@@ -5,7 +5,7 @@ The layer view of the store's persist/load path, offline. For each size it
 builds one seeded store at dim 384: entries with keywords, persons and
 anchors, two turns per three entries, a profile version per 25 entries,
 and unit-norm Gaussian embeddings from a stub backend with no delay. It
-then persists and loads that store ``--repeat`` times into ``--workdir``
+then persists and loads that store REPEAT times into ``--workdir``
 and records, per size, the median and every run of the persist and load
 wall-clock time in ms, and the bytes of each store file.
 
@@ -33,6 +33,8 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 SIZES = (1_000, 10_000, 50_000)
+REPEAT = 5
+SEED = 1
 DIM = 384
 PERSONS = [f"Person{i:02d}" for i in range(40)]
 PLACES = ["Rome", "Lisbon", "the harbor", "the library", "Oslo", "the gym", None]
@@ -94,11 +96,11 @@ def make_store(trimem, n: int, seed: int):
     return store
 
 
-def measure(trimem, n: int, seed: int, repeat: int, workdir: Path) -> dict:
-    store = make_store(trimem, n, seed)
+def measure(trimem, n: int, workdir: Path) -> dict:
+    store = make_store(trimem, n, SEED)
     path = workdir / f"store-{n}"
     persist_ms, load_ms = [], []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         shutil.rmtree(path, ignore_errors=True)
         t0 = time.perf_counter()
         store.persist(path)
@@ -138,9 +140,6 @@ def main(argv=None) -> int:
                         help="the source tree whose trimem to measure")
     parser.add_argument("--label", default="change")
     parser.add_argument("--out", default=str(REPO / "BENCH_store.json"))
-    parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
-    parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workdir", default=None,
                         help="where stores are written (default: a temp dir)")
     args = parser.parse_args(argv)
@@ -148,12 +147,11 @@ def main(argv=None) -> int:
     import trimem
 
     run = {"python": platform.python_version(), "numpy": np.__version__,
-           "machine": platform.machine(), "seed": args.seed, "repeat": args.repeat,
+           "machine": platform.machine(), "seed": SEED, "repeat": REPEAT,
            "dim": DIM, "sizes": {}}
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
-        for size in (int(s) for s in args.sizes.split(",")):
-            run["sizes"][str(size)] = measure(trimem, size, args.seed, args.repeat,
-                                              Path(tmp))
+        for size in SIZES:
+            run["sizes"][str(size)] = measure(trimem, size, Path(tmp))
             print(json.dumps({"label": args.label, "size": size,
                               **{k: run["sizes"][str(size)][k] for k in
                                  ("persist_ms", "load_ms", "store_bytes")}}),

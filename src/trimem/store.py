@@ -176,7 +176,8 @@ def _matrix_from_planes(body, count: int, dim: int) -> np.ndarray:
     for k in range(3):
         values[:, k] = np.frombuffer(body, dtype=np.uint8, count=size, offset=k * size)
     inflater = zlib.decompressobj()
-    top = inflater.decompress(memoryview(body)[3 * size:], size)
+    # a max_length of 0 means no limit, so an empty index still caps at 1
+    top = inflater.decompress(memoryview(body)[3 * size:], max(size, 1))
     if len(top) != size or not inflater.eof or inflater.unused_data:
         raise ValueError(f"vectors.bin plane 3 is not one stream of {size} bytes")
     values[:, 3] = np.frombuffer(top, dtype=np.uint8)

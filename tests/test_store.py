@@ -1,3 +1,5 @@
+import hashlib
+import json
 import struct
 import tempfile
 import zlib
@@ -326,6 +328,42 @@ def test_any_finite_rows_persist_bit_for_bit(rows):
     assert loaded._vectors.dtype == np.float32
     assert loaded._vectors.shape == rows.shape
     assert loaded._vectors.tobytes() == rows.astype("<f4").tobytes()
+
+
+def test_empty_index_refuses_a_nonempty_plane_3(tmp_path, monkeypatch):
+    """At count 0 plane 3 must inflate to nothing; a 1 MiB stream, with its
+    checksum rewritten, is refused without being inflated whole."""
+    MemoryStore(turns=make_turns(1)).persist(tmp_path / "s")
+    assert len(MemoryStore.load(tmp_path / "s")) == 0
+    vectors = tmp_path / "s" / "vectors.bin"
+    raw = vectors.read_bytes()
+    assert struct.unpack("<III", raw[4:16])[2] == 0
+    vectors.write_bytes(raw[:16] + zlib.compress(bytes(1 << 20)))
+    manifest_path = tmp_path / "s" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sha256"]["vectors.bin"] = hashlib.sha256(vectors.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+    inflated = []
+    real_decompressobj = zlib.decompressobj
+
+    class Recording:
+        def __init__(self, *args, **kwargs):
+            self._inner = real_decompressobj(*args, **kwargs)
+
+        def decompress(self, data, max_length=0):
+            out = self._inner.decompress(data, max_length)
+            inflated.append(len(out))
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    monkeypatch.setattr(zlib, "decompressobj", Recording)
+    with pytest.raises(StoreIOError, match="plane 3") as info:
+        MemoryStore.load(tmp_path / "s")
+    assert "sha256" not in str(info.value)
+    assert inflated and max(inflated) < 1 << 10
 
 
 def test_load_rejects_schema_mismatch(tmp_path, backend):
