@@ -268,6 +268,11 @@ class FixtureRule:
         )
 
 
+# each fixture field's type and value where absent; a [str] field may be one str
+_FIXTURE_FIELDS = {"response": (str, None), "contains": ([str], []),
+                   "not_contains": ([str], []), "sticky": (bool, False)}
+
+
 class ScriptedBackend(Backend):
     """Deterministic stand-in for chat/embedding providers.
 
@@ -284,7 +289,7 @@ class ScriptedBackend(Backend):
 
     @classmethod
     def from_fixture_file(cls, path, **kwargs) -> "ScriptedBackend":
-        """Load rules from a JSONL fixture, one rule object per line."""
+        """Load rules from a JSONL fixture, one ``_FIXTURE_FIELDS`` object per line."""
         if not Path(path).is_file():
             raise MissingFile(str(path))
         rules = []
@@ -293,20 +298,20 @@ class ScriptedBackend(Backend):
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+                if not isinstance(rec, dict):
+                    raise ValueError(f"not a JSON object: {rec!r}")
+                rule = {}
+                for name, (kind, absent) in _FIXTURE_FIELDS.items():
+                    value = rec.get(name, absent)
+                    if kind == [str] and isinstance(value, str):
+                        value = [value]
+                    if not has_type(value, kind):
+                        raise ValueError(f"{name} is missing or has the wrong type: "
+                                         f"{value!r}")
+                    rule[name] = tuple(value) if kind == [str] else value
+            except ValueError as exc:  # json.JSONDecodeError is a ValueError
                 raise TransportError(f"{path}:{line_no}: bad fixture record: {exc}")
-            contains = rec.get("contains", [])
-            if isinstance(contains, str):
-                contains = [contains]
-            not_contains = rec.get("not_contains", [])
-            if isinstance(not_contains, str):
-                not_contains = [not_contains]
-            rules.append(FixtureRule(
-                response=rec["response"],
-                contains=tuple(contains),
-                not_contains=tuple(not_contains),
-                sticky=bool(rec.get("sticky", False)),
-            ))
+            rules.append(FixtureRule(**rule))
         return cls(rules=rules, **kwargs)
 
     def _complete(self, request: ChatRequest) -> str:

@@ -14,6 +14,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Optional
 
+from .backend import has_type
 from .errors import DuplicateTurnId, EmptyCorpus, MalformedDocument, MissingFile
 
 
@@ -81,7 +82,8 @@ def load_corpus(path) -> DialogueCorpus:
     """Load a corpus document and assign contiguous 1-based turn IDs.
 
     Accepts either the sessioned form ``{"corpus_id", "sessions": [...]}``
-    or a flat ``{"turns": [...]}`` variant. Explicit ``turn_id`` fields, if
+    or a flat ``{"turns": [...]}`` variant. A session's ``session_id``, if
+    present, must be a JSON integer. Explicit ``turn_id`` fields, if
     present in the source, must match load order; duplicates or gaps are
     rejected.
     """
@@ -110,6 +112,8 @@ def load_corpus(path) -> DialogueCorpus:
     seen_ids: set[int] = set()
     next_id = 1
     for session_id, raw_turns in sessioned:
+        if not has_type(session_id, int):
+            raise MalformedDocument(f"{path}: session_id {session_id!r} is not an integer")
         if not isinstance(raw_turns, list):
             raise MalformedDocument(f"{path}: session {session_id}: turns must be a list")
         for rec_no, rec in enumerate(raw_turns):
@@ -134,7 +138,7 @@ def load_corpus(path) -> DialogueCorpus:
             turns.append(
                 DialogueTurn(
                     turn_id=next_id,
-                    session_id=int(session_id),
+                    session_id=session_id,
                     speaker=speaker,
                     text=text,
                     timestamp=_validate_timestamp(rec.get("timestamp"), where),

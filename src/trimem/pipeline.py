@@ -27,7 +27,8 @@ class QaItem:
     def from_dict(cls, rec: dict) -> "QaItem":
         """The item a QA record holds; a ``question`` or a ``reference`` (or
         else ``answer``) that is not a non-empty string, or a ``category``
-        that is not an int key of ``CATEGORY_NAMES``, is a ValueError."""
+        that is not an int key of ``CATEGORY_NAMES``, or an ``evidence`` that
+        is not a list of ints, is a ValueError."""
         question = rec["question"]
         reference = rec["reference"] if "reference" in rec else rec.get("answer")
         for name, text in (("question", question), ("reference", reference)):
@@ -37,11 +38,14 @@ class QaItem:
         if not (has_type(category, int) and category in CATEGORY_NAMES):
             raise ValueError(f"category must be one of {sorted(CATEGORY_NAMES)}, "
                              f"got {category!r}")
+        evidence = rec.get("evidence", [])
+        if not has_type(evidence, [int]):
+            raise ValueError(f"evidence must be a list of turn ids, got {evidence!r}")
         return cls(
             question=question,
             reference=reference,
             category=category,
-            evidence=frozenset(int(i) for i in rec.get("evidence", [])),
+            evidence=frozenset(evidence),
         )
 
 

@@ -54,7 +54,7 @@ class EntityProfile:
             entity_key=rec["entity_key"],
             display_name=rec["display_name"],
             version=rec["version"],
-            last_updated_window=rec.get("window", 0),
+            last_updated_window=rec["window"],
             sections=tuple((label, text) for label, text in rec["sections"].items()),
         )
 

@@ -18,21 +18,22 @@ version history. All three persist together under one store directory:
 
 The three record files are gzip'd JSON lines with no file name and no
 timestamp in the header, so equal stores persist byte-identical; ``zcat``
-reads them. Plane k of ``vectors.bin`` is byte k of every value in row
-order, count * dim bytes. Plane 3 holds each value's sign and top seven
-exponent bits, which on unit-norm embeddings carry under 3 bits of entropy,
-so a Huffman code alone shrinks it to about a third. Planes 0-2 are mantissa
-bits, close to random, and stay raw: gzip over raw float32 rows saves only
-about 7%. The file is about 0.83 of raw float32, and every value loads bit
-for bit.
+reads them. Each record holds exactly its kind's fields, as
+``_RECORD_TYPES``, ``_TURN_TYPES`` and ``_PROFILE_TYPES`` type them. Plane k
+of ``vectors.bin`` is byte k of every value in row order, count * dim
+bytes. Plane 3 holds each value's sign and top seven exponent bits, which
+on unit-norm embeddings carry under 3 bits of entropy, so a Huffman code
+alone shrinks it to about a third. Planes 0-2 are mantissa bits, close to
+random, and stay raw: gzip over raw float32 rows saves only about 7%. The
+file is about 0.83 of raw float32, and every value loads bit for bit.
 
 ``load`` checks the manifest's keys and their types, then each data file's
 sha256 against the manifest before it parses anything, then every count
 against the manifest, the length of every vector plane, the entry row
-numbering and restatement uniqueness that ``insert_entries`` gives, and the
-type of every field of every record, and raises StoreIOError otherwise. A
-store of another schema version raises SchemaVersionMismatch; rebuild it
-with ``trimem build --force``.
+numbering and restatement uniqueness that ``insert_entries`` gives, and
+that every record holds exactly its kind's fields, each of its type, and
+raises StoreIOError otherwise. A store of another schema version raises
+SchemaVersionMismatch; rebuild it with ``trimem build --force``.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ import hashlib
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -95,22 +96,7 @@ class RetrievalConfig:
         return self.per_query_k if self.per_query_k is not None else self.top_k
 
 
-def _entry_to_record(entry: MemoryEntry) -> dict:
-    return {
-        "entry_id": entry.entry_id,
-        "lossless_restatement": entry.lossless_restatement,
-        "keywords": sorted(entry.keywords),
-        "event_time": entry.event_time,
-        "location": entry.location,
-        "persons": sorted(entry.persons),
-        "entities": sorted(entry.entities),
-        "topic": entry.topic,
-        "source_dialogue_ids": sorted(entry.source_dialogue_ids),
-        "origin_window": entry.origin_window,
-    }
-
-
-# each field's type as persist writes it, in has_type's terms
+# each kind's on-disk record: its fields and their types in has_type's terms
 _RECORD_TYPES = {
     "entry_id": str, "lossless_restatement": str, "keywords": [str],
     "event_time": (str, type(None)), "location": (str, type(None)),
@@ -124,32 +110,37 @@ _PROFILE_TYPES = {"entity_key": str, "display_name": str, "version": int,
 _MANIFEST_TYPES = {"schema_version": int, "dim": int, "entry_count": int,
                    "turn_count": int, "profile_versions": int, "sealed": bool,
                    "sha256": dict}
-_MANIFEST_EXTRA_TYPES = {"config_hash": str, "prompt_round": int}  # where present
+# where present; load reads no other manifest key, and persist may write more
+_MANIFEST_EXTRA_TYPES = {"config_hash": str, "prompt_round": int}
 
 
-def _typed(rec: dict, types: dict, what: str) -> dict:
-    """rec, once each field in types has its type; otherwise a ValueError."""
+def _typed(rec, types: dict, what: str) -> dict:
+    """rec's fields, once it holds exactly those of types, each of its type,
+    lists as frozensets; else a ValueError, or a KeyError naming a missing one."""
+    # as many keys as types, and every name of types among them: no other key
+    if not isinstance(rec, dict) or len(rec) != len(types):
+        found = sorted(rec) if isinstance(rec, dict) else type(rec).__name__
+        raise ValueError(f"{what} record holds {found}, not the fields {sorted(types)}")
+    values = {}
     for name, kind in types.items():
-        if not has_type(rec[name], kind):
-            raise ValueError(f"{what} field {name!r} has the wrong type: {rec[name]!r}")
-    return rec
+        value = rec[name]
+        if not has_type(value, kind):
+            raise ValueError(f"{what} field {name!r} has the wrong type: {value!r}")
+        values[name] = frozenset(value) if isinstance(kind, list) else value
+    return values
 
 
-def _entry_from_record(rec: dict) -> MemoryEntry:
-    """The entry a record holds; a field of the wrong type is a ValueError."""
-    _typed(rec, _RECORD_TYPES, "entry")
-    return MemoryEntry(
-        entry_id=rec["entry_id"],
-        lossless_restatement=rec["lossless_restatement"],
-        keywords=frozenset(rec["keywords"]),
-        event_time=rec["event_time"],
-        location=rec["location"],
-        persons=frozenset(rec["persons"]),
-        entities=frozenset(rec["entities"]),
-        topic=rec["topic"],
-        source_dialogue_ids=frozenset(rec["source_dialogue_ids"]),
-        origin_window=rec["origin_window"],
-    )
+def _record(obj) -> dict:
+    """An entry's or a turn's record: its fields, frozensets as sorted lists."""
+    # fields, not vars: reading __dict__ makes CPython build a dict per instance
+    values = ((field.name, getattr(obj, field.name)) for field in fields(obj))
+    return {name: sorted(value) if isinstance(value, frozenset) else value
+            for name, value in values}
+
+
+def _records(data: bytes) -> list:
+    return [json.loads(line) for line in data.decode("utf-8").splitlines()
+            if line.strip()]
 
 
 def _jsonl(records: Iterable[dict], sort_keys: bool = True) -> bytes:
@@ -390,9 +381,9 @@ class MemoryStore:
         try:
             path.mkdir(parents=True, exist_ok=True)
             _write_part(path / "entries.jsonl.gz", digests, _jsonl(
-                _entry_to_record(self.entries[e]) for e in self.insertion_order))
+                _record(self.entries[e]) for e in self.insertion_order))
             _write_part(path / "turns.jsonl.gz", digests, _jsonl(
-                asdict(self.turns[t]) for t in sorted(self.turns)))
+                _record(self.turns[t]) for t in sorted(self.turns)))
             # as_dict's own key order keeps each profile's section order
             _write_part(path / "profiles.jsonl.gz", digests, _jsonl(
                 (p.as_dict() for p in self._profile_history), sort_keys=False))
@@ -437,18 +428,17 @@ class MemoryStore:
 
         store = cls()
         try:
-            _typed(manifest, _MANIFEST_TYPES, "manifest")
-            _typed(manifest, {name: kind for name, kind in _MANIFEST_EXTRA_TYPES.items()
-                              if name in manifest}, "manifest")
+            types = {**_MANIFEST_TYPES, **{name: kind for name, kind in
+                                           _MANIFEST_EXTRA_TYPES.items() if name in manifest}}
+            _typed({name: manifest[name] for name in types}, types, "manifest")
             if sorted(manifest["sha256"]) != sorted(DATA_FILES):
                 raise ValueError(f"manifest lists checksums of {sorted(manifest['sha256'])}, "
                                  f"not of the data files {sorted(DATA_FILES)}")
             parts = {name: _read_part(path / name, manifest["sha256"])
                      for name in DATA_FILES}
-            for line in parts["turns.jsonl.gz"].decode("utf-8").splitlines():
-                if line.strip():
-                    turn = DialogueTurn(**_typed(json.loads(line), _TURN_TYPES, "turn"))
-                    store.turns[turn.turn_id] = turn
+            for rec in _records(parts["turns.jsonl.gz"]):
+                turn = DialogueTurn(**_typed(rec, _TURN_TYPES, "turn"))
+                store.turns[turn.turn_id] = turn
             raw = parts["vectors.bin"]
             if raw[:4] != VECTOR_MAGIC:
                 raise StoreIOError(f"bad vector file magic {raw[:4]!r}")
@@ -456,9 +446,7 @@ class MemoryStore:
             if version != SCHEMA_VERSION:
                 raise SchemaVersionMismatch(
                     f"vector file schema {version} != {SCHEMA_VERSION}")
-            records = [json.loads(line) for line in
-                       parts["entries.jsonl.gz"].decode("utf-8").splitlines()
-                       if line.strip()]
+            records = _records(parts["entries.jsonl.gz"])
             if (count and not dim) or dim != manifest["dim"] or \
                     not count == len(records) == manifest["entry_count"]:
                 raise StoreIOError(
@@ -470,7 +458,7 @@ class MemoryStore:
                 store.dim = dim
             store._blocks = [_matrix_from_planes(memoryview(raw)[16:], count, dim)]
             for row, rec in enumerate(records):
-                entry = _entry_from_record(rec)
+                entry = MemoryEntry(**_typed(rec, _RECORD_TYPES, "entry"))
                 key = restatement_key(entry.lossless_restatement)
                 if entry.entry_id != f"e{row + 1:06d}":  # as insert_entries numbers rows
                     raise ValueError(f"row {row + 1} holds entry {entry.entry_id!r}")
@@ -481,12 +469,10 @@ class MemoryStore:
                 store.insertion_order.append(entry.entry_id)
                 store._row_of[entry.entry_id] = row
                 store._by_restatement[key] = entry.entry_id
-            for line in parts["profiles.jsonl.gz"].decode("utf-8").splitlines():
-                if line.strip():
-                    rec = _typed(json.loads(line), _PROFILE_TYPES, "profile")
-                    _typed(rec["sections"], dict.fromkeys(rec["sections"], str),
-                           "profile section")
-                    store.add_profile(EntityProfile.from_dict(rec))
+            for rec in _records(parts["profiles.jsonl.gz"]):
+                sections = _typed(rec, _PROFILE_TYPES, "profile")["sections"]
+                _typed(sections, dict.fromkeys(sections, str), "profile section")
+                store.add_profile(EntityProfile.from_dict(rec))
             for key, found in (("turn_count", len(store.turns)),
                                ("profile_versions", len(store._profile_history))):
                 if manifest[key] != found:

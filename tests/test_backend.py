@@ -113,6 +113,23 @@ def test_fixture_file_rejects_bad_json(tmp_path):
         ScriptedBackend.from_fixture_file(path)
 
 
+@pytest.mark.parametrize("bad", [
+    {"contains": "hi"},
+    {"response": 5},
+    {"response": "yo", "contains": ["hi", 1]},
+    {"response": "yo", "not_contains": 5},
+    {"response": "yo", "sticky": "false"},
+    ["not", "an", "object"],
+], ids=["response-missing", "response-a-number", "contains-a-number",
+        "not-contains-a-number", "sticky-a-string", "not-an-object"])
+def test_fixture_file_rejects_a_wrong_typed_field(tmp_path, bad):
+    path = tmp_path / "f.jsonl"
+    path.write_text(json.dumps({"response": "ok"}) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(TransportError) as excinfo:
+        ScriptedBackend.from_fixture_file(path)
+    assert f"{path}:2: bad fixture record" in str(excinfo.value)
+
+
 # -- budgets and accounting -------------------------------------------
 
 def test_usage_accounting_monotone():

@@ -105,12 +105,18 @@ BAD_INPUTS = {
                                   "--max-calls", "-1"], EXIT_USAGE, "UsageError"),
     "build-negative-max-tokens": (["build", "--corpus", "corpus.json", "--store", "store",
                                    "--max-tokens", "-1"], EXIT_USAGE, "UsageError"),
+    "ingest-session-id-a-string": (["ingest", "--corpus", "session-id-x.json"],
+                                   EXIT_DATA, "MalformedDocument"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_one_json_error(work_dir, capsys, case):
     (command, *options), want_code, want_error = BAD_INPUTS[case]
+    # the fixture corpus with a string session_id, for ingest-session-id-a-string
+    corpus = json.loads((work_dir / "corpus.json").read_text())
+    corpus["sessions"][0]["session_id"] = "x"
+    (work_dir / "session-id-x.json").write_text(json.dumps(corpus))
     code, out, err = run(capsys, command, "--scripted", "fixture.jsonl", *options)
     assert code == want_code
     assert out == ""
@@ -128,6 +134,10 @@ BAD_QA_FIELDS = {
     "category-a-string": {"category": "2"},
     "category-a-float": {"category": 2.7},
     "category-a-bool": {"category": True},
+    "evidence-a-string": {"evidence": "12"},
+    "evidence-strings": {"evidence": ["3"]},
+    "evidence-a-float": {"evidence": [2.7]},
+    "evidence-a-bool": {"evidence": [True]},
 }
 
 
@@ -413,6 +423,12 @@ TRUNCATIONS = {
     "entries-record-without-topic": ("entries.jsonl", _edit_first_record(
         lambda rec: rec.pop("topic"))),
     "turns-record-with-extra-field": ("turns.jsonl", _edit_first_record(
+        lambda rec: rec.update(extra=1))),
+    "entries-record-with-extra-field": ("entries.jsonl", _edit_first_record(
+        lambda rec: rec.update(extra=1))),
+    "entries-record-topic-renamed": ("entries.jsonl", _edit_first_record(
+        lambda rec: rec.update(subject=rec.pop("topic")))),
+    "profiles-record-with-extra-field": ("profiles.jsonl", _edit_first_record(
         lambda rec: rec.update(extra=1))),
     "profiles-version-gap": ("profiles.jsonl", _edit_first_record(
         lambda rec: rec.update(version=rec["version"] + 1))),

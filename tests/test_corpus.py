@@ -53,6 +53,16 @@ def test_load_sessioned_assigns_global_ids(tmp_path):
     assert [t.session_id for t in corpus.turns] == [7, 9, 9]
 
 
+@pytest.mark.parametrize("session_id", ["1", 2.7, True, "x", None])
+def test_load_rejects_a_non_integer_session_id(tmp_path, session_id):
+    doc = {"sessions": [{"session_id": session_id,
+                         "turns": [{"speaker": "A", "text": "a"}]}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedDocument, match="session_id"):
+        load_corpus(path)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(MissingFile):
         load_corpus(tmp_path / "nope.json")

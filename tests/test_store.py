@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import json
 import struct
@@ -302,6 +303,32 @@ def test_vector_file_header(tmp_path, backend):
     assert inflater.decompress(raw[16 + 3 * size:]) == planes[3].tobytes()
     assert inflater.eof and not inflater.unused_data
     assert len(raw) < 16 + 4 * size
+
+
+# sha256 of the schema-3 content that the fixture build persists: each
+# record file after gunzip, the vectors.bin header, and its byte planes with
+# plane 3 inflated. The gzip and zlib bytes depend on the zlib build, so
+# they are not pinned.
+FIXTURE_STORE_DIGESTS = {
+    "entries.jsonl": "54dd2f0761c22dc84856c0fbd808aa57399ff41ca0f72832195f68da2a7de876",
+    "turns.jsonl": "236b17a770f864caab9ddc9397ee77e4519b4cfc417e8bb89ec776d7d17a2399",
+    "profiles.jsonl": "d1748a6449742345419326d1145fda3b26775d9c95fa12f0703266c387b3789c",
+    "vectors.bin header": "4c62c7943b1bfaf162a148c3009ec84e642bf54fcf869f044432ad568d46db74",
+    "vectors.bin planes": "6f02e9db1fdc3c998c9a83fe7353072312e9c2801390391d43adac3b179ec98f",
+}
+
+
+def test_fixture_store_content_is_pinned(tmp_path, built_store):
+    built_store.persist(tmp_path / "s")
+    content = {name[:-3]: gzip.decompress((tmp_path / "s" / name).read_bytes())
+               for name in ("entries.jsonl.gz", "turns.jsonl.gz", "profiles.jsonl.gz")}
+    raw = (tmp_path / "s" / "vectors.bin").read_bytes()
+    _, dim, count = struct.unpack_from("<III", raw, 4)
+    size = dim * count
+    content["vectors.bin header"] = raw[:16]
+    content["vectors.bin planes"] = raw[16:16 + 3 * size] + zlib.decompress(raw[16 + 3 * size:])
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in content.items()} == FIXTURE_STORE_DIGESTS
 
 
 EDGE_ROW = np.array([-0.0, 0.0, 1e-45, -1e-45, 1.1754942e-38, -1.1754944e-38,
