@@ -7,7 +7,10 @@ anchors, two turns per three entries, a profile version per 25 entries,
 and unit-norm Gaussian embeddings from a stub backend with no delay. It
 then persists and loads that store REPEAT times into ``--workdir``
 and records, per size, the median and every run of the persist and load
-wall-clock time in ms, and the bytes of each store file.
+wall-clock time in ms, and the bytes of each store file. Each pass frees
+the previous pass's loaded store and runs a full GC before its clock
+starts, so no pass times the freeing of another; the last load must equal
+the persisted store in entries, turns, profile history and vector bytes.
 
 The results go under ``--label`` in the ``--out`` JSON file, next to what
 other labels hold there. When the file holds both ``parent`` and
@@ -20,6 +23,7 @@ commits with the same script by pointing ``--src`` at each checkout:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import shutil
@@ -102,6 +106,8 @@ def measure(trimem, n: int, workdir: Path) -> dict:
     persist_ms, load_ms = [], []
     for _ in range(REPEAT):
         shutil.rmtree(path, ignore_errors=True)
+        loaded = None
+        gc.collect()
         t0 = time.perf_counter()
         store.persist(path)
         t1 = time.perf_counter()
@@ -110,6 +116,8 @@ def measure(trimem, n: int, workdir: Path) -> dict:
         persist_ms.append(round((t1 - t0) * 1e3, 2))
         load_ms.append(round((t2 - t1) * 1e3, 2))
     if loaded.insertion_order != store.insertion_order or \
+            loaded.entries != store.entries or loaded.turns != store.turns or \
+            loaded.profile_history != store.profile_history or \
             any(loaded.vector_of(e).tobytes() != store.vector_of(e).tobytes()
                 for e in store.insertion_order):
         raise SystemExit(f"{n} entries: the loaded store differs from the persisted one")

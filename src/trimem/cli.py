@@ -18,10 +18,10 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 from . import errors
-from .backend import BackendRouter, HttpBackend, ScriptedBackend
+from .backend import BackendRouter, HttpBackend, ScriptedBackend, has_type
 from .corpus import SegmentationConfig, load_corpus, segment
 from .extraction import normalize_person_key
 from .evolution import PromptSet, best_round, evolve
@@ -88,6 +88,8 @@ class RunConfig:
             self.retrieval()
             if self.rounds < 1:
                 raise ValueError("rounds must be >= 1")
+            if self.hit_k < 1:
+                raise ValueError("hit_k must be >= 1")
             if min(self.max_calls or 0, self.max_tokens or 0) < 0:
                 raise ValueError("max_calls and max_tokens must be >= 0")
         except (TypeError, ValueError) as exc:
@@ -101,6 +103,11 @@ class RunConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+# each RunConfig field's type in has_type's terms; Optional[int] is (int, None)
+_CONFIG_TYPES = {name: get_args(hint) or hint
+                 for name, hint in get_type_hints(RunConfig).items()}
+
+
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     config_path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
@@ -109,11 +116,14 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise errors.UsageError(f"bad config file {config_path}: {exc}")
+        if not isinstance(doc, dict):
+            raise errors.UsageError(f"bad config file {config_path}: not a JSON object")
         for key, value in doc.items():
-            if hasattr(config, key):
-                setattr(config, key, value)
-            else:
+            if key not in _CONFIG_TYPES:
                 raise errors.UsageError(f"unknown config key {key!r}")
+            if not has_type(value, _CONFIG_TYPES[key]):
+                raise errors.UsageError(f"config key {key!r} has the wrong type: {value!r}")
+            setattr(config, key, value)
     if os.environ.get(ENV_API_BASE):
         config.api_base = os.environ[ENV_API_BASE]
     if os.environ.get(ENV_API_KEY):

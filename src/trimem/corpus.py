@@ -99,6 +99,9 @@ def load_corpus(path) -> DialogueCorpus:
 
     corpus_id = doc.get("corpus_id", path.stem)
     if "sessions" in doc:
+        if not isinstance(doc["sessions"], list) or \
+                not all(isinstance(sess, dict) for sess in doc["sessions"]):
+            raise MalformedDocument(f"{path}: sessions must be a list of objects")
         sessioned = [
             (sess.get("session_id", i), sess.get("turns", []))
             for i, sess in enumerate(doc["sessions"])

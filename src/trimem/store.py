@@ -4,51 +4,50 @@ Holds three coexisting representation levels: the verbatim turn store, the
 embedded fact index with exact top-K cosine search, and the profile
 version history. All three persist together under one store directory:
 
-    entries.jsonl.gz   one MemoryEntry per line
-    vectors.bin        magic 'TRIM', version u32, dim u32, count u32, then
-                       the byte planes of the little-endian float32
-                       (count, dim) matrix: planes 0-2 raw, plane 3 as one
-                       Huffman-only zlib stream; loads into one (count, dim)
-                       matrix whose row i is the i-th entry
-    turns.jsonl.gz     one DialogueTurn per line
-    profiles.jsonl.gz  one profile version per line, sections in order
-    manifest.json      schema version, dim, counts, sealed, the sha256 of
-                       each data file; from ``build`` the config hash and
-                       prompt round
+    records.json.gz  one JSON object {"entries": {column: [values]},
+                     "turns": {...}, "profiles": {...}}, each kind's columns
+                     in its type table's order: entries in insertion order,
+                     turns by turn id, profile versions as added
+    vectors.bin      magic 'TRIM', version u32, dim u32, count u32, then the
+                     byte planes of the little-endian float32 (count, dim)
+                     matrix: planes 0-2 raw, plane 3 as one Huffman-only
+                     zlib stream; row i is the vector of entry row i
+    manifest.json    schema version, dim, counts, sealed, the sha256 of each
+                     data file; from ``build`` the config hash and prompt round
 
-The three record files are gzip'd JSON lines with no file name and no
-timestamp in the header, so equal stores persist byte-identical; ``zcat``
-reads them. Each record holds exactly its kind's fields, as
-``_RECORD_TYPES``, ``_TURN_TYPES`` and ``_PROFILE_TYPES`` type them. Plane k
-of ``vectors.bin`` is byte k of every value in row order, count * dim
-bytes. Plane 3 holds each value's sign and top seven exponent bits, which
-on unit-norm embeddings carry under 3 bits of entropy, so a Huffman code
-alone shrinks it to about a third. Planes 0-2 are mantissa bits, close to
-random, and stay raw: gzip over raw float32 rows saves only about 7%. The
-file is about 0.83 of raw float32, and every value loads bit for bit.
+Entry row i (from 1) is entry ``e{i:06d}``, as ``insert_entries`` numbers it,
+so no entry id is stored. Sets are stored as sorted lists; profile sections
+keep their order. The gzip header holds no file name and no timestamp, so
+equal stores persist byte-identical; ``zcat records.json.gz | python -m
+json.tool`` reads the records. Plane k of ``vectors.bin`` is byte k of every
+value in row order. Plane 3 holds each value's sign and top seven exponent
+bits, under 3 bits of entropy on unit-norm embeddings, so a Huffman code
+alone shrinks it to about a third; planes 0-2 are mantissa bits, close to
+random, and stay raw. Every value loads bit for bit.
 
 ``load`` checks the manifest's keys and their types, then each data file's
-sha256 against the manifest before it parses anything, then every count
-against the manifest, the length of every vector plane, the entry row
-numbering and restatement uniqueness that ``insert_entries`` gives, and
-that every record holds exactly its kind's fields, each of its type, and
-raises StoreIOError otherwise. A store of another schema version raises
+sha256 before it parses anything. Each kind must hold exactly its table's
+columns, each a list of the manifest's count of values whose exact types the
+table allows, checked once per column. Then come the vector planes' lengths,
+distinct turn ids and restatements, and the profile version chain; any fault
+raises StoreIOError. A store of another schema version raises
 SchemaVersionMismatch; rebuild it with ``trimem build --force``.
 """
 from __future__ import annotations
 
 import gzip
 import hashlib
+import itertools
 import json
 import struct
 import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .backend import Backend, has_type
+from .backend import Backend
 from .corpus import DialogueCorpus, DialogueTurn
 from .errors import (
     DanglingAnchor,
@@ -63,12 +62,13 @@ from .errors import (
 from .extraction import MemoryEntry, restatement_key
 from .profiles import EntityProfile
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 VECTOR_MAGIC = b"TRIM"
 GZIP_LEVEL = 6  # level 9 takes about 3x as long and saves under 0.5% of a store
-DATA_FILES = ("entries.jsonl.gz", "turns.jsonl.gz", "profiles.jsonl.gz",
-              "vectors.bin")
-_SCHEMA_1_FILES = ("entries.jsonl", "turns.jsonl", "profiles.jsonl")
+DATA_FILES = ("records.json.gz", "vectors.bin")
+# the record parts of schemas 1-3, which persist deletes
+_OLD_PARTS = [f"{kind}.jsonl{gz}" for kind in ("entries", "turns", "profiles")
+              for gz in ("", ".gz")]
 
 
 @dataclass(frozen=True)
@@ -96,56 +96,67 @@ class RetrievalConfig:
         return self.per_query_k if self.per_query_k is not None else self.top_k
 
 
-# each kind's on-disk record: its fields and their types in has_type's terms
-_RECORD_TYPES = {
-    "entry_id": str, "lossless_restatement": str, "keywords": [str],
-    "event_time": (str, type(None)), "location": (str, type(None)),
-    "persons": [str], "entities": [str], "topic": str,
-    "source_dialogue_ids": [int], "origin_window": int,
+_NONE = type(None)
+# each kind's columns in file and field order, and the exact types of their
+# values; [types] is a list column, a list of values of those types
+_ENTRY_TYPES = {
+    "lossless_restatement": {str}, "keywords": [{str}], "event_time": {str, _NONE},
+    "location": {str, _NONE}, "persons": [{str}], "entities": [{str}],
+    "topic": {str}, "source_dialogue_ids": [{int}], "origin_window": {int},
 }
-_TURN_TYPES = {"turn_id": int, "session_id": int, "speaker": str, "text": str,
-               "timestamp": (str, type(None))}
-_PROFILE_TYPES = {"entity_key": str, "display_name": str, "version": int,
-                  "window": int, "sections": dict}
-_MANIFEST_TYPES = {"schema_version": int, "dim": int, "entry_count": int,
-                   "turn_count": int, "profile_versions": int, "sealed": bool,
-                   "sha256": dict}
+_TURN_TYPES = {"turn_id": {int}, "session_id": {int}, "speaker": {str},
+               "text": {str}, "timestamp": {str, _NONE}}
+# as EntityProfile.as_dict writes a version; sections map label to text
+_PROFILE_TYPES = {"entity_key": {str}, "display_name": {str}, "version": {int},
+                  "window": {int}, "sections": {dict}}
+_MANIFEST_TYPES = {"schema_version": {int}, "dim": {int}, "entry_count": {int},
+                   "turn_count": {int}, "profile_versions": {int}, "sealed": {bool},
+                   "sha256": {dict}}
 # where present; load reads no other manifest key, and persist may write more
-_MANIFEST_EXTRA_TYPES = {"config_hash": str, "prompt_round": int}
+_MANIFEST_EXTRA_TYPES = {"config_hash": {str}, "prompt_round": {int}}
+# the kinds in records.json.gz: each one's type table and manifest count
+_KINDS = {"entries": (_ENTRY_TYPES, "entry_count"), "turns": (_TURN_TYPES, "turn_count"),
+          "profiles": (_PROFILE_TYPES, "profile_versions")}
 
 
-def _typed(rec, types: dict, what: str) -> dict:
-    """rec's fields, once it holds exactly those of types, each of its type,
-    lists as frozensets; else a ValueError, or a KeyError naming a missing one."""
-    # as many keys as types, and every name of types among them: no other key
-    if not isinstance(rec, dict) or len(rec) != len(types):
-        found = sorted(rec) if isinstance(rec, dict) else type(rec).__name__
-        raise ValueError(f"{what} record holds {found}, not the fields {sorted(types)}")
-    values = {}
+def _check_types(values: Iterable, types: set, what: str) -> None:
+    """A ValueError unless the exact type of every value is in types; JSON
+    decodes to exact types only, so a bool is no int."""
+    wrong = set(map(type, values)) - types
+    if wrong:
+        raise ValueError(f"{what} holds a value of the wrong type "
+                         f"{sorted(t.__name__ for t in wrong)}")
+
+
+def _columns(rows: list, types: dict, get=getattr) -> dict:
+    """The columns of types over rows, in types' order; a list column's sets
+    become sorted lists."""
+    columns = {}
     for name, kind in types.items():
-        value = rec[name]
-        if not has_type(value, kind):
-            raise ValueError(f"{what} field {name!r} has the wrong type: {value!r}")
-        values[name] = frozenset(value) if isinstance(kind, list) else value
-    return values
+        values = [get(row, name) for row in rows]
+        columns[name] = list(map(sorted, values)) if isinstance(kind, list) else values
+    return columns
 
 
-def _record(obj) -> dict:
-    """An entry's or a turn's record: its fields, frozensets as sorted lists."""
-    # fields, not vars: reading __dict__ makes CPython build a dict per instance
-    values = ((field.name, getattr(obj, field.name)) for field in fields(obj))
-    return {name: sorted(value) if isinstance(value, frozenset) else value
-            for name, value in values}
-
-
-def _records(data: bytes) -> list:
-    return [json.loads(line) for line in data.decode("utf-8").splitlines()
-            if line.strip()]
-
-
-def _jsonl(records: Iterable[dict], sort_keys: bool = True) -> bytes:
-    return "".join(json.dumps(rec, sort_keys=sort_keys) + "\n"
-                   for rec in records).encode("utf-8")
+def _read_columns(obj, types: dict, count: int, what: str) -> dict:
+    """obj's columns, once it holds exactly those of types, each a list of
+    count values of its types; a list column's values become frozensets."""
+    if type(obj) is not dict or obj.keys() != types.keys():
+        found = sorted(obj) if type(obj) is dict else type(obj).__name__
+        raise ValueError(f"{what} hold {found}, not the columns {sorted(types)}")
+    columns = {}
+    for name, kind in types.items():
+        column, where = obj[name], f"{what} column {name!r}"
+        if type(column) is not list or len(column) != count:
+            raise ValueError(f"{where} is not a list of {count} values")
+        if isinstance(kind, list):
+            _check_types(column, {list}, where)
+            _check_types(itertools.chain.from_iterable(column), kind[0], where)
+            column = list(map(frozenset, column))
+        else:
+            _check_types(column, kind, where)
+        columns[name] = column
+    return columns
 
 
 def _vector_planes(matrix: np.ndarray) -> tuple:
@@ -176,26 +187,14 @@ def _matrix_from_planes(body, count: int, dim: int) -> np.ndarray:
 
 
 def _write_part(path: Path, digests: dict, *chunks) -> None:
-    """Write one data file from its byte chunks, gzip'd if its name ends in
-    .gz, and record the sha256 of the bytes on disk in digests."""
-    if path.suffix == ".gz":
-        chunks = (gzip.compress(b"".join(chunks), compresslevel=GZIP_LEVEL,
-                                mtime=0),)
+    """Write one data file from its byte chunks, and record their sha256 in
+    digests."""
     digest = hashlib.sha256()
     with path.open("wb") as fh:
         for chunk in chunks:
             fh.write(chunk)
             digest.update(chunk)
     digests[path.name] = digest.hexdigest()
-
-
-def _read_part(path: Path, digests) -> bytes:
-    """One data file's bytes, once their sha256 matches digests, gunzip'd if
-    its name ends in .gz; a mismatch is a StoreIOError."""
-    data = path.read_bytes()
-    if hashlib.sha256(data).hexdigest() != digests[path.name]:
-        raise StoreIOError(f"{path}: sha256 does not match manifest.json")
-    return gzip.decompress(data) if path.suffix == ".gz" else data
 
 
 def refuse_non_empty(path: Path, hint: str) -> None:
@@ -378,31 +377,29 @@ class MemoryStore:
         path = Path(path)
         dim = self.dim or 0
         digests: dict[str, str] = {}
+        records = {
+            "entries": _columns([self.entries[e] for e in self.insertion_order],
+                                _ENTRY_TYPES),
+            "turns": _columns([self.turns[t] for t in sorted(self.turns)], _TURN_TYPES),
+            "profiles": _columns([p.as_dict() for p in self._profile_history],
+                                 _PROFILE_TYPES, dict.get),
+        }
         try:
             path.mkdir(parents=True, exist_ok=True)
-            _write_part(path / "entries.jsonl.gz", digests, _jsonl(
-                _record(self.entries[e]) for e in self.insertion_order))
-            _write_part(path / "turns.jsonl.gz", digests, _jsonl(
-                _record(self.turns[t]) for t in sorted(self.turns)))
-            # as_dict's own key order keeps each profile's section order
-            _write_part(path / "profiles.jsonl.gz", digests, _jsonl(
-                (p.as_dict() for p in self._profile_history), sort_keys=False))
+            # not sort_keys: columns stay in table order, sections in theirs
+            text = json.dumps(records, separators=(",", ":")).encode("utf-8")
+            _write_part(path / "records.json.gz", digests,
+                        gzip.compress(text, compresslevel=GZIP_LEVEL, mtime=0))
             _write_part(path / "vectors.bin", digests, VECTOR_MAGIC,
                         struct.pack("<III", SCHEMA_VERSION, dim,
                                     len(self.insertion_order)),
                         *_vector_planes(self._vectors))
-            for name in _SCHEMA_1_FILES:
+            for name in _OLD_PARTS:
                 (path / name).unlink(missing_ok=True)
-            manifest = {
-                "schema_version": SCHEMA_VERSION,
-                "dim": dim,
-                "entry_count": len(self.entries),
-                "turn_count": len(self.turns),
-                "profile_versions": len(self._profile_history),
-                "sealed": self._sealed,
-                "sha256": digests,
-            }
-            manifest.update(manifest_extra or {})
+            manifest = {"schema_version": SCHEMA_VERSION, "dim": dim,
+                        "entry_count": len(self.entries), "turn_count": len(self.turns),
+                        "profile_versions": len(self._profile_history),
+                        "sealed": self._sealed, "sha256": digests, **(manifest_extra or {})}
             (path / "manifest.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         except OSError as exc:
@@ -421,24 +418,32 @@ class MemoryStore:
         if not isinstance(manifest, dict):
             raise StoreIOError(f"{manifest_path}: not a JSON object")
         version = manifest.get("schema_version")
-        if has_type(version, int) and version != SCHEMA_VERSION:
+        if type(version) is int and version != SCHEMA_VERSION:
             raise SchemaVersionMismatch(
                 f"store schema {version} != {SCHEMA_VERSION}; "
                 f"rebuild it with `trimem build --force`")
 
         store = cls()
         try:
-            types = {**_MANIFEST_TYPES, **{name: kind for name, kind in
-                                           _MANIFEST_EXTRA_TYPES.items() if name in manifest}}
-            _typed({name: manifest[name] for name in types}, types, "manifest")
+            for name, types in {**_MANIFEST_TYPES, **_MANIFEST_EXTRA_TYPES}.items():
+                if name in _MANIFEST_TYPES or name in manifest:  # missing: KeyError
+                    _check_types([manifest[name]], types, f"manifest key {name!r}")
             if sorted(manifest["sha256"]) != sorted(DATA_FILES):
                 raise ValueError(f"manifest lists checksums of {sorted(manifest['sha256'])}, "
                                  f"not of the data files {sorted(DATA_FILES)}")
-            parts = {name: _read_part(path / name, manifest["sha256"])
-                     for name in DATA_FILES}
-            for rec in _records(parts["turns.jsonl.gz"]):
-                turn = DialogueTurn(**_typed(rec, _TURN_TYPES, "turn"))
-                store.turns[turn.turn_id] = turn
+            parts = {name: (path / name).read_bytes() for name in DATA_FILES}
+            for name, data in parts.items():
+                if hashlib.sha256(data).hexdigest() != manifest["sha256"][name]:
+                    raise StoreIOError(f"{path / name}: sha256 does not match manifest.json")
+            records = json.loads(gzip.decompress(parts["records.json.gz"]))
+            if type(records) is not dict or records.keys() != _KINDS.keys():
+                raise ValueError(f"records.json.gz does not hold exactly {list(_KINDS)}")
+            entries, turns, profiles = (
+                _read_columns(records[kind], types, manifest[count], kind)
+                for kind, (types, count) in _KINDS.items())
+            _check_types(itertools.chain.from_iterable(
+                sections.values() for sections in profiles["sections"]),
+                {str}, "profiles column 'sections'")
             raw = parts["vectors.bin"]
             if raw[:4] != VECTOR_MAGIC:
                 raise StoreIOError(f"bad vector file magic {raw[:4]!r}")
@@ -446,44 +451,33 @@ class MemoryStore:
             if version != SCHEMA_VERSION:
                 raise SchemaVersionMismatch(
                     f"vector file schema {version} != {SCHEMA_VERSION}")
-            records = _records(parts["entries.jsonl.gz"])
             if (count and not dim) or dim != manifest["dim"] or \
-                    not count == len(records) == manifest["entry_count"]:
-                raise StoreIOError(
-                    f"{path}: store parts disagree: manifest lists "
-                    f"{manifest['entry_count']} entries of dim {manifest['dim']}, "
-                    f"entries.jsonl holds {len(records)}, vectors.bin holds "
-                    f"{count} rows of dim {dim}")
-            if dim:
-                store.dim = dim
+                    count != manifest["entry_count"]:
+                raise ValueError(f"manifest lists {manifest['entry_count']} entries of dim "
+                                 f"{manifest['dim']}, vectors.bin {count} rows of dim {dim}")
+            store.dim = dim or None
             store._blocks = [_matrix_from_planes(memoryview(raw)[16:], count, dim)]
-            for row, rec in enumerate(records):
-                entry = MemoryEntry(**_typed(rec, _RECORD_TYPES, "entry"))
-                key = restatement_key(entry.lossless_restatement)
-                if entry.entry_id != f"e{row + 1:06d}":  # as insert_entries numbers rows
-                    raise ValueError(f"row {row + 1} holds entry {entry.entry_id!r}")
-                if key in store._by_restatement:
-                    raise ValueError(f"entry {entry.entry_id} repeats the restatement "
-                                     f"of {store._by_restatement[key]}")
-                store.entries[entry.entry_id] = entry
-                store.insertion_order.append(entry.entry_id)
-                store._row_of[entry.entry_id] = row
-                store._by_restatement[key] = entry.entry_id
-            for rec in _records(parts["profiles.jsonl.gz"]):
-                sections = _typed(rec, _PROFILE_TYPES, "profile")["sections"]
-                _typed(sections, dict.fromkeys(sections, str), "profile section")
-                store.add_profile(EntityProfile.from_dict(rec))
-            for key, found in (("turn_count", len(store.turns)),
-                               ("profile_versions", len(store._profile_history))):
-                if manifest[key] != found:
-                    raise StoreIOError(f"{path}: manifest lists {manifest[key]} "
-                                       f"{key}, the files hold {found}")
+            store.turns = {turn.turn_id: turn for turn in
+                           itertools.starmap(DialogueTurn, zip(*turns.values()))}
+            if len(store.turns) != manifest["turn_count"]:
+                raise ValueError("turns column 'turn_id' repeats a turn id")
+            store.insertion_order = [f"e{row:06d}" for row in range(1, count + 1)]
+            store._row_of = dict(zip(store.insertion_order, range(count)))
+            store.entries = {entry_id: MemoryEntry(*values, entry_id) for entry_id, values
+                             in zip(store.insertion_order, zip(*entries.values()))}
+            for entry_id, text in zip(store.insertion_order,
+                                      entries["lossless_restatement"]):
+                first = store._by_restatement.setdefault(restatement_key(text), entry_id)
+                if first != entry_id:
+                    raise ValueError(f"entry {entry_id} repeats the restatement of {first}")
+            for values in zip(*profiles.values()):
+                store.add_profile(EntityProfile.from_dict(dict(zip(profiles, values))))
         except (OSError, EOFError, zlib.error, struct.error, KeyError,
                 TypeError, ValueError) as exc:
             # unreadable file, cut or damaged gzip or zlib data, short vector
-            # header or plane, bad JSON, missing, extra or wrong-typed field
-            # or manifest key, misnumbered or repeated entry row, profile
-            # version gap
+            # header or plane, bad JSON, missing, extra, short or wrong-typed
+            # column or manifest key, repeated turn id or restatement,
+            # profile version gap
             raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}")
         if manifest["sealed"]:
             store.seal()

@@ -11,6 +11,7 @@ import pytest
 from trimem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
 from trimem.evolution import PromptSet
 from trimem.qa import estimate_tokens
+from trimem.store import DATA_FILES
 
 
 def run(capsys, *argv):
@@ -54,6 +55,38 @@ def test_unknown_config_key_is_usage_error(work_dir, capsys, monkeypatch):
     code, _, err = build(capsys)
     assert code == EXIT_USAGE
     assert json.loads(err)["error"] == "UsageError"
+
+
+BAD_CONFIGS = {
+    "top-level-a-list": [1],
+    "window-size-a-float": {"window_size": 40.5},
+    "use-search-plan-a-string": {"use_search_plan": "no"},
+    "top-k-a-bool": {"top_k": True},
+    "hit-k-negative": {"hit_k": -1},
+    "prompt-round-a-string": {"prompt_round": "1"},
+    "api-base-a-number": {"api_base": 8080},
+    "a-method-name": {"checked": None},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_file_is_one_json_usage_error(work_dir, capsys, case):
+    (work_dir / "conf.json").write_text(json.dumps(BAD_CONFIGS[case]))
+    code, out, err = run(capsys, "ingest", "--corpus", "corpus.json",
+                         "--config", "conf.json")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_config_file_takes_null_for_an_optional_field(work_dir, capsys):
+    (work_dir / "conf.json").write_text(json.dumps(
+        {"per_query_k": None, "use_search_plan": False, "window_size": 30,
+         "stride": 30}))
+    code, out, _ = run(capsys, "ingest", "--corpus", "corpus.json",
+                       "--config", "conf.json")
+    assert code == EXIT_OK
+    assert json.loads(out)["windows"] == 10
 
 
 # -- exit codes --------------------------------------------------------
@@ -107,6 +140,10 @@ BAD_INPUTS = {
                                    "--max-tokens", "-1"], EXIT_USAGE, "UsageError"),
     "ingest-session-id-a-string": (["ingest", "--corpus", "session-id-x.json"],
                                    EXIT_DATA, "MalformedDocument"),
+    "ingest-session-a-number": (["ingest", "--corpus", "session-1.json"],
+                                EXIT_DATA, "MalformedDocument"),
+    "ingest-sessions-a-number": (["ingest", "--corpus", "sessions-5.json"],
+                                 EXIT_DATA, "MalformedDocument"),
 }
 
 
@@ -117,6 +154,8 @@ def test_bad_input_is_one_json_error(work_dir, capsys, case):
     corpus = json.loads((work_dir / "corpus.json").read_text())
     corpus["sessions"][0]["session_id"] = "x"
     (work_dir / "session-id-x.json").write_text(json.dumps(corpus))
+    (work_dir / "session-1.json").write_text(json.dumps({"sessions": [1]}))
+    (work_dir / "sessions-5.json").write_text(json.dumps({"sessions": 5}))
     code, out, err = run(capsys, command, "--scripted", "fixture.jsonl", *options)
     assert code == want_code
     assert out == ""
@@ -175,8 +214,7 @@ def test_build_writes_store_and_manifest(work_dir, capsys):
     assert result["profiles"] == 16
     store = work_dir / "store"
     assert sorted(p.name for p in store.iterdir()) == [
-        "entries.jsonl.gz", "manifest.json", "profiles.jsonl.gz",
-        "run_manifest.json", "turns.jsonl.gz", "vectors.bin"]
+        "manifest.json", "records.json.gz", "run_manifest.json", "vectors.bin"]
     manifest = json.loads((store / "run_manifest.json").read_text())
     assert manifest["prompt_round"] == 0
     assert manifest["backend_usage"]["calls"] > 0
@@ -308,7 +346,7 @@ def _edit_vector_planes(edit):
 
 
 # every plane and the header's count lose the last 10 rows together, so
-# load reaches the check of the row count against entries.jsonl
+# load reaches the check of the row count against the manifest
 _drop_vector_rows = _edit_vector_planes(
     lambda planes, dim, count: ([p[:-10 * dim] for p in planes], count - 10))
 
@@ -329,38 +367,52 @@ def _edit_manifest_text(old, new):
     return apply
 
 
-def _drop_lines(path, n):
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(lines[:-n]), encoding="utf-8")
-
-
-def _edit_first_record(edit):
+def _edit_records_text(edit):
+    """An edit of records.json.gz that applies edit(text) -> text to the
+    gunzipped JSON text."""
     def apply(path):
-        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        rec = json.loads(first)
-        edit(rec)
-        path.write_text(json.dumps(rec) + "\n" + "".join(rest), encoding="utf-8")
+        path.write_bytes(gzip.compress(edit(gzip.decompress(path.read_bytes()))))
     return apply
 
 
-def _edit_lines(edit):
-    def apply(path):
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        edit(lines)
-        path.write_text("".join(lines), encoding="utf-8")
-    return apply
+def _edit_records(edit):
+    """An edit of records.json.gz that applies edit(records) to the decoded
+    object in place."""
+    def apply(records_text):
+        records = json.loads(records_text)
+        edit(records)
+        return json.dumps(records).encode("utf-8")
+    return _edit_records_text(apply)
 
 
-def _swap_first_rows(lines):
-    lines[0], lines[1] = lines[1], lines[0]
+def _edit_kind(kind, edit):
+    """An in-place edit(columns) of one kind's object of columns."""
+    def apply(records):
+        edit(records[kind])
+    return _edit_records(apply)
 
 
-def _copy_row_1_over_row_2(lines):
-    lines[1] = lines[0]
+def _set_value(kind, column, value, row=0):
+    """One value of one column set to value."""
+    return _edit_kind(kind, lambda columns: columns[column].__setitem__(row, value))
 
 
-def _repeat_row_1_as_e000002(lines):
-    lines[1] = json.dumps({**json.loads(lines[0]), "entry_id": "e000002"}) + "\n"
+def _drop_rows(kind, n):
+    """Every column of kind loses its last n values."""
+    def edit(columns):
+        for values in columns.values():
+            del values[-n:]
+    return _edit_kind(kind, edit)
+
+
+def _copy_row_1_over_row_2(columns):
+    for values in columns.values():
+        values[1] = values[0]
+
+
+def _repeat_restatement_1_in_row_2(columns):
+    restatements = columns["lossless_restatement"]
+    restatements[1] = restatements[0]
 
 
 def _cut_40_bytes(path):
@@ -383,18 +435,8 @@ def _bad_deflate_block(path):
 
 def _corrupt(store, part, edit):
     """Apply edit to part, then record the part's new sha256 in the manifest,
-    so load gets past the checksums to the check the edit is meant to reach.
-    An edit of a .jsonl part works on the text inside its .gz file, which is
-    then compressed again."""
-    packed = store / (part + ".gz")
-    if packed.exists():
-        (store / part).write_bytes(gzip.decompress(packed.read_bytes()))
-        edit(store / part)
-        packed.write_bytes(gzip.compress((store / part).read_bytes()))
-        (store / part).unlink()
-        part = packed.name
-    else:
-        edit(store / part)
+    so load gets past the checksums to the check the edit is meant to reach."""
+    edit(store / part)
     if part != "manifest.json" and (store / part).exists():
         manifest_path = store / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -402,6 +444,10 @@ def _corrupt(store, part, edit):
         manifest_path.write_text(json.dumps(manifest))
 
 
+# Case ids that name a schema-3 part ("entries-gz-...", "...-lines-short",
+# "...-record-...") now edit the matching part of records.json.gz: its gzip
+# bytes, a kind's rows, or a kind's columns.
+R = "records.json.gz"
 TRUNCATIONS = {
     "vectors-10-rows-short": ("vectors.bin", _drop_vector_rows),
     "vectors-header-cut": ("vectors.bin", lambda p: p.write_bytes(p.read_bytes()[:10])),
@@ -414,24 +460,33 @@ TRUNCATIONS = {
         lambda planes, dim, count: (planes[:2] + [planes[2][:-dim], planes[3]], count))),
     "vectors-plane-3-trailing-bytes": ("vectors.bin", lambda p: p.write_bytes(
         p.read_bytes() + b"\0")),
-    "entries-gz-cut-40-bytes": ("entries.jsonl.gz", _cut_40_bytes),
-    "turns-gz-byte-flipped": ("turns.jsonl.gz", _flip_byte_at(0.5)),
-    "turns-gz-bad-deflate-block": ("turns.jsonl.gz", _bad_deflate_block),
-    "profiles-gz-not-gzip": ("profiles.jsonl.gz", lambda p: p.write_bytes(b"{}\n")),
-    "entries-10-lines-short": ("entries.jsonl", lambda p: _drop_lines(p, 10)),
-    "entries-cut-mid-record": ("entries.jsonl", _cut_40_bytes),
-    "entries-record-without-topic": ("entries.jsonl", _edit_first_record(
-        lambda rec: rec.pop("topic"))),
-    "turns-record-with-extra-field": ("turns.jsonl", _edit_first_record(
-        lambda rec: rec.update(extra=1))),
-    "entries-record-with-extra-field": ("entries.jsonl", _edit_first_record(
-        lambda rec: rec.update(extra=1))),
-    "entries-record-topic-renamed": ("entries.jsonl", _edit_first_record(
-        lambda rec: rec.update(subject=rec.pop("topic")))),
-    "profiles-record-with-extra-field": ("profiles.jsonl", _edit_first_record(
-        lambda rec: rec.update(extra=1))),
-    "profiles-version-gap": ("profiles.jsonl", _edit_first_record(
-        lambda rec: rec.update(version=rec["version"] + 1))),
+    "entries-gz-cut-40-bytes": (R, _cut_40_bytes),
+    "turns-gz-byte-flipped": (R, _flip_byte_at(0.5)),
+    "turns-gz-bad-deflate-block": (R, _bad_deflate_block),
+    "profiles-gz-not-gzip": (R, lambda p: p.write_bytes(b"{}\n")),
+    "records-missing": (R, lambda p: p.unlink()),
+    "records-not-an-object": (R, _edit_records_text(lambda text: b"[" + text + b"]")),
+    "records-with-an-extra-kind": (R, _edit_records(lambda records: records.update(x={}))),
+    "entries-10-lines-short": (R, _drop_rows("entries", 10)),
+    "entries-cut-mid-record": (R, _edit_records_text(lambda text: text[:-40])),
+    "entries-not-an-object": (R, _edit_records(
+        lambda records: records.update(entries=[records["entries"]]))),
+    "entries-record-without-topic": (R, _edit_kind("entries", lambda c: c.pop("topic"))),
+    "entries-topic-column-1-value-short": (R, _edit_kind(
+        "entries", lambda c: c["topic"].pop())),
+    # a string as long as the column, so only the column's own type is wrong
+    "entries-topic-column-a-string": (R, _edit_kind(
+        "entries", lambda c: c.update(topic="t" * len(c["topic"])))),
+    "turns-record-with-extra-field": (R, _edit_kind(
+        "turns", lambda c: c.update(extra=c["text"]))),
+    "entries-record-with-extra-field": (R, _edit_kind(
+        "entries", lambda c: c.update(extra=c["topic"]))),
+    "entries-record-topic-renamed": (R, _edit_kind(
+        "entries", lambda c: c.update(subject=c.pop("topic")))),
+    "profiles-record-with-extra-field": (R, _edit_kind(
+        "profiles", lambda c: c.update(extra=c["version"]))),
+    "profiles-version-gap": (R, _edit_kind(
+        "profiles", lambda c: c["version"].__setitem__(0, c["version"][0] + 1))),
     "manifest-not-an-object": ("manifest.json", lambda p: p.write_text(
         "[1]\n", encoding="utf-8")),
     "manifest-sealed-key-renamed": ("manifest.json", _edit_manifest_text(
@@ -447,47 +502,45 @@ TRUNCATIONS = {
     "manifest-config-hash-a-number": ("manifest.json", _edit_manifest_text(
         '"config_hash": "', '"config_hash": 1, "was": "')),
     "manifest-schema-version-a-string": ("manifest.json", _edit_manifest_text(
-        '"schema_version": 3', '"schema_version": "3"')),
+        '"schema_version": 4', '"schema_version": "4"')),
     "manifest-sha256-names-a-fifth-file": ("manifest.json", _edit_manifest_text(
         '"sha256": {', '"sha256": {"extra.bin": "0", ')),
-    "entries-keywords-a-string": ("entries.jsonl", _edit_first_record(
-        lambda rec: rec.update(keywords="abc"))),
-    "entries-location-a-list": ("entries.jsonl", _edit_first_record(
-        lambda rec: rec.update(location=["Rome"]))),
-    "entries-source-ids-strings": ("entries.jsonl", _edit_first_record(
-        lambda rec: rec.update(source_dialogue_ids=["1"]))),
-    "entries-origin-window-a-string": ("entries.jsonl", _edit_first_record(
-        lambda rec: rec.update(origin_window="x"))),
-    "profiles-2-lines-short": ("profiles.jsonl", lambda p: _drop_lines(p, 2)),
-    "turns-3-lines-short": ("turns.jsonl", lambda p: _drop_lines(p, 3)),
-    "profiles-missing": ("profiles.jsonl.gz", lambda p: p.unlink()),
-    "entries-rows-1-and-2-swapped": ("entries.jsonl", _edit_lines(_swap_first_rows)),
-    "entries-row-1-copied-over-row-2": ("entries.jsonl",
-                                        _edit_lines(_copy_row_1_over_row_2)),
-    "entries-restatement-repeated": ("entries.jsonl",
-                                     _edit_lines(_repeat_row_1_as_e000002)),
-    "turns-turn-id-a-string": ("turns.jsonl", _edit_first_record(
-        lambda rec: rec.update(turn_id="1"))),
-    "turns-session-id-a-string": ("turns.jsonl", _edit_first_record(
-        lambda rec: rec.update(session_id="1"))),
-    "turns-speaker-a-list": ("turns.jsonl", _edit_first_record(
-        lambda rec: rec.update(speaker=["A"]))),
-    "turns-text-a-number": ("turns.jsonl", _edit_first_record(
-        lambda rec: rec.update(text=7))),
-    "turns-timestamp-a-number": ("turns.jsonl", _edit_first_record(
-        lambda rec: rec.update(timestamp=20240101))),
-    "profiles-entity-key-a-number": ("profiles.jsonl", _edit_first_record(
-        lambda rec: rec.update(entity_key=1))),
-    "profiles-display-name-a-number": ("profiles.jsonl", _edit_first_record(
-        lambda rec: rec.update(display_name=1))),
-    "profiles-version-a-string": ("profiles.jsonl", _edit_first_record(
-        lambda rec: rec.update(version="1"))),
-    "profiles-window-a-string": ("profiles.jsonl", _edit_first_record(
-        lambda rec: rec.update(window="1"))),
-    "profiles-sections-a-list": ("profiles.jsonl", _edit_first_record(
-        lambda rec: rec.update(sections=[]))),
-    "profiles-section-text-a-list": ("profiles.jsonl", _edit_first_record(
-        lambda rec: rec["sections"].update(Identity=["x"]))),
+    "manifest-profile-versions-a-bool": ("manifest.json", _edit_manifest_text(
+        '"profile_versions": 16', '"profile_versions": true')),
+    "entries-restatement-a-number": (R, _set_value("entries", "lossless_restatement", 1)),
+    "entries-keywords-a-string": (R, _set_value("entries", "keywords", "abc")),
+    "entries-keywords-holding-a-bool": (R, _set_value("entries", "keywords", [True])),
+    "entries-event-time-a-number": (R, _set_value("entries", "event_time", 20240101)),
+    "entries-location-a-list": (R, _set_value("entries", "location", ["Rome"])),
+    "entries-persons-a-string": (R, _set_value("entries", "persons", "Maya")),
+    "entries-entities-holding-null": (R, _set_value("entries", "entities", [None])),
+    "entries-topic-null": (R, _set_value("entries", "topic", None)),
+    "entries-source-ids-strings": (R, _set_value("entries", "source_dialogue_ids", ["1"])),
+    "entries-source-ids-holding-a-float": (R, _set_value(
+        "entries", "source_dialogue_ids", [1.0])),
+    "entries-origin-window-a-string": (R, _set_value("entries", "origin_window", "x")),
+    "entries-origin-window-a-bool": (R, _set_value("entries", "origin_window", True)),
+    "profiles-2-lines-short": (R, _drop_rows("profiles", 2)),
+    "turns-3-lines-short": (R, _drop_rows("turns", 3)),
+    "profiles-missing": (R, _edit_records(lambda records: records.pop("profiles"))),
+    "entries-row-1-copied-over-row-2": (R, _edit_kind("entries", _copy_row_1_over_row_2)),
+    "entries-restatement-repeated": (R, _edit_kind(
+        "entries", _repeat_restatement_1_in_row_2)),
+    "turns-turn-id-repeated": (R, _set_value("turns", "turn_id", 1, row=1)),
+    "turns-turn-id-a-string": (R, _set_value("turns", "turn_id", "1")),
+    "turns-session-id-a-string": (R, _set_value("turns", "session_id", "1")),
+    "turns-speaker-a-list": (R, _set_value("turns", "speaker", ["A"])),
+    "turns-text-a-number": (R, _set_value("turns", "text", 7)),
+    "turns-timestamp-a-number": (R, _set_value("turns", "timestamp", 20240101)),
+    "profiles-entity-key-a-number": (R, _set_value("profiles", "entity_key", 1)),
+    "profiles-display-name-a-number": (R, _set_value("profiles", "display_name", 1)),
+    "profiles-version-a-string": (R, _set_value("profiles", "version", "1")),
+    "profiles-window-a-string": (R, _set_value("profiles", "window", "1")),
+    "profiles-sections-a-list": (R, _set_value("profiles", "sections", [])),
+    "profiles-section-text-a-list": (R, _edit_kind(
+        "profiles", lambda c: c["sections"][0].update(Identity=["x"]))),
+    "profiles-last-section-text-a-number": (R, _edit_kind(
+        "profiles", lambda c: c["sections"][-1].update(Identity=1))),
 }
 
 
@@ -503,7 +556,6 @@ def test_inspect_rejects_truncated_store(work_dir, capsys, case):
     assert "sha256" not in error["message"]  # a check past the checksum
 
 
-DATA_FILES = ("entries.jsonl.gz", "turns.jsonl.gz", "profiles.jsonl.gz", "vectors.bin")
 BYTE_FAULTS = {"first-byte-flipped": _flip_byte_at(0.0),
                "middle-byte-flipped": _flip_byte_at(0.5),
                "last-byte-flipped": _flip_byte_at(1.0),
@@ -528,34 +580,48 @@ def test_store_parts_read_with_plain_gzip(work_dir, capsys):
     store = work_dir / "store"
     manifest = json.loads((store / "manifest.json").read_text())
     assert sorted(manifest["sha256"]) == sorted(DATA_FILES)
-    counts = {}
-    for name in ("entries", "turns", "profiles"):
-        with gzip.open(store / f"{name}.jsonl.gz", "rt", encoding="utf-8") as fh:
-            counts[name] = len([json.loads(line) for line in fh])
-    assert counts == {"entries": manifest["entry_count"],
-                      "turns": manifest["turn_count"],
-                      "profiles": manifest["profile_versions"]}
+    with gzip.open(store / "records.json.gz", "rt", encoding="utf-8") as fh:
+        records = json.load(fh)
+    assert list(records) == ["entries", "turns", "profiles"]
+    assert "entry_id" not in records["entries"]  # row i is entry e{i:06d}
+    counts = {kind: {len(values) for values in columns.values()}
+              for kind, columns in records.items()}
+    assert counts == {"entries": {manifest["entry_count"]},
+                      "turns": {manifest["turn_count"]},
+                      "profiles": {manifest["profile_versions"]}}
 
 
-def _downgrade_to_schema_1(store):
-    """Rewrite a store in the schema-1 layout: plain JSON lines, no checksums."""
-    for name in ("entries", "turns", "profiles"):
-        packed = store / f"{name}.jsonl.gz"
-        (store / f"{name}.jsonl").write_bytes(gzip.decompress(packed.read_bytes()))
-        packed.unlink()
+def _downgrade(store, version):
+    """Rewrite a store in an older layout: one JSON-lines part per kind,
+    gzip'd from schema 2 on, with no checksums in schema 1."""
+    records = json.loads(gzip.decompress((store / "records.json.gz").read_bytes()))
+    (store / "records.json.gz").unlink()
+    digests = {}
+    for kind, columns in records.items():
+        lines = "".join(json.dumps(dict(zip(columns, row))) + "\n"
+                        for row in zip(*columns.values())).encode("utf-8")
+        name = f"{kind}.jsonl" if version == 1 else f"{kind}.jsonl.gz"
+        (store / name).write_bytes(lines if version == 1 else gzip.compress(lines))
+        digests[name] = hashlib.sha256((store / name).read_bytes()).hexdigest()
     raw = bytearray((store / "vectors.bin").read_bytes())
-    raw[4:8] = struct.pack("<I", 1)
+    raw[4:8] = struct.pack("<I", version)
     (store / "vectors.bin").write_bytes(bytes(raw))
     manifest = json.loads((store / "manifest.json").read_text())
-    del manifest["sha256"]
-    manifest["schema_version"] = 1
+    manifest["schema_version"] = version
+    if version == 1:
+        del manifest["sha256"]
+    else:
+        digests["vectors.bin"] = hashlib.sha256(bytes(raw)).hexdigest()
+        manifest["sha256"] = digests
     (store / "manifest.json").write_text(json.dumps(manifest))
 
 
-def test_schema_1_store_is_refused_and_rebuilt(work_dir, capsys):
+def _refused_then_rebuilt(work_dir, capsys, version):
+    """A store of the given schema version is refused with the rebuild hint,
+    and ``build --force`` over it leaves only the current layout."""
     build(capsys)
     store = work_dir / "store"
-    _downgrade_to_schema_1(store)
+    _downgrade(store, version)
     code, _, err = run(capsys, "inspect", "--store", "store")
     assert code == EXIT_DATA
     error = json.loads(err)
@@ -563,9 +629,18 @@ def test_schema_1_store_is_refused_and_rebuilt(work_dir, capsys):
     assert "trimem build --force" in error["message"]
 
     assert build(capsys, extra=("--force",))[0] == EXIT_OK
-    assert not any(p.suffix == ".jsonl" for p in store.iterdir())
+    assert sorted(p.name for p in store.iterdir()) == sorted(
+        [*DATA_FILES, "manifest.json", "run_manifest.json"])
     code, out, _ = run(capsys, "inspect", "--store", "store")
     assert code == EXIT_OK and json.loads(out)["entries"] == 60
+
+
+def test_schema_1_store_is_refused_and_rebuilt(work_dir, capsys):
+    _refused_then_rebuilt(work_dir, capsys, 1)
+
+
+def test_schema_3_store_is_refused_and_rebuilt(work_dir, capsys):
+    _refused_then_rebuilt(work_dir, capsys, 3)
 
 
 def test_schema_2_store_is_refused(work_dir, capsys):

@@ -63,6 +63,14 @@ def test_load_rejects_a_non_integer_session_id(tmp_path, session_id):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("sessions", [5, "s", {"turns": []}, [1], [{"turns": []}, None]])
+def test_load_rejects_sessions_that_are_not_a_list_of_objects(tmp_path, sessions):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"sessions": sessions}))
+    with pytest.raises(MalformedDocument, match="sessions must be a list of objects"):
+        load_corpus(path)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(MissingFile):
         load_corpus(tmp_path / "nope.json")

@@ -17,10 +17,9 @@ from trimem.extraction import MemoryEntry, extract_entries
 from trimem.pipeline import QaItem, build_store
 from trimem.profiles import group_by_person, update_profile
 from trimem.prompts import seed_prompts
-from trimem.store import MemoryStore
+from trimem.store import DATA_FILES, MemoryStore
 
-STORE_FILES = ("entries.jsonl.gz", "vectors.bin", "turns.jsonl.gz",
-               "profiles.jsonl.gz", "manifest.json")
+STORE_FILES = (*DATA_FILES, "manifest.json")
 
 
 class EmbedLog(ScriptedBackend):

@@ -4,6 +4,7 @@ import json
 import struct
 import tempfile
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,14 @@ from trimem.errors import (
 )
 from trimem.extraction import MemoryEntry
 from trimem.profiles import EntityProfile
-from trimem.store import SCHEMA_VERSION, VECTOR_MAGIC, MemoryStore, RetrievalConfig
+from trimem.store import (
+    _ENTRY_TYPES,
+    _TURN_TYPES,
+    SCHEMA_VERSION,
+    VECTOR_MAGIC,
+    MemoryStore,
+    RetrievalConfig,
+)
 
 
 def make_turns(n):
@@ -276,8 +284,7 @@ def test_persist_is_byte_stable(tmp_path, backend):
     store.persist(tmp_path / "a")
     store.persist(tmp_path / "b")
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
-    assert names == ["entries.jsonl.gz", "manifest.json", "profiles.jsonl.gz",
-                     "turns.jsonl.gz", "vectors.bin"]
+    assert names == ["manifest.json", "records.json.gz", "vectors.bin"]
     assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == \
@@ -305,23 +312,21 @@ def test_vector_file_header(tmp_path, backend):
     assert len(raw) < 16 + 4 * size
 
 
-# sha256 of the schema-3 content that the fixture build persists: each
-# record file after gunzip, the vectors.bin header, and its byte planes with
+# sha256 of the schema-4 content that the fixture build persists: the
+# records after gunzip, the vectors.bin header, and its byte planes with
 # plane 3 inflated. The gzip and zlib bytes depend on the zlib build, so
 # they are not pinned.
 FIXTURE_STORE_DIGESTS = {
-    "entries.jsonl": "54dd2f0761c22dc84856c0fbd808aa57399ff41ca0f72832195f68da2a7de876",
-    "turns.jsonl": "236b17a770f864caab9ddc9397ee77e4519b4cfc417e8bb89ec776d7d17a2399",
-    "profiles.jsonl": "d1748a6449742345419326d1145fda3b26775d9c95fa12f0703266c387b3789c",
-    "vectors.bin header": "4c62c7943b1bfaf162a148c3009ec84e642bf54fcf869f044432ad568d46db74",
+    "records.json": "1e850bd9b77b5dfa87213e12a77eac6991cd90c2a55f4731132498576c53a6c9",
+    "vectors.bin header": "fb6dbe29da1352f0e181024c717f0057c1997e40591fd38520c69e10c096fbe1",
     "vectors.bin planes": "6f02e9db1fdc3c998c9a83fe7353072312e9c2801390391d43adac3b179ec98f",
 }
 
 
 def test_fixture_store_content_is_pinned(tmp_path, built_store):
     built_store.persist(tmp_path / "s")
-    content = {name[:-3]: gzip.decompress((tmp_path / "s" / name).read_bytes())
-               for name in ("entries.jsonl.gz", "turns.jsonl.gz", "profiles.jsonl.gz")}
+    content = {"records.json": gzip.decompress(
+        (tmp_path / "s" / "records.json.gz").read_bytes())}
     raw = (tmp_path / "s" / "vectors.bin").read_bytes()
     _, dim, count = struct.unpack_from("<III", raw, 4)
     size = dim * count
@@ -391,6 +396,12 @@ def test_empty_index_refuses_a_nonempty_plane_3(tmp_path, monkeypatch):
         MemoryStore.load(tmp_path / "s")
     assert "sha256" not in str(info.value)
     assert inflated and max(inflated) < 1 << 10
+
+
+def test_column_tables_follow_the_field_order():
+    """load builds entries and turns from their columns by position."""
+    assert [*_ENTRY_TYPES, "entry_id"] == [f.name for f in fields(MemoryEntry)]
+    assert list(_TURN_TYPES) == [f.name for f in fields(DialogueTurn)]
 
 
 def test_load_rejects_schema_mismatch(tmp_path, backend):
