@@ -365,7 +365,10 @@ class HttpBackend(Backend):
                 continue
             if resp.status_code != 200:
                 raise TransportError(f"{url}: HTTP {resp.status_code}: {resp.text[:200]}")
-            return resp.json()
+            try:
+                return resp.json()
+            except ValueError:
+                raise TransportError(f"{url}: reply is not JSON: {resp.text[:200]}")
         raise TransportError(f"{url}: giving up after {RETRY_ATTEMPTS} attempts: {last_error}")
 
     def _complete(self, request: ChatRequest) -> str:
@@ -389,7 +392,7 @@ class HttpBackend(Backend):
         try:
             rows = sorted(body["data"], key=lambda d: d["index"])
             return [np.asarray(r["embedding"], dtype=np.float32) for r in rows]
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             raise TransportError(f"malformed embedding response: {str(body)[:200]}")
 
 

@@ -29,7 +29,7 @@ from .metrics import build_report, write_report
 from .pipeline import QaItem, answer_question, build_store, run_eval
 from .prompts import seed_prompts
 from .retrieval import plan_for_question, retrieve
-from .store import MemoryStore, RetrievalConfig, refuse_non_empty
+from .store import MemoryStore, RetrievalConfig, make_dir, refuse_non_empty
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,20 +41,14 @@ ENV_API_KEY = "TRIMEM_API_KEY"
 ENV_CONFIG = "TRIMEM_CONFIG"
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(SegmentationConfig, RetrievalConfig):
+    """Every knob of a run: the engine's segmentation and retrieval knobs,
+    with their defaults and checks, plus the CLI's own."""
     corpus: Optional[str] = None
     store_dir: Optional[str] = None
     prompt_dir: Optional[str] = None
     prompt_round: Optional[int] = None
-    window_size: int = 40
-    stride: int = 38
-    top_k: int = 25
-    per_query_k: Optional[int] = None
-    anchor_count: int = 5
-    profile_count: int = 2
-    query_cap: int = 3
-    use_search_plan: bool = True
     hit_k: int = 5
     api_base: Optional[str] = None
     api_key: Optional[str] = None
@@ -67,34 +61,15 @@ class RunConfig:
     rounds: int = 4
     seed: int = 0
 
-    def segmentation(self) -> SegmentationConfig:
-        return SegmentationConfig(window_size=self.window_size, stride=self.stride)
-
-    def retrieval(self) -> RetrievalConfig:
-        return RetrievalConfig(
-            top_k=self.top_k,
-            per_query_k=self.per_query_k,
-            anchor_count=self.anchor_count,
-            profile_count=self.profile_count,
-            query_cap=self.query_cap,
-            use_search_plan=self.use_search_plan,
-        )
-
-    def checked(self) -> "RunConfig":
-        """This config, or UsageError if a segmentation, retrieval,
-        evolution or budget knob is invalid."""
-        try:
-            self.segmentation()
-            self.retrieval()
-            if self.rounds < 1:
-                raise ValueError("rounds must be >= 1")
-            if self.hit_k < 1:
-                raise ValueError("hit_k must be >= 1")
-            if min(self.max_calls or 0, self.max_tokens or 0) < 0:
-                raise ValueError("max_calls and max_tokens must be >= 0")
-        except (TypeError, ValueError) as exc:
-            raise errors.UsageError(f"bad run config: {exc}")
-        return self
+    def __post_init__(self):
+        SegmentationConfig.__post_init__(self)
+        RetrievalConfig.__post_init__(self)
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if self.hit_k < 1:
+            raise ValueError("hit_k must be >= 1")
+        if min(self.max_calls or 0, self.max_tokens or 0) < 0:
+            raise ValueError("max_calls and max_tokens must be >= 0")
 
     def config_hash(self) -> str:
         payload = json.dumps(
@@ -108,35 +83,39 @@ _CONFIG_TYPES = {name: get_args(hint) or hint
                  for name, hint in get_type_hints(RunConfig).items()}
 
 
+def run_config(values: dict) -> RunConfig:
+    """RunConfig(**values), or UsageError if a knob is invalid."""
+    try:
+        return RunConfig(**values)
+    except (TypeError, ValueError) as exc:
+        raise errors.UsageError(f"bad run config: {exc}")
+
+
 def load_run_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
+    values = {}
     config_path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
     if config_path:
         try:
-            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            values = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise errors.UsageError(f"bad config file {config_path}: {exc}")
-        if not isinstance(doc, dict):
+        if not isinstance(values, dict):
             raise errors.UsageError(f"bad config file {config_path}: not a JSON object")
-        for key, value in doc.items():
+        for key, value in values.items():
             if key not in _CONFIG_TYPES:
                 raise errors.UsageError(f"unknown config key {key!r}")
             if not has_type(value, _CONFIG_TYPES[key]):
                 raise errors.UsageError(f"config key {key!r} has the wrong type: {value!r}")
-            setattr(config, key, value)
-    if os.environ.get(ENV_API_BASE):
-        config.api_base = os.environ[ENV_API_BASE]
-    if os.environ.get(ENV_API_KEY):
-        config.api_key = os.environ[ENV_API_KEY]
-    for key in dataclasses.asdict(config):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
+    for key, var in (("api_base", ENV_API_BASE), ("api_key", ENV_API_KEY)):
+        if os.environ.get(var):
+            values[key] = os.environ[var]
+    values.update((key, getattr(args, key)) for key in _CONFIG_TYPES
+                  if getattr(args, key, None) is not None)
     if getattr(args, "no_search_plan", False):
-        config.use_search_plan = False
+        values["use_search_plan"] = False
     if getattr(args, "question", None) is not None and not args.question.strip():
         raise errors.UsageError("--question must be non-empty")
-    return config.checked()
+    return run_config(values)
 
 
 def make_router(config: RunConfig) -> BackendRouter:
@@ -183,10 +162,7 @@ def load_prompts(config: RunConfig) -> tuple[dict[str, str], int]:
 @contextlib.contextmanager
 def store_lock(store_dir: Path):
     """One command per store directory at a time."""
-    try:
-        store_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise errors.UsageError(f"{store_dir} is not a directory")
+    make_dir(store_dir)
     lock_path = store_dir / ".lock"
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -222,8 +198,7 @@ def _build_and_persist(config: RunConfig, router: BackendRouter,
     corpus = load_corpus(config.corpus)
     prompts, prompt_round = load_prompts(config)
     with store_lock(store_dir):
-        store = build_store(corpus, prompts, router,
-                            seg_config=config.segmentation())
+        store = build_store(corpus, prompts, router, seg_config=config)
         store.persist(store_dir, manifest_extra={
             "config_hash": config.config_hash(),
             "prompt_round": prompt_round,
@@ -256,7 +231,7 @@ def cmd_ingest(args) -> int:
         "corpus_id": corpus.corpus_id,
         "turn_count": corpus.turn_count,
         "session_count": len(sessions),
-        "windows": len(segment(corpus, config.segmentation())),
+        "windows": len(segment(corpus, config)),
     }, indent=2))
     return EXIT_OK
 
@@ -283,9 +258,8 @@ def cmd_query(args) -> int:
     store = MemoryStore.load(config.store_dir)
     prompts, _ = load_prompts(config)
     router = make_router(config)
-    plan = plan_for_question(args.question, prompts,
-                             router.pipeline, config.retrieval())
-    ctx = retrieve(plan, store, config.retrieval(), router.pipeline)
+    plan = plan_for_question(args.question, prompts, router.pipeline, config)
+    ctx = retrieve(plan, store, config, router.pipeline)
     print(json.dumps({
         "question": args.question,
         "queries": list(plan.queries),
@@ -309,11 +283,15 @@ def cmd_answer(args) -> int:
     config = load_run_config(args)
     store = MemoryStore.load(config.store_dir)
     prompts, _ = load_prompts(config)
+    dump_path = Path(args.dump_context) if args.dump_context else None
+    if dump_path:
+        make_dir(dump_path.parent)
+        if dump_path.is_dir():
+            raise errors.UsageError(f"{dump_path} is a directory")
     router = make_router(config)
-    result, ctx = answer_question(args.question, store, prompts, router,
-                                  config.retrieval())
-    if args.dump_context:
-        Path(args.dump_context).write_text(ctx.text, encoding="utf-8")
+    result, ctx = answer_question(args.question, store, prompts, router, config)
+    if dump_path:
+        dump_path.write_text(ctx.text, encoding="utf-8")
     print(json.dumps({
         "question": result.question,
         "reasoning": result.reasoning,
@@ -328,7 +306,8 @@ def _run_eval_to_dir(config: RunConfig, qa_path, out_dir: Path,
     qa_set = load_qa_set(qa_path)
     store = MemoryStore.load(config.store_dir)
     prompts, prompt_round = load_prompts(config)
-    records = run_eval(qa_set, store, prompts, router, config.retrieval())
+    make_dir(out_dir)
+    records = run_eval(qa_set, store, prompts, router, config)
     evidence = {item.question: sorted(item.evidence) for item in qa_set
                 if item.evidence}
     report = build_report(
@@ -340,7 +319,6 @@ def _run_eval_to_dir(config: RunConfig, qa_path, out_dir: Path,
             "config_hash": config.config_hash(),
             "seed": config.seed,
         })
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_report(report, records, out_dir / "report.json",
                  out_dir / "detailed_results.jsonl")
     write_manifest(out_dir / "run_manifest.json", config, prompt_round, router)
@@ -364,9 +342,7 @@ def cmd_evolve(args) -> int:
     router = make_router(config)
     trajectory = evolve(
         corpus, load_qa_set(args.qa), config.rounds, router, out_dir,
-        seg_config=config.segmentation(),
-        retrieval_config=config.retrieval(),
-    )
+        seg_config=config, retrieval_config=config)
     best = best_round(trajectory)
     summary = {
         "rounds": [{"round": ps.round, "loss": loss} for ps, loss in trajectory],
@@ -381,6 +357,7 @@ def cmd_evolve(args) -> int:
 
 
 ABLATION_KNOBS = {"top_k", "use_search_plan", "window_size", "stride"}
+_SEGMENTATION_KNOBS = {field.name for field in dataclasses.fields(SegmentationConfig)}
 
 
 def cmd_ablate(args) -> int:
@@ -390,19 +367,20 @@ def cmd_ablate(args) -> int:
         raise errors.UnknownKnob(
             f"unknown knob {knob!r}; choose from {sorted(ABLATION_KNOBS)}")
     try:
-        values = [raw.strip().lower() in ("1", "true", "on", "yes")
-                  if knob == "use_search_plan" else int(raw)
-                  for raw in args.values.split(",")]
-    except ValueError:
-        raise errors.UsageError(f"--values for {knob} must be integers: {args.values!r}")
-    sweeps = [dataclasses.replace(config, **{knob: value}).checked() for value in values]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    needs_rebuild = knob in ("window_size", "stride")
+        values = [json.loads(raw) for raw in args.values.split(",")]
+    except json.JSONDecodeError:
+        values = None
+    if values is None or not all(has_type(v, _CONFIG_TYPES[knob]) for v in values):
+        raise errors.UsageError(
+            f"--values for {knob} must be JSON values of its type: {args.values!r}")
+    if knob in _SEGMENTATION_KNOBS and not config.corpus:
+        raise errors.UsageError(f"--knob {knob} rebuilds the store: pass --corpus")
+    sweeps = [run_config({**vars(config), knob: value}) for value in values]
+    out_dir = make_dir(Path(args.out))
     rows = []
     for value, sweep_config in zip(values, sweeps):
         router = make_router(sweep_config)
-        if needs_rebuild:
+        if knob in _SEGMENTATION_KNOBS:
             row_store = out_dir / f"store_{knob}_{value}"
             _build_and_persist(sweep_config, router, row_store)
             sweep_config = dataclasses.replace(sweep_config,

@@ -88,7 +88,7 @@ def load_corpus(path) -> DialogueCorpus:
     rejected.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingFile(str(path))
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))

@@ -20,7 +20,7 @@ from .corpus import DialogueCorpus, SegmentationConfig
 from .errors import EmptyRecordSet, ParseFailure, StoreIOError
 from .metrics import EvalRecord
 from .prompts import EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS, render, seed_prompts
-from .store import RetrievalConfig, refuse_non_empty
+from .store import RetrievalConfig, make_dir, refuse_non_empty
 
 logger = logging.getLogger(__name__)
 
@@ -205,7 +205,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     evolution_prompt = seed_prompts()["evolution"]
     prompt_dir = Path(prompt_dir)
     refuse_non_empty(prompt_dir, "evolve writes one run per directory")
-    prompt_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(prompt_dir)
     log_path = prompt_dir / "gradients.jsonl"
 
     current = PromptSet.seed()

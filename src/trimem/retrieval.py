@@ -67,7 +67,8 @@ def generate_queries(question: str, plan: dict, query_prompt: str,
     """Produce the deduplicated, capped query list.
 
     The original question is always present and first; the fallback plan
-    is simply ``[question]``.
+    is simply ``[question]``. ``query_cap`` is at least 1, as
+    ``RetrievalConfig`` checks.
     """
     prompt = render(
         query_prompt,
@@ -95,7 +96,7 @@ def generate_queries(question: str, plan: dict, query_prompt: str,
         seen.add(key)
         queries.append(q)
     return SearchPlan(original_question=question,
-                      queries=tuple(queries[:max(1, query_cap)]))
+                      queries=tuple(queries[:query_cap]))
 
 
 def retrieve(plan: SearchPlan, store: MemoryStore, config: RetrievalConfig,

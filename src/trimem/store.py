@@ -90,6 +90,10 @@ class RetrievalConfig:
         per_query = self.per_query_k
         if per_query is not None and not 1 <= per_query <= self.top_k:
             raise ValueError("per_query_k must satisfy 1 <= per_query_k <= top_k")
+        if min(self.anchor_count, self.profile_count) < 0:
+            raise ValueError("anchor_count and profile_count must be >= 0")
+        if self.query_cap < 1:
+            raise ValueError("query_cap must be >= 1")
 
     @property
     def effective_per_query_k(self) -> int:
@@ -201,6 +205,16 @@ def refuse_non_empty(path: Path, hint: str) -> None:
     """Raise UsageError unless path is missing or an empty directory."""
     if path.exists() and (not path.is_dir() or any(path.iterdir())):
         raise UsageError(f"{path} is not an empty directory; {hint}")
+
+
+def make_dir(path: Path) -> Path:
+    """``path``, made a directory with its parents if missing; UsageError if
+    it cannot be one."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make directory {path}: {exc.strerror}")
+    return path
 
 
 class MemoryStore:

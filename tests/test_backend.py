@@ -244,6 +244,27 @@ def test_http_backend_embeddings(monkeypatch):
     assert list(vectors[0]) == [1.0, 0.0]  # re-sorted by index
 
 
+class NotJsonResponse(FakeResponse):
+    def json(self):
+        import requests
+
+        raise requests.exceptions.JSONDecodeError("Expecting value", self.text, 0)
+
+
+@pytest.mark.parametrize("reply, call", [
+    (NotJsonResponse(200, "<html>busy</html>"),
+     lambda b: b.complete(ChatRequest(prompt="q"))),
+    (FakeResponse(200, {"data": [{"index": 0, "embedding": ["x", "y"]}]}),
+     lambda b: b.embed(["a"])),
+], ids=["reply-not-json", "embedding-not-numeric"])
+def test_http_backend_malformed_200_is_transport_error(monkeypatch, reply, call):
+    import requests
+
+    monkeypatch.setattr(requests, "post", lambda *a, **k: reply)
+    with pytest.raises(TransportError):
+        call(HttpBackend("http://api.test"))
+
+
 # -- the call protocol every backend inherits --------------------------
 
 def _scripted(monkeypatch, rows=None, **caps):

@@ -65,7 +65,12 @@ BAD_CONFIGS = {
     "hit-k-negative": {"hit_k": -1},
     "prompt-round-a-string": {"prompt_round": "1"},
     "api-base-a-number": {"api_base": 8080},
-    "a-method-name": {"checked": None},
+    "a-method-name": {"config_hash": None},
+    "an-inherited-property": {"effective_per_query_k": 3},
+    "stride-above-window-size": {"stride": 41},
+    "anchor-count-negative": {"anchor_count": -1},
+    "profile-count-negative": {"profile_count": -2},
+    "query-cap-0": {"query_cap": 0},
 }
 
 
@@ -121,6 +126,19 @@ BAD_INPUTS = {
     "ablate-non-integer-value": (["ablate", "--store", "store", "--qa", "qa.jsonl",
                                   "--knob", "top_k", "--values", "5,x",
                                   "--out", "sweep"], EXIT_USAGE, "UsageError"),
+    # --max-calls 0: a build or model call before the check would exit 3
+    "ablate-value-not-json": (["ablate", "--store", "store", "--qa", "qa.jsonl",
+                               "--knob", "use_search_plan", "--values", "true,nope",
+                               "--out", "sweep", "--max-calls", "0"],
+                              EXIT_USAGE, "UsageError"),
+    "ablate-stride-above-window-size": (["ablate", "--corpus", "corpus.json",
+                                         "--qa", "qa.jsonl", "--knob", "stride",
+                                         "--values", "50", "--out", "sweep",
+                                         "--max-calls", "0"], EXIT_USAGE, "UsageError"),
+    "ablate-stride-without-corpus": (["ablate", "--store", "store", "--qa", "qa.jsonl",
+                                      "--knob", "stride", "--values", "38",
+                                      "--out", "sweep", "--max-calls", "0"],
+                                     EXIT_USAGE, "UsageError"),
     "answer-empty-question": (["answer", "--store", "store", "--question", ""],
                               EXIT_USAGE, "UsageError"),
     "eval-missing-qa": (["eval", "--store", "store", "--qa", "missing.jsonl"],
@@ -144,6 +162,7 @@ BAD_INPUTS = {
                                 EXIT_DATA, "MalformedDocument"),
     "ingest-sessions-a-number": (["ingest", "--corpus", "sessions-5.json"],
                                  EXIT_DATA, "MalformedDocument"),
+    "ingest-corpus-a-directory": (["ingest", "--corpus", "."], EXIT_DATA, "MissingFile"),
 }
 
 
@@ -681,12 +700,21 @@ def test_evolve_refuses_a_non_empty_out_dir(work_dir, capsys):
     ("build", "--corpus", "corpus.json", "--store", "taken"),
     ("build", "--corpus", "corpus.json", "--store", "taken", "--force"),
     ("evolve", "--corpus", "corpus.json", "--qa", "qa.jsonl", "--out", "taken"),
-], ids=["build", "build-force", "evolve"])
+    ("evolve", "--corpus", "corpus.json", "--qa", "qa.jsonl", "--out", "taken/out"),
+    ("eval", "--store", "store", "--qa", "qa.jsonl", "--out", "taken/out"),
+    ("ablate", "--store", "store", "--qa", "qa.jsonl", "--knob", "top_k",
+     "--values", "5", "--out", "taken/out"),
+    ("answer", "--store", "store", "--question", "q", "--dump-context", "taken/ctx.txt"),
+], ids=["build", "build-force", "evolve", "evolve-under-a-file", "eval-under-a-file",
+        "ablate-under-a-file", "answer-dump-context-under-a-file"])
 def test_an_out_dir_that_is_a_file_is_a_usage_error(work_dir, capsys, command):
+    assert build(capsys)[0] == EXIT_OK
     (work_dir / "taken").write_text("x")
-    code, _, err = run(capsys, *command, "--scripted", "fixture.jsonl")
-    assert code == EXIT_USAGE
-    assert json.loads(err)["error"] == "UsageError"
+    # --max-calls 0: a model call before the check would exit 3
+    code, out, err = run(capsys, *command, "--scripted", "fixture.jsonl",
+                         "--max-calls", "0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "UsageError"
     assert (work_dir / "taken").read_text() == "x"
 
 
@@ -711,3 +739,19 @@ def test_ablate_top_k_sweep(work_dir, capsys):
     # smaller K retrieves less context
     assert sweep["rows"][0]["overall"]["mean_token_cost"] < \
         sweep["rows"][1]["overall"]["mean_token_cost"]
+
+
+def test_ablate_reads_json_values_and_rebuilds_for_a_segmentation_knob(work_dir, capsys):
+    build(capsys)
+    code, _, _ = run(capsys, "ablate", "--store", "store", "--qa", "qa.jsonl",
+                     "--knob", "use_search_plan", "--values", "true, false",
+                     "--scripted", "fixture.jsonl", "--out", "plan")
+    assert code == EXIT_OK
+    sweep = json.loads((work_dir / "plan" / "sweep_report.json").read_text())
+    assert [row["value"] for row in sweep["rows"]] == [True, False]
+    assert not list((work_dir / "plan").glob("store_*"))
+    code, _, _ = run(capsys, "ablate", "--corpus", "corpus.json", "--qa", "qa.jsonl",
+                     "--knob", "stride", "--values", "38",
+                     "--scripted", "fixture.jsonl", "--out", "stride")
+    assert code == EXIT_OK
+    assert (work_dir / "stride" / "store_stride_38" / "manifest.json").exists()

@@ -69,7 +69,11 @@ def test_retrieval_config_validation():
         RetrievalConfig(top_k=5, per_query_k=6)
     with pytest.raises(ValueError):
         RetrievalConfig(top_k=5, per_query_k=0)
+    for bad in ({"anchor_count": -1}, {"profile_count": -2}, {"query_cap": 0}):
+        with pytest.raises(ValueError):
+            RetrievalConfig(**bad)
     assert RetrievalConfig(top_k=5, per_query_k=3).effective_per_query_k == 3
+    assert RetrievalConfig(anchor_count=0, profile_count=0, query_cap=1)
 
 
 # -- insertion and dedup -----------------------------------------------
