@@ -4,7 +4,9 @@ The ``Backend`` base class owns the call protocol: ``complete`` and
 ``embed`` check the call and token caps, make the round-trip, and charge
 the usage to the instance, and ``embed`` also checks the texts going out
 and the rows coming back, making one round-trip per ``EMBED_BATCH``
-texts. ``read_reply`` reads every JSON model reply through a field table.
+texts. ``read_object`` reads one JSON object through a field table: every
+model reply (by ``read_reply``), corpus document, QA record, fixture rule,
+store manifest and prompt-round ``meta.json``.
 A concrete backend supplies only the provider round-trip,
 ``_complete`` and ``_embed``. Two exist: an HTTP backend
 speaking the common ``/chat/completions`` + ``/embeddings`` request shapes,
@@ -113,28 +115,44 @@ def has_type(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def read_fields(obj: dict, fields: dict) -> tuple[dict, list[str]]:
-    """The values of ``fields`` (name -> (kind, absent)) in a reply object, and
-    a diagnostic per wrong-typed field. A missing, null, "" or [] value reads
-    as the field's absent value; nothing is coerced."""
+REQUIRED = object()  # the default of a field table name that must be present
+
+
+def read_object(obj, fields: dict) -> dict:
+    """The values of ``fields`` (name -> (kind, default)) in one JSON object.
+
+    A present value must be of its kind by ``has_type``; nothing is coerced.
+    A missing name takes its default, and is a fault if that is REQUIRED.
+    Names outside the table are ignored. Every fault, or an obj that is no
+    object, is one ValueError that joins the faults with "; " and adds no
+    prefix, so each caller keeps its own location and error class.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"not a JSON object: {obj!r:.80}")
     values, faults = {}, []
-    for name, (kind, absent) in fields.items():
-        value = obj.get(name)
-        if value is None or value == "" or value == []:
-            value = absent
-        elif not has_type(value, kind):
+    for name, (kind, default) in fields.items():
+        value = values[name] = obj.get(name, default)
+        if value is REQUIRED:
+            faults.append(f"{name} is missing")
+        elif name in obj and not has_type(value, kind):
             faults.append(f"{name} has the wrong type: {value!r}")
-        values[name] = value
-    return values, faults
+    if faults:
+        raise ValueError("; ".join(faults))
+    return values
+
+
+def drop_empty(reply: dict) -> dict:
+    """A reply object without its null, "" and [] values, which read as missing."""
+    return {name: value for name, value in reply.items() if value not in (None, "", [])}
 
 
 def read_reply(text: str, fields: dict) -> dict:
-    """``read_fields`` over the first JSON object in ``text``; any diagnostic
-    is a ParseFailure."""
-    values, faults = read_fields(parse_json(text), fields)
-    if faults:
-        raise ParseFailure("; ".join(faults))
-    return values
+    """``read_object`` over the first JSON object in ``text``, its empty
+    values dropped; any fault is a ParseFailure."""
+    try:
+        return read_object(drop_empty(parse_json(text)), fields)
+    except ValueError as exc:
+        raise ParseFailure(str(exc))
 
 
 @dataclass
@@ -268,8 +286,8 @@ class FixtureRule:
         )
 
 
-# each fixture field's type and value where absent; a [str] field may be one str
-_FIXTURE_FIELDS = {"response": (str, None), "contains": ([str], []),
+# a fixture rule's fields; a [str] field may be one str
+_FIXTURE_FIELDS = {"response": (str, REQUIRED), "contains": ([str], []),
                    "not_contains": ([str], []), "sticky": (bool, False)}
 
 
@@ -298,20 +316,14 @@ class ScriptedBackend(Backend):
                 continue
             try:
                 rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError(f"not a JSON object: {rec!r}")
-                rule = {}
-                for name, (kind, absent) in _FIXTURE_FIELDS.items():
-                    value = rec.get(name, absent)
-                    if kind == [str] and isinstance(value, str):
-                        value = [value]
-                    if not has_type(value, kind):
-                        raise ValueError(f"{name} is missing or has the wrong type: "
-                                         f"{value!r}")
-                    rule[name] = tuple(value) if kind == [str] else value
+                if isinstance(rec, dict):
+                    rec.update((name, [rec[name]]) for name in ("contains", "not_contains")
+                               if isinstance(rec.get(name), str))
+                rule = read_object(rec, _FIXTURE_FIELDS)
             except ValueError as exc:  # json.JSONDecodeError is a ValueError
                 raise TransportError(f"{path}:{line_no}: bad fixture record: {exc}")
-            rules.append(FixtureRule(**rule))
+            rules.append(FixtureRule(rule["response"], tuple(rule["contains"]),
+                                     tuple(rule["not_contains"]), rule["sticky"]))
         return cls(rules=rules, **kwargs)
 
     def _complete(self, request: ChatRequest) -> str:

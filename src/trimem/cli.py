@@ -153,22 +153,45 @@ def load_prompts(config: RunConfig) -> tuple[dict[str, str], int]:
             prompt_set = PromptSet.load_round(config.prompt_dir, round_number)
         except OSError as exc:
             raise errors.MissingFile(f"prompt round {round_number}: {exc}")
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise errors.MalformedDocument(f"prompt round {round_number}: {exc!r}")
         return prompt_set.as_prompt_dict(), round_number
     return seed_prompts(), 0
 
 
+def _lock_is_stale(lock_path: Path) -> bool:
+    """Whether the lock holds the pid of a process that no longer exists."""
+    try:
+        os.kill(int(lock_path.read_text(encoding="utf-8")), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):  # unreadable, or alive but not ours
+        pass
+    return False
+
+
 @contextlib.contextmanager
 def store_lock(store_dir: Path):
-    """One command per store directory at a time."""
+    """One command per store directory at a time.
+
+    A lock whose pid names no process, left by a killed command, is unlinked
+    and retaken by one more O_EXCL open, which admits one of two reclaimers
+    unless one of them unlinks only after the other's open.
+    """
     make_dir(store_dir)
     lock_path = store_dir / ".lock"
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock_path, flags)
     except FileExistsError:
-        raise errors.UsageError(
-            f"{store_dir} is locked by another command (stale? remove {lock_path})")
+        fd = None
+        if _lock_is_stale(lock_path):
+            lock_path.unlink(missing_ok=True)
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(lock_path, flags)
+        if fd is None:
+            raise errors.UsageError(
+                f"{store_dir} is locked by another command (stale? remove {lock_path})")
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -217,7 +240,7 @@ def load_qa_set(path) -> list[QaItem]:
         else:
             records = [json.loads(line) for line in text.splitlines() if line.strip()]
         return [QaItem.from_dict(rec) for rec in records]
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise errors.MalformedDocument(f"{path}: bad QA record: {exc!r}")
 
 
@@ -385,7 +408,6 @@ def cmd_ablate(args) -> int:
             _build_and_persist(sweep_config, router, row_store)
             sweep_config = dataclasses.replace(sweep_config,
                                                store_dir=str(row_store))
-            router = make_router(sweep_config)  # fresh fixture state for eval
         report = _run_eval_to_dir(sweep_config, args.qa,
                                   out_dir / f"{knob}_{value}", router)
         rows.append({"knob": knob, "value": value,

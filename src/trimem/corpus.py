@@ -14,7 +14,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Optional
 
-from .backend import has_type
+from .backend import REQUIRED, read_object
 from .errors import DuplicateTurnId, EmptyCorpus, MalformedDocument, MissingFile
 
 
@@ -66,26 +66,19 @@ class Window:
         return frozenset(t.turn_id for t in self.turns)
 
 
-def _validate_timestamp(value, where: str) -> Optional[str]:
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise MalformedDocument(f"{where}: timestamp must be a string or null")
-    try:
-        datetime.fromisoformat(value)
-    except ValueError:
-        raise MalformedDocument(f"{where}: timestamp {value!r} is not ISO 8601")
-    return value
+# a turn's fields; the README's "Input documents" gives every corpus field
+_TURN_FIELDS = {"speaker": (str, REQUIRED), "text": (str, REQUIRED),
+                "turn_id": ((int, type(None)), None), "timestamp": ((str, type(None)), None)}
 
 
 def load_corpus(path) -> DialogueCorpus:
     """Load a corpus document and assign contiguous 1-based turn IDs.
 
     Accepts either the sessioned form ``{"corpus_id", "sessions": [...]}``
-    or a flat ``{"turns": [...]}`` variant. A session's ``session_id``, if
-    present, must be a JSON integer. Explicit ``turn_id`` fields, if
-    present in the source, must match load order; duplicates or gaps are
-    rejected.
+    or a flat ``{"turns": [...]}`` variant, each object read through a field
+    table. A ``turn_id``, if present in the source, must match load order:
+    an id that an earlier turn holds is DuplicateTurnId, and any other fault
+    is MalformedDocument.
     """
     path = Path(path)
     if not path.is_file():
@@ -94,61 +87,36 @@ def load_corpus(path) -> DialogueCorpus:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    if not isinstance(doc, dict):
-        raise MalformedDocument(f"{path}: top level must be an object")
-
-    corpus_id = doc.get("corpus_id", path.stem)
-    if "sessions" in doc:
-        if not isinstance(doc["sessions"], list) or \
-                not all(isinstance(sess, dict) for sess in doc["sessions"]):
-            raise MalformedDocument(f"{path}: sessions must be a list of objects")
-        sessioned = [
-            (sess.get("session_id", i), sess.get("turns", []))
-            for i, sess in enumerate(doc["sessions"])
-        ]
-    elif "turns" in doc:
-        sessioned = [(0, doc["turns"])]
-    else:
-        raise MalformedDocument(f"{path}: expected 'sessions' or 'turns' key")
 
     turns: list[DialogueTurn] = []
-    seen_ids: set[int] = set()
-    next_id = 1
-    for session_id, raw_turns in sessioned:
-        if not has_type(session_id, int):
-            raise MalformedDocument(f"{path}: session_id {session_id!r} is not an integer")
-        if not isinstance(raw_turns, list):
-            raise MalformedDocument(f"{path}: session {session_id}: turns must be a list")
-        for rec_no, rec in enumerate(raw_turns):
-            where = f"{path}: session {session_id} record {rec_no}"
-            if not isinstance(rec, dict):
-                raise MalformedDocument(f"{where}: turn must be an object")
-            speaker = rec.get("speaker")
-            if not isinstance(speaker, str) or not speaker:
-                raise MalformedDocument(f"{where}: speaker must be a non-empty string")
-            text = rec.get("text")
-            if not isinstance(text, str):
-                raise MalformedDocument(f"{where}: text must be a string")
-            explicit = rec.get("turn_id")
-            if explicit is not None:
-                if explicit in seen_ids:
+    where = str(path)
+    try:
+        top = read_object(doc, {"corpus_id": (str, path.stem), "sessions": (list, None)})
+        sessions = top["sessions"]
+        if sessions is None:
+            if "turns" not in doc:
+                raise ValueError("expected 'sessions' or 'turns' key")
+            sessions = [{"turns": doc["turns"]}]
+        for i, raw_session in enumerate(sessions):
+            where = f"{path}: session {i}"
+            session = read_object(raw_session, {"session_id": (int, i), "turns": (list, [])})
+            for rec_no, rec in enumerate(session["turns"]):
+                where = f"{path}: session {session['session_id']} record {rec_no}"
+                turn = read_object(rec, _TURN_FIELDS)
+                if not turn["speaker"]:
+                    raise ValueError("speaker must be a non-empty string")
+                explicit, next_id = turn["turn_id"], len(turns) + 1
+                if explicit is not None and 0 < explicit < next_id:
                     raise DuplicateTurnId(f"{where}: duplicate turn_id {explicit}")
-                if explicit != next_id:
-                    raise MalformedDocument(
-                        f"{where}: turn_id {explicit} out of order (expected {next_id})"
-                    )
-                seen_ids.add(explicit)
-            turns.append(
-                DialogueTurn(
-                    turn_id=next_id,
-                    session_id=session_id,
-                    speaker=speaker,
-                    text=text,
-                    timestamp=_validate_timestamp(rec.get("timestamp"), where),
-                )
-            )
-            next_id += 1
-    return DialogueCorpus(corpus_id=corpus_id, turns=tuple(turns))
+                if explicit not in (None, next_id):
+                    raise ValueError(f"turn_id {explicit} out of order (expected {next_id})")
+                if turn["timestamp"] is not None:
+                    datetime.fromisoformat(turn["timestamp"])
+                turns.append(DialogueTurn(next_id, session["session_id"], turn["speaker"],
+                                          turn["text"], turn["timestamp"]))
+    except ValueError as exc:  # a field table's fault, or a timestamp not ISO 8601
+        raise MalformedDocument(f"{where}: {exc}")
+    return DialogueCorpus(corpus_id=top["corpus_id"], turns=tuple(turns))
 
 
 def window_count(total_turns: int, window_size: int, stride: int) -> int:

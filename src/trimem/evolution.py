@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import Backend, BackendRouter, complete_parsed, parse_json, read_reply
+from .backend import (REQUIRED, Backend, BackendRouter, complete_parsed, parse_json,
+                      read_object, read_reply)
 from .corpus import DialogueCorpus, SegmentationConfig
 from .errors import EmptyRecordSet, ParseFailure, StoreIOError
 from .metrics import EvalRecord
@@ -25,6 +26,7 @@ from .store import RetrievalConfig, make_dir, refuse_non_empty
 logger = logging.getLogger(__name__)
 
 _ROUND_DIR = re.compile(r"round_(0|[1-9][0-9]*)")  # as PromptSet.persist names it
+_META_FIELDS = {"round": (int, REQUIRED), "parent_round": ((int, type(None)), REQUIRED)}
 
 
 @dataclass(frozen=True)
@@ -70,14 +72,18 @@ class PromptSet:
 
     @classmethod
     def load_round(cls, prompt_dir, round_number: int) -> "PromptSet":
+        """The round ``persist`` wrote; a ``meta.json`` that fails
+        ``_META_FIELDS`` or names another round is a ValueError."""
         round_dir = Path(prompt_dir) / f"round_{round_number}"
-        meta = json.loads((round_dir / "meta.json").read_text(encoding="utf-8"))
+        meta = read_object(json.loads((round_dir / "meta.json").read_text(encoding="utf-8")),
+                           _META_FIELDS)
+        if meta["round"] != round_number:
+            raise ValueError(f"meta.json names round {meta['round']}, not {round_number}")
         return cls(
             extraction=(round_dir / "extraction.txt").read_text(encoding="utf-8"),
             profile=(round_dir / "profile.txt").read_text(encoding="utf-8"),
             answer=(round_dir / "answer.txt").read_text(encoding="utf-8"),
-            round=meta["round"],
-            parent_round=meta["parent_round"],
+            **meta,
         )
 
 

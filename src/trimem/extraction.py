@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Optional
 
-from .backend import Backend, complete_parsed, parse_json, read_fields
+from .backend import Backend, complete_parsed, drop_empty, parse_json, read_object
 from .corpus import Window, render_window
 from .errors import ParseFailure
 from .prompts import render
@@ -102,10 +102,7 @@ def entry_from_record(record: dict, window: Window) -> MemoryEntry:
     Persons are display-normalized, one per ``normalize_person_key`` (the
     first form given), and the event time coerced to ISO 8601.
     """
-    fields, diagnostics = read_fields(record, _REPLY_FIELDS)
-    if diagnostics:
-        raise ValueError("; ".join(diagnostics))
-
+    fields, diagnostics = read_object(drop_empty(record), _REPLY_FIELDS), []
     if not fields["lossless_restatement"].strip():
         diagnostics.append("empty restatement")
     source_ids = frozenset(fields["source_dialogue_ids"])

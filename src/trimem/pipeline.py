@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .backend import BackendRouter, has_type
+from .backend import REQUIRED, BackendRouter, read_object
 from .corpus import DialogueCorpus, SegmentationConfig, segment
 from .errors import EmptyRecordSet, EmptyRequiredSet
 from .extraction import MemoryEntry, extract_entries, restatement_key
@@ -16,6 +16,11 @@ from .retrieval import plan_for_question, retrieve
 from .store import MemoryStore, RetrievalConfig
 
 
+# a QA record's fields; a record without a reference may give it as "answer"
+_QA_FIELDS = {"question": (str, REQUIRED), "reference": (str, REQUIRED),
+              "category": (int, 4), "evidence": ([int], [])}
+
+
 @dataclass
 class QaItem:
     question: str
@@ -25,28 +30,19 @@ class QaItem:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "QaItem":
-        """The item a QA record holds; a ``question`` or a ``reference`` (or
-        else ``answer``) that is not a non-empty string, or a ``category``
-        that is not an int key of ``CATEGORY_NAMES``, or an ``evidence`` that
-        is not a list of ints, is a ValueError."""
-        question = rec["question"]
-        reference = rec["reference"] if "reference" in rec else rec.get("answer")
-        for name, text in (("question", question), ("reference", reference)):
-            if not (isinstance(text, str) and text):
-                raise ValueError(f"{name} must be a non-empty string, got {text!r}")
-        category = rec.get("category", 4)
-        if not (has_type(category, int) and category in CATEGORY_NAMES):
+        """The item a QA record holds, read through ``_QA_FIELDS``; a fault,
+        an empty question or reference, or a category that is not a key of
+        ``CATEGORY_NAMES`` is a ValueError."""
+        if isinstance(rec, dict) and "reference" not in rec and "answer" in rec:
+            rec = {**rec, "reference": rec["answer"]}
+        item = read_object(rec, _QA_FIELDS)
+        for name in ("question", "reference"):
+            if not item[name]:
+                raise ValueError(f"{name} must be a non-empty string")
+        if item["category"] not in CATEGORY_NAMES:
             raise ValueError(f"category must be one of {sorted(CATEGORY_NAMES)}, "
-                             f"got {category!r}")
-        evidence = rec.get("evidence", [])
-        if not has_type(evidence, [int]):
-            raise ValueError(f"evidence must be a list of turn ids, got {evidence!r}")
-        return cls(
-            question=question,
-            reference=reference,
-            category=category,
-            evidence=frozenset(evidence),
-        )
+                             f"got {item['category']!r}")
+        return cls(**{**item, "evidence": frozenset(item["evidence"])})
 
 
 def build_store(corpus: DialogueCorpus, prompts: dict[str, str],

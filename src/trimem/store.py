@@ -25,10 +25,10 @@ bits, under 3 bits of entropy on unit-norm embeddings, so a Huffman code
 alone shrinks it to about a third; planes 0-2 are mantissa bits, close to
 random, and stay raw. Every value loads bit for bit.
 
-``load`` checks the manifest's keys and their types, then each data file's
-sha256 before it parses anything. Each kind must hold exactly its table's
-columns, each a list of the manifest's count of values whose exact types the
-table allows, checked once per column. Then come the vector planes' lengths,
+``load`` reads the manifest through a ``read_object`` field table, then
+checks each data file's sha256 before it parses anything. Each kind must
+hold exactly its table's columns, each a list of the manifest's count of
+values whose exact types the table allows, checked once per column. Then come the vector planes' lengths,
 distinct turn ids and restatements, and the profile version chain; any fault
 raises StoreIOError. A store of another schema version raises
 SchemaVersionMismatch; rebuild it with ``trimem build --force``.
@@ -47,7 +47,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .backend import Backend
+from .backend import REQUIRED, Backend, read_object
 from .corpus import DialogueCorpus, DialogueTurn
 from .errors import (
     DanglingAnchor,
@@ -113,11 +113,12 @@ _TURN_TYPES = {"turn_id": {int}, "session_id": {int}, "speaker": {str},
 # as EntityProfile.as_dict writes a version; sections map label to text
 _PROFILE_TYPES = {"entity_key": {str}, "display_name": {str}, "version": {int},
                   "window": {int}, "sections": {dict}}
-_MANIFEST_TYPES = {"schema_version": {int}, "dim": {int}, "entry_count": {int},
-                   "turn_count": {int}, "profile_versions": {int}, "sealed": {bool},
-                   "sha256": {dict}}
-# where present; load reads no other manifest key, and persist may write more
-_MANIFEST_EXTRA_TYPES = {"config_hash": {str}, "prompt_round": {int}}
+# the manifest keys load checks: persist writes the required ones, build adds
+# config_hash and prompt_round, and any other key is ignored
+_MANIFEST_FIELDS = {**dict.fromkeys(("schema_version", "dim", "entry_count", "turn_count",
+                                     "profile_versions"), (int, REQUIRED)),
+                    "sealed": (bool, REQUIRED), "sha256": (dict, REQUIRED),
+                    "config_hash": (str, None), "prompt_round": (int, None)}
 # the kinds in records.json.gz: each one's type table and manifest count
 _KINDS = {"entries": (_ENTRY_TYPES, "entry_count"), "turns": (_TURN_TYPES, "turn_count"),
           "profiles": (_PROFILE_TYPES, "profile_versions")}
@@ -427,21 +428,17 @@ class MemoryStore:
             raise StoreIOError(f"{path}: not a store directory (missing manifest.json)")
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            version = manifest.get("schema_version") if isinstance(manifest, dict) else None
+            if type(version) is int and version != SCHEMA_VERSION:
+                raise SchemaVersionMismatch(
+                    f"store schema {version} != {SCHEMA_VERSION}; "
+                    f"rebuild it with `trimem build --force`")
+            manifest = read_object(manifest, _MANIFEST_FIELDS)
+        except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
             raise StoreIOError(f"{manifest_path}: {exc}")
-        if not isinstance(manifest, dict):
-            raise StoreIOError(f"{manifest_path}: not a JSON object")
-        version = manifest.get("schema_version")
-        if type(version) is int and version != SCHEMA_VERSION:
-            raise SchemaVersionMismatch(
-                f"store schema {version} != {SCHEMA_VERSION}; "
-                f"rebuild it with `trimem build --force`")
 
         store = cls()
         try:
-            for name, types in {**_MANIFEST_TYPES, **_MANIFEST_EXTRA_TYPES}.items():
-                if name in _MANIFEST_TYPES or name in manifest:  # missing: KeyError
-                    _check_types([manifest[name]], types, f"manifest key {name!r}")
             if sorted(manifest["sha256"]) != sorted(DATA_FILES):
                 raise ValueError(f"manifest lists checksums of {sorted(manifest['sha256'])}, "
                                  f"not of the data files {sorted(DATA_FILES)}")
@@ -490,7 +487,7 @@ class MemoryStore:
                 TypeError, ValueError) as exc:
             # unreadable file, cut or damaged gzip or zlib data, short vector
             # header or plane, bad JSON, missing, extra, short or wrong-typed
-            # column or manifest key, repeated turn id or restatement,
+            # column, repeated turn id or restatement,
             # profile version gap
             raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}")
         if manifest["sealed"]:

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
 
@@ -269,12 +271,33 @@ def test_build_refuses_non_empty_dir_without_force(work_dir, capsys):
 
 def test_store_lock_blocks_concurrent_build(work_dir, capsys):
     (work_dir / "store").mkdir()
-    (work_dir / "store" / ".lock").write_text("123")
+    (work_dir / "store" / ".lock").write_text(str(os.getpid()))  # a live pid
     code, _, err = run(capsys, "build", "--corpus", "corpus.json",
                        "--store", "store", "--scripted", "fixture.jsonl",
                        "--force")
     assert code == EXIT_USAGE
     assert "locked" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("contents", ["", "not a pid", "12.5", "9" * 40])
+def test_store_lock_that_names_no_pid_blocks_a_build(work_dir, capsys, contents):
+    (work_dir / "store").mkdir()
+    (work_dir / "store" / ".lock").write_text(contents)
+    code, _, err = build(capsys, extra=("--force",))
+    assert code == EXIT_USAGE
+    assert "locked" in json.loads(err)["message"]
+    assert (work_dir / "store" / ".lock").read_text() == contents
+
+
+def test_store_lock_of_a_dead_process_is_reclaimed(work_dir, capsys):
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()  # reaped, so its pid names no process
+    (work_dir / "store").mkdir()
+    (work_dir / "store" / ".lock").write_text(str(child.pid))
+    code, out, err = build(capsys, extra=("--force",))
+    assert code == EXIT_OK, err
+    assert json.loads(out)["entries"] == 60
+    assert not (work_dir / "store" / ".lock").exists()
 
 
 def test_query_and_answer(work_dir, capsys):
@@ -755,3 +778,44 @@ def test_ablate_reads_json_values_and_rebuilds_for_a_segmentation_knob(work_dir,
                      "--scripted", "fixture.jsonl", "--out", "stride")
     assert code == EXIT_OK
     assert (work_dir / "stride" / "store_stride_38" / "manifest.json").exists()
+
+
+def test_an_ablate_row_that_rebuilds_counts_and_caps_its_build(work_dir, capsys):
+    def calls(out_dir):
+        manifest = json.loads((work_dir / out_dir / "run_manifest.json").read_text())
+        return manifest["backend_usage"]["calls"]
+
+    build(capsys)
+    code, _, err = run(capsys, "eval", "--store", "store", "--qa", "qa.jsonl",
+                       "--scripted", "fixture.jsonl", "--out", "eval")
+    assert code == EXIT_OK, err
+    assert (calls("store"), calls("eval")) == (25, 40)
+
+    sweep = ("ablate", "--corpus", "corpus.json", "--qa", "qa.jsonl", "--knob", "stride",
+             "--values", "38", "--scripted", "fixture.jsonl")
+    assert run(capsys, *sweep, "--out", "stride")[0] == EXIT_OK
+    assert calls("stride/stride_38") == 25 + 40
+    # the cap spans the row: enough for its build or its eval, not both
+    code, _, err = run(capsys, *sweep, "--out", "capped", "--max-calls", "50")
+    assert code == EXIT_BACKEND
+    assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("meta", [
+    {"round": "zero", "parent_round": [1]},
+    {"round": 0, "parent_round": "none"},
+    {"round": 1, "parent_round": 0},
+    {"round": 0},
+    [0, None],
+], ids=["round-a-string", "parent-round-a-string", "round-not-its-directory",
+        "parent-round-missing", "not-an-object"])
+def test_a_bad_prompt_round_meta_is_a_data_error(work_dir, capsys, meta):
+    assert build(capsys)[0] == EXIT_OK
+    PromptSet.seed().persist(work_dir / "prompts")
+    (work_dir / "prompts" / "round_0" / "meta.json").write_text(json.dumps(meta))
+    # --max-calls 0: a model call before the check would exit 3
+    code, out, err = run(capsys, "eval", "--store", "store", "--qa", "qa.jsonl",
+                         "--scripted", "fixture.jsonl", "--prompts", "prompts",
+                         "--out", "eval", "--max-calls", "0")
+    assert (code, out) == (EXIT_DATA, "")
+    assert json.loads(err)["error"] == "MalformedDocument"

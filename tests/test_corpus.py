@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trimem.cli import EXIT_DATA, main
 from trimem.corpus import (
     DialogueCorpus,
     DialogueTurn,
@@ -67,8 +68,37 @@ def test_load_rejects_a_non_integer_session_id(tmp_path, session_id):
 def test_load_rejects_sessions_that_are_not_a_list_of_objects(tmp_path, sessions):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"sessions": sessions}))
-    with pytest.raises(MalformedDocument, match="sessions must be a list of objects"):
+    with pytest.raises(MalformedDocument,
+                       match=r"sessions has the wrong type|session \d+: not a JSON object"):
         load_corpus(path)
+
+
+TURN = {"speaker": "A", "text": "a"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"turns": [{**TURN, "turn_id": True}]},
+    {"turns": [TURN, {**TURN, "turn_id": 2.0}]},
+    {"corpus_id": 5, "turns": [TURN]},
+    {"corpus_id": ["x"], "turns": [TURN]},
+], ids=["turn-id-true", "turn-id-2.0", "corpus-id-5", "corpus-id-a-list"])
+def test_load_rejects_a_wrong_typed_turn_id_or_corpus_id(tmp_path, capsys, doc):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedDocument, match="(turn|corpus)_id has the wrong type"):
+        load_corpus(path)
+    assert main(["ingest", "--corpus", str(path)]) == EXIT_DATA
+    assert json.loads(capsys.readouterr().err)["error"] == "MalformedDocument"
+
+
+def test_load_takes_null_optional_fields_and_ignores_extra_ones(tmp_path):
+    doc = {"corpus_id": "x", "sessions": [{"turns": [
+        {**TURN, "turn_id": None, "timestamp": None, "blip_caption": "a dog"},
+        {**TURN, "turn_id": 2, "timestamp": "2024-01-01T10:00:00"}]}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert load_corpus(path) == DialogueCorpus("x", (
+        DialogueTurn(1, 0, "A", "a"), DialogueTurn(2, 0, "A", "a", "2024-01-01T10:00:00")))
 
 
 def test_load_missing_file(tmp_path):
@@ -89,6 +119,13 @@ def test_load_rejects_duplicate_turn_id(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     with pytest.raises((DuplicateTurnId, MalformedDocument)):
+        load_corpus(path)
+
+
+def test_an_explicit_turn_id_below_the_next_one_is_a_duplicate(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"turns": [TURN, {**TURN, "turn_id": 1}]}))
+    with pytest.raises(DuplicateTurnId, match="record 1: duplicate turn_id 1"):
         load_corpus(path)
 
 

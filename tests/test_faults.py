@@ -1,0 +1,100 @@
+"""Fault sweep over the fixture build.
+
+Every model call of ``trimem build`` on the fixture fails in turn, with
+each fault the backend can raise, and two unreadable chat replies in a row
+(a reply and its one repair). Each run must end in the fault's documented
+exit code, a fresh directory must hold no store afterwards, and a built
+store that ``build --force`` was replacing must still load, byte for byte.
+"""
+import json
+import shutil
+
+import pytest
+
+from trimem.backend import ScriptedBackend
+from trimem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, main
+from trimem.errors import AuthError, BudgetExceeded, StoreIOError, TransportError
+from trimem.store import MemoryStore
+
+BUILD_CALLS = ["chat"] * 24 + ["embed"]  # every window's calls, then one embed
+UNREADABLE = "no JSON and no 'Entity:' header"  # fails every build-time parser
+
+# fault -> (the exception raised at call k, or None for two unreadable
+# replies from call k on), the exit code and the error it reports
+FAULTS = {
+    "transport": (TransportError, EXIT_BACKEND, "TransportError"),
+    "auth": (AuthError, EXIT_BACKEND, "AuthError"),
+    "budget": (BudgetExceeded, EXIT_BACKEND, "BudgetExceeded"),
+    "unreadable-twice": (None, EXIT_DATA, "ParseFailure"),
+}
+CASES = [(fault, k) for fault in FAULTS for k in range(1, len(BUILD_CALLS) + 1)
+         if FAULTS[fault][0] or BUILD_CALLS[k - 1] == "chat"]
+
+
+def inject(monkeypatch, fault=None, k=0) -> list[str]:
+    """Patch every ScriptedBackend round-trip to count its calls and fail
+    call k with fault; returns the kinds of the calls made."""
+    error = FAULTS[fault][0] if fault else None
+    calls: list[str] = []
+
+    def counted(kind, real):
+        def round_trip(self, request):
+            calls.append(kind)
+            if fault and error is None and len(calls) in (k, k + 1):
+                return UNREADABLE
+            if fault and error and len(calls) == k:
+                raise error(f"injected at call {k}")
+            return real(self, request)
+        return round_trip
+
+    monkeypatch.setattr(ScriptedBackend, "_complete",
+                        counted("chat", ScriptedBackend._complete))
+    monkeypatch.setattr(ScriptedBackend, "_embed", counted("embed", ScriptedBackend._embed))
+    return calls
+
+
+def build(capsys, store, *extra):
+    code = main(["build", "--corpus", "corpus.json", "--store", store,
+                 "--scripted", "fixture.jsonl", *extra])
+    return code, capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory, data_dir):
+    """A store from the unfaulted fixture build, for each case to copy."""
+    store = tmp_path_factory.mktemp("built") / "store"
+    assert main(["build", "--corpus", str(data_dir / "corpus.json"), "--store", str(store),
+                 "--scripted", str(data_dir / "fixture.jsonl")]) == EXIT_OK
+    return store
+
+
+def snapshot(store):
+    return {p.name: p.read_bytes() for p in sorted(store.iterdir())}
+
+
+def test_the_fixture_build_makes_24_chat_calls_then_one_embed(work_dir, capsys, monkeypatch):
+    calls = inject(monkeypatch)
+    assert build(capsys, "store")[0] == EXIT_OK
+    assert calls == BUILD_CALLS
+
+
+@pytest.mark.parametrize("fault,k", CASES, ids=[f"{f}-call-{k}" for f, k in CASES])
+def test_a_fault_at_any_build_call_leaves_no_store_or_the_old_one(
+        work_dir, capsys, monkeypatch, built, fault, k):
+    _, want_code, want_error = FAULTS[fault]
+    shutil.copytree(built, work_dir / "built")
+    before = snapshot(work_dir / "built")
+
+    calls = inject(monkeypatch, fault, k)
+    code, err = build(capsys, "fresh")
+    assert (code, json.loads(err)["error"]) == (want_code, want_error)
+    assert calls[k - 1] == BUILD_CALLS[k - 1]
+    assert list((work_dir / "fresh").iterdir()) == []
+    with pytest.raises(StoreIOError):
+        MemoryStore.load(work_dir / "fresh")
+
+    calls.clear()  # the same fault at the same call, over the built store
+    code, err = build(capsys, "built", "--force")
+    assert (code, json.loads(err)["error"]) == (want_code, want_error)
+    assert snapshot(work_dir / "built") == before
+    assert len(MemoryStore.load(work_dir / "built")) == 60
