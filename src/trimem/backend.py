@@ -5,8 +5,8 @@ The ``Backend`` base class owns the call protocol: ``complete`` and
 the usage to the instance, and ``embed`` also checks the texts going out
 and the rows coming back, making one round-trip per ``EMBED_BATCH``
 texts. ``read_object`` reads one JSON object through a field table: every
-model reply (by ``read_reply``), corpus document, QA record, fixture rule,
-store manifest and prompt-round ``meta.json``.
+model reply (by ``read_reply``), provider reply body, corpus document, QA
+record, fixture rule, store manifest and prompt-round ``meta.json``.
 A concrete backend supplies only the provider round-trip,
 ``_complete`` and ``_embed``. Two exist: an HTTP backend
 speaking the common ``/chat/completions`` + ``/embeddings`` request shapes,
@@ -340,6 +340,15 @@ class ScriptedBackend(Backend):
         return [hash_embedding(t) for t in texts]
 
 
+# the provider reply bodies HttpBackend reads, one field table per object
+_CHAT_FIELDS = {"choices": ([dict], REQUIRED)}
+_CHOICE_FIELDS = {"message": (dict, REQUIRED)}
+_MESSAGE_FIELDS = {"content": ((str, type(None)), REQUIRED)}
+_EMBEDDINGS_FIELDS = {"data": ([dict], REQUIRED)}
+_EMBEDDING_FIELDS = {"index": (int, REQUIRED), "embedding": (list, REQUIRED)}
+_NUMBER_TYPES = {int, float}
+
+
 class HttpBackend(Backend):
     """Backend for OpenAI-compatible chat-completion and embedding endpoints."""
 
@@ -391,9 +400,13 @@ class HttpBackend(Backend):
             "max_tokens": request.max_output_tokens,
         })
         try:
-            reply = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            raise TransportError(f"malformed chat response: {str(body)[:200]}")
+            choices = read_object(body, _CHAT_FIELDS)["choices"]
+            if not choices:
+                raise ValueError("choices is empty")
+            message = read_object(choices[0], _CHOICE_FIELDS)["message"]
+            reply = read_object(message, _MESSAGE_FIELDS)["content"]
+        except ValueError as exc:
+            raise TransportError(f"malformed chat response ({exc}): {str(body)[:200]}")
         return reply or ""
 
     def _embed(self, texts: Sequence[str]) -> list[np.ndarray]:
@@ -402,10 +415,16 @@ class HttpBackend(Backend):
             "input": list(texts),
         })
         try:
-            rows = sorted(body["data"], key=lambda d: d["index"])
-            return [np.asarray(r["embedding"], dtype=np.float32) for r in rows]
-        except (KeyError, TypeError, ValueError):
-            raise TransportError(f"malformed embedding response: {str(body)[:200]}")
+            rows = [read_object(row, _EMBEDDING_FIELDS)
+                    for row in read_object(body, _EMBEDDINGS_FIELDS)["data"]]
+            if sorted(row["index"] for row in rows) != list(range(len(rows))):
+                raise ValueError("the indices are not 0..n-1")
+            if any(not set(map(type, row["embedding"])) <= _NUMBER_TYPES for row in rows):
+                raise ValueError("an embedding is not a list of numbers")
+        except ValueError as exc:
+            raise TransportError(f"malformed embedding response ({exc}): {str(body)[:200]}")
+        rows.sort(key=lambda row: row["index"])
+        return [np.asarray(row["embedding"], dtype=np.float32) for row in rows]
 
 
 @dataclass

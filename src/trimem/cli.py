@@ -5,7 +5,8 @@ Configuration precedence is flags > environment > config file. ``build``,
 ``eval``, ``evolve`` and ``ablate`` (one per eval row) write a run manifest
 (config hash, prompt round, backend usage) so scripted runs replay exactly.
 
-Exit codes: 0 success, 1 usage, 2 data/validation, 3 backend/transport.
+Each flag is declared once, in ``FLAGS``. Exit codes: 0 success, else the
+error class's ``exit_code``: 1 usage, 2 data/validation, 3 backend/transport.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from typing import Optional, Sequence, get_args, get_type_hints
 from . import errors
 from .backend import BackendRouter, HttpBackend, ScriptedBackend, has_type
 from .corpus import SegmentationConfig, load_corpus, segment
+from .errors import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE  # noqa: F401 (re-exported)
 from .extraction import normalize_person_key
 from .evolution import PromptSet, best_round, evolve
 from .metrics import build_report, write_report
@@ -30,11 +32,6 @@ from .pipeline import QaItem, answer_question, build_store, run_eval
 from .prompts import seed_prompts
 from .retrieval import plan_for_question, retrieve
 from .store import MemoryStore, RetrievalConfig, make_dir, refuse_non_empty
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_BACKEND = 3
 
 ENV_API_BASE = "TRIMEM_API_BASE"
 ENV_API_KEY = "TRIMEM_API_KEY"
@@ -453,105 +450,66 @@ def cmd_inspect(args) -> int:
 
 # -- argument parsing ----------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON run-config file")
-    parser.add_argument("--scripted", dest="scripted_fixture",
-                        help="scripted backend fixture (JSONL)")
-    parser.add_argument("--prompts", dest="prompt_dir",
-                        help="versioned prompt directory")
-    parser.add_argument("--round", dest="prompt_round", type=int,
-                        help="prompt round to load (default: latest)")
-    parser.add_argument("--k", dest="top_k", type=int, help="retrieval top-K")
-    parser.add_argument("--no-search-plan", action="store_true",
-                        help="retrieve with the raw question only")
-    parser.add_argument("--max-calls", dest="max_calls", type=int)
-    parser.add_argument("--max-tokens", dest="max_tokens", type=int)
-    parser.add_argument("--seed", type=int)
+# each flag's add_argument keywords
+FLAGS = {
+    "--corpus": {}, "--question": {}, "--knob": {}, "--entry-id": {},
+    "--store": {"dest": "store_dir"},
+    "--window": {"dest": "window_size", "type": int},
+    "--stride": {"type": int}, "--rounds": {"type": int},
+    "--force": {"action": "store_true"},
+    "--dump-context": {"help": "write the assembled context here"},
+    "--qa": {"help": "QA set (JSONL or JSON array)"},
+    "--out": {"help": "output directory"},
+    "--values": {"help": "comma-separated values"},
+    "--config": {"help": "JSON run-config file"},
+    "--scripted": {"dest": "scripted_fixture", "help": "scripted backend fixture (JSONL)"},
+    "--prompts": {"dest": "prompt_dir", "help": "versioned prompt directory"},
+    "--round": {"dest": "prompt_round", "type": int,
+                "help": "prompt round to load (default: latest)"},
+    "--k": {"dest": "top_k", "type": int, "help": "retrieval top-K"},
+    "--no-search-plan": {"action": "store_true", "help": "retrieve with the raw question only"},
+    "--max-calls": {"type": int}, "--max-tokens": {"type": int}, "--seed": {"type": int},
+}
+COMMON_FLAGS = ["--config", "--scripted", "--prompts", "--round", "--k",
+                "--no-search-plan", "--max-calls", "--max-tokens", "--seed"]
+
+# each command's function, help and own flags; a trailing "!" marks a required flag
+COMMANDS = {
+    "ingest": (cmd_ingest, "validate and summarize a corpus file", "--corpus! --window --stride"),
+    "build": (cmd_build, "build the memory store from a corpus",
+              "--corpus! --store! --window --stride --force"),
+    "query": (cmd_query, "retrieve context for a question", "--store! --question!"),
+    "answer": (cmd_answer, "answer a question from the store",
+               "--store! --question! --dump-context"),
+    "eval": (cmd_eval, "run the QA evaluation harness (--out defaults to STORE/eval)",
+             "--store! --qa! --out"),
+    "evolve": (cmd_evolve, "run the prompt evolution loop", "--corpus! --qa! --rounds --out!"),
+    "ablate": (cmd_ablate, "sweep one knob and tabulate results",
+               "--store --corpus --qa! --knob! --values! --out!"),
+    "inspect": (cmd_inspect, "dump store stats or one entry", "--store! --entry-id"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="trimem",
-        description="Tri-granularity conversational memory engine")
+        prog="trimem", description="Tri-granularity conversational memory engine")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate and summarize a corpus file")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--window", dest="window_size", type=int)
-    p.add_argument("--stride", dest="stride", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("build", help="build the memory store from a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--store", dest="store_dir", required=True)
-    p.add_argument("--window", dest="window_size", type=int)
-    p.add_argument("--stride", dest="stride", type=int)
-    p.add_argument("--force", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("query", help="retrieve context for a question")
-    p.add_argument("--store", dest="store_dir", required=True)
-    p.add_argument("--question", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_query)
-
-    p = sub.add_parser("answer", help="answer a question from the store")
-    p.add_argument("--store", dest="store_dir", required=True)
-    p.add_argument("--question", required=True)
-    p.add_argument("--dump-context", help="write the assembled context here")
-    _add_common(p)
-    p.set_defaults(func=cmd_answer)
-
-    p = sub.add_parser("eval", help="run the QA evaluation harness")
-    p.add_argument("--store", dest="store_dir", required=True)
-    p.add_argument("--qa", required=True, help="QA set (JSONL or JSON array)")
-    p.add_argument("--out", help="report directory (default STORE/eval)")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("evolve", help="run the prompt evolution loop")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--qa", required=True)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--out", required=True, help="prompt version directory")
-    _add_common(p)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("ablate", help="sweep one knob and tabulate results")
-    p.add_argument("--store", dest="store_dir")
-    p.add_argument("--corpus")
-    p.add_argument("--qa", required=True)
-    p.add_argument("--knob", required=True)
-    p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("inspect", help="dump store stats or one entry")
-    p.add_argument("--store", dest="store_dir", required=True)
-    p.add_argument("--entry-id")
-    _add_common(p)
-    p.set_defaults(func=cmd_inspect)
-
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=help_text)
+        for flag in flags.split() + COMMON_FLAGS:
+            option = flag.rstrip("!")
+            p.add_argument(option, required=flag.endswith("!"), **FLAGS[option])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except errors.TriMemError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        if isinstance(exc, (errors.UsageError, errors.UnknownKnob)):
-            return EXIT_USAGE
-        if isinstance(exc, (errors.TransportError, errors.AuthError,
-                            errors.BudgetExceeded)):
-            return EXIT_BACKEND
-        return EXIT_DATA
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

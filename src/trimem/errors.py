@@ -1,8 +1,15 @@
-"""Exception hierarchy for the memory engine."""
+"""Exception hierarchy for the memory engine. Each class's ``exit_code`` is
+the CLI's exit status for it: 1 usage, 3 backend/transport, else 2 (data)."""
+
+EXIT_OK = 0
+EXIT_USAGE = 1
+EXIT_DATA = 2
+EXIT_BACKEND = 3
 
 
 class TriMemError(Exception):
     """Base class for all engine errors."""
+    exit_code = EXIT_DATA
 
 
 # -- corpus --------------------------------------------------------------
@@ -26,15 +33,15 @@ class EmptyCorpus(TriMemError):
 # -- backend -------------------------------------------------------------
 
 class TransportError(TriMemError):
-    pass
+    exit_code = EXIT_BACKEND
 
 
 class AuthError(TriMemError):
-    pass
+    exit_code = EXIT_BACKEND
 
 
 class BudgetExceeded(TriMemError):
-    pass
+    exit_code = EXIT_BACKEND
 
 
 class FixtureExhausted(TransportError):
@@ -94,8 +101,8 @@ class EmptyRequiredSet(TriMemError):
 # -- cli -----------------------------------------------------------------
 
 class UnknownKnob(TriMemError):
-    pass
+    exit_code = EXIT_USAGE
 
 
 class UsageError(TriMemError):
-    pass
+    exit_code = EXIT_USAGE

@@ -4,7 +4,8 @@ One round: rebuild memory with the current extraction/profile prompts,
 answer the training questions, judge them, aggregate the loss, ask the
 senior model for full-text prompt rewrites, and apply them as the next
 version. The answer prompt is frozen across all rounds. A gradient
-reply must also keep every placeholder of the prompt it rewrites.
+reply must also keep every placeholder of the prompt it rewrites, and a
+loaded round every placeholder of each of its prompts.
 """
 from __future__ import annotations
 
@@ -20,13 +21,17 @@ from .backend import (REQUIRED, Backend, BackendRouter, complete_parsed, parse_j
 from .corpus import DialogueCorpus, SegmentationConfig
 from .errors import EmptyRecordSet, ParseFailure, StoreIOError
 from .metrics import EvalRecord
-from .prompts import EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS, render, seed_prompts
+from .prompts import (ANSWER_PLACEHOLDERS, EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS,
+                      render, seed_prompts)
 from .store import RetrievalConfig, make_dir, refuse_non_empty
 
 logger = logging.getLogger(__name__)
 
 _ROUND_DIR = re.compile(r"round_(0|[1-9][0-9]*)")  # as PromptSet.persist names it
 _META_FIELDS = {"round": (int, REQUIRED), "parent_round": ((int, type(None)), REQUIRED)}
+# each prompt of a round, with the placeholders it must hold
+_PLACEHOLDERS = {"extraction": EXTRACTION_PLACEHOLDERS, "profile": PROFILE_PLACEHOLDERS,
+                 "answer": ANSWER_PLACEHOLDERS}
 
 
 @dataclass(frozen=True)
@@ -73,18 +78,19 @@ class PromptSet:
     @classmethod
     def load_round(cls, prompt_dir, round_number: int) -> "PromptSet":
         """The round ``persist`` wrote; a ``meta.json`` that fails
-        ``_META_FIELDS`` or names another round is a ValueError."""
+        ``_META_FIELDS`` or names another round, or a prompt file that lacks
+        a placeholder of ``_PLACEHOLDERS``, is a ValueError."""
         round_dir = Path(prompt_dir) / f"round_{round_number}"
         meta = read_object(json.loads((round_dir / "meta.json").read_text(encoding="utf-8")),
                            _META_FIELDS)
         if meta["round"] != round_number:
             raise ValueError(f"meta.json names round {meta['round']}, not {round_number}")
-        return cls(
-            extraction=(round_dir / "extraction.txt").read_text(encoding="utf-8"),
-            profile=(round_dir / "profile.txt").read_text(encoding="utf-8"),
-            answer=(round_dir / "answer.txt").read_text(encoding="utf-8"),
-            **meta,
-        )
+        prompts = {name: (round_dir / f"{name}.txt").read_text(encoding="utf-8")
+                   for name in _PLACEHOLDERS}
+        for name, placeholders in _PLACEHOLDERS.items():
+            if lost := [p for p in placeholders if p not in prompts[name]]:
+                raise ValueError(f"{name}.txt lacks {', '.join(lost)}")
+        return cls(**prompts, **meta)
 
 
 _VERDICT_FIELDS = {"score": ((int, float), 0.0), "reasoning": (str, "")}
@@ -118,16 +124,15 @@ def aggregate_loss(records: Sequence[EvalRecord]) -> float:
 
 _GRADIENT_FIELDS = dict.fromkeys(("rewritten_p_ext", "rewritten_p_prof", "change_summary"),
                                  (str, ""))
-_REWRITES = (("rewritten_p_ext", "extraction", EXTRACTION_PLACEHOLDERS),
-             ("rewritten_p_prof", "profile", PROFILE_PLACEHOLDERS))
+_REWRITES = (("rewritten_p_ext", "extraction"), ("rewritten_p_prof", "profile"))
 
 
 def _parse_gradient(text: str) -> dict[str, str]:
     """The gradient-log fields of a senior reply or a logged round: two
     rewrites that keep every placeholder of their prompt, and a summary."""
     gradient = read_reply(text, _GRADIENT_FIELDS)
-    for name, label, placeholders in _REWRITES:
-        for placeholder in placeholders:
+    for name, label in _REWRITES:
+        for placeholder in _PLACEHOLDERS[label]:
             if placeholder not in gradient[name]:
                 raise ParseFailure(f"{label} rewrite lost {placeholder}")
     return gradient

@@ -61,8 +61,8 @@ def build_store(corpus: DialogueCorpus, prompts: dict[str, str],
 
     Extraction drops each invalid entry with a logged diagnostic, so a
     window contributes its survivors. A reply that stays unreadable after
-    its one repair raises ParseFailure and aborts the build, and so does a
-    zero-norm embedding, after the last window.
+    its one repair raises ParseFailure and aborts the build, and a zero-norm
+    or non-finite embedding raises DimensionMismatch after the last window.
     """
     seg_config = seg_config or SegmentationConfig()
     store = MemoryStore.for_corpus(corpus)

@@ -75,18 +75,23 @@ def group_by_person(entries: Sequence[MemoryEntry]) -> dict[str, list[MemoryEntr
 def parse_profile_text(text: str) -> tuple[str, tuple[tuple[str, str], ...]]:
     """Parse the bracketed-label profile format.
 
-    Returns (display name, ordered sections). Raises ParseFailure when the
-    ``Entity:`` header is missing or no labeled section is present.
+    Returns (display name, ordered sections). A repeated label is merged
+    into its first section, the bodies joined by a newline, so the profile
+    round-trips through the store's ``{label: text}`` record. Raises
+    ParseFailure when the ``Entity:`` header is missing or no labeled
+    section is present.
     """
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
     display_name = None
-    sections: list[tuple[str, str]] = []
+    sections: dict[str, str] = {}  # label -> body, in first-seen order
     current_label = None
     current_lines: list[str] = []
 
     def flush():
-        if current_label is not None:
-            sections.append((current_label, "\n".join(current_lines).strip()))
+        body = "\n".join(current_lines).strip()
+        if current_label is not None and body:
+            earlier = sections.get(current_label)
+            sections[current_label] = f"{earlier}\n{body}" if earlier else body
 
     for line in lines:
         if display_name is None and line.lower().startswith("entity:"):
@@ -103,10 +108,9 @@ def parse_profile_text(text: str) -> tuple[str, tuple[tuple[str, str], ...]]:
 
     if display_name is None:
         raise ParseFailure("profile output missing 'Entity:' header")
-    sections = [(label, body) for label, body in sections if body]
     if not sections:
         raise ParseFailure("profile output has no populated sections")
-    return display_name, tuple(sections)
+    return display_name, tuple(sections.items())
 
 
 def serialize_profile(profile: EntityProfile) -> str:

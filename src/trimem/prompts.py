@@ -10,6 +10,7 @@ from importlib import resources
 
 EXTRACTION_PLACEHOLDERS = ("{context}", "{dialogue_text}")
 PROFILE_PLACEHOLDERS = ("{entity_name}", "{facts}")
+ANSWER_PLACEHOLDERS = ("{query}", "{context}")
 
 _ASSET_PACKAGE = "trimem.assets.prompts"
 

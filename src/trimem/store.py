@@ -276,8 +276,9 @@ class MemoryStore:
         new restatements go out in one ``backend.embed`` call, one
         round-trip per ``EMBED_BATCH`` texts, so ``build_store`` indexes a
         whole build with one insert. The new rows go into the index as one
-        block, and a zero-norm or wrong-size embedding, or a budget that
-        runs out between slices, raises before the batch adds anything.
+        block, and a zero-norm, non-finite or wrong-size embedding
+        (DimensionMismatch), or a budget that runs out between slices,
+        raises before the batch adds anything.
         """
         if self._sealed:
             raise StoreClosed("store is sealed")
@@ -292,13 +293,13 @@ class MemoryStore:
             for i in range(len(fresh)):
                 vec = np.asarray(vectors[i], dtype=np.float32)
                 norm = float(np.linalg.norm(vec))
-                if norm == 0:
-                    raise ValueError("zero-norm embedding")
+                if not 0 < norm < np.inf:
+                    raise DimensionMismatch(f"embedding of norm {norm}, zero or not finite")
                 rows.append(vec / norm)
             dim = self.dim or len(rows[0])
             for row in rows:
                 if len(row) != dim:
-                    raise ValueError(f"embedding dim {len(row)} != index dim {dim}")
+                    raise DimensionMismatch(f"embedding dim {len(row)} != index dim {dim}")
             self.dim = dim
             self._blocks.append(np.stack(rows))
         assigned: list[str] = []

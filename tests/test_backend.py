@@ -265,6 +265,31 @@ def test_http_backend_malformed_200_is_transport_error(monkeypatch, reply, call)
         call(HttpBackend("http://api.test"))
 
 
+def _embedding_rows(*rows):
+    return {"data": [{"index": index, "embedding": row} for index, row in rows]}
+
+
+@pytest.mark.parametrize("body, call", [
+    ({"choices": [{"message": {"content": 5}}]},
+     lambda b: b.complete(ChatRequest(prompt="q"))),
+    ({"choices": [{"message": {"content": ["ok"]}}]},
+     lambda b: b.complete(ChatRequest(prompt="q"))),
+    (_embedding_rows((1, [1.0, 0.0]), (1, [0.0, 1.0])), lambda b: b.embed(["a", "b"])),
+    (_embedding_rows((5, [1.0, 0.0]), (9, [0.0, 1.0])), lambda b: b.embed(["a", "b"])),
+    (_embedding_rows(("0", [1.0, 0.0]), ("1", [0.0, 1.0])), lambda b: b.embed(["a", "b"])),
+    (_embedding_rows((0, ["0.5", "0.5"])), lambda b: b.embed(["a"])),
+    (_embedding_rows((0, [True, False])), lambda b: b.embed(["a"])),
+    (_embedding_rows((0, [[0.5, 0.5]])), lambda b: b.embed(["a"])),
+], ids=["content-a-number", "content-a-list", "index-repeated", "index-skipped",
+        "index-a-string", "embedding-strings", "embedding-bools", "embedding-nested"])
+def test_http_backend_refuses_a_bad_reply_body(monkeypatch, body, call):
+    import requests
+
+    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, body))
+    with pytest.raises(TransportError, match="malformed"):
+        call(HttpBackend("http://api.test"))
+
+
 # -- the call protocol every backend inherits --------------------------
 
 def _scripted(monkeypatch, rows=None, **caps):

@@ -54,3 +54,13 @@ def test_benchmark_ingest_op_passes_its_output_checks_traced():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_benchmark_eval_rtt_op_passes_its_output_checks_traced():
+    # one eval-rtt operation, the second listed workload, the same way
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "eval-rtt",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

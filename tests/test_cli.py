@@ -1,3 +1,4 @@
+import argparse
 import gzip
 import hashlib
 import json
@@ -8,12 +9,16 @@ import sys
 import zlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from trimem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
+from trimem import errors
+from trimem.backend import ScriptedBackend
+from trimem.cli import (EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig,
+                        build_parser, main)
 from trimem.evolution import PromptSet
 from trimem.qa import estimate_tokens
-from trimem.store import DATA_FILES
+from trimem.store import DATA_FILES, MemoryStore
 
 
 def run(capsys, *argv):
@@ -96,7 +101,87 @@ def test_config_file_takes_null_for_an_optional_field(work_dir, capsys):
     assert json.loads(out)["windows"] == 10
 
 
+# -- the parser --------------------------------------------------------
+
+# each subcommand's function and options, as the parser declared them one
+# add_argument call at a time: (option, dest, type, action, default, required)
+STORE, STORE_TRUE = "_StoreAction", "_StoreTrueAction"
+COMMON_OPTIONS = [
+    ("--config", "config", None, STORE, None, False),
+    ("--scripted", "scripted_fixture", None, STORE, None, False),
+    ("--prompts", "prompt_dir", None, STORE, None, False),
+    ("--round", "prompt_round", int, STORE, None, False),
+    ("--k", "top_k", int, STORE, None, False),
+    ("--no-search-plan", "no_search_plan", None, STORE_TRUE, False, False),
+    ("--max-calls", "max_calls", int, STORE, None, False),
+    ("--max-tokens", "max_tokens", int, STORE, None, False),
+    ("--seed", "seed", int, STORE, None, False),
+]
+PARSER_PIN = {
+    "ingest": ("cmd_ingest", [
+        ("--corpus", "corpus", None, STORE, None, True),
+        ("--window", "window_size", int, STORE, None, False),
+        ("--stride", "stride", int, STORE, None, False)]),
+    "build": ("cmd_build", [
+        ("--corpus", "corpus", None, STORE, None, True),
+        ("--store", "store_dir", None, STORE, None, True),
+        ("--window", "window_size", int, STORE, None, False),
+        ("--stride", "stride", int, STORE, None, False),
+        ("--force", "force", None, STORE_TRUE, False, False)]),
+    "query": ("cmd_query", [
+        ("--store", "store_dir", None, STORE, None, True),
+        ("--question", "question", None, STORE, None, True)]),
+    "answer": ("cmd_answer", [
+        ("--store", "store_dir", None, STORE, None, True),
+        ("--question", "question", None, STORE, None, True),
+        ("--dump-context", "dump_context", None, STORE, None, False)]),
+    "eval": ("cmd_eval", [
+        ("--store", "store_dir", None, STORE, None, True),
+        ("--qa", "qa", None, STORE, None, True),
+        ("--out", "out", None, STORE, None, False)]),
+    "evolve": ("cmd_evolve", [
+        ("--corpus", "corpus", None, STORE, None, True),
+        ("--qa", "qa", None, STORE, None, True),
+        ("--rounds", "rounds", int, STORE, None, False),
+        ("--out", "out", None, STORE, None, True)]),
+    "ablate": ("cmd_ablate", [
+        ("--store", "store_dir", None, STORE, None, False),
+        ("--corpus", "corpus", None, STORE, None, False),
+        ("--qa", "qa", None, STORE, None, True),
+        ("--knob", "knob", None, STORE, None, True),
+        ("--values", "values", None, STORE, None, True),
+        ("--out", "out", None, STORE, None, True)]),
+    "inspect": ("cmd_inspect", [
+        ("--store", "store_dir", None, STORE, None, True),
+        ("--entry-id", "entry_id", None, STORE, None, False)]),
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(PARSER_PIN)
+    for name, (func, options) in PARSER_PIN.items():
+        parser = commands.choices[name]
+        assert parser.get_default("func").__name__ == func
+        assert [(*a.option_strings, a.dest, a.type, type(a).__name__, a.default, a.required)
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)] == options + COMMON_OPTIONS, name
+
+
 # -- exit codes --------------------------------------------------------
+
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.TriMemError)]
+EXIT_CODES = {"UsageError": EXIT_USAGE, "UnknownKnob": EXIT_USAGE,
+              "TransportError": EXIT_BACKEND, "FixtureExhausted": EXIT_BACKEND,
+              "AuthError": EXIT_BACKEND, "BudgetExceeded": EXIT_BACKEND}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_class_carries_its_exit_code(cls):
+    assert cls.exit_code == EXIT_CODES.get(cls.__name__, EXIT_DATA)
+
 
 def test_no_backend_is_usage_error(work_dir, capsys, monkeypatch):
     monkeypatch.delenv("TRIMEM_API_BASE", raising=False)
@@ -110,6 +195,17 @@ def test_missing_corpus_is_data_error(work_dir, capsys):
     code, _, err = run(capsys, "ingest", "--corpus", "nope.json")
     assert code == EXIT_DATA
     assert json.loads(err)["error"] == "MissingFile"
+
+
+def test_a_zero_norm_embedding_is_a_data_error(work_dir, capsys, monkeypatch):
+    monkeypatch.setattr(ScriptedBackend, "_embed",
+                        lambda self, texts: [np.zeros(64, np.float32)] * len(texts))
+    code, out, err = build(capsys)
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "DimensionMismatch"
+    with pytest.raises(errors.TriMemError):
+        MemoryStore.load(work_dir / "store")
 
 
 def test_fixture_exhaustion_is_backend_error(work_dir, capsys):
@@ -817,5 +913,21 @@ def test_a_bad_prompt_round_meta_is_a_data_error(work_dir, capsys, meta):
     code, out, err = run(capsys, "eval", "--store", "store", "--qa", "qa.jsonl",
                          "--scripted", "fixture.jsonl", "--prompts", "prompts",
                          "--out", "eval", "--max-calls", "0")
+    assert (code, out) == (EXIT_DATA, "")
+    assert json.loads(err)["error"] == "MalformedDocument"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("extraction", ""),
+    ("extraction", PromptSet.seed().extraction.replace("{dialogue_text}", "")),
+    ("profile", PromptSet.seed().profile.replace("{facts}", "")),
+    ("answer", PromptSet.seed().answer.replace("{query}", "")),
+], ids=["extraction-empty", "extraction-without-dialogue-text", "profile-without-facts",
+        "answer-without-query"])
+def test_a_prompt_round_that_lost_a_placeholder_is_a_data_error(work_dir, capsys, name, text):
+    PromptSet.seed().persist(work_dir / "prompts")
+    (work_dir / "prompts" / "round_0" / f"{name}.txt").write_text(text)
+    # --max-calls 0: a model call before the check would exit 3
+    code, out, err = build(capsys, extra=("--prompts", "prompts", "--max-calls", "0"))
     assert (code, out) == (EXIT_DATA, "")
     assert json.loads(err)["error"] == "MalformedDocument"

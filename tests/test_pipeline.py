@@ -125,6 +125,23 @@ def test_a_repeated_restatement_feeds_its_profile_only_in_its_first_window():
     assert backend.usage.calls == len(backend.request_log) + 1
 
 
+def test_a_profile_that_repeats_a_label_loads_as_it_was_built(tmp_path):
+    corpus = DialogueCorpus("c", (DialogueTurn(1, 0, "Alice", "t1"),))
+    backend = ScriptedBackend(rules=[
+        FixtureRule(extraction_reply(("Alice plays chess.", 1)), contains=("Extract.",)),
+        FixtureRule("Entity: Alice\n[Interests] chess\n[Career] nurse\n"
+                    "[Interests] hiking", contains=("Profile alice",)),
+    ])
+    prompts = {"extraction": "Extract.\n{dialogue_text}",
+               "profile": "Profile {entity_name}.\n{facts}"}
+    store = build_store(corpus, prompts, BackendRouter(pipeline=backend))
+    store.persist(tmp_path / "store")
+    loaded = MemoryStore.load(tmp_path / "store")
+    assert [p.sections for p in store.profile_history] == \
+        [(("Interests", "chess\nhiking"), ("Career", "nurse"))]
+    assert loaded.profile_history == store.profile_history
+
+
 def test_embed_makes_one_charged_round_trip_per_slice():
     backend = EmbedLog()
     texts = [f"fact {i}" for i in range(EMBED_BATCH + 1)]

@@ -70,6 +70,18 @@ def test_profile_dict_round_trip():
     assert EntityProfile.from_dict(profile.as_dict()) == profile
 
 
+REPEATED_LABEL_REPLY = ("Entity: Alice\n[Interests] chess\n[Career] nurse\n"
+                        "[Interests] hiking")
+
+
+def test_a_repeated_label_merges_into_its_first_section_and_round_trips():
+    name, sections = parse_profile_text(REPEATED_LABEL_REPLY)
+    assert sections == (("Interests", "chess\nhiking"), ("Career", "nurse"))
+    profile = EntityProfile(entity_key="alice", display_name=name, sections=sections)
+    assert EntityProfile.from_dict(profile.as_dict()) == profile
+    assert parse_profile_text(serialize_profile(profile)) == (name, sections)
+
+
 def test_section_labels_are_the_documented_ten():
     assert len(SECTION_LABELS) == 10
     assert SECTION_LABELS[0] == "Identity"

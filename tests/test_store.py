@@ -198,6 +198,17 @@ def test_similarity_search_dim_mismatch(backend):
         store.similarity_search(np.zeros(5, dtype=np.float32), k=1)
 
 
+@pytest.mark.parametrize("row", [np.ones(3), np.full(64, np.nan), np.full(64, np.inf)],
+                         ids=["another-size", "nan", "inf"])
+def test_a_bad_embedding_row_adds_nothing(backend, monkeypatch, row):
+    store = MemoryStore(turns=make_turns(2))
+    store.insert_entries([make_entry("x", (1,))], backend)
+    monkeypatch.setattr(backend, "_embed", lambda texts: [row] * len(texts))
+    with pytest.raises(DimensionMismatch):
+        store.insert_entries([make_entry("y", (2,))], backend)
+    assert (len(store), store.dim, store._vectors.shape) == (1, 64, (1, 64))
+
+
 def test_k_larger_than_store_truncates(backend):
     store = MemoryStore(turns=make_turns(1))
     store.insert_entries([make_entry("x", (1,))], backend)
@@ -492,7 +503,7 @@ class ZeroSecond(ScriptedBackend):
 
 def test_insert_rejects_a_bad_batch_whole(backend):
     store = MemoryStore(turns=make_turns(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         store.insert_entries([make_entry("first"), make_entry("second")], ZeroSecond())
     assert (len(store), store.insertion_order, store.dim) == (0, [], None)
     assert store.insert_entries([make_entry("second")], backend) == ["e000001"]
