@@ -6,23 +6,27 @@ the usage to the instance, and ``embed`` also checks the texts going out
 and the rows coming back, making one round-trip per ``EMBED_BATCH``
 texts. ``read_object`` reads one JSON object through a field table: every
 model reply (by ``read_reply``), provider reply body, corpus document, QA
-record, fixture rule, store manifest and prompt-round ``meta.json``.
-A concrete backend supplies only the provider round-trip,
-``_complete`` and ``_embed``. Two exist: an HTTP backend
-speaking the common ``/chat/completions`` + ``/embeddings`` request shapes,
-and a scripted backend that replays canned responses and derives
-embeddings from a content hash, for fully offline deterministic runs.
+record, fixture rule, store manifest and prompt-round ``meta.json``; a
+record with a dataclass has the table ``fields_of`` derives from it. Every
+type check is ``has_type`` or its column form ``all_of``. A concrete
+backend supplies only the provider round-trip, ``_complete`` and
+``_embed``. Two exist: an HTTP backend speaking the common
+``/chat/completions`` + ``/embeddings`` request shapes, and a scripted
+backend that replays canned responses and derives embeddings from a
+content hash, for fully offline deterministic runs.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import struct
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -106,16 +110,38 @@ def parse_json(text: str, accept: Callable[[object], bool] = _is_object):
     raise ParseFailure("no usable JSON in model output")
 
 
-def has_type(value, kind) -> bool:
-    """Whether value is of kind; [t] is a list of t, and a bool is no number."""
-    if kind is bool:
-        return isinstance(value, bool)
+def all_of(values, kind) -> bool:
+    """Whether each value is of kind by its exact JSON type (a bool is no int,
+    an int no float): a tuple allows each of its types, and [kind] is a list
+    of kind. One pass per list level, so values may be an iterator."""
     if isinstance(kind, list):
-        return isinstance(value, list) and all(has_type(v, kind[0]) for v in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
+        values = list(values)  # walked twice: the lists, then their items
+        return set(map(type, values)) <= {list} and all_of(
+            itertools.chain.from_iterable(values), kind[0])
+    return set(map(type, values)) <= set(kind if isinstance(kind, tuple) else (kind,))
+
+
+def has_type(value, kind) -> bool:
+    """Whether value is of kind, as ``all_of`` reads kinds."""
+    return all_of((value,), kind)
 
 
 REQUIRED = object()  # the default of a field table name that must be present
+
+
+def _kind(hint):
+    """Optional[t] as (t, NoneType), and a frozenset, tuple or list of t as [t]."""
+    args = get_args(hint)
+    return [_kind(args[0])] if get_origin(hint) in (frozenset, tuple, list) else args or hint
+
+
+def fields_of(cls, *omit: str) -> dict:
+    """The ``read_object`` table of a dataclass's fields but omit, in field
+    order, each type as ``_kind`` reads it; a field with no default is REQUIRED."""
+    hints = get_type_hints(cls)
+    return {f.name: (_kind(hints[f.name]),
+                     REQUIRED if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(cls) if f.name not in omit}
 
 
 def read_object(obj, fields: dict) -> dict:
@@ -167,12 +193,7 @@ class Usage:
         return self.prompt_tokens + self.completion_tokens
 
     def as_dict(self) -> dict:
-        return {
-            "calls": self.calls,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "total_tokens": self.total_tokens,
-        }
+        return {**dataclasses.asdict(self), "total_tokens": self.total_tokens}
 
 
 def _rough_tokens(text: str) -> int:
@@ -287,8 +308,7 @@ class FixtureRule:
 
 
 # a fixture rule's fields; a [str] field may be one str
-_FIXTURE_FIELDS = {"response": (str, REQUIRED), "contains": ([str], []),
-                   "not_contains": ([str], []), "sticky": (bool, False)}
+_FIXTURE_FIELDS = fields_of(FixtureRule, "used")
 
 
 class ScriptedBackend(Backend):
@@ -345,8 +365,7 @@ _CHAT_FIELDS = {"choices": ([dict], REQUIRED)}
 _CHOICE_FIELDS = {"message": (dict, REQUIRED)}
 _MESSAGE_FIELDS = {"content": ((str, type(None)), REQUIRED)}
 _EMBEDDINGS_FIELDS = {"data": ([dict], REQUIRED)}
-_EMBEDDING_FIELDS = {"index": (int, REQUIRED), "embedding": (list, REQUIRED)}
-_NUMBER_TYPES = {int, float}
+_EMBEDDING_FIELDS = {"index": (int, REQUIRED), "embedding": ([(int, float)], REQUIRED)}
 
 
 class HttpBackend(Backend):
@@ -417,10 +436,8 @@ class HttpBackend(Backend):
         try:
             rows = [read_object(row, _EMBEDDING_FIELDS)
                     for row in read_object(body, _EMBEDDINGS_FIELDS)["data"]]
-            if sorted(row["index"] for row in rows) != list(range(len(rows))):
+            if sorted(row["index"] for row in rows) != list(range(len(texts))):
                 raise ValueError("the indices are not 0..n-1")
-            if any(not set(map(type, row["embedding"])) <= _NUMBER_TYPES for row in rows):
-                raise ValueError("an embedding is not a list of numbers")
         except ValueError as exc:
             raise TransportError(f"malformed embedding response ({exc}): {str(body)[:200]}")
         rows.sort(key=lambda row: row["index"])

@@ -19,10 +19,10 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, get_args, get_type_hints
+from typing import Optional, Sequence
 
 from . import errors
-from .backend import BackendRouter, HttpBackend, ScriptedBackend, has_type
+from .backend import BackendRouter, HttpBackend, ScriptedBackend, fields_of, has_type
 from .corpus import SegmentationConfig, load_corpus, segment
 from .errors import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE  # noqa: F401 (re-exported)
 from .extraction import normalize_person_key
@@ -65,8 +65,8 @@ class RunConfig(SegmentationConfig, RetrievalConfig):
             raise ValueError("rounds must be >= 1")
         if self.hit_k < 1:
             raise ValueError("hit_k must be >= 1")
-        if min(self.max_calls or 0, self.max_tokens or 0) < 0:
-            raise ValueError("max_calls and max_tokens must be >= 0")
+        if min(self.max_calls or 0, self.max_tokens or 0, self.prompt_round or 0) < 0:
+            raise ValueError("max_calls, max_tokens and prompt_round must be >= 0")
 
     def config_hash(self) -> str:
         payload = json.dumps(
@@ -75,9 +75,8 @@ class RunConfig(SegmentationConfig, RetrievalConfig):
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-# each RunConfig field's type in has_type's terms; Optional[int] is (int, None)
-_CONFIG_TYPES = {name: get_args(hint) or hint
-                 for name, hint in get_type_hints(RunConfig).items()}
+# each RunConfig field's kind and default, as a config file may give it
+_CONFIG_TYPES = fields_of(RunConfig)
 
 
 def run_config(values: dict) -> RunConfig:
@@ -101,7 +100,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         for key, value in values.items():
             if key not in _CONFIG_TYPES:
                 raise errors.UsageError(f"unknown config key {key!r}")
-            if not has_type(value, _CONFIG_TYPES[key]):
+            if not has_type(value, _CONFIG_TYPES[key][0]):
                 raise errors.UsageError(f"config key {key!r} has the wrong type: {value!r}")
     for key, var in (("api_base", ENV_API_BASE), ("api_key", ENV_API_KEY)):
         if os.environ.get(var):
@@ -390,7 +389,7 @@ def cmd_ablate(args) -> int:
         values = [json.loads(raw) for raw in args.values.split(",")]
     except json.JSONDecodeError:
         values = None
-    if values is None or not all(has_type(v, _CONFIG_TYPES[knob]) for v in values):
+    if values is None or not all(has_type(v, _CONFIG_TYPES[knob][0]) for v in values):
         raise errors.UsageError(
             f"--values for {knob} must be JSON values of its type: {args.values!r}")
     if knob in _SEGMENTATION_KNOBS and not config.corpus:

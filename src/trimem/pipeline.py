@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .backend import REQUIRED, BackendRouter, read_object
+from .backend import BackendRouter, fields_of, read_object
 from .corpus import DialogueCorpus, SegmentationConfig, segment
 from .errors import EmptyRecordSet, EmptyRequiredSet
 from .extraction import MemoryEntry, extract_entries, restatement_key
@@ -16,16 +16,11 @@ from .retrieval import plan_for_question, retrieve
 from .store import MemoryStore, RetrievalConfig
 
 
-# a QA record's fields; a record without a reference may give it as "answer"
-_QA_FIELDS = {"question": (str, REQUIRED), "reference": (str, REQUIRED),
-              "category": (int, 4), "evidence": ([int], [])}
-
-
 @dataclass
 class QaItem:
     question: str
     reference: str
-    category: int
+    category: int = 4
     evidence: frozenset[int] = frozenset()
 
     @classmethod
@@ -43,6 +38,10 @@ class QaItem:
             raise ValueError(f"category must be one of {sorted(CATEGORY_NAMES)}, "
                              f"got {item['category']!r}")
         return cls(**{**item, "evidence": frozenset(item["evidence"])})
+
+
+# a QA record's fields; a record without a reference may give it as "answer"
+_QA_FIELDS = fields_of(QaItem)
 
 
 def build_store(corpus: DialogueCorpus, prompts: dict[str, str],

@@ -6,7 +6,7 @@ version history. All three persist together under one store directory:
 
     records.json.gz  one JSON object {"entries": {column: [values]},
                      "turns": {...}, "profiles": {...}}, each kind's columns
-                     in its type table's order: entries in insertion order,
+                     in its field table's order: entries in insertion order,
                      turns by turn id, profile versions as added
     vectors.bin      magic 'TRIM', version u32, dim u32, count u32, then the
                      byte planes of the little-endian float32 (count, dim)
@@ -28,9 +28,9 @@ random, and stay raw. Every value loads bit for bit.
 ``load`` reads the manifest through a ``read_object`` field table, then
 checks each data file's sha256 before it parses anything. Each kind must
 hold exactly its table's columns, each a list of the manifest's count of
-values whose exact types the table allows, checked once per column. Then come the vector planes' lengths,
-distinct turn ids and restatements, and the profile version chain; any fault
-raises StoreIOError. A store of another schema version raises
+values of its kind, checked once per column. Then come the vector planes'
+lengths, distinct turn ids and restatements, and the profile version chain;
+any fault raises StoreIOError. A store of another schema version raises
 SchemaVersionMismatch; rebuild it with ``trimem build --force``.
 """
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .backend import REQUIRED, Backend, read_object
+from .backend import REQUIRED, Backend, all_of, fields_of, has_type, read_object
 from .corpus import DialogueCorpus, DialogueTurn
 from .errors import (
     DanglingAnchor,
@@ -100,19 +100,14 @@ class RetrievalConfig:
         return self.per_query_k if self.per_query_k is not None else self.top_k
 
 
-_NONE = type(None)
-# each kind's columns in file and field order, and the exact types of their
-# values; [types] is a list column, a list of values of those types
-_ENTRY_TYPES = {
-    "lossless_restatement": {str}, "keywords": [{str}], "event_time": {str, _NONE},
-    "location": {str, _NONE}, "persons": [{str}], "entities": [{str}],
-    "topic": {str}, "source_dialogue_ids": [{int}], "origin_window": {int},
-}
-_TURN_TYPES = {"turn_id": {int}, "session_id": {int}, "speaker": {str},
-               "text": {str}, "timestamp": {str, _NONE}}
+# each kind's columns in file order and their kinds; entries and turns take
+# theirs from the dataclass, so load rebuilds them by position
+_ENTRY_TYPES = fields_of(MemoryEntry, "entry_id")
+_TURN_TYPES = fields_of(DialogueTurn)
 # as EntityProfile.as_dict writes a version; sections map label to text
-_PROFILE_TYPES = {"entity_key": {str}, "display_name": {str}, "version": {int},
-                  "window": {int}, "sections": {dict}}
+_PROFILE_TYPES = {"entity_key": (str, REQUIRED), "display_name": (str, REQUIRED),
+                  "version": (int, REQUIRED), "window": (int, REQUIRED),
+                  "sections": (dict, REQUIRED)}
 # the manifest keys load checks: persist writes the required ones, build adds
 # config_hash and prompt_round, and any other key is ignored
 _MANIFEST_FIELDS = {**dict.fromkeys(("schema_version", "dim", "entry_count", "turn_count",
@@ -124,20 +119,11 @@ _KINDS = {"entries": (_ENTRY_TYPES, "entry_count"), "turns": (_TURN_TYPES, "turn
           "profiles": (_PROFILE_TYPES, "profile_versions")}
 
 
-def _check_types(values: Iterable, types: set, what: str) -> None:
-    """A ValueError unless the exact type of every value is in types; JSON
-    decodes to exact types only, so a bool is no int."""
-    wrong = set(map(type, values)) - types
-    if wrong:
-        raise ValueError(f"{what} holds a value of the wrong type "
-                         f"{sorted(t.__name__ for t in wrong)}")
-
-
 def _columns(rows: list, types: dict, get=getattr) -> dict:
     """The columns of types over rows, in types' order; a list column's sets
     become sorted lists."""
     columns = {}
-    for name, kind in types.items():
+    for name, (kind, _) in types.items():
         values = [get(row, name) for row in rows]
         columns[name] = list(map(sorted, values)) if isinstance(kind, list) else values
     return columns
@@ -145,22 +131,16 @@ def _columns(rows: list, types: dict, get=getattr) -> dict:
 
 def _read_columns(obj, types: dict, count: int, what: str) -> dict:
     """obj's columns, once it holds exactly those of types, each a list of
-    count values of its types; a list column's values become frozensets."""
+    count values of its kind; a list column's values become frozensets."""
     if type(obj) is not dict or obj.keys() != types.keys():
         found = sorted(obj) if type(obj) is dict else type(obj).__name__
         raise ValueError(f"{what} hold {found}, not the columns {sorted(types)}")
     columns = {}
-    for name, kind in types.items():
-        column, where = obj[name], f"{what} column {name!r}"
-        if type(column) is not list or len(column) != count:
-            raise ValueError(f"{where} is not a list of {count} values")
-        if isinstance(kind, list):
-            _check_types(column, {list}, where)
-            _check_types(itertools.chain.from_iterable(column), kind[0], where)
-            column = list(map(frozenset, column))
-        else:
-            _check_types(column, kind, where)
-        columns[name] = column
+    for name, (kind, _) in types.items():
+        column = obj[name]
+        if not has_type(column, [kind]) or len(column) != count:
+            raise ValueError(f"{what} column {name!r} is not {count} values of its kind")
+        columns[name] = list(map(frozenset, column)) if isinstance(kind, list) else column
     return columns
 
 
@@ -453,9 +433,9 @@ class MemoryStore:
             entries, turns, profiles = (
                 _read_columns(records[kind], types, manifest[count], kind)
                 for kind, (types, count) in _KINDS.items())
-            _check_types(itertools.chain.from_iterable(
-                sections.values() for sections in profiles["sections"]),
-                {str}, "profiles column 'sections'")
+            if not all_of(itertools.chain.from_iterable(
+                    map(dict.values, profiles["sections"])), str):
+                raise ValueError("profiles column 'sections' holds a text that is no string")
             raw = parts["vectors.bin"]
             if raw[:4] != VECTOR_MAGIC:
                 raise StoreIOError(f"bad vector file magic {raw[:4]!r}")

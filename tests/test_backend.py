@@ -1,17 +1,25 @@
+import importlib
 import json
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from trimem.backend import (
     EMBED_BATCH,
+    REQUIRED,
     BackendRouter,
     ChatRequest,
     FixtureRule,
     HttpBackend,
     ScriptedBackend,
+    all_of,
+    fields_of,
+    has_type,
     hash_embedding,
     parse_json,
+    read_object,
 )
 from trimem.corpus import DialogueTurn, Window
 from trimem.errors import (
@@ -62,6 +70,128 @@ def test_hash_embedding_platform_stable_golden():
     assert list(v[:4]) == pytest.approx(
         [0.0856376513838768, -0.03318658843636513,
          -0.17272892594337463, 0.011826763860881329], abs=1e-9)
+
+
+# -- the type vocabulary ----------------------------------------------
+
+@pytest.mark.parametrize("value, kind, want", [
+    (True, bool, True), (True, int, False), (1, bool, False), (1, int, True),
+    (1, float, False), (1.0, int, False), (1.0, (int, float), True),
+    (False, (int, float), False), (None, (str, type(None)), True),
+    ("", (str, type(None)), True), (1, (str, type(None)), False),
+    ([], [int], True), ([1, True], [int], False),
+    ((1,), [int], False), ([[1.0], [2]], [[(int, float)]], True),
+    ({"a": 1}, dict, True), ([{}], [dict], True),
+])
+def test_has_type_checks_the_exact_json_type(value, kind, want):
+    assert has_type(value, kind) is want
+    assert all_of([value, value], kind) is want
+    assert all_of(iter([value]), kind) is want
+
+
+def test_a_nested_kind_reads_a_one_pass_iterator_once():
+    """The outer lists and their items are both checked, from one iterator."""
+    assert all_of(iter([["a"], ["b", "c"]]), [str])
+    assert not all_of(iter([["a"], ["b", 1]]), [str])
+    assert not has_type([["a"], ["b", 1]], [[str]])
+    assert not has_type([["a"], "b"], [[str]])
+    assert has_type([["a"], [], ["b", "c"]], [[str]])
+    assert all_of((), [[str]])
+
+
+def test_read_object_reads_a_field_table():
+    table = {"name": (str, REQUIRED), "count": (int, 0), "tags": ([str], ())}
+    assert read_object({"name": "a", "extra": [1]}, table) == {
+        "name": "a", "count": 0, "tags": ()}
+    assert read_object({"name": "a", "count": 3, "tags": ["x"]}, table) == {
+        "name": "a", "count": 3, "tags": ["x"]}
+    with pytest.raises(ValueError, match="^name is missing$"):
+        read_object({"count": 3}, table)
+    with pytest.raises(ValueError, match="^name is missing; count has the wrong type: True$"):
+        read_object({"count": True}, table)
+    with pytest.raises(ValueError, match="not a JSON object"):
+        read_object([], table)
+
+
+def test_fields_of_derives_a_table_from_a_dataclass():
+    @dataclass
+    class Record:
+        name: str
+        ids: frozenset[int] = frozenset()
+        tags: tuple[str, ...] = ()
+        rows: list[float] = ()
+        note: Optional[str] = None
+        flag: bool = False
+        skipped: int = 0
+
+    assert list(fields_of(Record, "skipped").items()) == [
+        ("name", (str, REQUIRED)), ("ids", ([int], frozenset())), ("tags", ([str], ())),
+        ("rows", ([float], ())), ("note", ((str, type(None)), None)), ("flag", (bool, False))]
+
+
+NONE = type(None)
+# the tables fields_of now derives, as each was written out before: name ->
+# (kind, default), in field order
+PINNED_TABLES = {
+    "store._ENTRY_TYPES": {
+        "lossless_restatement": (str, REQUIRED), "keywords": ([str], frozenset()),
+        "event_time": ((str, NONE), None), "location": ((str, NONE), None),
+        "persons": ([str], frozenset()), "entities": ([str], frozenset()),
+        "topic": (str, ""), "source_dialogue_ids": ([int], frozenset()),
+        "origin_window": (int, 0)},
+    "store._TURN_TYPES": {
+        "turn_id": (int, REQUIRED), "session_id": (int, REQUIRED), "speaker": (str, REQUIRED),
+        "text": (str, REQUIRED), "timestamp": ((str, NONE), None)},
+    "pipeline._QA_FIELDS": {
+        "question": (str, REQUIRED), "reference": (str, REQUIRED), "category": (int, 4),
+        "evidence": ([int], frozenset())},
+    "backend._FIXTURE_FIELDS": {
+        "response": (str, REQUIRED), "contains": ([str], ()), "not_contains": ([str], ()),
+        "sticky": (bool, False)},
+    "cli._CONFIG_TYPES": {
+        "top_k": (int, 25), "per_query_k": ((int, NONE), None), "anchor_count": (int, 5),
+        "profile_count": (int, 2), "query_cap": (int, 3), "use_search_plan": (bool, True),
+        "window_size": (int, 40), "stride": (int, 38), "corpus": ((str, NONE), None),
+        "store_dir": ((str, NONE), None), "prompt_dir": ((str, NONE), None),
+        "prompt_round": ((int, NONE), None), "hit_k": (int, 5),
+        "api_base": ((str, NONE), None), "api_key": ((str, NONE), None),
+        "model_tag": (str, ""), "senior_model_tag": (str, ""), "embedding_model": (str, ""),
+        "scripted_fixture": ((str, NONE), None), "max_calls": ((int, NONE), None),
+        "max_tokens": ((int, NONE), None), "rounds": (int, 4), "seed": (int, 0)},
+}
+
+
+def _types(kind):
+    """A kind as the set of exact types it allows, [...] for a list."""
+    if isinstance(kind, list):
+        return [_types(kind[0])]
+    return frozenset(kind) if isinstance(kind, (set, tuple)) else frozenset([kind])
+
+
+def _is_pair(spec) -> bool:
+    """Whether a table value is (kind, default); the store's tables once gave
+    a set of exact types instead, and cli's a bare kind."""
+    return isinstance(spec, tuple) and len(spec) == 2 and not isinstance(spec[1], type)
+
+
+def _comparable(spec, paired: bool):
+    """spec's types, and with paired its default, an empty collection as ()."""
+    if not paired:
+        return _types(spec[0] if _is_pair(spec) else spec)
+    kind, default = spec
+    empty = isinstance(default, (list, tuple, frozenset)) and not default
+    return _types(kind), () if empty else default
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+def test_derived_field_tables_keep_their_kinds_and_defaults(name):
+    module, table = name.split(".")
+    table = getattr(importlib.import_module(f"trimem.{module}"), table)
+    pinned = PINNED_TABLES[name]
+    assert list(table) == list(pinned)
+    for field_name, spec in table.items():
+        paired = _is_pair(spec)
+        assert _comparable(spec, paired) == _comparable(pinned[field_name], paired), field_name
 
 
 # -- fixture rules -----------------------------------------------------
@@ -280,8 +410,12 @@ def _embedding_rows(*rows):
     (_embedding_rows((0, ["0.5", "0.5"])), lambda b: b.embed(["a"])),
     (_embedding_rows((0, [True, False])), lambda b: b.embed(["a"])),
     (_embedding_rows((0, [[0.5, 0.5]])), lambda b: b.embed(["a"])),
+    (_embedding_rows((0, [1.0, 0.0])), lambda b: b.embed(["a", "b"])),
+    (_embedding_rows((0, [1.0, 0.0]), (1, [0.0, 1.0]), (2, [1.0, 0.0])),
+     lambda b: b.embed(["a", "b"])),
 ], ids=["content-a-number", "content-a-list", "index-repeated", "index-skipped",
-        "index-a-string", "embedding-strings", "embedding-bools", "embedding-nested"])
+        "index-a-string", "embedding-strings", "embedding-bools", "embedding-nested",
+        "one-row-for-two-texts", "three-rows-for-two-texts"])
 def test_http_backend_refuses_a_bad_reply_body(monkeypatch, body, call):
     import requests
 
@@ -330,8 +464,10 @@ def test_backend_call_protocol(monkeypatch, make):
         with pytest.raises(ValueError):
             backend.embed(texts)
     assert backend.usage.calls == 0
-    for rows in (lambda texts: [[1.0, 0.0]],  # one row for two texts
-                 lambda texts: [[1.0, 0.0], [1.0]]):  # mixed sizes
+    cases = [lambda texts: [[1.0, 0.0], [1.0]]]  # mixed sizes
+    if make is _scripted:  # an HTTP reply with another row count is malformed
+        cases.append(lambda texts: [[1.0, 0.0]])  # one row for two texts
+    for rows in cases:
         backend = make(monkeypatch, rows=rows)
         with pytest.raises(DimensionMismatch):
             backend.embed(["a", "b"])

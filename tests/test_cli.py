@@ -254,6 +254,10 @@ BAD_INPUTS = {
                                   "--max-calls", "-1"], EXIT_USAGE, "UsageError"),
     "build-negative-max-tokens": (["build", "--corpus", "corpus.json", "--store", "store",
                                    "--max-tokens", "-1"], EXIT_USAGE, "UsageError"),
+    "query-negative-round": (["query", "--store", "store", "--question", "q",
+                              "--prompts", "prompts", "--round", "-1"], EXIT_USAGE, "UsageError"),
+    "build-negative-round": (["build", "--corpus", "corpus.json", "--store", "store",
+                              "--prompts", "prompts", "--round", "-1"], EXIT_USAGE, "UsageError"),
     "ingest-session-id-a-string": (["ingest", "--corpus", "session-id-x.json"],
                                    EXIT_DATA, "MalformedDocument"),
     "ingest-session-a-number": (["ingest", "--corpus", "session-1.json"],

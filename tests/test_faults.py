@@ -1,10 +1,13 @@
-"""Fault sweep over the fixture build.
+"""Fault sweep over the fixture build and eval.
 
 Every model call of ``trimem build`` on the fixture fails in turn, with
 each fault the backend can raise, and two unreadable chat replies in a row
 (a reply and its one repair). Each run must end in the fault's documented
 exit code, a fresh directory must hold no store afterwards, and a built
 store that ``build --force`` was replacing must still load, byte for byte.
+Every call of ``trimem eval`` fails in turn the same way: a raised fault
+ends in its exit code with nothing written to ``--out``, and two unreadable
+replies fall back and end in a full report.
 """
 import json
 import shutil
@@ -98,3 +101,42 @@ def test_a_fault_at_any_build_call_leaves_no_store_or_the_old_one(
     assert (code, json.loads(err)["error"]) == (want_code, want_error)
     assert snapshot(work_dir / "built") == before
     assert len(MemoryStore.load(work_dir / "built")) == 60
+
+
+# per question: the analysis and query calls of its plan, the query embed,
+# the answer and the judge
+EVAL_CALLS = ["chat", "chat", "embed", "chat", "chat"] * 8
+EVAL_CASES = [(fault, k) for fault in FAULTS for k in range(1, len(EVAL_CALLS) + 1)
+              if FAULTS[fault][0] or EVAL_CALLS[k - 1] == "chat"]
+EVAL_OUTPUTS = ["detailed_results.jsonl", "report.json", "run_manifest.json"]
+
+
+def evaluate(capsys, store):
+    code = main(["eval", "--store", str(store), "--qa", "qa.jsonl", "--out", "out",
+                 "--scripted", "fixture.jsonl"])
+    return code, capsys.readouterr().err
+
+
+def test_the_fixture_eval_makes_32_chat_calls_and_8_embeds(work_dir, capsys, monkeypatch,
+                                                           built):
+    calls = inject(monkeypatch)
+    assert evaluate(capsys, built)[0] == EXIT_OK
+    assert calls == EVAL_CALLS
+    assert sorted(p.name for p in (work_dir / "out").iterdir()) == EVAL_OUTPUTS
+
+
+@pytest.mark.parametrize("fault,k", EVAL_CASES, ids=[f"{f}-call-{k}" for f, k in EVAL_CASES])
+def test_a_fault_at_any_eval_call_writes_nothing_or_falls_back(
+        work_dir, capsys, monkeypatch, built, fault, k):
+    error, _, error_name = FAULTS[fault]
+    calls = inject(monkeypatch, fault, k)
+    code, err = evaluate(capsys, built)
+    assert calls[k - 1] == EVAL_CALLS[k - 1]
+    written = sorted(p.name for p in (work_dir / "out").iterdir())
+    if error:
+        assert (code, json.loads(err)["error"]) == (EXIT_BACKEND, error_name)
+        assert written == []
+    else:  # the reply and its repair are both unreadable; the site falls back
+        assert calls[k] == "chat"
+        assert code == EXIT_OK
+        assert written == EVAL_OUTPUTS

@@ -1,0 +1,44 @@
+"""Every name a module of the package imports is used in it.
+
+Each ``src/trimem/*.py`` but ``__init__.py`` is parsed with ``ast``. An
+imported name counts as used where the module reads it as a name, which
+covers ``np.x`` and annotations. An import whose lines say ``noqa`` is a
+deliberate re-export and is exempt.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parent.parent / "src" / "trimem"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}  # name -> line of its import
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any("noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_an_unused_name():
+    source = ("from __future__ import annotations\nimport os\nimport sys\n"
+              "from typing import Optional, get_args\n"
+              "from .errors import EXIT_OK  # noqa: F401\n"
+              "def f(x: Optional[int]) -> None:\n    return sys.argv\n")
+    assert unused_imports(source) == ["line 2: os", "line 4: get_args"]
