@@ -1,24 +1,30 @@
 #!/usr/bin/env python3
-"""Time MemoryStore.persist and MemoryStore.load at 1k, 10k and 50k entries.
+"""Time MemoryStore.persist and MemoryStore.load of two source trees, alternating.
 
-The layer view of the store's persist/load path, offline. For each size it
-builds one seeded store at dim 384: entries with keywords, persons and
-anchors, two turns per three entries, a profile version per 25 entries,
-and unit-norm Gaussian embeddings from a stub backend with no delay. It
-then persists and loads that store REPEAT times into ``--workdir``
-and records, per size, the median and every run of the persist and load
-wall-clock time in ms, and the bytes of each store file. Each pass frees
-the previous pass's loaded store and runs a full GC before its clock
-starts, so no pass times the freeing of another; the last load must equal
-the persisted store in entries, turns, profile history and vector bytes.
+The layer view of the store's persist/load path, offline. For each size
+(1k, 10k and 50k entries) it builds one seeded store at dim 384: entries
+with keywords, persons and anchors, two turns per three entries, a profile
+version per 25 entries, and unit-norm Gaussian embeddings from a stub
+backend with no delay. One pass persists and loads that store REPEAT times
+and keeps the median and every run of each wall-clock time in ms, and the
+bytes of each store file. Each timed run frees the previous run's loaded
+store and runs a full GC before its clock starts, so no run times the
+freeing of another; the last load must equal the persisted store in
+entries, turns, profile history and vector bytes.
 
-The results go under ``--label`` in the ``--out`` JSON file, next to what
-other labels hold there. When the file holds both ``parent`` and
-``change``, it also gets each size's change/parent ratios. Measure two
-commits with the same script by pointing ``--src`` at each checkout:
+Every pass runs in a fresh process that imports trimem from ``--parent``
+or ``--change``. Per size the passes alternate, parent then change,
+PAIRS times, so host drift falls on both sides alike. The run goes
+under ``--run`` in the ``--out`` JSON file, next to the runs already
+there, with every pass and, per size, each pair's change/parent ratio and
+their median, minimum and maximum. The run ``parent_over_parent`` measures
+one tree against itself, so its ratios are the host's spread. Every other
+run gets, per size and time, the verdict "faster" or "slower" when all its
+pair ratios lie below or above that spread, and "unresolved" otherwise:
 
-    python scripts/bench_store.py --src ../parent/src --label parent
-    python scripts/bench_store.py --label change
+    python scripts/bench_store.py --parent ../parent/src --change ../parent/src \\
+        --run parent_over_parent
+    python scripts/bench_store.py --parent ../parent/src --change src
 """
 from __future__ import annotations
 
@@ -28,6 +34,7 @@ import json
 import platform
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -38,8 +45,11 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 SIZES = (1_000, 10_000, 50_000)
 REPEAT = 5
+PAIRS = 5
 SEED = 1
 DIM = 384
+TIMED = ("persist_ms", "load_ms")
+SAME_TREE_RUN = "parent_over_parent"
 PERSONS = [f"Person{i:02d}" for i in range(40)]
 PLACES = ["Rome", "Lisbon", "the harbor", "the library", "Oslo", "the gym", None]
 TOPICS = ["travel", "work", "family", "sports", "books", "food", "music"]
@@ -132,46 +142,82 @@ def measure(trimem, n: int, workdir: Path) -> dict:
             "bytes_per_entry": round(sum(files.values()) / len(store), 1)}
 
 
-def ratios(parent: dict, change: dict) -> dict:
+def run_pass(src: str, size: int, workdir: str) -> dict:
+    """``measure`` in a fresh process that imports trimem from src."""
+    proc = subprocess.run([sys.executable, __file__, "--pass", src, str(size), workdir],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"the pass over {src} at {size} entries failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def alternate(parent: str, change: str, pairs: int, sizes, workdir: str) -> dict:
+    """Per size, ``pairs`` pairs of a parent pass then a change pass, with
+    each pair's change/parent ratios and their median and range."""
     out = {}
-    for size, new in change["sizes"].items():
-        old = parent["sizes"].get(size)
-        if old:
-            out[size] = {key: round(new[key] / old[key], 3)
-                         for key in ("store_bytes", "persist_ms", "load_ms")}
+    for size in sizes:
+        passes = []
+        for _ in range(pairs):
+            for side, src in (("parent", parent), ("change", change)):
+                passes.append({"side": side, **run_pass(src, size, workdir)})
+                print(json.dumps({"size": size, "side": side,
+                                  **{key: passes[-1][key] for key in TIMED}}), flush=True)
+        ratios = {key: [round(new[key] / old[key], 3)
+                        for old, new in zip(passes[::2], passes[1::2])]
+                  for key in (*TIMED, "store_bytes")}
+        out[str(size)] = {
+            "passes": passes, "pair_ratios": ratios,
+            "change_over_parent": {key: {"median": statistics.median(values),
+                                         "min": min(values), "max": max(values)}
+                                   for key, values in ratios.items()}}
     return out
+
+
+def verdict(ratios: dict, same_tree: dict) -> str:
+    """"faster" or "slower" when all of a run's pair ratios lie on one side
+    of a parent_over_parent run's range of them, else "unresolved"."""
+    if ratios["max"] < same_tree["min"]:
+        return "faster"
+    return "slower" if ratios["min"] > same_tree["max"] else "unresolved"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(REPO / "src"),
-                        help="the source tree whose trimem to measure")
-    parser.add_argument("--label", default="change")
+    parser.add_argument("--parent", required=True, help="the parent's source tree")
+    parser.add_argument("--change", default=str(REPO / "src"),
+                        help="the changed source tree (default: this checkout's)")
+    parser.add_argument("--run", default="change_over_parent",
+                        help=f"the run's name in --out; {SAME_TREE_RUN} for a tree "
+                             f"against itself")
     parser.add_argument("--out", default=str(REPO / "BENCH_store.json"))
     parser.add_argument("--workdir", default=None,
                         help="where stores are written (default: a temp dir)")
     args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
-    import trimem
-
-    run = {"python": platform.python_version(), "numpy": np.__version__,
-           "machine": platform.machine(), "seed": SEED, "repeat": REPEAT,
-           "dim": DIM, "sizes": {}}
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
-        for size in SIZES:
-            run["sizes"][str(size)] = measure(trimem, size, Path(tmp))
-            print(json.dumps({"label": args.label, "size": size,
-                              **{k: run["sizes"][str(size)][k] for k in
-                                 ("persist_ms", "load_ms", "store_bytes")}}),
-                  flush=True)
+        sizes = alternate(args.parent, args.change, PAIRS, SIZES, tmp)
     out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc[args.label] = run
-    if "parent" in doc and "change" in doc:
-        doc["change_over_parent"] = ratios(doc["parent"], doc["change"])
+    runs = json.loads(out.read_text()).get("runs", {}) if out.exists() else {}
+    runs[args.run] = {"pairs": PAIRS, "sizes": sizes}
+    same_tree = runs.get(SAME_TREE_RUN, {}).get("sizes", {})
+    for name, run in runs.items():
+        if name != SAME_TREE_RUN:
+            run["verdicts"] = {
+                size: {key: verdict(result["change_over_parent"][key],
+                                    same_tree[size]["change_over_parent"][key])
+                       for key in TIMED}
+                for size, result in run["sizes"].items() if size in same_tree}
+    doc = {"python": platform.python_version(), "numpy": np.__version__,
+           "machine": platform.machine(), "seed": SEED, "repeat": REPEAT, "dim": DIM,
+           "runs": runs}
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--pass"]:  # one pass in this process: SRC SIZE WORKDIR
+        sys.path.insert(0, sys.argv[2])
+        import trimem
+
+        print(json.dumps(measure(trimem, int(sys.argv[3]), Path(sys.argv[4]))))
+        sys.exit(0)
     sys.exit(main())

@@ -1,7 +1,7 @@
 """Chat-completion and embedding backends.
 
 The ``Backend`` base class owns the call protocol: ``complete`` and
-``embed`` check the call and token caps, make the round-trip, and charge
+``embed`` reserve a call under the caps, make the round-trip, and charge
 the usage to the instance, and ``embed`` also checks the texts going out
 and the rows coming back, making one round-trip per ``EMBED_BATCH``
 texts. ``read_object`` reads one JSON object through a field table: every
@@ -17,6 +17,7 @@ content hash, for fully offline deterministic runs.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -210,23 +211,42 @@ class Backend:
         self._max_calls = max_calls
         self._max_tokens = max_tokens
         self._lock = threading.Lock()
+        self._reserved = 0  # calls past the cap check and not yet charged
 
     def _charge(self, prompt_text: str, completion_text: str) -> None:
+        """Settle one call that ``_check_budget`` reserved."""
         with self._lock:
+            self._reserved -= 1
             self.usage.calls += 1
             self.usage.prompt_tokens += _rough_tokens(prompt_text)
             self.usage.completion_tokens += _rough_tokens(completion_text)
 
     def _check_budget(self) -> None:
+        """Reserve one call, so that concurrent callers cannot pass the call
+        cap together; the token cap sees only the replies charged so far."""
         with self._lock:
-            if self._max_calls is not None and self.usage.calls >= self._max_calls:
+            if self._max_calls is not None and \
+                    self.usage.calls + self._reserved >= self._max_calls:
                 raise BudgetExceeded(f"call cap {self._max_calls} reached")
             if self._max_tokens is not None and self.usage.total_tokens >= self._max_tokens:
                 raise BudgetExceeded(f"token cap {self._max_tokens} reached")
+            self._reserved += 1
+
+    @contextlib.contextmanager
+    def _round_trip(self):
+        """Hold one reserved call for the block, and release it if the block
+        raises; the caller charges it after the block."""
+        self._check_budget()
+        try:
+            yield
+        except BaseException:
+            with self._lock:
+                self._reserved -= 1
+            raise
 
     def complete(self, request: ChatRequest) -> str:
-        self._check_budget()
-        reply = self._complete(request)
+        with self._round_trip():
+            reply = self._complete(request)
         self._charge(request.prompt, reply)
         return reply
 
@@ -243,14 +263,14 @@ class Backend:
         rows: list[np.ndarray] = []
         for start in range(0, len(texts), EMBED_BATCH):
             batch = texts[start:start + EMBED_BATCH]
-            self._check_budget()
-            got = [np.asarray(row, dtype=np.float32) for row in self._embed(batch)]
-            if len(got) != len(batch):
-                raise DimensionMismatch(
-                    f"provider returned {len(got)} vectors for {len(batch)} texts")
-            dims = {len(row) for row in got + rows[:1]}
-            if len(dims) != 1:
-                raise DimensionMismatch(f"inconsistent embedding sizes: {sorted(dims)}")
+            with self._round_trip():
+                got = [np.asarray(row, dtype=np.float32) for row in self._embed(batch)]
+                if len(got) != len(batch):
+                    raise DimensionMismatch(
+                        f"provider returned {len(got)} vectors for {len(batch)} texts")
+                dims = {len(row) for row in got + rows[:1]}
+                if len(dims) != 1:
+                    raise DimensionMismatch(f"inconsistent embedding sizes: {sorted(dims)}")
             self._charge(" ".join(batch), "")
             rows.extend(got)
         return np.stack(rows)
@@ -380,10 +400,16 @@ class HttpBackend(Backend):
         self.api_key = api_key
         self.model_tag = model_tag
         self.embedding_model = embedding_model or model_tag
+        self._session = None  # one requests.Session, made by the first post
 
     def _post(self, path: str, payload: dict) -> dict:
+        """POST payload as JSON over the backend's one session, which keeps
+        its connections open between calls."""
         import requests
 
+        with self._lock:
+            if self._session is None:
+                self._session = requests.Session()
         url = f"{self.api_base}{path}"
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -391,8 +417,8 @@ class HttpBackend(Backend):
         last_error = None
         for attempt in range(RETRY_ATTEMPTS):
             try:
-                resp = requests.post(url, json=payload, headers=headers,
-                                     timeout=HTTP_TIMEOUT)
+                resp = self._session.post(url, json=payload, headers=headers,
+                                          timeout=HTTP_TIMEOUT)
             except requests.RequestException as exc:
                 last_error = exc
                 time.sleep(RETRY_BASE_DELAY * 2 ** attempt)

@@ -138,7 +138,11 @@ def make_router(config: RunConfig) -> BackendRouter:
 
 
 def load_prompts(config: RunConfig) -> tuple[dict[str, str], int]:
-    """The prompt mapping for this run plus the effective round number."""
+    """The prompt mapping for this run plus the effective round number; a
+    round with no prompt directory to read it from is a UsageError."""
+    if config.prompt_round is not None and not config.prompt_dir:
+        raise errors.UsageError(f"round {config.prompt_round} needs a prompt directory "
+                                f"(--prompts)")
     if config.prompt_dir:
         round_number = config.prompt_round
         if round_number is None:

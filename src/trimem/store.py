@@ -203,10 +203,8 @@ class MemoryStore:
 
     def __init__(self, turns: Iterable[DialogueTurn] = ()):
         self.turns: dict[int, DialogueTurn] = {t.turn_id: t for t in turns}
-        self.entries: dict[str, MemoryEntry] = {}
-        self.insertion_order: list[str] = []
+        self.entries: dict[str, MemoryEntry] = {}  # in row order: e{i:06d} is row i-1
         self._blocks: list[np.ndarray] = []  # one (rows, dim) block per insert
-        self._row_of: dict[str, int] = {}
         self._by_restatement: dict[str, str] = {}
         self._profile_history: list[EntityProfile] = []
         self._latest_profile: dict[str, EntityProfile] = {}
@@ -225,26 +223,32 @@ class MemoryStore:
         return self._sealed
 
     def seal(self) -> None:
-        """Finish ingestion; the store becomes read-only."""
+        """Finish ingestion; the store becomes read-only and its index one block."""
+        self._blocks = [self._vectors]
         self._sealed = True
+
+    @property
+    def insertion_order(self) -> list[str]:
+        """The entry ids in row order, as a new list."""
+        return list(self.entries)
 
     # -- fact index ------------------------------------------------------
 
     @property
     def _vectors(self) -> np.ndarray:
-        """The (n, dim) float32 index; row i holds ``insertion_order[i]``.
-
-        Inserts append blocks; the first read after an insert joins them.
-        """
-        if len(self._blocks) > 1:
-            self._blocks = [np.concatenate(self._blocks)]
+        """The (n, dim) float32 index; row i holds entry ``e{i+1:06d}``. Inserts
+        append blocks and ``seal`` joins them, so a read writes nothing."""
+        if len(self._blocks) == 1:
+            return self._blocks[0]
         if not self._blocks:
             return np.empty((0, self.dim or 0), dtype=np.float32)
-        return self._blocks[0]
+        return np.concatenate(self._blocks)
 
     def row_of(self, entry_id: str) -> int:
-        """The entry's row in the index, which is its insertion position."""
-        return self._row_of[entry_id]
+        """The entry's row in the index: entry ``e{i:06d}`` is row i-1."""
+        if entry_id not in self.entries:
+            raise KeyError(entry_id)
+        return int(entry_id[1:]) - 1
 
     def insert_entries(self, entries: Sequence[MemoryEntry],
                        backend: Backend) -> list[str]:
@@ -286,16 +290,14 @@ class MemoryStore:
         for entry in entries:
             key = restatement_key(entry.lossless_restatement)
             if key not in self._by_restatement:
-                entry_id = f"e{len(self.insertion_order) + 1:06d}"
+                entry_id = f"e{len(self.entries) + 1:06d}"
                 self.entries[entry_id] = replace(entry, entry_id=entry_id)
-                self._row_of[entry_id] = len(self.insertion_order)
-                self.insertion_order.append(entry_id)
                 self._by_restatement[key] = entry_id
             assigned.append(self._by_restatement[key])
         return assigned
 
     def vector_of(self, entry_id: str) -> np.ndarray:
-        return self._vectors[self._row_of[entry_id]]
+        return self._vectors[self.row_of(entry_id)]
 
     def similarity_search(self, query_vector: np.ndarray,
                           k: int) -> list[tuple[str, float]]:
@@ -317,7 +319,7 @@ class MemoryStore:
         else:
             rows = np.arange(len(scores))
         order = rows[np.lexsort((rows, -scores[rows]))][:k]
-        return [(self.insertion_order[i], float(scores[i])) for i in order]
+        return [(f"e{i + 1:06d}", float(scores[i])) for i in order]
 
     # -- verbatim recovery ----------------------------------------------
 
@@ -374,8 +376,7 @@ class MemoryStore:
         dim = self.dim or 0
         digests: dict[str, str] = {}
         records = {
-            "entries": _columns([self.entries[e] for e in self.insertion_order],
-                                _ENTRY_TYPES),
+            "entries": _columns(list(self.entries.values()), _ENTRY_TYPES),
             "turns": _columns([self.turns[t] for t in sorted(self.turns)], _TURN_TYPES),
             "profiles": _columns([p.as_dict() for p in self._profile_history],
                                  _PROFILE_TYPES, dict.get),
@@ -387,8 +388,7 @@ class MemoryStore:
             _write_part(path / "records.json.gz", digests,
                         gzip.compress(text, compresslevel=GZIP_LEVEL, mtime=0))
             _write_part(path / "vectors.bin", digests, VECTOR_MAGIC,
-                        struct.pack("<III", SCHEMA_VERSION, dim,
-                                    len(self.insertion_order)),
+                        struct.pack("<III", SCHEMA_VERSION, dim, len(self.entries)),
                         *_vector_planes(self._vectors))
             for name in _OLD_PARTS:
                 (path / name).unlink(missing_ok=True)
@@ -453,12 +453,10 @@ class MemoryStore:
                            itertools.starmap(DialogueTurn, zip(*turns.values()))}
             if len(store.turns) != manifest["turn_count"]:
                 raise ValueError("turns column 'turn_id' repeats a turn id")
-            store.insertion_order = [f"e{row:06d}" for row in range(1, count + 1)]
-            store._row_of = dict(zip(store.insertion_order, range(count)))
-            store.entries = {entry_id: MemoryEntry(*values, entry_id) for entry_id, values
-                             in zip(store.insertion_order, zip(*entries.values()))}
-            for entry_id, text in zip(store.insertion_order,
-                                      entries["lossless_restatement"]):
+            ids = [f"e{row:06d}" for row in range(1, count + 1)]
+            store.entries = {entry_id: MemoryEntry(*values, entry_id)
+                             for entry_id, values in zip(ids, zip(*entries.values()))}
+            for entry_id, text in zip(ids, entries["lossless_restatement"]):
                 first = store._by_restatement.setdefault(restatement_key(text), entry_id)
                 if first != entry_id:
                     raise ValueError(f"entry {entry_id} repeats the restatement of {first}")
@@ -477,4 +475,4 @@ class MemoryStore:
 
     def verify_anchors(self) -> None:
         """Raise DanglingAnchor unless every stored entry recovers cleanly."""
-        self.recover_dialogue(self.insertion_order)
+        self.recover_dialogue(list(self.entries))

@@ -1,5 +1,9 @@
+import http.server
 import importlib
 import json
+import sys
+import threading
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -9,6 +13,7 @@ import pytest
 from trimem.backend import (
     EMBED_BATCH,
     REQUIRED,
+    Backend,
     BackendRouter,
     ChatRequest,
     FixtureRule,
@@ -297,6 +302,62 @@ def test_token_budget_enforced():
         backend.complete(ChatRequest(prompt="q"))
 
 
+class SlowBackend(Backend):
+    """A backend whose round-trip takes 10 ms and is counted."""
+
+    def __init__(self, **caps):
+        super().__init__(**caps)
+        self.round_trips = 0
+        self.count_lock = threading.Lock()
+
+    def _complete(self, request):
+        time.sleep(0.01)
+        with self.count_lock:
+            self.round_trips += 1
+        return "r"
+
+
+def test_call_cap_holds_under_threads():
+    backend = SlowBackend(max_calls=10)
+    outcomes = []
+
+    def worker():
+        for _ in range(4):
+            try:
+                outcomes.append(backend.complete(ChatRequest(prompt="q")))
+            except BudgetExceeded as exc:
+                outcomes.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert backend.round_trips == backend.usage.calls == 10
+    assert outcomes.count("r") == 10
+    assert sum(isinstance(o, BudgetExceeded) for o in outcomes) == 8 * 4 - 10
+
+
+def test_a_failed_round_trip_releases_its_reservation(monkeypatch):
+    backend = _scripted(monkeypatch, max_calls=1)
+    monkeypatch.setattr(backend, "_complete", lambda request: 1 / 0)
+    monkeypatch.setattr(backend, "_embed", lambda texts: [[1.0], [1.0, 0.0]])
+    with pytest.raises(ZeroDivisionError):
+        backend.complete(ChatRequest(prompt="q"))
+    with pytest.raises(DimensionMismatch):
+        backend.embed(["a", "b"])
+    monkeypatch.undo()
+    backend.complete(ChatRequest(prompt="q"))  # the one call the cap allows
+    with pytest.raises(BudgetExceeded):
+        backend.complete(ChatRequest(prompt="q"))
+
+
 def test_embed_rejects_empty_input():
     backend = ScriptedBackend()
     with pytest.raises(ValueError):
@@ -325,7 +386,7 @@ class FakeResponse:
 def test_http_backend_auth_error(monkeypatch):
     import requests
 
-    monkeypatch.setattr(requests, "post",
+    monkeypatch.setattr(requests.Session, "post",
                         lambda *a, **k: FakeResponse(401, {}))
     backend = HttpBackend("http://api.test", "bad-key")
     with pytest.raises(AuthError):
@@ -343,7 +404,7 @@ def test_http_backend_retries_then_succeeds(monkeypatch):
             return FakeResponse(503, {})
         return FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
 
-    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(requests.Session, "post", fake_post)
     monkeypatch.setattr("trimem.backend.time.sleep", lambda s: None)
     backend = HttpBackend("http://api.test")
     assert backend.complete(ChatRequest(prompt="q")) == "ok"
@@ -353,7 +414,7 @@ def test_http_backend_retries_then_succeeds(monkeypatch):
 def test_http_backend_gives_up_after_retries(monkeypatch):
     import requests
 
-    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(500, {}))
+    monkeypatch.setattr(requests.Session, "post", lambda *a, **k: FakeResponse(500, {}))
     monkeypatch.setattr("trimem.backend.time.sleep", lambda s: None)
     backend = HttpBackend("http://api.test")
     with pytest.raises(TransportError):
@@ -367,7 +428,7 @@ def test_http_backend_embeddings(monkeypatch):
         {"index": 1, "embedding": [0.0, 1.0]},
         {"index": 0, "embedding": [1.0, 0.0]},
     ]}
-    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, body))
+    monkeypatch.setattr(requests.Session, "post", lambda *a, **k: FakeResponse(200, body))
     backend = HttpBackend("http://api.test")
     vectors = backend.embed(["a", "b"])
     assert vectors.shape == (2, 2)
@@ -390,9 +451,59 @@ class NotJsonResponse(FakeResponse):
 def test_http_backend_malformed_200_is_transport_error(monkeypatch, reply, call):
     import requests
 
-    monkeypatch.setattr(requests, "post", lambda *a, **k: reply)
+    monkeypatch.setattr(requests.Session, "post", lambda *a, **k: reply)
     with pytest.raises(TransportError):
         call(HttpBackend("http://api.test"))
+
+
+class ProviderHandler(http.server.BaseHTTPRequestHandler):
+    """A keep-alive chat and embedding provider; each instance serves one
+    connection, with Nagle's algorithm off so that a reply is not held back."""
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    connections: list = []
+
+    def setup(self):
+        super().setup()
+        self.connections.append(self.client_address)
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.path.endswith("/embeddings"):
+            body = {"data": [{"index": i, "embedding": [1.0, 0.0]}
+                             for i in range(len(request["input"]))]}
+        else:
+            body = {"choices": [{"message": {"content": "ok"}}]}
+        data = json.dumps(body).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_backend_reuses_one_connection(monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(ProviderHandler, "connections", [])
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), ProviderHandler)
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    try:
+        backend = HttpBackend(f"http://127.0.0.1:{server.server_port}")
+        for _ in range(3):
+            assert backend.complete(ChatRequest(prompt="q")) == "ok"
+            assert backend.embed(["a", "b"]).shape == (2, 2)
+        backend._session.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=10)
+    assert backend.usage.calls == 6
+    assert len(ProviderHandler.connections) == 1
 
 
 def _embedding_rows(*rows):
@@ -419,7 +530,7 @@ def _embedding_rows(*rows):
 def test_http_backend_refuses_a_bad_reply_body(monkeypatch, body, call):
     import requests
 
-    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, body))
+    monkeypatch.setattr(requests.Session, "post", lambda *a, **k: FakeResponse(200, body))
     with pytest.raises(TransportError, match="malformed"):
         call(HttpBackend("http://api.test"))
 
@@ -436,14 +547,14 @@ def _scripted(monkeypatch, rows=None, **caps):
 def _http(monkeypatch, rows=lambda texts: [[1.0, 0.0]] * len(texts), **caps):
     import requests
 
-    def fake_post(url, json, **kwargs):
+    def fake_post(session, url, json, **kwargs):
         if url.endswith("/embeddings"):
             data = [{"index": i, "embedding": row}
                     for i, row in enumerate(rows(json["input"]))]
             return FakeResponse(200, {"data": data})
         return FakeResponse(200, {"choices": [{"message": {"content": "r"}}]})
 
-    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(requests.Session, "post", fake_post)
     return HttpBackend("http://api.test", **caps)
 
 

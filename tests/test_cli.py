@@ -361,6 +361,18 @@ def test_build_without_prompt_rounds_is_usage_error(work_dir, capsys):
     assert json.loads(err)["error"] == "UsageError"
 
 
+def test_a_round_without_prompts_is_usage_error(work_dir, capsys):
+    # a round number names a round of a prompt directory, so it needs one
+    assert build(capsys)[0] == EXIT_OK
+    code, out, err = run(capsys, "query", "--store", "store", "--question", "q",
+                         "--scripted", "fixture.jsonl", "--round", "3")
+    assert (code, out, json.loads(err)["error"]) == (EXIT_USAGE, "", "UsageError")
+    (work_dir / "conf.json").write_text(json.dumps({"prompt_round": 0}))
+    code, out, err = build(capsys, store="store2", extra=("--config", "conf.json"))
+    assert (code, out, json.loads(err)["error"]) == (EXIT_USAGE, "", "UsageError")
+    assert not (work_dir / "store2").exists()
+
+
 def test_build_refuses_non_empty_dir_without_force(work_dir, capsys):
     assert build(capsys)[0] == EXIT_OK
     code, _, err = build(capsys)

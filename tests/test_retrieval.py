@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -223,3 +224,23 @@ def test_retrieve_sets_token_cost():
     plan = SearchPlan(original_question="q", queries=("q",))
     ctx = retrieve(plan, store, RetrievalConfig(), ScriptedBackend())
     assert ctx.token_cost > 0
+
+
+def test_retrieve_from_threads_over_a_sealed_store_matches_serial(built_store, qa_items):
+    # reads of a sealed store write nothing, so threads can share one
+    backend = ScriptedBackend()
+    config = RetrievalConfig(top_k=10, per_query_k=5)
+    plans = [SearchPlan(original_question=item.question,
+                        queries=(item.question, " ".join(reversed(item.question.split()))))
+             for item in qa_items] * 4
+    blocks = list(built_store._blocks)
+
+    def run(plan):
+        return retrieve(plan, built_store, config, backend)
+
+    serial = list(map(run, plans))
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        threaded = list(pool.map(run, plans))
+    assert threaded == serial
+    assert len(built_store._blocks) == len(blocks) == 1
+    assert built_store._blocks[0] is blocks[0]

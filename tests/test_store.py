@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import json
+import operator
 import struct
 import tempfile
 import zlib
@@ -25,6 +26,7 @@ from trimem.errors import (
 )
 from trimem.extraction import MemoryEntry
 from trimem.profiles import EntityProfile
+from trimem.retrieval import SearchPlan, retrieve
 from trimem.store import (
     _ENTRY_TYPES,
     _TURN_TYPES,
@@ -137,6 +139,35 @@ def test_similarity_search_ties_break_by_insertion(backend):
     results = store.similarity_search(store._vectors[0], k=2)
     assert results[0][1] == results[1][1]
     assert [e for e, _ in results] == ["e000001", "e000002"]
+
+
+def test_reads_of_a_sealed_or_loaded_store_write_nothing(backend, tmp_path):
+    store = MemoryStore(turns=make_turns(3))
+    for i in range(3):  # one index block per insert
+        store.insert_entries([make_entry(f"fact {i}", (i + 1,))], backend)
+    assert len(store._blocks) == 3
+    store.seal()
+    store.persist(tmp_path / "s")
+    plan = SearchPlan(original_question="fact 1", queries=("fact 1", "fact 2"))
+    for sealed in (store, MemoryStore.load(tmp_path / "s")):
+        blocks = sealed._blocks
+        found = list(blocks)
+        assert len(found) == 1
+        sealed.similarity_search(hash_embedding("fact 1"), k=2)
+        sealed.vector_of("e000002")
+        retrieve(plan, sealed, RetrievalConfig(top_k=2), backend)
+        assert sealed._blocks is blocks and all(map(operator.is_, blocks, found))
+
+
+def test_row_of_follows_the_entry_id(backend):
+    store = MemoryStore(turns=make_turns(1))
+    store.insert_entries([make_entry(f"fact {i}") for i in range(3)], backend)
+    assert [store.row_of(e) for e in store.insertion_order] == [0, 1, 2]
+    for unknown in ("e000004", "e000000", "x"):
+        with pytest.raises(KeyError):
+            store.row_of(unknown)
+        with pytest.raises(KeyError):
+            store.vector_of(unknown)
 
 
 def tied_store(backend, n, groups):
