@@ -13,8 +13,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import fcntl
+import functools
 import hashlib
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -32,6 +35,8 @@ from .pipeline import QaItem, answer_question, build_store, run_eval
 from .prompts import seed_prompts
 from .retrieval import plan_for_question, retrieve
 from .store import MemoryStore, RetrievalConfig, make_dir, refuse_non_empty
+
+logger = logging.getLogger(__name__)
 
 ENV_API_BASE = "TRIMEM_API_BASE"
 ENV_API_KEY = "TRIMEM_API_KEY"
@@ -123,18 +128,14 @@ def make_router(config: RunConfig) -> BackendRouter:
     if not config.api_base:
         raise errors.UsageError(
             f"no backend configured: set {ENV_API_BASE} or pass --scripted FIXTURE")
-    pipeline = HttpBackend(config.api_base, config.api_key or "",
-                           model_tag=config.model_tag,
-                           embedding_model=config.embedding_model,
-                           max_calls=config.max_calls,
-                           max_tokens=config.max_tokens)
+    http = functools.partial(HttpBackend, config.api_base, config.api_key or "",
+                             max_calls=config.max_calls, max_tokens=config.max_tokens)
     senior = None
     if config.senior_model_tag and config.senior_model_tag != config.model_tag:
-        senior = HttpBackend(config.api_base, config.api_key or "",
-                             model_tag=config.senior_model_tag,
-                             max_calls=config.max_calls,
-                             max_tokens=config.max_tokens)
-    return BackendRouter(pipeline=pipeline, senior=senior)
+        senior = http(model_tag=config.senior_model_tag)
+    return BackendRouter(pipeline=http(model_tag=config.model_tag,
+                                       embedding_model=config.embedding_model),
+                         senior=senior)
 
 
 def load_prompts(config: RunConfig) -> tuple[dict[str, str], int]:
@@ -159,45 +160,29 @@ def load_prompts(config: RunConfig) -> tuple[dict[str, str], int]:
     return seed_prompts(), 0
 
 
-def _lock_is_stale(lock_path: Path) -> bool:
-    """Whether the lock holds the pid of a process that no longer exists."""
-    try:
-        os.kill(int(lock_path.read_text(encoding="utf-8")), 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):  # unreadable, or alive but not ours
-        pass
-    return False
-
-
 @contextlib.contextmanager
 def store_lock(store_dir: Path):
-    """One command per store directory at a time.
-
-    A lock whose pid names no process, left by a killed command, is unlinked
-    and retaken by one more O_EXCL open, which admits one of two reclaimers
-    unless one of them unlinks only after the other's open.
-    """
+    """One command per store directory at a time: a ``flock`` on ``.lock``,
+    which the kernel drops when its holder exits, however it exits. The holder
+    unlinks ``.lock`` before it lets go, so a lock on an unlinked file is refused."""
     make_dir(store_dir)
     lock_path = store_dir / ".lock"
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock_path, flags)
-    except FileExistsError:
-        fd = None
-        if _lock_is_stale(lock_path):
-            lock_path.unlink(missing_ok=True)
-            with contextlib.suppress(FileExistsError):
-                fd = os.open(lock_path, flags)
-        if fd is None:
-            raise errors.UsageError(
-                f"{store_dir} is locked by another command (stale? remove {lock_path})")
+        fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
+    except OSError as exc:
+        raise errors.UsageError(f"cannot open the store lock {lock_path}: {exc}")
+    ours = False
     try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        with contextlib.suppress(BlockingIOError, FileNotFoundError):
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            ours = os.path.samestat(os.fstat(fd), os.stat(lock_path))
+        if not ours:
+            raise errors.UsageError(f"{store_dir} is locked by another command")
         yield
     finally:
-        lock_path.unlink(missing_ok=True)
+        if ours:
+            lock_path.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def write_manifest(path: Path, config: RunConfig, prompt_round: int,
@@ -222,10 +207,8 @@ def _build_and_persist(config: RunConfig, router: BackendRouter,
     prompts, prompt_round = load_prompts(config)
     with store_lock(store_dir):
         store = build_store(corpus, prompts, router, seg_config=config)
-        store.persist(store_dir, manifest_extra={
-            "config_hash": config.config_hash(),
-            "prompt_round": prompt_round,
-        })
+        store.persist(store_dir, manifest_extra={"config_hash": config.config_hash(),
+                                                 "prompt_round": prompt_round})
     return store, prompt_round
 
 
@@ -324,6 +307,18 @@ def cmd_answer(args) -> int:
     return EXIT_OK
 
 
+def _evidence_by_question(qa_set: list[QaItem]) -> Optional[dict]:
+    """Each question's gold evidence for hit@k; None, with one warning, when
+    a record has none or a repeated question carries other evidence."""
+    gold = {}
+    for item in qa_set:
+        if not item.evidence or gold.setdefault(item.question, item.evidence) != item.evidence:
+            logger.warning("no hit@k: %r has no evidence, or other evidence than before",
+                           item.question)
+            return None
+    return gold
+
+
 def _run_eval_to_dir(config: RunConfig, qa_path, out_dir: Path,
                      router: BackendRouter) -> dict:
     qa_set = load_qa_set(qa_path)
@@ -331,17 +326,9 @@ def _run_eval_to_dir(config: RunConfig, qa_path, out_dir: Path,
     prompts, prompt_round = load_prompts(config)
     make_dir(out_dir)
     records = run_eval(qa_set, store, prompts, router, config)
-    evidence = {item.question: sorted(item.evidence) for item in qa_set
-                if item.evidence}
-    report = build_report(
-        records,
-        evidence=evidence if len(evidence) == len(qa_set) else None,
-        hit_k=config.hit_k,
-        metadata={
-            "prompt_round": prompt_round,
-            "config_hash": config.config_hash(),
-            "seed": config.seed,
-        })
+    report = build_report(records, evidence=_evidence_by_question(qa_set), hit_k=config.hit_k,
+                          metadata={"prompt_round": prompt_round, "seed": config.seed,
+                                    "config_hash": config.config_hash()})
     write_report(report, records, out_dir / "report.json",
                  out_dir / "detailed_results.jsonl")
     write_manifest(out_dir / "run_manifest.json", config, prompt_round, router)
@@ -360,6 +347,8 @@ def cmd_eval(args) -> int:
 
 def cmd_evolve(args) -> int:
     config = load_run_config(args)
+    if config.prompt_dir is not None or config.prompt_round is not None:
+        raise errors.UsageError("evolve starts from the seed prompts: drop --prompts/--round")
     out_dir = Path(args.out)
     corpus = load_corpus(config.corpus)
     router = make_router(config)
@@ -398,6 +387,8 @@ def cmd_ablate(args) -> int:
             f"--values for {knob} must be JSON values of its type: {args.values!r}")
     if knob in _SEGMENTATION_KNOBS and not config.corpus:
         raise errors.UsageError(f"--knob {knob} rebuilds the store: pass --corpus")
+    if knob not in _SEGMENTATION_KNOBS and not config.store_dir:
+        raise errors.UsageError(f"--knob {knob} evaluates an existing store: pass --store")
     sweeps = [run_config({**vars(config), knob: value}) for value in values]
     out_dir = make_dir(Path(args.out))
     rows = []
@@ -493,8 +484,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError; its subparsers inherit it."""
+
+    def error(self, message):
+        raise errors.UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trimem", description="Tri-granularity conversational memory engine")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, flags) in COMMANDS.items():
@@ -507,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except errors.TriMemError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

@@ -1,8 +1,10 @@
 import argparse
+import fcntl
 import gzip
 import hashlib
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -284,6 +286,30 @@ def test_bad_input_is_one_json_error(work_dir, capsys, case):
     assert json.loads(err)["error"] == want_error
 
 
+BAD_COMMAND_LINES = {
+    "no-command": [],
+    "unknown-command": ["bogus"],
+    "missing-required-flag": ["build", "--corpus", "corpus.json"],
+    "unknown-flag": ["ingest", "--corpus", "corpus.json", "--bogus"],
+    "window-not-an-int": ["ingest", "--corpus", "corpus.json", "--window", "abc"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COMMAND_LINES))
+def test_a_bad_command_line_is_one_json_usage_error(work_dir, capsys, case):
+    code, out, err = run(capsys, *BAD_COMMAND_LINES[case])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["build", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert "usage: trimem" in capsys.readouterr().out
+
+
 BAD_QA_FIELDS = {
     "reference-empty": {"reference": ""},
     "reference-an-object": {"reference": {"a": 1}},
@@ -381,35 +407,100 @@ def test_build_refuses_non_empty_dir_without_force(work_dir, capsys):
     assert build(capsys, extra=("--force",))[0] == EXIT_OK
 
 
-def test_store_lock_blocks_concurrent_build(work_dir, capsys):
-    (work_dir / "store").mkdir()
-    (work_dir / "store" / ".lock").write_text(str(os.getpid()))  # a live pid
-    code, _, err = run(capsys, "build", "--corpus", "corpus.json",
-                       "--store", "store", "--scripted", "fixture.jsonl",
-                       "--force")
-    assert code == EXIT_USAGE
+def test_a_held_store_lock_refuses_a_build(work_dir, capsys):
+    lock = work_dir / "store" / ".lock"
+    lock.parent.mkdir()
+    fd = os.open(lock, os.O_CREAT | os.O_WRONLY)  # another open file description
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        code, out, err = build(capsys, extra=("--force",))
+    finally:
+        os.close(fd)
+    assert (code, out) == (EXIT_USAGE, "")
     assert "locked" in json.loads(err)["message"]
+    assert [p.name for p in lock.parent.iterdir()] == [".lock"]
 
 
-@pytest.mark.parametrize("contents", ["", "not a pid", "12.5", "9" * 40])
-def test_store_lock_that_names_no_pid_blocks_a_build(work_dir, capsys, contents):
-    (work_dir / "store").mkdir()
-    (work_dir / "store" / ".lock").write_text(contents)
-    code, _, err = build(capsys, extra=("--force",))
-    assert code == EXIT_USAGE
-    assert "locked" in json.loads(err)["message"]
-    assert (work_dir / "store" / ".lock").read_text() == contents
+HOLD_LOCK = """import fcntl, os, sys, time
+fd = os.open(sys.argv[1], os.O_CREAT | os.O_WRONLY)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("locked", flush=True)
+time.sleep(60)
+"""
 
 
-def test_store_lock_of_a_dead_process_is_reclaimed(work_dir, capsys):
-    child = subprocess.Popen([sys.executable, "-c", ""])
-    child.wait()  # reaped, so its pid names no process
-    (work_dir / "store").mkdir()
-    (work_dir / "store" / ".lock").write_text(str(child.pid))
+def test_a_lock_holder_killed_with_sigkill_frees_the_lock(work_dir, capsys):
+    lock = work_dir / "store" / ".lock"
+    lock.parent.mkdir()
+    holder = subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(lock)],
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        assert build(capsys, extra=("--force",))[0] == EXIT_USAGE
+    finally:
+        holder.send_signal(signal.SIGKILL)
+        holder.wait()
+        holder.stdout.close()
+    assert lock.exists()  # the killed holder never unlinked it
     code, out, err = build(capsys, extra=("--force",))
     assert code == EXIT_OK, err
     assert json.loads(out)["entries"] == 60
-    assert not (work_dir / "store" / ".lock").exists()
+    assert not lock.exists()
+
+
+def _reaped_child_pid():
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return str(child.pid)
+
+
+LEFTOVER_LOCKS = {
+    "own-pid": lambda: str(os.getpid()), "reaped-child-pid": _reaped_child_pid,
+    "empty": lambda: "", "not-a-pid": lambda: "not a pid", "float": lambda: "12.5",
+    "40-digits": lambda: "9" * 40,
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEFTOVER_LOCKS))
+def test_a_leftover_lock_of_any_content_is_taken(work_dir, capsys, case):
+    # no holder has it locked, so whatever the file says, the build may go on
+    lock = work_dir / "store" / ".lock"
+    lock.parent.mkdir()
+    lock.write_text(LEFTOVER_LOCKS[case]())
+    code, out, err = build(capsys, extra=("--force",))
+    assert code == EXIT_OK, err
+    assert json.loads(out)["entries"] == 60
+    assert not lock.exists()
+
+
+@pytest.mark.parametrize("replaced", [True, False], ids=["swapped", "unlinked"])
+def test_a_lock_file_swapped_before_flock_is_refused(work_dir, capsys, monkeypatch,
+                                                     replaced):
+    # what a finishing holder's unlink, and a next command's create, look like
+    # to a command that opened the old .lock just before
+    lock = work_dir / "store" / ".lock"
+    flock = fcntl.flock
+
+    def swap_then_flock(fd, operation):
+        lock.unlink()
+        if replaced:
+            lock.write_text("")
+        flock(fd, operation)
+
+    monkeypatch.setattr(fcntl, "flock", swap_then_flock)
+    code, out, err = build(capsys, extra=("--force",))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "locked" in json.loads(err)["message"]
+    assert [p.name for p in lock.parent.iterdir()] == ([".lock"] if replaced else [])
+
+
+def test_a_lock_that_cannot_be_opened_is_a_usage_error(work_dir, capsys):
+    lock = work_dir / "store" / ".lock"
+    lock.mkdir(parents=True)
+    code, out, err = build(capsys, extra=("--force",))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "UsageError"
+    assert [p.name for p in lock.parent.iterdir()] == [".lock"] and lock.is_dir()
 
 
 def test_query_and_answer(work_dir, capsys):
@@ -458,6 +549,45 @@ def test_eval_writes_report(work_dir, capsys):
     assert report["overall"]["count"] == 8
     assert (work_dir / "eval" / "detailed_results.jsonl").exists()
     assert (work_dir / "eval" / "run_manifest.json").exists()
+
+
+def _eval_records(work_dir, capsys, records, out):
+    (work_dir / f"{out}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, _, err = run(capsys, "eval", "--store", "store", "--qa", f"{out}.jsonl",
+                       "--scripted", "fixture.jsonl", "--out", out)
+    assert code == EXIT_OK, err
+    return json.loads((work_dir / out / "report.json").read_text())
+
+
+def _fixture_qa(work_dir):
+    return [json.loads(line) for line in (work_dir / "qa.jsonl").read_text().splitlines()]
+
+
+def test_eval_reports_hit_at_k_when_a_question_repeats_with_its_evidence(
+        work_dir, capsys, caplog):
+    assert build(capsys)[0] == EXIT_OK
+    a, b, *_ = _fixture_qa(work_dir)
+    once = _eval_records(work_dir, capsys, [a, b], "once")
+    with caplog.at_level("WARNING", logger="trimem.cli"):
+        twice = _eval_records(work_dir, capsys, [a, b, a], "twice")
+    assert twice["overall"]["count"] == 3
+    assert twice["hit_at_k"] == once["hit_at_k"]
+    assert not [r for r in caplog.records if r.name == "trimem.cli"]
+
+
+@pytest.mark.parametrize("case", ["repeat-with-other-evidence", "record-without-evidence"])
+def test_eval_omits_hit_at_k_and_names_the_question(work_dir, capsys, caplog, case):
+    assert build(capsys)[0] == EXIT_OK
+    a, b, c, *_ = _fixture_qa(work_dir)
+    if case == "repeat-with-other-evidence":
+        third = {**a, "evidence": [1]}
+    else:
+        third = {k: v for k, v in c.items() if k != "evidence"}
+    with caplog.at_level("WARNING", logger="trimem.cli"):
+        report = _eval_records(work_dir, capsys, [a, b, third], "eval")
+    assert "hit_at_k" not in report
+    [warning] = [r for r in caplog.records if r.name == "trimem.cli"]
+    assert repr(third["question"]) in warning.getMessage()
 
 
 def test_inspect_store_and_entry(work_dir, capsys):
@@ -831,6 +961,24 @@ def test_evolve_refuses_a_non_empty_out_dir(work_dir, capsys):
     assert snapshot() == first
 
 
+@pytest.mark.parametrize("options", [
+    ("--round", "3"), ("--prompts", "prompts"), ("--prompts", "prompts", "--round", "0"),
+    ("--config", "round.json"), ("--config", "prompts.json"),
+], ids=["round", "prompts", "prompts-and-round", "config-round", "config-prompts"])
+def test_evolve_refuses_a_prompt_directory_or_round(work_dir, capsys, options):
+    PromptSet.seed().persist(work_dir / "prompts")
+    (work_dir / "round.json").write_text(json.dumps({"prompt_round": 3}))
+    (work_dir / "prompts.json").write_text(json.dumps({"prompt_dir": "prompts"}))
+    # --max-calls 0: a model call before the check would exit 3
+    code, out, err = run(capsys, "evolve", "--corpus", "corpus.json", "--qa", "qa.jsonl",
+                         "--rounds", "1", "--out", "evolved",
+                         "--scripted", "evolve_fixture.jsonl", "--max-calls", "0", *options)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "UsageError"
+    assert "seed prompts" in json.loads(err)["message"]
+    assert not (work_dir / "evolved").exists()
+
+
 @pytest.mark.parametrize("command", [
     ("build", "--corpus", "corpus.json", "--store", "taken"),
     ("build", "--corpus", "corpus.json", "--store", "taken", "--force"),
@@ -860,6 +1008,18 @@ def test_ablate_unknown_knob(work_dir, capsys):
                        "--scripted", "fixture.jsonl", "--out", "sweep")
     assert code == EXIT_USAGE
     assert json.loads(err)["error"] == "UnknownKnob"
+
+
+@pytest.mark.parametrize("knob", ["top_k", "use_search_plan"])
+def test_ablate_without_a_store_for_a_knob_that_does_not_rebuild(work_dir, capsys, knob):
+    code, out, err = run(capsys, "ablate", "--corpus", "corpus.json", "--qa", "qa.jsonl",
+                         "--knob", knob, "--values", "true" if knob == "use_search_plan" else "5",
+                         "--out", "sweep", "--scripted", "fixture.jsonl", "--max-calls", "0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "UsageError" and "--store" in error["message"]
+    assert not (work_dir / "sweep").exists()
 
 
 def test_ablate_top_k_sweep(work_dir, capsys):
