@@ -24,7 +24,6 @@ import itertools
 import json
 import struct
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar, get_args, get_origin, get_type_hints
@@ -397,45 +396,42 @@ class HttpBackend(Backend):
                  max_tokens: Optional[int] = None):
         super().__init__(max_calls=max_calls, max_tokens=max_tokens)
         self.api_base = api_base.rstrip("/")
-        self.api_key = api_key
         self.model_tag = model_tag
         self.embedding_model = embedding_model or model_tag
-        self._session = None  # one requests.Session, made by the first post
+        # requests and urllib3 load only here: a scripted run never pays for them
+        import requests
+        from urllib3.util.retry import Retry
+
+        # One session, so calls reuse one open connection. Its adapter retries
+        # a failed connection, a 429 or a 5xx, for RETRY_ATTEMPTS attempts in
+        # all. A retry waits the reply's Retry-After if it has one, else nothing
+        # before the second attempt and 2 * RETRY_BASE_DELAY before the third;
+        # nothing follows the last.
+        self._session = requests.Session()
+        self._session.mount(self.api_base, requests.adapters.HTTPAdapter(max_retries=Retry(
+            total=RETRY_ATTEMPTS - 1, backoff_factor=RETRY_BASE_DELAY,
+            status_forcelist=[429, *range(500, 600)], allowed_methods=None,
+            raise_on_status=False)))
+        if api_key:
+            self._session.headers["Authorization"] = f"Bearer {api_key}"
 
     def _post(self, path: str, payload: dict) -> dict:
-        """POST payload as JSON over the backend's one session, which keeps
-        its connections open between calls."""
+        """The JSON reply to POSTing payload as JSON; the session makes the retries."""
         import requests
 
-        with self._lock:
-            if self._session is None:
-                self._session = requests.Session()
         url = f"{self.api_base}{path}"
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error = None
-        for attempt in range(RETRY_ATTEMPTS):
-            try:
-                resp = self._session.post(url, json=payload, headers=headers,
-                                          timeout=HTTP_TIMEOUT)
-            except requests.RequestException as exc:
-                last_error = exc
-                time.sleep(RETRY_BASE_DELAY * 2 ** attempt)
-                continue
-            if resp.status_code in (401, 403):
-                raise AuthError(f"{url}: HTTP {resp.status_code}")
-            if resp.status_code >= 500 or resp.status_code == 429:
-                last_error = TransportError(f"{url}: HTTP {resp.status_code}")
-                time.sleep(RETRY_BASE_DELAY * 2 ** attempt)
-                continue
-            if resp.status_code != 200:
-                raise TransportError(f"{url}: HTTP {resp.status_code}: {resp.text[:200]}")
-            try:
-                return resp.json()
-            except ValueError:
-                raise TransportError(f"{url}: reply is not JSON: {resp.text[:200]}")
-        raise TransportError(f"{url}: giving up after {RETRY_ATTEMPTS} attempts: {last_error}")
+        try:
+            resp = self._session.post(url, json=payload, timeout=HTTP_TIMEOUT)
+        except requests.RequestException as exc:
+            raise TransportError(f"{url}: {exc}")
+        if resp.status_code in (401, 403):
+            raise AuthError(f"{url}: HTTP {resp.status_code}")
+        if resp.status_code != 200:
+            raise TransportError(f"{url}: HTTP {resp.status_code}: {resp.text[:200]}")
+        try:
+            return resp.json()
+        except ValueError:
+            raise TransportError(f"{url}: reply is not JSON: {resp.text[:200]}")
 
     def _complete(self, request: ChatRequest) -> str:
         body = self._post("/chat/completions", {

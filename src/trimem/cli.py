@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -119,7 +120,20 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     return run_config(values)
 
 
+def _is_http_url(text: str) -> bool:
+    try:
+        url = urllib.parse.urlsplit(text)
+    except ValueError:  # such as an unclosed [ around an IPv6 host
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
+
+
 def make_router(config: RunConfig) -> BackendRouter:
+    """The run's backends; a configured api_base that is not an http:// or
+    https:// URL with a host is a UsageError, even when a fixture is used."""
+    if config.api_base and not _is_http_url(config.api_base):
+        raise errors.UsageError(
+            f"api_base {config.api_base!r} is not an http:// or https:// URL with a host")
     if config.scripted_fixture:
         backend = ScriptedBackend.from_fixture_file(
             config.scripted_fixture,
@@ -194,6 +208,8 @@ def write_manifest(path: Path, config: RunConfig, prompt_round: int,
         "prompt_round": prompt_round,
         "backend_usage": router.pipeline.usage.as_dict(),
     }
+    if router.senior is not router.pipeline:
+        manifest["senior_usage"] = router.senior.usage.as_dict()
     manifest.update(extra or {})
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")

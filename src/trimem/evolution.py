@@ -103,7 +103,7 @@ def _parse_verdict(text: str) -> tuple[float, str]:
 
 def judge(question: str, prediction: str, reference: str,
           judge_prompt: str, backend: Backend) -> tuple[float, str]:
-    """Binary LLM-judge score; malformed output degrades to a 0.0 fail."""
+    """Binary LLM-judge score; malformed output degrades to a 0.0 fail, logged."""
     if not (question and prediction and reference):
         raise ValueError("question, prediction, and reference must be non-empty")
     prompt = render(judge_prompt, question=question, reference=reference,
@@ -112,6 +112,7 @@ def judge(question: str, prediction: str, reference: str,
         return complete_parsed(backend, prompt, _parse_verdict,
                                "Return ONLY the JSON.")
     except ParseFailure:
+        logger.warning("judge output unparsed for question %r", question[:80])
         return 0.0, "(judge unparsed)"
 
 

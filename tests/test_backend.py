@@ -1,6 +1,7 @@
 import http.server
 import importlib
 import json
+import socket
 import sys
 import threading
 import time
@@ -393,34 +394,6 @@ def test_http_backend_auth_error(monkeypatch):
         backend.complete(ChatRequest(prompt="q"))
 
 
-def test_http_backend_retries_then_succeeds(monkeypatch):
-    import requests
-
-    calls = []
-
-    def fake_post(*a, **k):
-        calls.append(1)
-        if len(calls) < 3:
-            return FakeResponse(503, {})
-        return FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
-
-    monkeypatch.setattr(requests.Session, "post", fake_post)
-    monkeypatch.setattr("trimem.backend.time.sleep", lambda s: None)
-    backend = HttpBackend("http://api.test")
-    assert backend.complete(ChatRequest(prompt="q")) == "ok"
-    assert len(calls) == 3
-
-
-def test_http_backend_gives_up_after_retries(monkeypatch):
-    import requests
-
-    monkeypatch.setattr(requests.Session, "post", lambda *a, **k: FakeResponse(500, {}))
-    monkeypatch.setattr("trimem.backend.time.sleep", lambda s: None)
-    backend = HttpBackend("http://api.test")
-    with pytest.raises(TransportError):
-        backend.complete(ChatRequest(prompt="q"))
-
-
 def test_http_backend_embeddings(monkeypatch):
     import requests
 
@@ -458,10 +431,15 @@ def test_http_backend_malformed_200_is_transport_error(monkeypatch, reply, call)
 
 class ProviderHandler(http.server.BaseHTTPRequestHandler):
     """A keep-alive chat and embedding provider; each instance serves one
-    connection, with Nagle's algorithm off so that a reply is not held back."""
+    connection, with Nagle's algorithm off so that a reply is not held back.
+    Each POST is logged in ``posts`` as (path, Authorization header). It
+    takes its status and headers from the front of ``script`` while that
+    lasts, and is otherwise a 200 with a well-formed body."""
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
     connections: list = []
+    posts: list = []
+    script: list = []
 
     def setup(self):
         super().setup()
@@ -469,15 +447,20 @@ class ProviderHandler(http.server.BaseHTTPRequestHandler):
 
     def do_POST(self):
         request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if self.path.endswith("/embeddings"):
+        self.posts.append((self.path, self.headers["Authorization"]))
+        status, headers = self.script.pop(0) if self.script else (200, {})
+        if status != 200:
+            body = {"error": f"scripted {status}"}
+        elif self.path.endswith("/embeddings"):
             body = {"data": [{"index": i, "embedding": [1.0, 0.0]}
                              for i in range(len(request["input"]))]}
         else:
             body = {"choices": [{"message": {"content": "ok"}}]}
         data = json.dumps(body).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        self.send_response(status)
+        for name, value in {**headers, "Content-Type": "application/json",
+                            "Content-Length": str(len(data))}.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -485,25 +468,95 @@ class ProviderHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-def test_http_backend_reuses_one_connection(monkeypatch):
+@pytest.fixture
+def provider(monkeypatch):
+    """The base URL of a ProviderHandler served on 127.0.0.1 for one test."""
     for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
         monkeypatch.delenv(name, raising=False)
-    monkeypatch.setattr(ProviderHandler, "connections", [])
+    for name in ("connections", "posts", "script"):
+        monkeypatch.setattr(ProviderHandler, name, [])
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), ProviderHandler)
     serving = threading.Thread(target=server.serve_forever, daemon=True)
     serving.start()
-    try:
-        backend = HttpBackend(f"http://127.0.0.1:{server.server_port}")
-        for _ in range(3):
-            assert backend.complete(ChatRequest(prompt="q")) == "ok"
-            assert backend.embed(["a", "b"]).shape == (2, 2)
-        backend._session.close()
-    finally:
-        server.shutdown()
-        server.server_close()
-        serving.join(timeout=10)
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+    serving.join(timeout=10)
+
+
+@pytest.fixture
+def waits(monkeypatch):
+    """The seconds urllib3's Retry waits between attempts, recorded, not slept."""
+    slept = []
+    monkeypatch.setattr("urllib3.util.retry.time.sleep", slept.append)
+    return slept
+
+
+def test_http_backend_reuses_one_connection(provider):
+    backend = HttpBackend(provider)
+    for _ in range(3):
+        assert backend.complete(ChatRequest(prompt="q")) == "ok"
+        assert backend.embed(["a", "b"]).shape == (2, 2)
+    backend._session.close()
     assert backend.usage.calls == 6
     assert len(ProviderHandler.connections) == 1
+
+
+def test_http_backend_retries_then_succeeds(provider, waits):
+    ProviderHandler.script[:] = [(503, {}), (503, {})]
+    backend = HttpBackend(provider)
+    assert backend.complete(ChatRequest(prompt="q")) == "ok"
+    assert len(ProviderHandler.posts) == 3
+    assert waits == [2.0]
+    assert backend.usage.calls == 1
+
+
+def test_http_backend_gives_up_after_retries(provider, waits):
+    ProviderHandler.script[:] = [(500, {})] * 4
+    backend = HttpBackend(provider)
+    with pytest.raises(TransportError, match="HTTP 500"):
+        backend.complete(ChatRequest(prompt="q"))
+    assert len(ProviderHandler.posts) == 3  # the fourth 500 is never asked for
+    assert waits == [2.0]  # and nothing after the last attempt
+    assert backend.usage.calls == 0
+
+
+def test_http_backend_waits_the_retry_after_of_a_429(provider, waits):
+    ProviderHandler.script[:] = [(429, {"Retry-After": "7"})]
+    backend = HttpBackend(provider)
+    assert backend.embed(["a"]).shape == (1, 2)
+    assert len(ProviderHandler.posts) == 2
+    assert waits == [7]
+
+
+@pytest.mark.parametrize("status, error", [
+    (401, AuthError), (403, AuthError), (400, TransportError)])
+def test_http_backend_does_not_retry_a_client_error(provider, waits, status, error):
+    ProviderHandler.script[:] = [(status, {})]
+    with pytest.raises(error, match=f"HTTP {status}"):
+        HttpBackend(provider, "key").complete(ChatRequest(prompt="q"))
+    assert ProviderHandler.posts == [("/chat/completions", "Bearer key")]
+    assert waits == []
+
+
+def test_http_backend_gives_up_on_a_refused_connection(monkeypatch, waits):
+    import urllib3.util.connection
+
+    attempts = []
+    connect = urllib3.util.connection.create_connection
+
+    def counted(*args, **kwargs):
+        attempts.append(args[0])
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(urllib3.util.connection, "create_connection", counted)
+    with socket.socket() as bound:  # bound and not listening: a connect is refused
+        bound.bind(("127.0.0.1", 0))
+        backend = HttpBackend(f"http://127.0.0.1:{bound.getsockname()[1]}")
+        with pytest.raises(TransportError, match="Connection refused"):
+            backend.complete(ChatRequest(prompt="q"))
+    assert len(attempts) == 3
+    assert waits == [2.0]
 
 
 def _embedding_rows(*rows):

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from trimem import errors
-from trimem.backend import ScriptedBackend
+from trimem.backend import BackendRouter, HttpBackend, ScriptedBackend
 from trimem.cli import (EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig,
-                        build_parser, main)
+                        build_parser, main, make_router, write_manifest)
 from trimem.evolution import PromptSet
 from trimem.qa import estimate_tokens
 from trimem.store import DATA_FILES, MemoryStore
@@ -193,6 +193,19 @@ def test_no_backend_is_usage_error(work_dir, capsys, monkeypatch):
     assert "error" in json.loads(err)
 
 
+def test_a_bad_api_base_is_a_usage_error_before_any_call(work_dir, capsys, monkeypatch):
+    monkeypatch.setenv("TRIMEM_API_BASE", "localhost:9/v1")
+    monkeypatch.setattr(HttpBackend, "_post", lambda *a: pytest.fail("a call was made"))
+    code, out, err = run(capsys, "build", "--corpus", "corpus.json", "--store", "store")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_an_http_api_base_makes_a_router():
+    for api_base in ("http://127.0.0.1:9/v1", "HTTPS://api.test", "http://[::1]:8080"):
+        assert isinstance(make_router(RunConfig(api_base=api_base)).pipeline, HttpBackend)
+
+
 def test_missing_corpus_is_data_error(work_dir, capsys):
     code, _, err = run(capsys, "ingest", "--corpus", "nope.json")
     assert code == EXIT_DATA
@@ -268,6 +281,13 @@ BAD_INPUTS = {
                                  EXIT_DATA, "MalformedDocument"),
     "ingest-corpus-a-directory": (["ingest", "--corpus", "."], EXIT_DATA, "MissingFile"),
 }
+# api_base values that are no http:// or https:// URL with a host, each in a
+# config file of its own name; a run refuses them even with a fixture
+BAD_API_BASES = {"api-base-no-scheme": "localhost:9/v1", "api-base-no-host": "http://",
+                 "api-base-ftp": "ftp://x/v1", "api-base-unclosed-ipv6": "http://[::1/v1"}
+BAD_INPUTS.update((f"build-{name}", (["build", "--corpus", "corpus.json", "--store", "store",
+                                      "--config", f"{name}.json"], EXIT_USAGE, "UsageError"))
+                  for name in BAD_API_BASES)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -279,6 +299,8 @@ def test_bad_input_is_one_json_error(work_dir, capsys, case):
     (work_dir / "session-id-x.json").write_text(json.dumps(corpus))
     (work_dir / "session-1.json").write_text(json.dumps({"sessions": [1]}))
     (work_dir / "sessions-5.json").write_text(json.dumps({"sessions": 5}))
+    for name, api_base in BAD_API_BASES.items():
+        (work_dir / f"{name}.json").write_text(json.dumps({"api_base": api_base}))
     code, out, err = run(capsys, command, "--scripted", "fixture.jsonl", *options)
     assert code == want_code
     assert out == ""
@@ -366,6 +388,19 @@ def test_build_writes_store_and_manifest(work_dir, capsys):
     assert manifest["prompt_round"] == 0
     assert manifest["backend_usage"]["calls"] > 0
     assert not (store / ".lock").exists()  # lock released
+
+
+def test_write_manifest_records_a_senior_backend_apart(tmp_path):
+    router = make_router(RunConfig(api_base="http://api.test", model_tag="small",
+                                   senior_model_tag="large"))
+    assert router.senior is not router.pipeline
+    router.pipeline.usage.calls, router.senior.usage.calls = 5, 2
+    write_manifest(tmp_path / "two.json", RunConfig(), 0, router)
+    manifest = json.loads((tmp_path / "two.json").read_text())
+    assert manifest["backend_usage"]["calls"] == 5
+    assert manifest["senior_usage"]["calls"] == 2
+    write_manifest(tmp_path / "one.json", RunConfig(), 0, BackendRouter(router.pipeline))
+    assert "senior_usage" not in json.loads((tmp_path / "one.json").read_text())
 
 
 def test_build_uses_the_latest_prompt_round(work_dir, capsys):

@@ -74,12 +74,18 @@ def test_judge_binary_threshold():
     assert judge("q2", "p", "r", JUDGE_PROMPT, backend) == (0.0, "nope")
 
 
-def test_judge_unparsed_degrades_to_zero():
+def test_judge_unparsed_degrades_to_zero(caplog):
+    question = "q1 " + "x" * 100
     backend = ScriptedBackend(rules=[
         FixtureRule(response="???", contains=("q1",), sticky=True)])
-    score, reasoning = judge("q1", "p", "r", JUDGE_PROMPT, backend)
+    with caplog.at_level("WARNING", logger="trimem.evolution"):
+        score, reasoning = judge(question, "p", "r", JUDGE_PROMPT, backend)
     assert score == 0.0
     assert reasoning == "(judge unparsed)"
+    [warning] = [r for r in caplog.records if r.name == "trimem.evolution"]
+    assert warning.levelname == "WARNING"
+    assert repr(question[:80]) in warning.getMessage()
+    assert question[:81] not in warning.getMessage()
 
 
 def test_judge_rejects_empty_inputs():

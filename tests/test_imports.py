@@ -3,9 +3,13 @@
 Each ``src/trimem/*.py`` but ``__init__.py`` is parsed with ``ast``. An
 imported name counts as used where the module reads it as a name, which
 covers ``np.x`` and annotations. An import whose lines say ``noqa`` is a
-deliberate re-export and is exempt.
+deliberate re-export and is exempt. Importing the package loads no HTTP
+client either.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,12 @@ def test_the_check_finds_an_unused_name():
               "from .errors import EXIT_OK  # noqa: F401\n"
               "def f(x: Optional[int]) -> None:\n    return sys.argv\n")
     assert unused_imports(source) == ["line 2: os", "line 4: get_args"]
+
+
+def test_importing_the_package_loads_no_http_client():
+    """requests and urllib3 load only with an HttpBackend, so that a scripted
+    run's peak RSS does not carry them."""
+    code = "import sys, trimem, trimem.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert done.stdout == "[]\n"
