@@ -35,7 +35,8 @@ from .metrics import build_report, write_report
 from .pipeline import QaItem, answer_question, build_store, run_eval
 from .prompts import seed_prompts
 from .retrieval import plan_for_question, retrieve
-from .store import MemoryStore, RetrievalConfig, make_dir, refuse_non_empty
+from .store import (MemoryStore, RetrievalConfig, make_dir, refuse_non_empty, write_json,
+                     write_text)
 
 logger = logging.getLogger(__name__)
 
@@ -74,10 +75,12 @@ class RunConfig(SegmentationConfig, RetrievalConfig):
         if min(self.max_calls or 0, self.max_tokens or 0, self.prompt_round or 0) < 0:
             raise ValueError("max_calls, max_tokens and prompt_round must be >= 0")
 
+    def recorded(self) -> dict:
+        """The fields a run hashes and writes down: all but the API key."""
+        return {k: v for k, v in dataclasses.asdict(self).items() if k != "api_key"}
+
     def config_hash(self) -> str:
-        payload = json.dumps(
-            {k: v for k, v in dataclasses.asdict(self).items() if k != "api_key"},
-            sort_keys=True)
+        payload = json.dumps(self.recorded(), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -202,17 +205,14 @@ def store_lock(store_dir: Path):
 def write_manifest(path: Path, config: RunConfig, prompt_round: int,
                    router: BackendRouter, extra: Optional[dict] = None) -> None:
     manifest = {
-        "config": {k: v for k, v in dataclasses.asdict(config).items()
-                   if k != "api_key"},
+        "config": config.recorded(),
         "config_hash": config.config_hash(),
         "prompt_round": prompt_round,
         "backend_usage": router.pipeline.usage.as_dict(),
     }
     if router.senior is not router.pipeline:
         manifest["senior_usage"] = router.senior.usage.as_dict()
-    manifest.update(extra or {})
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_json(path, {**manifest, **(extra or {})})
 
 
 def _build_and_persist(config: RunConfig, router: BackendRouter,
@@ -313,7 +313,7 @@ def cmd_answer(args) -> int:
     router = make_router(config)
     result, ctx = answer_question(args.question, store, prompts, router, config)
     if dump_path:
-        dump_path.write_text(ctx.text, encoding="utf-8")
+        write_text(dump_path, ctx.text)
     print(json.dumps({
         "question": result.question,
         "reasoning": result.reasoning,
@@ -377,8 +377,7 @@ def cmd_evolve(args) -> int:
         "best_round": best.round,
         "prompt_dir": str(out_dir),
     }
-    (out_dir / "evolution_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out_dir / "evolution_summary.json", summary)
     write_manifest(out_dir / "run_manifest.json", config, best.round, router)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
@@ -420,9 +419,7 @@ def cmd_ablate(args) -> int:
         rows.append({"knob": knob, "value": value,
                      "overall": report["overall"]})
     sweep_report = {"knob": knob, "rows": rows}
-    (out_dir / "sweep_report.json").write_text(
-        json.dumps(sweep_report, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(out_dir / "sweep_report.json", sweep_report)
     print(json.dumps(sweep_report, indent=2))
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from .errors import EmptyRecordSet, ParseFailure, StoreIOError
 from .metrics import EvalRecord
 from .prompts import (ANSWER_PLACEHOLDERS, EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS,
                       render, seed_prompts)
-from .store import RetrievalConfig, make_dir, refuse_non_empty
+from .store import RetrievalConfig, make_dir, refuse_non_empty, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -230,20 +230,21 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
         records = run_eval(items, store, pipeline_prompts, router, retrieval_config)
         return records, aggregate_loss(records)
 
-    with log_path.open("w", encoding="utf-8") as log:
-        for _ in range(rounds):
-            records, loss = evaluate(current)
-            trajectory.append((current, loss))
-            rec = {"round": current.round, "loss": loss}
-            try:
-                rec.update(textual_gradient(records, current, evolution_prompt,
-                                            router.senior))
-            except ParseFailure as exc:
-                logger.warning("round %d gradient rejected: %s", current.round, exc)
-                rec.update(no_op=True, reason=str(exc))
-            log.write(json.dumps(rec, sort_keys=True) + "\n")
-            current = apply_gradient(current, rec)
-            current.persist(prompt_dir)
+    log = ""  # gradients.jsonl: written before any model call, then after each round
+    write_text(log_path, log)
+    for _ in range(rounds):
+        records, loss = evaluate(current)
+        trajectory.append((current, loss))
+        rec = {"round": current.round, "loss": loss}
+        try:
+            rec.update(textual_gradient(records, current, evolution_prompt, router.senior))
+        except ParseFailure as exc:
+            logger.warning("round %d gradient rejected: %s", current.round, exc)
+            rec.update(no_op=True, reason=str(exc))
+        log += json.dumps(rec, sort_keys=True) + "\n"
+        write_text(log_path, log)
+        current = apply_gradient(current, rec)
+        current.persist(prompt_dir)
 
     _, final_loss = evaluate(current)
     trajectory.append((current, final_loss))

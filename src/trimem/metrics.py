@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import EmptyRecordSet, EmptyRequiredSet, KeyMismatch
 from .prompts import load_stopwords
+from .store import write_json, write_text
 
 CATEGORY_NAMES = {1: "multi_hop", 2: "temporal", 3: "open_domain", 4: "single_hop"}
 
@@ -142,6 +143,12 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
+def _scores(rows: Sequence[EvalRecord]) -> dict:
+    """The count of rows and their mean bleu, f1 and judge score."""
+    return {"count": len(rows), **{name: _mean([getattr(r, name) for r in rows])
+                                   for name in ("bleu", "f1", "judge_score")}}
+
+
 def build_report(records: Sequence[EvalRecord],
                  evidence: Optional[dict] = None,
                  hit_k: int = 5,
@@ -156,32 +163,17 @@ def build_report(records: Sequence[EvalRecord],
     per_category = {}
     for cat_id, cat_name in sorted(CATEGORY_NAMES.items()):
         rows = [r for r in records if r.category == cat_id]
-        if not rows:
-            continue
-        per_category[cat_name] = {
-            "count": len(rows),
-            "bleu": _mean([r.bleu for r in rows]),
-            "f1": _mean([r.f1 for r in rows]),
-            "judge_score": _mean([r.judge_score for r in rows]),
-        }
+        if rows:
+            per_category[cat_name] = _scores(rows)
     report = {
         "per_category": per_category,
-        "overall": {
-            "count": len(records),
-            "bleu": _mean([r.bleu for r in records]),
-            "f1": _mean([r.f1 for r in records]),
-            "judge_score": _mean([r.judge_score for r in records]),
-            "mean_token_cost": _mean([r.token_cost for r in records]),
-        },
+        "overall": {**_scores(records),
+                    "mean_token_cost": _mean([r.token_cost for r in records])},
         "stopword_list_hash": stopword_list_hash(),
     }
     covs = [r.context_coverage for r in records if r.context_coverage is not None]
     if covs:
-        report["coverage"] = {
-            "mean": _mean(covs),
-            "min": min(covs),
-            "max": max(covs),
-        }
+        report["coverage"] = {"mean": _mean(covs), "min": min(covs), "max": max(covs)}
     if evidence is not None:
         log = {r.question: r.retrieved_src_sets for r in records}
         report["hit_at_k"] = {"k": hit_k, "value": hit_at_k(log, evidence, hit_k)}
@@ -191,10 +183,6 @@ def build_report(records: Sequence[EvalRecord],
 
 def write_report(report: dict, records: Sequence[EvalRecord],
                  report_path, detailed_path) -> None:
-    from pathlib import Path
-
-    Path(report_path).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    with Path(detailed_path).open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.detailed_record(), sort_keys=True) + "\n")
+    write_json(report_path, report)
+    write_text(detailed_path, "".join(json.dumps(record.detailed_record(), sort_keys=True)
+                                      + "\n" for record in records))

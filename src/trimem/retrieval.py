@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .backend import Backend, complete_parsed, read_reply
-from .corpus import DialogueTurn
 from .errors import ParseFailure
 from .extraction import normalize_person_key
 from .prompts import render
@@ -87,16 +86,12 @@ def generate_queries(question: str, plan: dict, query_prompt: str,
         logger.warning("query generation fell back to the question: %s", exc)
         raw_queries = ()
 
-    queries: list[str] = [question]
-    seen = {question.casefold()}
+    queries = {question.casefold(): question}  # casefolded query -> its first copy
     for q in raw_queries:
-        key = q.casefold()
-        if key in seen or not q.strip():
-            continue
-        seen.add(key)
-        queries.append(q)
+        if q.strip():
+            queries.setdefault(q.casefold(), q)
     return SearchPlan(original_question=question,
-                      queries=tuple(queries[:query_cap]))
+                      queries=tuple(queries.values())[:query_cap])
 
 
 def retrieve(plan: SearchPlan, store: MemoryStore, config: RetrievalConfig,
@@ -105,41 +100,28 @@ def retrieve(plan: SearchPlan, store: MemoryStore, config: RetrievalConfig,
 
     Per-entry scores are the max across queries; the merged list is sorted
     descending with ties by insertion order and truncated to top_k. The top
-    ``anchor_count`` entries contribute recovered source turns; profiles of
-    the persons named by ranked entries are attached most-frequent first.
+    ``anchor_count`` entries contribute their source turns, each once, in
+    turn-id order. Profiles of the persons named by ranked entries are
+    attached most-named first, ties by first appearance (``most_common``
+    sorts stably over the Counter's first-seen order).
     """
-    vectors = backend.embed(list(plan.queries))
-    per_query_k = config.effective_per_query_k
     best: dict[str, float] = {}
-    for row in range(len(plan.queries)):
-        for entry_id, score in store.similarity_search(vectors[row], per_query_k):
-            if entry_id not in best or score > best[entry_id]:
-                best[entry_id] = score
+    for vector in backend.embed(list(plan.queries)):
+        for entry_id, score in store.similarity_search(vector, config.effective_per_query_k):
+            best[entry_id] = max(score, best.get(entry_id, score))
     ranked_ids = sorted(best, key=lambda e: (-best[e], store.row_of(e)))[:config.top_k]
     ranked = [(store.entries[e], best[e]) for e in ranked_ids]
 
-    anchor_ids = ranked_ids[:config.anchor_count]
-    seen_turns: set[int] = set()
-    recovered: list[DialogueTurn] = []
-    for _, turns in store.recover_dialogue(anchor_ids):
-        for turn in turns:
-            if turn.turn_id not in seen_turns:
-                seen_turns.add(turn.turn_id)
-                recovered.append(turn)
-    recovered.sort(key=lambda t: t.turn_id)
+    turns = {turn.turn_id: turn
+             for _, anchored in store.recover_dialogue(ranked_ids[:config.anchor_count])
+             for turn in anchored}
+    person_counts = Counter(normalize_person_key(person) for entry, _ in ranked
+                            for person in sorted(entry.persons))
+    persons = [person for person, _ in person_counts.most_common()]
+    profiles = store.profiles_for(persons)[:config.profile_count]
 
-    person_counts: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
-    for rank, (entry, _) in enumerate(ranked):
-        for person in sorted(entry.persons):
-            key = normalize_person_key(person)
-            person_counts[key] += 1
-            first_seen.setdefault(key, rank)
-    ordered_persons = sorted(person_counts,
-                             key=lambda p: (-person_counts[p], first_seen[p]))
-    profiles = store.profiles_for(ordered_persons)[:config.profile_count]
-
-    return RetrievedContext(ranked_entries=ranked, recovered_turns=recovered,
+    return RetrievedContext(ranked_entries=ranked,
+                            recovered_turns=[turns[t] for t in sorted(turns)],
                             profiles=profiles)
 
 

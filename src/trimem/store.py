@@ -198,6 +198,19 @@ def make_dir(path: Path) -> Path:
     return path
 
 
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8; StoreIOError if it cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise StoreIOError(str(exc))
+
+
+def write_json(path, obj) -> None:
+    """Write obj to path as JSON: indent 2, sorted keys, a trailing newline."""
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 class MemoryStore:
     """Verbatim turns + embedded fact index + profile history."""
 
@@ -259,42 +272,39 @@ class MemoryStore:
         repeated within the batch is embedded once, at its first copy. The
         new restatements go out in one ``backend.embed`` call, one
         round-trip per ``EMBED_BATCH`` texts, so ``build_store`` indexes a
-        whole build with one insert. The new rows go into the index as one
-        block, and a zero-norm, non-finite or wrong-size embedding
-        (DimensionMismatch), or a budget that runs out between slices,
-        raises before the batch adds anything.
+        whole build with one insert. The block that comes back is checked
+        once, before anything is added: unless it is one row per new text,
+        each of the index dim and of finite nonzero norm, it is
+        DimensionMismatch. That, or a budget that runs out between slices,
+        leaves the store as it was. The new rows join the index as one block.
         """
         if self._sealed:
             raise StoreClosed("store is sealed")
-        fresh: dict[str, str] = {}  # restatement key -> first new restatement
-        for entry in entries:
-            key = restatement_key(entry.lossless_restatement)
+        keys = [restatement_key(entry.lossless_restatement) for entry in entries]
+        new: dict[str, MemoryEntry] = {}  # restatement key -> its first new entry
+        for key, entry in zip(keys, entries):
             if key not in self._by_restatement:
-                fresh.setdefault(key, entry.lossless_restatement)
-        if fresh:
-            vectors = backend.embed(list(fresh.values()))
-            rows = []
-            for i in range(len(fresh)):
-                vec = np.asarray(vectors[i], dtype=np.float32)
-                norm = float(np.linalg.norm(vec))
-                if not 0 < norm < np.inf:
-                    raise DimensionMismatch(f"embedding of norm {norm}, zero or not finite")
-                rows.append(vec / norm)
-            dim = self.dim or len(rows[0])
-            for row in rows:
-                if len(row) != dim:
-                    raise DimensionMismatch(f"embedding dim {len(row)} != index dim {dim}")
-            self.dim = dim
-            self._blocks.append(np.stack(rows))
-        assigned: list[str] = []
-        for entry in entries:
-            key = restatement_key(entry.lossless_restatement)
-            if key not in self._by_restatement:
+                new.setdefault(key, entry)
+        if new:
+            try:
+                block = np.asarray(backend.embed([e.lossless_restatement for e in new.values()]),
+                                   dtype=np.float32)
+            except ValueError as exc:  # rows of unequal size
+                raise DimensionMismatch(f"embedding rows do not form a block: {exc}")
+            if block.ndim != 2 or block.shape != (len(new), self.dim or block.shape[1]):
+                raise DimensionMismatch(f"embedding block of shape {block.shape} for "
+                                        f"{len(new)} texts, index dim {self.dim}")
+            # each row's own norm: norm(block, axis=1) can differ in the last bit
+            norms = np.array([np.linalg.norm(row) for row in block], dtype=np.float32)
+            if not np.all((norms > 0) & (norms < np.inf)):
+                raise DimensionMismatch("embedding of norm zero or not finite")
+            self.dim = block.shape[1]
+            self._blocks.append(block / norms[:, None])
+            for key, entry in new.items():
                 entry_id = f"e{len(self.entries) + 1:06d}"
                 self.entries[entry_id] = replace(entry, entry_id=entry_id)
                 self._by_restatement[key] = entry_id
-            assigned.append(self._by_restatement[key])
-        return assigned
+        return [self._by_restatement[key] for key in keys]
 
     def vector_of(self, entry_id: str) -> np.ndarray:
         return self._vectors[self.row_of(entry_id)]
@@ -358,12 +368,7 @@ class MemoryStore:
 
     def profiles_for(self, persons: Sequence[str]) -> list[EntityProfile]:
         """Latest profiles for the requested keys, request order, missing omitted."""
-        out = []
-        for key in persons:
-            profile = self._latest_profile.get(key)
-            if profile is not None:
-                out.append(profile)
-        return out
+        return [self._latest_profile[key] for key in persons if key in self._latest_profile]
 
     @property
     def profile_history(self) -> list[EntityProfile]:
@@ -396,8 +401,7 @@ class MemoryStore:
                         "entry_count": len(self.entries), "turn_count": len(self.turns),
                         "profile_versions": len(self._profile_history),
                         "sealed": self._sealed, "sha256": digests, **(manifest_extra or {})}
-            (path / "manifest.json").write_text(
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            write_json(path / "manifest.json", manifest)
         except OSError as exc:
             raise StoreIOError(str(exc))
 

@@ -1036,6 +1036,49 @@ def test_an_out_dir_that_is_a_file_is_a_usage_error(work_dir, capsys, command):
     assert (work_dir / "taken").read_text() == "x"
 
 
+SQUATTED_OUTPUTS = {
+    "build-run-manifest": (("build", "--corpus", "corpus.json", "--store", "store",
+                            "--force"), "store/run_manifest.json"),
+    "eval-report": (("eval", "--store", "store", "--qa", "qa.jsonl", "--out", "ev"),
+                    "ev/report.json"),
+    "eval-detailed-results": (("eval", "--store", "store", "--qa", "qa.jsonl", "--out", "ev"),
+                              "ev/detailed_results.jsonl"),
+    "ablate-sweep-report": (("ablate", "--store", "store", "--qa", "qa.jsonl", "--knob",
+                             "top_k", "--values", "5", "--out", "sw"), "sw/sweep_report.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SQUATTED_OUTPUTS))
+def test_an_output_that_cannot_be_written_is_one_json_error(work_dir, capsys, case):
+    # a directory squats on the output name: root may write through chmod
+    command, squatted = SQUATTED_OUTPUTS[case]
+    assert build(capsys)[0] == EXIT_OK
+    (work_dir / squatted).unlink(missing_ok=True)
+    (work_dir / squatted).mkdir(parents=True)
+    code, out, err = run(capsys, *command, "--scripted", "fixture.jsonl")
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "StoreIOError" and squatted.split("/")[-1] in error["message"]
+
+
+def test_no_written_file_holds_the_api_key(work_dir, capsys, monkeypatch):
+    monkeypatch.setenv("TRIMEM_API_KEY", "sk-canary-24")
+    assert build(capsys)[0] == EXIT_OK
+    assert run(capsys, "eval", "--store", "store", "--qa", "qa.jsonl",
+               "--scripted", "fixture.jsonl", "--out", "ev")[0] == EXIT_OK
+    assert run(capsys, "ablate", "--store", "store", "--qa", "qa.jsonl", "--knob", "top_k",
+               "--values", "5,25", "--scripted", "fixture.jsonl", "--out", "sw")[0] == EXIT_OK
+    written = [path for path in work_dir.rglob("*") if path.is_file()
+               and path.parts[len(work_dir.parts)] in ("store", "ev", "sw")]
+    assert len(written) > 10
+    for path in written:
+        data = path.read_bytes()
+        if path.suffix == ".gz":
+            data = gzip.decompress(data)
+        assert b"sk-canary-24" not in data, path
+
+
 def test_ablate_unknown_knob(work_dir, capsys):
     build(capsys)
     code, _, err = run(capsys, "ablate", "--store", "store", "--qa", "qa.jsonl",

@@ -123,6 +123,21 @@ def test_generate_queries_dedup_and_cap():
     assert backend.usage.calls == 1
 
 
+@pytest.mark.parametrize("cap,queries", [
+    (1, ("When did Ann move?",)),
+    (3, ("When did Ann move?", "alpha", "beta")),
+    (9, ("When did Ann move?", "alpha", "beta", "gamma")),
+])
+def test_generate_queries_keeps_first_copies_in_order(cap, queries):
+    raw = ["  ", "alpha", "WHEN DID ANN MOVE?", "Alpha", "beta", "\t", "gamma", "BETA", "alpha"]
+    backend = ScriptedBackend(rules=[
+        FixtureRule(response=json.dumps({"queries": raw}),
+                    contains=("targeted search queries",))])
+    plan = generate_queries("When did Ann move?", DEGENERATE_PLAN, QUERY_PROMPT,
+                            backend, query_cap=cap)
+    assert plan.queries == queries
+
+
 def test_generate_queries_full_fallback():
     backend = ScriptedBackend(rules=[
         FixtureRule(response="garbage", contains=("",), sticky=True)])
@@ -217,6 +232,51 @@ def test_retrieve_profiles_by_person_frequency():
                    ScriptedBackend())
     assert len(ctx.profiles) == 2
     assert ctx.profiles[0].entity_key == "alice"  # named by 2 of 4 entries
+
+
+class RankedBackend(ScriptedBackend):
+    """Embeds ``"rank N"`` so that every other text, as a query, ranks the
+    entries by N: the cosine of (1, N/10) with (1, 0) falls as N grows."""
+
+    def _embed(self, texts):
+        return [[1.0, int(t.split()[1]) / 10 if t.startswith("rank ") else 0.0]
+                for t in texts]
+
+
+def ranked_store(sources, persons=None):
+    """A store whose entry i (from 0) ranks i-th for any query."""
+    store = MemoryStore(turns=[DialogueTurn(turn_id=i, session_id=0, speaker="A",
+                                            text=f"t{i}") for i in range(1, 20)])
+    store.insert_entries([
+        MemoryEntry(lossless_restatement=f"rank {i}", source_dialogue_ids=frozenset(src),
+                    persons=frozenset((persons or {}).get(i, ())))
+        for i, src in enumerate(sources)], RankedBackend())
+    return store
+
+
+def test_retrieve_profiles_tie_by_first_appearance():
+    persons = {0: ("Zed", "Amy"), 1: ("Bob",), 2: ("bob",), 3: ("Carl",), 4: ("Amy",),
+               5: ("Yan", "Xia"), 6: ("Carl",), 7: ("Carl",)}
+    store = ranked_store([{1}] * 8, persons)
+    for key in ("amy", "bob", "carl", "xia", "yan", "zed"):
+        store.add_profile(EntityProfile(entity_key=key, display_name=key.title(),
+                                        sections=(("Identity", "x"),), version=1))
+    plan = SearchPlan(original_question="q", queries=("q",))
+    ctx = retrieve(plan, store, RetrievalConfig(profile_count=6), RankedBackend())
+    assert [e.lossless_restatement for e, _ in ctx.ranked_entries] == \
+        [f"rank {i}" for i in range(8)]
+    # carl is named most; amy and bob tie, as do zed and the later-ranked
+    # xia and yan; amy and zed, first named together, go in name order
+    assert [p.entity_key for p in ctx.profiles] == ["carl", "amy", "bob", "zed", "xia", "yan"]
+
+
+@pytest.mark.parametrize("anchor_count,turn_ids", [(0, []), (1, [2, 7]), (2, [2, 5, 7]),
+                                                   (3, [1, 2, 5, 7, 9])])
+def test_retrieve_anchors_that_share_turns_out_of_id_order(anchor_count, turn_ids):
+    store = ranked_store([{7, 2}, {5, 2}, {9, 1, 7}, {3}])
+    plan = SearchPlan(original_question="q", queries=("q",))
+    ctx = retrieve(plan, store, RetrievalConfig(anchor_count=anchor_count), RankedBackend())
+    assert [t.turn_id for t in ctx.recovered_turns] == turn_ids
 
 
 def test_retrieve_sets_token_cost():

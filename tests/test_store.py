@@ -543,6 +543,39 @@ def test_insert_rejects_a_bad_batch_whole(backend):
         (want / float(np.linalg.norm(want))).tobytes()
 
 
+class BadBlock(ScriptedBackend):
+    """Returns a bad block for any batch of two or more texts."""
+
+    def __init__(self, shape):
+        super().__init__()
+        self.shape = shape
+
+    def embed(self, texts):
+        vectors = super().embed(texts)
+        if len(texts) < 2:
+            return vectors
+        if self.shape == "ragged":
+            return [vectors[0], vectors[1][:3], *vectors[2:]]
+        if self.shape == "1-D":
+            return vectors[0]
+        if self.shape == "another-width":
+            return vectors[:, :3]
+        return vectors[:1]  # one row short
+
+
+@pytest.mark.parametrize("shape", ["ragged", "1-D", "another-width", "one-row-short"])
+def test_a_bad_embedding_block_adds_nothing(shape):
+    backend = BadBlock(shape)
+    store = MemoryStore(turns=make_turns(1))
+    store.insert_entries([make_entry("x")], backend)
+    with pytest.raises(DimensionMismatch):
+        store.insert_entries([make_entry("x"), make_entry("y"), make_entry("z")], backend)
+    assert (len(store), store.insertion_order, store.dim) == (1, ["e000001"], 64)
+    assert store._vectors.shape == (1, 64)
+    assert store.insert_entries([make_entry("z"), make_entry("x")], ScriptedBackend()) == \
+        ["e000002", "e000001"]
+
+
 class EmbedLog(ScriptedBackend):
     def __init__(self):
         super().__init__()
