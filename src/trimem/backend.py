@@ -1,11 +1,13 @@
 """Chat-completion and embedding backends.
 
-The ``Backend`` base class owns the call protocol: ``complete`` and
-``embed`` reserve a call under the caps, make the round-trip, and charge
-the usage to the instance, and ``embed`` also checks the texts going out
-and the rows coming back, making one round-trip per ``EMBED_BATCH``
-texts. ``read_object`` reads one JSON object through a field table: every
-model reply (by ``read_reply``), provider reply body, corpus document, QA
+The ``Backend`` base class owns the call protocol. ``complete`` and each
+``EMBED_BATCH`` slice of ``embed`` pass through one gate, ``_gate``: it
+counts the call under the caps, makes the round-trip, and charges the
+tokens to the instance, and a round-trip that raises takes its count
+back. ``embed`` also checks the texts going out and, inside the gate, the
+rows coming back: one per text, one size, finite and not all zero.
+``read_object`` reads one JSON object through a field table: every model
+reply (by ``read_reply``), provider reply body, corpus document, QA
 record, fixture rule, store manifest and prompt-round ``meta.json``; a
 record with a dataclass has the table ``fields_of`` derives from it. Every
 type check is ``has_type`` or its column form ``all_of``. A concrete
@@ -17,7 +19,6 @@ content hash, for fully offline deterministic runs.
 """
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -183,7 +184,7 @@ def read_reply(text: str, fields: dict) -> dict:
 
 @dataclass
 class Usage:
-    """Monotone per-run accounting shared by all calls on one backend."""
+    """Per-run accounting shared by all calls on one backend; a raised call is taken back."""
     calls: int = 0
     prompt_tokens: int = 0
     completion_tokens: int = 0
@@ -210,68 +211,69 @@ class Backend:
         self._max_calls = max_calls
         self._max_tokens = max_tokens
         self._lock = threading.Lock()
-        self._reserved = 0  # calls past the cap check and not yet charged
-
-    def _charge(self, prompt_text: str, completion_text: str) -> None:
-        """Settle one call that ``_check_budget`` reserved."""
-        with self._lock:
-            self._reserved -= 1
-            self.usage.calls += 1
-            self.usage.prompt_tokens += _rough_tokens(prompt_text)
-            self.usage.completion_tokens += _rough_tokens(completion_text)
 
     def _check_budget(self) -> None:
-        """Reserve one call, so that concurrent callers cannot pass the call
-        cap together; the token cap sees only the replies charged so far."""
+        """Count one call before its round-trip, so that concurrent callers
+        cannot pass the call cap together; the token cap sees only the
+        replies charged so far."""
         with self._lock:
-            if self._max_calls is not None and \
-                    self.usage.calls + self._reserved >= self._max_calls:
+            if self._max_calls is not None and self.usage.calls >= self._max_calls:
                 raise BudgetExceeded(f"call cap {self._max_calls} reached")
             if self._max_tokens is not None and self.usage.total_tokens >= self._max_tokens:
                 raise BudgetExceeded(f"token cap {self._max_tokens} reached")
-            self._reserved += 1
+            self.usage.calls += 1
 
-    @contextlib.contextmanager
-    def _round_trip(self):
-        """Hold one reserved call for the block, and release it if the block
-        raises; the caller charges it after the block."""
+    def _charge(self, prompt_text: str, completion_text: str) -> None:
+        """Charge the tokens of one call that ``_check_budget`` counted."""
+        with self._lock:
+            self.usage.prompt_tokens += _rough_tokens(prompt_text)
+            self.usage.completion_tokens += _rough_tokens(completion_text)
+
+    def _gate(self, prompt_text: str, send: Callable[[], T],
+              reply_text: Callable[[T], str]) -> T:
+        """The one round-trip path: count the call, ``send``, and charge
+        ``prompt_text`` and the reply's ``reply_text``. A ``send`` that
+        raises takes its count back and is charged nothing."""
         self._check_budget()
         try:
-            yield
+            reply = send()
         except BaseException:
             with self._lock:
-                self._reserved -= 1
+                self.usage.calls -= 1
             raise
+        self._charge(prompt_text, reply_text(reply))
+        return reply
 
     def complete(self, request: ChatRequest) -> str:
-        with self._round_trip():
-            reply = self._complete(request)
-        self._charge(request.prompt, reply)
-        return reply
+        return self._gate(request.prompt, lambda: self._complete(request), lambda reply: reply)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text, in slices of at most ``EMBED_BATCH`` texts.
 
-        Each slice is one round-trip with its own cap check and charge, so
-        a cap that runs out between slices raises BudgetExceeded and
-        returns nothing. Every slice must return one row per text, and
-        every row of every slice the same size.
+        Each slice is one round-trip through ``_gate``, so a cap that runs
+        out between slices raises BudgetExceeded and returns nothing. Every
+        slice must return one row per text, every row of every slice the
+        same size, finite and not all zero, else DimensionMismatch.
         """
         if not texts or any(not t for t in texts):
             raise ValueError("texts must be non-empty strings")
         rows: list[np.ndarray] = []
+
+        def send(batch: Sequence[str]) -> list[np.ndarray]:
+            got = [np.asarray(row, dtype=np.float32) for row in self._embed(batch)]
+            if len(got) != len(batch):
+                raise DimensionMismatch(
+                    f"provider returned {len(got)} vectors for {len(batch)} texts")
+            dims = {len(row) for row in got + rows[:1]}
+            if len(dims) != 1:
+                raise DimensionMismatch(f"inconsistent embedding sizes: {sorted(dims)}")
+            if not all(np.isfinite(row).all() and row.any() for row in got):
+                raise DimensionMismatch("an embedding row is not finite or is all zero")
+            return got
+
         for start in range(0, len(texts), EMBED_BATCH):
             batch = texts[start:start + EMBED_BATCH]
-            with self._round_trip():
-                got = [np.asarray(row, dtype=np.float32) for row in self._embed(batch)]
-                if len(got) != len(batch):
-                    raise DimensionMismatch(
-                        f"provider returned {len(got)} vectors for {len(batch)} texts")
-                dims = {len(row) for row in got + rows[:1]}
-                if len(dims) != 1:
-                    raise DimensionMismatch(f"inconsistent embedding sizes: {sorted(dims)}")
-            self._charge(" ".join(batch), "")
-            rows.extend(got)
+            rows.extend(self._gate(" ".join(batch), lambda: send(batch), lambda got: ""))
         return np.stack(rows)
 
     def _complete(self, request: ChatRequest) -> str:
@@ -297,11 +299,7 @@ def hash_embedding(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
         counter += 1
     vec = np.array(words[:dim], dtype=np.float64)
     vec = vec / 2147483648.0 - 1.0
-    norm = np.linalg.norm(vec)
-    if norm == 0:  # astronomically unlikely, but keep the unit-norm contract
-        vec[0] = 1.0
-        norm = 1.0
-    return (vec / norm).astype(np.float32)
+    return (vec / np.linalg.norm(vec)).astype(np.float32)
 
 
 @dataclass
@@ -346,11 +344,11 @@ class ScriptedBackend(Backend):
 
     @classmethod
     def from_fixture_file(cls, path, **kwargs) -> "ScriptedBackend":
-        """Load rules from a JSONL fixture, one ``_FIXTURE_FIELDS`` object per line."""
+        """Load rules from a UTF-8 JSONL fixture, one ``_FIXTURE_FIELDS`` object per line."""
         if not Path(path).is_file():
             raise MissingFile(str(path))
         rules = []
-        for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for line_no, line in enumerate(Path(path).read_bytes().splitlines(), 1):
             if not line.strip():
                 continue
             try:
@@ -359,7 +357,7 @@ class ScriptedBackend(Backend):
                     rec.update((name, [rec[name]]) for name in ("contains", "not_contains")
                                if isinstance(rec.get(name), str))
                 rule = read_object(rec, _FIXTURE_FIELDS)
-            except ValueError as exc:  # json.JSONDecodeError is a ValueError
+            except ValueError as exc:  # a JSON or UTF-8 decode error is a ValueError
                 raise TransportError(f"{path}:{line_no}: bad fixture record: {exc}")
             rules.append(FixtureRule(rule["response"], tuple(rule["contains"]),
                                      tuple(rule["not_contains"]), rule["sticky"]))

@@ -35,14 +35,18 @@ from .metrics import build_report, write_report
 from .pipeline import QaItem, answer_question, build_store, run_eval
 from .prompts import seed_prompts
 from .retrieval import plan_for_question, retrieve
-from .store import (MemoryStore, RetrievalConfig, make_dir, refuse_non_empty, write_json,
-                     write_text)
+from .store import (DATA_FILES, MemoryStore, RetrievalConfig, make_dir, refuse_non_empty,
+                    refuse_squatted, write_json, write_text)
 
 logger = logging.getLogger(__name__)
 
 ENV_API_BASE = "TRIMEM_API_BASE"
 ENV_API_KEY = "TRIMEM_API_KEY"
 ENV_CONFIG = "TRIMEM_CONFIG"
+
+# the files a build writes into its store, and an eval into its output directory
+BUILD_OUTPUTS = (*DATA_FILES, "manifest.json", "run_manifest.json")
+EVAL_OUTPUTS = ("report.json", "detailed_results.jsonl", "run_manifest.json")
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if config_path:
         try:
             values = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # not UTF-8, or not JSON
             raise errors.UsageError(f"bad config file {config_path}: {exc}")
         if not isinstance(values, dict):
             raise errors.UsageError(f"bad config file {config_path}: not a JSON object")
@@ -263,6 +267,7 @@ def cmd_build(args) -> int:
     store_dir = Path(config.store_dir)
     if not args.force:
         refuse_non_empty(store_dir, "pass --force to rebuild")
+    refuse_squatted(*(store_dir / name for name in BUILD_OUTPUTS))
     router = make_router(config)
     store, prompt_round = _build_and_persist(config, router, store_dir)
     write_manifest(store_dir / "run_manifest.json", config, prompt_round,
@@ -354,6 +359,7 @@ def _run_eval_to_dir(config: RunConfig, qa_path, out_dir: Path,
 def cmd_eval(args) -> int:
     config = load_run_config(args)
     out_dir = Path(args.out or Path(config.store_dir) / "eval")
+    refuse_squatted(*(out_dir / name for name in EVAL_OUTPUTS))
     router = make_router(config)
     report = _run_eval_to_dir(config, args.qa, out_dir, router)
     print(json.dumps({"report": str(out_dir / "report.json"),
@@ -405,17 +411,22 @@ def cmd_ablate(args) -> int:
     if knob not in _SEGMENTATION_KNOBS and not config.store_dir:
         raise errors.UsageError(f"--knob {knob} evaluates an existing store: pass --store")
     sweeps = [run_config({**vars(config), knob: value}) for value in values]
-    out_dir = make_dir(Path(args.out))
+    out_dir = Path(args.out)
+    row_names = [f"{knob}_{value}" for value in values]
+    rebuilt = row_names if knob in _SEGMENTATION_KNOBS else []
+    refuse_squatted(out_dir / "sweep_report.json",
+                    *(out_dir / row / name for row in row_names for name in EVAL_OUTPUTS),
+                    *(out_dir / f"store_{row}" / name for row in rebuilt for name in BUILD_OUTPUTS))
+    make_dir(out_dir)
     rows = []
-    for value, sweep_config in zip(values, sweeps):
+    for value, row, sweep_config in zip(values, row_names, sweeps):
         router = make_router(sweep_config)
         if knob in _SEGMENTATION_KNOBS:
-            row_store = out_dir / f"store_{knob}_{value}"
+            row_store = out_dir / f"store_{row}"
             _build_and_persist(sweep_config, router, row_store)
             sweep_config = dataclasses.replace(sweep_config,
                                                store_dir=str(row_store))
-        report = _run_eval_to_dir(sweep_config, args.qa,
-                                  out_dir / f"{knob}_{value}", router)
+        report = _run_eval_to_dir(sweep_config, args.qa, out_dir / row, router)
         rows.append({"knob": knob, "value": value,
                      "overall": report["overall"]})
     sweep_report = {"knob": knob, "rows": rows}

@@ -87,6 +87,8 @@ def load_corpus(path) -> DialogueCorpus:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{path}: not UTF-8: {exc}")
 
     turns: list[DialogueTurn] = []
     where = str(path)

@@ -19,8 +19,9 @@ from typing import Optional, Sequence
 from .backend import (REQUIRED, Backend, BackendRouter, complete_parsed, parse_json,
                       read_object, read_reply)
 from .corpus import DialogueCorpus, SegmentationConfig
-from .errors import EmptyRecordSet, ParseFailure, StoreIOError
+from .errors import EmptyRecordSet, ParseFailure
 from .metrics import EvalRecord
+from .pipeline import QaItem, build_store, run_eval
 from .prompts import (ANSWER_PLACEHOLDERS, EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS,
                       render, seed_prompts)
 from .store import RetrievalConfig, make_dir, refuse_non_empty, write_text
@@ -55,18 +56,12 @@ class PromptSet:
                 "profile": self.profile, "answer": self.answer}
 
     def persist(self, prompt_dir) -> None:
-        round_dir = Path(prompt_dir) / f"round_{self.round}"
-        try:
-            round_dir.mkdir(parents=True, exist_ok=True)
-            (round_dir / "extraction.txt").write_text(self.extraction, encoding="utf-8")
-            (round_dir / "profile.txt").write_text(self.profile, encoding="utf-8")
-            (round_dir / "answer.txt").write_text(self.answer, encoding="utf-8")
-            (round_dir / "meta.json").write_text(json.dumps({
-                "round": self.round,
-                "parent_round": self.parent_round,
-            }, indent=2) + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise StoreIOError(str(exc))
+        round_dir = make_dir(Path(prompt_dir) / f"round_{self.round}")
+        for name in _PLACEHOLDERS:
+            write_text(round_dir / f"{name}.txt", getattr(self, name))
+        # not write_json: meta.json keeps round before parent_round
+        write_text(round_dir / "meta.json", json.dumps(
+            {"round": self.round, "parent_round": self.parent_round}, indent=2) + "\n")
 
     @staticmethod
     def latest_round(prompt_dir) -> Optional[int]:
@@ -204,8 +199,6 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     empty is refused with UsageError before any model call, so one
     directory holds one run and its log.
     """
-    from .pipeline import QaItem, build_store, run_eval
-
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     items = [item if isinstance(item, QaItem) else QaItem.from_dict(item)

@@ -206,6 +206,15 @@ def write_text(path, text: str) -> None:
         raise StoreIOError(str(exc))
 
 
+def refuse_squatted(*paths) -> None:
+    """StoreIOError, the class ``write_text`` would raise, if a directory
+    holds the name of one of the output paths: a run calls this before its
+    first model call, and it makes nothing."""
+    for path in paths:
+        if Path(path).is_dir():
+            raise StoreIOError(f"cannot write {path}: a directory holds its name")
+
+
 def write_json(path, obj) -> None:
     """Write obj to path as JSON: indent 2, sorted keys, a trailing newline."""
     write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")

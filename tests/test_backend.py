@@ -476,7 +476,9 @@ def provider(monkeypatch):
     for name in ("connections", "posts", "script"):
         monkeypatch.setattr(ProviderHandler, name, [])
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), ProviderHandler)
-    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits out one poll, 0.5 s by default
+    serving = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                               daemon=True)
     serving.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()

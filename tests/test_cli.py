@@ -280,6 +280,12 @@ BAD_INPUTS = {
     "ingest-sessions-a-number": (["ingest", "--corpus", "sessions-5.json"],
                                  EXIT_DATA, "MalformedDocument"),
     "ingest-corpus-a-directory": (["ingest", "--corpus", "."], EXIT_DATA, "MissingFile"),
+    "ingest-corpus-not-utf-8": (["ingest", "--corpus", "latin-1.json"],
+                                EXIT_DATA, "MalformedDocument"),
+    "build-config-not-utf-8": (["build", "--corpus", "corpus.json", "--store", "store",
+                                "--config", "latin-1.json"], EXIT_USAGE, "UsageError"),
+    "eval-fixture-not-utf-8": (["eval", "--store", "store", "--qa", "qa.jsonl",
+                                "--scripted", "latin-1.json"], EXIT_BACKEND, "TransportError"),
 }
 # api_base values that are no http:// or https:// URL with a host, each in a
 # config file of its own name; a run refuses them even with a fixture
@@ -299,6 +305,8 @@ def test_bad_input_is_one_json_error(work_dir, capsys, case):
     (work_dir / "session-id-x.json").write_text(json.dumps(corpus))
     (work_dir / "session-1.json").write_text(json.dumps({"sessions": [1]}))
     (work_dir / "sessions-5.json").write_text(json.dumps({"sessions": 5}))
+    # byte 0xE9, "é" in Latin-1, is no UTF-8: read as a corpus, a config or a fixture
+    (work_dir / "latin-1.json").write_bytes('{"corpus_id": "caf\xe9"}\n'.encode("latin-1"))
     for name, api_base in BAD_API_BASES.items():
         (work_dir / f"{name}.json").write_text(json.dumps({"api_base": api_base}))
     code, out, err = run(capsys, command, "--scripted", "fixture.jsonl", *options)
@@ -1045,18 +1053,27 @@ SQUATTED_OUTPUTS = {
                               "ev/detailed_results.jsonl"),
     "ablate-sweep-report": (("ablate", "--store", "store", "--qa", "qa.jsonl", "--knob",
                              "top_k", "--values", "5", "--out", "sw"), "sw/sweep_report.json"),
+    "ablate-row-report": (("ablate", "--store", "store", "--qa", "qa.jsonl", "--knob",
+                           "top_k", "--values", "5,25", "--out", "sw"), "sw/top_k_25/report.json"),
+    "ablate-row-store-manifest": (("ablate", "--corpus", "corpus.json", "--qa", "qa.jsonl",
+                                   "--knob", "stride", "--values", "38", "--out", "sw"),
+                                  "sw/store_stride_38/manifest.json"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SQUATTED_OUTPUTS))
 def test_an_output_that_cannot_be_written_is_one_json_error(work_dir, capsys, case):
-    # a directory squats on the output name: root may write through chmod
+    # a directory squats on the output name: root may write through chmod.
+    # It is found before the first model call: with none allowed, a run
+    # that reached one would exit 3 instead, and nothing is made.
     command, squatted = SQUATTED_OUTPUTS[case]
     assert build(capsys)[0] == EXIT_OK
     (work_dir / squatted).unlink(missing_ok=True)
     (work_dir / squatted).mkdir(parents=True)
-    code, out, err = run(capsys, *command, "--scripted", "fixture.jsonl")
+    before = sorted(work_dir.rglob("*"))
+    code, out, err = run(capsys, *command, "--scripted", "fixture.jsonl", "--max-calls", "0")
     assert (code, out) == (EXIT_DATA, "")
+    assert sorted(work_dir.rglob("*")) == before
     assert err.count("\n") == 1
     error = json.loads(err)
     assert error["error"] == "StoreIOError" and squatted.split("/")[-1] in error["message"]

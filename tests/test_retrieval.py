@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from trimem.backend import BackendRouter, FixtureRule, ScriptedBackend, hash_embedding
-from trimem.errors import BudgetExceeded
+from trimem.errors import BudgetExceeded, DimensionMismatch
 from trimem.extraction import MemoryEntry
 from trimem.profiles import EntityProfile
 from trimem.pipeline import answer_question
@@ -284,6 +284,20 @@ def test_retrieve_sets_token_cost():
     plan = SearchPlan(original_question="q", queries=("q",))
     ctx = retrieve(plan, store, RetrievalConfig(), ScriptedBackend())
     assert ctx.token_cost > 0
+
+
+@pytest.mark.parametrize("value", [float("nan"), 0.0], ids=["nan", "zero"])
+def test_retrieve_refuses_a_query_vector_that_is_not_finite_or_is_zero(
+        built_store, monkeypatch, value):
+    # such a query scored nothing (NaN) or every entry 0.0 (zero), and the
+    # question was still answered from that context
+    backend = ScriptedBackend()
+    monkeypatch.setattr(backend, "_embed", lambda texts: [[value] * built_store.dim] * len(texts))
+    plan = SearchPlan(original_question="Where did Ethan go?", queries=("Where did Ethan go?",))
+    with pytest.raises(DimensionMismatch):
+        retrieve(plan, built_store, RetrievalConfig(), backend)
+    assert backend.usage.as_dict() == {"calls": 0, "prompt_tokens": 0,
+                                       "completion_tokens": 0, "total_tokens": 0}
 
 
 def test_retrieve_from_threads_over_a_sealed_store_matches_serial(built_store, qa_items):
