@@ -4,8 +4,9 @@ The ``Backend`` base class owns the call protocol. ``complete`` and each
 ``EMBED_BATCH`` slice of ``embed`` pass through one gate, ``_gate``: it
 counts the call under the caps, makes the round-trip, and charges the
 tokens to the instance, and a round-trip that raises takes its count
-back. ``embed`` also checks the texts going out and, inside the gate, the
-rows coming back: one per text, one size, finite and not all zero.
+back. ``embed`` checks the texts going out and, inside the gate, each
+slice's rows by ``checked_block``, the one check of vectors wherever they
+enter: one row per text, one width, finite and not all zero.
 ``read_object`` reads one JSON object through a field table: every model
 reply (by ``read_reply``), provider reply body, corpus document, QA
 record, fixture rule, store manifest and prompt-round ``meta.json``; a
@@ -23,7 +24,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import struct
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -202,6 +202,22 @@ def _rough_tokens(text: str) -> int:
     return max(1, len(text) // 4)
 
 
+def checked_block(rows, count: int, dim: Optional[int]) -> np.ndarray:
+    """rows as a (count, dim) float32 block; a dim of None takes the rows' own
+    width. Ragged rows, a block that is not 2-D, another count or width, or
+    a row that is not finite or is all zero is DimensionMismatch."""
+    try:
+        block = np.asarray(rows, dtype=np.float32)
+    except ValueError as exc:  # rows of unequal size
+        raise DimensionMismatch(f"embedding rows do not form a block: {exc}")
+    if block.ndim != 2 or block.shape != (count, dim or block.shape[1]):
+        raise DimensionMismatch(f"embedding block of shape {block.shape}, "
+                                f"not {count} rows of width {dim}")
+    if not (np.isfinite(block).all() and block.any(axis=1).all()):
+        raise DimensionMismatch("an embedding row is not finite or is all zero")
+    return block
+
+
 class Backend:
     """The call protocol; subclasses supply ``_complete`` and ``_embed``."""
 
@@ -251,30 +267,20 @@ class Backend:
         """One row per text, in slices of at most ``EMBED_BATCH`` texts.
 
         Each slice is one round-trip through ``_gate``, so a cap that runs
-        out between slices raises BudgetExceeded and returns nothing. Every
-        slice must return one row per text, every row of every slice the
-        same size, finite and not all zero, else DimensionMismatch.
+        out between slices raises BudgetExceeded and returns nothing. Each
+        slice's rows pass ``checked_block`` inside the gate, at the first
+        slice's width, so a refused slice is taken back.
         """
         if not texts or any(not t for t in texts):
             raise ValueError("texts must be non-empty strings")
-        rows: list[np.ndarray] = []
-
-        def send(batch: Sequence[str]) -> list[np.ndarray]:
-            got = [np.asarray(row, dtype=np.float32) for row in self._embed(batch)]
-            if len(got) != len(batch):
-                raise DimensionMismatch(
-                    f"provider returned {len(got)} vectors for {len(batch)} texts")
-            dims = {len(row) for row in got + rows[:1]}
-            if len(dims) != 1:
-                raise DimensionMismatch(f"inconsistent embedding sizes: {sorted(dims)}")
-            if not all(np.isfinite(row).all() and row.any() for row in got):
-                raise DimensionMismatch("an embedding row is not finite or is all zero")
-            return got
-
+        blocks: list[np.ndarray] = []
         for start in range(0, len(texts), EMBED_BATCH):
             batch = texts[start:start + EMBED_BATCH]
-            rows.extend(self._gate(" ".join(batch), lambda: send(batch), lambda got: ""))
-        return np.stack(rows)
+            dim = blocks[0].shape[1] if blocks else None
+            blocks.append(self._gate(
+                " ".join(batch),
+                lambda: checked_block(self._embed(batch), len(batch), dim), lambda _: ""))
+        return np.concatenate(blocks)
 
     def _complete(self, request: ChatRequest) -> str:
         raise NotImplementedError
@@ -291,14 +297,9 @@ def hash_embedding(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
     library versions; provides geometry, not semantics.
     """
     raw = text.encode("utf-8")
-    words = []
-    counter = 0
-    while len(words) < dim:
-        digest = hashlib.sha256(raw + b"\x00" + str(counter).encode()).digest()
-        words.extend(struct.unpack(">8I", digest))
-        counter += 1
-    vec = np.array(words[:dim], dtype=np.float64)
-    vec = vec / 2147483648.0 - 1.0
+    digests = b"".join(hashlib.sha256(raw + b"\x00" + str(counter).encode()).digest()
+                       for counter in range((dim + 7) // 8))
+    vec = np.frombuffer(digests, dtype=">u4")[:dim] / 2147483648.0 - 1.0
     return (vec / np.linalg.norm(vec)).astype(np.float32)
 
 
@@ -448,7 +449,7 @@ class HttpBackend(Backend):
             raise TransportError(f"malformed chat response ({exc}): {str(body)[:200]}")
         return reply or ""
 
-    def _embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def _embed(self, texts: Sequence[str]) -> list[list[float]]:
         body = self._post("/embeddings", {
             "model": self.embedding_model,
             "input": list(texts),
@@ -460,8 +461,7 @@ class HttpBackend(Backend):
                 raise ValueError("the indices are not 0..n-1")
         except ValueError as exc:
             raise TransportError(f"malformed embedding response ({exc}): {str(body)[:200]}")
-        rows.sort(key=lambda row: row["index"])
-        return [np.asarray(row["embedding"], dtype=np.float32) for row in rows]
+        return [row["embedding"] for row in sorted(rows, key=lambda row: row["index"])]
 
 
 @dataclass

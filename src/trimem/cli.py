@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import errors
 from .backend import BackendRouter, HttpBackend, ScriptedBackend, fields_of, has_type
-from .corpus import SegmentationConfig, load_corpus, segment
+from .corpus import DialogueCorpus, SegmentationConfig, load_corpus, segment
 from .errors import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE  # noqa: F401 (re-exported)
 from .extraction import normalize_person_key
 from .evolution import PromptSet, best_round, evolve
@@ -44,8 +44,10 @@ ENV_API_BASE = "TRIMEM_API_BASE"
 ENV_API_KEY = "TRIMEM_API_KEY"
 ENV_CONFIG = "TRIMEM_CONFIG"
 
-# the files a build writes into its store, and an eval into its output directory
-BUILD_OUTPUTS = (*DATA_FILES, "manifest.json", "run_manifest.json")
+# the files a store holds, a build writes into its store, and an eval into
+# its output directory
+STORE_FILES = (*DATA_FILES, "manifest.json")
+BUILD_OUTPUTS = (*STORE_FILES, "run_manifest.json")
 EVAL_OUTPUTS = ("report.json", "detailed_results.jsonl", "run_manifest.json")
 
 
@@ -219,17 +221,16 @@ def write_manifest(path: Path, config: RunConfig, prompt_round: int,
     write_json(path, {**manifest, **(extra or {})})
 
 
-def _build_and_persist(config: RunConfig, router: BackendRouter,
-                       store_dir: Path) -> tuple[MemoryStore, int]:
-    """Build a store from ``config.corpus`` and persist it under the lock;
-    returns the store and the prompt round it was built with."""
-    corpus = load_corpus(config.corpus)
-    prompts, prompt_round = load_prompts(config)
+def _build_and_persist(config: RunConfig, corpus: DialogueCorpus, prompts: dict[str, str],
+                       prompt_round: int, router: BackendRouter,
+                       store_dir: Path) -> MemoryStore:
+    """Build a store from corpus with the prompts of prompt_round, and
+    persist it under the lock."""
     with store_lock(store_dir):
         store = build_store(corpus, prompts, router, seg_config=config)
         store.persist(store_dir, manifest_extra={"config_hash": config.config_hash(),
                                                  "prompt_round": prompt_round})
-    return store, prompt_round
+    return store
 
 
 def load_qa_set(path) -> list[QaItem]:
@@ -269,7 +270,9 @@ def cmd_build(args) -> int:
         refuse_non_empty(store_dir, "pass --force to rebuild")
     refuse_squatted(*(store_dir / name for name in BUILD_OUTPUTS))
     router = make_router(config)
-    store, prompt_round = _build_and_persist(config, router, store_dir)
+    corpus = load_corpus(config.corpus)
+    prompts, prompt_round = load_prompts(config)
+    store = _build_and_persist(config, corpus, prompts, prompt_round, router, store_dir)
     write_manifest(store_dir / "run_manifest.json", config, prompt_round,
                    router, extra={
                        "entry_count": len(store),
@@ -312,9 +315,8 @@ def cmd_answer(args) -> int:
     prompts, _ = load_prompts(config)
     dump_path = Path(args.dump_context) if args.dump_context else None
     if dump_path:
+        refuse_squatted(dump_path)
         make_dir(dump_path.parent)
-        if dump_path.is_dir():
-            raise errors.UsageError(f"{dump_path} is a directory")
     router = make_router(config)
     result, ctx = answer_question(args.question, store, prompts, router, config)
     if dump_path:
@@ -340,11 +342,9 @@ def _evidence_by_question(qa_set: list[QaItem]) -> Optional[dict]:
     return gold
 
 
-def _run_eval_to_dir(config: RunConfig, qa_path, out_dir: Path,
-                     router: BackendRouter) -> dict:
-    qa_set = load_qa_set(qa_path)
-    store = MemoryStore.load(config.store_dir)
-    prompts, prompt_round = load_prompts(config)
+def _eval_to_dir(config: RunConfig, qa_set: list[QaItem], store: MemoryStore,
+                 prompts: dict[str, str], prompt_round: int, out_dir: Path,
+                 router: BackendRouter) -> dict:
     make_dir(out_dir)
     records = run_eval(qa_set, store, prompts, router, config)
     report = build_report(records, evidence=_evidence_by_question(qa_set), hit_k=config.hit_k,
@@ -361,7 +361,9 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out or Path(config.store_dir) / "eval")
     refuse_squatted(*(out_dir / name for name in EVAL_OUTPUTS))
     router = make_router(config)
-    report = _run_eval_to_dir(config, args.qa, out_dir, router)
+    qa_set = load_qa_set(args.qa)
+    store = MemoryStore.load(config.store_dir)
+    report = _eval_to_dir(config, qa_set, store, *load_prompts(config), out_dir, router)
     print(json.dumps({"report": str(out_dir / "report.json"),
                       "overall": report["overall"]}, indent=2))
     return EXIT_OK
@@ -406,27 +408,35 @@ def cmd_ablate(args) -> int:
     if values is None or not all(has_type(v, _CONFIG_TYPES[knob][0]) for v in values):
         raise errors.UsageError(
             f"--values for {knob} must be JSON values of its type: {args.values!r}")
-    if knob in _SEGMENTATION_KNOBS and not config.corpus:
+    rebuilds = knob in _SEGMENTATION_KNOBS
+    if rebuilds and not config.corpus:
         raise errors.UsageError(f"--knob {knob} rebuilds the store: pass --corpus")
-    if knob not in _SEGMENTATION_KNOBS and not config.store_dir:
+    if not rebuilds and not config.store_dir:
         raise errors.UsageError(f"--knob {knob} evaluates an existing store: pass --store")
     sweeps = [run_config({**vars(config), knob: value}) for value in values]
     out_dir = Path(args.out)
     row_names = [f"{knob}_{value}" for value in values]
-    rebuilt = row_names if knob in _SEGMENTATION_KNOBS else []
+    rebuilt = row_names if rebuilds else []
     refuse_squatted(out_dir / "sweep_report.json",
                     *(out_dir / row / name for row in row_names for name in EVAL_OUTPUTS),
-                    *(out_dir / f"store_{row}" / name for row in rebuilt for name in BUILD_OUTPUTS))
+                    *(out_dir / f"store_{row}" / name for row in rebuilt for name in STORE_FILES))
+    # every input is read once, before --out is made: a row rebuilds from
+    # the corpus, or evaluates the one --store
+    qa_set = load_qa_set(args.qa)
+    prompts, prompt_round = load_prompts(config)
+    corpus = load_corpus(config.corpus) if rebuilds else None
+    store = None if rebuilds else MemoryStore.load(config.store_dir)
     make_dir(out_dir)
     rows = []
     for value, row, sweep_config in zip(values, row_names, sweeps):
         router = make_router(sweep_config)
-        if knob in _SEGMENTATION_KNOBS:
+        if rebuilds:
             row_store = out_dir / f"store_{row}"
-            _build_and_persist(sweep_config, router, row_store)
-            sweep_config = dataclasses.replace(sweep_config,
-                                               store_dir=str(row_store))
-        report = _run_eval_to_dir(sweep_config, args.qa, out_dir / row, router)
+            store = _build_and_persist(sweep_config, corpus, prompts, prompt_round,
+                                       router, row_store)
+            sweep_config = dataclasses.replace(sweep_config, store_dir=str(row_store))
+        report = _eval_to_dir(sweep_config, qa_set, store, prompts, prompt_round,
+                              out_dir / row, router)
         rows.append({"knob": knob, "value": value,
                      "overall": report["overall"]})
     sweep_report = {"knob": knob, "rows": rows}

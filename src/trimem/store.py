@@ -2,7 +2,8 @@
 
 Holds three coexisting representation levels: the verbatim turn store, the
 embedded fact index with exact top-K cosine search, and the profile
-version history. All three persist together under one store directory:
+version history. ``_unit_rows`` scales both sides of the cosine, each index
+row as it is inserted and each query, to unit length. All three persist together under one store directory:
 
     records.json.gz  one JSON object {"entries": {column: [values]},
                      "turns": {...}, "profiles": {...}}, each kind's columns
@@ -47,7 +48,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .backend import REQUIRED, Backend, all_of, fields_of, has_type, read_object
+from .backend import (REQUIRED, Backend, all_of, checked_block, fields_of, has_type,
+                      read_object)
 from .corpus import DialogueCorpus, DialogueTurn
 from .errors import (
     DanglingAnchor,
@@ -171,6 +173,16 @@ def _matrix_from_planes(body, count: int, dim: int) -> np.ndarray:
     return values.view("<f4").reshape(count, dim)
 
 
+def _unit_rows(block: np.ndarray) -> np.ndarray:
+    """block with each row divided by its norm; a norm that is zero or not
+    finite (an underflow or overflow of finite values) is DimensionMismatch.
+    Each row's own norm: norm(block, axis=1) can differ in the last bit."""
+    norms = np.array([np.linalg.norm(row) for row in block], dtype=np.float32)
+    if not np.all((norms > 0) & (norms < np.inf)):
+        raise DimensionMismatch("embedding of norm zero or not finite")
+    return block / norms[:, None]
+
+
 def _write_part(path: Path, digests: dict, *chunks) -> None:
     """Write one data file from its byte chunks, and record their sha256 in
     digests."""
@@ -282,10 +294,10 @@ class MemoryStore:
         new restatements go out in one ``backend.embed`` call, one
         round-trip per ``EMBED_BATCH`` texts, so ``build_store`` indexes a
         whole build with one insert. The block that comes back is checked
-        once, before anything is added: unless it is one row per new text,
-        each of the index dim and of finite nonzero norm, it is
-        DimensionMismatch. That, or a budget that runs out between slices,
-        leaves the store as it was. The new rows join the index as one block.
+        once by ``checked_block``, before anything is added, since an
+        ``embed`` override may skip its check, and scaled by ``_unit_rows``.
+        A refused block, or a budget that runs out between slices, leaves
+        the store as it was. The new rows join the index as one block.
         """
         if self._sealed:
             raise StoreClosed("store is sealed")
@@ -295,20 +307,10 @@ class MemoryStore:
             if key not in self._by_restatement:
                 new.setdefault(key, entry)
         if new:
-            try:
-                block = np.asarray(backend.embed([e.lossless_restatement for e in new.values()]),
-                                   dtype=np.float32)
-            except ValueError as exc:  # rows of unequal size
-                raise DimensionMismatch(f"embedding rows do not form a block: {exc}")
-            if block.ndim != 2 or block.shape != (len(new), self.dim or block.shape[1]):
-                raise DimensionMismatch(f"embedding block of shape {block.shape} for "
-                                        f"{len(new)} texts, index dim {self.dim}")
-            # each row's own norm: norm(block, axis=1) can differ in the last bit
-            norms = np.array([np.linalg.norm(row) for row in block], dtype=np.float32)
-            if not np.all((norms > 0) & (norms < np.inf)):
-                raise DimensionMismatch("embedding of norm zero or not finite")
+            block = _unit_rows(checked_block(backend.embed(
+                [e.lossless_restatement for e in new.values()]), len(new), self.dim))
             self.dim = block.shape[1]
-            self._blocks.append(block / norms[:, None])
+            self._blocks.append(block)
             for key, entry in new.items():
                 entry_id = f"e{len(self.entries) + 1:06d}"
                 self.entries[entry_id] = replace(entry, entry_id=entry_id)
@@ -322,21 +324,19 @@ class MemoryStore:
                           k: int) -> list[tuple[str, float]]:
         """Exact cosine top-k over the whole index, ties by insertion order.
 
+        The query must pass ``checked_block`` as one row of the index width,
+        and is scaled to unit length as the index rows are, so a score is a
+        cosine whatever the length of the provider's vectors.
         A partial sort picks the k best rows; every row that ties the k-th
         score joins them, so the cut at k falls by (-score, row) as a full
-        stable sort would.
+        stable sort would; a k below 1 is a ValueError.
         """
         if not self.entries:
             raise EmptyIndex("no entries in store")
-        query = np.asarray(query_vector, dtype=np.float32)
-        if len(query) != self.dim:
-            raise DimensionMismatch(f"query dim {len(query)} != index dim {self.dim}")
+        [query] = _unit_rows(checked_block([query_vector], 1, self.dim))
         scores = self._vectors @ query
-        if k < len(scores):
-            kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
-            rows = np.flatnonzero(scores >= kth)
-        else:
-            rows = np.arange(len(scores))
+        cut = max(len(scores) - k, 0)  # the k-th best score's place in ascending order
+        rows = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
         order = rows[np.lexsort((rows, -scores[rows]))][:k]
         return [(f"e{i + 1:06d}", float(scores[i])) for i in order]
 

@@ -570,6 +570,7 @@ def _embedding_rows(*rows):
      lambda b: b.complete(ChatRequest(prompt="q"))),
     ({"choices": [{"message": {"content": ["ok"]}}]},
      lambda b: b.complete(ChatRequest(prompt="q"))),
+    ({"choices": []}, lambda b: b.complete(ChatRequest(prompt="q"))),
     (_embedding_rows((1, [1.0, 0.0]), (1, [0.0, 1.0])), lambda b: b.embed(["a", "b"])),
     (_embedding_rows((5, [1.0, 0.0]), (9, [0.0, 1.0])), lambda b: b.embed(["a", "b"])),
     (_embedding_rows(("0", [1.0, 0.0]), ("1", [0.0, 1.0])), lambda b: b.embed(["a", "b"])),
@@ -579,9 +580,9 @@ def _embedding_rows(*rows):
     (_embedding_rows((0, [1.0, 0.0])), lambda b: b.embed(["a", "b"])),
     (_embedding_rows((0, [1.0, 0.0]), (1, [0.0, 1.0]), (2, [1.0, 0.0])),
      lambda b: b.embed(["a", "b"])),
-], ids=["content-a-number", "content-a-list", "index-repeated", "index-skipped",
-        "index-a-string", "embedding-strings", "embedding-bools", "embedding-nested",
-        "one-row-for-two-texts", "three-rows-for-two-texts"])
+], ids=["content-a-number", "content-a-list", "choices-empty", "index-repeated",
+        "index-skipped", "index-a-string", "embedding-strings", "embedding-bools",
+        "embedding-nested", "one-row-for-two-texts", "three-rows-for-two-texts"])
 def test_http_backend_refuses_a_bad_reply_body(monkeypatch, body, call):
     import requests
 

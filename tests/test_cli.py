@@ -594,6 +594,17 @@ def test_eval_writes_report(work_dir, capsys):
     assert (work_dir / "eval" / "run_manifest.json").exists()
 
 
+def test_eval_reads_a_qa_set_given_as_one_json_array(work_dir, capsys):
+    build(capsys)
+    (work_dir / "qa.json").write_text(json.dumps(_fixture_qa(work_dir)))
+    for qa, out in (("qa.jsonl", "lines"), ("qa.json", "array")):
+        code, _, err = run(capsys, "eval", "--store", "store", "--qa", qa,
+                           "--scripted", "fixture.jsonl", "--out", out)
+        assert code == EXIT_OK, err
+    assert (work_dir / "array" / "report.json").read_bytes() == \
+        (work_dir / "lines" / "report.json").read_bytes()
+
+
 def _eval_records(work_dir, capsys, records, out):
     (work_dir / f"{out}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
     code, _, err = run(capsys, "eval", "--store", "store", "--qa", f"{out}.jsonl",
@@ -1058,6 +1069,8 @@ SQUATTED_OUTPUTS = {
     "ablate-row-store-manifest": (("ablate", "--corpus", "corpus.json", "--qa", "qa.jsonl",
                                    "--knob", "stride", "--values", "38", "--out", "sw"),
                                   "sw/store_stride_38/manifest.json"),
+    "answer-dump-context": (("answer", "--store", "store", "--question", "Where?",
+                             "--dump-context", "ctx/context.txt"), "ctx/context.txt"),
 }
 
 
@@ -1166,6 +1179,33 @@ def test_an_ablate_row_that_rebuilds_counts_and_caps_its_build(work_dir, capsys)
     code, _, err = run(capsys, *sweep, "--out", "capped", "--max-calls", "50")
     assert code == EXIT_BACKEND
     assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("sweep", [
+    ("--corpus", "corpus.json", "--knob", "window_size", "--values", "40"),
+    ("--store", "store", "--knob", "top_k", "--values", "5,25"),
+], ids=["rebuilds", "retrieval-knob"])
+def test_ablate_refuses_a_bad_qa_record_before_it_makes_anything(work_dir, capsys, sweep):
+    # the QA set is read once, before --out is made and before the first
+    # row's build, which --max-calls 0 would stop with BudgetExceeded
+    assert build(capsys)[0] == EXIT_OK
+    good, *_ = (work_dir / "qa.jsonl").read_text().splitlines()
+    (work_dir / "bad.jsonl").write_text(json.dumps({**json.loads(good), "question": ""}) + "\n")
+    code, out, err = run(capsys, "ablate", "--qa", "bad.jsonl", *sweep, "--out", "sw",
+                         "--scripted", "fixture.jsonl", "--max-calls", "0")
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "MalformedDocument"
+    assert not (work_dir / "sw").exists()
+
+
+def test_ablate_checks_only_the_files_a_row_store_holds(work_dir, capsys):
+    # a row's store gets no run_manifest.json: the row's eval directory does
+    (work_dir / "sw" / "store_window_size_40" / "run_manifest.json").mkdir(parents=True)
+    code, _, err = run(capsys, "ablate", "--corpus", "corpus.json", "--qa", "qa.jsonl",
+                       "--knob", "window_size", "--values", "40",
+                       "--scripted", "fixture.jsonl", "--out", "sw")
+    assert code == EXIT_OK, err
+    assert (work_dir / "sw" / "window_size_40" / "run_manifest.json").is_file()
 
 
 @pytest.mark.parametrize("meta", [

@@ -137,6 +137,17 @@ def test_load_rejects_out_of_order_turn_id(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("doc, fault", [
+    ({"corpus_id": "x"}, "expected 'sessions' or 'turns' key"),
+    ({"turns": [{"speaker": "", "text": "a"}]}, "speaker must be a non-empty string"),
+], ids=["neither-sessions-nor-turns", "empty-speaker"])
+def test_load_rejects_a_corpus_without_turns_or_a_turn_without_a_speaker(tmp_path, doc, fault):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedDocument, match=fault):
+        load_corpus(path)
+
+
 def test_load_rejects_bad_timestamp(tmp_path):
     doc = {"turns": [{"speaker": "A", "text": "a", "timestamp": "yesterday"}]}
     path = tmp_path / "c.json"

@@ -210,6 +210,19 @@ def test_extract_entries_returns_survivors_and_logs_each_drop(caplog):
     assert len(backend.request_log) == 1
 
 
+def test_extract_entries_drops_an_unparseable_timestamp_with_its_diagnostic(caplog):
+    window = make_window(first=1, last=3)
+    good = record()
+    bad = record(lossless_restatement="Bob ran.", timestamp="sometime last spring")
+    backend = ScriptedBackend(rules=[
+        FixtureRule(response=json.dumps([good, bad]), contains=("Dialogues:",))])
+    with caplog.at_level("WARNING", logger="trimem.extraction"):
+        survivors = extract_entries(window, EXTRACTION_PROMPT, backend)
+    assert [e.lossless_restatement for e in survivors] == [good["lossless_restatement"]]
+    [warning] = _drop_warnings(caplog)
+    assert "unparseable event_time: 'sometime last spring'" in warning.getMessage()
+
+
 WRONG_TYPED_FIELDS = {
     "source-id-not-a-number": {"source_dialogue_ids": ["x"]},
     "keywords-not-a-list": {"keywords": 5},

@@ -181,8 +181,9 @@ def tied_store(backend, n, groups):
 
 
 def full_sort(store, query):
-    """The reference ranking: every row by (-score, row)."""
-    scores = store._vectors @ query
+    """The reference ranking: every row by (-score, row), scored with the
+    query divided by its norm, as the engine scores."""
+    scores = store._vectors @ (query / np.linalg.norm(query))
     rows = sorted(range(len(store)), key=lambda row: (-scores[row], row))
     return [(store.insertion_order[row], float(scores[row])) for row in rows]
 
@@ -229,6 +230,59 @@ def test_similarity_search_dim_mismatch(backend):
         store.similarity_search(np.zeros(5, dtype=np.float32), k=1)
 
 
+@pytest.mark.parametrize("query", [np.ones((64, 2)), np.full(64, np.nan), np.zeros(64)],
+                         ids=["two-columns", "nan", "zero"])
+def test_similarity_search_refuses_a_query_that_is_not_one_usable_row(backend, query):
+    store = MemoryStore(turns=make_turns(1))
+    store.insert_entries([make_entry("x", (1,))], backend)
+    with pytest.raises(DimensionMismatch):
+        store.similarity_search(query, k=1)
+
+
+class ScaledBackend(ScriptedBackend):
+    """Embeds each text as its hash embedding times its factor in scales, 1 if none."""
+
+    def __init__(self, scales):
+        super().__init__()
+        self.scales = scales
+
+    def _embed(self, texts):
+        return [hash_embedding(t) * np.float32(self.scales.get(t, 1)) for t in texts]
+
+
+def scaled_ranking(facts, queries, scales, top_k):
+    """retrieve's ranked (id, score) list over a store of facts, with each
+    inserted and each query vector scaled by its factor in scales."""
+    backend = ScaledBackend(scales)
+    store = MemoryStore(turns=make_turns(1))
+    store.insert_entries([make_entry(text) for text in facts], backend)
+    plan = SearchPlan(original_question=queries[0], queries=queries)
+    ctx = retrieve(plan, store, RetrievalConfig(top_k=top_k), backend)
+    return [(entry.entry_id, score) for entry, score in ctx.ranked_entries]
+
+
+def test_a_long_query_vector_still_scores_cosines():
+    # "fact 12" comes back ten times as long as "fact 7"; scored raw, its
+    # match e000013 took 10.0 and pushed the exact match of "fact 7" out
+    ranked = scaled_ranking([f"fact {i}" for i in range(30)], ("fact 7", "fact 12"),
+                            {"fact 12": 10.0}, top_k=3)
+    assert ranked[0][0] == "e000008"
+    assert ranked[0][1] == pytest.approx(1.0, abs=1e-6)
+
+
+SCALED_FACTS = [f"fact {i}" for i in range(12)]
+SCALED_QUERIES = ("where is fact 3", "fact 7 again", "a third question")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fixed_dictionaries({text: st.integers(-8, 8)
+                              for text in SCALED_FACTS + list(SCALED_QUERIES)}))
+def test_retrieve_ranking_ignores_the_length_of_vectors(exponents):
+    scales = {text: 2.0 ** exponent for text, exponent in exponents.items()}
+    assert scaled_ranking(SCALED_FACTS, SCALED_QUERIES, scales, top_k=8) == \
+        scaled_ranking(SCALED_FACTS, SCALED_QUERIES, {}, top_k=8)
+
+
 @pytest.mark.parametrize("row", [np.ones(3), np.full(64, np.nan), np.full(64, np.inf)],
                          ids=["another-size", "nan", "inf"])
 def test_a_bad_embedding_row_adds_nothing(backend, monkeypatch, row):
@@ -238,6 +292,14 @@ def test_a_bad_embedding_row_adds_nothing(backend, monkeypatch, row):
     with pytest.raises(DimensionMismatch):
         store.insert_entries([make_entry("y", (2,))], backend)
     assert (len(store), store.dim, store._vectors.shape) == (1, 64, (1, 64))
+
+
+@pytest.mark.parametrize("k", [0, -1, -7])
+def test_similarity_search_refuses_a_k_below_1(backend, k):
+    store = MemoryStore(turns=make_turns(1))
+    store.insert_entries([make_entry(f"fact {i}") for i in range(5)], backend)
+    with pytest.raises(ValueError):
+        store.similarity_search(hash_embedding("fact 1"), k)
 
 
 def test_k_larger_than_store_truncates(backend):
