@@ -70,7 +70,7 @@ class StubBackend:
 def make_store(trimem, n: int, seed: int):
     from trimem.corpus import DialogueTurn
     from trimem.extraction import MemoryEntry
-    from trimem.profiles import EntityProfile
+    from trimem.profiles import EntityProfile, parse_profile_text
 
     rng = np.random.default_rng(seed)
     turn_count = max(1, 2 * n // 3)
@@ -101,11 +101,13 @@ def make_store(trimem, n: int, seed: int):
     for i in range(max(1, n // 25)):
         person = PERSONS[i % len(PERSONS)]
         versions[person] = versions.get(person, 0) + 1
-        store.add_profile(EntityProfile(
-            entity_key=person.lower(), display_name=person,
-            version=versions[person], last_updated_window=1 + i,
-            sections=(("Identity", f"{person}, version {versions[person]}"),
-                      ("Interests", ", ".join(WORDS[:1 + i % 5])))))
+        # parsed sections and these keywords suit every EntityProfile form
+        # this script may import; the window keeps its default
+        name, sections = parse_profile_text(
+            f"Entity: {person}\n[Identity] {person}, version {versions[person]}\n"
+            f"[Interests] {', '.join(WORDS[:1 + i % 5])}")
+        store.add_profile(EntityProfile(entity_key=person.lower(), display_name=name,
+                                        version=versions[person], sections=sections))
     store.seal()
     return store
 

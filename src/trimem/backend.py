@@ -131,9 +131,12 @@ REQUIRED = object()  # the default of a field table name that must be present
 
 
 def _kind(hint):
-    """Optional[t] as (t, NoneType), and a frozenset, tuple or list of t as [t]."""
-    args = get_args(hint)
-    return [_kind(args[0])] if get_origin(hint) in (frozenset, tuple, list) else args or hint
+    """Optional[t] as (t, NoneType), a frozenset, tuple or list of t as [t],
+    and a dict[...] as dict."""
+    args, origin = get_args(hint), get_origin(hint)
+    if origin is dict:
+        return dict
+    return [_kind(args[0])] if origin in (frozenset, tuple, list) else args or hint
 
 
 def fields_of(cls, *omit: str) -> dict:

@@ -303,7 +303,7 @@ def cmd_query(args) -> int:
             {"turn_id": t.turn_id, "speaker": t.speaker, "text": t.text}
             for t in ctx.recovered_turns
         ],
-        "profiles": [p.as_dict() for p in ctx.profiles],
+        "profiles": [dataclasses.asdict(p) for p in ctx.profiles],
         "token_cost": ctx.token_cost,
     }, indent=2))
     return EXIT_OK
@@ -314,10 +314,10 @@ def cmd_answer(args) -> int:
     store = MemoryStore.load(config.store_dir)
     prompts, _ = load_prompts(config)
     dump_path = Path(args.dump_context) if args.dump_context else None
+    router = make_router(config)  # before make_dir: a UsageError leaves nothing
     if dump_path:
         refuse_squatted(dump_path)
         make_dir(dump_path.parent)
-    router = make_router(config)
     result, ctx = answer_question(args.question, store, prompts, router, config)
     if dump_path:
         write_text(dump_path, ctx.text)
@@ -408,6 +408,10 @@ def cmd_ablate(args) -> int:
     if values is None or not all(has_type(v, _CONFIG_TYPES[knob][0]) for v in values):
         raise errors.UsageError(
             f"--values for {knob} must be JSON values of its type: {args.values!r}")
+    row_names = [f"{knob}_{value}" for value in values]
+    if len(set(row_names)) != len(row_names):
+        # two rows would write one directory, the second over the first
+        raise errors.UsageError(f"--values for {knob} repeats a value: {args.values!r}")
     rebuilds = knob in _SEGMENTATION_KNOBS
     if rebuilds and not config.corpus:
         raise errors.UsageError(f"--knob {knob} rebuilds the store: pass --corpus")
@@ -415,7 +419,6 @@ def cmd_ablate(args) -> int:
         raise errors.UsageError(f"--knob {knob} evaluates an existing store: pass --store")
     sweeps = [run_config({**vars(config), knob: value}) for value in values]
     out_dir = Path(args.out)
-    row_names = [f"{knob}_{value}" for value in values]
     rebuilt = row_names if rebuilds else []
     refuse_squatted(out_dir / "sweep_report.json",
                     *(out_dir / row / name for row in row_names for name in EVAL_OUTPUTS),
@@ -463,7 +466,7 @@ def cmd_inspect(args) -> int:
                 {"turn_id": t.turn_id, "speaker": t.speaker, "text": t.text}
                 for t in recovered
             ],
-            "profiles": [p.as_dict() for p in store.profiles_for(
+            "profiles": [dataclasses.asdict(p) for p in store.profiles_for(
                 sorted({normalize_person_key(p) for p in entry.persons}))],
         }, indent=2))
     else:

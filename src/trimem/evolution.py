@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import (REQUIRED, Backend, BackendRouter, complete_parsed, parse_json,
-                      read_object, read_reply)
+from .backend import (REQUIRED, Backend, BackendRouter, complete_parsed, read_object,
+                      read_reply)
 from .corpus import DialogueCorpus, SegmentationConfig
 from .errors import EmptyRecordSet, ParseFailure
 from .metrics import EvalRecord
@@ -167,18 +167,24 @@ def apply_gradient(prompts: PromptSet, rec: dict) -> PromptSet:
 
 
 def replay_gradients(prompt_dir) -> list[PromptSet]:
-    """Rebuild every prompt version from round 0 plus the gradient log; a
-    logged gradient that ``_parse_gradient`` rejects raises ParseFailure."""
+    """Rebuild every prompt version from round 0 plus the gradient log. A
+    non-blank log line that is not one JSON object, or a logged gradient
+    that ``_parse_gradient`` rejects, raises ParseFailure."""
     prompt_dir = Path(prompt_dir)
     current = PromptSet.load_round(prompt_dir, 0)
     trajectory = [current]
     log_path = prompt_dir / "gradients.jsonl"
     if not log_path.exists():
         return trajectory
-    for line in log_path.read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(log_path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        rec = parse_json(line)
+        try:
+            rec = json.loads(line)
+            if type(rec) is not dict:
+                raise ValueError(f"a JSON {type(rec).__name__}, not an object")
+        except ValueError as exc:  # json.JSONDecodeError is a ValueError
+            raise ParseFailure(f"{log_path} line {number}: {exc}")
         current = apply_gradient(current, rec if rec.get("no_op") else _parse_gradient(line))
         trajectory.append(current)
     return trajectory

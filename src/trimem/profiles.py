@@ -7,7 +7,7 @@ retrieval.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .backend import Backend, complete_parsed
@@ -33,30 +33,12 @@ _SECTION_RE = re.compile(r"^\[([^\]]+)\]\s*(.*)$")
 
 @dataclass(frozen=True)
 class EntityProfile:
+    """One profile version, field for field as the store writes it."""
     entity_key: str
     display_name: str
-    sections: tuple[tuple[str, str], ...]  # ordered (label, text)
     version: int = 0
-    last_updated_window: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "entity_key": self.entity_key,
-            "display_name": self.display_name,
-            "version": self.version,
-            "window": self.last_updated_window,
-            "sections": {label: text for label, text in self.sections},
-        }
-
-    @classmethod
-    def from_dict(cls, rec: dict) -> "EntityProfile":
-        return cls(
-            entity_key=rec["entity_key"],
-            display_name=rec["display_name"],
-            version=rec["version"],
-            last_updated_window=rec["window"],
-            sections=tuple((label, text) for label, text in rec["sections"].items()),
-        )
+    window: int = 0  # the window whose facts made this version
+    sections: dict[str, str] = field(default_factory=dict)  # label -> text, in order
 
 
 def group_by_person(entries: Sequence[MemoryEntry]) -> dict[str, list[MemoryEntry]]:
@@ -72,12 +54,12 @@ def group_by_person(entries: Sequence[MemoryEntry]) -> dict[str, list[MemoryEntr
     return groups
 
 
-def parse_profile_text(text: str) -> tuple[str, tuple[tuple[str, str], ...]]:
+def parse_profile_text(text: str) -> tuple[str, dict[str, str]]:
     """Parse the bracketed-label profile format.
 
-    Returns (display name, ordered sections). A repeated label is merged
-    into its first section, the bodies joined by a newline, so the profile
-    round-trips through the store's ``{label: text}`` record. Raises
+    Returns (display name, sections): the sections map each label to its
+    text, in first-seen order. A repeated label is merged into its first
+    section, the bodies joined by a newline. Raises
     ParseFailure when the ``Entity:`` header is missing or no labeled
     section is present.
     """
@@ -110,12 +92,12 @@ def parse_profile_text(text: str) -> tuple[str, tuple[tuple[str, str], ...]]:
         raise ParseFailure("profile output missing 'Entity:' header")
     if not sections:
         raise ParseFailure("profile output has no populated sections")
-    return display_name, tuple(sections.items())
+    return display_name, sections
 
 
 def serialize_profile(profile: EntityProfile) -> str:
     lines = [f"Entity: {profile.display_name}"]
-    for label, body in profile.sections:
+    for label, body in profile.sections.items():
         lines.append(f"[{label}] {body}")
     return "\n".join(lines)
 
@@ -149,5 +131,5 @@ def update_profile(person: str, new_entries: Sequence[MemoryEntry],
         display_name=display_name or display,
         sections=sections,
         version=(existing.version if existing else 0) + 1,
-        last_updated_window=window_index,
+        window=window_index,
     )

@@ -3,12 +3,14 @@
 Holds three coexisting representation levels: the verbatim turn store, the
 embedded fact index with exact top-K cosine search, and the profile
 version history. ``_unit_rows`` scales both sides of the cosine, each index
-row as it is inserted and each query, to unit length. All three persist together under one store directory:
+row as it is inserted and each query, to unit length. All three persist
+together under one store directory:
 
     records.json.gz  one JSON object {"entries": {column: [values]},
                      "turns": {...}, "profiles": {...}}, each kind's columns
-                     in its field table's order: entries in insertion order,
-                     turns by turn id, profile versions as added
+                     the fields of its dataclass in field order: entries in
+                     insertion order, turns by turn id, profile versions as
+                     added
     vectors.bin      magic 'TRIM', version u32, dim u32, count u32, then the
                      byte planes of the little-endian float32 (count, dim)
                      matrix: planes 0-2 raw, plane 3 as one Huffman-only
@@ -17,10 +19,10 @@ row as it is inserted and each query, to unit length. All three persist together
                      data file; from ``build`` the config hash and prompt round
 
 Entry row i (from 1) is entry ``e{i:06d}``, as ``insert_entries`` numbers it,
-so no entry id is stored. Sets are stored as sorted lists; profile sections
-keep their order. The gzip header holds no file name and no timestamp, so
-equal stores persist byte-identical; ``zcat records.json.gz | python -m
-json.tool`` reads the records. Plane k of ``vectors.bin`` is byte k of every
+so no entry id is stored. Sets are stored as sorted lists; a profile's
+sections dict keeps its order. The gzip header holds no file name and no
+timestamp, so equal stores persist byte-identical; ``zcat records.json.gz |
+python -m json.tool`` reads the records. Plane k of ``vectors.bin`` is byte k of every
 value in row order. Plane 3 holds each value's sign and top seven exponent
 bits, under 3 bits of entropy on unit-norm embeddings, so a Huffman code
 alone shrinks it to about a third; planes 0-2 are mantissa bits, close to
@@ -29,10 +31,12 @@ random, and stay raw. Every value loads bit for bit.
 ``load`` reads the manifest through a ``read_object`` field table, then
 checks each data file's sha256 before it parses anything. Each kind must
 hold exactly its table's columns, each a list of the manifest's count of
-values of its kind, checked once per column. Then come the vector planes'
-lengths, distinct turn ids and restatements, and the profile version chain;
-any fault raises StoreIOError. A store of another schema version raises
-SchemaVersionMismatch; rebuild it with ``trimem build --force``.
+values of its kind, checked once per column, and every section text a
+string. Then come the vector planes' lengths, distinct turn ids and
+restatements, and the profile version chain; any fault raises StoreIOError.
+Each kind's rows are rebuilt from its columns by position. A store of
+another schema version raises SchemaVersionMismatch; rebuild it with
+``trimem build --force``.
 """
 from __future__ import annotations
 
@@ -102,14 +106,11 @@ class RetrievalConfig:
         return self.per_query_k if self.per_query_k is not None else self.top_k
 
 
-# each kind's columns in file order and their kinds; entries and turns take
-# theirs from the dataclass, so load rebuilds them by position
+# each kind's columns in file order and their kinds, taken from its
+# dataclass, so load rebuilds every kind by position
 _ENTRY_TYPES = fields_of(MemoryEntry, "entry_id")
 _TURN_TYPES = fields_of(DialogueTurn)
-# as EntityProfile.as_dict writes a version; sections map label to text
-_PROFILE_TYPES = {"entity_key": (str, REQUIRED), "display_name": (str, REQUIRED),
-                  "version": (int, REQUIRED), "window": (int, REQUIRED),
-                  "sections": (dict, REQUIRED)}
+_PROFILE_TYPES = fields_of(EntityProfile)
 # the manifest keys load checks: persist writes the required ones, build adds
 # config_hash and prompt_round, and any other key is ignored
 _MANIFEST_FIELDS = {**dict.fromkeys(("schema_version", "dim", "entry_count", "turn_count",
@@ -121,12 +122,12 @@ _KINDS = {"entries": (_ENTRY_TYPES, "entry_count"), "turns": (_TURN_TYPES, "turn
           "profiles": (_PROFILE_TYPES, "profile_versions")}
 
 
-def _columns(rows: list, types: dict, get=getattr) -> dict:
+def _columns(rows: list, types: dict) -> dict:
     """The columns of types over rows, in types' order; a list column's sets
     become sorted lists."""
     columns = {}
     for name, (kind, _) in types.items():
-        values = [get(row, name) for row in rows]
+        values = [getattr(row, name) for row in rows]
         columns[name] = list(map(sorted, values)) if isinstance(kind, list) else values
     return columns
 
@@ -176,8 +177,8 @@ def _matrix_from_planes(body, count: int, dim: int) -> np.ndarray:
 def _unit_rows(block: np.ndarray) -> np.ndarray:
     """block with each row divided by its norm; a norm that is zero or not
     finite (an underflow or overflow of finite values) is DimensionMismatch.
-    Each row's own norm: norm(block, axis=1) can differ in the last bit."""
-    norms = np.array([np.linalg.norm(row) for row in block], dtype=np.float32)
+    The norms are each row's ``np.linalg.norm``, bit for bit."""
+    norms = np.sqrt(np.vecdot(block, block))
     if not np.all((norms > 0) & (norms < np.inf)):
         raise DimensionMismatch("embedding of norm zero or not finite")
     return block / norms[:, None]
@@ -392,8 +393,7 @@ class MemoryStore:
         records = {
             "entries": _columns(list(self.entries.values()), _ENTRY_TYPES),
             "turns": _columns([self.turns[t] for t in sorted(self.turns)], _TURN_TYPES),
-            "profiles": _columns([p.as_dict() for p in self._profile_history],
-                                 _PROFILE_TYPES, dict.get),
+            "profiles": _columns(self._profile_history, _PROFILE_TYPES),
         }
         try:
             path.mkdir(parents=True, exist_ok=True)
@@ -473,8 +473,8 @@ class MemoryStore:
                 first = store._by_restatement.setdefault(restatement_key(text), entry_id)
                 if first != entry_id:
                     raise ValueError(f"entry {entry_id} repeats the restatement of {first}")
-            for values in zip(*profiles.values()):
-                store.add_profile(EntityProfile.from_dict(dict(zip(profiles, values))))
+            for profile in itertools.starmap(EntityProfile, zip(*profiles.values())):
+                store.add_profile(profile)
         except (OSError, EOFError, zlib.error, struct.error, KeyError,
                 TypeError, ValueError) as exc:
             # unreadable file, cut or damaged gzip or zlib data, short vector

@@ -574,6 +574,17 @@ def test_answer_dump_context_matches_token_cost(work_dir, capsys):
     assert json.loads(out)["context_token_cost"] == estimate_tokens(text)
 
 
+def test_answer_without_a_backend_makes_no_dump_context_directory(work_dir, capsys,
+                                                                  monkeypatch):
+    assert build(capsys)[0] == EXIT_OK
+    monkeypatch.delenv("TRIMEM_API_BASE", raising=False)
+    code, out, err = run(capsys, "answer", "--store", "store", "--question", "Where?",
+                         "--dump-context", "new/deep/ctx.txt")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err)["error"] == "UsageError"
+    assert not (work_dir / "new").exists()
+
+
 def test_answer_no_search_plan_uses_single_query(work_dir, capsys):
     build(capsys)
     code, out, _ = run(capsys, "query", "--store", "store",
@@ -1195,6 +1206,22 @@ def test_ablate_refuses_a_bad_qa_record_before_it_makes_anything(work_dir, capsy
                          "--scripted", "fixture.jsonl", "--max-calls", "0")
     assert (code, out) == (EXIT_DATA, "")
     assert err.count("\n") == 1 and json.loads(err)["error"] == "MalformedDocument"
+    assert not (work_dir / "sw").exists()
+
+
+@pytest.mark.parametrize("sweep", [
+    ("--store", "store", "--knob", "top_k", "--values", "5,25, 5"),
+    ("--corpus", "corpus.json", "--knob", "stride", "--values", "38,38"),
+], ids=["retrieval-knob", "rebuilds"])
+def test_ablate_refuses_a_repeated_value_before_it_makes_anything(work_dir, capsys, sweep):
+    # two rows of one value would write one directory, the second over the first
+    assert build(capsys)[0] == EXIT_OK
+    code, out, err = run(capsys, "ablate", "--qa", "qa.jsonl", *sweep, "--out", "sw",
+                         "--scripted", "fixture.jsonl", "--max-calls", "0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "UsageError" and "repeats" in error["message"]
     assert not (work_dir / "sw").exists()
 
 

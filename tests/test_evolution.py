@@ -272,6 +272,24 @@ def test_replay_rejects_a_hand_edited_log_line(tmp_path, edit):
         replay_gradients(tmp_path)
 
 
+@pytest.mark.parametrize("wrap", [
+    "garbage before {} trailing junk",
+    "{} trailing junk",
+    "[{}]",
+    "{} {}",
+], ids=["prose-around", "trailing-junk", "in-an-array", "two-objects"])
+def test_replay_reads_each_log_line_as_one_json_object(tmp_path, wrap):
+    # the log is written by evolve, so a line is read strictly, not scanned
+    # for JSON as a model reply is; a blank line is skipped
+    PromptSet.seed().persist(tmp_path)
+    line = json.dumps({"round": 0, "loss": -0.5, **gradient()})
+    (tmp_path / "gradients.jsonl").write_text(f"{line}\n\n{wrap.replace('{}', line)}\n")
+    with pytest.raises(ParseFailure, match="line 3"):
+        replay_gradients(tmp_path)
+    (tmp_path / "gradients.jsonl").write_text(f"{line}\n\n")
+    assert len(replay_gradients(tmp_path)) == 2
+
+
 def test_evolve_refuses_a_directory_that_holds_a_run(data_dir, fixture_corpus,
                                                       qa_items, tmp_path):
     backend = ScriptedBackend.from_fixture_file(data_dir / "evolve_fixture.jsonl")

@@ -117,7 +117,7 @@ def test_a_repeated_restatement_feeds_its_profile_only_in_its_first_window():
     profile_prompts = [p for p in backend.request_log if p.startswith("Profile")]
     assert profile_prompts == ["Profile alice.\n- Alice moved to Rome.",
                                "Profile alice.\n- Alice adopted a cat."]
-    assert [(p.version, p.last_updated_window) for p in store.profile_history] == \
+    assert [(p.version, p.window) for p in store.profile_history] == \
         [(1, 1), (2, 2)]
     assert [(e.lossless_restatement, e.origin_window, sorted(e.source_dialogue_ids))
             for e in (store.entries[i] for i in store.insertion_order)] == \
@@ -137,9 +137,10 @@ def test_a_profile_that_repeats_a_label_loads_as_it_was_built(tmp_path):
     store = build_store(corpus, prompts, BackendRouter(pipeline=backend))
     store.persist(tmp_path / "store")
     loaded = MemoryStore.load(tmp_path / "store")
-    assert [p.sections for p in store.profile_history] == \
-        [(("Interests", "chess\nhiking"), ("Career", "nurse"))]
+    built = [[("Interests", "chess\nhiking"), ("Career", "nurse")]]
+    assert [list(p.sections.items()) for p in store.profile_history] == built
     assert loaded.profile_history == store.profile_history
+    assert [list(p.sections.items()) for p in loaded.profile_history] == built
 
 
 def test_embed_makes_one_charged_round_trip_per_slice():

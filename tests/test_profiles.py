@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from trimem.backend import FixtureRule, ScriptedBackend
@@ -34,15 +36,14 @@ def entry(text, persons):
 def test_parse_profile_text():
     name, sections = parse_profile_text(PROFILE_REPLY)
     assert name == "Alice"
-    assert [label for label, _ in sections] == \
-        ["Identity", "Interests", "Life Events"]
-    assert dict(sections)["Interests"] == "Chess and hiking."
+    assert list(sections) == ["Identity", "Interests", "Life Events"]
+    assert sections["Interests"] == "Chess and hiking."
 
 
 def test_parse_profile_multiline_section():
     text = "Entity: Bob\n[Identity] line one\nline two\n[Interests] chess"
     _, sections = parse_profile_text(text)
-    assert dict(sections)["Identity"] == "line one\nline two"
+    assert sections["Identity"] == "line one\nline two"
 
 
 def test_parse_profile_missing_header():
@@ -60,14 +61,7 @@ def test_serialize_round_trip():
     profile = EntityProfile(entity_key="alice", display_name=name,
                             sections=sections, version=1)
     name2, sections2 = parse_profile_text(serialize_profile(profile))
-    assert (name2, sections2) == (name, sections)
-
-
-def test_profile_dict_round_trip():
-    profile = EntityProfile(entity_key="alice", display_name="Alice",
-                            sections=(("Identity", "x"), ("Career", "y")),
-                            version=3, last_updated_window=5)
-    assert EntityProfile.from_dict(profile.as_dict()) == profile
+    assert (name2, list(sections2.items())) == (name, list(sections.items()))
 
 
 REPEATED_LABEL_REPLY = ("Entity: Alice\n[Interests] chess\n[Career] nurse\n"
@@ -76,10 +70,12 @@ REPEATED_LABEL_REPLY = ("Entity: Alice\n[Interests] chess\n[Career] nurse\n"
 
 def test_a_repeated_label_merges_into_its_first_section_and_round_trips():
     name, sections = parse_profile_text(REPEATED_LABEL_REPLY)
-    assert sections == (("Interests", "chess\nhiking"), ("Career", "nurse"))
+    assert list(sections.items()) == [("Interests", "chess\nhiking"), ("Career", "nurse")]
     profile = EntityProfile(entity_key="alice", display_name=name, sections=sections)
-    assert EntityProfile.from_dict(profile.as_dict()) == profile
-    assert parse_profile_text(serialize_profile(profile)) == (name, sections)
+    rebuilt = EntityProfile(**dataclasses.asdict(profile))
+    assert rebuilt == profile and list(rebuilt.sections.items()) == list(sections.items())
+    name2, sections2 = parse_profile_text(serialize_profile(profile))
+    assert (name2, list(sections2.items())) == (name, list(sections.items()))
 
 
 def test_section_labels_are_the_documented_ten():
@@ -110,7 +106,7 @@ def test_group_by_person_normalizes_keys():
 
 def test_update_profile_no_new_entries_is_noop():
     existing = EntityProfile(entity_key="alice", display_name="Alice",
-                             sections=(("Identity", "x"),), version=2)
+                             sections={"Identity": "x"}, version=2)
     backend = ScriptedBackend()
     result = update_profile("alice", [], existing, PROFILE_PROMPT, backend)
     assert result is existing
@@ -127,10 +123,10 @@ def test_update_profile_versions_increment():
         FixtureRule(response=PROFILE_REPLY, contains=("alice",), sticky=True)])
     v1 = update_profile("alice", [entry("Alice moved.", ["Alice"])], None,
                         PROFILE_PROMPT, backend, window_index=1)
-    assert (v1.version, v1.last_updated_window) == (1, 1)
+    assert (v1.version, v1.window) == (1, 1)
     v2 = update_profile("alice", [entry("Alice hiked.", ["Alice"])], v1,
                         PROFILE_PROMPT, backend, window_index=2)
-    assert (v2.version, v2.last_updated_window) == (2, 2)
+    assert (v2.version, v2.window) == (2, 2)
     assert v2.entity_key == "alice"
     # the second prompt embeds the serialized previous profile
     assert "Alice lives in Rome." in backend.request_log[1]

@@ -36,7 +36,7 @@ def make_ctx(entries=True, turns=True, profiles=True):
     profs = []
     if profiles:
         profs = [EntityProfile(entity_key="alice", display_name="Alice",
-                               sections=(("Identity", "Traveler."),), version=1)]
+                               sections={"Identity": "Traveler."}, version=1)]
     return RetrievedContext(ranked_entries=ranked, recovered_turns=recovered,
                             profiles=profs)
 

@@ -226,7 +226,7 @@ def test_retrieve_profiles_by_person_frequency():
     store = make_store(list(persons_of), persons_of)
     for key in ("alice", "bob", "carol"):
         store.add_profile(EntityProfile(entity_key=key, display_name=key.title(),
-                                        sections=(("Identity", "x"),), version=1))
+                                        sections={"Identity": "x"}, version=1))
     plan = SearchPlan(original_question="alice", queries=("alice",))
     ctx = retrieve(plan, store, RetrievalConfig(top_k=25, profile_count=2),
                    ScriptedBackend())
@@ -260,7 +260,7 @@ def test_retrieve_profiles_tie_by_first_appearance():
     store = ranked_store([{1}] * 8, persons)
     for key in ("amy", "bob", "carl", "xia", "yan", "zed"):
         store.add_profile(EntityProfile(entity_key=key, display_name=key.title(),
-                                        sections=(("Identity", "x"),), version=1))
+                                        sections={"Identity": "x"}, version=1))
     plan = SearchPlan(original_question="q", queries=("q",))
     ctx = retrieve(plan, store, RetrievalConfig(profile_count=6), RankedBackend())
     assert [e.lossless_restatement for e, _ in ctx.ranked_entries] == \

@@ -29,11 +29,13 @@ from trimem.profiles import EntityProfile
 from trimem.retrieval import SearchPlan, retrieve
 from trimem.store import (
     _ENTRY_TYPES,
+    _PROFILE_TYPES,
     _TURN_TYPES,
     SCHEMA_VERSION,
     VECTOR_MAGIC,
     MemoryStore,
     RetrievalConfig,
+    _unit_rows,
 )
 
 
@@ -112,7 +114,7 @@ def test_sealed_store_rejects_writes(backend):
         store.insert_entries([make_entry("y", (1,))], backend)
     with pytest.raises(StoreClosed):
         store.add_profile(EntityProfile(entity_key="a", display_name="A",
-                                        sections=(("Identity", "x"),), version=1))
+                                        sections={"Identity": "x"}, version=1))
 
 
 # -- similarity search -------------------------------------------------
@@ -336,7 +338,7 @@ def test_recover_dialogue_dangling_anchor(backend):
 
 def profile(key, version, text="info"):
     return EntityProfile(entity_key=key, display_name=key.title(),
-                         sections=(("Identity", text),), version=version)
+                         sections={"Identity": text}, version=version)
 
 
 def test_profile_version_chain():
@@ -507,9 +509,24 @@ def test_empty_index_refuses_a_nonempty_plane_3(tmp_path, monkeypatch):
 
 
 def test_column_tables_follow_the_field_order():
-    """load builds entries and turns from their columns by position."""
+    """load builds every kind from its columns by position."""
     assert [*_ENTRY_TYPES, "entry_id"] == [f.name for f in fields(MemoryEntry)]
     assert list(_TURN_TYPES) == [f.name for f in fields(DialogueTurn)]
+    # the profile columns in the order records.json.gz has always held them
+    assert list(_PROFILE_TYPES) == [f.name for f in fields(EntityProfile)] == \
+        ["entity_key", "display_name", "version", "window", "sections"]
+    assert _PROFILE_TYPES["sections"][0] is dict
+
+
+@pytest.mark.parametrize("dim", [1, 7, 33, 64, 384, 1536])
+def test_unit_rows_divides_each_row_by_its_own_norm_bit_for_bit(dim):
+    """The batched norms are each row's np.linalg.norm to the last bit, at
+    every scale whose squares stay finite in float32."""
+    rng = np.random.default_rng(dim)
+    for scale in (1e-18, 1e-3, 1.0, 1e3, 1e17):
+        block = (rng.standard_normal((50, dim)) * scale).astype(np.float32)
+        want = np.stack([row / np.linalg.norm(row) for row in block])
+        assert _unit_rows(block).tobytes() == want.tobytes(), scale
 
 
 def test_load_rejects_schema_mismatch(tmp_path, backend):
@@ -526,12 +543,12 @@ def test_profile_sections_keep_their_order(tmp_path):
     store = MemoryStore()
     store.add_profile(EntityProfile(
         entity_key="alice", display_name="Alice", version=1,
-        sections=(("Identity", "a painter"), ("Career", "teaches"),
-                  ("Beliefs/Spirituality", "none stated"))))
+        sections={"Identity": "a painter", "Career": "teaches",
+                  "Beliefs/Spirituality": "none stated"}))
     store.persist(tmp_path / "s")
     loaded = MemoryStore.load(tmp_path / "s")
     assert loaded.profile_history == store.profile_history
-    assert [label for label, _ in loaded.latest_profile("alice").sections] == \
+    assert list(loaded.latest_profile("alice").sections) == \
         ["Identity", "Career", "Beliefs/Spirituality"]
 
 
