@@ -8,15 +8,16 @@ back. ``embed`` checks the texts going out and, inside the gate, each
 slice's rows by ``checked_block``, the one check of vectors wherever they
 enter: one row per text, one width, finite and not all zero.
 ``read_object`` reads one JSON object through a field table: every model
-reply (by ``read_reply``), provider reply body, corpus document, QA
-record, fixture rule, store manifest and prompt-round ``meta.json``; a
-record with a dataclass has the table ``fields_of`` derives from it. Every
-type check is ``has_type`` or its column form ``all_of``. A concrete
-backend supplies only the provider round-trip, ``_complete`` and
-``_embed``. Two exist: an HTTP backend speaking the common
-``/chat/completions`` + ``/embeddings`` request shapes, and a scripted
-backend that replays canned responses and derives embeddings from a
-content hash, for fully offline deterministic runs.
+reply (by ``read_reply``) and logged gradient (by ``read_parsed``),
+provider reply body, corpus document, QA record, fixture rule and store
+manifest; a record with a dataclass has the table ``fields_of`` derives
+from it. Every type check is ``has_type`` or its column form ``all_of``.
+The call and token caps belong to one instance, so two backends of one
+run are capped apart. A concrete backend supplies only the provider
+round-trip, ``_complete`` and ``_embed``. Two exist: an HTTP backend
+speaking the common ``/chat/completions`` + ``/embeddings`` request
+shapes, and a scripted backend that replays canned responses and derives
+embeddings from a content hash, for fully offline deterministic runs.
 """
 from __future__ import annotations
 
@@ -148,6 +149,17 @@ def fields_of(cls, *omit: str) -> dict:
             for f in dataclasses.fields(cls) if f.name not in omit}
 
 
+def read_input(path) -> bytes:
+    """The bytes of an input file; a path that is not a regular file, or a
+    file that cannot be read, is MissingFile."""
+    if not Path(path).is_file():
+        raise MissingFile(str(path))
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise MissingFile(f"{path}: {exc}")
+
+
 def read_object(obj, fields: dict) -> dict:
     """The values of ``fields`` (name -> (kind, default)) in one JSON object.
 
@@ -176,13 +188,18 @@ def drop_empty(reply: dict) -> dict:
     return {name: value for name, value in reply.items() if value not in (None, "", [])}
 
 
-def read_reply(text: str, fields: dict) -> dict:
-    """``read_object`` over the first JSON object in ``text``, its empty
-    values dropped; any fault is a ParseFailure."""
+def read_parsed(reply: dict, fields: dict) -> dict:
+    """``read_object`` over one parsed reply object, its empty values
+    dropped; any fault is a ParseFailure."""
     try:
-        return read_object(drop_empty(parse_json(text)), fields)
+        return read_object(drop_empty(reply), fields)
     except ValueError as exc:
         raise ParseFailure(str(exc))
+
+
+def read_reply(text: str, fields: dict) -> dict:
+    """``read_parsed`` over the first JSON object in ``text``."""
+    return read_parsed(parse_json(text), fields)
 
 
 @dataclass
@@ -349,10 +366,8 @@ class ScriptedBackend(Backend):
     @classmethod
     def from_fixture_file(cls, path, **kwargs) -> "ScriptedBackend":
         """Load rules from a UTF-8 JSONL fixture, one ``_FIXTURE_FIELDS`` object per line."""
-        if not Path(path).is_file():
-            raise MissingFile(str(path))
         rules = []
-        for line_no, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        for line_no, line in enumerate(read_input(path).splitlines(), 1):
             if not line.strip():
                 continue
             try:

@@ -26,7 +26,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import errors
-from .backend import BackendRouter, HttpBackend, ScriptedBackend, fields_of, has_type
+from .backend import (BackendRouter, HttpBackend, ScriptedBackend, fields_of, has_type,
+                      read_input)
 from .corpus import DialogueCorpus, SegmentationConfig, load_corpus, segment
 from .errors import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE  # noqa: F401 (re-exported)
 from .extraction import normalize_person_key
@@ -234,18 +235,25 @@ def _build_and_persist(config: RunConfig, corpus: DialogueCorpus, prompts: dict[
 
 
 def load_qa_set(path) -> list[QaItem]:
-    path = Path(path)
-    if not path.is_file():
-        raise errors.MissingFile(str(path))
+    """The records of a JSON-array or JSON-lines QA file, after
+    ``read_input``; a bad record is MalformedDocument that names its 1-based
+    record number (array) or line (JSON lines)."""
+    items, where = [], str(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_input(path).decode("utf-8")
         if text.lstrip().startswith("["):
-            records = json.loads(text)
+            for number, rec in enumerate(json.loads(text), 1):
+                where = f"{path}: record {number}"
+                items.append(QaItem.from_dict(rec))
         else:
-            records = [json.loads(line) for line in text.splitlines() if line.strip()]
-        return [QaItem.from_dict(rec) for rec in records]
+            # "\n" only: a JSON string may hold a raw U+2028, which splitlines splits at
+            for number, line in enumerate(text.split("\n"), 1):
+                where = f"{path}:{number}"
+                if line.strip():
+                    items.append(QaItem.from_dict(json.loads(line)))
     except ValueError as exc:
-        raise errors.MalformedDocument(f"{path}: bad QA record: {exc!r}")
+        raise errors.MalformedDocument(f"{where}: bad QA record: {exc!r}")
+    return items
 
 
 # -- commands ------------------------------------------------------------

@@ -14,8 +14,8 @@ from datetime import datetime
 from pathlib import Path
 from typing import Optional
 
-from .backend import REQUIRED, read_object
-from .errors import DuplicateTurnId, EmptyCorpus, MalformedDocument, MissingFile
+from .backend import REQUIRED, read_input, read_object
+from .errors import DuplicateTurnId, EmptyCorpus, MalformedDocument
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,6 @@ class DialogueCorpus:
     def turn_count(self) -> int:
         return len(self.turns)
 
-    def turn(self, turn_id: int) -> DialogueTurn:
-        if not 1 <= turn_id <= len(self.turns):
-            raise KeyError(f"turn {turn_id} out of range 1..{len(self.turns)}")
-        return self.turns[turn_id - 1]
-
 
 @dataclass(frozen=True)
 class SegmentationConfig:
@@ -57,9 +52,15 @@ class SegmentationConfig:
 @dataclass(frozen=True)
 class Window:
     index: int  # 1-based
-    first_turn: int
-    last_turn: int
     turns: tuple[DialogueTurn, ...]
+
+    @property
+    def first_turn(self) -> int:
+        return self.turns[0].turn_id
+
+    @property
+    def last_turn(self) -> int:
+        return self.turns[-1].turn_id
 
     @property
     def turn_ids(self) -> frozenset[int]:
@@ -76,15 +77,13 @@ def load_corpus(path) -> DialogueCorpus:
 
     Accepts either the sessioned form ``{"corpus_id", "sessions": [...]}``
     or a flat ``{"turns": [...]}`` variant, each object read through a field
-    table. A ``turn_id``, if present in the source, must match load order:
-    an id that an earlier turn holds is DuplicateTurnId, and any other fault
-    is MalformedDocument.
+    table, after ``read_input``. A ``turn_id``, if present in the source,
+    must match load order: an id that an earlier turn holds is
+    DuplicateTurnId, and any other fault is MalformedDocument.
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_input(path).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except UnicodeDecodeError as exc:
@@ -132,21 +131,9 @@ def segment(corpus: DialogueCorpus, config: SegmentationConfig) -> list[Window]:
     a window may span sessions."""
     if corpus.turn_count == 0:
         raise EmptyCorpus(corpus.corpus_id)
-    turns = corpus.turns
     l, s = config.window_size, config.stride
-    windows = []
-    for i in range(1, window_count(len(turns), l, s) + 1):
-        first = (i - 1) * s + 1
-        last = min(len(turns), (i - 1) * s + l)
-        windows.append(
-            Window(
-                index=i,
-                first_turn=turns[first - 1].turn_id,
-                last_turn=turns[last - 1].turn_id,
-                turns=turns[first - 1:last],
-            )
-        )
-    return windows
+    return [Window(i, corpus.turns[(i - 1) * s:(i - 1) * s + l])
+            for i in range(1, window_count(corpus.turn_count, l, s) + 1)]
 
 
 def render_turn(turn: DialogueTurn) -> str:

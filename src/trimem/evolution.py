@@ -16,12 +16,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import (REQUIRED, Backend, BackendRouter, complete_parsed, read_object,
-                      read_reply)
+from .backend import Backend, BackendRouter, complete_parsed, parse_json, read_parsed, read_reply
 from .corpus import DialogueCorpus, SegmentationConfig
 from .errors import EmptyRecordSet, ParseFailure
 from .metrics import EvalRecord
-from .pipeline import QaItem, build_store, run_eval
+from .pipeline import build_store, run_eval
 from .prompts import (ANSWER_PLACEHOLDERS, EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS,
                       render, seed_prompts)
 from .store import RetrievalConfig, make_dir, refuse_non_empty, write_text
@@ -29,7 +28,6 @@ from .store import RetrievalConfig, make_dir, refuse_non_empty, write_text
 logger = logging.getLogger(__name__)
 
 _ROUND_DIR = re.compile(r"round_(0|[1-9][0-9]*)")  # as PromptSet.persist names it
-_META_FIELDS = {"round": (int, REQUIRED), "parent_round": ((int, type(None)), REQUIRED)}
 # each prompt of a round, with the placeholders it must hold
 _PLACEHOLDERS = {"extraction": EXTRACTION_PLACEHOLDERS, "profile": PROFILE_PLACEHOLDERS,
                  "answer": ANSWER_PLACEHOLDERS}
@@ -42,13 +40,17 @@ class PromptSet:
     profile: str
     answer: str
     round: int = 0
-    parent_round: Optional[int] = None
+
+    @property
+    def parent_round(self) -> Optional[int]:
+        """The round this one was rewritten from; None for the seed."""
+        return self.round - 1 if self.round else None
 
     @classmethod
     def seed(cls) -> "PromptSet":
         prompts = seed_prompts()
         return cls(extraction=prompts["extraction"], profile=prompts["profile"],
-                   answer=prompts["answer"], round=0, parent_round=None)
+                   answer=prompts["answer"])
 
     def as_prompt_dict(self) -> dict[str, str]:
         """Full prompt mapping for the pipeline (aux roles are fixed assets)."""
@@ -59,9 +61,6 @@ class PromptSet:
         round_dir = make_dir(Path(prompt_dir) / f"round_{self.round}")
         for name in _PLACEHOLDERS:
             write_text(round_dir / f"{name}.txt", getattr(self, name))
-        # not write_json: meta.json keeps round before parent_round
-        write_text(round_dir / "meta.json", json.dumps(
-            {"round": self.round, "parent_round": self.parent_round}, indent=2) + "\n")
 
     @staticmethod
     def latest_round(prompt_dir) -> Optional[int]:
@@ -72,20 +71,15 @@ class PromptSet:
 
     @classmethod
     def load_round(cls, prompt_dir, round_number: int) -> "PromptSet":
-        """The round ``persist`` wrote; a ``meta.json`` that fails
-        ``_META_FIELDS`` or names another round, or a prompt file that lacks
-        a placeholder of ``_PLACEHOLDERS``, is a ValueError."""
+        """The round ``persist`` wrote, numbered by its directory; a prompt
+        file that lacks a placeholder of ``_PLACEHOLDERS`` is a ValueError."""
         round_dir = Path(prompt_dir) / f"round_{round_number}"
-        meta = read_object(json.loads((round_dir / "meta.json").read_text(encoding="utf-8")),
-                           _META_FIELDS)
-        if meta["round"] != round_number:
-            raise ValueError(f"meta.json names round {meta['round']}, not {round_number}")
         prompts = {name: (round_dir / f"{name}.txt").read_text(encoding="utf-8")
                    for name in _PLACEHOLDERS}
         for name, placeholders in _PLACEHOLDERS.items():
             if lost := [p for p in placeholders if p not in prompts[name]]:
                 raise ValueError(f"{name}.txt lacks {', '.join(lost)}")
-        return cls(**prompts, **meta)
+        return cls(**prompts, round=round_number)
 
 
 _VERDICT_FIELDS = {"score": ((int, float), 0.0), "reasoning": (str, "")}
@@ -123,15 +117,20 @@ _GRADIENT_FIELDS = dict.fromkeys(("rewritten_p_ext", "rewritten_p_prof", "change
 _REWRITES = (("rewritten_p_ext", "extraction"), ("rewritten_p_prof", "profile"))
 
 
-def _parse_gradient(text: str) -> dict[str, str]:
-    """The gradient-log fields of a senior reply or a logged round: two
+def _read_gradient(reply: dict) -> dict[str, str]:
+    """The gradient-log fields of a parsed senior reply or logged round: two
     rewrites that keep every placeholder of their prompt, and a summary."""
-    gradient = read_reply(text, _GRADIENT_FIELDS)
+    gradient = read_parsed(reply, _GRADIENT_FIELDS)
     for name, label in _REWRITES:
         for placeholder in _PLACEHOLDERS[label]:
             if placeholder not in gradient[name]:
                 raise ParseFailure(f"{label} rewrite lost {placeholder}")
     return gradient
+
+
+def _parse_gradient(text: str) -> dict[str, str]:
+    """``_read_gradient`` over the first JSON object in a senior reply."""
+    return _read_gradient(parse_json(text))
 
 
 def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
@@ -163,13 +162,13 @@ def apply_gradient(prompts: PromptSet, rec: dict) -> PromptSet:
     rewrites = {}
     if not rec.get("no_op"):
         rewrites = {"extraction": rec["rewritten_p_ext"], "profile": rec["rewritten_p_prof"]}
-    return replace(prompts, **rewrites, round=prompts.round + 1, parent_round=prompts.round)
+    return replace(prompts, **rewrites, round=prompts.round + 1)
 
 
 def replay_gradients(prompt_dir) -> list[PromptSet]:
     """Rebuild every prompt version from round 0 plus the gradient log. A
     non-blank log line that is not one JSON object, or a logged gradient
-    that ``_parse_gradient`` rejects, raises ParseFailure."""
+    that ``_read_gradient`` rejects, raises ParseFailure."""
     prompt_dir = Path(prompt_dir)
     current = PromptSet.load_round(prompt_dir, 0)
     trajectory = [current]
@@ -185,7 +184,7 @@ def replay_gradients(prompt_dir) -> list[PromptSet]:
                 raise ValueError(f"a JSON {type(rec).__name__}, not an object")
         except ValueError as exc:  # json.JSONDecodeError is a ValueError
             raise ParseFailure(f"{log_path} line {number}: {exc}")
-        current = apply_gradient(current, rec if rec.get("no_op") else _parse_gradient(line))
+        current = apply_gradient(current, rec if rec.get("no_op") else _read_gradient(rec))
         trajectory.append(current)
     return trajectory
 
@@ -207,8 +206,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    items = [item if isinstance(item, QaItem) else QaItem.from_dict(item)
-             for item in train_set]
+    items = list(train_set)  # QaItems; every round reads them again
     if not items:
         raise EmptyRecordSet("empty train set")
 

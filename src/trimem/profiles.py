@@ -2,7 +2,8 @@
 
 Profiles are sectioned text documents rebuilt in full on every update;
 the version history is append-only and only the latest version serves
-retrieval.
+retrieval. A profile's section labels are the ones its prompt asks for:
+the seed ``profile.txt`` lists ten after "Use this format:".
 """
 from __future__ import annotations
 
@@ -14,19 +15,6 @@ from .backend import Backend, complete_parsed
 from .errors import ParseFailure
 from .extraction import MemoryEntry, normalize_display, normalize_person_key
 from .prompts import render
-
-SECTION_LABELS = (
-    "Identity",
-    "Personality",
-    "How Others Describe Them",
-    "Interests",
-    "Career",
-    "Values",
-    "Beliefs/Spirituality",
-    "Relationships",
-    "Life Events",
-    "Preferences",
-)
 
 _SECTION_RE = re.compile(r"^\[([^\]]+)\]\s*(.*)$")
 

@@ -43,7 +43,7 @@ class RetrievedContext:
         self.token_cost = estimate_tokens(self.text)
 
 
-def estimate_tokens(text: str, calibration: float = TOKEN_CALIBRATION) -> int:
+def estimate_tokens(text: str) -> int:
     """Approximate token count: words plus punctuation clusters, scaled.
 
     Deterministic and provider-free; an exact tokenizer can be plugged in
@@ -52,7 +52,7 @@ def estimate_tokens(text: str, calibration: float = TOKEN_CALIBRATION) -> int:
     if not text:
         return 0
     pieces = _TOKEN_RE.findall(text)
-    return round(len(pieces) * calibration)
+    return round(len(pieces) * TOKEN_CALIBRATION)
 
 
 def assemble_context(ctx: RetrievedContext) -> str:

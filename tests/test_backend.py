@@ -705,7 +705,7 @@ def test_parse_json_does_not_read_inside_a_broken_value():
 
 def _window():
     turns = (DialogueTurn(turn_id=1, session_id=0, speaker="A", text="t1"),)
-    return Window(index=1, first_turn=1, last_turn=1, turns=turns)
+    return Window(index=1, turns=turns)
 
 
 def _judge(backend):

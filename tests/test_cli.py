@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from trimem import errors
-from trimem.backend import BackendRouter, HttpBackend, ScriptedBackend
+from trimem.backend import BackendRouter, ChatRequest, HttpBackend, ScriptedBackend
 from trimem.cli import (EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig,
-                        build_parser, main, make_router, write_manifest)
+                        build_parser, load_qa_set, main, make_router, write_manifest)
 from trimem.evolution import PromptSet
 from trimem.qa import estimate_tokens
 from trimem.store import DATA_FILES, MemoryStore
@@ -286,6 +286,13 @@ BAD_INPUTS = {
                                 "--config", "latin-1.json"], EXIT_USAGE, "UsageError"),
     "eval-fixture-not-utf-8": (["eval", "--store", "store", "--qa", "qa.jsonl",
                                 "--scripted", "latin-1.json"], EXIT_BACKEND, "TransportError"),
+    # a regular file whose read fails with EIO
+    "ingest-corpus-unreadable": (["ingest", "--corpus", "/proc/self/mem"],
+                                 EXIT_DATA, "MissingFile"),
+    "eval-qa-unreadable": (["eval", "--store", "store", "--qa", "/proc/self/mem"],
+                           EXIT_DATA, "MissingFile"),
+    "eval-fixture-unreadable": (["eval", "--store", "store", "--qa", "qa.jsonl",
+                                 "--scripted", "/proc/self/mem"], EXIT_DATA, "MissingFile"),
 }
 # api_base values that are no http:// or https:// URL with a host, each in a
 # config file of its own name; a run refuses them even with a fixture
@@ -357,19 +364,38 @@ BAD_QA_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_QA_FIELDS))
+@pytest.mark.parametrize("case", [*sorted(BAD_QA_FIELDS), "not-json"])
 def test_eval_refuses_bad_qa_record_before_any_call(work_dir, capsys, case):
     assert build(capsys)[0] == EXIT_OK
     good, *_ = (work_dir / "qa.jsonl").read_text().splitlines()
-    bad = {k: v for k, v in {**json.loads(good), **BAD_QA_FIELDS[case]}.items()
-           if v is not None}
-    (work_dir / "bad.jsonl").write_text(good + "\n" + json.dumps(bad) + "\n")
+    bad = good[:-1]  # not-json: the record cut short
+    if case in BAD_QA_FIELDS:
+        bad = json.dumps({k: v for k, v in {**json.loads(good), **BAD_QA_FIELDS[case]}.items()
+                          if v is not None})
+    (work_dir / "bad.jsonl").write_text(good + "\n" + bad + "\n")
     (work_dir / "empty.jsonl").write_text("")  # any model call would exit 3
     code, out, err = run(capsys, "eval", "--store", "store", "--qa", "bad.jsonl",
                          "--scripted", "empty.jsonl", "--out", "eval")
     assert code == EXIT_DATA
     assert out == "" and err.count("\n") == 1
     assert json.loads(err)["error"] == "MalformedDocument"
+    assert json.loads(err)["message"].startswith("bad.jsonl:2: bad QA record: ")
+
+
+def test_a_bad_qa_record_in_an_array_names_its_number(work_dir):
+    good = json.loads((work_dir / "qa.jsonl").read_text().splitlines()[0])
+    (work_dir / "bad.json").write_text(json.dumps([good, good, {**good, "category": 7}]))
+    with pytest.raises(errors.MalformedDocument, match="^bad.json: record 3: bad QA record: "):
+        load_qa_set("bad.json")
+
+
+def test_a_qa_line_may_hold_a_raw_line_separator(work_dir):
+    # JSON lets a string hold U+2028 unescaped; a line ends only at "\n"
+    good = json.loads((work_dir / "qa.jsonl").read_text().splitlines()[0])
+    record = {**good, "question": "first\u2028second"}
+    (work_dir / "sep.jsonl").write_text(json.dumps(record, ensure_ascii=False) + "\r\n\n",
+                                        encoding="utf-8")
+    assert [item.question for item in load_qa_set("sep.jsonl")] == ["first\u2028second"]
 
 
 # -- commands ----------------------------------------------------------
@@ -409,6 +435,21 @@ def test_write_manifest_records_a_senior_backend_apart(tmp_path):
     assert manifest["senior_usage"]["calls"] == 2
     write_manifest(tmp_path / "one.json", RunConfig(), 0, BackendRouter(router.pipeline))
     assert "senior_usage" not in json.loads((tmp_path / "one.json").read_text())
+
+
+@pytest.mark.parametrize("cap", [{"max_calls": 2}, {"max_tokens": 4}])
+def test_each_backend_of_a_run_has_the_full_caps(monkeypatch, cap):
+    # --max-calls and --max-tokens cap each backend apart: with a senior
+    # model, a run may spend twice the cap
+    reply = {"choices": [{"message": {"content": "ok"}}]}  # 2 tokens a call
+    monkeypatch.setattr(HttpBackend, "_post", lambda self, path, payload: reply)
+    router = make_router(RunConfig(api_base="http://api.test", model_tag="small",
+                                   senior_model_tag="large", **cap))
+    for backend in (router.pipeline, router.senior) * 2:
+        assert backend.complete(ChatRequest("q")) == "ok"
+    for backend in (router.pipeline, router.senior):
+        with pytest.raises(errors.BudgetExceeded):
+            backend.complete(ChatRequest("q"))
 
 
 def test_build_uses_the_latest_prompt_round(work_dir, capsys):
@@ -1233,26 +1274,6 @@ def test_ablate_checks_only_the_files_a_row_store_holds(work_dir, capsys):
                        "--scripted", "fixture.jsonl", "--out", "sw")
     assert code == EXIT_OK, err
     assert (work_dir / "sw" / "window_size_40" / "run_manifest.json").is_file()
-
-
-@pytest.mark.parametrize("meta", [
-    {"round": "zero", "parent_round": [1]},
-    {"round": 0, "parent_round": "none"},
-    {"round": 1, "parent_round": 0},
-    {"round": 0},
-    [0, None],
-], ids=["round-a-string", "parent-round-a-string", "round-not-its-directory",
-        "parent-round-missing", "not-an-object"])
-def test_a_bad_prompt_round_meta_is_a_data_error(work_dir, capsys, meta):
-    assert build(capsys)[0] == EXIT_OK
-    PromptSet.seed().persist(work_dir / "prompts")
-    (work_dir / "prompts" / "round_0" / "meta.json").write_text(json.dumps(meta))
-    # --max-calls 0: a model call before the check would exit 3
-    code, out, err = run(capsys, "eval", "--store", "store", "--qa", "qa.jsonl",
-                         "--scripted", "fixture.jsonl", "--prompts", "prompts",
-                         "--out", "eval", "--max-calls", "0")
-    assert (code, out) == (EXIT_DATA, "")
-    assert json.loads(err)["error"] == "MalformedDocument"
 
 
 @pytest.mark.parametrize("name, text", [

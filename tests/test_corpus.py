@@ -37,7 +37,7 @@ def test_load_flat_turns(tmp_path):
     corpus = load_corpus(path)
     assert corpus.turn_count == 2
     assert [t.turn_id for t in corpus.turns] == [1, 2]
-    assert corpus.turn(2).speaker == "B"
+    assert corpus.turns[1].speaker == "B"
 
 
 def test_load_sessioned_assigns_global_ids(tmp_path):

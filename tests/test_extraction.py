@@ -24,7 +24,7 @@ def make_window(first=1, last=3, index=1):
         DialogueTurn(turn_id=i, session_id=0, speaker="A", text=f"t{i}",
                      timestamp="2024-01-01T00:00:00")
         for i in range(first, last + 1))
-    return Window(index=index, first_turn=first, last_turn=last, turns=turns)
+    return Window(index=index, turns=turns)
 
 
 def record(**overrides):

@@ -6,13 +6,13 @@ from trimem.backend import FixtureRule, ScriptedBackend
 from trimem.errors import ParseFailure
 from trimem.extraction import MemoryEntry
 from trimem.profiles import (
-    SECTION_LABELS,
     EntityProfile,
     group_by_person,
     parse_profile_text,
     serialize_profile,
     update_profile,
 )
+from trimem.prompts import seed_prompts
 
 PROFILE_PROMPT = ("Update the persona profile for {entity_name}.\n"
                   "[Current Profile]\n{existing_profile}\n"
@@ -79,10 +79,13 @@ def test_a_repeated_label_merges_into_its_first_section_and_round_trips():
 
 
 def test_section_labels_are_the_documented_ten():
-    assert len(SECTION_LABELS) == 10
-    assert SECTION_LABELS[0] == "Identity"
-    assert "How Others Describe Them" in SECTION_LABELS
-    assert "Beliefs/Spirituality" in SECTION_LABELS
+    # the labels live in the seed profile prompt's format block, which the
+    # model copies; the engine keeps whatever labels a reply holds
+    block = seed_prompts()["profile"].split("Use this format:\n", 1)[1]
+    _, sections = parse_profile_text(block)
+    assert list(sections) == [
+        "Identity", "Personality", "How Others Describe Them", "Interests", "Career",
+        "Values", "Beliefs/Spirituality", "Relationships", "Life Events", "Preferences"]
 
 
 # -- grouping ----------------------------------------------------------

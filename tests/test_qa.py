@@ -56,10 +56,6 @@ def test_estimate_tokens_counts_punctuation_clusters():
     assert estimate_tokens("don't stop!!") == 4
 
 
-def test_estimate_tokens_custom_calibration():
-    assert estimate_tokens("one two three four", calibration=1.0) == 4
-
-
 # -- context assembly --------------------------------------------------
 
 def test_assemble_context_sections_and_order():
