@@ -34,7 +34,6 @@ from .extraction import normalize_person_key
 from .evolution import PromptSet, best_round, evolve
 from .metrics import build_report, write_report
 from .pipeline import QaItem, answer_question, build_store, run_eval
-from .prompts import seed_prompts
 from .retrieval import plan_for_question, retrieve
 from .store import (DATA_FILES, MemoryStore, RetrievalConfig, make_dir, refuse_non_empty,
                     refuse_squatted, write_json, write_text)
@@ -162,26 +161,26 @@ def make_router(config: RunConfig) -> BackendRouter:
                          senior=senior)
 
 
-def load_prompts(config: RunConfig) -> tuple[dict[str, str], int]:
-    """The prompt mapping for this run plus the effective round number; a
-    round with no prompt directory to read it from is a UsageError."""
+def load_prompts(config: RunConfig) -> PromptSet:
+    """This run's prompt round: the configured one (default: the latest) of
+    the prompt directory, or the seed. A round with no prompt directory to
+    read it from is a UsageError."""
     if config.prompt_round is not None and not config.prompt_dir:
         raise errors.UsageError(f"round {config.prompt_round} needs a prompt directory "
                                 f"(--prompts)")
-    if config.prompt_dir:
-        round_number = config.prompt_round
-        if round_number is None:
-            round_number = PromptSet.latest_round(config.prompt_dir)
-        if round_number is None:
-            raise errors.UsageError(f"no prompt rounds in {config.prompt_dir}")
-        try:
-            prompt_set = PromptSet.load_round(config.prompt_dir, round_number)
-        except OSError as exc:
-            raise errors.MissingFile(f"prompt round {round_number}: {exc}")
-        except ValueError as exc:
-            raise errors.MalformedDocument(f"prompt round {round_number}: {exc!r}")
-        return prompt_set.as_prompt_dict(), round_number
-    return seed_prompts(), 0
+    if not config.prompt_dir:
+        return PromptSet.seed()
+    round_number = config.prompt_round
+    if round_number is None:
+        round_number = PromptSet.latest_round(config.prompt_dir)
+    if round_number is None:
+        raise errors.UsageError(f"no prompt rounds in {config.prompt_dir}")
+    try:
+        return PromptSet.load_round(config.prompt_dir, round_number)
+    except OSError as exc:
+        raise errors.MissingFile(f"prompt round {round_number}: {exc}")
+    except ValueError as exc:
+        raise errors.MalformedDocument(f"prompt round {round_number}: {exc!r}")
 
 
 @contextlib.contextmanager
@@ -210,7 +209,8 @@ def store_lock(store_dir: Path):
 
 
 def write_manifest(path: Path, config: RunConfig, prompt_round: int,
-                   router: BackendRouter, extra: Optional[dict] = None) -> None:
+                   router: BackendRouter) -> None:
+    """One shape for every command: config, its hash, prompt round, usage."""
     manifest = {
         "config": config.recorded(),
         "config_hash": config.config_hash(),
@@ -219,18 +219,17 @@ def write_manifest(path: Path, config: RunConfig, prompt_round: int,
     }
     if router.senior is not router.pipeline:
         manifest["senior_usage"] = router.senior.usage.as_dict()
-    write_json(path, {**manifest, **(extra or {})})
+    write_json(path, manifest)
 
 
-def _build_and_persist(config: RunConfig, corpus: DialogueCorpus, prompts: dict[str, str],
-                       prompt_round: int, router: BackendRouter,
-                       store_dir: Path) -> MemoryStore:
-    """Build a store from corpus with the prompts of prompt_round, and
-    persist it under the lock."""
+def _build_and_persist(config: RunConfig, corpus: DialogueCorpus, prompts: PromptSet,
+                       router: BackendRouter, store_dir: Path) -> MemoryStore:
+    """Build a store from corpus with one prompt round, and persist it under
+    the lock."""
     with store_lock(store_dir):
-        store = build_store(corpus, prompts, router, seg_config=config)
+        store = build_store(corpus, prompts.as_prompt_dict(), router, seg_config=config)
         store.persist(store_dir, manifest_extra={"config_hash": config.config_hash(),
-                                                 "prompt_round": prompt_round})
+                                                 "prompt_round": prompts.round})
     return store
 
 
@@ -279,13 +278,9 @@ def cmd_build(args) -> int:
     refuse_squatted(*(store_dir / name for name in BUILD_OUTPUTS))
     router = make_router(config)
     corpus = load_corpus(config.corpus)
-    prompts, prompt_round = load_prompts(config)
-    store = _build_and_persist(config, corpus, prompts, prompt_round, router, store_dir)
-    write_manifest(store_dir / "run_manifest.json", config, prompt_round,
-                   router, extra={
-                       "entry_count": len(store),
-                       "profile_versions": len(store.profile_history),
-                   })
+    prompts = load_prompts(config)
+    store = _build_and_persist(config, corpus, prompts, router, store_dir)
+    write_manifest(store_dir / "run_manifest.json", config, prompts.round, router)
     print(json.dumps({"store": str(store_dir), "entries": len(store),
                       "profiles": len(store.profile_history)}, indent=2))
     return EXIT_OK
@@ -294,7 +289,7 @@ def cmd_build(args) -> int:
 def cmd_query(args) -> int:
     config = load_run_config(args)
     store = MemoryStore.load(config.store_dir)
-    prompts, _ = load_prompts(config)
+    prompts = load_prompts(config).as_prompt_dict()
     router = make_router(config)
     plan = plan_for_question(args.question, prompts, router.pipeline, config)
     ctx = retrieve(plan, store, config, router.pipeline)
@@ -320,7 +315,7 @@ def cmd_query(args) -> int:
 def cmd_answer(args) -> int:
     config = load_run_config(args)
     store = MemoryStore.load(config.store_dir)
-    prompts, _ = load_prompts(config)
+    prompts = load_prompts(config).as_prompt_dict()
     dump_path = Path(args.dump_context) if args.dump_context else None
     router = make_router(config)  # before make_dir: a UsageError leaves nothing
     if dump_path:
@@ -351,16 +346,15 @@ def _evidence_by_question(qa_set: list[QaItem]) -> Optional[dict]:
 
 
 def _eval_to_dir(config: RunConfig, qa_set: list[QaItem], store: MemoryStore,
-                 prompts: dict[str, str], prompt_round: int, out_dir: Path,
-                 router: BackendRouter) -> dict:
+                 prompts: PromptSet, out_dir: Path, router: BackendRouter) -> dict:
     make_dir(out_dir)
-    records = run_eval(qa_set, store, prompts, router, config)
+    records = run_eval(qa_set, store, prompts.as_prompt_dict(), router, config)
     report = build_report(records, evidence=_evidence_by_question(qa_set), hit_k=config.hit_k,
-                          metadata={"prompt_round": prompt_round, "seed": config.seed,
+                          metadata={"prompt_round": prompts.round, "seed": config.seed,
                                     "config_hash": config.config_hash()})
     write_report(report, records, out_dir / "report.json",
                  out_dir / "detailed_results.jsonl")
-    write_manifest(out_dir / "run_manifest.json", config, prompt_round, router)
+    write_manifest(out_dir / "run_manifest.json", config, prompts.round, router)
     return report
 
 
@@ -371,7 +365,7 @@ def cmd_eval(args) -> int:
     router = make_router(config)
     qa_set = load_qa_set(args.qa)
     store = MemoryStore.load(config.store_dir)
-    report = _eval_to_dir(config, qa_set, store, *load_prompts(config), out_dir, router)
+    report = _eval_to_dir(config, qa_set, store, load_prompts(config), out_dir, router)
     print(json.dumps({"report": str(out_dir / "report.json"),
                       "overall": report["overall"]}, indent=2))
     return EXIT_OK
@@ -434,7 +428,7 @@ def cmd_ablate(args) -> int:
     # every input is read once, before --out is made: a row rebuilds from
     # the corpus, or evaluates the one --store
     qa_set = load_qa_set(args.qa)
-    prompts, prompt_round = load_prompts(config)
+    prompts = load_prompts(config)
     corpus = load_corpus(config.corpus) if rebuilds else None
     store = None if rebuilds else MemoryStore.load(config.store_dir)
     make_dir(out_dir)
@@ -443,11 +437,9 @@ def cmd_ablate(args) -> int:
         router = make_router(sweep_config)
         if rebuilds:
             row_store = out_dir / f"store_{row}"
-            store = _build_and_persist(sweep_config, corpus, prompts, prompt_round,
-                                       router, row_store)
+            store = _build_and_persist(sweep_config, corpus, prompts, router, row_store)
             sweep_config = dataclasses.replace(sweep_config, store_dir=str(row_store))
-        report = _eval_to_dir(sweep_config, qa_set, store, prompts, prompt_round,
-                              out_dir / row, router)
+        report = _eval_to_dir(sweep_config, qa_set, store, prompts, out_dir / row, router)
         rows.append({"knob": knob, "value": value,
                      "overall": report["overall"]})
     sweep_report = {"knob": knob, "rows": rows}

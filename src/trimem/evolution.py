@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import Backend, BackendRouter, complete_parsed, parse_json, read_parsed, read_reply
+from .backend import (Backend, BackendRouter, complete_parsed, parse_json, read_input,
+                      read_parsed, read_reply)
 from .corpus import DialogueCorpus, SegmentationConfig
 from .errors import EmptyRecordSet, ParseFailure
 from .metrics import EvalRecord
@@ -167,24 +168,27 @@ def apply_gradient(prompts: PromptSet, rec: dict) -> PromptSet:
 
 def replay_gradients(prompt_dir) -> list[PromptSet]:
     """Rebuild every prompt version from round 0 plus the gradient log. A
-    non-blank log line that is not one JSON object, or a logged gradient
-    that ``_read_gradient`` rejects, raises ParseFailure."""
+    line ends only at ``"\\n"``; a non-blank line that is not UTF-8 or not one
+    JSON object, or a logged gradient that ``_read_gradient`` rejects, is a
+    ParseFailure that names the log and the line."""
     prompt_dir = Path(prompt_dir)
     current = PromptSet.load_round(prompt_dir, 0)
     trajectory = [current]
     log_path = prompt_dir / "gradients.jsonl"
     if not log_path.exists():
         return trajectory
-    for number, line in enumerate(log_path.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(read_input(log_path).split(b"\n"), 1):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = json.loads(line.decode("utf-8"))
             if type(rec) is not dict:
                 raise ValueError(f"a JSON {type(rec).__name__}, not an object")
-        except ValueError as exc:  # json.JSONDecodeError is a ValueError
+            if not rec.get("no_op"):
+                rec = _read_gradient(rec)
+        except (ValueError, ParseFailure) as exc:  # JSON and UTF-8 faults are ValueErrors
             raise ParseFailure(f"{log_path} line {number}: {exc}")
-        current = apply_gradient(current, rec if rec.get("no_op") else _read_gradient(rec))
+        current = apply_gradient(current, rec)
         trajectory.append(current)
     return trajectory
 

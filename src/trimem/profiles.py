@@ -26,7 +26,8 @@ class EntityProfile:
     display_name: str
     version: int = 0
     window: int = 0  # the window whose facts made this version
-    sections: dict[str, str] = field(default_factory=dict)  # label -> text, in order
+    # label -> text, in order; compared, but left out of the hash
+    sections: dict[str, str] = field(default_factory=dict, hash=False)
 
 
 def group_by_person(entries: Sequence[MemoryEntry]) -> dict[str, list[MemoryEntry]]:

@@ -61,23 +61,16 @@ def assemble_context(ctx: RetrievedContext) -> str:
     Section order is fixed: structured entries, then verbatim source
     dialogue, then profiles. Empty sections are omitted entirely.
     """
-    sections = []
-    if ctx.ranked_entries:
-        lines = ["[Structured Memory Entries]"]
-        for i, (entry, _) in enumerate(ctx.ranked_entries, 1):
-            suffix = f" (event time: {entry.event_time})" if entry.event_time else ""
-            lines.append(f"{i}. {entry.lossless_restatement}{suffix}")
-        sections.append("\n".join(lines))
-    if ctx.recovered_turns:
-        lines = ["[Source Dialogues]"]
-        lines.extend(render_turn(turn) for turn in ctx.recovered_turns)
-        sections.append("\n".join(lines))
-    if ctx.profiles:
-        lines = ["[Entity Profiles]"]
-        for profile in ctx.profiles:
-            lines.append(serialize_profile(profile))
-        sections.append("\n".join(lines))
-    return "\n\n".join(sections)
+    sections = {
+        "[Structured Memory Entries]": [
+            f"{i}. {entry.lossless_restatement}"
+            + (f" (event time: {entry.event_time})" if entry.event_time else "")
+            for i, (entry, _) in enumerate(ctx.ranked_entries, 1)],
+        "[Source Dialogues]": [render_turn(turn) for turn in ctx.recovered_turns],
+        "[Entity Profiles]": [serialize_profile(profile) for profile in ctx.profiles],
+    }
+    return "\n\n".join("\n".join([header, *lines])
+                       for header, lines in sections.items() if lines)
 
 
 _ANSWER_FIELDS = {"reasoning": (str, ""), "answer": ((str, int, float), "")}

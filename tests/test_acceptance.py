@@ -22,14 +22,12 @@ from trimem.corpus import (
     DialogueCorpus,
     DialogueTurn,
     SegmentationConfig,
-    load_corpus,
     segment,
 )
 from trimem.errors import EmptyRequiredSet
 from trimem.evolution import PromptSet, replay_gradients, evolve
 from trimem.extraction import MemoryEntry
 from trimem.metrics import bleu, coverage, hit_at_k, token_f1
-from trimem.pipeline import QaItem
 from trimem.prompts import (
     EXTRACTION_PLACEHOLDERS,
     PROFILE_PLACEHOLDERS,

@@ -424,6 +424,25 @@ def test_build_writes_store_and_manifest(work_dir, capsys):
     assert not (store / ".lock").exists()  # lock released
 
 
+def test_every_run_manifest_has_one_shape(work_dir, capsys):
+    # a store's counts live in its manifest.json, not in the run manifest
+    scripted = ("--scripted", "fixture.jsonl")
+    assert build(capsys)[0] == EXIT_OK
+    assert run(capsys, "eval", "--store", "store", "--qa", "qa.jsonl", *scripted,
+               "--out", "eval")[0] == EXIT_OK
+    assert run(capsys, "evolve", "--corpus", "corpus.json", "--qa", "qa.jsonl",
+               "--rounds", "1", "--out", "evolved",
+               "--scripted", "evolve_fixture.jsonl")[0] == EXIT_OK
+    assert run(capsys, "ablate", "--store", "store", "--qa", "qa.jsonl", "--knob", "top_k",
+               "--values", "3", *scripted, "--out", "sweep")[0] == EXIT_OK
+    keys = {out_dir: set(json.loads((work_dir / out_dir / "run_manifest.json").read_text()))
+            for out_dir in ("store", "eval", "evolved", "sweep/top_k_3")}
+    assert keys == dict.fromkeys(keys, {"config", "config_hash", "prompt_round",
+                                        "backend_usage"})
+    manifest = json.loads((work_dir / "store" / "manifest.json").read_text())
+    assert (manifest["entry_count"], manifest["profile_versions"]) == (60, 16)
+
+
 def test_write_manifest_records_a_senior_backend_apart(tmp_path):
     router = make_router(RunConfig(api_base="http://api.test", model_tag="small",
                                    senior_model_tag="large"))

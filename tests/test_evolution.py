@@ -266,9 +266,27 @@ def test_replay_handles_no_op_rounds(tmp_path):
 ], ids=["number", "lost-placeholder", "null"])
 def test_replay_rejects_a_hand_edited_log_line(tmp_path, edit):
     PromptSet.seed().persist(tmp_path)
-    (tmp_path / "gradients.jsonl").write_text(
-        json.dumps({"round": 0, "loss": -0.5, **gradient(), **edit}) + "\n")
-    with pytest.raises(ParseFailure):
+    good = json.dumps({"round": 0, "loss": -0.5, **gradient()})
+    bad = json.dumps({"round": 1, "loss": -0.5, **gradient(), **edit})
+    (tmp_path / "gradients.jsonl").write_text(f"{good}\n{bad}\n")
+    with pytest.raises(ParseFailure, match=r"gradients\.jsonl line 2: "):
+        replay_gradients(tmp_path)
+
+
+def test_replay_ends_a_line_only_at_a_newline(tmp_path):
+    # a JSON string may hold a raw U+2028, which str.splitlines splits at
+    PromptSet.seed().persist(tmp_path)
+    rec = {"round": 0, "loss": -0.5, **gradient("\u2028A")}
+    (tmp_path / "gradients.jsonl").write_text(json.dumps(rec, ensure_ascii=False) + "\n",
+                                              encoding="utf-8")
+    assert replay_gradients(tmp_path)[1].extraction == PromptSet.seed().extraction + "\u2028A"
+
+
+def test_replay_names_the_line_that_is_not_utf8(tmp_path):
+    PromptSet.seed().persist(tmp_path)
+    line = json.dumps({"round": 0, "loss": -0.5, **gradient()}).encode()
+    (tmp_path / "gradients.jsonl").write_bytes(line + b"\n" + line[:-2] + b'\xff"}\n')
+    with pytest.raises(ParseFailure, match=r"gradients\.jsonl line 2: .*utf-8"):
         replay_gradients(tmp_path)
 
 

@@ -2,11 +2,10 @@ import json
 
 import pytest
 
-from trimem.backend import ChatRequest, FixtureRule, ScriptedBackend
+from trimem.backend import FixtureRule, ScriptedBackend
 from trimem.corpus import DialogueTurn, Window
 from trimem.errors import ParseFailure
 from trimem.extraction import (
-    MemoryEntry,
     _coerce_event_time,
     entry_from_record,
     extract_entries,

@@ -1,10 +1,10 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module imports is used in it.
 
-Each ``src/trimem/*.py`` but ``__init__.py`` is parsed with ``ast``. An
-imported name counts as used where the module reads it as a name, which
-covers ``np.x`` and annotations. An import whose lines say ``noqa`` is a
-deliberate re-export and is exempt. Importing the package loads no HTTP
-client either.
+Each ``src/trimem/*.py`` but ``__init__.py``, each ``scripts/*.py`` and
+each ``tests/*.py`` is parsed with ``ast``. An imported name counts as
+used where the module reads it as a name, which covers ``np.x`` and
+annotations. An import whose lines say ``noqa`` is a deliberate re-export
+and is exempt. Importing the package loads no HTTP client either.
 """
 import ast
 import os
@@ -14,8 +14,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "trimem"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "trimem"
+# each checked file by its id: its name in the package, else its path from the root
+MODULES = {p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"}
+MODULES.update((f"{d}/{p.name}", p) for d in ("scripts", "tests")
+               for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,9 +39,9 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_every_imported_name_is_used(module):
-    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 def test_the_check_finds_an_unused_name():

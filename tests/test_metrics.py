@@ -14,7 +14,6 @@ from trimem.metrics import (
     build_report,
     coverage,
     hit_at_k,
-    normalize_tokens,
     stopword_list_hash,
     token_f1,
     write_report,

@@ -64,6 +64,13 @@ def test_serialize_round_trip():
     assert (name2, list(sections2.items())) == (name, list(sections.items()))
 
 
+def test_equal_profiles_hash_equal():
+    # a frozen profile hashes by its scalar fields; equality still reads the sections
+    a, b = (EntityProfile("alice", "Alice", 1, 1, {"Identity": "x"}) for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    assert a != EntityProfile("alice", "Alice", 1, 1, {"Identity": "y"})
+
+
 REPEATED_LABEL_REPLY = ("Entity: Alice\n[Interests] chess\n[Career] nurse\n"
                         "[Interests] hiking")
 

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from trimem import pipeline, qa
 from trimem.backend import BackendRouter, FixtureRule, ScriptedBackend
 from trimem.corpus import DialogueTurn

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from trimem.backend import ScriptedBackend, hash_embedding
-from trimem.corpus import DialogueCorpus, DialogueTurn
+from trimem.corpus import DialogueTurn
 from trimem.errors import (
     DanglingAnchor,
     DimensionMismatch,
