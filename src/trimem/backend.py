@@ -48,7 +48,8 @@ DEFAULT_EMBED_DIM = 64
 EMBED_BATCH = 2048  # texts per embed round-trip: the OpenAI /embeddings input cap
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 1.0
-HTTP_TIMEOUT = 120.0
+HTTP_CONNECT_TIMEOUT = 10.0  # seconds to open a connection
+HTTP_READ_TIMEOUT = 120.0  # seconds between bytes of a reply
 
 
 @dataclass
@@ -438,7 +439,8 @@ class HttpBackend(Backend):
 
         url = f"{self.api_base}{path}"
         try:
-            resp = self._session.post(url, json=payload, timeout=HTTP_TIMEOUT)
+            resp = self._session.post(url, json=payload,
+                                      timeout=(HTTP_CONNECT_TIMEOUT, HTTP_READ_TIMEOUT))
         except requests.RequestException as exc:
             raise TransportError(f"{url}: {exc}")
         if resp.status_code in (401, 403):

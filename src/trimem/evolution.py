@@ -1,6 +1,6 @@
 """Lifelong prompt evolution from answer-quality feedback.
 
-One round: rebuild memory with the current extraction/profile prompts,
+One round: rebuild memory if the extraction/profile prompts changed,
 answer the training questions, judge them, aggregate the loss, ask the
 senior model for full-text prompt rewrites, and apply them as the next
 version. The answer prompt is frozen across all rounds. A gradient
@@ -204,9 +204,11 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     version is evaluated too, so the trajectory has rounds+1 points. A
     rejected gradient (unreadable, wrong-typed or missing a placeholder
     after its repair) is logged as a no-op round with its reason, and the
-    prompts carry forward unchanged. A ``prompt_dir`` that is not missing or
-    empty is refused with UsageError before any model call, so one
-    directory holds one run and its log.
+    prompts carry forward unchanged. A round whose extraction and profile
+    texts equal the last build's reuses that sealed store and only
+    evaluates. A ``prompt_dir`` that is not missing or empty is refused
+    with UsageError before any model call, so one directory holds one run
+    and its log.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -225,9 +227,14 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     current.persist(prompt_dir)
     trajectory: list[tuple[PromptSet, float]] = []
 
+    built_for, store = None, None  # the last build's (extraction, profile) texts, its store
+
     def evaluate(prompts: PromptSet) -> tuple[list[EvalRecord], float]:
+        nonlocal built_for, store
         pipeline_prompts = prompts.as_prompt_dict()
-        store = build_store(corpus, pipeline_prompts, router, seg_config)
+        if (prompts.extraction, prompts.profile) != built_for:
+            built_for = prompts.extraction, prompts.profile
+            store = build_store(corpus, pipeline_prompts, router, seg_config)
         records = run_eval(items, store, pipeline_prompts, router, retrieval_config)
         return records, aggregate_loss(records)
 

@@ -19,7 +19,8 @@ together under one store directory:
                      data file; from ``build`` the config hash and prompt round
 
 Entry row i (from 1) is entry ``e{i:06d}``, as ``insert_entries`` numbers it,
-so no entry id is stored. Sets are stored as sorted lists; a profile's
+so no entry id is stored; turn i is ``turns[i - 1]``, as the constructor
+checks. Sets are stored as sorted lists; a profile's
 sections dict keeps its order. The gzip header holds no file name and no
 timestamp, so equal stores persist byte-identical; ``zcat records.json.gz |
 python -m json.tool`` reads the records. Plane k of ``vectors.bin`` is byte k of every
@@ -32,11 +33,11 @@ random, and stay raw. Every value loads bit for bit.
 checks each data file's sha256 before it parses anything. Each kind must
 hold exactly its table's columns, each a list of the manifest's count of
 values of its kind, checked once per column, and every section text a
-string. Then come the vector planes' lengths, distinct turn ids and
-restatements, and the profile version chain; any fault raises StoreIOError.
-Each kind's rows are rebuilt from its columns by position. A store of
-another schema version raises SchemaVersionMismatch; rebuild it with
-``trimem build --force``.
+string. Then come the vector planes' lengths, the constructor's turn-id
+check, distinct restatements and the profile version chain; any fault
+raises StoreIOError. Each kind's rows are rebuilt from its columns by
+position. A store of another schema version raises SchemaVersionMismatch;
+rebuild it with ``trimem build --force``.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ import struct
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -236,8 +237,12 @@ def write_json(path, obj) -> None:
 class MemoryStore:
     """Verbatim turns + embedded fact index + profile history."""
 
-    def __init__(self, turns: Iterable[DialogueTurn] = ()):
-        self.turns: dict[int, DialogueTurn] = {t.turn_id: t for t in turns}
+    def __init__(self, turns: Sequence[DialogueTurn] = ()):
+        self.turns: tuple[DialogueTurn, ...] = tuple(turns)  # turn i is turns[i - 1]
+        for row, turn in enumerate(self.turns, 1):
+            if turn.turn_id != row:
+                raise ValueError(f"turn {row} of {len(self.turns)} has turn id "
+                                 f"{turn.turn_id}; turn ids must run 1..n in order")
         self.entries: dict[str, MemoryEntry] = {}  # in row order: e{i:06d} is row i-1
         self._blocks: list[np.ndarray] = []  # one (rows, dim) block per insert
         self._by_restatement: dict[str, str] = {}
@@ -350,14 +355,11 @@ class MemoryStore:
             entry = self.entries.get(entry_id)
             if entry is None:
                 raise UnknownEntry(entry_id)
-            turns = []
-            for turn_id in sorted(entry.source_dialogue_ids):
-                turn = self.turns.get(turn_id)
-                if turn is None:
-                    raise DanglingAnchor(
-                        f"entry {entry_id} anchors missing turn {turn_id}")
-                turns.append(turn)
-            out.append((entry_id, turns))
+            turn_ids = sorted(entry.source_dialogue_ids)
+            for turn_id in turn_ids:
+                if not 1 <= turn_id <= len(self.turns):
+                    raise DanglingAnchor(f"entry {entry_id} anchors missing turn {turn_id}")
+            out.append((entry_id, [self.turns[turn_id - 1] for turn_id in turn_ids]))
         return out
 
     # -- profiles --------------------------------------------------------
@@ -392,7 +394,7 @@ class MemoryStore:
         digests: dict[str, str] = {}
         records = {
             "entries": _columns(list(self.entries.values()), _ENTRY_TYPES),
-            "turns": _columns([self.turns[t] for t in sorted(self.turns)], _TURN_TYPES),
+            "turns": _columns(self.turns, _TURN_TYPES),
             "profiles": _columns(self._profile_history, _PROFILE_TYPES),
         }
         try:
@@ -431,7 +433,6 @@ class MemoryStore:
         except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
             raise StoreIOError(f"{manifest_path}: {exc}")
 
-        store = cls()
         try:
             if sorted(manifest["sha256"]) != sorted(DATA_FILES):
                 raise ValueError(f"manifest lists checksums of {sorted(manifest['sha256'])}, "
@@ -460,12 +461,9 @@ class MemoryStore:
                     count != manifest["entry_count"]:
                 raise ValueError(f"manifest lists {manifest['entry_count']} entries of dim "
                                  f"{manifest['dim']}, vectors.bin {count} rows of dim {dim}")
+            store = cls(tuple(itertools.starmap(DialogueTurn, zip(*turns.values()))))
             store.dim = dim or None
             store._blocks = [_matrix_from_planes(memoryview(raw)[16:], count, dim)]
-            store.turns = {turn.turn_id: turn for turn in
-                           itertools.starmap(DialogueTurn, zip(*turns.values()))}
-            if len(store.turns) != manifest["turn_count"]:
-                raise ValueError("turns column 'turn_id' repeats a turn id")
             ids = [f"e{row:06d}" for row in range(1, count + 1)]
             store.entries = {entry_id: MemoryEntry(*values, entry_id)
                              for entry_id, values in zip(ids, zip(*entries.values()))}
@@ -479,7 +477,7 @@ class MemoryStore:
                 TypeError, ValueError) as exc:
             # unreadable file, cut or damaged gzip or zlib data, short vector
             # header or plane, bad JSON, missing, extra, short or wrong-typed
-            # column, repeated turn id or restatement,
+            # column, turn ids not 1..n in order, repeated restatement,
             # profile version gap
             raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}")
         if manifest["sealed"]:

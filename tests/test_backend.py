@@ -434,12 +434,14 @@ class ProviderHandler(http.server.BaseHTTPRequestHandler):
     connection, with Nagle's algorithm off so that a reply is not held back.
     Each POST is logged in ``posts`` as (path, Authorization header). It
     takes its status and headers from the front of ``script`` while that
-    lasts, and is otherwise a 200 with a well-formed body."""
+    lasts, and is otherwise a 200 with a well-formed body. A status of None
+    sends nothing until ``release`` is set."""
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
     connections: list = []
     posts: list = []
     script: list = []
+    release = threading.Event()
 
     def setup(self):
         super().setup()
@@ -449,6 +451,9 @@ class ProviderHandler(http.server.BaseHTTPRequestHandler):
         request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.posts.append((self.path, self.headers["Authorization"]))
         status, headers = self.script.pop(0) if self.script else (200, {})
+        if status is None:
+            self.release.wait(10)
+            return
         if status != 200:
             body = {"error": f"scripted {status}"}
         elif self.path.endswith("/embeddings"):
@@ -475,12 +480,14 @@ def provider(monkeypatch):
         monkeypatch.delenv(name, raising=False)
     for name in ("connections", "posts", "script"):
         monkeypatch.setattr(ProviderHandler, name, [])
+    monkeypatch.setattr(ProviderHandler, "release", threading.Event())
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), ProviderHandler)
     # shutdown() waits out one poll, 0.5 s by default
     serving = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
                                daemon=True)
     serving.start()
     yield f"http://127.0.0.1:{server.server_port}"
+    ProviderHandler.release.set()
     server.shutdown()
     server.server_close()
     serving.join(timeout=10)
@@ -539,6 +546,19 @@ def test_http_backend_does_not_retry_a_client_error(provider, waits, status, err
         HttpBackend(provider, "key").complete(ChatRequest(prompt="q"))
     assert ProviderHandler.posts == [("/chat/completions", "Bearer key")]
     assert waits == []
+
+
+def test_http_backend_gives_up_on_a_stalled_reply(provider, waits, monkeypatch):
+    # each attempt is cut at the read timeout, not held for the provider's stall
+    monkeypatch.setattr("trimem.backend.HTTP_READ_TIMEOUT", 0.2)
+    ProviderHandler.script[:] = [(None, {})] * 3
+    backend = HttpBackend(provider)
+    started = time.monotonic()
+    with pytest.raises(TransportError, match="Read timed out"):
+        backend.complete(ChatRequest(prompt="q"))
+    assert time.monotonic() - started < 5
+    assert len(ProviderHandler.posts) == 3
+    assert backend.usage.calls == 0
 
 
 def test_http_backend_gives_up_on_a_refused_connection(monkeypatch, waits):

@@ -936,6 +936,10 @@ TRUNCATIONS = {
     "entries-restatement-repeated": (R, _edit_kind(
         "entries", _repeat_restatement_1_in_row_2)),
     "turns-turn-id-repeated": (R, _set_value("turns", "turn_id", 1, row=1)),
+    "turns-turn-ids-gapped": (R, _edit_kind("turns", lambda c: c.update(
+        turn_id=[1] + [i + 1 for i in c["turn_id"][1:]]))),
+    "turns-turn-ids-out-of-order": (R, _edit_kind("turns", lambda c: c.update(
+        turn_id=[2, 1] + c["turn_id"][2:]))),
     "turns-turn-id-a-string": (R, _set_value("turns", "turn_id", "1")),
     "turns-session-id-a-string": (R, _set_value("turns", "session_id", "1")),
     "turns-speaker-a-list": (R, _set_value("turns", "speaker", ["A"])),

@@ -187,19 +187,22 @@ def test_textual_gradient_repairs_an_unreadable_reply():
 # -- one evolve round with a bad senior reply -------------------------
 
 def evolve_with_gradient_replies(data_dir, corpus, items, prompt_dir, replies):
-    """One evolve round on the gate-6 fixture, the senior sending ``replies``."""
+    """One evolve round on the gate-6 fixture, the senior sending ``replies``.
+    Returns the trajectory, the chat prompts sent, the gradient log, and the
+    number of chat prompts sent before each embed call."""
     backend = ScriptedBackend.from_fixture_file(data_dir / "evolve_fixture.jsonl")
     backend.rules = [rule for rule in backend.rules
                      if "backward pass" not in rule.contains]
     backend.rules += [FixtureRule(response=reply, contains=("backward pass",))
                       for reply in replies]
+    embed, embed_marks = backend._embed, []
+    backend._embed = lambda texts: embed_marks.append(len(backend.request_log)) or embed(texts)
     trajectory = evolve(corpus, items, rounds=1,
                         router=BackendRouter(pipeline=backend),
                         prompt_dir=prompt_dir)
-    senior = [p for p in backend.request_log if "backward pass" in p]
     log = [json.loads(line) for line in
            (prompt_dir / "gradients.jsonl").read_text().splitlines()]
-    return trajectory, senior, log
+    return trajectory, backend.request_log, log, embed_marks
 
 
 BAD_GRADIENTS = {
@@ -217,9 +220,16 @@ BAD_GRADIENTS = {
 def test_a_twice_bad_gradient_is_a_no_op_round(data_dir, fixture_corpus, qa_items,
                                                tmp_path, case):
     reply, want = BAD_GRADIENTS[case]
-    trajectory, senior, log = evolve_with_gradient_replies(
+    trajectory, prompts, log, embed_marks = evolve_with_gradient_replies(
         data_dir, fixture_corpus, qa_items, tmp_path, [reply, reply])
+    senior = [p for p in prompts if "backward pass" in p]
     assert len(senior) == 2  # the reply and its one repair
+    # round 1 carries both build prompts forward, so it reuses round 0's
+    # store: no extraction or profile prompt, one embed call per question
+    round_1 = prompts.index(senior[-1]) + 1
+    assert not [p for p in prompts[round_1:]
+                if "[Current Window Dialogues]" in p or "Update the persona profile" in p]
+    assert len([mark for mark in embed_marks if mark >= round_1]) == len(qa_items)
     assert senior[1].startswith(senior[0] + "\n\nYour previous reply could not be parsed")
     (rec,) = log
     assert rec["no_op"] is True and rec["round"] == 0

@@ -5,6 +5,8 @@ each fault the backend can raise, and two unreadable chat replies in a row
 (a reply and its one repair). Each run must end in the fault's documented
 exit code, a fresh directory must hold no store afterwards, and a built
 store that ``build --force`` was replacing must still load, byte for byte.
+A kill at any build call, which no ``except`` of the engine catches, leaves
+that store byte for byte and its ``.lock`` gone.
 Every call of ``trimem eval`` fails in turn the same way: a raised fault
 ends in its exit code with nothing written to ``--out``, and two unreadable
 replies fall back and end in a full report.
@@ -34,10 +36,15 @@ CASES = [(fault, k) for fault in FAULTS for k in range(1, len(BUILD_CALLS) + 1)
          if FAULTS[fault][0] or BUILD_CALLS[k - 1] == "chat"]
 
 
+class Killed(BaseException):
+    """A kill at a call: not an Exception, so no engine ``except`` catches it."""
+
+
 def inject(monkeypatch, fault=None, k=0) -> list[str]:
     """Patch every ScriptedBackend round-trip to count its calls and fail
-    call k with fault; returns the kinds of the calls made."""
-    error = FAULTS[fault][0] if fault else None
+    call k with fault, a FAULTS key or an exception class; returns the kinds
+    of the calls made."""
+    error = FAULTS[fault][0] if isinstance(fault, str) else fault
     calls: list[str] = []
 
     def counted(kind, real):
@@ -101,6 +108,19 @@ def test_a_fault_at_any_build_call_leaves_no_store_or_the_old_one(
     assert (code, json.loads(err)["error"]) == (want_code, want_error)
     assert snapshot(work_dir / "built") == before
     assert len(MemoryStore.load(work_dir / "built")) == 60
+
+
+@pytest.mark.parametrize("k", range(1, len(BUILD_CALLS) + 1))
+def test_a_kill_at_any_build_call_leaves_the_old_store_and_no_lock(
+        work_dir, capsys, monkeypatch, built, k):
+    shutil.copytree(built, work_dir / "built")
+    before = snapshot(work_dir / "built")
+    calls = inject(monkeypatch, Killed, k)
+    with pytest.raises(Killed, match=f"injected at call {k}$"):
+        build(capsys, "built", "--force")
+    assert len(calls) == k
+    assert not (work_dir / "built" / ".lock").exists()
+    assert snapshot(work_dir / "built") == before
 
 
 # per question: the analysis and query calls of its plan, the query embed,

@@ -312,6 +312,20 @@ def test_k_larger_than_store_truncates(backend):
 
 # -- anchors -----------------------------------------------------------
 
+@pytest.mark.parametrize("turn_ids", [(1, 1), (1, 3), (2, 1), (2,), (0, 1)],
+                         ids=["repeated", "gapped", "out-of-order", "from-2", "from-0"])
+def test_turn_ids_must_run_one_to_n_in_order(turn_ids):
+    turns = [DialogueTurn(turn_id=i, session_id=0, speaker="A", text="t") for i in turn_ids]
+    with pytest.raises(ValueError, match="turn ids must run 1..n in order"):
+        MemoryStore(turns=turns)
+
+
+def test_turn_i_is_turns_i_minus_1_of_the_corpus_tuple(fixture_corpus):
+    store = MemoryStore.for_corpus(fixture_corpus)
+    assert store.turns is fixture_corpus.turns
+    assert all(store.turns[i - 1].turn_id == i for i in range(1, len(store.turns) + 1))
+
+
 def test_recover_dialogue_returns_turns_in_order(backend):
     store = MemoryStore(turns=make_turns(5))
     store.insert_entries([make_entry("x", (4, 2))], backend)
@@ -325,10 +339,11 @@ def test_recover_dialogue_unknown_entry(backend):
         store.recover_dialogue(["nope"])
 
 
-def test_recover_dialogue_dangling_anchor(backend):
+@pytest.mark.parametrize("turn_id", [9, 3, 0, -1])  # turn ids run 1..2
+def test_recover_dialogue_dangling_anchor(backend, turn_id):
     store = MemoryStore(turns=make_turns(2))
-    store.insert_entries([make_entry("x", (2, 9))], backend)
-    with pytest.raises(DanglingAnchor):
+    store.insert_entries([make_entry("x", (2, turn_id))], backend)
+    with pytest.raises(DanglingAnchor, match=f"anchors missing turn {turn_id}$"):
         store.recover_dialogue(["e000001"])
     with pytest.raises(DanglingAnchor):
         store.verify_anchors()
