@@ -26,6 +26,7 @@ import hashlib
 import itertools
 import json
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar, get_args, get_origin, get_type_hints
@@ -134,9 +135,9 @@ REQUIRED = object()  # the default of a field table name that must be present
 
 def _kind(hint):
     """Optional[t] as (t, NoneType), a frozenset, tuple or list of t as [t],
-    and a dict[...] as dict."""
+    and a dict[...] or Mapping[...] as dict."""
     args, origin = get_args(hint), get_origin(hint)
-    if origin is dict:
+    if origin in (dict, Mapping):
         return dict
     return [_kind(args[0])] if origin in (frozenset, tuple, list) else args or hint
 

@@ -306,7 +306,8 @@ def cmd_query(args) -> int:
             {"turn_id": t.turn_id, "speaker": t.speaker, "text": t.text}
             for t in ctx.recovered_turns
         ],
-        "profiles": [dataclasses.asdict(p) for p in ctx.profiles],
+        # a profile's read-only sections go out as a plain dict
+        "profiles": [{**vars(p), "sections": dict(p.sections)} for p in ctx.profiles],
         "token_cost": ctx.token_cost,
     }, indent=2))
     return EXIT_OK
@@ -466,7 +467,7 @@ def cmd_inspect(args) -> int:
                 {"turn_id": t.turn_id, "speaker": t.speaker, "text": t.text}
                 for t in recovered
             ],
-            "profiles": [dataclasses.asdict(p) for p in store.profiles_for(
+            "profiles": [{**vars(p), "sections": dict(p.sections)} for p in store.profiles_for(
                 sorted({normalize_person_key(p) for p in entry.persons}))],
         }, indent=2))
     else:

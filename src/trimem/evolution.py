@@ -3,9 +3,11 @@
 One round: rebuild memory if the extraction/profile prompts changed,
 answer the training questions, judge them, aggregate the loss, ask the
 senior model for full-text prompt rewrites, and apply them as the next
-version. The answer prompt is frozen across all rounds. A gradient
-reply must also keep every placeholder of the prompt it rewrites, and a
-loaded round every placeholder of each of its prompts.
+version. The answer prompt is frozen across all rounds. ``ROUND_PROMPTS``
+is the one table of a round's prompts: the gradient field that rewrites
+each, and the placeholders of its seed template. A gradient reply must
+keep every placeholder of the prompt it rewrites, and a loaded round
+every placeholder of each of its prompts.
 """
 from __future__ import annotations
 
@@ -29,9 +31,12 @@ from .store import RetrievalConfig, make_dir, refuse_non_empty, write_text
 logger = logging.getLogger(__name__)
 
 _ROUND_DIR = re.compile(r"round_(0|[1-9][0-9]*)")  # as PromptSet.persist names it
-# each prompt of a round, with the placeholders it must hold
-_PLACEHOLDERS = {"extraction": EXTRACTION_PLACEHOLDERS, "profile": PROFILE_PLACEHOLDERS,
-                 "answer": ANSWER_PLACEHOLDERS}
+# each prompt a round holds: the gradient field that rewrites it (None: the
+# answer prompt is frozen) and the placeholders every version of it keeps
+ROUND_PROMPTS = {"extraction": ("rewritten_p_ext", EXTRACTION_PLACEHOLDERS),
+                 "profile": ("rewritten_p_prof", PROFILE_PLACEHOLDERS),
+                 "answer": (None, ANSWER_PLACEHOLDERS)}
+_REWRITES = {name: field for name, (field, _) in ROUND_PROMPTS.items() if field}
 
 
 @dataclass(frozen=True)
@@ -50,17 +55,15 @@ class PromptSet:
     @classmethod
     def seed(cls) -> "PromptSet":
         prompts = seed_prompts()
-        return cls(extraction=prompts["extraction"], profile=prompts["profile"],
-                   answer=prompts["answer"])
+        return cls(**{name: prompts[name] for name in ROUND_PROMPTS})
 
     def as_prompt_dict(self) -> dict[str, str]:
         """Full prompt mapping for the pipeline (aux roles are fixed assets)."""
-        return {**seed_prompts(), "extraction": self.extraction,
-                "profile": self.profile, "answer": self.answer}
+        return {**seed_prompts(), **{name: getattr(self, name) for name in ROUND_PROMPTS}}
 
     def persist(self, prompt_dir) -> None:
         round_dir = make_dir(Path(prompt_dir) / f"round_{self.round}")
-        for name in _PLACEHOLDERS:
+        for name in ROUND_PROMPTS:
             write_text(round_dir / f"{name}.txt", getattr(self, name))
 
     @staticmethod
@@ -73,11 +76,11 @@ class PromptSet:
     @classmethod
     def load_round(cls, prompt_dir, round_number: int) -> "PromptSet":
         """The round ``persist`` wrote, numbered by its directory; a prompt
-        file that lacks a placeholder of ``_PLACEHOLDERS`` is a ValueError."""
+        file that lacks a placeholder of ``ROUND_PROMPTS`` is a ValueError."""
         round_dir = Path(prompt_dir) / f"round_{round_number}"
         prompts = {name: (round_dir / f"{name}.txt").read_text(encoding="utf-8")
-                   for name in _PLACEHOLDERS}
-        for name, placeholders in _PLACEHOLDERS.items():
+                   for name in ROUND_PROMPTS}
+        for name, (_, placeholders) in ROUND_PROMPTS.items():
             if lost := [p for p in placeholders if p not in prompts[name]]:
                 raise ValueError(f"{name}.txt lacks {', '.join(lost)}")
         return cls(**prompts, round=round_number)
@@ -113,19 +116,17 @@ def aggregate_loss(records: Sequence[EvalRecord]) -> float:
     return -sum(r.judge_score for r in records) / len(records)
 
 
-_GRADIENT_FIELDS = dict.fromkeys(("rewritten_p_ext", "rewritten_p_prof", "change_summary"),
-                                 (str, ""))
-_REWRITES = (("rewritten_p_ext", "extraction"), ("rewritten_p_prof", "profile"))
+_GRADIENT_FIELDS = dict.fromkeys((*_REWRITES.values(), "change_summary"), (str, ""))
 
 
 def _read_gradient(reply: dict) -> dict[str, str]:
     """The gradient-log fields of a parsed senior reply or logged round: two
     rewrites that keep every placeholder of their prompt, and a summary."""
     gradient = read_parsed(reply, _GRADIENT_FIELDS)
-    for name, label in _REWRITES:
-        for placeholder in _PLACEHOLDERS[label]:
-            if placeholder not in gradient[name]:
-                raise ParseFailure(f"{label} rewrite lost {placeholder}")
+    for name, field in _REWRITES.items():
+        for placeholder in ROUND_PROMPTS[name][1]:
+            if placeholder not in gradient[field]:
+                raise ParseFailure(f"{name} rewrite lost {placeholder}")
     return gradient
 
 
@@ -143,12 +144,9 @@ def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
     string, or a rewrite that lost a placeholder gets the one repair of
     ``complete_parsed``; a second failure raises ParseFailure.
     """
-    detailed = json.dumps(
-        {"detailed_results": [r.detailed_record() for r in records]},
-        indent=2)
+    detailed = json.dumps({"detailed_results": [r.detailed_record() for r in records]})
     prompt = render(evolution_prompt,
-                    extraction_prompt=prompts.extraction,
-                    profile_prompt=prompts.profile,
+                    **{f"{name}_prompt": getattr(prompts, name) for name in _REWRITES},
                     detailed_results=detailed)
     return complete_parsed(backend, prompt, _parse_gradient,
                            "Return ONLY the JSON object.", max_output_tokens=8192)
@@ -160,9 +158,8 @@ def apply_gradient(prompts: PromptSet, rec: dict) -> PromptSet:
     Full-text replacement of the trainable prompts by a parsed gradient,
     version bumped; a no-op record carries the prompts forward.
     """
-    rewrites = {}
-    if not rec.get("no_op"):
-        rewrites = {"extraction": rec["rewritten_p_ext"], "profile": rec["rewritten_p_prof"]}
+    rewrites = {} if rec.get("no_op") else {
+        name: rec[field] for name, field in _REWRITES.items()}
     return replace(prompts, **rewrites, round=prompts.round + 1)
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .backend import Backend, complete_parsed
 from .errors import ParseFailure
@@ -26,8 +27,11 @@ class EntityProfile:
     display_name: str
     version: int = 0
     window: int = 0  # the window whose facts made this version
-    # label -> text, in order; compared, but left out of the hash
-    sections: dict[str, str] = field(default_factory=dict, hash=False)
+    # label -> text, in order, read-only; compared, but left out of the hash
+    sections: Mapping[str, str] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sections", MappingProxyType(dict(self.sections)))
 
 
 def group_by_person(entries: Sequence[MemoryEntry]) -> dict[str, list[MemoryEntry]]:

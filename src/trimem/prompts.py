@@ -8,15 +8,12 @@ from __future__ import annotations
 from functools import cache
 from importlib import resources
 
+# the slots of each trainable or frozen seed template, which every version keeps
 EXTRACTION_PLACEHOLDERS = ("{context}", "{dialogue_text}")
-PROFILE_PLACEHOLDERS = ("{entity_name}", "{facts}")
+PROFILE_PLACEHOLDERS = ("{entity_name}", "{facts}", "{existing_profile}")
 ANSWER_PLACEHOLDERS = ("{query}", "{context}")
 
 _ASSET_PACKAGE = "trimem.assets.prompts"
-
-
-def load_asset(name: str) -> str:
-    return resources.files(_ASSET_PACKAGE).joinpath(f"{name}.txt").read_text(encoding="utf-8")
 
 
 def render(template: str, **slots: str) -> str:
@@ -26,19 +23,11 @@ def render(template: str, **slots: str) -> str:
 
 
 def seed_prompts() -> dict[str, str]:
-    """The hand-written round-0 prompt texts, keyed by role."""
-    return {
-        name: load_asset(name)
-        for name in (
-            "extraction",
-            "profile",
-            "answer",
-            "question_analysis",
-            "query_generation",
-            "judge",
-            "evolution",
-        )
-    }
+    """The hand-written round-0 prompt texts, keyed by role: each ``.txt``
+    asset of the prompt package, by its name without the suffix."""
+    assets = sorted(resources.files(_ASSET_PACKAGE).iterdir(), key=lambda asset: asset.name)
+    return {asset.name.removesuffix(".txt"): asset.read_text(encoding="utf-8")
+            for asset in assets if asset.name.endswith(".txt")}
 
 
 @cache

@@ -125,11 +125,12 @@ _KINDS = {"entries": (_ENTRY_TYPES, "entry_count"), "turns": (_TURN_TYPES, "turn
 
 def _columns(rows: list, types: dict) -> dict:
     """The columns of types over rows, in types' order; a list column's sets
-    become sorted lists."""
+    become sorted lists, and a dict column's mappings plain dicts."""
     columns = {}
     for name, (kind, _) in types.items():
         values = [getattr(row, name) for row in rows]
-        columns[name] = list(map(sorted, values)) if isinstance(kind, list) else values
+        plain = sorted if isinstance(kind, list) else dict if kind is dict else None
+        columns[name] = list(map(plain, values)) if plain else values
     return columns
 
 

@@ -729,6 +729,10 @@ def test_inspect_store_and_entry(work_dir, capsys):
     assert result["anchored_turns"]
     assert result["profiles"]
 
+    code, out, err = run(capsys, "inspect", "--store", "store", "--entry-id", "e999999")
+    assert (code, out) == (EXIT_DATA, "")
+    assert json.loads(err) == {"error": "UnknownEntry", "message": "e999999"}
+
 
 def _vector_planes(raw):
     """The header fields and the four byte planes of a schema-3 vectors.bin:
@@ -766,6 +770,12 @@ def _damage_plane_3(path):
     start = 16 + 3 * dim * count
     raw[(start + len(raw)) // 2] ^= 0xFF
     path.write_bytes(bytes(raw))
+
+
+def _cut_planes_0_to_2(path):
+    raw = path.read_bytes()
+    _, dim, count = struct.unpack("<III", raw[4:16])
+    path.write_bytes(raw[:16 + 2 * dim * count])
 
 
 def _edit_manifest_text(old, new):
@@ -869,6 +879,8 @@ TRUNCATIONS = {
         lambda planes, dim, count: (planes[:2] + [planes[2][:-dim], planes[3]], count))),
     "vectors-plane-3-trailing-bytes": ("vectors.bin", lambda p: p.write_bytes(
         p.read_bytes() + b"\0")),
+    "vectors-bad-magic": ("vectors.bin", lambda p: p.write_bytes(b"MIRT" + p.read_bytes()[4:])),
+    "vectors-planes-0-2-cut-short": ("vectors.bin", _cut_planes_0_to_2),
     "entries-gz-cut-40-bytes": (R, _cut_40_bytes),
     "turns-gz-byte-flipped": (R, _flip_byte_at(0.5)),
     "turns-gz-bad-deflate-block": (R, _bad_deflate_block),
@@ -1303,13 +1315,16 @@ def test_ablate_checks_only_the_files_a_row_store_holds(work_dir, capsys):
     ("extraction", ""),
     ("extraction", PromptSet.seed().extraction.replace("{dialogue_text}", "")),
     ("profile", PromptSet.seed().profile.replace("{facts}", "")),
+    ("profile", PromptSet.seed().profile.replace("{existing_profile}", "")),
     ("answer", PromptSet.seed().answer.replace("{query}", "")),
 ], ids=["extraction-empty", "extraction-without-dialogue-text", "profile-without-facts",
-        "answer-without-query"])
+        "profile-without-existing-profile", "answer-without-query"])
 def test_a_prompt_round_that_lost_a_placeholder_is_a_data_error(work_dir, capsys, name, text):
     PromptSet.seed().persist(work_dir / "prompts")
     (work_dir / "prompts" / "round_0" / f"{name}.txt").write_text(text)
     # --max-calls 0: a model call before the check would exit 3
     code, out, err = build(capsys, extra=("--prompts", "prompts", "--max-calls", "0"))
     assert (code, out) == (EXIT_DATA, "")
-    assert json.loads(err)["error"] == "MalformedDocument"
+    error = json.loads(err)
+    assert error["error"] == "MalformedDocument"
+    assert f"{name}.txt lacks" in error["message"]

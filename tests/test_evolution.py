@@ -1,10 +1,13 @@
 import json
+import re
+from dataclasses import fields
 
 import pytest
 
 from trimem.backend import BackendRouter, FixtureRule, ScriptedBackend
 from trimem.errors import EmptyRecordSet, ParseFailure, UsageError
 from trimem.evolution import (
+    ROUND_PROMPTS,
     PromptSet,
     _parse_gradient,
     aggregate_loss,
@@ -16,7 +19,7 @@ from trimem.evolution import (
     textual_gradient,
 )
 from trimem.metrics import EvalRecord
-from trimem.prompts import EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS
+from trimem.prompts import EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS, seed_prompts
 
 JUDGE_PROMPT = "Judge.\nQuestion: {question}\nRef: {reference}\nPred: {prediction}"
 EVOLUTION_PROMPT = ("backward pass\n[Ext]\n{extraction_prompt}\n"
@@ -46,6 +49,19 @@ def test_seed_contains_placeholders():
         assert ph in seed.profile
     assert seed.round == 0
     assert seed.parent_round is None
+
+
+@pytest.mark.parametrize("name", ROUND_PROMPTS)
+def test_each_placeholder_tuple_is_the_slots_of_its_seed_template(name):
+    # a slot the template holds but the tuple lacks is one a rewrite may drop
+    slots = set(re.findall(r"\{[a-z_]+\}", seed_prompts()[name]))
+    assert sorted(ROUND_PROMPTS[name][1]) == sorted(slots)
+
+
+def test_the_table_maps_each_trainable_prompt_to_its_gradient_field():
+    assert {name: field for name, (field, _) in ROUND_PROMPTS.items()} == {
+        "extraction": "rewritten_p_ext", "profile": "rewritten_p_prof", "answer": None}
+    assert list(ROUND_PROMPTS) == [f.name for f in fields(PromptSet) if f.name != "round"]
 
 
 def test_prompt_set_persist_and_load(tmp_path):
@@ -213,6 +229,11 @@ BAD_GRADIENTS = {
     "lost-placeholder": (
         json.dumps({**gradient(), "rewritten_p_ext": "Extract facts, with no slots."}),
         "extraction rewrite lost {context}"),
+    # update_profile fills {existing_profile} with the current profile
+    "profile-rewrite-without-existing-profile": (
+        json.dumps({**gradient(), "rewritten_p_prof":
+                    PromptSet.seed().profile.replace("{existing_profile}", "")}),
+        "profile rewrite lost {existing_profile}"),
 }
 
 
@@ -255,6 +276,11 @@ def test_replay_gradients_reconstructs_chain(tmp_path):
     assert [p.round for p in trajectory] == [0, 1, 2]
     assert trajectory[1] == v1
     assert trajectory[2] == v2
+
+
+def test_replay_without_a_gradient_log_is_round_0_alone(tmp_path):
+    PromptSet.seed().persist(tmp_path)
+    assert replay_gradients(tmp_path) == [PromptSet.seed()]
 
 
 def test_replay_handles_no_op_rounds(tmp_path):
@@ -330,6 +356,17 @@ def test_evolve_refuses_a_directory_that_holds_a_run(data_dir, fixture_corpus,
     assert backend.usage.calls == calls  # refused before any model call
     assert (tmp_path / "gradients.jsonl").read_bytes() == log
     assert len(replay_gradients(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("rounds, train_set, error", [
+    (0, None, ValueError), (1, [], EmptyRecordSet)], ids=["no-rounds", "no-questions"])
+def test_evolve_refuses_no_rounds_or_no_questions_before_any_call(
+        fixture_corpus, qa_items, tmp_path, rounds, train_set, error):
+    backend = ScriptedBackend()
+    with pytest.raises(error):
+        evolve(fixture_corpus, qa_items if train_set is None else train_set, rounds=rounds,
+               router=BackendRouter(pipeline=backend), prompt_dir=tmp_path / "prompts")
+    assert backend.usage.calls == 0 and not (tmp_path / "prompts").exists()
 
 
 def test_best_round_min_loss_earliest_tie():

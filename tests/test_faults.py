@@ -10,16 +10,22 @@ that store byte for byte and its ``.lock`` gone.
 Every call of ``trimem eval`` fails in turn the same way: a raised fault
 ends in its exit code with nothing written to ``--out``, and two unreadable
 replies fall back and end in a full report.
+A ``persist`` over the built store fails after each of its writes, and
+with each file it writes cut short: what is left loads as the old store or
+the new one, byte for byte, or is refused with StoreIOError (exit 2).
 """
+import errno
 import json
 import shutil
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from trimem.backend import ScriptedBackend
 from trimem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, main
 from trimem.errors import AuthError, BudgetExceeded, StoreIOError, TransportError
-from trimem.store import MemoryStore
+from trimem.store import DATA_FILES, MemoryStore
 
 BUILD_CALLS = ["chat"] * 24 + ["embed"]  # every window's calls, then one embed
 UNREADABLE = "no JSON and no 'Entity:' header"  # fails every build-time parser
@@ -160,3 +166,107 @@ def test_a_fault_at_any_eval_call_writes_nothing_or_falls_back(
         assert calls[k] == "chat"
         assert code == EXIT_OK
         assert written == EVAL_OUTPUTS
+
+
+# -- persist -------------------------------------------------------------
+
+# records.json.gz in one write; vectors.bin's magic, header and planes 0-3;
+# then manifest.json
+PERSIST_WRITES = ["records.json.gz"] + ["vectors.bin"] * 6 + ["manifest.json"]
+CUT_FRACTIONS = (0.001, 0.1, 0.37, 0.5, 0.81, 0.999)  # where a file is cut
+
+
+@pytest.fixture(scope="module")
+def new_store(built):
+    """A store to persist over ``built`` with its turns, profiles and counts
+    but other restatements, so other bytes in every file, and not sealed: a
+    mix of the two stores' files is told apart by the checksums alone."""
+    old = MemoryStore.load(built)
+    store = MemoryStore(old.turns)
+    store.insert_entries([replace(entry, lossless_restatement=f"{entry.lossless_restatement}!")
+                          for entry in old.entries.values()], ScriptedBackend())
+    for profile in old.profile_history:
+        store.add_profile(profile)
+    assert len(store) == len(old)
+    return store
+
+
+def persist_failing(monkeypatch, store, path, after=None, cut=None) -> list[str]:
+    """Persist store to path as a disk that fills up, and return the file
+    name of each write made. After ``after`` writes, the next open or write
+    fails; with cut = (name, b), the write that would take that file past b
+    bytes writes up to b, then fails."""
+    writes, real_open = [], Path.open
+
+    def full(name):
+        return OSError(errno.ENOSPC, "No space left on device", name)
+
+    class Counted:
+        def __init__(self, fh, name):
+            self.fh, self.name, self.size = fh, name, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, data):
+            if len(writes) == after:
+                raise full(self.name)
+            writes.append(self.name)
+            if cut and cut[0] == self.name and self.size + len(data) > cut[1]:
+                self.fh.write(data[:cut[1] - self.size])
+                raise full(self.name)
+            self.size += len(data)
+            return self.fh.write(data)
+
+    def counted_open(self, mode="r", *args, **kwargs):
+        if "w" not in mode:
+            return real_open(self, mode, *args, **kwargs)
+        if len(writes) == after:
+            raise full(self.name)
+        return Counted(real_open(self, mode, *args, **kwargs), self.name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "open", counted_open)
+        store.persist(path)
+    return writes
+
+
+def test_persist_makes_eight_writes_over_three_files(tmp_path, monkeypatch, new_store):
+    assert persist_failing(monkeypatch, new_store, tmp_path / "store") == PERSIST_WRITES
+
+
+def test_a_persist_that_fails_at_any_write_leaves_the_old_store_the_new_or_a_refusal(
+        work_dir, capsys, monkeypatch, built, new_store):
+    new_store.persist(work_dir / "new")
+    sizes = {name: len(data) for name, data in snapshot(work_dir / "new").items()}
+    # fail after each write, or cut each file at each fraction of its size
+    cases = [{"after": k} for k in range(len(PERSIST_WRITES))] + [
+        {"cut": (name, max(1, int(f * size)))} for name, size in sizes.items()
+        for f in CUT_FRACTIONS]
+    stores = {"old": snapshot(built), "new": snapshot(work_dir / "new")}
+    outcomes = []
+    for number, case in enumerate(cases):
+        store = work_dir / f"case_{number}"
+        shutil.copytree(built, store)
+        with pytest.raises(StoreIOError, match="No space left on device"):
+            persist_failing(monkeypatch, new_store, store, **case)
+        code = main(["inspect", "--store", str(store)])
+        out, err = capsys.readouterr()
+        try:
+            loaded = MemoryStore.load(store)
+        except StoreIOError:
+            assert (code, json.loads(err)["error"]) == (EXIT_DATA, "StoreIOError"), case
+            outcomes.append("refused")
+            continue
+        assert code == EXIT_OK and json.loads(out)["entries"] == len(loaded), case
+        data = {name: (store / name).read_bytes() for name in DATA_FILES}
+        matches = [label for label, files in stores.items()
+                   if data == {name: files[name] for name in DATA_FILES}]
+        assert len(matches) == 1 and loaded.sealed == (matches == ["old"]), case
+        outcomes += matches
+    # only a fault before the first write leaves the old store, and only the
+    # manifest cut before its closing newline the new one
+    assert outcomes.count("old") == outcomes.count("new") == 1

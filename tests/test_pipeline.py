@@ -1,4 +1,5 @@
-"""The write path: extract and profile per window, index once per build."""
+"""The write path: extract and profile per window, index once per build;
+and the eval loop over a built store."""
 import json
 
 import numpy as np
@@ -12,12 +13,12 @@ from trimem.backend import (
     hash_embedding,
 )
 from trimem.corpus import DialogueCorpus, DialogueTurn, SegmentationConfig, segment
-from trimem.errors import BudgetExceeded
+from trimem.errors import BudgetExceeded, EmptyRecordSet
 from trimem.extraction import MemoryEntry, extract_entries
-from trimem.pipeline import QaItem, build_store
+from trimem.pipeline import QaItem, build_store, run_eval
 from trimem.profiles import group_by_person, update_profile
 from trimem.prompts import seed_prompts
-from trimem.store import DATA_FILES, MemoryStore
+from trimem.store import DATA_FILES, MemoryStore, RetrievalConfig
 
 STORE_FILES = (*DATA_FILES, "manifest.json")
 
@@ -171,3 +172,26 @@ def test_a_qa_record_may_give_its_reference_as_answer():
     assert QaItem.from_dict({"question": "q?", "answer": "a"}).reference == "a"
     with pytest.raises(ValueError, match="reference"):
         QaItem.from_dict({"question": "q?", "answer": 2022})
+
+
+def eval_fields(items, store, data_dir):
+    """Each question's record fields from one fixture eval of items."""
+    router = BackendRouter(pipeline=ScriptedBackend.from_fixture_file(
+        data_dir / "fixture.jsonl"))
+    return [(r.detailed_record(), r.retrieved_src_sets, r.token_cost, r.context_coverage)
+            for r in run_eval(items, store, seed_prompts(), router, RetrievalConfig())]
+
+
+def test_run_eval_keeps_no_state_from_one_question_to_the_next(data_dir, built_store,
+                                                               qa_items):
+    # every fixture rule is sticky, so no reply depends on the question order
+    rules = ScriptedBackend.from_fixture_file(data_dir / "fixture.jsonl").rules
+    assert all(rule.sticky for rule in rules)
+    forward = eval_fields(qa_items, built_store, data_dir)
+    assert eval_fields(qa_items[::-1], built_store, data_dir) == forward[::-1]
+    assert len({record["question"] for record, *_ in forward}) > 1
+
+
+def test_run_eval_refuses_an_empty_qa_set(data_dir, built_store):
+    with pytest.raises(EmptyRecordSet, match="empty qa set"):
+        eval_fields([], built_store, data_dir)

@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -79,7 +78,7 @@ def test_a_repeated_label_merges_into_its_first_section_and_round_trips():
     name, sections = parse_profile_text(REPEATED_LABEL_REPLY)
     assert list(sections.items()) == [("Interests", "chess\nhiking"), ("Career", "nurse")]
     profile = EntityProfile(entity_key="alice", display_name=name, sections=sections)
-    rebuilt = EntityProfile(**dataclasses.asdict(profile))
+    rebuilt = EntityProfile(**vars(profile))  # asdict cannot copy read-only sections
     assert rebuilt == profile and list(rebuilt.sections.items()) == list(sections.items())
     name2, sections2 = parse_profile_text(serialize_profile(profile))
     assert (name2, list(sections2.items())) == (name, list(sections.items()))

@@ -554,6 +554,19 @@ def test_load_rejects_schema_mismatch(tmp_path, backend):
         MemoryStore.load(tmp_path / "s")
 
 
+def test_load_rejects_another_schema_in_the_vector_header(tmp_path, backend):
+    build_small_store(backend).persist(tmp_path / "s")
+    vectors, manifest_path = tmp_path / "s" / "vectors.bin", tmp_path / "s" / "manifest.json"
+    raw = bytearray(vectors.read_bytes())
+    raw[4:8] = struct.pack("<I", SCHEMA_VERSION - 1)
+    vectors.write_bytes(bytes(raw))
+    manifest = json.loads(manifest_path.read_text())  # the checksum of the edited file
+    manifest["sha256"]["vectors.bin"] = hashlib.sha256(bytes(raw)).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(SchemaVersionMismatch, match=f"vector file schema {SCHEMA_VERSION - 1}"):
+        MemoryStore.load(tmp_path / "s")
+
+
 def test_profile_sections_keep_their_order(tmp_path):
     store = MemoryStore()
     store.add_profile(EntityProfile(
@@ -565,6 +578,21 @@ def test_profile_sections_keep_their_order(tmp_path):
     assert loaded.profile_history == store.profile_history
     assert list(loaded.latest_profile("alice").sections) == \
         ["Identity", "Career", "Beliefs/Spirituality"]
+
+
+def test_a_stored_profile_is_read_only(tmp_path, built_store):
+    built_store.persist(tmp_path / "s")
+    for store in (built_store, MemoryStore.load(tmp_path / "s")):
+        key = store.profile_history[-1].entity_key
+        sections = store.latest_profile(key).sections
+        with pytest.raises(TypeError):
+            sections["Identity"] = "rewritten"
+        with pytest.raises(TypeError):
+            del sections[next(iter(sections))]
+    sections = {"Identity": "a painter"}
+    profile = EntityProfile(entity_key="alice", display_name="Alice", sections=sections)
+    sections["Identity"] = "rewritten"  # the profile holds its own copy
+    assert profile.sections == {"Identity": "a painter"}
 
 
 def test_load_rejects_non_store_dir(tmp_path):
