@@ -180,7 +180,7 @@ def load_prompts(config: RunConfig) -> PromptSet:
     except OSError as exc:
         raise errors.MissingFile(f"prompt round {round_number}: {exc}")
     except ValueError as exc:
-        raise errors.MalformedDocument(f"prompt round {round_number}: {exc!r}")
+        raise errors.MalformedDocument(f"prompt round {round_number}: {exc}")
 
 
 @contextlib.contextmanager
@@ -251,27 +251,24 @@ def load_qa_set(path) -> list[QaItem]:
                 if line.strip():
                     items.append(QaItem.from_dict(json.loads(line)))
     except ValueError as exc:
-        raise errors.MalformedDocument(f"{where}: bad QA record: {exc!r}")
+        raise errors.MalformedDocument(f"{where}: bad QA record: {exc}")
     return items
 
 
 # -- commands ------------------------------------------------------------
 
-def cmd_ingest(args) -> int:
-    config = load_run_config(args)
+def cmd_ingest(args, config: RunConfig) -> dict:
     corpus = load_corpus(config.corpus)
     sessions = sorted({t.session_id for t in corpus.turns})
-    print(json.dumps({
+    return {
         "corpus_id": corpus.corpus_id,
         "turn_count": corpus.turn_count,
         "session_count": len(sessions),
         "windows": len(segment(corpus, config)),
-    }, indent=2))
-    return EXIT_OK
+    }
 
 
-def cmd_build(args) -> int:
-    config = load_run_config(args)
+def cmd_build(args, config: RunConfig) -> dict:
     store_dir = Path(config.store_dir)
     if not args.force:
         refuse_non_empty(store_dir, "pass --force to rebuild")
@@ -281,19 +278,17 @@ def cmd_build(args) -> int:
     prompts = load_prompts(config)
     store = _build_and_persist(config, corpus, prompts, router, store_dir)
     write_manifest(store_dir / "run_manifest.json", config, prompts.round, router)
-    print(json.dumps({"store": str(store_dir), "entries": len(store),
-                      "profiles": len(store.profile_history)}, indent=2))
-    return EXIT_OK
+    return {"store": str(store_dir), "entries": len(store),
+            "profiles": len(store.profile_history)}
 
 
-def cmd_query(args) -> int:
-    config = load_run_config(args)
+def cmd_query(args, config: RunConfig) -> dict:
     store = MemoryStore.load(config.store_dir)
     prompts = load_prompts(config).as_prompt_dict()
     router = make_router(config)
     plan = plan_for_question(args.question, prompts, router.pipeline, config)
     ctx = retrieve(plan, store, config, router.pipeline)
-    print(json.dumps({
+    return {
         "question": args.question,
         "queries": list(plan.queries),
         "entries": [
@@ -309,12 +304,10 @@ def cmd_query(args) -> int:
         # a profile's read-only sections go out as a plain dict
         "profiles": [{**vars(p), "sections": dict(p.sections)} for p in ctx.profiles],
         "token_cost": ctx.token_cost,
-    }, indent=2))
-    return EXIT_OK
+    }
 
 
-def cmd_answer(args) -> int:
-    config = load_run_config(args)
+def cmd_answer(args, config: RunConfig) -> dict:
     store = MemoryStore.load(config.store_dir)
     prompts = load_prompts(config).as_prompt_dict()
     dump_path = Path(args.dump_context) if args.dump_context else None
@@ -325,13 +318,12 @@ def cmd_answer(args) -> int:
     result, ctx = answer_question(args.question, store, prompts, router, config)
     if dump_path:
         write_text(dump_path, ctx.text)
-    print(json.dumps({
+    return {
         "question": result.question,
         "reasoning": result.reasoning,
         "answer": result.answer_text,
         "context_token_cost": ctx.token_cost,
-    }, indent=2))
-    return EXIT_OK
+    }
 
 
 def _evidence_by_question(qa_set: list[QaItem]) -> Optional[dict]:
@@ -359,21 +351,17 @@ def _eval_to_dir(config: RunConfig, qa_set: list[QaItem], store: MemoryStore,
     return report
 
 
-def cmd_eval(args) -> int:
-    config = load_run_config(args)
+def cmd_eval(args, config: RunConfig) -> dict:
     out_dir = Path(args.out or Path(config.store_dir) / "eval")
     refuse_squatted(*(out_dir / name for name in EVAL_OUTPUTS))
     router = make_router(config)
     qa_set = load_qa_set(args.qa)
     store = MemoryStore.load(config.store_dir)
     report = _eval_to_dir(config, qa_set, store, load_prompts(config), out_dir, router)
-    print(json.dumps({"report": str(out_dir / "report.json"),
-                      "overall": report["overall"]}, indent=2))
-    return EXIT_OK
+    return {"report": str(out_dir / "report.json"), "overall": report["overall"]}
 
 
-def cmd_evolve(args) -> int:
-    config = load_run_config(args)
+def cmd_evolve(args, config: RunConfig) -> dict:
     if config.prompt_dir is not None or config.prompt_round is not None:
         raise errors.UsageError("evolve starts from the seed prompts: drop --prompts/--round")
     out_dir = Path(args.out)
@@ -390,16 +378,14 @@ def cmd_evolve(args) -> int:
     }
     write_json(out_dir / "evolution_summary.json", summary)
     write_manifest(out_dir / "run_manifest.json", config, best.round, router)
-    print(json.dumps(summary, indent=2))
-    return EXIT_OK
+    return summary
 
 
 ABLATION_KNOBS = {"top_k", "use_search_plan", "window_size", "stride"}
 _SEGMENTATION_KNOBS = {field.name for field in dataclasses.fields(SegmentationConfig)}
 
 
-def cmd_ablate(args) -> int:
-    config = load_run_config(args)
+def cmd_ablate(args, config: RunConfig) -> dict:
     knob = args.knob
     if knob not in ABLATION_KNOBS:
         raise errors.UnknownKnob(
@@ -445,39 +431,35 @@ def cmd_ablate(args) -> int:
                      "overall": report["overall"]})
     sweep_report = {"knob": knob, "rows": rows}
     write_json(out_dir / "sweep_report.json", sweep_report)
-    print(json.dumps(sweep_report, indent=2))
-    return EXIT_OK
+    return sweep_report
 
 
-def cmd_inspect(args) -> int:
-    config = load_run_config(args)
+def cmd_inspect(args, config: RunConfig) -> dict:
     store = MemoryStore.load(config.store_dir)
-    if args.entry_id:
-        entry = store.entries.get(args.entry_id)
-        if entry is None:
-            raise errors.UnknownEntry(args.entry_id)
-        recovered = store.recover_dialogue([args.entry_id])[0][1]
-        print(json.dumps({
-            "entry_id": entry.entry_id,
-            "restatement": entry.lossless_restatement,
-            "persons": sorted(entry.persons),
-            "source_dialogue_ids": sorted(entry.source_dialogue_ids),
-            "origin_window": entry.origin_window,
-            "anchored_turns": [
-                {"turn_id": t.turn_id, "speaker": t.speaker, "text": t.text}
-                for t in recovered
-            ],
-            "profiles": [{**vars(p), "sections": dict(p.sections)} for p in store.profiles_for(
-                sorted({normalize_person_key(p) for p in entry.persons}))],
-        }, indent=2))
-    else:
-        print(json.dumps({
+    if not args.entry_id:
+        return {
             "entries": len(store),
             "turns": len(store.turns),
             "profile_versions": len(store.profile_history),
             "sealed": store.sealed,
-        }, indent=2))
-    return EXIT_OK
+        }
+    entry = store.entries.get(args.entry_id)
+    if entry is None:
+        raise errors.UnknownEntry(args.entry_id)
+    recovered = store.recover_dialogue([args.entry_id])[0][1]
+    return {
+        "entry_id": entry.entry_id,
+        "restatement": entry.lossless_restatement,
+        "persons": sorted(entry.persons),
+        "source_dialogue_ids": sorted(entry.source_dialogue_ids),
+        "origin_window": entry.origin_window,
+        "anchored_turns": [
+            {"turn_id": t.turn_id, "speaker": t.speaker, "text": t.text}
+            for t in recovered
+        ],
+        "profiles": [{**vars(p), "sections": dict(p.sections)} for p in store.profiles_for(
+            sorted({normalize_person_key(p) for p in entry.persons}))],
+    }
 
 
 # -- argument parsing ----------------------------------------------------
@@ -543,12 +525,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command: its result as one JSON object on stdout and exit 0,
+    or its error as one JSON line on stderr and the error's exit code."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        result = args.func(args, load_run_config(args))
     except errors.TriMemError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return exc.exit_code
+    print(json.dumps(result, indent=2))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

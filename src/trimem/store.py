@@ -221,6 +221,16 @@ def write_text(path, text: str) -> None:
         raise StoreIOError(str(exc))
 
 
+def append_text(path, text: str) -> None:
+    """Append text to path as UTF-8, leaving what it holds in place;
+    StoreIOError if it cannot be written."""
+    try:
+        with Path(path).open("a", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StoreIOError(str(exc))
+
+
 def refuse_squatted(*paths) -> None:
     """StoreIOError, the class ``write_text`` would raise, if a directory
     holds the name of one of the output paths: a run calls this before its

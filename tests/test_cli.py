@@ -389,6 +389,14 @@ def test_a_bad_qa_record_in_an_array_names_its_number(work_dir):
         load_qa_set("bad.json")
 
 
+def test_a_bad_qa_line_is_reported_without_a_class_name(work_dir):
+    (work_dir / "bad.jsonl").write_text("{\n")
+    with pytest.raises(errors.MalformedDocument) as caught:
+        load_qa_set("bad.jsonl")
+    assert str(caught.value) == ("bad.jsonl:1: bad QA record: Expecting property name "
+                                 "enclosed in double quotes: line 1 column 2 (char 1)")
+
+
 def test_a_qa_line_may_hold_a_raw_line_separator(work_dir):
     # JSON lets a string hold U+2028 unescaped; a line ends only at "\n"
     good = json.loads((work_dir / "qa.jsonl").read_text().splitlines()[0])
@@ -399,6 +407,41 @@ def test_a_qa_line_may_hold_a_raw_line_separator(work_dir):
 
 
 # -- commands ----------------------------------------------------------
+
+QUESTION = "What museum did Ethan visit in March 2024?"
+SCRIPTED = ("--scripted", "fixture.jsonl")
+# each command's run on the fixture after a build into "store", and the file
+# that holds what it prints, if any
+SUCCESS_RUNS = {
+    "ingest": (("ingest", "--corpus", "corpus.json"), None),
+    "build": (("build", "--corpus", "corpus.json", "--store", "again", *SCRIPTED), None),
+    "query": (("query", "--store", "store", "--question", QUESTION, *SCRIPTED), None),
+    "answer": (("answer", "--store", "store", "--question", QUESTION, *SCRIPTED,
+                "--dump-context", "ctx.txt"), None),
+    "eval": (("eval", "--store", "store", "--qa", "qa.jsonl", *SCRIPTED, "--out", "out"),
+             None),
+    "evolve": (("evolve", "--corpus", "corpus.json", "--qa", "qa.jsonl", "--rounds", "1",
+                "--out", "out", "--scripted", "evolve_fixture.jsonl"),
+               "out/evolution_summary.json"),
+    "ablate": (("ablate", "--store", "store", "--qa", "qa.jsonl", "--knob", "top_k",
+                "--values", "3,5", *SCRIPTED, "--out", "out"), "out/sweep_report.json"),
+    "inspect": (("inspect", "--store", "store"), None),
+    "inspect-entry": (("inspect", "--store", "store", "--entry-id", "e000001"), None),
+}
+
+
+@pytest.mark.parametrize("command", SUCCESS_RUNS)
+def test_a_command_that_succeeds_prints_one_json_object_indented_2(work_dir, capsys,
+                                                                   command):
+    assert build(capsys)[0] == EXIT_OK
+    argv, written = SUCCESS_RUNS[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    result = json.loads(out)
+    assert type(result) is dict and out == json.dumps(result, indent=2) + "\n"
+    if written:
+        assert json.loads((work_dir / written).read_text()) == result
+
 
 def test_ingest_summary(work_dir, capsys):
     code, out, _ = run(capsys, "ingest", "--corpus", "corpus.json")
@@ -1328,3 +1371,13 @@ def test_a_prompt_round_that_lost_a_placeholder_is_a_data_error(work_dir, capsys
     error = json.loads(err)
     assert error["error"] == "MalformedDocument"
     assert f"{name}.txt lacks" in error["message"]
+
+
+def test_a_prompt_round_error_is_reported_without_a_class_name(work_dir, capsys):
+    PromptSet.seed().persist(work_dir / "prompts")
+    (work_dir / "prompts" / "round_0" / "profile.txt").write_text(
+        PromptSet.seed().profile.replace("{existing_profile}", ""))
+    code, out, err = build(capsys, extra=("--prompts", "prompts", "--max-calls", "0"))
+    assert (code, out) == (EXIT_DATA, "")
+    assert json.loads(err) == {"error": "MalformedDocument",
+                               "message": "prompt round 0: profile.txt lacks {existing_profile}"}

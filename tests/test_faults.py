@@ -1,4 +1,4 @@
-"""Fault sweep over the fixture build and eval.
+"""Fault sweep over the fixture build, eval and evolve.
 
 Every model call of ``trimem build`` on the fixture fails in turn, with
 each fault the backend can raise, and two unreadable chat replies in a row
@@ -13,6 +13,12 @@ replies fall back and end in a full report.
 A ``persist`` over the built store fails after each of its writes, and
 with each file it writes cut short: what is left loads as the old store or
 the new one, byte for byte, or is refused with StoreIOError (exit 2).
+Gate 6's two-round ``trimem evolve`` fails the same ways at the first and
+last call of each build, eval and gradient step: a raised fault, or two
+unreadable build replies, end in the exit code; two unreadable replies fall
+back at an eval call and make a no-op round at a gradient call. A full disk
+during a gradient-log write keeps the lines of the earlier rounds, and each
+whole line of the log replays to the round it wrote.
 """
 import errno
 import json
@@ -22,9 +28,10 @@ from pathlib import Path
 
 import pytest
 
-from trimem.backend import ScriptedBackend
+from trimem.backend import BackendRouter, ScriptedBackend
 from trimem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, main
 from trimem.errors import AuthError, BudgetExceeded, StoreIOError, TransportError
+from trimem.evolution import PromptSet, evolve, replay_gradients
 from trimem.store import DATA_FILES, MemoryStore
 
 BUILD_CALLS = ["chat"] * 24 + ["embed"]  # every window's calls, then one embed
@@ -270,3 +277,113 @@ def test_a_persist_that_fails_at_any_write_leaves_the_old_store_the_new_or_a_ref
     # only a fault before the first write leaves the old store, and only the
     # manifest cut before its closing newline the new one
     assert outcomes.count("old") == outcomes.count("new") == 1
+
+
+# -- evolve --------------------------------------------------------------
+
+# gate 6's evolve over two rounds: each round builds, evaluates and asks the
+# senior model for one gradient, and the final prompts are built and
+# evaluated too
+EVOLVE_PHASES = [("build", BUILD_CALLS), ("eval", EVAL_CALLS), ("gradient", ["chat"])] * 2 + [
+    ("build", BUILD_CALLS), ("eval", EVAL_CALLS)]
+EVOLVE_CALLS = [kind for _, calls in EVOLVE_PHASES for kind in calls]
+# the first and the last call of each phase, 1-based, and its phase
+EVOLVE_SAMPLE, _start = {}, 0
+for _phase, _calls in EVOLVE_PHASES:
+    EVOLVE_SAMPLE.update({_start + 1: _phase, _start + len(_calls): _phase})
+    _start += len(_calls)
+EVOLVE_CASES = [(fault, k) for fault in FAULTS for k in EVOLVE_SAMPLE
+                if FAULTS[fault][0] or EVOLVE_CALLS[k - 1] == "chat"]
+GRADIENT_CALLS = [k for k, phase in EVOLVE_SAMPLE.items() if phase == "gradient"]
+
+
+def run_evolve(capsys):
+    code = main(["evolve", "--corpus", "corpus.json", "--qa", "qa.jsonl", "--rounds", "2",
+                 "--out", "evolved", "--scripted", "evolve_fixture.jsonl"])
+    return code, capsys.readouterr().err
+
+
+def assert_log_replays(prompt_dir):
+    """Each line of the gradient log replays to the round_k/ prompts written,
+    and each round written after round 0 has its line."""
+    replayed = replay_gradients(prompt_dir)
+    assert replayed == [PromptSet.load_round(prompt_dir, ps.round) for ps in replayed]
+    assert PromptSet.latest_round(prompt_dir) == len(replayed) - 1
+
+
+def test_the_gate_6_evolve_makes_170_chat_calls_and_27_embeds(work_dir, capsys, monkeypatch):
+    calls = inject(monkeypatch)
+    assert run_evolve(capsys)[0] == EXIT_OK
+    assert calls == EVOLVE_CALLS
+    assert (calls.count("chat"), calls.count("embed")) == (170, 27)
+    assert len(replay_gradients(work_dir / "evolved")) == 3
+
+
+@pytest.mark.parametrize("fault,k", EVOLVE_CASES,
+                         ids=[f"{f}-{EVOLVE_SAMPLE[k]}-call-{k}" for f, k in EVOLVE_CASES])
+def test_a_fault_at_an_evolve_call_ends_the_run_or_is_survived(
+        work_dir, capsys, monkeypatch, fault, k):
+    error, want_code, want_error = FAULTS[fault]
+    calls = inject(monkeypatch, fault, k)
+    code, err = run_evolve(capsys)
+    assert calls[k - 1] == EVOLVE_CALLS[k - 1]
+    log = (work_dir / "evolved" / "gradients.jsonl").read_text().splitlines()
+    phase = EVOLVE_SAMPLE[k]
+    if error or phase == "build":  # a raised fault, or two unreadable build replies
+        assert (code, json.loads(err)["error"]) == (want_code, want_error)
+        assert not (work_dir / "evolved" / "evolution_summary.json").exists()
+    else:  # an eval site falls back; a gradient becomes a no-op round
+        assert (code, err) == (EXIT_OK, "")
+        assert [json.loads(line).get("no_op", False) for line in log] == \
+            [k == n for n in GRADIENT_CALLS]
+    assert_log_replays(work_dir / "evolved")
+
+
+def failing_log_writes(monkeypatch, n, cut):
+    """Make the n-th write to a gradients.jsonl write its first cut bytes,
+    then fail as a full disk does."""
+    writes, real_open = [], Path.open
+
+    class Cut:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, data):
+            writes.append(data)
+            if len(writes) == n:
+                self.fh.write(data[:cut])
+                raise OSError(errno.ENOSPC, "No space left on device", "gradients.jsonl")
+            return self.fh.write(data)
+
+    def cut_open(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return Cut(fh) if self.name == "gradients.jsonl" and mode[0] in "wa" else fh
+
+    monkeypatch.setattr(Path, "open", cut_open)
+
+
+def test_a_full_disk_during_a_gradient_log_write_keeps_the_earlier_rounds(
+        data_dir, fixture_corpus, qa_items, tmp_path, monkeypatch):
+    def run(prompt_dir):
+        router = BackendRouter(pipeline=ScriptedBackend.from_fixture_file(
+            data_dir / "evolve_fixture.jsonl"))
+        return evolve(fixture_corpus, qa_items, rounds=2, router=router,
+                      prompt_dir=prompt_dir)
+
+    run(tmp_path / "whole")
+    round_0, _ = (tmp_path / "whole" / "gradients.jsonl").read_bytes().splitlines(True)
+    # writes: the empty log, round 0's record, then round 1's, cut after 40 bytes
+    with monkeypatch.context() as patch:
+        failing_log_writes(patch, 3, 40)
+        with pytest.raises(StoreIOError, match="No space left on device"):
+            run(tmp_path / "cut")
+    log = tmp_path / "cut" / "gradients.jsonl"
+    assert log.read_bytes().startswith(round_0)
+    log.write_bytes(round_0)  # the whole lines only
+    assert_log_replays(tmp_path / "cut")
