@@ -26,7 +26,7 @@ from .metrics import EvalRecord
 from .pipeline import build_store, run_eval
 from .prompts import (ANSWER_PLACEHOLDERS, EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS,
                       render, seed_prompts)
-from .store import RetrievalConfig, append_text, make_dir, refuse_non_empty, write_text
+from .store import RetrievalConfig, make_dir, refuse_non_empty, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -245,7 +245,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
         except ParseFailure as exc:
             logger.warning("round %d gradient rejected: %s", current.round, exc)
             rec.update(no_op=True, reason=str(exc))
-        append_text(log_path, json.dumps(rec, sort_keys=True) + "\n")
+        write_text(log_path, json.dumps(rec, sort_keys=True) + "\n", append=True)
         current = apply_gradient(current, rec)
         current.persist(prompt_dir)
 

@@ -186,17 +186,6 @@ def _unit_rows(block: np.ndarray) -> np.ndarray:
     return block / norms[:, None]
 
 
-def _write_part(path: Path, digests: dict, *chunks) -> None:
-    """Write one data file from its byte chunks, and record their sha256 in
-    digests."""
-    digest = hashlib.sha256()
-    with path.open("wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-            digest.update(chunk)
-    digests[path.name] = digest.hexdigest()
-
-
 def refuse_non_empty(path: Path, hint: str) -> None:
     """Raise UsageError unless path is missing or an empty directory."""
     if path.exists() and (not path.is_dir() or any(path.iterdir())):
@@ -213,22 +202,24 @@ def make_dir(path: Path) -> Path:
     return path
 
 
-def write_text(path, text: str) -> None:
-    """Write text to path as UTF-8; StoreIOError if it cannot be written."""
+def write_bytes(path, *chunks, append: bool = False) -> str:
+    """Write the byte chunks to path, one write each, after what it holds
+    with append, and return their sha256; StoreIOError if it cannot be
+    written. Every file trimem writes goes through here."""
+    digest = hashlib.sha256()
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with Path(path).open("ab" if append else "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
     except OSError as exc:
         raise StoreIOError(str(exc))
+    return digest.hexdigest()
 
 
-def append_text(path, text: str) -> None:
-    """Append text to path as UTF-8, leaving what it holds in place;
-    StoreIOError if it cannot be written."""
-    try:
-        with Path(path).open("a", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise StoreIOError(str(exc))
+def write_text(path, text: str, append: bool = False) -> None:
+    """``write_bytes`` of text as UTF-8."""
+    write_bytes(path, text.encode("utf-8"), append=append)
 
 
 def refuse_squatted(*paths) -> None:
@@ -402,7 +393,6 @@ class MemoryStore:
     def persist(self, path, manifest_extra: Optional[dict] = None) -> None:
         path = Path(path)
         dim = self.dim or 0
-        digests: dict[str, str] = {}
         records = {
             "entries": _columns(list(self.entries.values()), _ENTRY_TYPES),
             "turns": _columns(self.turns, _TURN_TYPES),
@@ -412,11 +402,12 @@ class MemoryStore:
             path.mkdir(parents=True, exist_ok=True)
             # not sort_keys: columns stay in table order, sections in theirs
             text = json.dumps(records, separators=(",", ":")).encode("utf-8")
-            _write_part(path / "records.json.gz", digests,
-                        gzip.compress(text, compresslevel=GZIP_LEVEL, mtime=0))
-            _write_part(path / "vectors.bin", digests, VECTOR_MAGIC,
-                        struct.pack("<III", SCHEMA_VERSION, dim, len(self.entries)),
-                        *_vector_planes(self._vectors))
+            digests = {
+                "records.json.gz": write_bytes(path / "records.json.gz", gzip.compress(
+                    text, compresslevel=GZIP_LEVEL, mtime=0)),
+                "vectors.bin": write_bytes(path / "vectors.bin", VECTOR_MAGIC, struct.pack(
+                    "<III", SCHEMA_VERSION, dim, len(self.entries)),
+                    *_vector_planes(self._vectors))}
             for name in _OLD_PARTS:
                 (path / name).unlink(missing_ok=True)
             manifest = {"schema_version": SCHEMA_VERSION, "dim": dim,
