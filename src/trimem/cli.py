@@ -35,7 +35,7 @@ from .evolution import PromptSet, best_round, evolve
 from .metrics import build_report, write_report
 from .pipeline import QaItem, answer_question, build_store, run_eval
 from .retrieval import plan_for_question, retrieve
-from .store import (DATA_FILES, MemoryStore, RetrievalConfig, make_dir, refuse_non_empty,
+from .store import (STORE_FILES, MemoryStore, RetrievalConfig, make_dir, refuse_non_empty,
                     refuse_squatted, write_json, write_text)
 
 logger = logging.getLogger(__name__)
@@ -44,9 +44,8 @@ ENV_API_BASE = "TRIMEM_API_BASE"
 ENV_API_KEY = "TRIMEM_API_KEY"
 ENV_CONFIG = "TRIMEM_CONFIG"
 
-# the files a store holds, a build writes into its store, and an eval into
-# its output directory
-STORE_FILES = (*DATA_FILES, "manifest.json")
+# the files a build writes into its store, and an eval into its output
+# directory
 BUILD_OUTPUTS = (*STORE_FILES, "run_manifest.json")
 EVAL_OUTPUTS = ("report.json", "detailed_results.jsonl", "run_manifest.json")
 

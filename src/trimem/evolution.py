@@ -26,7 +26,7 @@ from .metrics import EvalRecord
 from .pipeline import build_store, run_eval
 from .prompts import (ANSWER_PLACEHOLDERS, EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS,
                       render, seed_prompts)
-from .store import RetrievalConfig, make_dir, refuse_non_empty, write_text
+from .store import RetrievalConfig, make_dir, refuse_non_empty, write_bytes, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -167,14 +167,21 @@ def replay_gradients(prompt_dir) -> list[PromptSet]:
     """Rebuild every prompt version from round 0 plus the gradient log. A
     line ends only at ``"\\n"``; a non-blank line that is not UTF-8 or not one
     JSON object, or a logged gradient that ``_read_gradient`` rejects, is a
-    ParseFailure that names the log and the line."""
+    ParseFailure that names the log and the line. A last line with no
+    ``"\\n"`` is an append that was cut short, and is ignored with one
+    warning even if it parses: ``evolve`` writes a round's prompts only
+    after its line is whole."""
     prompt_dir = Path(prompt_dir)
     current = PromptSet.load_round(prompt_dir, 0)
     trajectory = [current]
     log_path = prompt_dir / "gradients.jsonl"
     if not log_path.exists():
         return trajectory
-    for number, line in enumerate(read_input(log_path).split(b"\n"), 1):
+    *lines, torn = read_input(log_path).split(b"\n")
+    if torn:
+        logger.warning("%s line %d: ignoring %d bytes with no newline, an append cut short",
+                       log_path, len(lines) + 1, len(torn))
+    for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
@@ -245,7 +252,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
         except ParseFailure as exc:
             logger.warning("round %d gradient rejected: %s", current.round, exc)
             rec.update(no_op=True, reason=str(exc))
-        write_text(log_path, json.dumps(rec, sort_keys=True) + "\n", append=True)
+        write_bytes(log_path, json.dumps(rec, sort_keys=True).encode() + b"\n", append=True)
         current = apply_gradient(current, rec)
         current.persist(prompt_dir)
 

@@ -18,6 +18,11 @@ together under one store directory:
     manifest.json    schema version, dim, counts, sealed, the sha256 of each
                      data file; from ``build`` the config hash and prompt round
 
+``persist`` writes the three files in that order, each as its name plus
+``.tmp``, then renames each over its name, ``manifest.json`` last; on any
+failure it unlinks what it staged, so the old store stays as it was. A kill
+between two renames can leave a mix, which the sha256 check refuses.
+
 Entry row i (from 1) is entry ``e{i:06d}``, as ``insert_entries`` numbers it,
 so no entry id is stored; turn i is ``turns[i - 1]``, as the constructor
 checks. Sets are stored as sorted lists; a profile's
@@ -41,6 +46,7 @@ rebuild it with ``trimem build --force``.
 """
 from __future__ import annotations
 
+import contextlib
 import gzip
 import hashlib
 import itertools
@@ -56,16 +62,8 @@ import numpy as np
 from .backend import (REQUIRED, Backend, all_of, checked_block, fields_of, has_type,
                       read_object)
 from .corpus import DialogueCorpus, DialogueTurn
-from .errors import (
-    DanglingAnchor,
-    DimensionMismatch,
-    EmptyIndex,
-    SchemaVersionMismatch,
-    StoreClosed,
-    StoreIOError,
-    UnknownEntry,
-    UsageError,
-)
+from .errors import (DanglingAnchor, DimensionMismatch, EmptyIndex, SchemaVersionMismatch,
+                     StoreClosed, StoreIOError, UnknownEntry, UsageError)
 from .extraction import MemoryEntry, restatement_key
 from .profiles import EntityProfile
 
@@ -73,6 +71,7 @@ SCHEMA_VERSION = 4
 VECTOR_MAGIC = b"TRIM"
 GZIP_LEVEL = 6  # level 9 takes about 3x as long and saves under 0.5% of a store
 DATA_FILES = ("records.json.gz", "vectors.bin")
+STORE_FILES = (*DATA_FILES, "manifest.json")  # in the order persist writes and renames them
 # the record parts of schemas 1-3, which persist deletes
 _OLD_PARTS = [f"{kind}.jsonl{gz}" for kind in ("entries", "turns", "profiles")
               for gz in ("", ".gz")]
@@ -217,13 +216,13 @@ def write_bytes(path, *chunks, append: bool = False) -> str:
     return digest.hexdigest()
 
 
-def write_text(path, text: str, append: bool = False) -> None:
+def write_text(path, text: str) -> None:
     """``write_bytes`` of text as UTF-8."""
-    write_bytes(path, text.encode("utf-8"), append=append)
+    write_bytes(path, text.encode("utf-8"))
 
 
 def refuse_squatted(*paths) -> None:
-    """StoreIOError, the class ``write_text`` would raise, if a directory
+    """StoreIOError, the class ``write_bytes`` would raise, if a directory
     holds the name of one of the output paths: a run calls this before its
     first model call, and it makes nothing."""
     for path in paths:
@@ -393,30 +392,35 @@ class MemoryStore:
     def persist(self, path, manifest_extra: Optional[dict] = None) -> None:
         path = Path(path)
         dim = self.dim or 0
-        records = {
-            "entries": _columns(list(self.entries.values()), _ENTRY_TYPES),
-            "turns": _columns(self.turns, _TURN_TYPES),
-            "profiles": _columns(self._profile_history, _PROFILE_TYPES),
-        }
+        records = {"entries": _columns(list(self.entries.values()), _ENTRY_TYPES),
+                   "turns": _columns(self.turns, _TURN_TYPES),
+                   "profiles": _columns(self._profile_history, _PROFILE_TYPES)}
+        staged = {name: path / f"{name}.tmp" for name in STORE_FILES}
         try:
             path.mkdir(parents=True, exist_ok=True)
             # not sort_keys: columns stay in table order, sections in theirs
             text = json.dumps(records, separators=(",", ":")).encode("utf-8")
             digests = {
-                "records.json.gz": write_bytes(path / "records.json.gz", gzip.compress(
+                "records.json.gz": write_bytes(staged["records.json.gz"], gzip.compress(
                     text, compresslevel=GZIP_LEVEL, mtime=0)),
-                "vectors.bin": write_bytes(path / "vectors.bin", VECTOR_MAGIC, struct.pack(
+                "vectors.bin": write_bytes(staged["vectors.bin"], VECTOR_MAGIC, struct.pack(
                     "<III", SCHEMA_VERSION, dim, len(self.entries)),
                     *_vector_planes(self._vectors))}
-            for name in _OLD_PARTS:
-                (path / name).unlink(missing_ok=True)
             manifest = {"schema_version": SCHEMA_VERSION, "dim": dim,
                         "entry_count": len(self.entries), "turn_count": len(self.turns),
                         "profile_versions": len(self._profile_history),
                         "sealed": self._sealed, "sha256": digests, **(manifest_extra or {})}
-            write_json(path / "manifest.json", manifest)
+            write_json(staged["manifest.json"], manifest)
+            for name in _OLD_PARTS:
+                (path / name).unlink(missing_ok=True)
+            for name, staged_path in staged.items():  # manifest.json last
+                staged_path.replace(path / name)
         except OSError as exc:
             raise StoreIOError(str(exc))
+        finally:  # nothing staged outlives persist; the first error is the one raised
+            for staged_path in staged.values():
+                with contextlib.suppress(OSError):
+                    staged_path.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path) -> "MemoryStore":

@@ -326,6 +326,29 @@ def test_replay_names_the_line_that_is_not_utf8(tmp_path):
         replay_gradients(tmp_path)
 
 
+def test_replay_ignores_a_last_line_cut_short_with_one_warning(tmp_path, caplog):
+    # evolve writes round_{k+1}/ only after line k's append returns, so a
+    # last line with no newline has no round, even when it parses
+    PromptSet.seed().persist(tmp_path)
+    log = tmp_path / "gradients.jsonl"
+    line = json.dumps({"round": 0, "loss": -0.5, **gradient("\nA")})
+    for tail in (line, line[:40]):
+        log.write_text(f"{line}\n{tail}")
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="trimem.evolution"):
+            assert [ps.round for ps in replay_gradients(tmp_path)] == [0, 1]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{log} line 2: ignoring {len(tail)} bytes with no newline, an append cut short"]
+
+
+def test_replay_refuses_a_bad_whole_line_before_a_cut_last_line(tmp_path):
+    PromptSet.seed().persist(tmp_path)
+    line = json.dumps({"round": 0, "loss": -0.5, **gradient()})
+    (tmp_path / "gradients.jsonl").write_text(f"{line}\n{line[:40]}\n{line}")
+    with pytest.raises(ParseFailure, match=r"gradients\.jsonl line 2: "):
+        replay_gradients(tmp_path)
+
+
 @pytest.mark.parametrize("wrap", [
     "garbage before {} trailing junk",
     "{} trailing junk",

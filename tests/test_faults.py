@@ -11,14 +11,16 @@ Every call of ``trimem eval`` fails in turn the same way: a raised fault
 ends in its exit code with nothing written to ``--out``, and two unreadable
 replies fall back and end in a full report.
 A ``persist`` over the built store fails after each of its writes, and
-with each file it writes cut short: what is left loads as the old store or
-the new one, byte for byte, or is refused with StoreIOError (exit 2).
+with each file it writes cut short: the old store is left byte for byte,
+with no staged ``.tmp`` file, and loads. The same faults in the first
+persist of ``trimem build`` leave an empty directory, so the build runs
+again without ``--force``.
 Gate 6's two-round ``trimem evolve`` fails the same ways at the first and
 last call of each build, eval and gradient step: a raised fault, or two
 unreadable build replies, end in the exit code; two unreadable replies fall
 back at an eval call and make a no-op round at a gradient call. A full disk
-during a gradient-log write keeps the lines of the earlier rounds, and each
-whole line of the log replays to the round it wrote.
+during a gradient-log write keeps the lines of the earlier rounds, and the
+log replays to the rounds written, its cut last line ignored.
 """
 import errno
 import json
@@ -32,7 +34,7 @@ from trimem.backend import BackendRouter, ScriptedBackend
 from trimem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, main
 from trimem.errors import AuthError, BudgetExceeded, StoreIOError, TransportError
 from trimem.evolution import PromptSet, evolve, replay_gradients
-from trimem.store import DATA_FILES, MemoryStore
+from trimem.store import STORE_FILES, MemoryStore
 
 BUILD_CALLS = ["chat"] * 24 + ["embed"]  # every window's calls, then one embed
 UNREADABLE = "no JSON and no 'Entity:' header"  # fails every build-time parser
@@ -178,8 +180,8 @@ def test_a_fault_at_any_eval_call_writes_nothing_or_falls_back(
 # -- persist -------------------------------------------------------------
 
 # records.json.gz in one write; vectors.bin's magic, header and planes 0-3;
-# then manifest.json
-PERSIST_WRITES = ["records.json.gz"] + ["vectors.bin"] * 6 + ["manifest.json"]
+# then manifest.json; each under its staged name
+PERSIST_WRITES = ["records.json.gz.tmp"] + ["vectors.bin.tmp"] * 6 + ["manifest.json.tmp"]
 CUT_FRACTIONS = (0.001, 0.1, 0.37, 0.5, 0.81, 0.999)  # where a file is cut
 
 
@@ -198,11 +200,11 @@ def new_store(built):
     return store
 
 
-def persist_failing(monkeypatch, store, path, after=None, cut=None) -> list[str]:
-    """Persist store to path as a disk that fills up, and return the file
-    name of each write made. After ``after`` writes, the next open or write
-    fails; with cut = (name, b), the write that would take that file past b
-    bytes writes up to b, then fails."""
+def fill_disk(patch, after=None, cut=None) -> list[str]:
+    """Patch ``Path.open`` as a disk that fills up, and return the list that
+    collects the file name of each write made. After ``after`` writes, the
+    next open or write fails; with cut = (name, b), the write that would
+    take that file past b bytes writes up to b, then fails."""
     writes, real_open = [], Path.open
 
     def full(name):
@@ -235,48 +237,56 @@ def persist_failing(monkeypatch, store, path, after=None, cut=None) -> list[str]
             raise full(self.name)
         return Counted(real_open(self, mode, *args, **kwargs), self.name)
 
+    patch.setattr(Path, "open", counted_open)
+    return writes
+
+
+def persist_failing(monkeypatch, store, path, **disk) -> list[str]:
+    """Persist store to path on a ``fill_disk`` disk, and return the file
+    name of each write made."""
     with monkeypatch.context() as patch:
-        patch.setattr(Path, "open", counted_open)
+        writes = fill_disk(patch, **disk)
         store.persist(path)
     return writes
 
 
 def test_persist_makes_eight_writes_over_three_files(tmp_path, monkeypatch, new_store):
     assert persist_failing(monkeypatch, new_store, tmp_path / "store") == PERSIST_WRITES
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == sorted(STORE_FILES)
 
 
-def test_a_persist_that_fails_at_any_write_leaves_the_old_store_the_new_or_a_refusal(
+def test_a_persist_that_fails_at_any_write_leaves_the_old_store(
         work_dir, capsys, monkeypatch, built, new_store):
     new_store.persist(work_dir / "new")
     sizes = {name: len(data) for name, data in snapshot(work_dir / "new").items()}
-    # fail after each write, or cut each file at each fraction of its size
+    # fail after each write, or cut each staged file at each fraction of its size
     cases = [{"after": k} for k in range(len(PERSIST_WRITES))] + [
-        {"cut": (name, max(1, int(f * size)))} for name, size in sizes.items()
+        {"cut": (f"{name}.tmp", max(1, int(f * size)))} for name, size in sizes.items()
         for f in CUT_FRACTIONS]
-    stores = {"old": snapshot(built), "new": snapshot(work_dir / "new")}
-    outcomes = []
+    assert len(cases) == 26
+    old = snapshot(built)
     for number, case in enumerate(cases):
         store = work_dir / f"case_{number}"
         shutil.copytree(built, store)
         with pytest.raises(StoreIOError, match="No space left on device"):
             persist_failing(monkeypatch, new_store, store, **case)
+        assert snapshot(store) == old, case  # byte for byte, and no *.tmp left
         code = main(["inspect", "--store", str(store)])
-        out, err = capsys.readouterr()
-        try:
-            loaded = MemoryStore.load(store)
-        except StoreIOError:
-            assert (code, json.loads(err)["error"]) == (EXIT_DATA, "StoreIOError"), case
-            outcomes.append("refused")
-            continue
-        assert code == EXIT_OK and json.loads(out)["entries"] == len(loaded), case
-        data = {name: (store / name).read_bytes() for name in DATA_FILES}
-        matches = [label for label, files in stores.items()
-                   if data == {name: files[name] for name in DATA_FILES}]
-        assert len(matches) == 1 and loaded.sealed == (matches == ["old"]), case
-        outcomes += matches
-    # only a fault before the first write leaves the old store, and only the
-    # manifest cut before its closing newline the new one
-    assert outcomes.count("old") == outcomes.count("new") == 1
+        out, _ = capsys.readouterr()
+        assert code == EXIT_OK and json.loads(out)["entries"] == 60, case
+
+
+@pytest.mark.parametrize("after", range(len(PERSIST_WRITES)))
+def test_a_failed_first_persist_leaves_an_empty_directory_to_build_into(
+        work_dir, capsys, monkeypatch, after):
+    with monkeypatch.context() as patch:
+        writes = fill_disk(patch, after=after)
+        code, err = build(capsys, "fresh")
+    assert len(writes) == after
+    assert (code, json.loads(err)["error"]) == (EXIT_DATA, "StoreIOError")
+    assert list((work_dir / "fresh").iterdir()) == []
+    assert build(capsys, "fresh")[0] == EXIT_OK  # no --force
+    assert len(MemoryStore.load(work_dir / "fresh")) == 60
 
 
 # -- evolve --------------------------------------------------------------
@@ -385,5 +395,4 @@ def test_a_full_disk_during_a_gradient_log_write_keeps_the_earlier_rounds(
             run(tmp_path / "cut")
     log = tmp_path / "cut" / "gradients.jsonl"
     assert log.read_bytes().startswith(round_0)
-    log.write_bytes(round_0)  # the whole lines only
     assert_log_replays(tmp_path / "cut")

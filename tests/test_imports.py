@@ -6,7 +6,9 @@ used where the module reads it as a name, which covers ``np.x`` and
 annotations. An import whose lines say ``noqa`` is a deliberate re-export
 and is exempt. Importing the package loads no HTTP client either. No
 f-string in ``src/trimem/`` formats a caught exception with ``!r``: an error
-message carries the exception's text, not its class name and quotes.
+message carries the exception's text, not its class name and quotes. One
+function in ``src/trimem/``, ``store.write_bytes``, writes files, so one
+place decides how a file is written and what its failure is.
 """
 import ast
 import os
@@ -78,6 +80,60 @@ def test_the_check_finds_a_caught_exception_formatted_with_repr():
               "    raise KeyError(f'{exc}: {exc!r} {other!r}')\n"
               "exc = 1\nmessage = f'{exc!r}'\n")
     assert reprs_of_caught_errors(source) == ["line 4: exc"]
+
+
+def file_writes(source: str) -> list[tuple[str, int]]:
+    """(function, line) of each call in source that writes a file, function
+    being the innermost enclosing def ("<module>" at top level): a
+    ``.write_text`` or ``.write_bytes`` call, or an ``open`` or ``.open`` call
+    whose mode is not a literal string free of ``w``, ``a``, ``x`` and ``+``;
+    an ``os.open`` call, whose flags are no mode string, counts too."""
+    found = []
+
+    def writes(call: ast.Call) -> bool:
+        func = call.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            return True
+        if not (isinstance(func, ast.Attribute) and func.attr == "open"
+                or isinstance(func, ast.Name) and func.id == "open"):
+            return False
+        if isinstance(func, ast.Attribute) and ast.unparse(func.value) == "os":
+            return True
+        at = 1 if isinstance(func, ast.Name) else 0  # open(file, mode), path.open(mode)
+        mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                    call.args[at] if len(call.args) > at else ast.Constant("r"))
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+"))
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and writes(child):
+                found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_function_writes_files():
+    writers = {(path.name, function) for path in SRC.glob("*.py")
+               for function, _ in file_writes(path.read_text(encoding="utf-8"))}
+    # and the store lock, whose os.open makes an empty file to flock and writes no bytes
+    assert writers == {("store.py", "write_bytes"), ("cli.py", "store_lock")}
+
+
+def test_the_check_finds_each_kind_of_file_write():
+    source = ("import os\nfrom pathlib import Path\n"
+              "def reads(p):\n    open(p).read(); open(p, 'rb'); p.open(mode='r')\n"
+              "    return p.read_text(), write_text(p, 'x')\n"
+              "def writes(p, mode):\n    p.write_text('x')\n    Path(p).write_bytes(b'')\n"
+              "    def inner():\n        open(p, mode='a')\n    p.open('r+'); p.open(mode)\n"
+              "os.open('lock', os.O_CREAT | os.O_WRONLY)\n")
+    assert file_writes(source) == [("writes", 7), ("writes", 8), ("inner", 10),
+                                   ("writes", 11), ("writes", 11), ("<module>", 12)]
 
 
 def test_importing_the_package_loads_no_http_client():
