@@ -26,6 +26,7 @@ REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "tests" / "data"
 sys.path.insert(0, str(REPO / "src"))
 
+from trimem.corpus import window_count  # noqa: E402
 from trimem.prompts import seed_prompts  # noqa: E402
 
 TOTAL_TURNS = 300
@@ -149,15 +150,9 @@ def make_corpus() -> dict:
 
 
 def window_spans(total=TOTAL_TURNS, size=40, stride=38):
-    spans = []
-    first = 1
-    while True:
-        last = min(total, first + size - 1)
-        spans.append((first, last))
-        if last == total:
-            break
-        first += stride
-    return spans
+    """Each window's first and last turn id, as ``corpus.segment`` cuts them."""
+    return [(start + 1, min(total, start + size))
+            for start in range(0, window_count(total, size, stride) * stride, stride)]
 
 
 PROFILE_TEXT = {

@@ -35,8 +35,8 @@ from .evolution import PromptSet, best_round, evolve
 from .metrics import build_report, write_report
 from .pipeline import QaItem, answer_question, build_store, run_eval
 from .retrieval import plan_for_question, retrieve
-from .store import (STORE_FILES, MemoryStore, RetrievalConfig, make_dir, refuse_non_empty,
-                    refuse_squatted, write_json, write_text)
+from .store import (MemoryStore, RetrievalConfig, make_dir, refuse_non_empty, refuse_squatted,
+                    store_paths, write_json, write_text)
 
 logger = logging.getLogger(__name__)
 
@@ -44,10 +44,7 @@ ENV_API_BASE = "TRIMEM_API_BASE"
 ENV_API_KEY = "TRIMEM_API_KEY"
 ENV_CONFIG = "TRIMEM_CONFIG"
 
-# the files a build writes into its store, and an eval into its output
-# directory
-BUILD_OUTPUTS = (*STORE_FILES, "run_manifest.json")
-EVAL_OUTPUTS = ("report.json", "detailed_results.jsonl", "run_manifest.json")
+EVAL_OUTPUTS = ("report.json", "detailed_results.jsonl", "run_manifest.json")  # an eval's files
 
 
 @dataclass(frozen=True)
@@ -223,12 +220,10 @@ def write_manifest(path: Path, config: RunConfig, prompt_round: int,
 
 def _build_and_persist(config: RunConfig, corpus: DialogueCorpus, prompts: PromptSet,
                        router: BackendRouter, store_dir: Path) -> MemoryStore:
-    """Build a store from corpus with one prompt round, and persist it under
-    the lock."""
-    with store_lock(store_dir):
-        store = build_store(corpus, prompts.as_prompt_dict(), router, seg_config=config)
-        store.persist(store_dir, manifest_extra={"config_hash": config.config_hash(),
-                                                 "prompt_round": prompts.round})
+    """Build a store from corpus with one prompt round and persist it, under the caller's lock."""
+    store = build_store(corpus, prompts.as_prompt_dict(), router, seg_config=config)
+    store.persist(store_dir, manifest_extra={"config_hash": config.config_hash(),
+                                             "prompt_round": prompts.round})
     return store
 
 
@@ -269,14 +264,15 @@ def cmd_ingest(args, config: RunConfig) -> dict:
 
 def cmd_build(args, config: RunConfig) -> dict:
     store_dir = Path(config.store_dir)
+    refuse_squatted(*store_paths(store_dir), store_dir / "run_manifest.json")
     if not args.force:
         refuse_non_empty(store_dir, "pass --force to rebuild")
-    refuse_squatted(*(store_dir / name for name in BUILD_OUTPUTS))
     router = make_router(config)
     corpus = load_corpus(config.corpus)
     prompts = load_prompts(config)
-    store = _build_and_persist(config, corpus, prompts, router, store_dir)
-    write_manifest(store_dir / "run_manifest.json", config, prompts.round, router)
+    with store_lock(store_dir):  # the run manifest beside the store it describes
+        store = _build_and_persist(config, corpus, prompts, router, store_dir)
+        write_manifest(store_dir / "run_manifest.json", config, prompts.round, router)
     return {"store": str(store_dir), "entries": len(store),
             "profiles": len(store.profile_history)}
 
@@ -410,7 +406,7 @@ def cmd_ablate(args, config: RunConfig) -> dict:
     rebuilt = row_names if rebuilds else []
     refuse_squatted(out_dir / "sweep_report.json",
                     *(out_dir / row / name for row in row_names for name in EVAL_OUTPUTS),
-                    *(out_dir / f"store_{row}" / name for row in rebuilt for name in STORE_FILES))
+                    *(path for row in rebuilt for path in store_paths(out_dir / f"store_{row}")))
     # every input is read once, before --out is made: a row rebuilds from
     # the corpus, or evaluates the one --store
     qa_set = load_qa_set(args.qa)
@@ -423,7 +419,8 @@ def cmd_ablate(args, config: RunConfig) -> dict:
         router = make_router(sweep_config)
         if rebuilds:
             row_store = out_dir / f"store_{row}"
-            store = _build_and_persist(sweep_config, corpus, prompts, router, row_store)
+            with store_lock(row_store):
+                store = _build_and_persist(sweep_config, corpus, prompts, router, row_store)
             sweep_config = dataclasses.replace(sweep_config, store_dir=str(row_store))
         report = _eval_to_dir(sweep_config, qa_set, store, prompts, out_dir / row, router)
         rows.append({"knob": knob, "value": value,

@@ -46,13 +46,12 @@ def normalize_person_key(name: str) -> str:
     return " ".join(name.split()).casefold()
 
 
-def normalize_display(name: str) -> str:
-    return " ".join(name.split())
-
-
 def restatement_key(text: str) -> str:
-    """The dedup key: restatements equal after whitespace normalization are one fact."""
+    """The dedup key, and a person's display name: text's words one space apart."""
     return " ".join(text.split())
+
+
+normalize_display = restatement_key
 
 
 def _coerce_event_time(value: str) -> Optional[str]:

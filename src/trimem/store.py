@@ -72,6 +72,7 @@ VECTOR_MAGIC = b"TRIM"
 GZIP_LEVEL = 6  # level 9 takes about 3x as long and saves under 0.5% of a store
 DATA_FILES = ("records.json.gz", "vectors.bin")
 STORE_FILES = (*DATA_FILES, "manifest.json")  # in the order persist writes and renames them
+STAGED_FILES = {name: f"{name}.tmp" for name in STORE_FILES}  # each one's name while written
 # the record parts of schemas 1-3, which persist deletes
 _OLD_PARTS = [f"{kind}.jsonl{gz}" for kind in ("entries", "turns", "profiles")
               for gz in ("", ".gz")]
@@ -183,6 +184,11 @@ def _unit_rows(block: np.ndarray) -> np.ndarray:
     if not np.all((norms > 0) & (norms < np.inf)):
         raise DimensionMismatch("embedding of norm zero or not finite")
     return block / norms[:, None]
+
+
+def store_paths(path) -> list[Path]:
+    """Every path persist writes under store directory path: staged, then final."""
+    return [Path(path) / name for name in (*STAGED_FILES.values(), *STORE_FILES)]
 
 
 def refuse_non_empty(path: Path, hint: str) -> None:
@@ -395,7 +401,7 @@ class MemoryStore:
         records = {"entries": _columns(list(self.entries.values()), _ENTRY_TYPES),
                    "turns": _columns(self.turns, _TURN_TYPES),
                    "profiles": _columns(self._profile_history, _PROFILE_TYPES)}
-        staged = {name: path / f"{name}.tmp" for name in STORE_FILES}
+        staged = {name: path / staged_name for name, staged_name in STAGED_FILES.items()}
         try:
             path.mkdir(parents=True, exist_ok=True)
             # not sort_keys: columns stay in table order, sections in theirs

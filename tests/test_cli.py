@@ -10,17 +10,18 @@ import subprocess
 import sys
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trimem import errors
+from trimem import cli, errors
 from trimem.backend import BackendRouter, ChatRequest, HttpBackend, ScriptedBackend
 from trimem.cli import (EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig,
                         build_parser, load_qa_set, main, make_router, write_manifest)
 from trimem.evolution import PromptSet
 from trimem.qa import estimate_tokens
-from trimem.store import DATA_FILES, MemoryStore
+from trimem.store import DATA_FILES, STORE_FILES, MemoryStore, store_paths
 
 
 def run(capsys, *argv):
@@ -1185,9 +1186,18 @@ def test_an_out_dir_that_is_a_file_is_a_usage_error(work_dir, capsys, command):
     assert (work_dir / "taken").read_text() == "x"
 
 
+BUILD = ("build", "--corpus", "corpus.json", "--store", "store")
+ABLATE_ROW = ("ablate", "--corpus", "corpus.json", "--qa", "qa.jsonl", "--knob", "stride",
+              "--values", "38", "--out", "sw")
 SQUATTED_OUTPUTS = {
-    "build-run-manifest": (("build", "--corpus", "corpus.json", "--store", "store",
-                            "--force"), "store/run_manifest.json"),
+    # each path a build writes in its store, staged or final, and its run
+    # manifest, with and without --force; each path of a rebuilt ablate
+    # row's store, which gets no run manifest
+    **{f"{name}-{path.name}": (command, str(path))
+       for name, command in (("build", BUILD), ("build-force", (*BUILD, "--force")))
+       for path in [*store_paths("store"), Path("store/run_manifest.json")]},
+    **{f"ablate-row-store-{path.name}": (ABLATE_ROW, str(path))
+       for path in store_paths("sw/store_stride_38")},
     "eval-report": (("eval", "--store", "store", "--qa", "qa.jsonl", "--out", "ev"),
                     "ev/report.json"),
     "eval-detailed-results": (("eval", "--store", "store", "--qa", "qa.jsonl", "--out", "ev"),
@@ -1196,30 +1206,50 @@ SQUATTED_OUTPUTS = {
                              "top_k", "--values", "5", "--out", "sw"), "sw/sweep_report.json"),
     "ablate-row-report": (("ablate", "--store", "store", "--qa", "qa.jsonl", "--knob",
                            "top_k", "--values", "5,25", "--out", "sw"), "sw/top_k_25/report.json"),
-    "ablate-row-store-manifest": (("ablate", "--corpus", "corpus.json", "--qa", "qa.jsonl",
-                                   "--knob", "stride", "--values", "38", "--out", "sw"),
-                                  "sw/store_stride_38/manifest.json"),
     "answer-dump-context": (("answer", "--store", "store", "--question", "Where?",
                              "--dump-context", "ctx/context.txt"), "ctx/context.txt"),
 }
+
+
+def tree(root: Path) -> dict:
+    """Every path under root, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
 
 
 @pytest.mark.parametrize("case", sorted(SQUATTED_OUTPUTS))
 def test_an_output_that_cannot_be_written_is_one_json_error(work_dir, capsys, case):
     # a directory squats on the output name: root may write through chmod.
     # It is found before the first model call: with none allowed, a run
-    # that reached one would exit 3 instead, and nothing is made.
+    # that reached one would exit 3 instead, and nothing is made or changed.
     command, squatted = SQUATTED_OUTPUTS[case]
     assert build(capsys)[0] == EXIT_OK
     (work_dir / squatted).unlink(missing_ok=True)
     (work_dir / squatted).mkdir(parents=True)
-    before = sorted(work_dir.rglob("*"))
+    before = tree(work_dir)
     code, out, err = run(capsys, *command, "--scripted", "fixture.jsonl", "--max-calls", "0")
     assert (code, out) == (EXIT_DATA, "")
-    assert sorted(work_dir.rglob("*")) == before
-    assert err.count("\n") == 1
-    error = json.loads(err)
-    assert error["error"] == "StoreIOError" and squatted.split("/")[-1] in error["message"]
+    assert tree(work_dir) == before
+    assert json.loads(err) == {"error": "StoreIOError",
+                               "message": f"cannot write {squatted}: a directory holds its name"}
+    if squatted.removeprefix("store/") not in STORE_FILES:  # the built store is whole
+        assert len(MemoryStore.load(work_dir / "store")) == 60
+
+
+def test_build_writes_its_run_manifest_under_the_store_lock(work_dir, capsys, monkeypatch):
+    locked = []
+
+    def recording(path, *args):
+        locked.append((path.parent / ".lock").exists())
+        write_manifest(path, *args)
+
+    monkeypatch.setattr(cli, "write_manifest", recording)
+    assert build(capsys)[0] == EXIT_OK
+    assert locked == [True]
+    assert run(capsys, *ABLATE_ROW, "--scripted", "fixture.jsonl")[0] == EXIT_OK
+    # a row's run manifest is its eval's, beside its report, not in its store
+    assert locked == [True, False]
+    assert sorted(p.name for p in (work_dir / "sw" / "store_stride_38").iterdir()) == sorted(
+        STORE_FILES)
 
 
 def test_no_written_file_holds_the_api_key(work_dir, capsys, monkeypatch):

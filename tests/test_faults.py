@@ -34,7 +34,7 @@ from trimem.backend import BackendRouter, ScriptedBackend
 from trimem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, main
 from trimem.errors import AuthError, BudgetExceeded, StoreIOError, TransportError
 from trimem.evolution import PromptSet, evolve, replay_gradients
-from trimem.store import STORE_FILES, MemoryStore
+from trimem.store import STAGED_FILES, STORE_FILES, MemoryStore
 
 BUILD_CALLS = ["chat"] * 24 + ["embed"]  # every window's calls, then one embed
 UNREADABLE = "no JSON and no 'Entity:' header"  # fails every build-time parser
@@ -181,7 +181,8 @@ def test_a_fault_at_any_eval_call_writes_nothing_or_falls_back(
 
 # records.json.gz in one write; vectors.bin's magic, header and planes 0-3;
 # then manifest.json; each under its staged name
-PERSIST_WRITES = ["records.json.gz.tmp"] + ["vectors.bin.tmp"] * 6 + ["manifest.json.tmp"]
+RECORDS, VECTORS, MANIFEST = STAGED_FILES.values()
+PERSIST_WRITES = [RECORDS] + [VECTORS] * 6 + [MANIFEST]
 CUT_FRACTIONS = (0.001, 0.1, 0.37, 0.5, 0.81, 0.999)  # where a file is cut
 
 
@@ -261,7 +262,7 @@ def test_a_persist_that_fails_at_any_write_leaves_the_old_store(
     sizes = {name: len(data) for name, data in snapshot(work_dir / "new").items()}
     # fail after each write, or cut each staged file at each fraction of its size
     cases = [{"after": k} for k in range(len(PERSIST_WRITES))] + [
-        {"cut": (f"{name}.tmp", max(1, int(f * size)))} for name, size in sizes.items()
+        {"cut": (STAGED_FILES[name], max(1, int(f * size)))} for name, size in sizes.items()
         for f in CUT_FRACTIONS]
     assert len(cases) == 26
     old = snapshot(built)

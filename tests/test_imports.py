@@ -8,15 +8,21 @@ and is exempt. Importing the package loads no HTTP client either. No
 f-string in ``src/trimem/`` formats a caught exception with ``!r``: an error
 message carries the exception's text, not its class name and quotes. One
 function in ``src/trimem/``, ``store.write_bytes``, writes files, so one
-place decides how a file is written and what its failure is.
+place decides how a file is written and what its failure is. No module in
+``src/trimem/`` but ``store.py`` spells a store file's name or the staged
+``.tmp`` suffix, so the paths a command checks before its first model call
+are the ones ``persist`` writes.
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from trimem.store import STORE_FILES
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "trimem"
@@ -134,6 +140,35 @@ def test_the_check_finds_each_kind_of_file_write():
               "os.open('lock', os.O_CREAT | os.O_WRONLY)\n")
     assert file_writes(source) == [("writes", 7), ("writes", 8), ("inner", 10),
                                    ("writes", 11), ("writes", 11), ("<module>", 12)]
+
+
+# a store file's name, not as the tail of a longer name such as run_manifest.json
+STORE_FILE_NAME = re.compile(r"(?<![\w.])(%s)\b" % "|".join(map(re.escape, STORE_FILES)))
+
+
+def store_file_names(source: str) -> list[str]:
+    """Each string constant in source, in source order, that names a store
+    file or ends in ``.tmp``, docstrings and the literal parts of f-strings
+    included."""
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and (STORE_FILE_NAME.search(node.value) or node.value.endswith(".tmp"))]
+    return [f"line {node.lineno}: {node.value!r}"
+            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
+@pytest.mark.parametrize("module", sorted({p.name for p in SRC.glob("*.py")} - {"store.py"}))
+def test_only_the_store_names_its_files(module):
+    assert store_file_names((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_store_file_name():
+    source = ('"""Reads manifest.json."""\nOUT = ("run_manifest.json", "report.json")\n'
+              'def f(d, name):\n    return d / "records.json.gz", d / f"{name}.tmp"\n'
+              'STAGE = ".tmp"\nDATA = "store/vectors.bin"\nOTHER = "vectors.bins"\n')
+    assert store_file_names(source) == [
+        "line 1: 'Reads manifest.json.'", "line 4: 'records.json.gz'", "line 4: '.tmp'",
+        "line 5: '.tmp'", "line 6: 'store/vectors.bin'"]
 
 
 def test_importing_the_package_loads_no_http_client():
