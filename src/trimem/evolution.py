@@ -4,10 +4,9 @@ One round: rebuild memory if the extraction/profile prompts changed,
 answer the training questions, judge them, aggregate the loss, ask the
 senior model for full-text prompt rewrites, and apply them as the next
 version. The answer prompt is frozen across all rounds. ``ROUND_PROMPTS``
-is the one table of a round's prompts: the gradient field that rewrites
-each, and the placeholders of its seed template. A gradient reply must
-keep every placeholder of the prompt it rewrites, and a loaded round
-every placeholder of each of its prompts.
+is the one table of a round's prompts and the gradient field that rewrites
+each. Every version of a prompt keeps each slot of its seed template: a
+gradient reply's rewrites, and each prompt of a loaded round.
 """
 from __future__ import annotations
 
@@ -24,19 +23,20 @@ from .corpus import DialogueCorpus, SegmentationConfig
 from .errors import EmptyRecordSet, ParseFailure
 from .metrics import EvalRecord
 from .pipeline import build_store, run_eval
-from .prompts import (ANSWER_PLACEHOLDERS, EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS,
-                      render, seed_prompts)
+from .prompts import render, seed_prompts, slots
 from .store import RetrievalConfig, make_dir, refuse_non_empty, write_bytes, write_text
 
 logger = logging.getLogger(__name__)
 
 _ROUND_DIR = re.compile(r"round_(0|[1-9][0-9]*)")  # as PromptSet.persist names it
-# each prompt a round holds: the gradient field that rewrites it (None: the
-# answer prompt is frozen) and the placeholders every version of it keeps
-ROUND_PROMPTS = {"extraction": ("rewritten_p_ext", EXTRACTION_PLACEHOLDERS),
-                 "profile": ("rewritten_p_prof", PROFILE_PLACEHOLDERS),
-                 "answer": (None, ANSWER_PLACEHOLDERS)}
-_REWRITES = {name: field for name, (field, _) in ROUND_PROMPTS.items() if field}
+# each prompt a round holds and its gradient field (None: the answer prompt is frozen)
+ROUND_PROMPTS = {"extraction": "rewritten_p_ext", "profile": "rewritten_p_prof", "answer": None}
+_REWRITES = {name: field for name, field in ROUND_PROMPTS.items() if field}
+
+
+def _lost_slots(name: str, text: str) -> str:
+    """The slots of prompt name's seed template that text lacks, joined in their order."""
+    return ", ".join(slot for slot in slots(seed_prompts()[name]) if slot not in text)
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,13 @@ class PromptSet:
     @classmethod
     def load_round(cls, prompt_dir, round_number: int) -> "PromptSet":
         """The round ``persist`` wrote, numbered by its directory; a prompt
-        file that lacks a placeholder of ``ROUND_PROMPTS`` is a ValueError."""
+        file that lacks a slot of its seed template is a ValueError."""
         round_dir = Path(prompt_dir) / f"round_{round_number}"
         prompts = {name: (round_dir / f"{name}.txt").read_text(encoding="utf-8")
                    for name in ROUND_PROMPTS}
-        for name, (_, placeholders) in ROUND_PROMPTS.items():
-            if lost := [p for p in placeholders if p not in prompts[name]]:
-                raise ValueError(f"{name}.txt lacks {', '.join(lost)}")
+        for name, text in prompts.items():
+            if lost := _lost_slots(name, text):
+                raise ValueError(f"{name}.txt lacks {lost}")
         return cls(**prompts, round=round_number)
 
 
@@ -121,12 +121,11 @@ _GRADIENT_FIELDS = dict.fromkeys((*_REWRITES.values(), "change_summary"), (str, 
 
 def _read_gradient(reply: dict) -> dict[str, str]:
     """The gradient-log fields of a parsed senior reply or logged round: two
-    rewrites that keep every placeholder of their prompt, and a summary."""
+    rewrites that keep every slot of their prompt, and a summary."""
     gradient = read_parsed(reply, _GRADIENT_FIELDS)
     for name, field in _REWRITES.items():
-        for placeholder in ROUND_PROMPTS[name][1]:
-            if placeholder not in gradient[field]:
-                raise ParseFailure(f"{name} rewrite lost {placeholder}")
+        if lost := _lost_slots(name, gradient[field]):
+            raise ParseFailure(f"{name} rewrite lost {lost}")
     return gradient
 
 
@@ -141,7 +140,7 @@ def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
 
     Returns the gradient-log fields ``rewritten_p_ext``, ``rewritten_p_prof``
     and ``change_summary``. An unreadable reply, a field that is not a
-    string, or a rewrite that lost a placeholder gets the one repair of
+    string, or a rewrite that lost a slot gets the one repair of
     ``complete_parsed``; a second failure raises ParseFailure.
     """
     detailed = json.dumps({"detailed_results": [r.detailed_record() for r in records]})
@@ -206,7 +205,7 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     Each of the ``rounds`` gradient steps rebuilds memory from scratch with
     the current prompts, evaluates, and applies the rewrite; the final
     version is evaluated too, so the trajectory has rounds+1 points. A
-    rejected gradient (unreadable, wrong-typed or missing a placeholder
+    rejected gradient (unreadable, wrong-typed or missing a slot
     after its repair) is logged as a no-op round with its reason, and the
     prompts carry forward unchanged. A round whose extraction and profile
     texts equal the last build's reuses that sealed store and only

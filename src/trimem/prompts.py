@@ -1,25 +1,24 @@
-"""Prompt asset loading and placeholder substitution.
-
-Prompts contain literal JSON braces, so templating is plain string
-replacement of known ``{placeholder}`` slots rather than str.format.
-"""
+"""Prompt asset loading and slot filling. A slot is a word in braces,
+``{name}``; a prompt's literal JSON braces are none. ``render`` fills slots
+in one pass, so a value it inserts is never read as a template, and leaves
+a slot it was not given as it is."""
 from __future__ import annotations
 
+import re
 from functools import cache
 from importlib import resources
 
-# the slots of each trainable or frozen seed template, which every version keeps
-EXTRACTION_PLACEHOLDERS = ("{context}", "{dialogue_text}")
-PROFILE_PLACEHOLDERS = ("{entity_name}", "{facts}", "{existing_profile}")
-ANSWER_PLACEHOLDERS = ("{query}", "{context}")
-
+_SLOT = re.compile(r"\{(\w+)\}")
 _ASSET_PACKAGE = "trimem.assets.prompts"
 
 
-def render(template: str, **slots: str) -> str:
-    for key, value in slots.items():
-        template = template.replace("{" + key + "}", value)
-    return template
+def slots(template: str) -> tuple[str, ...]:
+    """The distinct ``{name}`` slots of template, in the order they first appear."""
+    return tuple(dict.fromkeys(match[0] for match in _SLOT.finditer(template)))
+
+
+def render(template: str, **values: str) -> str:
+    return _SLOT.sub(lambda match: values.get(match[1], match[0]), template)
 
 
 def seed_prompts() -> dict[str, str]:

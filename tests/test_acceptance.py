@@ -28,11 +28,7 @@ from trimem.errors import EmptyRequiredSet
 from trimem.evolution import PromptSet, replay_gradients, evolve
 from trimem.extraction import MemoryEntry
 from trimem.metrics import bleu, coverage, hit_at_k, token_f1
-from trimem.prompts import (
-    EXTRACTION_PLACEHOLDERS,
-    PROFILE_PLACEHOLDERS,
-    load_stopwords,
-)
+from trimem.prompts import load_stopwords, slots
 from trimem.retrieval import SearchPlan, retrieve
 from trimem.store import MemoryStore, RetrievalConfig
 
@@ -292,9 +288,9 @@ def test_criterion_6_evolution_loop(fixture_corpus, qa_items, tmp_path):
     assert rounds == [0, 1, 2]
     assert parents == [None, 0, 1]
     for ps, _ in trajectory:
-        for ph in EXTRACTION_PLACEHOLDERS:
+        for ph in slots(PromptSet.seed().extraction):
             assert ph in ps.extraction
-        for ph in PROFILE_PLACEHOLDERS:
+        for ph in slots(PromptSet.seed().profile):
             assert ph in ps.profile
 
     # byte-exact replay of the full chain from round 0 + the gradient log

@@ -1,5 +1,4 @@
 import json
-import re
 from dataclasses import fields
 
 import pytest
@@ -19,7 +18,7 @@ from trimem.evolution import (
     textual_gradient,
 )
 from trimem.metrics import EvalRecord
-from trimem.prompts import EXTRACTION_PLACEHOLDERS, PROFILE_PLACEHOLDERS, seed_prompts
+from trimem.prompts import slots
 
 JUDGE_PROMPT = "Judge.\nQuestion: {question}\nRef: {reference}\nPred: {prediction}"
 EVOLUTION_PROMPT = ("backward pass\n[Ext]\n{extraction_prompt}\n"
@@ -43,23 +42,15 @@ def gradient(ext_extra="", prof_extra=""):
 
 def test_seed_contains_placeholders():
     seed = PromptSet.seed()
-    for ph in EXTRACTION_PLACEHOLDERS:
-        assert ph in seed.extraction
-    for ph in PROFILE_PLACEHOLDERS:
-        assert ph in seed.profile
+    assert slots(seed.extraction) == ("{context}", "{dialogue_text}")
+    assert slots(seed.profile) == ("{entity_name}", "{existing_profile}", "{facts}")
+    assert slots(seed.answer) == ("{query}", "{context}")
     assert seed.round == 0
     assert seed.parent_round is None
 
 
-@pytest.mark.parametrize("name", ROUND_PROMPTS)
-def test_each_placeholder_tuple_is_the_slots_of_its_seed_template(name):
-    # a slot the template holds but the tuple lacks is one a rewrite may drop
-    slots = set(re.findall(r"\{[a-z_]+\}", seed_prompts()[name]))
-    assert sorted(ROUND_PROMPTS[name][1]) == sorted(slots)
-
-
 def test_the_table_maps_each_trainable_prompt_to_its_gradient_field():
-    assert {name: field for name, (field, _) in ROUND_PROMPTS.items()} == {
+    assert ROUND_PROMPTS == {
         "extraction": "rewritten_p_ext", "profile": "rewritten_p_prof", "answer": None}
     assert list(ROUND_PROMPTS) == [f.name for f in fields(PromptSet) if f.name != "round"]
 
@@ -144,7 +135,7 @@ def test_placeholder_guard_rejects_lost_slots():
         _parse_gradient(json.dumps(bad))
     bad_prof = {"rewritten_p_ext": seed.extraction,
                 "rewritten_p_prof": "missing {entity_name} only"}
-    with pytest.raises(ParseFailure, match="profile rewrite lost {facts}"):
+    with pytest.raises(ParseFailure, match="profile rewrite lost {existing_profile}, {facts}"):
         _parse_gradient(json.dumps(bad_prof))
 
 
