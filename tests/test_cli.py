@@ -808,6 +808,15 @@ _drop_vector_rows = _edit_vector_planes(
     lambda planes, dim, count: ([p[:-10 * dim] for p in planes], count - 10))
 
 
+def _set_vector_values(value, n=None):
+    """An edit of vectors.bin that sets its first n values (default: row 1's
+    dim values) to the float32 value."""
+    packed = struct.pack("<f", value)
+    return _edit_vector_planes(lambda planes, dim, count: (
+        [packed[k:k + 1] * (n or dim) + plane[n or dim:] for k, plane in enumerate(planes)],
+        count))
+
+
 def _damage_plane_3(path):
     raw = bytearray(path.read_bytes())
     _, dim, count = struct.unpack("<III", raw[4:16])
@@ -925,6 +934,9 @@ TRUNCATIONS = {
         p.read_bytes() + b"\0")),
     "vectors-bad-magic": ("vectors.bin", lambda p: p.write_bytes(b"MIRT" + p.read_bytes()[4:])),
     "vectors-planes-0-2-cut-short": ("vectors.bin", _cut_planes_0_to_2),
+    # finite rows only: an all-zero row still loads (test_store)
+    "vectors-row-1-nan": ("vectors.bin", _set_vector_values(float("nan"))),
+    "vectors-one-value-infinite": ("vectors.bin", _set_vector_values(float("-inf"), n=1)),
     "entries-gz-cut-40-bytes": (R, _cut_40_bytes),
     "turns-gz-byte-flipped": (R, _flip_byte_at(0.5)),
     "turns-gz-bad-deflate-block": (R, _bad_deflate_block),
@@ -983,6 +995,9 @@ TRUNCATIONS = {
     "entries-source-ids-strings": (R, _set_value("entries", "source_dialogue_ids", ["1"])),
     "entries-source-ids-holding-a-float": (R, _set_value(
         "entries", "source_dialogue_ids", [1.0])),
+    "entries-anchor-past-the-last-turn": (R, _set_value(
+        "entries", "source_dialogue_ids", [9999])),
+    "entries-anchor-turn-0": (R, _set_value("entries", "source_dialogue_ids", [0, 1])),
     "entries-origin-window-a-string": (R, _set_value("entries", "origin_window", "x")),
     "entries-origin-window-a-bool": (R, _set_value("entries", "origin_window", True)),
     "profiles-2-lines-short": (R, _drop_rows("profiles", 2)),

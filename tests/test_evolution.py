@@ -18,7 +18,7 @@ from trimem.evolution import (
     textual_gradient,
 )
 from trimem.metrics import EvalRecord
-from trimem.prompts import slots
+from trimem.prompts import seed_prompts, slots
 
 JUDGE_PROMPT = "Judge.\nQuestion: {question}\nRef: {reference}\nPred: {prediction}"
 EVOLUTION_PROMPT = ("backward pass\n[Ext]\n{extraction_prompt}\n"
@@ -79,6 +79,15 @@ def test_judge_binary_threshold():
     ])
     assert judge("q1", "p", "r", JUDGE_PROMPT, backend) == (1.0, "ok")
     assert judge("q2", "p", "r", JUDGE_PROMPT, backend) == (0.0, "nope")
+
+
+def test_a_question_holding_a_slot_reaches_the_judge_as_written():
+    # render fills the template in one pass, so no inserted text is filled again
+    backend = ScriptedBackend(rules=[
+        FixtureRule(response='{"score": 1, "reasoning": "ok"}', contains=("Question:",))])
+    judge("What is {reference}?", "a slot", "gold", seed_prompts()["judge"], backend)
+    (prompt,) = backend.request_log
+    assert "\nQuestion: What is {reference}?\nReference Answer: gold\n" in prompt
 
 
 def test_judge_unparsed_degrades_to_zero(caplog):

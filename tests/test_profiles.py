@@ -141,6 +141,17 @@ def test_update_profile_versions_increment():
     assert "Alice lives in Rome." in backend.request_log[1]
 
 
+def test_a_fact_holding_a_slot_reaches_the_profile_prompt_as_written():
+    backend = ScriptedBackend(rules=[FixtureRule(response=PROFILE_REPLY, contains=("alice",))])
+    existing = EntityProfile(entity_key="alice", display_name="Alice",
+                             sections={"Identity": "Traveler."}, version=1)
+    update_profile("alice", [entry("Alice wrote {existing_profile} on a card.", ["Alice"])],
+                   existing, seed_prompts()["profile"], backend)
+    (prompt,) = backend.request_log
+    assert "\n- Alice wrote {existing_profile} on a card.\n" in prompt
+    assert prompt.count(serialize_profile(existing)) == 1
+
+
 def test_update_profile_repair_retry():
     backend = ScriptedBackend(rules=[
         FixtureRule(response="no labels at all", contains=("alice",)),

@@ -91,6 +91,17 @@ def test_answer_happy_path():
     assert ctx.token_cost == estimate_tokens(assemble_context(make_ctx()))
 
 
+def test_a_question_holding_a_slot_gets_the_context_once():
+    backend = ScriptedBackend(rules=[FixtureRule(
+        response=json.dumps({"reasoning": "entry 1", "answer": "Rome"}),
+        contains=("Question:",))])
+    ctx = make_ctx()
+    answer("Where is {context}?", ctx, seed_prompts()["answer"], backend)
+    (prompt,) = backend.request_log
+    assert "\nQuestion: Where is {context}?\n" in prompt
+    assert prompt.count(ctx.text) == 1
+
+
 def test_answer_repair_then_parse():
     backend = ScriptedBackend(rules=[
         FixtureRule(response="no json", contains=("where?",)),
