@@ -39,11 +39,11 @@ checks each data file's sha256 before it parses anything. Each kind must
 hold exactly its table's columns, each a list of the manifest's count of
 values of its kind, checked once per column, and every section text a
 string. Then come the vector planes' lengths, finite vector values, the
-constructor's turn-id check, each entry anchor within 1..turn count,
-distinct restatements and the profile version chain; any fault raises
-StoreIOError. Each kind's rows are rebuilt from its columns by
-position. A store of another schema version raises SchemaVersionMismatch;
-rebuild it with ``trimem build --force``.
+constructor's turn-id check, entry anchors within 1..turn count, distinct
+restatements and the profile version chain; any fault raises StoreIOError.
+Each kind's rows are rebuilt from its columns by position. A store of
+another schema version raises SchemaVersionMismatch; rebuild it with
+``trimem build --force``.
 """
 from __future__ import annotations
 
@@ -161,7 +161,7 @@ def _vector_planes(matrix: np.ndarray) -> tuple:
 
 def _matrix_from_planes(body, count: int, dim: int) -> np.ndarray:
     """The (count, dim) float32 matrix whose byte planes body holds; a plane
-    of the wrong length, or a value that is not finite, is a ValueError."""
+    of the wrong length is a ValueError."""
     size = count * dim
     if len(body) < 3 * size:
         raise ValueError(f"vectors.bin planes 0-2 hold {len(body)} of {3 * size} bytes")
@@ -174,10 +174,7 @@ def _matrix_from_planes(body, count: int, dim: int) -> np.ndarray:
     if len(top) != size or not inflater.eof or inflater.unused_data:
         raise ValueError(f"vectors.bin plane 3 is not one stream of {size} bytes")
     values[:, 3] = np.frombuffer(top, dtype=np.uint8)
-    matrix = values.view("<f4").reshape(count, dim)
-    if not np.isfinite(matrix).all():
-        raise ValueError("vectors.bin holds a NaN or infinite value")
-    return matrix
+    return values.view("<f4").reshape(count, dim)
 
 
 def _unit_rows(block: np.ndarray) -> np.ndarray:
@@ -480,6 +477,8 @@ class MemoryStore:
             store = cls(tuple(itertools.starmap(DialogueTurn, zip(*turns.values()))))
             store.dim = dim or None
             store._blocks = [_matrix_from_planes(memoryview(raw)[16:], count, dim)]
+            if not np.isfinite(store._blocks[0]).all():
+                raise ValueError("vectors.bin holds a NaN or infinite value")
             ids = [f"e{row:06d}" for row in range(1, count + 1)]
             store.entries = {entry_id: MemoryEntry(*values, entry_id)
                              for entry_id, values in zip(ids, zip(*entries.values()))}
@@ -493,9 +492,9 @@ class MemoryStore:
         except (OSError, EOFError, zlib.error, struct.error, KeyError,
                 TypeError, ValueError, DanglingAnchor) as exc:
             # unreadable file, cut or damaged gzip or zlib data, short vector
-            # header or plane, a value not finite, bad JSON, missing, extra,
-            # short or wrong-typed column, turn ids not 1..n in order, an
-            # anchor outside them, repeated restatement, profile version gap
+            # header or plane, a NaN or inf, bad JSON, missing, extra, short or
+            # wrong-typed column, turn ids not 1..n in order or an anchor
+            # outside them, repeated restatement, profile version gap
             raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}")
         if manifest["sealed"]:
             store.seal()

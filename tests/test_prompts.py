@@ -26,11 +26,6 @@ def test_render_leaves_a_slot_it_was_not_given():
     assert render("{a} {b} {}", a="1") == "1 {b} {}"
 
 
-def test_render_without_slots_returns_the_template():
-    template = 'Return {"answer": "..."} only.'
-    assert render(template, answer="x") == template
-
-
 # -- every engine render call fills exactly its template's slots -------
 
 def _engine_modules():
