@@ -63,13 +63,23 @@ class Window:
         return self.turns[-1].turn_id
 
     @property
-    def turn_ids(self) -> frozenset[int]:
-        return frozenset(t.turn_id for t in self.turns)
+    def turn_ids(self) -> range:  # a window is a run of consecutive turns
+        return range(self.first_turn, self.last_turn + 1)
 
 
 # a turn's fields; the README's "Input documents" gives every corpus field
 _TURN_FIELDS = {"speaker": (str, REQUIRED), "text": (str, REQUIRED),
                 "turn_id": ((int, type(None)), None), "timestamp": ((str, type(None)), None)}
+
+
+def check_turn(turn: DialogueTurn) -> DialogueTurn:
+    """turn, if it keeps the rule for a stored turn, on load of a corpus and
+    of a store: a non-empty speaker, and an ISO 8601 timestamp or None."""
+    if not turn.speaker:
+        raise ValueError(f"turn {turn.turn_id}: speaker must be a non-empty string")
+    if turn.timestamp is not None:
+        datetime.fromisoformat(turn.timestamp)  # its ValueError names the timestamp
+    return turn
 
 
 def load_corpus(path) -> DialogueCorpus:
@@ -103,19 +113,15 @@ def load_corpus(path) -> DialogueCorpus:
             session = read_object(raw_session, {"session_id": (int, i), "turns": (list, [])})
             for rec_no, rec in enumerate(session["turns"]):
                 where = f"{path}: session {session['session_id']} record {rec_no}"
-                turn = read_object(rec, _TURN_FIELDS)
-                if not turn["speaker"]:
-                    raise ValueError("speaker must be a non-empty string")
-                explicit, next_id = turn["turn_id"], len(turns) + 1
+                fields = read_object(rec, _TURN_FIELDS)
+                explicit, next_id = fields["turn_id"], len(turns) + 1
                 if explicit is not None and 0 < explicit < next_id:
                     raise DuplicateTurnId(f"{where}: duplicate turn_id {explicit}")
                 if explicit not in (None, next_id):
                     raise ValueError(f"turn_id {explicit} out of order (expected {next_id})")
-                if turn["timestamp"] is not None:
-                    datetime.fromisoformat(turn["timestamp"])
-                turns.append(DialogueTurn(next_id, session["session_id"], turn["speaker"],
-                                          turn["text"], turn["timestamp"]))
-    except ValueError as exc:  # a field table's fault, or a timestamp not ISO 8601
+                turns.append(check_turn(DialogueTurn(next_id, session["session_id"],
+                    fields["speaker"], fields["text"], fields["timestamp"])))
+    except ValueError as exc:  # a field table's fault, or a turn that breaks check_turn
         raise MalformedDocument(f"{where}: {exc}")
     return DialogueCorpus(corpus_id=top["corpus_id"], turns=tuple(turns))
 

@@ -7,6 +7,7 @@ verbatim turns of its origin window.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass
@@ -54,6 +55,7 @@ def restatement_key(text: str) -> str:
 normalize_display = restatement_key
 
 
+@functools.lru_cache(maxsize=4096)  # a store's entries repeat event times; load checks each
 def _coerce_event_time(value: str) -> Optional[str]:
     value = value.strip()
     if _DATE_ONLY.match(value):
@@ -92,41 +94,39 @@ _REPLY_FIELDS = {
 }
 
 
+def entry_faults(entry: MemoryEntry, turn_ids: range, where: str) -> list[str]:
+    """How entry breaks the stored-entry rule (reply path and load): a restatement; anchors,
+    all in turn_ids, which where names; no pronoun person or keyword; persons in display
+    form; an event time ``_coerce_event_time`` keeps; origin_window in 0..turn_ids[-1]."""
+    faults = [] if entry.lossless_restatement.strip() else ["empty restatement"]
+    if not entry.source_dialogue_ids:
+        faults.append("missing source_dialogue_ids")
+    if outside := [t for t in sorted(entry.source_dialogue_ids) if t not in turn_ids]:
+        faults.append(f"source ids {outside} outside {where}")
+    for values, label in ((entry.persons, "person"), (entry.keywords, "keyword")):
+        faults += [f"pronoun {label}: {value!r}" for value in sorted(values)
+                   if value.strip().casefold() in PRONOUNS]
+    faults += [f"person {person!r} not in display form" for person in sorted(entry.persons)
+               if not person or person != normalize_display(person)]
+    if entry.event_time is not None and _coerce_event_time(entry.event_time) != entry.event_time:
+        faults.append(f"unparseable event_time: {entry.event_time!r}")
+    if not 0 <= entry.origin_window < turn_ids.stop:
+        faults.append(f"origin_window {entry.origin_window} outside 0..{turn_ids.stop - 1}")
+    return faults
+
+
 def entry_from_record(record: dict, window: Window) -> MemoryEntry:
-    """Build the entry one reply record makes in its origin window.
-
-    Raises ValueError, its message the "; "-joined diagnostics, for a
-    wrong-typed field, an empty restatement, source ids missing or outside
-    the window, a pronoun person or keyword, or an unparseable event time.
-    Persons are display-normalized, one per ``normalize_person_key`` (the
-    first form given), and the event time coerced to ISO 8601.
-    """
-    fields, diagnostics = read_object(drop_empty(record), _REPLY_FIELDS), []
-    if not fields["lossless_restatement"].strip():
-        diagnostics.append("empty restatement")
-    source_ids = frozenset(fields["source_dialogue_ids"])
-    if not source_ids:
-        diagnostics.append("missing source_dialogue_ids")
-    elif not source_ids <= window.turn_ids:
-        outside = sorted(source_ids - window.turn_ids)
-        diagnostics.append(f"source ids {outside} outside window {window.index}")
-    for field, label in (("persons", "person"), ("keywords", "keyword")):
-        for value in fields[field]:
-            if value.strip().casefold() in PRONOUNS:
-                diagnostics.append(f"pronoun {label}: {value!r}")
-    event_time = fields["timestamp"]
-    if event_time is not None:
-        event_time = _coerce_event_time(event_time)
-        if event_time is None:
-            diagnostics.append(f"unparseable event_time: {fields['timestamp']!r}")
-    if diagnostics:
-        raise ValueError("; ".join(diagnostics))
-
+    """The entry one reply record makes in its origin window: persons display-normalized,
+    one per ``normalize_person_key`` (the first form given), the event time coerced to ISO
+    8601. A wrong-typed field is a ValueError, and so are its ``entry_faults``, "; "-joined."""
+    fields = read_object(drop_empty(record), _REPLY_FIELDS)
     persons: dict[str, str] = {}  # person key -> its first display form
     for person in fields["persons"]:
         if person.strip():
             persons.setdefault(normalize_person_key(person), normalize_display(person))
-    return MemoryEntry(
+    given = fields["timestamp"]  # kept as given where it does not parse, for its diagnostic
+    event_time = given and (_coerce_event_time(given) or given)
+    entry = MemoryEntry(
         lossless_restatement=fields["lossless_restatement"],
         keywords=frozenset(fields["keywords"]),
         event_time=event_time,
@@ -134,9 +134,12 @@ def entry_from_record(record: dict, window: Window) -> MemoryEntry:
         persons=frozenset(persons.values()),
         entities=frozenset(fields["entities"]),
         topic=fields["topic"],
-        source_dialogue_ids=source_ids,
+        source_dialogue_ids=frozenset(fields["source_dialogue_ids"]),
         origin_window=window.index,
     )
+    if faults := entry_faults(entry, window.turn_ids, f"window {window.index}"):
+        raise ValueError("; ".join(faults))
+    return entry
 
 
 def extract_entries(window: Window, extraction_prompt: str,

@@ -81,7 +81,6 @@ def build_store(corpus: DialogueCorpus, prompts: dict[str, str],
                 backend, window_index=window.index)
             store.add_profile(profile)
     store.insert_entries(list(kept.values()), backend)
-    store.verify_anchors()
     store.seal()
     return store
 

@@ -17,7 +17,7 @@ from .errors import ParseFailure
 from .extraction import MemoryEntry, normalize_display, normalize_person_key
 from .prompts import render
 
-_SECTION_RE = re.compile(r"^\[([^\]]+)\]\s*(.*)$")
+_SECTION_RE = re.compile(r"^\[([^\]]*[^\]\s][^\]]*)\]\s*(.*)$")  # a label is not blank
 
 
 @dataclass(frozen=True)

@@ -34,16 +34,13 @@ bits, under 3 bits of entropy on unit-norm embeddings, so a Huffman code
 alone shrinks it to about a third; planes 0-2 are mantissa bits, close to
 random, and stay raw. Every value loads bit for bit.
 
-``load`` reads the manifest through a ``read_object`` field table, then
-checks each data file's sha256 before it parses anything. Each kind must
-hold exactly its table's columns, each a list of the manifest's count of
-values of its kind, checked once per column, and every section text a
-string. Then come the vector planes' lengths, finite vector values, the
-constructor's turn-id check, entry anchors within 1..turn count, distinct
-restatements and the profile version chain; any fault raises StoreIOError.
-Each kind's rows are rebuilt from its columns by position. A store of
-another schema version raises SchemaVersionMismatch; rebuild it with
-``trimem build --force``.
+``load`` checks the manifest through a ``read_object`` field table and each data
+file's sha256 before it parses anything; then that each kind holds exactly its
+table's columns, each a list of the manifest's count of values of its kind, the
+vector planes' lengths, the turn ids, distinct restatements, and each record kind's
+rule, which the path that makes the record keeps too (``check_turn``, ``entry_faults``
+over turns 1..n, ``add_profile``, unit rows). Any fault raises StoreIOError; another
+schema version raises SchemaVersionMismatch (rebuild with ``trimem build --force``).
 """
 from __future__ import annotations
 
@@ -60,12 +57,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .backend import (REQUIRED, Backend, all_of, checked_block, fields_of, has_type,
-                      read_object)
-from .corpus import DialogueCorpus, DialogueTurn
+from .backend import REQUIRED, Backend, checked_block, fields_of, has_type, read_object
+from .corpus import DialogueCorpus, DialogueTurn, check_turn
 from .errors import (DanglingAnchor, DimensionMismatch, EmptyIndex, SchemaVersionMismatch,
                      StoreClosed, StoreIOError, UnknownEntry, UsageError)
-from .extraction import MemoryEntry, restatement_key
+from .extraction import MemoryEntry, entry_faults, normalize_person_key, restatement_key
 from .profiles import EntityProfile
 
 SCHEMA_VERSION = 4
@@ -178,13 +174,13 @@ def _matrix_from_planes(body, count: int, dim: int) -> np.ndarray:
 
 
 def _unit_rows(block: np.ndarray) -> np.ndarray:
-    """block with each row divided by its norm; a norm that is zero or not
-    finite (an underflow or overflow of finite values) is DimensionMismatch.
-    The norms are each row's ``np.linalg.norm``, bit for bit."""
-    norms = np.sqrt(np.vecdot(block, block))
-    if not np.all((norms > 0) & (norms < np.inf)):
-        raise DimensionMismatch("embedding of norm zero or not finite")
-    return block / norms[:, None]
+    """block with each row divided by its ``np.linalg.norm``, bit for bit; a
+    squared norm not finite or under float32's smallest normal, too coarse
+    for a unit quotient, is DimensionMismatch."""
+    squares = np.vecdot(block, block)
+    if not np.all((squares >= np.finfo(np.float32).tiny) & (squares < np.inf)):
+        raise DimensionMismatch("embedding of norm zero, too small or not finite")
+    return block / np.sqrt(squares)[:, None]
 
 
 def store_paths(path) -> list[Path]:
@@ -373,13 +369,21 @@ class MemoryStore:
     # -- profiles --------------------------------------------------------
 
     def add_profile(self, profile: EntityProfile) -> None:
+        """Add a profile version, in build and on load. ValueError unless its
+        key is its own ``normalize_person_key``, it has a section, no key, name,
+        label or text is blank or no string, and its version is its key's next."""
         if self._sealed:
             raise StoreClosed("store is sealed")
-        latest = self._latest_profile.get(profile.entity_key)
+        key, sections = profile.entity_key, profile.sections
+        texts = [key, profile.display_name, *sections, *sections.values()]
+        if key != normalize_person_key(key) or not sections or not all(
+                type(text) is str and text.strip() for text in texts):
+            raise ValueError(f"profile {key!r}: a key not normalized, no section, or a "
+                             f"key, name, label or text that is blank or no string")
+        latest = self._latest_profile.get(key)
         expected = (latest.version if latest else 0) + 1
         if profile.version != expected:
-            raise ValueError(
-                f"profile {profile.entity_key} version {profile.version}, expected {expected}")
+            raise ValueError(f"profile {key} version {profile.version}, expected {expected}")
         self._profile_history.append(profile)
         self._latest_profile[profile.entity_key] = profile
 
@@ -460,9 +464,6 @@ class MemoryStore:
             entries, turns, profiles = (
                 _read_columns(records[kind], types, manifest[count], kind)
                 for kind, (types, count) in _KINDS.items())
-            if not all_of(itertools.chain.from_iterable(
-                    map(dict.values, profiles["sections"])), str):
-                raise ValueError("profiles column 'sections' holds a text that is no string")
             raw = parts["vectors.bin"]
             if raw[:4] != VECTOR_MAGIC:
                 raise StoreIOError(f"bad vector file magic {raw[:4]!r}")
@@ -474,27 +475,31 @@ class MemoryStore:
                     count != manifest["entry_count"]:
                 raise ValueError(f"manifest lists {manifest['entry_count']} entries of dim "
                                  f"{manifest['dim']}, vectors.bin {count} rows of dim {dim}")
-            store = cls(tuple(itertools.starmap(DialogueTurn, zip(*turns.values()))))
+            store = cls(tuple(map(check_turn, itertools.starmap(
+                DialogueTurn, zip(*turns.values())))))
             store.dim = dim or None
-            store._blocks = [_matrix_from_planes(memoryview(raw)[16:], count, dim)]
-            if not np.isfinite(store._blocks[0]).all():
-                raise ValueError("vectors.bin holds a NaN or infinite value")
+            store._blocks = [vectors := _matrix_from_planes(memoryview(raw)[16:], count, dim)]
+            # unit rows, within float32 rounding; a value past 1 fails before it is squared
+            tol = 2 * (dim + 1) * np.finfo(np.float32).eps
+            if count and not (-1 - tol <= vectors.min() and vectors.max() <= 1 + tol and
+                              np.all(np.abs(np.vecdot(vectors, vectors) - 1) <= tol)):
+                raise ValueError("vectors.bin holds a row that is not of unit length")
             ids = [f"e{row:06d}" for row in range(1, count + 1)]
             store.entries = {entry_id: MemoryEntry(*values, entry_id)
                              for entry_id, values in zip(ids, zip(*entries.values()))}
-            store.verify_anchors()
+            turn_ids, where = range(1, len(store.turns) + 1), f"turns 1..{len(store.turns)}"
+            for entry_id, entry in store.entries.items():
+                if faults := entry_faults(entry, turn_ids, where):
+                    raise ValueError(f"entry {entry_id}: {'; '.join(faults)}")
             for entry_id, text in zip(ids, entries["lossless_restatement"]):
                 first = store._by_restatement.setdefault(restatement_key(text), entry_id)
                 if first != entry_id:
                     raise ValueError(f"entry {entry_id} repeats the restatement of {first}")
             for profile in itertools.starmap(EntityProfile, zip(*profiles.values())):
                 store.add_profile(profile)
-        except (OSError, EOFError, zlib.error, struct.error, KeyError,
-                TypeError, ValueError, DanglingAnchor) as exc:
-            # unreadable file, cut or damaged gzip or zlib data, short vector
-            # header or plane, a NaN or inf, bad JSON, missing, extra, short or
-            # wrong-typed column, turn ids not 1..n in order or an anchor
-            # outside them, repeated restatement, profile version gap
+        except (OSError, EOFError, zlib.error, struct.error, KeyError, TypeError,
+                ValueError) as exc:  # unreadable or damaged data, a short vector header
+            # or plane, bad JSON, a column fault, or a record that breaks its kind's rule
             raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}")
         if manifest["sealed"]:
             store.seal()

@@ -817,6 +817,16 @@ def _set_vector_values(value, n=None):
         count))
 
 
+def _scale_vector_row_1(factor):
+    """An edit of vectors.bin that multiplies row 1's values by factor."""
+    def edit(planes, dim, count):
+        values = np.stack([np.frombuffer(plane, np.uint8) for plane in planes], axis=1)
+        rows = values.view("<f4").reshape(count, dim)
+        rows[0] *= factor
+        return [values[:, k].tobytes() for k in range(4)], count
+    return _edit_vector_planes(edit)
+
+
 def _damage_plane_3(path):
     raw = bytearray(path.read_bytes())
     _, dim, count = struct.unpack("<III", raw[4:16])
@@ -934,9 +944,11 @@ TRUNCATIONS = {
         p.read_bytes() + b"\0")),
     "vectors-bad-magic": ("vectors.bin", lambda p: p.write_bytes(b"MIRT" + p.read_bytes()[4:])),
     "vectors-planes-0-2-cut-short": ("vectors.bin", _cut_planes_0_to_2),
-    # finite rows only: an all-zero row still loads (test_store)
+    # every row must be of unit length, so no NaN, infinity or zero either
     "vectors-row-1-nan": ("vectors.bin", _set_vector_values(float("nan"))),
     "vectors-one-value-infinite": ("vectors.bin", _set_vector_values(float("-inf"), n=1)),
+    "vectors-row-1-all-zero": ("vectors.bin", _set_vector_values(0.0)),
+    "vectors-row-1-scaled-by-3": ("vectors.bin", _scale_vector_row_1(3)),
     "entries-gz-cut-40-bytes": (R, _cut_40_bytes),
     "turns-gz-byte-flipped": (R, _flip_byte_at(0.5)),
     "turns-gz-bad-deflate-block": (R, _bad_deflate_block),
@@ -999,6 +1011,13 @@ TRUNCATIONS = {
         "entries", "source_dialogue_ids", [9999])),
     "entries-anchor-turn-0": (R, _set_value("entries", "source_dialogue_ids", [0, 1])),
     "entries-origin-window-a-string": (R, _set_value("entries", "origin_window", "x")),
+    "entries-origin-window-past-the-last-turn": (R, _set_value(
+        "entries", "origin_window", 999)),
+    "entries-no-anchors": (R, _set_value("entries", "source_dialogue_ids", [])),
+    "entries-pronoun-person": (R, _set_value("entries", "persons", ["he"])),
+    "entries-person-not-in-display-form": (R, _set_value("entries", "persons", [" Maya"])),
+    "entries-event-time-not-a-date": (R, _set_value("entries", "event_time", "not a date")),
+    "entries-restatement-empty": (R, _set_value("entries", "lossless_restatement", "")),
     "entries-origin-window-a-bool": (R, _set_value("entries", "origin_window", True)),
     "profiles-2-lines-short": (R, _drop_rows("profiles", 2)),
     "turns-3-lines-short": (R, _drop_rows("turns", 3)),
@@ -1016,11 +1035,15 @@ TRUNCATIONS = {
     "turns-speaker-a-list": (R, _set_value("turns", "speaker", ["A"])),
     "turns-text-a-number": (R, _set_value("turns", "text", 7)),
     "turns-timestamp-a-number": (R, _set_value("turns", "timestamp", 20240101)),
+    "turns-speaker-empty": (R, _set_value("turns", "speaker", "")),
+    "turns-timestamp-not-a-date": (R, _set_value("turns", "timestamp", "not a date")),
     "profiles-entity-key-a-number": (R, _set_value("profiles", "entity_key", 1)),
     "profiles-display-name-a-number": (R, _set_value("profiles", "display_name", 1)),
     "profiles-version-a-string": (R, _set_value("profiles", "version", "1")),
     "profiles-window-a-string": (R, _set_value("profiles", "window", "1")),
     "profiles-sections-a-list": (R, _set_value("profiles", "sections", [])),
+    "profiles-display-name-empty": (R, _set_value("profiles", "display_name", "")),
+    "profiles-sections-empty": (R, _set_value("profiles", "sections", {})),
     "profiles-section-text-a-list": (R, _edit_kind(
         "profiles", lambda c: c["sections"][0].update(Identity=["x"]))),
     "profiles-last-section-text-a-number": (R, _edit_kind(

@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,9 @@ from trimem.corpus import (
     segment,
     window_count,
 )
-from trimem.errors import DuplicateTurnId, EmptyCorpus, MalformedDocument, MissingFile
+from trimem.errors import (DuplicateTurnId, EmptyCorpus, MalformedDocument, MissingFile,
+                           StoreIOError)
+from trimem.store import MemoryStore
 
 
 def make_corpus(n, timestamps=False):
@@ -154,6 +158,33 @@ def test_load_rejects_bad_timestamp(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(MalformedDocument):
         load_corpus(path)
+
+
+TURN_TEXTS = ["", " ", "A", "Maya", "2024-01-01", "2024-01-01T10:00:00", "2024-13-01",
+              "yesterday"]
+TURN_VALUES = st.sampled_from(TURN_TEXTS) | st.text(max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fixed_dictionaries({"speaker": TURN_VALUES, "text": TURN_VALUES,
+                              "timestamp": st.none() | TURN_VALUES}))
+def test_load_corpus_accepts_a_turn_iff_a_store_holding_it_loads(rec):
+    turn = DialogueTurn(1, 0, rec["speaker"], rec["text"], rec["timestamp"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "c.json")
+        path.write_text(json.dumps({"turns": [rec]}))
+        try:
+            assert load_corpus(path).turns == (turn,)
+            accepted = True
+        except MalformedDocument:
+            accepted = False
+        MemoryStore(turns=[turn]).persist(Path(tmp, "s"))
+        try:
+            MemoryStore.load(Path(tmp, "s"))
+            loads = True
+        except StoreIOError:
+            loads = False
+    assert accepted == loads
 
 
 # -- window count ------------------------------------------------------

@@ -1,11 +1,15 @@
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trimem.backend import FixtureRule, ScriptedBackend
+from trimem.backend import FixtureRule, ScriptedBackend, drop_empty, read_object
 from trimem.corpus import DialogueTurn, Window
-from trimem.errors import ParseFailure
+from trimem.errors import ParseFailure, StoreIOError
 from trimem.extraction import (
+    _REPLY_FIELDS,
+    MemoryEntry,
     _coerce_event_time,
     entry_from_record,
     extract_entries,
@@ -14,6 +18,7 @@ from trimem.extraction import (
     parse_entry_payload,
 )
 from trimem.profiles import group_by_person
+from trimem.store import MemoryStore
 
 EXTRACTION_PROMPT = "Extract facts.\n{context}\nDialogues:\n{dialogue_text}\nGo."
 
@@ -250,3 +255,58 @@ def test_extract_entries_drops_a_wrong_typed_field(caplog, case):
     assert [e.lossless_restatement for e in survivors] == [good["lossless_restatement"]]
     assert len(_drop_warnings(caplog)) == 1
     assert len(backend.request_log) == 1  # a bad entry makes no extra call
+
+
+# -- one rule for a stored entry ------------------------------------------
+
+REPLY_TEXTS = ["", "  ", "Maya", " maya ", "Bob  Lee", "he", "She", " they ", "2024-01-01",
+               "2024-01-01 10:00", "2024-01-01T10:00:00+05:00", "not a date", "Rome"]
+# a value of each kind a reply field can hold, anchors around the window's turns 1..4
+REPLY_VALUES = {str: st.sampled_from(REPLY_TEXTS) | st.text(max_size=12),
+                int: st.integers(-1, 6)}
+REPLY_RECORDS = st.fixed_dictionaries({
+    name: st.lists(REPLY_VALUES[kind[0]], max_size=3) if isinstance(kind, list)
+    else st.none() | REPLY_VALUES[kind]
+    for name, (kind, _) in _REPLY_FIELDS.items()})
+
+
+def made_entry(rec, window):
+    """The entry rec makes in window, whether entry_from_record accepts it
+    or not: persons in display form, one per person key, and an event time
+    coerced where it parses."""
+    fields = read_object(drop_empty(rec), _REPLY_FIELDS)
+    persons = {}
+    for person in fields["persons"]:
+        if person.strip():
+            persons.setdefault(normalize_person_key(person), normalize_display(person))
+    event_time = fields["timestamp"]
+    return MemoryEntry(
+        fields["lossless_restatement"], frozenset(fields["keywords"]),
+        event_time and (_coerce_event_time(event_time) or event_time), fields["location"],
+        frozenset(persons.values()), frozenset(fields["entities"]), fields["topic"],
+        frozenset(fields["source_dialogue_ids"]), window.index)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPLY_RECORDS)
+def test_entry_from_record_accepts_a_record_iff_a_store_holding_its_entry_loads(rec):
+    """In a one-window corpus the window's turns are the store's, so the
+    reply path and load judge an entry by the same rule."""
+    window = make_window(first=1, last=4)
+    entry = made_entry(rec, window)
+    try:
+        assert entry_from_record(rec, window) == entry
+        accepted = True
+    except ValueError:
+        accepted = False
+    store = MemoryStore(turns=window.turns)
+    store.insert_entries([MemoryEntry("placeholder")], ScriptedBackend())
+    store.entries["e000001"] = entry  # embed refuses an empty restatement
+    with tempfile.TemporaryDirectory() as tmp:
+        store.persist(tmp)
+        try:
+            MemoryStore.load(tmp)
+            loads = True
+        except StoreIOError:
+            loads = False
+    assert accepted == loads

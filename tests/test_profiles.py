@@ -53,6 +53,13 @@ def test_parse_profile_missing_header():
 def test_parse_profile_no_sections():
     with pytest.raises(ParseFailure):
         parse_profile_text("Entity: Alice\njust prose")
+    with pytest.raises(ParseFailure):  # a blank label is no section, which add_profile refuses
+        parse_profile_text("Entity: Alice\n[ ] prose")
+
+
+def test_a_blank_label_is_a_line_of_the_section_before_it():
+    _, sections = parse_profile_text("Entity: Bob\n[Identity] one\n[  ] two")
+    assert sections == {"Identity": "one\n[  ] two"}
 
 
 def test_serialize_round_trip():

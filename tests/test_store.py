@@ -35,7 +35,9 @@ from trimem.store import (
     VECTOR_MAGIC,
     MemoryStore,
     RetrievalConfig,
+    _matrix_from_planes,
     _unit_rows,
+    _vector_planes,
 )
 
 
@@ -285,8 +287,9 @@ def test_retrieve_ranking_ignores_the_length_of_vectors(exponents):
         scaled_ranking(SCALED_FACTS, SCALED_QUERIES, {}, top_k=8)
 
 
-@pytest.mark.parametrize("row", [np.ones(3), np.full(64, np.nan), np.full(64, np.inf)],
-                         ids=["another-size", "nan", "inf"])
+@pytest.mark.parametrize("row", [np.ones(3), np.full(64, np.nan), np.full(64, np.inf),
+                                 np.full(64, 1e-22, dtype=np.float32)],
+                         ids=["another-size", "nan", "inf", "squares-below-float32-normal"])
 def test_a_bad_embedding_row_adds_nothing(backend, monkeypatch, row):
     store = MemoryStore(turns=make_turns(2))
     store.insert_entries([make_entry("x", (1,))], backend)
@@ -366,6 +369,19 @@ def test_profile_version_chain():
         store.add_profile(profile("alice", 4))
     with pytest.raises(ValueError):
         store.add_profile(profile("bob", 2))
+
+
+@pytest.mark.parametrize("bad", [
+    {"entity_key": "Alice"}, {"entity_key": " alice"}, {"entity_key": ""},
+    {"display_name": " "}, {"sections": {}}, {"sections": {" ": "info"}},
+    {"sections": {"Identity": "info", "Career": ""}}, {"sections": {"Identity": ["info"]}}],
+    ids=["key-not-folded", "key-padded", "key-empty", "name-blank", "no-section",
+         "label-blank", "text-empty", "text-a-list"])
+def test_add_profile_refuses_a_profile_that_breaks_the_rule(bad):
+    store = MemoryStore()
+    with pytest.raises(ValueError, match="blank or no string"):
+        store.add_profile(EntityProfile(**{**vars(profile("alice", 1)), **bad}))
+    assert store.profile_history == []
 
 
 def test_profiles_for_preserves_request_order():
@@ -470,21 +486,30 @@ EDGE_ROW = np.array([-0.0, 0.0, 1e-45, -1e-45, 1.1754942e-38, -1.1754944e-38,
                   elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
 @example(EDGE_ROW.reshape(1, 64))
 def test_any_finite_rows_persist_bit_for_bit(rows):
-    """-0.0, subnormals and extreme exponents load bit for bit, and equal
-    stores persist to equal bytes."""
+    """-0.0, subnormals and extreme exponents pass through the byte planes
+    bit for bit, equal stores persist to equal bytes, and the unit rows
+    ``_unit_rows`` makes of them load bit for bit."""
+    count, dim = rows.shape
+    body = b"".join(_vector_planes(rows))
+    assert _matrix_from_planes(body, count, dim).tobytes() == rows.astype("<f4").tobytes()
     store = MemoryStore(turns=make_turns(1))
-    store.insert_entries([make_entry(f"fact {i}") for i in range(len(rows))],
-                         ScriptedBackend())
+    store.insert_entries([make_entry(f"fact {i}") for i in range(count)], ScriptedBackend())
     store._vectors[:] = rows
     with tempfile.TemporaryDirectory() as tmp:
         store.persist(Path(tmp, "a"))
         store.persist(Path(tmp, "b"))
         raw = Path(tmp, "a", "vectors.bin").read_bytes()
         assert raw == Path(tmp, "b", "vectors.bin").read_bytes()
+        try:
+            with np.errstate(over="ignore"):  # EDGE_ROW's squares overflow
+                store._vectors[:] = _unit_rows(rows)
+        except DimensionMismatch:  # a norm that is zero, too small or not finite
+            return
+        store.persist(Path(tmp, "a"))
         loaded = MemoryStore.load(Path(tmp, "a"))
     assert loaded._vectors.dtype == np.float32
     assert loaded._vectors.shape == rows.shape
-    assert loaded._vectors.tobytes() == rows.astype("<f4").tobytes()
+    assert loaded._vectors.tobytes() == store._vectors.tobytes()
 
 
 def test_empty_index_refuses_a_nonempty_plane_3(tmp_path, monkeypatch):
@@ -540,6 +565,8 @@ def test_unit_rows_divides_each_row_by_its_own_norm_bit_for_bit(dim):
     rng = np.random.default_rng(dim)
     for scale in (1e-18, 1e-3, 1.0, 1e3, 1e17):
         block = (rng.standard_normal((50, dim)) * scale).astype(np.float32)
+        # a row whose squared norm is below the smallest normal float32 is refused
+        block = block[np.vecdot(block, block) >= np.finfo(np.float32).tiny]
         want = np.stack([row / np.linalg.norm(row) for row in block])
         assert _unit_rows(block).tobytes() == want.tobytes(), scale
 
