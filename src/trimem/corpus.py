@@ -73,8 +73,7 @@ _TURN_FIELDS = {"speaker": (str, REQUIRED), "text": (str, REQUIRED),
 
 
 def check_turn(turn: DialogueTurn) -> DialogueTurn:
-    """turn, if it keeps the rule for a stored turn, on load of a corpus and
-    of a store: a non-empty speaker, and an ISO 8601 timestamp or None."""
+    """turn, if it keeps load_corpus's and load's rule: a speaker, an ISO 8601 timestamp or None."""
     if not turn.speaker:
         raise ValueError(f"turn {turn.turn_id}: speaker must be a non-empty string")
     if turn.timestamp is not None:

@@ -7,7 +7,6 @@ verbatim turns of its origin window.
 """
 from __future__ import annotations
 
-import functools
 import logging
 import re
 from dataclasses import dataclass
@@ -55,7 +54,6 @@ def restatement_key(text: str) -> str:
 normalize_display = restatement_key
 
 
-@functools.lru_cache(maxsize=4096)  # a store's entries repeat event times; load checks each
 def _coerce_event_time(value: str) -> Optional[str]:
     value = value.strip()
     if _DATE_ONLY.match(value):
@@ -94,20 +92,23 @@ _REPLY_FIELDS = {
 }
 
 
-def entry_faults(entry: MemoryEntry, turn_ids: range, where: str) -> list[str]:
+def entry_faults(entry: MemoryEntry, turn_ids: range, where: str, named=None) -> list[str]:
     """How entry breaks the stored-entry rule (reply path and load): a restatement; anchors,
-    all in turn_ids, which where names; no pronoun person or keyword; persons in display
-    form; an event time ``_coerce_event_time`` keeps; origin_window in 0..turn_ids[-1]."""
+    all in turn_ids, which where names; no pronoun in the persons and keywords named (a
+    reply's, as given and in its order) or else entry's, sorted; persons in display form;
+    an event time ``_coerce_event_time`` keeps; origin_window in 0..turn_ids[-1]."""
     faults = [] if entry.lossless_restatement.strip() else ["empty restatement"]
-    if not entry.source_dialogue_ids:
+    if not (ids := entry.source_dialogue_ids):
         faults.append("missing source_dialogue_ids")
-    if outside := [t for t in sorted(entry.source_dialogue_ids) if t not in turn_ids]:
-        faults.append(f"source ids {outside} outside {where}")
-    for values, label in ((entry.persons, "person"), (entry.keywords, "keyword")):
-        faults += [f"pronoun {label}: {value!r}" for value in sorted(values)
-                   if value.strip().casefold() in PRONOUNS]
-    faults += [f"person {person!r} not in display form" for person in sorted(entry.persons)
-               if not person or person != normalize_display(person)]
+    elif min(ids) < turn_ids.start or max(ids) >= turn_ids.stop:
+        faults.append(f"source ids {sorted(t for t in ids if t not in turn_ids)} outside {where}")
+    persons, keywords = named or (entry.persons, entry.keywords)
+    if not PRONOUNS.isdisjoint(map(str.casefold, map(str.strip, (*persons, *keywords)))):
+        for label, values in (("person", persons), ("keyword", keywords)):
+            faults += [f"pronoun {label}: {value!r}" for value in (values if named else
+                       sorted(values)) if value.strip().casefold() in PRONOUNS]
+    faults += [f"person {person!r} not in display form" for person in sorted(
+        [p for p in entry.persons if not p or p != normalize_display(p)])]
     if entry.event_time is not None and _coerce_event_time(entry.event_time) != entry.event_time:
         faults.append(f"unparseable event_time: {entry.event_time!r}")
     if not 0 <= entry.origin_window < turn_ids.stop:
@@ -137,7 +138,8 @@ def entry_from_record(record: dict, window: Window) -> MemoryEntry:
         source_dialogue_ids=frozenset(fields["source_dialogue_ids"]),
         origin_window=window.index,
     )
-    if faults := entry_faults(entry, window.turn_ids, f"window {window.index}"):
+    if faults := entry_faults(entry, window.turn_ids, f"window {window.index}",
+                              (fields["persons"], fields["keywords"])):
         raise ValueError("; ".join(faults))
     return entry
 

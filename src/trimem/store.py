@@ -39,8 +39,8 @@ file's sha256 before it parses anything; then that each kind holds exactly its
 table's columns, each a list of the manifest's count of values of its kind, the
 vector planes' lengths, the turn ids, distinct restatements, and each record kind's
 rule, which the path that makes the record keeps too (``check_turn``, ``entry_faults``
-over turns 1..n, ``add_profile``, unit rows). Any fault raises StoreIOError; another
-schema version raises SchemaVersionMismatch (rebuild with ``trimem build --force``).
+over turns 1..n, ``add_profile``, unit rows). Any fault raises StoreIOError, another schema
+version SchemaVersionMismatch; each fault of the data names ``trimem build --force``.
 """
 from __future__ import annotations
 
@@ -65,6 +65,7 @@ from .extraction import MemoryEntry, entry_faults, normalize_person_key, restate
 from .profiles import EntityProfile
 
 SCHEMA_VERSION = 4
+REBUILD = "rebuild it with `trimem build --force`"
 VECTOR_MAGIC = b"TRIM"
 GZIP_LEVEL = 6  # level 9 takes about 3x as long and saves under 0.5% of a store
 DATA_FILES = ("records.json.gz", "vectors.bin")
@@ -369,9 +370,8 @@ class MemoryStore:
     # -- profiles --------------------------------------------------------
 
     def add_profile(self, profile: EntityProfile) -> None:
-        """Add a profile version, in build and on load. ValueError unless its
-        key is its own ``normalize_person_key``, it has a section, no key, name,
-        label or text is blank or no string, and its version is its key's next."""
+        """Add a profile version (build, load). ValueError but for a ``normalize_person_key``
+        key, a section, non-blank string key, name, labels and texts, and the key's next version."""
         if self._sealed:
             raise StoreClosed("store is sealed")
         key, sections = profile.entity_key, profile.sections
@@ -444,8 +444,7 @@ class MemoryStore:
             version = manifest.get("schema_version") if isinstance(manifest, dict) else None
             if type(version) is int and version != SCHEMA_VERSION:
                 raise SchemaVersionMismatch(
-                    f"store schema {version} != {SCHEMA_VERSION}; "
-                    f"rebuild it with `trimem build --force`")
+                    f"store schema {version} != {SCHEMA_VERSION}; {REBUILD}")
             manifest = read_object(manifest, _MANIFEST_FIELDS)
         except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
             raise StoreIOError(f"{manifest_path}: {exc}")
@@ -457,7 +456,7 @@ class MemoryStore:
             parts = {name: (path / name).read_bytes() for name in DATA_FILES}
             for name, data in parts.items():
                 if hashlib.sha256(data).hexdigest() != manifest["sha256"][name]:
-                    raise StoreIOError(f"{path / name}: sha256 does not match manifest.json")
+                    raise ValueError(f"{name}: sha256 does not match manifest.json")
             records = json.loads(gzip.decompress(parts["records.json.gz"]))
             if type(records) is not dict or records.keys() != _KINDS.keys():
                 raise ValueError(f"records.json.gz does not hold exactly {list(_KINDS)}")
@@ -466,11 +465,11 @@ class MemoryStore:
                 for kind, (types, count) in _KINDS.items())
             raw = parts["vectors.bin"]
             if raw[:4] != VECTOR_MAGIC:
-                raise StoreIOError(f"bad vector file magic {raw[:4]!r}")
+                raise ValueError(f"bad vector file magic {raw[:4]!r}")
             version, dim, count = struct.unpack_from("<III", raw, 4)
             if version != SCHEMA_VERSION:
                 raise SchemaVersionMismatch(
-                    f"vector file schema {version} != {SCHEMA_VERSION}")
+                    f"vector file schema {version} != {SCHEMA_VERSION}; {REBUILD}")
             if (count and not dim) or dim != manifest["dim"] or \
                     count != manifest["entry_count"]:
                 raise ValueError(f"manifest lists {manifest['entry_count']} entries of dim "
@@ -498,9 +497,9 @@ class MemoryStore:
             for profile in itertools.starmap(EntityProfile, zip(*profiles.values())):
                 store.add_profile(profile)
         except (OSError, EOFError, zlib.error, struct.error, KeyError, TypeError,
-                ValueError) as exc:  # unreadable or damaged data, a short vector header
-            # or plane, bad JSON, a column fault, or a record that breaks its kind's rule
-            raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}")
+                ValueError) as exc:  # a file it cannot read, or data load cannot take
+            hint = "" if isinstance(exc, OSError) else f"; {REBUILD}"
+            raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}{hint}")
         if manifest["sealed"]:
             store.seal()
         return store

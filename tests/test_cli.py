@@ -1063,6 +1063,22 @@ def test_inspect_rejects_truncated_store(work_dir, capsys, case):
     assert "sha256" not in error["message"]  # a check past the checksum
 
 
+@pytest.mark.parametrize("case,names_rebuild", [
+    ("vectors-row-1-scaled-by-3", True), ("entries-pronoun-person", True),
+    ("profiles-sections-empty", True), ("turns-speaker-empty", True),
+    ("entries-gz-cut-40-bytes", True), ("records-missing", False)])
+def test_a_refused_store_names_the_rebuild_unless_a_file_is_unreadable(
+        work_dir, capsys, case, names_rebuild):
+    """A schema-4 store written before a rule held (rows left off unit length,
+    a blank profile label) no longer loads, and the message names the remedy."""
+    build(capsys)
+    _corrupt(work_dir / "store", *TRUNCATIONS[case])
+    code, _, err = run(capsys, "inspect", "--store", "store")
+    assert code == EXIT_DATA
+    assert ("rebuild it with `trimem build --force`" in json.loads(err)["message"]) \
+        == names_rebuild
+
+
 BYTE_FAULTS = {"first-byte-flipped": _flip_byte_at(0.0),
                "middle-byte-flipped": _flip_byte_at(0.5),
                "last-byte-flipped": _flip_byte_at(1.0),

@@ -124,6 +124,14 @@ def test_validate_rejects_pronoun_keyword():
         entry_from_record(record(keywords=["they"]), make_window())
 
 
+def test_pronoun_diagnostics_name_each_value_as_the_reply_gave_it_in_order():
+    rec = record(persons=[" he ", "She", "he"], keywords=["they", "Rome", "it"])
+    with pytest.raises(ValueError, match=(
+            r"^pronoun person: ' he '; pronoun person: 'She'; pronoun person: 'he'; "
+            r"pronoun keyword: 'they'; pronoun keyword: 'it'$")):
+        entry_from_record(rec, make_window())
+
+
 def test_validate_rejects_out_of_window_source_ids():
     with pytest.raises(ValueError, match=r"source ids \[99\] outside window 1"):
         entry_from_record(record(source_dialogue_ids=[1, 99]), make_window(first=1, last=3))
