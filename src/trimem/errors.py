@@ -72,10 +72,6 @@ class UnknownEntry(TriMemError):
     pass
 
 
-class DanglingAnchor(TriMemError):
-    pass
-
-
 class StoreIOError(TriMemError):
     pass
 

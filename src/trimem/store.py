@@ -23,7 +23,7 @@ together under one store directory:
 failure it unlinks what it staged, so the old store stays as it was. A kill
 between two renames can leave a mix, which the sha256 check refuses.
 
-Entry row i (from 1) is entry ``e{i:06d}``, as ``insert_entries`` numbers it,
+Entry row i (from 1) is entry ``e{i:06d}``, as ``_admit`` numbers it,
 so no entry id is stored; turn i is ``turns[i - 1]``, as the constructor
 checks. Sets are stored as sorted lists; a profile's
 sections dict keeps its order. The gzip header holds no file name and no
@@ -34,13 +34,12 @@ bits, under 3 bits of entropy on unit-norm embeddings, so a Huffman code
 alone shrinks it to about a third; planes 0-2 are mantissa bits, close to
 random, and stay raw. Every value loads bit for bit.
 
-``load`` checks the manifest through a ``read_object`` field table and each data
-file's sha256 before it parses anything; then that each kind holds exactly its
-table's columns, each a list of the manifest's count of values of its kind, the
-vector planes' lengths, the turn ids, distinct restatements, and each record kind's
-rule, which the path that makes the record keeps too (``check_turn``, ``entry_faults``
-over turns 1..n, ``add_profile``, unit rows). Any fault raises StoreIOError, another schema
-version SchemaVersionMismatch; each fault of the data names ``trimem build --force``.
+``load`` checks its files: the manifest's ``read_object`` fields and each data file's
+sha256 before it parses anything, then each kind's columns, kinds and counts, the vectors
+header, the planes and unit rows. The records go in through a build's doors, which keep
+each kind's rule: turns the constructor, entries ``_admit``, profiles ``add_profile``.
+Any fault raises StoreIOError, another schema version SchemaVersionMismatch; each fault
+of the data names ``trimem build --force``.
 """
 from __future__ import annotations
 
@@ -53,14 +52,14 @@ import struct
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .backend import REQUIRED, Backend, checked_block, fields_of, has_type, read_object
 from .corpus import DialogueCorpus, DialogueTurn, check_turn
-from .errors import (DanglingAnchor, DimensionMismatch, EmptyIndex, SchemaVersionMismatch,
-                     StoreClosed, StoreIOError, UnknownEntry, UsageError)
+from .errors import (DimensionMismatch, EmptyIndex, SchemaVersionMismatch, StoreClosed,
+                     StoreIOError, UnknownEntry, UsageError)
 from .extraction import MemoryEntry, entry_faults, normalize_person_key, restatement_key
 from .profiles import EntityProfile
 
@@ -178,7 +177,8 @@ def _unit_rows(block: np.ndarray) -> np.ndarray:
     """block with each row divided by its ``np.linalg.norm``, bit for bit; a
     squared norm not finite or under float32's smallest normal, too coarse
     for a unit quotient, is DimensionMismatch."""
-    squares = np.vecdot(block, block)
+    with np.errstate(over="ignore"):  # an overflow is inf, refused below
+        squares = np.vecdot(block, block)
     if not np.all((squares >= np.finfo(np.float32).tiny) & (squares < np.inf)):
         raise DimensionMismatch("embedding of norm zero, too small or not finite")
     return block / np.sqrt(squares)[:, None]
@@ -242,12 +242,14 @@ def write_json(path, obj) -> None:
 class MemoryStore:
     """Verbatim turns + embedded fact index + profile history."""
 
-    def __init__(self, turns: Sequence[DialogueTurn] = ()):
+    def __init__(self, turns: Iterable[DialogueTurn] = ()):
+        """Turn ids must run 1..n in order, each turn keep ``check_turn``; else ValueError."""
         self.turns: tuple[DialogueTurn, ...] = tuple(turns)  # turn i is turns[i - 1]
         for row, turn in enumerate(self.turns, 1):
             if turn.turn_id != row:
                 raise ValueError(f"turn {row} of {len(self.turns)} has turn id "
                                  f"{turn.turn_id}; turn ids must run 1..n in order")
+            check_turn(turn)
         self.entries: dict[str, MemoryEntry] = {}  # in row order: e{i:06d} is row i-1
         self._blocks: list[np.ndarray] = []  # one (rows, dim) block per insert
         self._by_restatement: dict[str, str] = {}
@@ -304,29 +306,44 @@ class MemoryStore:
         repeated within the batch is embedded once, at its first copy. The
         new restatements go out in one ``backend.embed`` call, one
         round-trip per ``EMBED_BATCH`` texts, so ``build_store`` indexes a
-        whole build with one insert. The block that comes back is checked
-        once by ``checked_block``, before anything is added, since an
-        ``embed`` override may skip its check, and scaled by ``_unit_rows``.
-        A refused block, or a budget that runs out between slices, leaves
-        the store as it was. The new rows join the index as one block.
+        whole build with one insert. A new entry that ``_admit`` refuses is
+        a ValueError before that call. The block that comes back is checked
+        by ``checked_block``, since an ``embed`` override may skip its check,
+        and scaled by ``_unit_rows``. A refused entry or block, or a budget
+        that runs out between slices, leaves the store as it was. The new
+        rows join the index as one block.
         """
-        if self._sealed:
-            raise StoreClosed("store is sealed")
         keys = [restatement_key(entry.lossless_restatement) for entry in entries]
         new: dict[str, MemoryEntry] = {}  # restatement key -> its first new entry
         for key, entry in zip(keys, entries):
             if key not in self._by_restatement:
                 new.setdefault(key, entry)
-        if new:
-            block = _unit_rows(checked_block(backend.embed(
-                [e.lossless_restatement for e in new.values()]), len(new), self.dim))
-            self.dim = block.shape[1]
-            self._blocks.append(block)
-            for key, entry in new.items():
-                entry_id = f"e{len(self.entries) + 1:06d}"
-                self.entries[entry_id] = replace(entry, entry_id=entry_id)
-                self._by_restatement[key] = entry_id
+        self._admit(list(new.values()), lambda: _unit_rows(checked_block(backend.embed(
+            [e.lossless_restatement for e in new.values()]), len(new), self.dim)))
         return [self._by_restatement[key] for key in keys]
+
+    def _admit(self, entries: Sequence[MemoryEntry], rows: Callable[[], np.ndarray]) -> None:
+        """Add entries as the next rows under their rows' ids, ``rows()`` their unit
+        vectors (insert, load): the one writer of entries, ``_blocks``, ``_by_restatement``
+        and dim. An entry that breaks ``entry_faults`` over turns 1..n, or whose restatement
+        key is stored or repeats, is a ValueError before ``rows()``; nothing changes."""
+        if self._sealed:
+            raise StoreClosed("store is sealed")
+        ids = [f"e{row:06d}" for row in range(len(self) + 1, len(self) + len(entries) + 1)]
+        turn_ids, where, keys = range(1, len(self.turns) + 1), f"turns 1..{len(self.turns)}", {}
+        for entry_id, entry in zip(ids, entries):
+            if faults := entry_faults(entry, turn_ids, where):
+                raise ValueError(f"entry {entry_id}: {'; '.join(faults)}")
+            key = restatement_key(entry.lossless_restatement)
+            first = self._by_restatement.get(key) or keys.setdefault(key, entry_id)
+            if first != entry_id:
+                raise ValueError(f"entry {entry_id} repeats the restatement of {first}")
+        if entries:
+            self._blocks.append(block := rows())
+            self.dim = block.shape[1]
+            self.entries.update((i, e if e.entry_id == i else replace(e, entry_id=i))
+                                for i, e in zip(ids, entries))
+            self._by_restatement.update(keys)
 
     def vector_of(self, entry_id: str) -> np.ndarray:
         return self._vectors[self.row_of(entry_id)]
@@ -354,18 +371,13 @@ class MemoryStore:
     # -- verbatim recovery ----------------------------------------------
 
     def recover_dialogue(self, entry_ids: Sequence[str]) -> list[tuple[str, list[DialogueTurn]]]:
-        """For each entry, its anchored source turns in turn-id order."""
-        out = []
+        """For each entry, its anchored source turns in turn-id order (``_admit``
+        keeps every anchor in 1..n); an id not stored is UnknownEntry."""
         for entry_id in entry_ids:
-            entry = self.entries.get(entry_id)
-            if entry is None:
+            if entry_id not in self.entries:
                 raise UnknownEntry(entry_id)
-            turn_ids = sorted(entry.source_dialogue_ids)
-            for turn_id in turn_ids:
-                if not 1 <= turn_id <= len(self.turns):
-                    raise DanglingAnchor(f"entry {entry_id} anchors missing turn {turn_id}")
-            out.append((entry_id, [self.turns[turn_id - 1] for turn_id in turn_ids]))
-        return out
+        return [(entry_id, [self.turns[turn_id - 1] for turn_id in sorted(
+            self.entries[entry_id].source_dialogue_ids)]) for entry_id in entry_ids]
 
     # -- profiles --------------------------------------------------------
 
@@ -470,30 +482,19 @@ class MemoryStore:
             if version != SCHEMA_VERSION:
                 raise SchemaVersionMismatch(
                     f"vector file schema {version} != {SCHEMA_VERSION}; {REBUILD}")
-            if (count and not dim) or dim != manifest["dim"] or \
+            if bool(count) != bool(dim) or dim != manifest["dim"] or \
                     count != manifest["entry_count"]:
                 raise ValueError(f"manifest lists {manifest['entry_count']} entries of dim "
                                  f"{manifest['dim']}, vectors.bin {count} rows of dim {dim}")
-            store = cls(tuple(map(check_turn, itertools.starmap(
-                DialogueTurn, zip(*turns.values())))))
-            store.dim = dim or None
-            store._blocks = [vectors := _matrix_from_planes(memoryview(raw)[16:], count, dim)]
+            store = cls(itertools.starmap(DialogueTurn, zip(*turns.values())))
+            vectors = _matrix_from_planes(memoryview(raw)[16:], count, dim)
             # unit rows, within float32 rounding; a value past 1 fails before it is squared
             tol = 2 * (dim + 1) * np.finfo(np.float32).eps
             if count and not (-1 - tol <= vectors.min() and vectors.max() <= 1 + tol and
                               np.all(np.abs(np.vecdot(vectors, vectors) - 1) <= tol)):
                 raise ValueError("vectors.bin holds a row that is not of unit length")
-            ids = [f"e{row:06d}" for row in range(1, count + 1)]
-            store.entries = {entry_id: MemoryEntry(*values, entry_id)
-                             for entry_id, values in zip(ids, zip(*entries.values()))}
-            turn_ids, where = range(1, len(store.turns) + 1), f"turns 1..{len(store.turns)}"
-            for entry_id, entry in store.entries.items():
-                if faults := entry_faults(entry, turn_ids, where):
-                    raise ValueError(f"entry {entry_id}: {'; '.join(faults)}")
-            for entry_id, text in zip(ids, entries["lossless_restatement"]):
-                first = store._by_restatement.setdefault(restatement_key(text), entry_id)
-                if first != entry_id:
-                    raise ValueError(f"entry {entry_id} repeats the restatement of {first}")
+            store._admit([MemoryEntry(*values, f"e{row:06d}") for row, values in
+                          enumerate(zip(*entries.values()), 1)], lambda: vectors)
             for profile in itertools.starmap(EntityProfile, zip(*profiles.values())):
                 store.add_profile(profile)
         except (OSError, EOFError, zlib.error, struct.error, KeyError, TypeError,
@@ -505,5 +506,5 @@ class MemoryStore:
         return store
 
     def verify_anchors(self) -> None:
-        """Raise DanglingAnchor unless every stored entry recovers cleanly."""
+        """Recover every entry's turns, which cannot fail; kept for perfbench's callers."""
         self.recover_dialogue(list(self.entries))

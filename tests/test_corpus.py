@@ -168,7 +168,9 @@ TURN_VALUES = st.sampled_from(TURN_TEXTS) | st.text(max_size=12)
 @settings(max_examples=100, deadline=None)
 @given(st.fixed_dictionaries({"speaker": TURN_VALUES, "text": TURN_VALUES,
                               "timestamp": st.none() | TURN_VALUES}))
-def test_load_corpus_accepts_a_turn_iff_a_store_holding_it_loads(rec):
+def test_load_corpus_accepts_a_turn_iff_a_store_holding_it_loads(store_with_kind, rec):
+    """load_corpus, the MemoryStore constructor and load judge a turn by one
+    rule; load meets the turn as a crafted row of a persisted one-turn store."""
     turn = DialogueTurn(1, 0, rec["speaker"], rec["text"], rec["timestamp"])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "c.json")
@@ -178,13 +180,19 @@ def test_load_corpus_accepts_a_turn_iff_a_store_holding_it_loads(rec):
             accepted = True
         except MalformedDocument:
             accepted = False
-        MemoryStore(turns=[turn]).persist(Path(tmp, "s"))
+        try:
+            MemoryStore(turns=[turn])
+            made = True
+        except ValueError:
+            made = False
+        MemoryStore(turns=[DialogueTurn(1, 0, "A", "a")]).persist(Path(tmp, "s"))
+        store_with_kind(Path(tmp, "s"), "turns", [turn])
         try:
             MemoryStore.load(Path(tmp, "s"))
             loads = True
         except StoreIOError:
             loads = False
-    assert accepted == loads
+    assert accepted == made == loads
 
 
 # -- window count ------------------------------------------------------

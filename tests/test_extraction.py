@@ -297,9 +297,12 @@ def made_entry(rec, window):
 
 @settings(max_examples=200, deadline=None)
 @given(REPLY_RECORDS)
-def test_entry_from_record_accepts_a_record_iff_a_store_holding_its_entry_loads(rec):
+def test_entry_from_record_accepts_a_record_iff_a_store_holding_its_entry_loads(
+        store_with_kind, rec):
     """In a one-window corpus the window's turns are the store's, so the
-    reply path and load judge an entry by the same rule."""
+    reply path, insert_entries and load judge an entry by the same rule. A
+    refused insert makes no embed call; load meets the entry as a crafted
+    row of a store persisted with a placeholder entry."""
     window = make_window(first=1, last=4)
     entry = made_entry(rec, window)
     try:
@@ -307,14 +310,22 @@ def test_entry_from_record_accepts_a_record_iff_a_store_holding_its_entry_loads(
         accepted = True
     except ValueError:
         accepted = False
-    store = MemoryStore(turns=window.turns)
-    store.insert_entries([MemoryEntry("placeholder")], ScriptedBackend())
-    store.entries["e000001"] = entry  # embed refuses an empty restatement
+    store, backend = MemoryStore(turns=window.turns), ScriptedBackend()
+    try:
+        store.insert_entries([entry], backend)
+        inserted = True
+    except ValueError:
+        inserted = False
+        assert (len(store), backend.usage.calls) == (0, 0)
+    crafted = MemoryStore(turns=window.turns)
+    crafted.insert_entries([MemoryEntry("placeholder", source_dialogue_ids=frozenset({1}))],
+                           ScriptedBackend())
     with tempfile.TemporaryDirectory() as tmp:
-        store.persist(tmp)
+        crafted.persist(tmp)
+        store_with_kind(tmp, "entries", [entry])
         try:
             MemoryStore.load(tmp)
             loads = True
         except StoreIOError:
             loads = False
-    assert accepted == loads
+    assert accepted == inserted == loads

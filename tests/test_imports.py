@@ -11,7 +11,8 @@ function in ``src/trimem/``, ``store.write_bytes``, writes files, so one
 place decides how a file is written and what its failure is. No module in
 ``src/trimem/`` but ``store.py`` spells a store file's name or the staged
 ``.tmp`` suffix, so the paths a command checks before its first model call
-are the ones ``persist`` writes.
+are the ones ``persist`` writes. Only ``MemoryStore._admit`` adds entries and
+their rows, so ``insert_entries`` and ``load`` take in what one rule allows.
 """
 import ast
 import os
@@ -169,6 +170,72 @@ def test_the_check_finds_a_store_file_name():
     assert store_file_names(source) == [
         "line 1: 'Reads manifest.json.'", "line 4: 'records.json.gz'", "line 4: '.tmp'",
         "line 5: '.tmp'", "line 6: 'store/vectors.bin'"]
+
+
+# the MemoryStore attributes that hold its entries and rows, and the functions of
+# store.py that write each: __init__ makes them empty, seal joins the blocks into
+# one, and _admit is the one way entries and their rows come in
+STORE_STATE = ("entries", "_blocks", "_by_restatement", "dim")
+STATE_WRITERS = {"__init__": set(STORE_STATE), "seal": {"_blocks"},
+                 "_admit": set(STORE_STATE)}
+MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem",
+            "clear", "remove"}
+
+
+def state_writes(source: str) -> list[tuple[str, str, int]]:
+    """(function, attribute, line) of each write in source, function being the
+    innermost enclosing def, to an attribute of any object named in STORE_STATE:
+    an assignment, augmented assignment or ``del`` of it or of an item of it,
+    or a call of one of its MUTATORS."""
+    found = []
+
+    def state_attr(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return node.attr if isinstance(node, ast.Attribute) and node.attr in STORE_STATE \
+            else None
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            targets = []
+            if isinstance(child, (ast.Assign, ast.Delete)):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr in MUTATORS:
+                targets = [child.func.value]
+            for target in targets:
+                for node_ in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if name := state_attr(node_):
+                        found.append((function, name, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_admission_writes_a_stores_entries_and_rows():
+    writes = {(path.name, function, name) for path in SRC.glob("*.py")
+              for function, name, _ in state_writes(path.read_text(encoding="utf-8"))}
+    assert writes == {("store.py", function, name)
+                      for function, names in STATE_WRITERS.items() for name in names}
+
+
+def test_the_check_finds_each_write_of_a_stores_entries_and_rows():
+    source = ("class S:\n    def load(cls, store, rows):\n"
+              "        store.entries = {}; store._blocks.append(rows)\n"
+              "        store._by_restatement['k'] = 'e1'; del store.entries['e1']\n"
+              "        store.dim += 1; n, store.dim = 1, 2\n"
+              "        return store.entries.get('e1'), store._blocks[0], store.dim\n"
+              "s = S()\ns._by_restatement.setdefault('k', 'e2'); s.entries.copy()\n")
+    assert state_writes(source) == [
+        ("load", "entries", 3), ("load", "_blocks", 3), ("load", "_by_restatement", 4),
+        ("load", "entries", 4), ("load", "dim", 5), ("load", "dim", 5),
+        ("<module>", "_by_restatement", 8)]
 
 
 def test_importing_the_package_loads_no_http_client():

@@ -4,8 +4,9 @@ import json
 import operator
 import struct
 import tempfile
+import warnings
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from hypothesis.extra import numpy as hnp
 from trimem.backend import ScriptedBackend, hash_embedding
 from trimem.corpus import DialogueTurn
 from trimem.errors import (
-    DanglingAnchor,
     DimensionMismatch,
     EmptyIndex,
     SchemaVersionMismatch,
@@ -299,6 +299,22 @@ def test_a_bad_embedding_row_adds_nothing(backend, monkeypatch, row):
     assert (len(store), store.dim, store._vectors.shape) == (1, 64, (1, 64))
 
 
+def test_an_overflowing_embedding_is_refused_without_a_warning(backend, monkeypatch):
+    """Squares past float32's range are refused as infinite, and numpy prints
+    no RuntimeWarning, so an error stays one JSON object on stderr."""
+    store = MemoryStore(turns=make_turns(2))
+    store.insert_entries([make_entry("x", (1,))], backend)
+    huge = np.full(64, 1e20, dtype=np.float32)
+    monkeypatch.setattr(backend, "_embed", lambda texts: [huge] * len(texts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="not finite"):
+            store.insert_entries([make_entry("y", (2,))], backend)
+        with pytest.raises(DimensionMismatch, match="not finite"):
+            store.similarity_search(huge, 1)
+    assert (len(store), store._vectors.shape) == (1, (1, 64))
+
+
 @pytest.mark.parametrize("k", [0, -1, -7])
 def test_similarity_search_refuses_a_k_below_1(backend, k):
     store = MemoryStore(turns=make_turns(1))
@@ -343,13 +359,36 @@ def test_recover_dialogue_unknown_entry(backend):
 
 
 @pytest.mark.parametrize("turn_id", [9, 3, 0, -1])  # turn ids run 1..2
-def test_recover_dialogue_dangling_anchor(backend, turn_id):
+def test_insert_refuses_an_anchor_outside_the_turns(backend, turn_id):
+    """An anchor that recover_dialogue could not follow never gets stored."""
     store = MemoryStore(turns=make_turns(2))
-    store.insert_entries([make_entry("x", (2, turn_id))], backend)
-    with pytest.raises(DanglingAnchor, match=f"anchors missing turn {turn_id}$"):
-        store.recover_dialogue(["e000001"])
-    with pytest.raises(DanglingAnchor):
-        store.verify_anchors()
+    with pytest.raises(ValueError, match=rf"^entry e000001: source ids \[{turn_id}\] "
+                                         r"outside turns 1\.\.2$"):
+        store.insert_entries([make_entry("x", (2, turn_id))], backend)
+    assert (len(store), backend.usage.calls) == (0, 0)
+
+
+# entry changes that load refuses in a crafted store, and insert before its embed
+# call; an anchor past the last turn is the test above
+LOAD_REFUSED_ENTRIES = {"no-anchors": {"source_dialogue_ids": frozenset()},
+                        "person-he": {"persons": frozenset({"he"})},
+                        "event-time-not-a-date": {"event_time": "not a date"}}
+
+
+@pytest.mark.parametrize("change", LOAD_REFUSED_ENTRIES.values(), ids=LOAD_REFUSED_ENTRIES)
+def test_insert_refuses_an_entry_that_load_refuses(backend, change):
+    store = MemoryStore(turns=make_turns(2))
+    with pytest.raises(ValueError, match="^entry e000001: "):
+        store.insert_entries([replace(make_entry("x"), **change)], backend)
+    assert (len(store), backend.usage.calls) == (0, 0)
+
+
+@pytest.mark.parametrize("speaker, stamp, fault", [
+    ("", None, "speaker must be a non-empty string"), ("A", "not a date", "not a date")],
+    ids=["speaker-empty", "timestamp-not-a-date"])
+def test_the_constructor_refuses_a_turn_that_load_refuses(speaker, stamp, fault):
+    with pytest.raises(ValueError, match=fault):
+        MemoryStore(turns=[*make_turns(1), DialogueTurn(2, 0, speaker, "t", stamp)])
 
 
 # -- profiles ----------------------------------------------------------
@@ -501,14 +540,91 @@ def test_any_finite_rows_persist_bit_for_bit(rows):
         raw = Path(tmp, "a", "vectors.bin").read_bytes()
         assert raw == Path(tmp, "b", "vectors.bin").read_bytes()
         try:
-            with np.errstate(over="ignore"):  # EDGE_ROW's squares overflow
-                store._vectors[:] = _unit_rows(rows)
+            store._vectors[:] = _unit_rows(rows)
         except DimensionMismatch:  # a norm that is zero, too small or not finite
             return
         store.persist(Path(tmp, "a"))
         loaded = MemoryStore.load(Path(tmp, "a"))
     assert loaded._vectors.dtype == np.float32
     assert loaded._vectors.shape == rows.shape
+    assert loaded._vectors.tobytes() == store._vectors.tobytes()
+
+
+TURN_ROWS = st.lists(st.tuples(st.sampled_from(["A", "Maya", " "] * 3 + [""]),
+                               st.sampled_from([None, "2024-01-01T10:00:00",
+                                                "2024-01-02"] * 3 + ["not a date"])),
+                     min_size=1, max_size=4)
+# an entry the rule takes over turns 1..2, then mostly no change, else one it refuses;
+# restatements "fact a" and "fact  a" share a restatement key
+ENTRIES = st.builds(
+    lambda entry, change: replace(entry, **change),
+    st.builds(MemoryEntry,
+              lossless_restatement=st.sampled_from(["fact a", "fact  a", "fact b", "fact c"]),
+              keywords=st.frozensets(st.sampled_from(["Rome", "chess"]), max_size=2),
+              event_time=st.sampled_from([None, "2024-01-01T09:00:00"]),
+              location=st.sampled_from([None, "Rome"]),
+              persons=st.frozensets(st.sampled_from(["Maya", "Bob Lee"]), max_size=2),
+              entities=st.frozensets(st.sampled_from(["chess", ""]), max_size=2),
+              topic=st.sampled_from(["", "travel"]),
+              source_dialogue_ids=st.frozensets(st.integers(1, 2), min_size=1),
+              origin_window=st.integers(0, 2)),
+    st.sampled_from([{}] * 30 + [
+        {"lossless_restatement": " "}, {"source_dialogue_ids": frozenset()},
+        {"source_dialogue_ids": frozenset({0, 1})}, {"source_dialogue_ids": frozenset({9})},
+        {"persons": frozenset({"he"})}, {"keywords": frozenset({"It"})},
+        {"persons": frozenset({" Maya"})}, {"event_time": "not a date"},
+        {"event_time": "2024-01-01"}, {"origin_window": -1}, {"origin_window": 9}]))
+# likewise a profile the rule takes as version 1 or 2 of its key, then maybe a change
+PROFILES = st.builds(
+    lambda profile, change: replace(profile, **change),
+    st.builds(EntityProfile, entity_key=st.sampled_from(["maya", "bob"]),
+              display_name=st.just("Maya"), version=st.integers(1, 2),
+              window=st.integers(0, 2),
+              sections=st.sampled_from([{"Identity": "x"}, {"Work": "y", "Identity": "x"}])),
+    st.sampled_from([{}] * 10 + [{"entity_key": "Maya"}, {"display_name": " "},
+                                 {"sections": {}}, {"sections": {" ": "x"}}]))
+
+
+def state(store, backend):
+    return (store.entries.copy(), store.profile_history, store._vectors.tobytes(),
+            backend.usage.calls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TURN_ROWS, st.lists(st.lists(ENTRIES, min_size=1, max_size=4) | PROFILES,
+                           min_size=1, max_size=6),
+       st.booleans())
+def test_a_store_the_doors_accept_loads_as_it_was(turn_rows, steps, sealed):
+    """Whatever the constructor, insert_entries (in batches, with repeats) and
+    add_profile accept persists to a store that load takes back whole: entries,
+    order, turns, profile versions with their section order, vector bytes and
+    the seal. A refused turn fails the constructor, and a refused step changes
+    nothing and makes no embed call."""
+    turns = [DialogueTurn(i, 0, speaker, f"turn {i}", stamp)
+             for i, (speaker, stamp) in enumerate(turn_rows, 1)]
+    if any(speaker == "" or stamp == "not a date" for speaker, stamp in turn_rows):
+        with pytest.raises(ValueError):
+            MemoryStore(turns=turns)
+        return
+    store, backend = MemoryStore(turns=turns), ScriptedBackend()
+    for step in steps:
+        before = state(store, backend)
+        try:
+            if isinstance(step, list):
+                store.insert_entries(step, backend)
+            else:
+                store.add_profile(step)
+        except ValueError:
+            assert state(store, backend) == before
+    if sealed:
+        store.seal()
+    with tempfile.TemporaryDirectory() as tmp:
+        store.persist(tmp)
+        loaded = MemoryStore.load(tmp)
+    assert (loaded.entries, loaded.insertion_order, loaded.turns, loaded.sealed) == \
+        (store.entries, store.insertion_order, store.turns, sealed)
+    assert [(p, list(p.sections.items())) for p in loaded.profile_history] == \
+        [(p, list(p.sections.items())) for p in store.profile_history]
     assert loaded._vectors.tobytes() == store._vectors.tobytes()
 
 
@@ -546,6 +662,21 @@ def test_empty_index_refuses_a_nonempty_plane_3(tmp_path, monkeypatch):
         MemoryStore.load(tmp_path / "s")
     assert "sha256" not in str(info.value)
     assert inflated and max(inflated) < 1 << 10
+
+
+def test_load_refuses_a_dimension_without_rows(tmp_path):
+    """persist writes dim 0 for a store with no entries, so a vectors header
+    and manifest that give an empty index a width describe no built store."""
+    MemoryStore(turns=make_turns(1)).persist(tmp_path / "s")
+    vectors, manifest_path = tmp_path / "s" / "vectors.bin", tmp_path / "s" / "manifest.json"
+    raw = vectors.read_bytes()
+    vectors.write_bytes(raw[:8] + struct.pack("<I", 64) + raw[12:])
+    manifest = json.loads(manifest_path.read_text())
+    manifest["dim"] = 64
+    manifest["sha256"]["vectors.bin"] = hashlib.sha256(vectors.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(StoreIOError, match="0 rows of dim 64"):
+        MemoryStore.load(tmp_path / "s")
 
 
 def test_column_tables_follow_the_field_order():
