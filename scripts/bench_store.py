@@ -10,7 +10,8 @@ and keeps the median and every run of each wall-clock time in ms, and the
 bytes of each store file. Each timed run frees the previous run's loaded
 store and runs a full GC before its clock starts, so no run times the
 freeing of another; the last load must equal the persisted store in
-entries, turns, profile history and vector bytes.
+entries, turns, profile history with each profile's section order, and
+vector bytes.
 
 Every pass runs in a fresh process that imports trimem from ``--parent``
 or ``--change``. Per size the passes alternate, parent then change,
@@ -130,6 +131,8 @@ def measure(trimem, n: int, workdir: Path) -> dict:
     if loaded.insertion_order != store.insertion_order or \
             loaded.entries != store.entries or loaded.turns != store.turns or \
             loaded.profile_history != store.profile_history or \
+            [list(p.sections.items()) for p in loaded.profile_history] != \
+            [list(p.sections.items()) for p in store.profile_history] or \
             any(loaded.vector_of(e).tobytes() != store.vector_of(e).tobytes()
                 for e in store.insertion_order):
         raise SystemExit(f"{n} entries: the loaded store differs from the persisted one")

@@ -74,8 +74,9 @@ _TURN_FIELDS = {"speaker": (str, REQUIRED), "text": (str, REQUIRED),
 
 def check_turn(turn: DialogueTurn) -> DialogueTurn:
     """turn, if it keeps load_corpus's and load's rule: a speaker, an ISO 8601 timestamp or None."""
-    if not turn.speaker:
-        raise ValueError(f"turn {turn.turn_id}: speaker must be a non-empty string")
+    if not turn.speaker or type(turn.timestamp) not in (str, type(None)):
+        raise ValueError(f"turn {turn.turn_id}: speaker must be a non-empty string, "
+                         f"timestamp a string or None")
     if turn.timestamp is not None:
         datetime.fromisoformat(turn.timestamp)  # its ValueError names the timestamp
     return turn

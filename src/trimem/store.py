@@ -18,21 +18,20 @@ together under one store directory:
     manifest.json    schema version, dim, counts, sealed, the sha256 of each
                      data file; from ``build`` the config hash and prompt round
 
-``persist`` writes the three files in that order, each as its name plus
-``.tmp``, then renames each over its name, ``manifest.json`` last; on any
-failure it unlinks what it staged, so the old store stays as it was. A kill
-between two renames can leave a mix, which the sha256 check refuses.
+``persist`` makes the columns as ``load`` reads them back, kept by load's column rule
+``_check_column``: a frozenset becomes a sorted list, a profile's sections a dict in their
+order, and a value of another kind is a StoreIOError before anything is made. It writes
+the three files in that order, each as its name plus ``.tmp``, then renames each over its
+name, ``manifest.json`` last; on any failure it unlinks what it staged, so the old store
+stays. A kill between two renames can leave a mix, which the sha256 check refuses.
 
-Entry row i (from 1) is entry ``e{i:06d}``, as ``_admit`` numbers it,
-so no entry id is stored; turn i is ``turns[i - 1]``, as the constructor
-checks. Sets are stored as sorted lists; a profile's
-sections dict keeps its order. The gzip header holds no file name and no
-timestamp, so equal stores persist byte-identical; ``zcat records.json.gz |
-python -m json.tool`` reads the records. Plane k of ``vectors.bin`` is byte k of every
-value in row order. Plane 3 holds each value's sign and top seven exponent
-bits, under 3 bits of entropy on unit-norm embeddings, so a Huffman code
-alone shrinks it to about a third; planes 0-2 are mantissa bits, close to
-random, and stay raw. Every value loads bit for bit.
+Entry row i (from 1) is entry ``e{i:06d}``, as ``_admit`` numbers it, so no entry id is
+stored; turn i is ``turns[i - 1]``, as the constructor checks. The gzip header holds no
+file name and no timestamp, so equal stores persist byte-identical; ``zcat records.json.gz
+| python -m json.tool`` reads the records. Plane k of ``vectors.bin`` is byte k of every
+value in row order. Plane 3 holds each value's sign and top seven exponent bits, under 3
+bits of entropy on unit-norm embeddings, so a Huffman code alone shrinks it to a third;
+planes 0-2 are mantissa bits, close to random, and stay raw. Every value loads bit for bit.
 
 ``load`` checks its files: the manifest's ``read_object`` fields and each data file's
 sha256 before it parses anything, then each kind's columns, kinds and counts, the vectors
@@ -120,28 +119,37 @@ _KINDS = {"entries": (_ENTRY_TYPES, "entry_count"), "turns": (_TURN_TYPES, "turn
           "profiles": (_PROFILE_TYPES, "profile_versions")}
 
 
-def _columns(rows: list, types: dict) -> dict:
-    """The columns of types over rows, in types' order; a list column's sets
-    become sorted lists, and a dict column's mappings plain dicts."""
+def _check_column(column, kind, count: int, what: str) -> list:
+    """column, if a list of count values of kind by ``has_type``; else a ValueError naming what."""
+    if has_type(column, [kind]) and len(column) == count:
+        return column
+    bad = [f" (row {i})" for i, v in enumerate(column, 1) if not has_type(v, kind)] \
+        if type(column) is list else []
+    raise ValueError(f"{what} is not {count} values of its kind{''.join(bad[:1])}")
+
+
+def _columns(rows, types: dict, what: str) -> dict:
+    """The columns of types over rows as load reads them back, each kept by ``_check_column``."""
     columns = {}
     for name, (kind, _) in types.items():
         values = [getattr(row, name) for row in rows]
-        plain = sorted if isinstance(kind, list) else dict if kind is dict else None
-        columns[name] = list(map(plain, values)) if plain else values
+        if isinstance(kind, list):  # only a frozenset is a set (None fails); checked, it sorts
+            values = [list(value) if type(value) is frozenset else None for value in values]
+        columns[name] = _check_column(list(map(dict, values)) if kind is dict else values,
+                                      kind, len(rows), f"{what} column {name!r}")
+        for members in values if isinstance(kind, list) else ():
+            members.sort()
     return columns
 
 
 def _read_columns(obj, types: dict, count: int, what: str) -> dict:
-    """obj's columns, once it holds exactly those of types, each a list of
-    count values of its kind; a list column's values become frozensets."""
+    """obj's columns, once it holds exactly types' columns, each kept by ``_check_column``."""
     if type(obj) is not dict or obj.keys() != types.keys():
         found = sorted(obj) if type(obj) is dict else type(obj).__name__
         raise ValueError(f"{what} hold {found}, not the columns {sorted(types)}")
     columns = {}
     for name, (kind, _) in types.items():
-        column = obj[name]
-        if not has_type(column, [kind]) or len(column) != count:
-            raise ValueError(f"{what} column {name!r} is not {count} values of its kind")
+        column = _check_column(obj[name], kind, count, f"{what} column {name!r}")
         columns[name] = list(map(frozenset, column)) if isinstance(kind, list) else column
     return columns
 
@@ -301,18 +309,18 @@ class MemoryStore:
                        backend: Backend) -> list[str]:
         """Embed restatements and add entries, deduplicating exact repeats.
 
-        Restatements with the same ``restatement_key`` map to the
-        already-stored id instead of creating a new row; a restatement
-        repeated within the batch is embedded once, at its first copy. The
-        new restatements go out in one ``backend.embed`` call, one
-        round-trip per ``EMBED_BATCH`` texts, so ``build_store`` indexes a
-        whole build with one insert. A new entry that ``_admit`` refuses is
-        a ValueError before that call. The block that comes back is checked
-        by ``checked_block``, since an ``embed`` override may skip its check,
-        and scaled by ``_unit_rows``. A refused entry or block, or a budget
-        that runs out between slices, leaves the store as it was. The new
-        rows join the index as one block.
+        Restatements with the same ``restatement_key`` map to the already-stored id instead
+        of creating a new row; a restatement repeated within the batch is embedded once, at
+        its first copy. The new restatements go out in one ``backend.embed`` call, one
+        round-trip per ``EMBED_BATCH`` texts, so ``build_store`` indexes a whole build with
+        one insert. An entry with a field of another kind than ``persist`` stores, or a new
+        entry that ``_admit`` refuses, is a ValueError before that call. The block that
+        comes back is checked by ``checked_block``, since an ``embed`` override may skip its
+        check, and scaled by ``_unit_rows``. A refused entry or block, or a budget that runs
+        out between slices, leaves the store as it was. The new rows join the index as one
+        block.
         """
+        _columns(entries, _ENTRY_TYPES, "entries")  # the kinds, before the checks that read them
         keys = [restatement_key(entry.lossless_restatement) for entry in entries]
         new: dict[str, MemoryEntry] = {}  # restatement key -> its first new entry
         for key, entry in zip(keys, entries):
@@ -388,8 +396,8 @@ class MemoryStore:
             raise StoreClosed("store is sealed")
         key, sections = profile.entity_key, profile.sections
         texts = [key, profile.display_name, *sections, *sections.values()]
-        if key != normalize_person_key(key) or not sections or not all(
-                type(text) is str and text.strip() for text in texts):
+        if not sections or not all(type(text) is str and text.strip() for text in texts) \
+                or key != normalize_person_key(key):
             raise ValueError(f"profile {key!r}: a key not normalized, no section, or a "
                              f"key, name, label or text that is blank or no string")
         latest = self._latest_profile.get(key)
@@ -415,11 +423,11 @@ class MemoryStore:
     def persist(self, path, manifest_extra: Optional[dict] = None) -> None:
         path = Path(path)
         dim = self.dim or 0
-        records = {"entries": _columns(list(self.entries.values()), _ENTRY_TYPES),
-                   "turns": _columns(self.turns, _TURN_TYPES),
-                   "profiles": _columns(self._profile_history, _PROFILE_TYPES)}
+        rows = dict(zip(_KINDS, (list(self.entries.values()), self.turns, self._profile_history)))
         staged = {name: path / staged_name for name, staged_name in STAGED_FILES.items()}
-        try:
+        try:  # the columns first, so a store they refuse makes nothing
+            records = {kind: _columns(rows[kind], types, kind)
+                       for kind, (types, _) in _KINDS.items()}
             path.mkdir(parents=True, exist_ok=True)
             # not sort_keys: columns stay in table order, sections in theirs
             text = json.dumps(records, separators=(",", ":")).encode("utf-8")
@@ -429,17 +437,16 @@ class MemoryStore:
                 "vectors.bin": write_bytes(staged["vectors.bin"], VECTOR_MAGIC, struct.pack(
                     "<III", SCHEMA_VERSION, dim, len(self.entries)),
                     *_vector_planes(self._vectors))}
-            manifest = {"schema_version": SCHEMA_VERSION, "dim": dim,
-                        "entry_count": len(self.entries), "turn_count": len(self.turns),
-                        "profile_versions": len(self._profile_history),
-                        "sealed": self._sealed, "sha256": digests, **(manifest_extra or {})}
+            manifest = {"schema_version": SCHEMA_VERSION, "dim": dim, "sealed": self._sealed,
+                        **{count: len(rows[kind]) for kind, (_, count) in _KINDS.items()},
+                        "sha256": digests, **(manifest_extra or {})}
             write_json(staged["manifest.json"], manifest)
             for name in _OLD_PARTS:
                 (path / name).unlink(missing_ok=True)
             for name, staged_path in staged.items():  # manifest.json last
                 staged_path.replace(path / name)
-        except OSError as exc:
-            raise StoreIOError(str(exc))
+        except (OSError, ValueError) as exc:  # a file it cannot write, a value it cannot store
+            raise StoreIOError(f"{path}: {exc}")
         finally:  # nothing staged outlives persist; the first error is the one raised
             for staged_path in staged.values():
                 with contextlib.suppress(OSError):

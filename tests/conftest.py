@@ -58,7 +58,7 @@ def store_with_kind():
     def put(store_dir, kind, rows):
         path, manifest_path = Path(store_dir, "records.json.gz"), Path(store_dir, "manifest.json")
         records = json.loads(gzip.decompress(path.read_bytes()))
-        records[kind] = _columns(rows, _KINDS[kind][0])
+        records[kind] = _columns(rows, _KINDS[kind][0], kind)
         path.write_bytes(gzip.compress(json.dumps(records).encode("utf-8")))
         manifest = json.loads(manifest_path.read_text())
         manifest["sha256"]["records.json.gz"] = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -384,8 +384,9 @@ def test_insert_refuses_an_entry_that_load_refuses(backend, change):
 
 
 @pytest.mark.parametrize("speaker, stamp, fault", [
-    ("", None, "speaker must be a non-empty string"), ("A", "not a date", "not a date")],
-    ids=["speaker-empty", "timestamp-not-a-date"])
+    ("", None, "speaker must be a non-empty string"), ("A", "not a date", "not a date"),
+    ("A", 5, "timestamp a string or None")],
+    ids=["speaker-empty", "timestamp-not-a-date", "timestamp-an-int"])
 def test_the_constructor_refuses_a_turn_that_load_refuses(speaker, stamp, fault):
     with pytest.raises(ValueError, match=fault):
         MemoryStore(turns=[*make_turns(1), DialogueTurn(2, 0, speaker, "t", stamp)])
@@ -756,6 +757,128 @@ def test_a_stored_profile_is_read_only(tmp_path, built_store):
 def test_load_rejects_non_store_dir(tmp_path):
     with pytest.raises(StoreIOError):
         MemoryStore.load(tmp_path)
+
+
+# -- persist writes only what load reads back equal ------------------------
+
+def file_digests(path):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in Path(path).iterdir()}
+
+
+def store_holding(kind, change):
+    """A store of four turns, one entry and one profile, the first record of kind
+    changed: a turn through the constructor and a profile through add_profile, which
+    check values, not kinds; an entry in place, since insert_entries refuses it."""
+    turns = make_turns(4)
+    if kind == "turns":
+        turns[0] = replace(turns[0], **change)
+    store = MemoryStore(turns=turns)
+    store.insert_entries([make_entry("Alice visited Rome.", (1, 2), ("Alice",))],
+                         ScriptedBackend())
+    if kind == "entries":
+        store.entries["e000001"] = replace(store.entries["e000001"], **change)
+    store.add_profile(replace(profile("alice", 1), **(change if kind == "profiles" else {})))
+    return store
+
+
+# fields load would not read back equal: a str or a list where a frozenset belongs
+# would load as a frozenset, an unorderable set has no sorted form, and each other
+# value is of a kind load refuses
+WRONG_KINDS = {"entry-keywords-a-str": ("entries", {"keywords": "abc"}),
+               "entry-keywords-a-list": ("entries", {"keywords": ["x"]}),
+               "entry-keywords-unorderable": ("entries", {"keywords": frozenset({1, "a"})}),
+               "entry-topic-none": ("entries", {"topic": None}),
+               "entry-location-an-int": ("entries", {"location": 5}),
+               "turn-text-an-int": ("turns", {"text": 7}),
+               "turn-session-a-str": ("turns", {"session_id": "0"}),
+               "profile-window-a-str": ("profiles", {"window": "1"})}
+
+
+@pytest.mark.parametrize("kind, change", WRONG_KINDS.values(), ids=WRONG_KINDS)
+def test_persist_refuses_a_field_load_would_not_read_back_equal(tmp_path, kind, change):
+    """The refusal names the kind, the column and the row, and comes before
+    anything is made: a good store at the path keeps every byte and loads."""
+    good = tmp_path / "good"
+    build_small_store(ScriptedBackend()).persist(good)
+    before = file_digests(good)
+    store = store_holding(kind, change)
+    [name] = change
+    with pytest.raises(StoreIOError, match=rf"{kind} column '{name}' is not \d+ values "
+                                           r"of its kind \(row 1\)$"):
+        store.persist(good)
+    assert file_digests(good) == before
+    assert MemoryStore.load(good).entries == build_small_store(ScriptedBackend()).entries
+    with pytest.raises(StoreIOError):
+        store.persist(tmp_path / "new" / "s")
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("keywords", frozenset({1})), ("persons", frozenset({1})), ("keywords", "abc"),
+    ("entities", ["x"]), ("lossless_restatement", None), ("event_time", 5),
+    ("source_dialogue_ids", frozenset({1, "a"})), ("origin_window", "1")],
+    ids=["keyword-an-int", "person-an-int", "keywords-a-str", "entities-a-list",
+         "restatement-none", "event-time-an-int", "anchors-unorderable", "window-a-str"])
+def test_insert_refuses_a_field_of_another_kind_before_its_embed_call(backend, name, value):
+    """A ValueError that names the field and the entry's row in the batch, not a
+    crash in the checks that read the values."""
+    store = MemoryStore(turns=make_turns(2))
+    with pytest.raises(ValueError, match=rf"^entries column '{name}' is not 2 values of "
+                                         r"its kind \(row 2\)$"):
+        store.insert_entries([make_entry("a"), replace(make_entry("b"), **{name: value})],
+                             backend)
+    assert (len(store), backend.usage.calls) == (0, 0)
+
+
+# a value of each kind no stored field holds, or of a kind a field holds: None, a
+# str, a list, an int, a bool, a float and an unorderable set
+ANY_KIND = (st.none() | st.sampled_from(["", "x", "Maya", "2024-01-01T10:00:00"]) |
+            st.lists(st.sampled_from(["x", 1]), max_size=2) | st.integers(-1, 3) |
+            st.booleans() | st.floats() | st.just({1, "a"}) | st.just(frozenset({1, "a"})))
+# every stored field but a profile's sections, which EntityProfile copies into a
+# read-only dict itself, so a value of another kind never makes a profile
+STORED_FIELDS = [*(("turns", name) for name in _TURN_TYPES),
+                 *(("entries", name) for name in _ENTRY_TYPES),
+                 *(("profiles", name) for name in _PROFILE_TYPES if name != "sections")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(STORED_FIELDS), ANY_KIND)
+def test_a_field_of_any_kind_is_refused_or_loads_back_equal(field, value):
+    """One field of a turn, an entry or a profile takes a value of any kind. A door
+    refuses it with a ValueError and changes nothing, or persist refuses it with a
+    StoreIOError over a good store that keeps every byte, or load gives back the
+    store it persisted: entries, turns, profiles with their section order, vectors."""
+    kind, name = field
+    records = {"turns": make_turns(2)[0], "entries": make_entry("fact", (1, 2), ("Maya",)),
+               "profiles": profile("maya", 1)}
+    records[kind] = replace(records[kind], **{name: value})
+    backend = ScriptedBackend()
+    try:
+        store = MemoryStore(turns=[records["turns"], *make_turns(2)[1:]])
+        store.insert_entries([records["entries"]], backend)
+    except ValueError:
+        assert backend.usage.calls == 0
+        return
+    try:
+        store.add_profile(records["profiles"])
+    except ValueError:
+        assert store.profile_history == []
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        build_small_store(ScriptedBackend()).persist(tmp)
+        before = file_digests(tmp)
+        try:
+            store.persist(tmp)
+        except StoreIOError:
+            assert file_digests(tmp) == before
+            MemoryStore.load(tmp)
+            return
+        loaded = MemoryStore.load(tmp)
+    assert (loaded.entries, loaded.turns, loaded._vectors.tobytes()) == \
+        (store.entries, store.turns, store._vectors.tobytes())
+    assert [(p, list(p.sections.items())) for p in loaded.profile_history] == \
+        [(p, list(p.sections.items())) for p in store.profile_history]
 
 
 def test_round_trip_search_identical(tmp_path, backend):
