@@ -8,13 +8,12 @@ together under one store directory:
 
     records.json.gz  one JSON object {"entries": {column: [values]},
                      "turns": {...}, "profiles": {...}}, each kind's columns
-                     the fields of its dataclass in field order: entries in
-                     insertion order, turns by turn id, profile versions as
-                     added
-    vectors.bin      magic 'TRIM', version u32, dim u32, count u32, then the
-                     byte planes of the little-endian float32 (count, dim)
-                     matrix: planes 0-2 raw, plane 3 as one Huffman-only
-                     zlib stream; row i is the vector of entry row i
+                     the fields of its dataclass in field order, less an id:
+                     entries in insertion order, turns in turn-id order,
+                     profile versions as added
+    vectors.bin      magic 'TRIM', then the byte planes of the little-endian
+                     float32 (entry_count, dim) matrix: planes 0-2 raw, plane 3
+                     as one Huffman-only zlib stream; row i is entry row i's vector
     manifest.json    schema version, dim, counts, sealed, the sha256 of each
                      data file; from ``build`` the config hash and prompt round
 
@@ -25,20 +24,20 @@ the three files in that order, each as its name plus ``.tmp``, then renames each
 name, ``manifest.json`` last; on any failure it unlinks what it staged, so the old store
 stays. A kill between two renames can leave a mix, which the sha256 check refuses.
 
-Entry row i (from 1) is entry ``e{i:06d}``, as ``_admit`` numbers it, so no entry id is
-stored; turn i is ``turns[i - 1]``, as the constructor checks. The gzip header holds no
-file name and no timestamp, so equal stores persist byte-identical; ``zcat records.json.gz
-| python -m json.tool`` reads the records. Plane k of ``vectors.bin`` is byte k of every
-value in row order. Plane 3 holds each value's sign and top seven exponent bits, under 3
-bits of entropy on unit-norm embeddings, so a Huffman code alone shrinks it to a third;
-planes 0-2 are mantissa bits, close to random, and stay raw. Every value loads bit for bit.
+Entry row i (from 1) is entry ``e{i:06d}``, as ``_admit`` numbers it, and turn row i is turn
+i, as the constructor checks, so no id is stored; only the manifest states the schema
+version, the width and the row counts. Equal stores persist byte-identical: the gzip header
+holds no file name or timestamp, and ``zcat records.json.gz | python -m json.tool`` reads
+the records. Plane k of ``vectors.bin`` is byte k of every value in row order. Plane 3 holds
+each value's sign and top seven exponent bits, under 3 bits of entropy on unit-norm
+embeddings, so a Huffman code alone shrinks it to a third; planes 0-2, mantissa bits close
+to random, stay raw. Every value loads bit for bit.
 
-``load`` checks its files: the manifest's ``read_object`` fields and each data file's
-sha256 before it parses anything, then each kind's columns, kinds and counts, the vectors
-header, the planes and unit rows. The records go in through a build's doors, which keep
-each kind's rule: turns the constructor, entries ``_admit``, profiles ``add_profile``.
-Any fault raises StoreIOError, another schema version SchemaVersionMismatch; each fault
-of the data names ``trimem build --force``.
+``load`` checks the manifest's ``read_object`` fields and each data file's sha256 before it
+parses anything, then each kind's columns, kinds and counts, the vectors magic, planes and
+unit rows. The records go in through a build's doors, which keep each kind's rule: turns the
+constructor, entries ``_admit``, profiles ``add_profile``. Any fault is a StoreIOError and
+another schema version SchemaVersionMismatch; each data fault names ``trimem build --force``.
 """
 from __future__ import annotations
 
@@ -47,11 +46,11 @@ import gzip
 import hashlib
 import itertools
 import json
-import struct
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +61,7 @@ from .errors import (DimensionMismatch, EmptyIndex, SchemaVersionMismatch, Store
 from .extraction import MemoryEntry, entry_faults, normalize_person_key, restatement_key
 from .profiles import EntityProfile
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 REBUILD = "rebuild it with `trimem build --force`"
 VECTOR_MAGIC = b"TRIM"
 GZIP_LEVEL = 6  # level 9 takes about 3x as long and saves under 0.5% of a store
@@ -103,10 +102,10 @@ class RetrievalConfig:
         return self.per_query_k if self.per_query_k is not None else self.top_k
 
 
-# each kind's columns in file order and their kinds, taken from its
-# dataclass, so load rebuilds every kind by position
+# each kind's columns in file order and their kinds, taken from its dataclass
+# less the id its row gives, so load rebuilds every kind by position
 _ENTRY_TYPES = fields_of(MemoryEntry, "entry_id")
-_TURN_TYPES = fields_of(DialogueTurn)
+_TURN_TYPES = fields_of(DialogueTurn, "turn_id")
 _PROFILE_TYPES = fields_of(EntityProfile)
 # the manifest keys load checks: persist writes the required ones, build adds
 # config_hash and prompt_round, and any other key is ignored
@@ -252,13 +251,13 @@ class MemoryStore:
 
     def __init__(self, turns: Iterable[DialogueTurn] = ()):
         """Turn ids must run 1..n in order, each turn keep ``check_turn``; else ValueError."""
-        self.turns: tuple[DialogueTurn, ...] = tuple(turns)  # turn i is turns[i - 1]
-        for row, turn in enumerate(self.turns, 1):
+        self._turns: tuple[DialogueTurn, ...] = tuple(turns)
+        for row, turn in enumerate(self._turns, 1):
             if turn.turn_id != row:
-                raise ValueError(f"turn {row} of {len(self.turns)} has turn id "
+                raise ValueError(f"turn {row} of {len(self._turns)} has turn id "
                                  f"{turn.turn_id}; turn ids must run 1..n in order")
             check_turn(turn)
-        self.entries: dict[str, MemoryEntry] = {}  # in row order: e{i:06d} is row i-1
+        self._entries: dict[str, MemoryEntry] = {}
         self._blocks: list[np.ndarray] = []  # one (rows, dim) block per insert
         self._by_restatement: dict[str, str] = {}
         self._profile_history: list[EntityProfile] = []
@@ -271,7 +270,15 @@ class MemoryStore:
         return cls(turns=corpus.turns)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
+
+    @property
+    def turns(self) -> tuple[DialogueTurn, ...]:  # turn i is turns[i - 1]
+        return self._turns
+
+    @property
+    def entries(self) -> Mapping[str, MemoryEntry]:  # read-only; e{i:06d} is row i-1
+        return MappingProxyType(self._entries)
 
     @property
     def sealed(self) -> bool:
@@ -285,7 +292,7 @@ class MemoryStore:
     @property
     def insertion_order(self) -> list[str]:
         """The entry ids in row order, as a new list."""
-        return list(self.entries)
+        return list(self._entries)
 
     # -- fact index ------------------------------------------------------
 
@@ -301,7 +308,7 @@ class MemoryStore:
 
     def row_of(self, entry_id: str) -> int:
         """The entry's row in the index: entry ``e{i:06d}`` is row i-1."""
-        if entry_id not in self.entries:
+        if entry_id not in self._entries:
             raise KeyError(entry_id)
         return int(entry_id[1:]) - 1
 
@@ -338,7 +345,7 @@ class MemoryStore:
         if self._sealed:
             raise StoreClosed("store is sealed")
         ids = [f"e{row:06d}" for row in range(len(self) + 1, len(self) + len(entries) + 1)]
-        turn_ids, where, keys = range(1, len(self.turns) + 1), f"turns 1..{len(self.turns)}", {}
+        turn_ids, where, keys = range(1, len(self._turns) + 1), f"turns 1..{len(self._turns)}", {}
         for entry_id, entry in zip(ids, entries):
             if faults := entry_faults(entry, turn_ids, where):
                 raise ValueError(f"entry {entry_id}: {'; '.join(faults)}")
@@ -349,7 +356,7 @@ class MemoryStore:
         if entries:
             self._blocks.append(block := rows())
             self.dim = block.shape[1]
-            self.entries.update((i, e if e.entry_id == i else replace(e, entry_id=i))
+            self._entries.update((i, e if e.entry_id == i else replace(e, entry_id=i))
                                 for i, e in zip(ids, entries))
             self._by_restatement.update(keys)
 
@@ -367,7 +374,7 @@ class MemoryStore:
         score joins them, so the cut at k falls by (-score, row) as a full
         stable sort would; a k below 1 is a ValueError.
         """
-        if not self.entries:
+        if not self._entries:
             raise EmptyIndex("no entries in store")
         [query] = _unit_rows(checked_block([query_vector], 1, self.dim))
         scores = self._vectors @ query
@@ -382,10 +389,10 @@ class MemoryStore:
         """For each entry, its anchored source turns in turn-id order (``_admit``
         keeps every anchor in 1..n); an id not stored is UnknownEntry."""
         for entry_id in entry_ids:
-            if entry_id not in self.entries:
+            if entry_id not in self._entries:
                 raise UnknownEntry(entry_id)
-        return [(entry_id, [self.turns[turn_id - 1] for turn_id in sorted(
-            self.entries[entry_id].source_dialogue_ids)]) for entry_id in entry_ids]
+        return [(entry_id, [self._turns[turn_id - 1] for turn_id in sorted(
+            self._entries[entry_id].source_dialogue_ids)]) for entry_id in entry_ids]
 
     # -- profiles --------------------------------------------------------
 
@@ -423,7 +430,7 @@ class MemoryStore:
     def persist(self, path, manifest_extra: Optional[dict] = None) -> None:
         path = Path(path)
         dim = self.dim or 0
-        rows = dict(zip(_KINDS, (list(self.entries.values()), self.turns, self._profile_history)))
+        rows = dict(zip(_KINDS, (list(self._entries.values()), self._turns, self._profile_history)))
         staged = {name: path / staged_name for name, staged_name in STAGED_FILES.items()}
         try:  # the columns first, so a store they refuse makes nothing
             records = {kind: _columns(rows[kind], types, kind)
@@ -434,9 +441,8 @@ class MemoryStore:
             digests = {
                 "records.json.gz": write_bytes(staged["records.json.gz"], gzip.compress(
                     text, compresslevel=GZIP_LEVEL, mtime=0)),
-                "vectors.bin": write_bytes(staged["vectors.bin"], VECTOR_MAGIC, struct.pack(
-                    "<III", SCHEMA_VERSION, dim, len(self.entries)),
-                    *_vector_planes(self._vectors))}
+                "vectors.bin": write_bytes(staged["vectors.bin"], VECTOR_MAGIC,
+                                           *_vector_planes(self._vectors))}
             manifest = {"schema_version": SCHEMA_VERSION, "dim": dim, "sealed": self._sealed,
                         **{count: len(rows[kind]) for kind, (_, count) in _KINDS.items()},
                         "sha256": digests, **(manifest_extra or {})}
@@ -482,19 +488,13 @@ class MemoryStore:
             entries, turns, profiles = (
                 _read_columns(records[kind], types, manifest[count], kind)
                 for kind, (types, count) in _KINDS.items())
-            raw = parts["vectors.bin"]
+            raw, dim, count = parts["vectors.bin"], manifest["dim"], manifest["entry_count"]
             if raw[:4] != VECTOR_MAGIC:
                 raise ValueError(f"bad vector file magic {raw[:4]!r}")
-            version, dim, count = struct.unpack_from("<III", raw, 4)
-            if version != SCHEMA_VERSION:
-                raise SchemaVersionMismatch(
-                    f"vector file schema {version} != {SCHEMA_VERSION}; {REBUILD}")
-            if bool(count) != bool(dim) or dim != manifest["dim"] or \
-                    count != manifest["entry_count"]:
-                raise ValueError(f"manifest lists {manifest['entry_count']} entries of dim "
-                                 f"{manifest['dim']}, vectors.bin {count} rows of dim {dim}")
-            store = cls(itertools.starmap(DialogueTurn, zip(*turns.values())))
-            vectors = _matrix_from_planes(memoryview(raw)[16:], count, dim)
+            if bool(count) != bool(dim):
+                raise ValueError(f"manifest lists {count} entries of dim {dim}")
+            store = cls(itertools.starmap(DialogueTurn, zip(itertools.count(1), *turns.values())))
+            vectors = _matrix_from_planes(memoryview(raw)[4:], count, dim)
             # unit rows, within float32 rounding; a value past 1 fails before it is squared
             tol = 2 * (dim + 1) * np.finfo(np.float32).eps
             if count and not (-1 - tol <= vectors.min() and vectors.max() <= 1 + tol and
@@ -504,9 +504,8 @@ class MemoryStore:
                           enumerate(zip(*entries.values()), 1)], lambda: vectors)
             for profile in itertools.starmap(EntityProfile, zip(*profiles.values())):
                 store.add_profile(profile)
-        except (OSError, EOFError, zlib.error, struct.error, KeyError, TypeError,
-                ValueError) as exc:  # a file it cannot read, or data load cannot take
-            hint = "" if isinstance(exc, OSError) else f"; {REBUILD}"
+        except (OSError, EOFError, zlib.error, KeyError, TypeError, ValueError) as exc:
+            hint = "" if isinstance(exc, OSError) else f"; {REBUILD}"  # a data fault, not a disk's
             raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}{hint}")
         if manifest["sealed"]:
             store.seal()
@@ -514,4 +513,4 @@ class MemoryStore:
 
     def verify_anchors(self) -> None:
         """Recover every entry's turns, which cannot fail; kept for perfbench's callers."""
-        self.recover_dialogue(list(self.entries))
+        self.recover_dialogue(list(self._entries))

@@ -146,7 +146,7 @@ PINNED_TABLES = {
         "topic": (str, ""), "source_dialogue_ids": ([int], frozenset()),
         "origin_window": (int, 0)},
     "store._TURN_TYPES": {
-        "turn_id": (int, REQUIRED), "session_id": (int, REQUIRED), "speaker": (str, REQUIRED),
+        "session_id": (int, REQUIRED), "speaker": (str, REQUIRED),
         "text": (str, REQUIRED), "timestamp": ((str, NONE), None)},
     "pipeline._QA_FIELDS": {
         "question": (str, REQUIRED), "reference": (str, REQUIRED), "category": (int, 4),

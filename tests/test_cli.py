@@ -21,7 +21,7 @@ from trimem.cli import (EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig,
                         build_parser, load_qa_set, main, make_router, write_manifest)
 from trimem.evolution import PromptSet
 from trimem.qa import estimate_tokens
-from trimem.store import DATA_FILES, STORE_FILES, MemoryStore, store_paths
+from trimem.store import DATA_FILES, SCHEMA_VERSION, STORE_FILES, MemoryStore, store_paths
 
 
 def run(capsys, *argv):
@@ -778,43 +778,46 @@ def test_inspect_store_and_entry(work_dir, capsys):
     assert json.loads(err) == {"error": "UnknownEntry", "message": "e999999"}
 
 
-def _vector_planes(raw):
-    """The header fields and the four byte planes of a schema-3 vectors.bin:
-    planes 0-2 raw, plane 3 as one zlib stream."""
-    version, dim, count = struct.unpack("<III", raw[4:16])
+def _vector_shape(path):
+    """The dim and row count of the vectors.bin at path, which only its
+    store's manifest gives."""
+    manifest = json.loads((path.parent / "manifest.json").read_text())
+    return manifest["dim"], manifest["entry_count"]
+
+
+def _vector_planes(path):
+    """The four byte planes of a schema-5 vectors.bin: after the 4-byte
+    magic, planes 0-2 raw, plane 3 as one zlib stream."""
+    raw, (dim, count) = path.read_bytes(), _vector_shape(path)
     size = dim * count
-    planes = [raw[16 + k * size:16 + (k + 1) * size] for k in range(3)]
-    planes.append(zlib.decompress(raw[16 + 3 * size:]))
-    return version, dim, count, planes
+    planes = [raw[4 + k * size:4 + (k + 1) * size] for k in range(3)]
+    planes.append(zlib.decompress(raw[4 + 3 * size:]))
+    return planes
 
 
 def _edit_vector_planes(edit):
-    """Apply edit(planes, dim, count) -> (planes, count) to the byte planes
-    of vectors.bin, then write them back, plane 3 Huffman-coded."""
+    """Apply edit(planes, dim, count) -> planes to the byte planes of
+    vectors.bin, then write them back after the magic, plane 3 Huffman-coded."""
     def apply(path):
-        raw = path.read_bytes()
-        version, dim, count, planes = _vector_planes(raw)
-        planes, count = edit(planes, dim, count)
+        planes = edit(_vector_planes(path), *_vector_shape(path))
         coder = zlib.compressobj(strategy=zlib.Z_HUFFMAN_ONLY)
-        path.write_bytes(raw[:4] + struct.pack("<III", version, dim, count)
-                         + b"".join(planes[:3])
+        path.write_bytes(path.read_bytes()[:4] + b"".join(planes[:3])
                          + coder.compress(planes[3]) + coder.flush())
     return apply
 
 
-# every plane and the header's count lose the last 10 rows together, so
-# load reaches the check of the row count against the manifest
+# every plane loses the last 10 rows together, so load finds fewer rows
+# than the manifest's entry count
 _drop_vector_rows = _edit_vector_planes(
-    lambda planes, dim, count: ([p[:-10 * dim] for p in planes], count - 10))
+    lambda planes, dim, count: [p[:-10 * dim] for p in planes])
 
 
 def _set_vector_values(value, n=None):
     """An edit of vectors.bin that sets its first n values (default: row 1's
     dim values) to the float32 value."""
     packed = struct.pack("<f", value)
-    return _edit_vector_planes(lambda planes, dim, count: (
-        [packed[k:k + 1] * (n or dim) + plane[n or dim:] for k, plane in enumerate(planes)],
-        count))
+    return _edit_vector_planes(lambda planes, dim, count: [
+        packed[k:k + 1] * (n or dim) + plane[n or dim:] for k, plane in enumerate(planes)])
 
 
 def _scale_vector_row_1(factor):
@@ -823,22 +826,21 @@ def _scale_vector_row_1(factor):
         values = np.stack([np.frombuffer(plane, np.uint8) for plane in planes], axis=1)
         rows = values.view("<f4").reshape(count, dim)
         rows[0] *= factor
-        return [values[:, k].tobytes() for k in range(4)], count
+        return [values[:, k].tobytes() for k in range(4)]
     return _edit_vector_planes(edit)
 
 
 def _damage_plane_3(path):
     raw = bytearray(path.read_bytes())
-    _, dim, count = struct.unpack("<III", raw[4:16])
-    start = 16 + 3 * dim * count
+    dim, count = _vector_shape(path)
+    start = 4 + 3 * dim * count
     raw[(start + len(raw)) // 2] ^= 0xFF
     path.write_bytes(bytes(raw))
 
 
 def _cut_planes_0_to_2(path):
-    raw = path.read_bytes()
-    _, dim, count = struct.unpack("<III", raw[4:16])
-    path.write_bytes(raw[:16 + 2 * dim * count])
+    dim, count = _vector_shape(path)
+    path.write_bytes(path.read_bytes()[:4 + 2 * dim * count])
 
 
 def _edit_manifest_text(old, new):
@@ -935,11 +937,11 @@ TRUNCATIONS = {
     "vectors-header-cut": ("vectors.bin", lambda p: p.write_bytes(p.read_bytes()[:10])),
     "vectors-plane-3-damaged": ("vectors.bin", _damage_plane_3),
     "vectors-plane-3-too-long": ("vectors.bin", _edit_vector_planes(
-        lambda planes, dim, count: (planes[:3] + [planes[3] + bytes(dim)], count))),
+        lambda planes, dim, count: planes[:3] + [planes[3] + bytes(dim)])),
     "vectors-plane-3-too-short": ("vectors.bin", _edit_vector_planes(
-        lambda planes, dim, count: (planes[:3] + [planes[3][:-dim]], count))),
+        lambda planes, dim, count: planes[:3] + [planes[3][:-dim]])),
     "vectors-plane-2-too-short": ("vectors.bin", _edit_vector_planes(
-        lambda planes, dim, count: (planes[:2] + [planes[2][:-dim], planes[3]], count))),
+        lambda planes, dim, count: planes[:2] + [planes[2][:-dim], planes[3]])),
     "vectors-plane-3-trailing-bytes": ("vectors.bin", lambda p: p.write_bytes(
         p.read_bytes() + b"\0")),
     "vectors-bad-magic": ("vectors.bin", lambda p: p.write_bytes(b"MIRT" + p.read_bytes()[4:])),
@@ -991,7 +993,7 @@ TRUNCATIONS = {
     "manifest-config-hash-a-number": ("manifest.json", _edit_manifest_text(
         '"config_hash": "', '"config_hash": 1, "was": "')),
     "manifest-schema-version-a-string": ("manifest.json", _edit_manifest_text(
-        '"schema_version": 4', '"schema_version": "4"')),
+        f'"schema_version": {SCHEMA_VERSION}', f'"schema_version": "{SCHEMA_VERSION}"')),
     "manifest-sha256-names-a-fifth-file": ("manifest.json", _edit_manifest_text(
         '"sha256": {', '"sha256": {"extra.bin": "0", ')),
     "manifest-profile-versions-a-bool": ("manifest.json", _edit_manifest_text(
@@ -1025,12 +1027,6 @@ TRUNCATIONS = {
     "entries-row-1-copied-over-row-2": (R, _edit_kind("entries", _copy_row_1_over_row_2)),
     "entries-restatement-repeated": (R, _edit_kind(
         "entries", _repeat_restatement_1_in_row_2)),
-    "turns-turn-id-repeated": (R, _set_value("turns", "turn_id", 1, row=1)),
-    "turns-turn-ids-gapped": (R, _edit_kind("turns", lambda c: c.update(
-        turn_id=[1] + [i + 1 for i in c["turn_id"][1:]]))),
-    "turns-turn-ids-out-of-order": (R, _edit_kind("turns", lambda c: c.update(
-        turn_id=[2, 1] + c["turn_id"][2:]))),
-    "turns-turn-id-a-string": (R, _set_value("turns", "turn_id", "1")),
     "turns-session-id-a-string": (R, _set_value("turns", "session_id", "1")),
     "turns-speaker-a-list": (R, _set_value("turns", "speaker", ["A"])),
     "turns-text-a-number": (R, _set_value("turns", "text", 7)),
@@ -1107,6 +1103,7 @@ def test_store_parts_read_with_plain_gzip(work_dir, capsys):
         records = json.load(fh)
     assert list(records) == ["entries", "turns", "profiles"]
     assert "entry_id" not in records["entries"]  # row i is entry e{i:06d}
+    assert "turn_id" not in records["turns"]  # and turn i
     counts = {kind: {len(values) for values in columns.values()}
               for kind, columns in records.items()}
     assert counts == {"entries": {manifest["entry_count"]},
@@ -1115,27 +1112,35 @@ def test_store_parts_read_with_plain_gzip(work_dir, capsys):
 
 
 def _downgrade(store, version):
-    """Rewrite a store in an older layout: one JSON-lines part per kind,
-    gzip'd from schema 2 on, with no checksums in schema 1."""
-    records = json.loads(gzip.decompress((store / "records.json.gz").read_bytes()))
-    (store / "records.json.gz").unlink()
-    digests = {}
-    for kind, columns in records.items():
-        lines = "".join(json.dumps(dict(zip(columns, row))) + "\n"
-                        for row in zip(*columns.values())).encode("utf-8")
-        name = f"{kind}.jsonl" if version == 1 else f"{kind}.jsonl.gz"
-        (store / name).write_bytes(lines if version == 1 else gzip.compress(lines))
-        digests[name] = hashlib.sha256((store / name).read_bytes()).hexdigest()
-    raw = bytearray((store / "vectors.bin").read_bytes())
-    raw[4:8] = struct.pack("<I", version)
-    (store / "vectors.bin").write_bytes(bytes(raw))
+    """Rewrite a store in an older layout: turns with their turn_id column and
+    vectors.bin with the 16-byte header (magic, version, dim, count); in schema 4
+    one records.json.gz, before it one JSON-lines part per kind, gzip'd from
+    schema 2 on, with no checksums in schema 1."""
     manifest = json.loads((store / "manifest.json").read_text())
+    records = json.loads(gzip.decompress((store / "records.json.gz").read_bytes()))
+    records["turns"] = {"turn_id": list(range(1, manifest["turn_count"] + 1)),
+                        **records["turns"]}
+    parts = {}
+    if version == 4:
+        parts["records.json.gz"] = gzip.compress(json.dumps(records).encode("utf-8"))
+    else:
+        (store / "records.json.gz").unlink()
+        for kind, columns in records.items():
+            lines = "".join(json.dumps(dict(zip(columns, row))) + "\n"
+                            for row in zip(*columns.values())).encode("utf-8")
+            name = f"{kind}.jsonl" if version == 1 else f"{kind}.jsonl.gz"
+            parts[name] = lines if version == 1 else gzip.compress(lines)
+    raw = (store / "vectors.bin").read_bytes()
+    parts["vectors.bin"] = raw[:4] + struct.pack(
+        "<III", version, manifest["dim"], manifest["entry_count"]) + raw[4:]
+    for name, data in parts.items():
+        (store / name).write_bytes(data)
     manifest["schema_version"] = version
     if version == 1:
         del manifest["sha256"]
     else:
-        digests["vectors.bin"] = hashlib.sha256(bytes(raw)).hexdigest()
-        manifest["sha256"] = digests
+        manifest["sha256"] = {name: hashlib.sha256(data).hexdigest()
+                              for name, data in parts.items()}
     (store / "manifest.json").write_text(json.dumps(manifest))
 
 
@@ -1164,6 +1169,10 @@ def test_schema_1_store_is_refused_and_rebuilt(work_dir, capsys):
 
 def test_schema_3_store_is_refused_and_rebuilt(work_dir, capsys):
     _refused_then_rebuilt(work_dir, capsys, 3)
+
+
+def test_schema_4_store_is_refused_and_rebuilt(work_dir, capsys):
+    _refused_then_rebuilt(work_dir, capsys, 4)
 
 
 def test_schema_2_store_is_refused(work_dir, capsys):

@@ -179,10 +179,10 @@ def test_a_fault_at_any_eval_call_writes_nothing_or_falls_back(
 
 # -- persist -------------------------------------------------------------
 
-# records.json.gz in one write; vectors.bin's magic, header and planes 0-3;
+# records.json.gz in one write; vectors.bin's magic and planes 0-3;
 # then manifest.json; each under its staged name
 RECORDS, VECTORS, MANIFEST = STAGED_FILES.values()
-PERSIST_WRITES = [RECORDS] + [VECTORS] * 6 + [MANIFEST]
+PERSIST_WRITES = [RECORDS] + [VECTORS] * 5 + [MANIFEST]
 CUT_FRACTIONS = (0.001, 0.1, 0.37, 0.5, 0.81, 0.999)  # where a file is cut
 
 
@@ -264,7 +264,7 @@ def test_a_persist_that_fails_at_any_write_leaves_the_old_store(
     cases = [{"after": k} for k in range(len(PERSIST_WRITES))] + [
         {"cut": (STAGED_FILES[name], max(1, int(f * size)))} for name, size in sizes.items()
         for f in CUT_FRACTIONS]
-    assert len(cases) == 26
+    assert len(cases) == 25
     old = snapshot(built)
     for number, case in enumerate(cases):
         store = work_dir / f"case_{number}"

@@ -175,7 +175,7 @@ def test_the_check_finds_a_store_file_name():
 # the MemoryStore attributes that hold its entries and rows, and the functions of
 # store.py that write each: __init__ makes them empty, seal joins the blocks into
 # one, and _admit is the one way entries and their rows come in
-STORE_STATE = ("entries", "_blocks", "_by_restatement", "dim")
+STORE_STATE = ("_entries", "_blocks", "_by_restatement", "dim")
 STATE_WRITERS = {"__init__": set(STORE_STATE), "seal": {"_blocks"},
                  "_admit": set(STORE_STATE)}
 MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem",
@@ -227,14 +227,14 @@ def test_only_the_admission_writes_a_stores_entries_and_rows():
 
 def test_the_check_finds_each_write_of_a_stores_entries_and_rows():
     source = ("class S:\n    def load(cls, store, rows):\n"
-              "        store.entries = {}; store._blocks.append(rows)\n"
-              "        store._by_restatement['k'] = 'e1'; del store.entries['e1']\n"
+              "        store._entries = {}; store._blocks.append(rows)\n"
+              "        store._by_restatement['k'] = 'e1'; del store._entries['e1']\n"
               "        store.dim += 1; n, store.dim = 1, 2\n"
-              "        return store.entries.get('e1'), store._blocks[0], store.dim\n"
-              "s = S()\ns._by_restatement.setdefault('k', 'e2'); s.entries.copy()\n")
+              "        return store._entries.get('e1'), store._blocks[0], store.dim\n"
+              "s = S()\ns._by_restatement.setdefault('k', 'e2'); s._entries.copy()\n")
     assert state_writes(source) == [
-        ("load", "entries", 3), ("load", "_blocks", 3), ("load", "_by_restatement", 4),
-        ("load", "entries", 4), ("load", "dim", 5), ("load", "dim", 5),
+        ("load", "_entries", 3), ("load", "_blocks", 3), ("load", "_by_restatement", 4),
+        ("load", "_entries", 4), ("load", "dim", 5), ("load", "dim", 5),
         ("<module>", "_by_restatement", 8)]
 
 

@@ -2,7 +2,6 @@ import gzip
 import hashlib
 import json
 import operator
-import struct
 import tempfile
 import warnings
 import zlib
@@ -475,31 +474,38 @@ def test_persist_is_byte_stable(tmp_path, backend):
 
 
 def test_vector_file_header(tmp_path, backend):
-    store = build_small_store(backend)
+    build_small_store(backend).persist(tmp_path / "s")
+    assert (tmp_path / "s" / "vectors.bin").read_bytes()[:4] == VECTOR_MAGIC
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_vector_file_is_the_magic_then_the_planes(tmp_path, backend, count):
+    """vectors.bin is the magic, then 3 * count * dim raw bytes, planes 0-2 of the
+    little-endian float32 rows, then plane 3 as one zlib stream that ends the file;
+    the manifest alone gives count, dim and the schema version."""
+    store = build_small_store(backend) if count else MemoryStore(turns=make_turns(1))
     store.persist(tmp_path / "s")
     raw = (tmp_path / "s" / "vectors.bin").read_bytes()
-    assert raw[:4] == VECTOR_MAGIC
-    version, dim, count = struct.unpack("<III", raw[4:16])
-    assert (version, dim, count) == (SCHEMA_VERSION, 64, 2)
-    # byte planes 0-2 of the little-endian float32 rows raw, then plane 3 as
-    # one zlib stream that ends with the file
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    dim = 64 if count else 0
+    assert (manifest["schema_version"], manifest["dim"], manifest["entry_count"]) == \
+        (SCHEMA_VERSION, dim, count)
     size = dim * count
-    rows = np.stack([store.vector_of(e) for e in store.insertion_order])
-    planes = rows.astype("<f4").view(np.uint8).reshape(-1, 4).T
-    assert raw[16:16 + 3 * size] == planes[:3].tobytes()
+    planes = store._vectors.astype("<f4").view(np.uint8).reshape(-1, 4).T
+    assert raw[:4] == VECTOR_MAGIC and raw[4:4 + 3 * size] == planes[:3].tobytes()
     inflater = zlib.decompressobj()
-    assert inflater.decompress(raw[16 + 3 * size:]) == planes[3].tobytes()
+    assert inflater.decompress(raw[4 + 3 * size:]) == planes[3].tobytes()
     assert inflater.eof and not inflater.unused_data
-    assert len(raw) < 16 + 4 * size
+    assert len(raw) < 4 + 4 * size or not count
 
 
-# sha256 of the schema-4 content that the fixture build persists: the
-# records after gunzip, the vectors.bin header, and its byte planes with
+# sha256 of the schema-5 content that the fixture build persists: the
+# records after gunzip, the vectors.bin magic, and its byte planes with
 # plane 3 inflated. The gzip and zlib bytes depend on the zlib build, so
 # they are not pinned.
 FIXTURE_STORE_DIGESTS = {
-    "records.json": "1e850bd9b77b5dfa87213e12a77eac6991cd90c2a55f4731132498576c53a6c9",
-    "vectors.bin header": "fb6dbe29da1352f0e181024c717f0057c1997e40591fd38520c69e10c096fbe1",
+    "records.json": "84bbe262a2418c4a72097412ce6e2c30b91d9300186ffdda814ba24a8b5f0b84",
+    "vectors.bin header": "d639e5f54007a09a664dcd01235009fb5ec3189b9fd9e8aaa8cb7c939aa7a3d9",
     "vectors.bin planes": "6f02e9db1fdc3c998c9a83fe7353072312e9c2801390391d43adac3b179ec98f",
 }
 
@@ -509,10 +515,9 @@ def test_fixture_store_content_is_pinned(tmp_path, built_store):
     content = {"records.json": gzip.decompress(
         (tmp_path / "s" / "records.json.gz").read_bytes())}
     raw = (tmp_path / "s" / "vectors.bin").read_bytes()
-    _, dim, count = struct.unpack_from("<III", raw, 4)
-    size = dim * count
-    content["vectors.bin header"] = raw[:16]
-    content["vectors.bin planes"] = raw[16:16 + 3 * size] + zlib.decompress(raw[16 + 3 * size:])
+    size = built_store.dim * len(built_store)
+    content["vectors.bin header"] = raw[:4]
+    content["vectors.bin planes"] = raw[4:4 + 3 * size] + zlib.decompress(raw[4 + 3 * size:])
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in content.items()} == FIXTURE_STORE_DIGESTS
 
@@ -635,11 +640,10 @@ def test_empty_index_refuses_a_nonempty_plane_3(tmp_path, monkeypatch):
     MemoryStore(turns=make_turns(1)).persist(tmp_path / "s")
     assert len(MemoryStore.load(tmp_path / "s")) == 0
     vectors = tmp_path / "s" / "vectors.bin"
-    raw = vectors.read_bytes()
-    assert struct.unpack("<III", raw[4:16])[2] == 0
-    vectors.write_bytes(raw[:16] + zlib.compress(bytes(1 << 20)))
     manifest_path = tmp_path / "s" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
+    assert (manifest["dim"], manifest["entry_count"]) == (0, 0)
+    vectors.write_bytes(vectors.read_bytes()[:4] + zlib.compress(bytes(1 << 20)))
     manifest["sha256"]["vectors.bin"] = hashlib.sha256(vectors.read_bytes()).hexdigest()
     manifest_path.write_text(json.dumps(manifest))
 
@@ -666,24 +670,21 @@ def test_empty_index_refuses_a_nonempty_plane_3(tmp_path, monkeypatch):
 
 
 def test_load_refuses_a_dimension_without_rows(tmp_path):
-    """persist writes dim 0 for a store with no entries, so a vectors header
-    and manifest that give an empty index a width describe no built store."""
+    """persist writes dim 0 for a store with no entries, so a manifest that
+    gives an empty index a width describes no built store."""
     MemoryStore(turns=make_turns(1)).persist(tmp_path / "s")
-    vectors, manifest_path = tmp_path / "s" / "vectors.bin", tmp_path / "s" / "manifest.json"
-    raw = vectors.read_bytes()
-    vectors.write_bytes(raw[:8] + struct.pack("<I", 64) + raw[12:])
+    manifest_path = tmp_path / "s" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["dim"] = 64
-    manifest["sha256"]["vectors.bin"] = hashlib.sha256(vectors.read_bytes()).hexdigest()
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(StoreIOError, match="0 rows of dim 64"):
+    with pytest.raises(StoreIOError, match="0 entries of dim 64"):
         MemoryStore.load(tmp_path / "s")
 
 
 def test_column_tables_follow_the_field_order():
     """load builds every kind from its columns by position."""
     assert [*_ENTRY_TYPES, "entry_id"] == [f.name for f in fields(MemoryEntry)]
-    assert list(_TURN_TYPES) == [f.name for f in fields(DialogueTurn)]
+    assert ["turn_id", *_TURN_TYPES] == [f.name for f in fields(DialogueTurn)]
     # the profile columns in the order records.json.gz has always held them
     assert list(_PROFILE_TYPES) == [f.name for f in fields(EntityProfile)] == \
         ["entity_key", "display_name", "version", "window", "sections"]
@@ -710,19 +711,6 @@ def test_load_rejects_schema_mismatch(tmp_path, backend):
     manifest.write_text(manifest.read_text().replace(
         f'"schema_version": {SCHEMA_VERSION}', '"schema_version": 99'))
     with pytest.raises(SchemaVersionMismatch, match="trimem build --force"):
-        MemoryStore.load(tmp_path / "s")
-
-
-def test_load_rejects_another_schema_in_the_vector_header(tmp_path, backend):
-    build_small_store(backend).persist(tmp_path / "s")
-    vectors, manifest_path = tmp_path / "s" / "vectors.bin", tmp_path / "s" / "manifest.json"
-    raw = bytearray(vectors.read_bytes())
-    raw[4:8] = struct.pack("<I", SCHEMA_VERSION - 1)
-    vectors.write_bytes(bytes(raw))
-    manifest = json.loads(manifest_path.read_text())  # the checksum of the edited file
-    manifest["sha256"]["vectors.bin"] = hashlib.sha256(bytes(raw)).hexdigest()
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(SchemaVersionMismatch, match=f"vector file schema {SCHEMA_VERSION - 1}"):
         MemoryStore.load(tmp_path / "s")
 
 
@@ -754,6 +742,25 @@ def test_a_stored_profile_is_read_only(tmp_path, built_store):
     assert profile.sections == {"Identity": "a painter"}
 
 
+def test_a_stores_entries_and_turns_are_read_only(tmp_path, backend):
+    """Only the doors change what a store holds, so an entry the rule refuses,
+    here one whose event time is no date, cannot replace a stored one, and the
+    store persists and loads as it was."""
+    store = MemoryStore(turns=make_turns(1))
+    store.insert_entries([make_entry("Alice visited Rome.")], backend)
+    bad = replace(store.entries["e000001"], event_time="not a date")
+    with pytest.raises(TypeError):
+        store.entries["e000001"] = bad
+    with pytest.raises(TypeError):
+        del store.entries["e000001"]
+    with pytest.raises(AttributeError):
+        store.turns = ()
+    store.persist(tmp_path / "s")
+    loaded = MemoryStore.load(tmp_path / "s")
+    assert (loaded.entries, loaded.turns) == (store.entries, store.turns)
+    assert loaded.entries["e000001"].event_time is None
+
+
 def test_load_rejects_non_store_dir(tmp_path):
     with pytest.raises(StoreIOError):
         MemoryStore.load(tmp_path)
@@ -768,7 +775,7 @@ def file_digests(path):
 def store_holding(kind, change):
     """A store of four turns, one entry and one profile, the first record of kind
     changed: a turn through the constructor and a profile through add_profile, which
-    check values, not kinds; an entry in place, since insert_entries refuses it."""
+    check values, not kinds; an entry in the private dict, since insert_entries refuses it."""
     turns = make_turns(4)
     if kind == "turns":
         turns[0] = replace(turns[0], **change)
@@ -776,7 +783,7 @@ def store_holding(kind, change):
     store.insert_entries([make_entry("Alice visited Rome.", (1, 2), ("Alice",))],
                          ScriptedBackend())
     if kind == "entries":
-        store.entries["e000001"] = replace(store.entries["e000001"], **change)
+        store._entries["e000001"] = replace(store.entries["e000001"], **change)
     store.add_profile(replace(profile("alice", 1), **(change if kind == "profiles" else {})))
     return store
 
