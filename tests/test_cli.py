@@ -881,6 +881,13 @@ def _set_value(kind, column, value, row=0):
     return _edit_kind(kind, lambda columns: columns[column].__setitem__(row, value))
 
 
+def _with_turn_ids(ids):
+    """The turns given a turn_id column of ids(turn count), as schema 4 stored
+    one. A turn's id is its row, so load refuses a stored turn_id column, here
+    one whose ids disagree with the rows, rather than read it in their place."""
+    return _edit_kind("turns", lambda c: c.update(turn_id=ids(len(c["text"]))))
+
+
 def _drop_rows(kind, n):
     """Every column of kind loses its last n values."""
     def edit(columns):
@@ -1027,6 +1034,10 @@ TRUNCATIONS = {
     "entries-row-1-copied-over-row-2": (R, _edit_kind("entries", _copy_row_1_over_row_2)),
     "entries-restatement-repeated": (R, _edit_kind(
         "entries", _repeat_restatement_1_in_row_2)),
+    "turns-turn-id-repeated": (R, _with_turn_ids(lambda n: [1, 1] + list(range(3, n + 1)))),
+    "turns-turn-ids-gapped": (R, _with_turn_ids(lambda n: [1] + list(range(3, n + 2)))),
+    "turns-turn-ids-out-of-order": (R, _with_turn_ids(lambda n: [2, 1] + list(range(3, n + 1)))),
+    "turns-turn-id-a-string": (R, _with_turn_ids(lambda n: ["1"] + list(range(2, n + 1)))),
     "turns-session-id-a-string": (R, _set_value("turns", "session_id", "1")),
     "turns-speaker-a-list": (R, _set_value("turns", "speaker", ["A"])),
     "turns-text-a-number": (R, _set_value("turns", "text", 7)),

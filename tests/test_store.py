@@ -714,6 +714,22 @@ def test_load_rejects_schema_mismatch(tmp_path, backend):
         MemoryStore.load(tmp_path / "s")
 
 
+def test_load_rejects_another_schema_in_the_vector_header(tmp_path, backend):
+    """A vectors.bin that still carries schema 4's header (version, dim, count
+    after the magic) under a schema-5 manifest, its checksum made to match, is
+    refused: load does not read the header's 12 bytes as plane bytes."""
+    build_small_store(backend).persist(tmp_path / "s")
+    vectors, manifest_path = tmp_path / "s" / "vectors.bin", tmp_path / "s" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    raw = vectors.read_bytes()
+    header = np.array([SCHEMA_VERSION - 1, manifest["dim"], manifest["entry_count"]], "<u4")
+    vectors.write_bytes(raw[:4] + header.tobytes() + raw[4:])
+    manifest["sha256"]["vectors.bin"] = hashlib.sha256(vectors.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(StoreIOError, match="trimem build --force"):
+        MemoryStore.load(tmp_path / "s")
+
+
 def test_profile_sections_keep_their_order(tmp_path):
     store = MemoryStore()
     store.add_profile(EntityProfile(
