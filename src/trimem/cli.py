@@ -118,8 +118,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             values[key] = os.environ[var]
     values.update((key, getattr(args, key)) for key in _CONFIG_TYPES
                   if getattr(args, key, None) is not None)
-    if getattr(args, "no_search_plan", False):
-        values["use_search_plan"] = False
     if getattr(args, "question", None) is not None and not args.question.strip():
         raise errors.UsageError("--question must be non-empty")
     return run_config(values)
@@ -376,8 +374,9 @@ def cmd_evolve(args, config: RunConfig) -> dict:
     return summary
 
 
-ABLATION_KNOBS = {"top_k", "use_search_plan", "window_size", "stride"}
+# every engine knob sweeps: a segmentation knob rebuilds the store per row
 _SEGMENTATION_KNOBS = {field.name for field in dataclasses.fields(SegmentationConfig)}
+ABLATION_KNOBS = _SEGMENTATION_KNOBS | {f.name for f in dataclasses.fields(RetrievalConfig)}
 
 
 def cmd_ablate(args, config: RunConfig) -> dict:
@@ -477,7 +476,8 @@ FLAGS = {
     "--round": {"dest": "prompt_round", "type": int,
                 "help": "prompt round to load (default: latest)"},
     "--k": {"dest": "top_k", "type": int, "help": "retrieval top-K"},
-    "--no-search-plan": {"action": "store_true", "help": "retrieve with the raw question only"},
+    "--no-search-plan": {"dest": "use_search_plan", "action": "store_const", "const": False,
+                         "help": "retrieve with the raw question only"},
     "--max-calls": {"type": int}, "--max-tokens": {"type": int}, "--seed": {"type": int},
 }
 COMMON_FLAGS = ["--config", "--scripted", "--prompts", "--round", "--k",

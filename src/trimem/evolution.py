@@ -229,22 +229,19 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     current = PromptSet.seed()
     current.persist(prompt_dir)
     trajectory: list[tuple[PromptSet, float]] = []
-
     built_for, store = None, None  # the last build's (extraction, profile) texts, its store
 
-    def evaluate(prompts: PromptSet) -> tuple[list[EvalRecord], float]:
-        nonlocal built_for, store
-        pipeline_prompts = prompts.as_prompt_dict()
-        if (prompts.extraction, prompts.profile) != built_for:
-            built_for = prompts.extraction, prompts.profile
+    write_text(log_path, "")  # before any model call; then one line appended per round
+    for step in range(rounds + 1):  # the last step evaluates the final prompts
+        pipeline_prompts = current.as_prompt_dict()
+        if (current.extraction, current.profile) != built_for:
+            built_for = current.extraction, current.profile
             store = build_store(corpus, pipeline_prompts, router, seg_config)
         records = run_eval(items, store, pipeline_prompts, router, retrieval_config)
-        return records, aggregate_loss(records)
-
-    write_text(log_path, "")  # before any model call; then one line appended per round
-    for _ in range(rounds):
-        records, loss = evaluate(current)
+        loss = aggregate_loss(records)
         trajectory.append((current, loss))
+        if step == rounds:
+            break
         rec = {"round": current.round, "loss": loss}
         try:
             rec.update(textual_gradient(records, current, evolution_prompt, router.senior))
@@ -254,9 +251,6 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
         write_bytes(log_path, json.dumps(rec, sort_keys=True).encode() + b"\n", append=True)
         current = apply_gradient(current, rec)
         current.persist(prompt_dir)
-
-    _, final_loss = evaluate(current)
-    trajectory.append((current, final_loss))
     return trajectory
 
 

@@ -56,30 +56,19 @@ def parse_profile_text(text: str) -> tuple[str, dict[str, str]]:
     ParseFailure when the ``Entity:`` header is missing or no labeled
     section is present.
     """
-    lines = [ln.rstrip() for ln in text.strip().splitlines()]
     display_name = None
-    sections: dict[str, str] = {}  # label -> body, in first-seen order
-    current_label = None
-    current_lines: list[str] = []
-
-    def flush():
-        body = "\n".join(current_lines).strip()
-        if current_label is not None and body:
-            earlier = sections.get(current_label)
-            sections[current_label] = f"{earlier}\n{body}" if earlier else body
-
-    for line in lines:
+    runs: list[tuple[str, list[str]]] = []  # (label, lines) of each bracketed header
+    for line in (ln.rstrip() for ln in text.strip().splitlines()):
         if display_name is None and line.lower().startswith("entity:"):
             display_name = line.split(":", 1)[1].strip()
-            continue
-        match = _SECTION_RE.match(line)
-        if match:
-            flush()
-            current_label = match.group(1).strip()
-            current_lines = [match.group(2)] if match.group(2) else []
-        elif current_label is not None:
-            current_lines.append(line)
-    flush()
+        elif match := _SECTION_RE.match(line):
+            runs.append((match.group(1).strip(), [match.group(2)]))
+        elif runs:
+            runs[-1][1].append(line)
+    sections: dict[str, str] = {}  # label -> body, in first-seen order
+    for label, run in runs:
+        if body := "\n".join(run).strip():
+            sections[label] = f"{sections[label]}\n{body}" if label in sections else body
 
     if display_name is None:
         raise ParseFailure("profile output missing 'Entity:' header")

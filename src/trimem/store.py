@@ -172,8 +172,10 @@ def _matrix_from_planes(body, count: int, dim: int) -> np.ndarray:
     for k in range(3):
         values[:, k] = np.frombuffer(body, dtype=np.uint8, count=size, offset=k * size)
     inflater = zlib.decompressobj()
-    # a max_length of 0 means no limit, so an empty index still caps at 1
-    top = inflater.decompress(memoryview(body)[3 * size:], max(size, 1))
+    try:  # a max_length of 0 means no limit, so an empty index still caps at 1
+        top = inflater.decompress(memoryview(body)[3 * size:], max(size, 1))
+    except zlib.error as exc:
+        raise ValueError(f"vectors.bin plane 3: {exc}")
     if len(top) != size or not inflater.eof or inflater.unused_data:
         raise ValueError(f"vectors.bin plane 3 is not one stream of {size} bytes")
     values[:, 3] = np.frombuffer(top, dtype=np.uint8)
@@ -262,7 +264,6 @@ class MemoryStore:
         self._by_restatement: dict[str, str] = {}
         self._profile_history: list[EntityProfile] = []
         self._latest_profile: dict[str, EntityProfile] = {}
-        self.dim: Optional[int] = None
         self._sealed = False
 
     @classmethod
@@ -279,6 +280,10 @@ class MemoryStore:
     @property
     def entries(self) -> Mapping[str, MemoryEntry]:  # read-only; e{i:06d} is row i-1
         return MappingProxyType(self._entries)
+
+    @property
+    def dim(self) -> Optional[int]:  # the index width; None until an entry is stored
+        return self._blocks[0].shape[1] if self._entries else None
 
     @property
     def sealed(self) -> bool:
@@ -303,7 +308,7 @@ class MemoryStore:
         if len(self._blocks) == 1:
             return self._blocks[0]
         if not self._blocks:
-            return np.empty((0, self.dim or 0), dtype=np.float32)
+            return np.empty((0, 0), dtype=np.float32)
         return np.concatenate(self._blocks)
 
     def row_of(self, entry_id: str) -> int:
@@ -339,9 +344,9 @@ class MemoryStore:
 
     def _admit(self, entries: Sequence[MemoryEntry], rows: Callable[[], np.ndarray]) -> None:
         """Add entries as the next rows under their rows' ids, ``rows()`` their unit
-        vectors (insert, load): the one writer of entries, ``_blocks``, ``_by_restatement``
-        and dim. An entry that breaks ``entry_faults`` over turns 1..n, or whose restatement
-        key is stored or repeats, is a ValueError before ``rows()``; nothing changes."""
+        vectors (insert, load): the one writer of entries, ``_blocks`` and ``_by_restatement``.
+        An entry that breaks ``entry_faults`` over turns 1..n, or whose restatement key is
+        stored or repeats, is a ValueError before ``rows()``; nothing changes."""
         if self._sealed:
             raise StoreClosed("store is sealed")
         ids = [f"e{row:06d}" for row in range(len(self) + 1, len(self) + len(entries) + 1)]
@@ -354,14 +359,16 @@ class MemoryStore:
             if first != entry_id:
                 raise ValueError(f"entry {entry_id} repeats the restatement of {first}")
         if entries:
-            self._blocks.append(block := rows())
-            self.dim = block.shape[1]
+            self._blocks.append(rows())
             self._entries.update((i, e if e.entry_id == i else replace(e, entry_id=i))
                                 for i, e in zip(ids, entries))
             self._by_restatement.update(keys)
 
     def vector_of(self, entry_id: str) -> np.ndarray:
-        return self._vectors[self.row_of(entry_id)]
+        """The entry's unit vector: a read-only view of its index row."""
+        row = self._vectors[self.row_of(entry_id)]
+        row.flags.writeable = False
+        return row
 
     def similarity_search(self, query_vector: np.ndarray,
                           k: int) -> list[tuple[str, float]]:
@@ -429,7 +436,6 @@ class MemoryStore:
 
     def persist(self, path, manifest_extra: Optional[dict] = None) -> None:
         path = Path(path)
-        dim = self.dim or 0
         rows = dict(zip(_KINDS, (list(self._entries.values()), self._turns, self._profile_history)))
         staged = {name: path / staged_name for name, staged_name in STAGED_FILES.items()}
         try:  # the columns first, so a store they refuse makes nothing
@@ -443,7 +449,8 @@ class MemoryStore:
                     text, compresslevel=GZIP_LEVEL, mtime=0)),
                 "vectors.bin": write_bytes(staged["vectors.bin"], VECTOR_MAGIC,
                                            *_vector_planes(self._vectors))}
-            manifest = {"schema_version": SCHEMA_VERSION, "dim": dim, "sealed": self._sealed,
+            manifest = {"schema_version": SCHEMA_VERSION, "dim": self.dim or 0,
+                        "sealed": self._sealed,
                         **{count: len(rows[kind]) for kind, (_, count) in _KINDS.items()},
                         "sha256": digests, **(manifest_extra or {})}
             write_json(staged["manifest.json"], manifest)

@@ -9,7 +9,7 @@ import struct
 import subprocess
 import sys
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,8 @@ from trimem.cli import (EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig,
                         build_parser, load_qa_set, main, make_router, write_manifest)
 from trimem.evolution import PromptSet
 from trimem.qa import estimate_tokens
-from trimem.store import DATA_FILES, SCHEMA_VERSION, STORE_FILES, MemoryStore, store_paths
+from trimem.store import (DATA_FILES, SCHEMA_VERSION, STORE_FILES, MemoryStore, RetrievalConfig,
+                          store_paths)
 
 
 def run(capsys, *argv):
@@ -115,7 +116,7 @@ COMMON_OPTIONS = [
     ("--prompts", "prompt_dir", None, STORE, None, False),
     ("--round", "prompt_round", int, STORE, None, False),
     ("--k", "top_k", int, STORE, None, False),
-    ("--no-search-plan", "no_search_plan", None, STORE_TRUE, False, False),
+    ("--no-search-plan", "use_search_plan", None, "_StoreConstAction", None, False),
     ("--max-calls", "max_calls", int, STORE, None, False),
     ("--max-tokens", "max_tokens", int, STORE, None, False),
     ("--seed", "seed", int, STORE, None, False),
@@ -1352,7 +1353,18 @@ def test_ablate_unknown_knob(work_dir, capsys):
     assert json.loads(err)["error"] == "UnknownKnob"
 
 
-@pytest.mark.parametrize("knob", ["top_k", "use_search_plan"])
+def test_ablate_sweeps_engine_knobs_only(work_dir, capsys):
+    # a RunConfig field outside the segmentation and retrieval configs is no engine knob
+    build(capsys)
+    code, out, err = run(capsys, "ablate", "--store", "store", "--qa", "qa.jsonl",
+                         "--knob", "hit_k", "--values", "1,5",
+                         "--scripted", "fixture.jsonl", "--out", "sweep")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err)["error"] == "UnknownKnob"
+    assert not (work_dir / "sweep").exists()
+
+
+@pytest.mark.parametrize("knob", [field.name for field in fields(RetrievalConfig)])
 def test_ablate_without_a_store_for_a_knob_that_does_not_rebuild(work_dir, capsys, knob):
     code, out, err = run(capsys, "ablate", "--corpus", "corpus.json", "--qa", "qa.jsonl",
                          "--knob", knob, "--values", "true" if knob == "use_search_plan" else "5",
@@ -1376,6 +1388,28 @@ def test_ablate_top_k_sweep(work_dir, capsys):
     # smaller K retrieves less context
     assert sweep["rows"][0]["overall"]["mean_token_cost"] < \
         sweep["rows"][1]["overall"]["mean_token_cost"]
+
+
+@pytest.mark.parametrize("knob, values, costs", [
+    ("anchor_count", "0,5", [1251.375, 1528.5]),  # without and with the verbatim section
+    ("profile_count", "0,2", [1284.125, 1528.5]),  # without and with the profiles
+])
+def test_ablate_sweeps_a_granularity_on_the_one_store(work_dir, capsys, data_dir, knob, values,
+                                                      costs):
+    build(capsys)
+    code, out, err = run(capsys, "ablate", "--store", "store", "--qa", "qa.jsonl",
+                         "--knob", knob, "--values", values,
+                         "--scripted", "fixture.jsonl", "--out", "sweep")
+    assert code == EXIT_OK, err
+    overall = [row["overall"] for row in json.loads(out)["rows"]]
+    assert [row["mean_token_cost"] for row in overall] == costs
+    # the default row is the golden eval; the scripted answers do not read
+    # the context, so the scores hold on every row
+    golden = json.loads((data_dir / "golden_report.json").read_text())["overall"]
+    assert overall[1] == golden
+    assert all({**row, "mean_token_cost": None} == {**golden, "mean_token_cost": None}
+               for row in overall)
+    assert not list((work_dir / "sweep").glob("store_*"))
 
 
 def test_ablate_reads_json_values_and_rebuilds_for_a_segmentation_knob(work_dir, capsys):

@@ -175,7 +175,7 @@ def test_the_check_finds_a_store_file_name():
 # the MemoryStore attributes that hold its entries and rows, and the functions of
 # store.py that write each: __init__ makes them empty, seal joins the blocks into
 # one, and _admit is the one way entries and their rows come in
-STORE_STATE = ("_entries", "_blocks", "_by_restatement", "dim")
+STORE_STATE = ("_entries", "_blocks", "_by_restatement")
 STATE_WRITERS = {"__init__": set(STORE_STATE), "seal": {"_blocks"},
                  "_admit": set(STORE_STATE)}
 MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem",
@@ -234,8 +234,7 @@ def test_the_check_finds_each_write_of_a_stores_entries_and_rows():
               "s = S()\ns._by_restatement.setdefault('k', 'e2'); s._entries.copy()\n")
     assert state_writes(source) == [
         ("load", "_entries", 3), ("load", "_blocks", 3), ("load", "_by_restatement", 4),
-        ("load", "_entries", 4), ("load", "dim", 5), ("load", "dim", 5),
-        ("<module>", "_by_restatement", 8)]
+        ("load", "_entries", 4), ("<module>", "_by_restatement", 8)]
 
 
 def test_importing_the_package_loads_no_http_client():

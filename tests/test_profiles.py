@@ -1,5 +1,6 @@
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trimem.backend import FixtureRule, ScriptedBackend
 from trimem.errors import ParseFailure
@@ -89,6 +90,37 @@ def test_a_repeated_label_merges_into_its_first_section_and_round_trips():
     assert rebuilt == profile and list(rebuilt.sections.items()) == list(sections.items())
     name2, sections2 = parse_profile_text(serialize_profile(profile))
     assert (name2, list(sections2.items())) == (name, list(sections.items()))
+
+
+# a label holds no "]" and is not blank; a body line is stripped and starts no header
+LABELS = st.text(alphabet="ab [", min_size=1).filter(str.strip)
+BODY_LINES = st.lists(st.text(alphabet="ab []:", min_size=1).filter(
+    lambda line: line == line.strip() and not line.startswith("[")), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.tuples(LABELS, BODY_LINES, st.booleans()), max_size=6),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_a_rendered_profile_parses_to_the_merge_of_its_runs(runs, newline):
+    lines = ["Entity: Alice"]
+    for label, body, on_header in runs:
+        if on_header and body:
+            lines += [f"[{label}] {body[0]}", *body[1:]]
+        else:
+            lines += [f"[{label}]", *body]
+    # each label's lines, from all its runs in order, under the first run to hold any
+    merged: dict[str, list[str]] = {}
+    for label, body, _ in runs:
+        if body:
+            merged.setdefault(label.strip(), []).extend(body)
+    text = newline.join(lines)
+    if not merged:
+        with pytest.raises(ParseFailure, match="no populated sections"):
+            parse_profile_text(text)
+        return
+    name, sections = parse_profile_text(text)
+    assert (name, list(sections.items())) == (
+        "Alice", [(label, "\n".join(body)) for label, body in merged.items()])
 
 
 def test_section_labels_are_the_documented_ten():

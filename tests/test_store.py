@@ -726,7 +726,7 @@ def test_load_rejects_another_schema_in_the_vector_header(tmp_path, backend):
     vectors.write_bytes(raw[:4] + header.tobytes() + raw[4:])
     manifest["sha256"]["vectors.bin"] = hashlib.sha256(vectors.read_bytes()).hexdigest()
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(StoreIOError, match="trimem build --force"):
+    with pytest.raises(StoreIOError, match="vectors.bin plane 3: .*trimem build --force"):
         MemoryStore.load(tmp_path / "s")
 
 
@@ -775,6 +775,23 @@ def test_a_stores_entries_and_turns_are_read_only(tmp_path, backend):
     loaded = MemoryStore.load(tmp_path / "s")
     assert (loaded.entries, loaded.turns) == (store.entries, store.turns)
     assert loaded.entries["e000001"].event_time is None
+
+
+def test_a_stores_width_and_vectors_are_read_only(tmp_path, backend):
+    """Neither dim nor a row vector_of hands out can be written, so the store
+    persists and loads as it was; the private _vectors seam stays writable."""
+    store = MemoryStore(turns=make_turns(1))
+    store.insert_entries([make_entry("Alice visited Rome.")], backend)
+    row = store.vector_of("e000001")
+    with pytest.raises(AttributeError):
+        store.dim = 32
+    with pytest.raises(ValueError, match="read-only"):
+        row[:] = 3.0
+    assert store._vectors.flags.writeable
+    store.persist(tmp_path / "s")
+    loaded = MemoryStore.load(tmp_path / "s")
+    assert (loaded.dim, store.dim) == (64, 64)
+    assert loaded.vector_of("e000001").tobytes() == row.tobytes()
 
 
 def test_load_rejects_non_store_dir(tmp_path):
