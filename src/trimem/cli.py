@@ -21,7 +21,7 @@ import logging
 import os
 import sys
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -45,27 +45,27 @@ ENV_API_KEY = "TRIMEM_API_KEY"
 ENV_CONFIG = "TRIMEM_CONFIG"
 
 EVAL_OUTPUTS = ("report.json", "detailed_results.jsonl", "run_manifest.json")  # an eval's files
+UNHASHED = {"hashed": False}  # a field config_hash omits: it cannot change what a run writes
 
 
 @dataclass(frozen=True)
 class RunConfig(SegmentationConfig, RetrievalConfig):
     """Every knob of a run: the engine's segmentation and retrieval knobs,
     with their defaults and checks, plus the CLI's own."""
-    corpus: Optional[str] = None
-    store_dir: Optional[str] = None
-    prompt_dir: Optional[str] = None
-    prompt_round: Optional[int] = None
+    corpus: Optional[str] = field(default=None, metadata=UNHASHED)
+    store_dir: Optional[str] = field(default=None, metadata=UNHASHED)
+    prompt_dir: Optional[str] = field(default=None, metadata=UNHASHED)
+    prompt_round: Optional[int] = field(default=None, metadata=UNHASHED)
     hit_k: int = 5
-    api_base: Optional[str] = None
-    api_key: Optional[str] = None
+    api_base: Optional[str] = field(default=None, metadata=UNHASHED)
+    api_key: Optional[str] = field(default=None, metadata=UNHASHED)
     model_tag: str = ""
     senior_model_tag: str = ""
     embedding_model: str = ""
-    scripted_fixture: Optional[str] = None
-    max_calls: Optional[int] = None
-    max_tokens: Optional[int] = None
+    scripted_fixture: Optional[str] = field(default=None, metadata=UNHASHED)
+    max_calls: Optional[int] = field(default=None, metadata=UNHASHED)
+    max_tokens: Optional[int] = field(default=None, metadata=UNHASHED)
     rounds: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         SegmentationConfig.__post_init__(self)
@@ -78,11 +78,14 @@ class RunConfig(SegmentationConfig, RetrievalConfig):
             raise ValueError("max_calls, max_tokens and prompt_round must be >= 0")
 
     def recorded(self) -> dict:
-        """The fields a run hashes and writes down: all but the API key."""
+        """The fields a run writes down in its manifest: all but the API key."""
         return {k: v for k, v in dataclasses.asdict(self).items() if k != "api_key"}
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.recorded(), sort_keys=True)
+        """The hash of the output knobs off their defaults, so all defaults hash as {}."""
+        knobs = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                 if f.metadata != UNHASHED and getattr(self, f.name) != f.default}
+        payload = json.dumps(knobs, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -247,6 +250,15 @@ def load_qa_set(path) -> list[QaItem]:
     return items
 
 
+def _turn_json(turn) -> dict:
+    return {"turn_id": turn.turn_id, "speaker": turn.speaker, "text": turn.text}
+
+
+def _profile_json(profile) -> dict:
+    """A profile as query and inspect print it: its read-only sections as a plain dict."""
+    return {**vars(profile), "sections": dict(profile.sections)}
+
+
 # -- commands ------------------------------------------------------------
 
 def cmd_ingest(args, config: RunConfig) -> dict:
@@ -290,12 +302,8 @@ def cmd_query(args, config: RunConfig) -> dict:
              "source_dialogue_ids": sorted(e.source_dialogue_ids)}
             for e, score in ctx.ranked_entries
         ],
-        "recovered_turns": [
-            {"turn_id": t.turn_id, "speaker": t.speaker, "text": t.text}
-            for t in ctx.recovered_turns
-        ],
-        # a profile's read-only sections go out as a plain dict
-        "profiles": [{**vars(p), "sections": dict(p.sections)} for p in ctx.profiles],
+        "recovered_turns": [_turn_json(t) for t in ctx.recovered_turns],
+        "profiles": [_profile_json(p) for p in ctx.profiles],
         "token_cost": ctx.token_cost,
     }
 
@@ -336,7 +344,7 @@ def _eval_to_dir(config: RunConfig, qa_set: list[QaItem], store: MemoryStore,
     make_dir(out_dir)
     records = run_eval(qa_set, store, prompts.as_prompt_dict(), router, config)
     report = build_report(records, evidence=_evidence_by_question(qa_set), hit_k=config.hit_k,
-                          metadata={"prompt_round": prompts.round, "seed": config.seed,
+                          metadata={"prompt_round": prompts.round,
                                     "config_hash": config.config_hash()})
     write_report(report, records, out_dir / "report.json",
                  out_dir / "detailed_results.jsonl")
@@ -448,11 +456,8 @@ def cmd_inspect(args, config: RunConfig) -> dict:
         "persons": sorted(entry.persons),
         "source_dialogue_ids": sorted(entry.source_dialogue_ids),
         "origin_window": entry.origin_window,
-        "anchored_turns": [
-            {"turn_id": t.turn_id, "speaker": t.speaker, "text": t.text}
-            for t in recovered
-        ],
-        "profiles": [{**vars(p), "sections": dict(p.sections)} for p in store.profiles_for(
+        "anchored_turns": [_turn_json(t) for t in recovered],
+        "profiles": [_profile_json(p) for p in store.profiles_for(
             sorted({normalize_person_key(p) for p in entry.persons}))],
     }
 
@@ -478,10 +483,10 @@ FLAGS = {
     "--k": {"dest": "top_k", "type": int, "help": "retrieval top-K"},
     "--no-search-plan": {"dest": "use_search_plan", "action": "store_const", "const": False,
                          "help": "retrieve with the raw question only"},
-    "--max-calls": {"type": int}, "--max-tokens": {"type": int}, "--seed": {"type": int},
+    "--max-calls": {"type": int}, "--max-tokens": {"type": int},
 }
 COMMON_FLAGS = ["--config", "--scripted", "--prompts", "--round", "--k",
-                "--no-search-plan", "--max-calls", "--max-tokens", "--seed"]
+                "--no-search-plan", "--max-calls", "--max-tokens"]
 
 # each command's function, help and own flags; a trailing "!" marks a required flag
 COMMANDS = {

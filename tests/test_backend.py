@@ -163,7 +163,7 @@ PINNED_TABLES = {
         "api_base": ((str, NONE), None), "api_key": ((str, NONE), None),
         "model_tag": (str, ""), "senior_model_tag": (str, ""), "embedding_model": (str, ""),
         "scripted_fixture": ((str, NONE), None), "max_calls": ((int, NONE), None),
-        "max_tokens": ((int, NONE), None), "rounds": (int, 4), "seed": (int, 0)},
+        "max_tokens": ((int, NONE), None), "rounds": (int, 4)},
 }
 
 

@@ -38,11 +38,78 @@ def build(capsys, store="store", extra=()):
 
 # -- run config --------------------------------------------------------
 
-def test_config_hash_ignores_api_key():
-    a = RunConfig(api_key="secret")
-    b = RunConfig(api_key="other")
-    assert a.config_hash() == b.config_hash()
-    assert a.config_hash() != RunConfig(top_k=5).config_hash()
+# a valid value off the default of each RunConfig field; config_hash reads
+# every field but the paths, addresses, credential and caps
+OFF_DEFAULT = {
+    "window_size": 50, "stride": 30, "top_k": 5, "per_query_k": 3, "anchor_count": 0,
+    "profile_count": 0, "query_cap": 1, "use_search_plan": False, "corpus": "c.json",
+    "store_dir": "s", "prompt_dir": "p", "prompt_round": 1, "hit_k": 3,
+    "api_base": "http://localhost:9/v1", "api_key": "secret", "model_tag": "m",
+    "senior_model_tag": "sm", "embedding_model": "e", "scripted_fixture": "f.jsonl",
+    "max_calls": 1000, "max_tokens": 100000, "rounds": 2,
+}
+UNHASHED_FIELDS = {"corpus", "store_dir", "prompt_dir", "prompt_round", "api_base", "api_key",
+                   "scripted_fixture", "max_calls", "max_tokens"}
+DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+def test_the_all_default_config_hashes_as_an_empty_object():
+    # a new field must be listed above, and its default must leave gate 5's hash alone
+    assert sorted(set(DEFAULTS) ^ set(OFF_DEFAULT)) == []
+    assert RunConfig().config_hash() == hashlib.sha256(b"{}").hexdigest()[:16]
+    assert RunConfig().config_hash() == "44136fa355b3678a"
+
+
+def test_config_hash_reads_each_hashed_field_only_off_its_default():
+    default_hash = RunConfig().config_hash()
+    moved = [name for name, value in OFF_DEFAULT.items()
+             if RunConfig(**{name: value}).config_hash() != default_hash]
+    assert sorted(moved) == sorted(set(OFF_DEFAULT) - UNHASHED_FIELDS)
+    for name in OFF_DEFAULT:  # a field set to its default hashes as if left unset
+        others = {key: value for key, value in OFF_DEFAULT.items() if key != name}
+        assert RunConfig(**others, **{name: DEFAULTS[name]}).config_hash() \
+            == RunConfig(**others).config_hash(), name
+
+
+def test_an_eval_report_does_not_depend_on_how_its_paths_are_spelled_or_its_caps(
+        work_dir, capsys):
+    assert build(capsys)[0] == EXIT_OK
+    assert run(capsys, "eval", "--store", "store", "--qa", "qa.jsonl",
+               "--scripted", "fixture.jsonl", "--out", "a")[0] == EXIT_OK
+    assert run(capsys, "eval", "--store", str(work_dir / "store"), "--qa", "qa.jsonl",
+               "--scripted", "./fixture.jsonl", "--max-calls", "1000", "--out", "b")[0] == EXIT_OK
+    for name in ("report.json", "detailed_results.jsonl"):
+        assert (work_dir / "a" / name).read_bytes() == (work_dir / "b" / name).read_bytes()
+
+
+def test_a_store_manifest_and_its_eval_report_give_one_config_hash(work_dir, capsys):
+    assert build(capsys)[0] == EXIT_OK
+    assert run(capsys, "eval", "--store", "store", "--qa", "qa.jsonl",
+               "--scripted", "fixture.jsonl")[0] == EXIT_OK
+    manifest = json.loads((work_dir / "store" / "manifest.json").read_text())
+    report = json.loads((work_dir / "store" / "eval" / "report.json").read_text())
+    assert manifest["config_hash"] == report["metadata"]["config_hash"]
+
+
+def test_an_ablate_row_at_the_defaults_writes_what_build_then_eval_writes(work_dir, capsys):
+    assert build(capsys)[0] == EXIT_OK
+    assert run(capsys, "eval", "--store", "store", "--qa", "qa.jsonl",
+               "--scripted", "fixture.jsonl", "--out", "eval")[0] == EXIT_OK
+    assert run(capsys, "ablate", "--corpus", "corpus.json", "--qa", "qa.jsonl",
+               "--knob", "stride", "--values", "38", "--scripted", "fixture.jsonl",
+               "--out", "sweep")[0] == EXIT_OK
+    for name in ("report.json", "detailed_results.jsonl"):
+        assert (work_dir / "sweep" / "stride_38" / name).read_bytes() \
+            == (work_dir / "eval" / name).read_bytes()
+
+
+@pytest.mark.parametrize("how", ["flag", "config-file"])
+def test_seed_is_not_a_knob(work_dir, capsys, how):
+    (work_dir / "conf.json").write_text(json.dumps({"seed": 0}))
+    extra = ["--seed", "0"] if how == "flag" else ["--config", "conf.json"]
+    code, out, err = run(capsys, "ingest", "--corpus", "corpus.json", *extra)
+    assert (code, out, json.loads(err)["error"]) == (EXIT_USAGE, "", "UsageError")
+    assert "seed" in json.loads(err)["message"]
 
 
 def test_config_file_and_env_precedence(work_dir, capsys, monkeypatch):
@@ -119,7 +186,6 @@ COMMON_OPTIONS = [
     ("--no-search-plan", "use_search_plan", None, "_StoreConstAction", None, False),
     ("--max-calls", "max_calls", int, STORE, None, False),
     ("--max-tokens", "max_tokens", int, STORE, None, False),
-    ("--seed", "seed", int, STORE, None, False),
 ]
 PARSER_PIN = {
     "ingest": ("cmd_ingest", [
