@@ -13,11 +13,12 @@ provider reply body, corpus document, QA record, fixture rule and store
 manifest; a record with a dataclass has the table ``fields_of`` derives
 from it. Every type check is ``has_type`` or its column form ``all_of``.
 The call and token caps belong to one instance, so two backends of one
-run are capped apart. A concrete backend supplies only the provider
-round-trip, ``_complete`` and ``_embed``. Two exist: an HTTP backend
-speaking the common ``/chat/completions`` + ``/embeddings`` request
-shapes, and a scripted backend that replays canned responses and derives
-embeddings from a content hash, for fully offline deterministic runs.
+run are capped apart; ``call_key`` names each call by its work item. A
+concrete backend supplies only the provider round-trip, ``_complete``
+and ``_embed``. Two exist: an HTTP backend speaking the common
+``/chat/completions`` + ``/embeddings`` request shapes, and a scripted
+backend that replays canned responses and derives embeddings from a
+content hash, for fully offline deterministic runs.
 """
 from __future__ import annotations
 
@@ -26,7 +27,10 @@ import hashlib
 import itertools
 import json
 import threading
-from collections.abc import Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar, get_args, get_origin, get_type_hints
@@ -204,6 +208,37 @@ def read_reply(text: str, fields: dict) -> dict:
     return read_parsed(parse_json(text), fields)
 
 
+CallKey = namedtuple("CallKey", "round stage item n", defaults=(0, "", 0, 1))
+_CALL_KEY = ContextVar("call_key", default=CallKey())
+
+
+def call_key() -> CallKey:
+    """The key of the model call in flight, else of the next call made here:
+    (round, stage, item, n), n being the call's number in its item from 1."""
+    return _CALL_KEY.get()
+
+
+@contextmanager
+def call_scope(**fields):
+    """Key the calls inside by this key with ``fields`` set and n from 1, until exit."""
+    token = _CALL_KEY.set(_CALL_KEY.get()._replace(**fields, n=1))
+    try:
+        yield
+    finally:
+        _CALL_KEY.reset(token)
+
+
+def run_items(stage: str, items: Iterable[T], body: Callable[[T], object]) -> list:
+    """``body(item)`` for each item in order, as item 1, 2, ... of stage; each
+    body sets the whole key, so it keys alike on a thread, which starts at the default."""
+    round_ = call_key().round
+
+    def run(number: int, item: T):
+        with call_scope(round=round_, stage=stage, item=number):
+            return body(item)
+    return [run(number, item) for number, item in enumerate(items, 1)]
+
+
 @dataclass
 class Usage:
     """Per-run accounting shared by all calls on one backend; a raised call is taken back."""
@@ -269,9 +304,9 @@ class Backend:
 
     def _gate(self, prompt_text: str, send: Callable[[], T],
               reply_text: Callable[[T], str]) -> T:
-        """The one round-trip path: count the call, ``send``, and charge
-        ``prompt_text`` and the reply's ``reply_text``. A ``send`` that
-        raises takes its count back and is charged nothing."""
+        """The one round-trip path: count the call, ``send`` under its
+        ``call_key``, and charge ``prompt_text`` and the reply's ``reply_text``.
+        A ``send`` that raises takes its count back and is charged nothing."""
         self._check_budget()
         try:
             reply = send()
@@ -279,6 +314,8 @@ class Backend:
             with self._lock:
                 self.usage.calls -= 1
             raise
+        finally:  # the next call of this item, made here, is keyed n + 1
+            _CALL_KEY.set(call_key()._replace(n=call_key().n + 1))
         self._charge(prompt_text, reply_text(reply))
         return reply
 

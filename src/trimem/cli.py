@@ -46,6 +46,7 @@ ENV_CONFIG = "TRIMEM_CONFIG"
 
 EVAL_OUTPUTS = ("report.json", "detailed_results.jsonl", "run_manifest.json")  # an eval's files
 UNHASHED = {"hashed": False}  # a field config_hash omits: it cannot change what a run writes
+EVOLVE_ONLY = {"hashed": "evolve"}  # a field only evolve reads, so only its hash covers
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,12 @@ class RunConfig(SegmentationConfig, RetrievalConfig):
     api_base: Optional[str] = field(default=None, metadata=UNHASHED)
     api_key: Optional[str] = field(default=None, metadata=UNHASHED)
     model_tag: str = ""
-    senior_model_tag: str = ""
+    senior_model_tag: str = field(default="", metadata=EVOLVE_ONLY)
     embedding_model: str = ""
     scripted_fixture: Optional[str] = field(default=None, metadata=UNHASHED)
     max_calls: Optional[int] = field(default=None, metadata=UNHASHED)
     max_tokens: Optional[int] = field(default=None, metadata=UNHASHED)
-    rounds: int = 4
+    rounds: int = field(default=4, metadata=EVOLVE_ONLY)
 
     def __post_init__(self):
         SegmentationConfig.__post_init__(self)
@@ -81,10 +82,11 @@ class RunConfig(SegmentationConfig, RetrievalConfig):
         """The fields a run writes down in its manifest: all but the API key."""
         return {k: v for k, v in dataclasses.asdict(self).items() if k != "api_key"}
 
-    def config_hash(self) -> str:
-        """The hash of the output knobs off their defaults, so all defaults hash as {}."""
+    def config_hash(self, command: str = "") -> str:
+        """The hash of the output knobs command reads, off their defaults; all defaults hash {}."""
         knobs = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-                 if f.metadata != UNHASHED and getattr(self, f.name) != f.default}
+                 if f.metadata.get("hashed", True) in (True, command)
+                 and getattr(self, f.name) != f.default}
         payload = json.dumps(knobs, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -206,11 +208,11 @@ def store_lock(store_dir: Path):
 
 
 def write_manifest(path: Path, config: RunConfig, prompt_round: int,
-                   router: BackendRouter) -> None:
+                   router: BackendRouter, command: str = "") -> None:
     """One shape for every command: config, its hash, prompt round, usage."""
     manifest = {
         "config": config.recorded(),
-        "config_hash": config.config_hash(),
+        "config_hash": config.config_hash(command),
         "prompt_round": prompt_round,
         "backend_usage": router.pipeline.usage.as_dict(),
     }
@@ -378,7 +380,7 @@ def cmd_evolve(args, config: RunConfig) -> dict:
         "prompt_dir": str(out_dir),
     }
     write_json(out_dir / "evolution_summary.json", summary)
-    write_manifest(out_dir / "run_manifest.json", config, best.round, router)
+    write_manifest(out_dir / "run_manifest.json", config, best.round, router, "evolve")
     return summary
 
 

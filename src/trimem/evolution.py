@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import (Backend, BackendRouter, complete_parsed, parse_json, read_input,
-                      read_parsed, read_reply)
+from .backend import (Backend, BackendRouter, call_scope, complete_parsed, parse_json,
+                      read_input, read_parsed, read_reply)
 from .corpus import DialogueCorpus, SegmentationConfig
 from .errors import EmptyRecordSet, ParseFailure
 from .metrics import EvalRecord
@@ -139,16 +139,17 @@ def textual_gradient(records: Sequence[EvalRecord], prompts: PromptSet,
     """Obtain full-text rewrites of the trainable prompts from the senior model.
 
     Returns the gradient-log fields ``rewritten_p_ext``, ``rewritten_p_prof``
-    and ``change_summary``. An unreadable reply, a field that is not a
-    string, or a rewrite that lost a slot gets the one repair of
-    ``complete_parsed``; a second failure raises ParseFailure.
+    and ``change_summary``, by calls of stage "gradient". An unreadable
+    reply, a wrong-typed field, or a rewrite that lost a slot gets the one
+    repair of ``complete_parsed``; a second failure raises ParseFailure.
     """
     detailed = json.dumps({"detailed_results": [r.detailed_record() for r in records]})
     prompt = render(evolution_prompt,
                     **{f"{name}_prompt": getattr(prompts, name) for name in _REWRITES},
                     detailed_results=detailed)
-    return complete_parsed(backend, prompt, _parse_gradient,
-                           "Return ONLY the JSON object.", max_output_tokens=8192)
+    with call_scope(stage="gradient"):
+        return complete_parsed(backend, prompt, _parse_gradient,
+                               "Return ONLY the JSON object.", max_output_tokens=8192)
 
 
 def apply_gradient(prompts: PromptSet, rec: dict) -> PromptSet:
@@ -204,14 +205,14 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
 
     Each of the ``rounds`` gradient steps rebuilds memory from scratch with
     the current prompts, evaluates, and applies the rewrite; the final
-    version is evaluated too, so the trajectory has rounds+1 points. A
-    rejected gradient (unreadable, wrong-typed or missing a slot
-    after its repair) is logged as a no-op round with its reason, and the
-    prompts carry forward unchanged. A round whose extraction and profile
-    texts equal the last build's reuses that sealed store and only
-    evaluates. A ``prompt_dir`` that is not missing or empty is refused
-    with UsageError before any model call, so one directory holds one run
-    and its log.
+    version is evaluated too, so the trajectory has rounds+1 points, and
+    step k's calls are keyed round k. A rejected gradient (unreadable,
+    wrong-typed or missing a slot after its repair) is logged as a no-op
+    round with its reason, and the prompts carry forward unchanged. A round
+    whose extraction and profile texts equal the last build's reuses that
+    sealed store and only evaluates. A ``prompt_dir`` that is not missing or
+    empty is refused with UsageError before any model call, so one
+    directory holds one run and its log.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -234,20 +235,21 @@ def evolve(corpus: DialogueCorpus, train_set, rounds: int,
     write_text(log_path, "")  # before any model call; then one line appended per round
     for step in range(rounds + 1):  # the last step evaluates the final prompts
         pipeline_prompts = current.as_prompt_dict()
-        if (current.extraction, current.profile) != built_for:
-            built_for = current.extraction, current.profile
-            store = build_store(corpus, pipeline_prompts, router, seg_config)
-        records = run_eval(items, store, pipeline_prompts, router, retrieval_config)
-        loss = aggregate_loss(records)
-        trajectory.append((current, loss))
-        if step == rounds:
-            break
-        rec = {"round": current.round, "loss": loss}
-        try:
-            rec.update(textual_gradient(records, current, evolution_prompt, router.senior))
-        except ParseFailure as exc:
-            logger.warning("round %d gradient rejected: %s", current.round, exc)
-            rec.update(no_op=True, reason=str(exc))
+        with call_scope(round=step):
+            if (current.extraction, current.profile) != built_for:
+                built_for = current.extraction, current.profile
+                store = build_store(corpus, pipeline_prompts, router, seg_config)
+            records = run_eval(items, store, pipeline_prompts, router, retrieval_config)
+            loss = aggregate_loss(records)
+            trajectory.append((current, loss))
+            if step == rounds:
+                break
+            rec = {"round": current.round, "loss": loss}
+            try:
+                rec.update(textual_gradient(records, current, evolution_prompt, router.senior))
+            except ParseFailure as exc:
+                logger.warning("round %d gradient rejected: %s", current.round, exc)
+                rec.update(no_op=True, reason=str(exc))
         write_bytes(log_path, json.dumps(rec, sort_keys=True).encode() + b"\n", append=True)
         current = apply_gradient(current, rec)
         current.persist(prompt_dir)

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .backend import BackendRouter, fields_of, read_object
+from .backend import BackendRouter, call_scope, fields_of, read_object, run_items
 from .corpus import DialogueCorpus, SegmentationConfig, segment
 from .errors import EmptyRecordSet, EmptyRequiredSet
 from .extraction import MemoryEntry, extract_entries, restatement_key
@@ -50,13 +50,14 @@ def build_store(corpus: DialogueCorpus, prompts: dict[str, str],
     """Extract and profile per window; index once per build, in slices of
     ``EMBED_BATCH``. The returned store is sealed.
 
-    Windows run in order. A window's fresh entries are the first copy of
-    each restatement (by ``restatement_key``) that no earlier window gave,
-    and only they feed its profile updates. After the last window every
-    fresh entry goes to the store in one ``insert_entries`` call, which
-    gives the ids, rows and dedup map that window-by-window inserts would,
-    with one embed round-trip per ``EMBED_BATCH`` restatements instead of
-    one per window.
+    Window k runs as item k of stage "build", in order; the closing embeds
+    are item 0. A window's fresh entries are the first copy of each
+    restatement (by ``restatement_key``) that no earlier window gave, and
+    only they feed its profile updates. After the last window every fresh
+    entry goes to the store in one ``insert_entries`` call, which gives the
+    ids, rows and dedup map that window-by-window inserts would, with one
+    embed round-trip per ``EMBED_BATCH`` restatements instead of one per
+    window.
 
     Extraction drops each invalid entry with a logged diagnostic, so a
     window contributes its survivors. A reply that stays unreadable after
@@ -67,7 +68,8 @@ def build_store(corpus: DialogueCorpus, prompts: dict[str, str],
     store = MemoryStore.for_corpus(corpus)
     backend = router.pipeline
     kept: dict[str, MemoryEntry] = {}  # restatement key -> its first copy
-    for window in segment(corpus, seg_config):
+
+    def add_window(window) -> None:
         fresh = []
         for entry in extract_entries(window, prompts["extraction"], backend):
             key = restatement_key(entry.lossless_restatement)
@@ -80,7 +82,9 @@ def build_store(corpus: DialogueCorpus, prompts: dict[str, str],
                 person_key, person_entries, existing, prompts["profile"],
                 backend, window_index=window.index)
             store.add_profile(profile)
-    store.insert_entries(list(kept.values()), backend)
+    run_items("build", segment(corpus, seg_config), add_window)
+    with call_scope(stage="build"):
+        store.insert_entries(list(kept.values()), backend)
     store.seal()
     return store
 
@@ -99,13 +103,13 @@ def run_eval(qa_set: Sequence[QaItem], store: MemoryStore,
              prompts: dict[str, str], router: BackendRouter,
              config: RetrievalConfig) -> list[EvalRecord]:
     """Answer every question, judge it with the LLM judge and score it;
-    returns per-question records."""
+    returns per-question records. Question k is item k of stage "eval"."""
     from .evolution import judge  # read at call time: perfbench/spans.py wraps it
 
     if not qa_set:
         raise EmptyRecordSet("empty qa set")
-    records = []
-    for item in qa_set:
+
+    def evaluate(item: QaItem) -> EvalRecord:
         result, ctx = answer_question(item.question, store, prompts, router, config)
         score, reasoning = judge(item.question, result.answer_text, item.reference,
                                  prompts["judge"], router.pipeline)
@@ -126,5 +130,5 @@ def run_eval(qa_set: Sequence[QaItem], store: MemoryStore,
             record.context_coverage = coverage(item.reference, ctx.text)
         except EmptyRequiredSet:
             record.context_coverage = None
-        records.append(record)
-    return records
+        return record
+    return run_items("eval", qa_set, evaluate)

@@ -50,6 +50,7 @@ OFF_DEFAULT = {
 }
 UNHASHED_FIELDS = {"corpus", "store_dir", "prompt_dir", "prompt_round", "api_base", "api_key",
                    "scripted_fixture", "max_calls", "max_tokens"}
+EVOLVE_ONLY_FIELDS = {"rounds", "senior_model_tag"}  # only evolve's hash reads them
 DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
@@ -61,14 +62,32 @@ def test_the_all_default_config_hashes_as_an_empty_object():
 
 
 def test_config_hash_reads_each_hashed_field_only_off_its_default():
-    default_hash = RunConfig().config_hash()
-    moved = [name for name, value in OFF_DEFAULT.items()
-             if RunConfig(**{name: value}).config_hash() != default_hash]
-    assert sorted(moved) == sorted(set(OFF_DEFAULT) - UNHASHED_FIELDS)
-    for name in OFF_DEFAULT:  # a field set to its default hashes as if left unset
-        others = {key: value for key, value in OFF_DEFAULT.items() if key != name}
-        assert RunConfig(**others, **{name: DEFAULTS[name]}).config_hash() \
-            == RunConfig(**others).config_hash(), name
+    for command, unread in (("eval", UNHASHED_FIELDS | EVOLVE_ONLY_FIELDS),
+                            ("evolve", UNHASHED_FIELDS)):
+        default_hash = RunConfig().config_hash(command)
+        moved = [name for name, value in OFF_DEFAULT.items()
+                 if RunConfig(**{name: value}).config_hash(command) != default_hash]
+        assert sorted(moved) == sorted(set(OFF_DEFAULT) - unread), command
+        for name in OFF_DEFAULT:  # a field set to its default hashes as if left unset
+            others = {key: value for key, value in OFF_DEFAULT.items() if key != name}
+            assert RunConfig(**others, **{name: DEFAULTS[name]}).config_hash(command) \
+                == RunConfig(**others).config_hash(command), (command, name)
+
+
+def test_only_evolve_hashes_rounds_and_the_senior_model(work_dir, capsys):
+    assert build(capsys)[0] == EXIT_OK
+    (work_dir / "rounds.json").write_text(json.dumps({"rounds": 2}))
+    for out, extra in (("plain", ()), ("rounds", ("--config", "rounds.json"))):
+        assert run(capsys, "eval", "--store", "store", "--qa", "qa.jsonl",
+                   "--scripted", "fixture.jsonl", "--out", out, *extra)[0] == EXIT_OK
+    reports = [json.loads((work_dir / out / "report.json").read_text())
+               for out in ("plain", "rounds")]
+    assert [r["metadata"]["config_hash"] for r in reports] == ["44136fa355b3678a"] * 2
+    assert (work_dir / "plain" / "detailed_results.jsonl").read_bytes() == \
+        (work_dir / "rounds" / "detailed_results.jsonl").read_bytes()
+    evolve_hashes = {RunConfig(**knob).config_hash("evolve")
+                     for knob in ({}, {"rounds": 2}, {"senior_model_tag": "sm"})}
+    assert len(evolve_hashes) == 3
 
 
 def test_an_eval_report_does_not_depend_on_how_its_paths_are_spelled_or_its_caps(

@@ -2,9 +2,12 @@
 
 Every model call of ``trimem build`` on the fixture fails in turn, with
 each fault the backend can raise, and two unreadable chat replies in a row
-(a reply and its one repair). Each run must end in the fault's documented
-exit code, a fresh directory must hold no store afterwards, and a built
-store that ``build --force`` was replacing must still load, byte for byte.
+(a reply and its one repair). A call is picked by its ``call_key``, so a
+case names the same call in any order the work items run; each case's id
+keeps the call's number in the serial run. Each run must end in the
+fault's documented exit code, a fresh directory must hold no store
+afterwards, and a built store that ``build --force`` was replacing must
+still load, byte for byte.
 A kill at any build call, which no ``except`` of the engine catches, leaves
 that store byte for byte and its ``.lock`` gone.
 Every call of ``trimem eval`` fails in turn the same way: a raised fault
@@ -24,51 +27,67 @@ log replays to the rounds written, its cut last line ignored.
 """
 import errno
 import json
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from trimem.backend import BackendRouter, ScriptedBackend
+from trimem.backend import BackendRouter, ScriptedBackend, call_key
 from trimem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, main
 from trimem.errors import AuthError, BudgetExceeded, StoreIOError, TransportError
 from trimem.evolution import PromptSet, evolve, replay_gradients
 from trimem.store import STAGED_FILES, STORE_FILES, MemoryStore
 
-BUILD_CALLS = ["chat"] * 24 + ["embed"]  # every window's calls, then one embed
+# each build call's key (round, stage, item, n) and kind: an extraction and
+# two profile updates per window, then the one embed, outside any window
+BUILD_CALLS = {**{(0, "build", window, n): "chat" for window in range(1, 9) for n in (1, 2, 3)},
+               (0, "build", 0, 1): "embed"}
 UNREADABLE = "no JSON and no 'Entity:' header"  # fails every build-time parser
 
-# fault -> (the exception raised at call k, or None for two unreadable
-# replies from call k on), the exit code and the error it reports
+# fault -> (the exception raised at a call, or None for two unreadable
+# replies, the call's and its repair's), the exit code and the error it reports
 FAULTS = {
     "transport": (TransportError, EXIT_BACKEND, "TransportError"),
     "auth": (AuthError, EXIT_BACKEND, "AuthError"),
     "budget": (BudgetExceeded, EXIT_BACKEND, "BudgetExceeded"),
     "unreadable-twice": (None, EXIT_DATA, "ParseFailure"),
 }
-CASES = [(fault, k) for fault in FAULTS for k in range(1, len(BUILD_CALLS) + 1)
-         if FAULTS[fault][0] or BUILD_CALLS[k - 1] == "chat"]
+CASES = [(fault, key) for fault in FAULTS for key, kind in BUILD_CALLS.items()
+         if FAULTS[fault][0] or kind == "chat"]
+
+
+def call_number(key, calls) -> int:
+    """The 1-based place of key among calls, in the serial run: a case's id."""
+    return list(calls).index(key) + 1
+
+
+def repair_of(key) -> tuple:
+    """The key of the repair call that follows the call keyed key."""
+    return (*key[:3], key[3] + 1)
 
 
 class Killed(BaseException):
     """A kill at a call: not an Exception, so no engine ``except`` catches it."""
 
 
-def inject(monkeypatch, fault=None, k=0) -> list[str]:
-    """Patch every ScriptedBackend round-trip to count its calls and fail
-    call k with fault, a FAULTS key or an exception class; returns the kinds
-    of the calls made."""
+def inject(monkeypatch, fault=None, key=None) -> dict:
+    """Patch every ScriptedBackend round-trip to record its ``call_key`` and
+    fail the call keyed key with fault, a FAULTS key or an exception class;
+    returns each call's key and kind, in call order. No key may repeat."""
     error = FAULTS[fault][0] if isinstance(fault, str) else fault
-    calls: list[str] = []
+    calls: dict[tuple, str] = {}
 
     def counted(kind, real):
         def round_trip(self, request):
-            calls.append(kind)
-            if fault and error is None and len(calls) in (k, k + 1):
+            made = call_key()
+            assert made not in calls, f"two calls keyed {made}"
+            calls[made] = kind
+            if fault and error is None and made in (key, repair_of(key)):
                 return UNREADABLE
-            if fault and error and len(calls) == k:
-                raise error(f"injected at call {k}")
+            if fault and error and made == key:
+                raise error(f"injected at call {key}")
             return real(self, request)
         return round_trip
 
@@ -103,17 +122,18 @@ def test_the_fixture_build_makes_24_chat_calls_then_one_embed(work_dir, capsys, 
     assert calls == BUILD_CALLS
 
 
-@pytest.mark.parametrize("fault,k", CASES, ids=[f"{f}-call-{k}" for f, k in CASES])
+@pytest.mark.parametrize("fault,key", CASES,
+                         ids=[f"{f}-call-{call_number(key, BUILD_CALLS)}" for f, key in CASES])
 def test_a_fault_at_any_build_call_leaves_no_store_or_the_old_one(
-        work_dir, capsys, monkeypatch, built, fault, k):
+        work_dir, capsys, monkeypatch, built, fault, key):
     _, want_code, want_error = FAULTS[fault]
     shutil.copytree(built, work_dir / "built")
     before = snapshot(work_dir / "built")
 
-    calls = inject(monkeypatch, fault, k)
+    calls = inject(monkeypatch, fault, key)
     code, err = build(capsys, "fresh")
     assert (code, json.loads(err)["error"]) == (want_code, want_error)
-    assert calls[k - 1] == BUILD_CALLS[k - 1]
+    assert calls[key] == BUILD_CALLS[key]
     assert list((work_dir / "fresh").iterdir()) == []
     with pytest.raises(StoreIOError):
         MemoryStore.load(work_dir / "fresh")
@@ -125,24 +145,26 @@ def test_a_fault_at_any_build_call_leaves_no_store_or_the_old_one(
     assert len(MemoryStore.load(work_dir / "built")) == 60
 
 
-@pytest.mark.parametrize("k", range(1, len(BUILD_CALLS) + 1))
+@pytest.mark.parametrize("key", BUILD_CALLS,
+                         ids=[str(call_number(key, BUILD_CALLS)) for key in BUILD_CALLS])
 def test_a_kill_at_any_build_call_leaves_the_old_store_and_no_lock(
-        work_dir, capsys, monkeypatch, built, k):
+        work_dir, capsys, monkeypatch, built, key):
     shutil.copytree(built, work_dir / "built")
     before = snapshot(work_dir / "built")
-    calls = inject(monkeypatch, Killed, k)
-    with pytest.raises(Killed, match=f"injected at call {k}$"):
+    calls = inject(monkeypatch, Killed, key)
+    with pytest.raises(Killed, match=rf"injected at call {re.escape(str(key))}$"):
         build(capsys, "built", "--force")
-    assert len(calls) == k
+    assert list(calls)[-1] == key  # no call follows the kill
     assert not (work_dir / "built" / ".lock").exists()
     assert snapshot(work_dir / "built") == before
 
 
 # per question: the analysis and query calls of its plan, the query embed,
 # the answer and the judge
-EVAL_CALLS = ["chat", "chat", "embed", "chat", "chat"] * 8
-EVAL_CASES = [(fault, k) for fault in FAULTS for k in range(1, len(EVAL_CALLS) + 1)
-              if FAULTS[fault][0] or EVAL_CALLS[k - 1] == "chat"]
+EVAL_CALLS = {(0, "eval", question, n): kind for question in range(1, 9)
+              for n, kind in enumerate(["chat", "chat", "embed", "chat", "chat"], 1)}
+EVAL_CASES = [(fault, key) for fault in FAULTS for key, kind in EVAL_CALLS.items()
+              if FAULTS[fault][0] or kind == "chat"]
 EVAL_OUTPUTS = ["detailed_results.jsonl", "report.json", "run_manifest.json"]
 
 
@@ -160,19 +182,20 @@ def test_the_fixture_eval_makes_32_chat_calls_and_8_embeds(work_dir, capsys, mon
     assert sorted(p.name for p in (work_dir / "out").iterdir()) == EVAL_OUTPUTS
 
 
-@pytest.mark.parametrize("fault,k", EVAL_CASES, ids=[f"{f}-call-{k}" for f, k in EVAL_CASES])
+@pytest.mark.parametrize("fault,key", EVAL_CASES,
+                         ids=[f"{f}-call-{call_number(key, EVAL_CALLS)}" for f, key in EVAL_CASES])
 def test_a_fault_at_any_eval_call_writes_nothing_or_falls_back(
-        work_dir, capsys, monkeypatch, built, fault, k):
+        work_dir, capsys, monkeypatch, built, fault, key):
     error, _, error_name = FAULTS[fault]
-    calls = inject(monkeypatch, fault, k)
+    calls = inject(monkeypatch, fault, key)
     code, err = evaluate(capsys, built)
-    assert calls[k - 1] == EVAL_CALLS[k - 1]
+    assert calls[key] == EVAL_CALLS[key]
     written = sorted(p.name for p in (work_dir / "out").iterdir())
     if error:
         assert (code, json.loads(err)["error"]) == (EXIT_BACKEND, error_name)
         assert written == []
     else:  # the reply and its repair are both unreadable; the site falls back
-        assert calls[k] == "chat"
+        assert calls[repair_of(key)] == "chat"
         assert code == EXIT_OK
         assert written == EVAL_OUTPUTS
 
@@ -294,18 +317,19 @@ def test_a_failed_first_persist_leaves_an_empty_directory_to_build_into(
 
 # gate 6's evolve over two rounds: each round builds, evaluates and asks the
 # senior model for one gradient, and the final prompts are built and
-# evaluated too
-EVOLVE_PHASES = [("build", BUILD_CALLS), ("eval", EVAL_CALLS), ("gradient", ["chat"])] * 2 + [
-    ("build", BUILD_CALLS), ("eval", EVAL_CALLS)]
-EVOLVE_CALLS = [kind for _, calls in EVOLVE_PHASES for kind in calls]
-# the first and the last call of each phase, 1-based, and its phase
-EVOLVE_SAMPLE, _start = {}, 0
-for _phase, _calls in EVOLVE_PHASES:
-    EVOLVE_SAMPLE.update({_start + 1: _phase, _start + len(_calls): _phase})
-    _start += len(_calls)
-EVOLVE_CASES = [(fault, k) for fault in FAULTS for k in EVOLVE_SAMPLE
-                if FAULTS[fault][0] or EVOLVE_CALLS[k - 1] == "chat"]
-GRADIENT_CALLS = [k for k, phase in EVOLVE_SAMPLE.items() if phase == "gradient"]
+# evaluated too; a call keeps its build or eval key, in its round
+GRADIENT_CALLS = [(0, "gradient", 0, 1), (1, "gradient", 0, 1)]
+EVOLVE_CALLS = {(rnd, *key[1:]): kind for rnd in range(3)
+                for key, kind in [*BUILD_CALLS.items(), *EVAL_CALLS.items(),
+                                  *((g, "chat") for g in GRADIENT_CALLS if g[0] == rnd)]}
+# the first and the last key of each round's build, eval and gradient
+_FIRST, _LAST = {}, {}
+for _key in EVOLVE_CALLS:
+    _FIRST.setdefault(_key[:2], _key)
+    _LAST[_key[:2]] = _key
+EVOLVE_SAMPLE = [key for key in EVOLVE_CALLS if key in {*_FIRST.values(), *_LAST.values()}]
+EVOLVE_CASES = [(fault, key) for fault in FAULTS for key in EVOLVE_SAMPLE
+                if FAULTS[fault][0] or EVOLVE_CALLS[key] == "chat"]
 
 
 def run_evolve(capsys):
@@ -326,27 +350,27 @@ def test_the_gate_6_evolve_makes_170_chat_calls_and_27_embeds(work_dir, capsys, 
     calls = inject(monkeypatch)
     assert run_evolve(capsys)[0] == EXIT_OK
     assert calls == EVOLVE_CALLS
-    assert (calls.count("chat"), calls.count("embed")) == (170, 27)
+    kinds = list(calls.values())
+    assert (kinds.count("chat"), kinds.count("embed")) == (170, 27)
     assert len(replay_gradients(work_dir / "evolved")) == 3
 
 
-@pytest.mark.parametrize("fault,k", EVOLVE_CASES,
-                         ids=[f"{f}-{EVOLVE_SAMPLE[k]}-call-{k}" for f, k in EVOLVE_CASES])
+@pytest.mark.parametrize("fault,key", EVOLVE_CASES, ids=[
+    f"{f}-{key[1]}-call-{call_number(key, EVOLVE_CALLS)}" for f, key in EVOLVE_CASES])
 def test_a_fault_at_an_evolve_call_ends_the_run_or_is_survived(
-        work_dir, capsys, monkeypatch, fault, k):
+        work_dir, capsys, monkeypatch, fault, key):
     error, want_code, want_error = FAULTS[fault]
-    calls = inject(monkeypatch, fault, k)
+    calls = inject(monkeypatch, fault, key)
     code, err = run_evolve(capsys)
-    assert calls[k - 1] == EVOLVE_CALLS[k - 1]
+    assert calls[key] == EVOLVE_CALLS[key]
     log = (work_dir / "evolved" / "gradients.jsonl").read_text().splitlines()
-    phase = EVOLVE_SAMPLE[k]
-    if error or phase == "build":  # a raised fault, or two unreadable build replies
+    if error or key[1] == "build":  # a raised fault, or two unreadable build replies
         assert (code, json.loads(err)["error"]) == (want_code, want_error)
         assert not (work_dir / "evolved" / "evolution_summary.json").exists()
     else:  # an eval site falls back; a gradient becomes a no-op round
         assert (code, err) == (EXIT_OK, "")
         assert [json.loads(line).get("no_op", False) for line in log] == \
-            [k == n for n in GRADIENT_CALLS]
+            [key == gradient for gradient in GRADIENT_CALLS]
     assert_log_replays(work_dir / "evolved")
 
 
