@@ -29,15 +29,14 @@ Every pass runs in a fresh process that must import trimem from
 pairs of a parent and a change pass, the parent first in every other pair.
 The run goes under ``--run`` in the ``--out`` JSON file
 (``BENCH_<mode>.json``), next to the runs already there, with every pass,
-per case each pair's change/parent ratios and their median, minimum and
-maximum, and ``outputs_equal``: whether every change pass wrote its
-parent's outputs. The run ``parent_over_parent`` measures one tree against
-itself, so its ratios are the host's spread. Every other run gets, per
-case and metric, the verdict "higher" or "lower" when all its pair ratios
-lie above or below that spread, and "unresolved" otherwise:
+per case each pair's change/parent ratios, and ``outputs_equal``: whether
+every change pass wrote its parent's outputs. Per case and metric, the run
+records each side's quartiles (median included), the pairs in which the
+change was above and below the parent (ties count for neither), and a
+verdict from this run's pairs alone: "higher" or "lower" when the change
+is so in at least 9 of every 10 pairs and the two medians differ by more
+than the parent's interquartile range, "unresolved" otherwise:
 
-    python scripts/bench.py store --parent ../parent/src --change ../parent/src \\
-        --run parent_over_parent
     python scripts/bench.py store --parent ../parent/src --change src
     python scripts/bench.py eval --parent ../parent/src --change src
 """
@@ -63,7 +62,6 @@ REPO = Path(__file__).resolve().parent.parent
 PERFBENCH = REPO / "perfbench"
 SEED = 1
 PAIRS = 10
-SAME_TREE_RUN = "parent_over_parent"
 QUESTIONS = 100
 TURNS = 0  # corpus turns; 0 keeps EvalRtt's
 DELAY = True  # wait per call as eval-rtt does
@@ -231,10 +229,28 @@ def run_pass(mode: str, src: str, case: dict, workdir: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def compare(parent: list, change: list) -> dict:
+    """Each side's quartiles, the pairs in which the change was above and
+    below the parent, and the verdict by the rule above."""
+    sides = {side: dict(zip(("q1", "median", "q3"), statistics.quantiles(values, n=4)))
+             for side, values in (("parent", parent), ("change", change))}
+    above = sum(c > p for p, c in zip(parent, change))
+    below = sum(c < p for p, c in zip(parent, change))
+    gap = sides["change"]["median"] - sides["parent"]["median"]
+    spread = sides["parent"]["q3"] - sides["parent"]["q1"]
+    verdict = "unresolved"
+    if 10 * above >= 9 * len(parent) and gap > spread:
+        verdict = "higher"
+    elif 10 * below >= 9 * len(parent) and -gap > spread:
+        verdict = "lower"
+    return {**sides, "above": above, "below": below, "verdict": verdict}
+
+
 def alternate(mode: str, parent: str, change: str, workdir: str) -> dict:
     """Per case, PAIRS pairs of a parent and a change pass, the parent first
-    in every other pair, with each pair's change/parent ratios, their median
-    and range, and whether every change pass wrote its parent's outputs."""
+    in every other pair, with each pair's change/parent ratios, each
+    metric's ``compare``, and whether every change pass wrote its parent's
+    outputs."""
     metrics, cases, equal = MODES[mode].metrics, {}, True
     sides = [("parent", parent), ("change", change)]
     for name, case in MODES[mode].cases().items():
@@ -247,23 +263,16 @@ def alternate(mode: str, parent: str, change: str, workdir: str) -> dict:
                                                    ("pair", "side", *metrics)}}), flush=True)
         by_pair = [{p["side"]: p for p in passes if p["pair"] == pair}
                    for pair in range(PAIRS)]
-        ratios = {key: [round(two["change"][key] / two["parent"][key], 4)
-                        for two in by_pair] for key in metrics}
-        cases[name] = {"case": case, "passes": passes, "pair_ratios": ratios,
-                       "change_over_parent": {key: {"median": statistics.median(values),
-                                                    "min": min(values), "max": max(values)}
-                                              for key, values in ratios.items()}}
+        cases[name] = {
+            "case": case, "passes": passes,
+            "pair_ratios": {key: [round(two["change"][key] / two["parent"][key], 4)
+                                  for two in by_pair] for key in metrics},
+            "metrics": {key: compare([two["parent"][key] for two in by_pair],
+                                     [two["change"][key] for two in by_pair])
+                        for key in metrics}}
         equal &= all(two["change"]["outputs_sha256"] == two["parent"]["outputs_sha256"]
                      for two in by_pair)
     return {"cases": cases, "outputs_equal": equal}
-
-
-def verdict(ratios: dict, same_tree: dict) -> str:
-    """"higher" or "lower" when all of a run's pair ratios lie above or below
-    a parent_over_parent run's range of them, else "unresolved"."""
-    if ratios["min"] > same_tree["max"]:
-        return "higher"
-    return "lower" if ratios["max"] < same_tree["min"] else "unresolved"
 
 
 def main(argv=None) -> int:
@@ -272,28 +281,14 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="the parent's source tree")
     parser.add_argument("--change", default=str(REPO / "src"),
                         help="the changed source tree (default: this checkout's)")
-    parser.add_argument("--run", default="change_over_parent",
-                        help=f"the run's name in --out; {SAME_TREE_RUN} for a tree "
-                             f"against itself")
+    parser.add_argument("--run", default="change_over_parent", help="the run's name in --out")
     parser.add_argument("--out", help="the runs' JSON file (default: BENCH_<mode>.json)")
     args = parser.parse_args(argv)
-    if args.run == SAME_TREE_RUN and \
-            Path(args.parent).resolve() != Path(args.change).resolve():
-        parser.error(f"--run {SAME_TREE_RUN} measures one tree against itself, "
-                     f"but --parent and --change are different directories")
     with tempfile.TemporaryDirectory() as tmp:
         result = alternate(args.mode, args.parent, args.change, tmp)
     out = Path(args.out or REPO / f"BENCH_{args.mode}.json")
     runs = json.loads(out.read_text()).get("runs", {}) if out.exists() else {}
     runs[args.run] = {"pairs": PAIRS, **result}
-    same_tree = runs.get(SAME_TREE_RUN, {}).get("cases", {})
-    for name, run in runs.items():
-        if name != SAME_TREE_RUN and same_tree:
-            run["verdicts"] = {
-                case: {key: verdict(found["change_over_parent"][key],
-                                    same_tree[case]["change_over_parent"][key])
-                       for key in MODES[args.mode].metrics}
-                for case, found in run["cases"].items() if case in same_tree}
     doc = {"python": platform.python_version(), "numpy": np.__version__,
            "machine": platform.machine(), "seed": SEED, "runs": runs}
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -26,7 +26,7 @@ REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "tests" / "data"
 sys.path.insert(0, str(REPO / "src"))
 
-from trimem.corpus import window_count  # noqa: E402
+from trimem.corpus import SegmentationConfig, load_corpus, segment  # noqa: E402
 from trimem.prompts import seed_prompts  # noqa: E402
 
 TOTAL_TURNS = 300
@@ -149,12 +149,6 @@ def make_corpus() -> dict:
     return {"corpus_id": "fixture-300", "sessions": sessions}
 
 
-def window_spans(total=TOTAL_TURNS, size=40, stride=38):
-    """Each window's first and last turn id, as ``corpus.segment`` cuts them."""
-    return [(start + 1, min(total, start + size))
-            for start in range(0, window_count(total, size, stride) * stride, stride)]
-
-
 PROFILE_TEXT = {
     "Ethan": (
         "Entity: Ethan\n"
@@ -272,11 +266,12 @@ FLIP_QUESTION = "Would Maya enjoy a weekend trip to a national park?"
 def base_rules() -> list[dict]:
     rules = []
     # extraction replies, one sticky rule per window, anchored to the
-    # window's opening line so overlapping windows cannot cross-match
-    for first, last in window_spans():
-        entries = [fact_entry(t) for t in range(first, last + 1) if is_fact_turn(t)]
+    # window's opening line so overlapping windows cannot cross-match;
+    # the windows are those ``segment`` cuts from the corpus main wrote
+    for window in segment(load_corpus(DATA / "corpus.json"), SegmentationConfig()):
+        entries = [fact_entry(t) for t in window.turn_ids if is_fact_turn(t)]
         rules.append({
-            "contains": ["[Current Window Dialogues]\n[ID:%d]" % first],
+            "contains": ["[Current Window Dialogues]\n[ID:%d]" % window.first_turn],
             "response": json.dumps(entries, indent=2),
             "sticky": True,
         })

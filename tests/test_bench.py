@@ -9,6 +9,7 @@ with no delay per call.
 import importlib.util
 import json
 import re
+import statistics
 from pathlib import Path
 
 import pytest
@@ -47,26 +48,66 @@ def test_bench_store_measures_the_current_store_layout(tmp_path):
 def test_bench_alternates_parent_and_change_and_compares_outputs(mode, small, tmp_path):
     small(mode)
     out = tmp_path / "bench.json"
-    for run in ("parent_over_parent", "change_over_parent"):
+
+    def runs_after(run):
         assert bench.main([mode, "--parent", SRC, "--change", SRC, "--run", run,
                            "--out", str(out)]) == 0
-    runs = json.loads(out.read_text())["runs"]
-    result = runs["change_over_parent"]
+        return json.loads(out.read_text())["runs"]
+
+    first = runs_after("first")["first"]
+    runs = runs_after("second")
+    assert runs["first"] == first  # a later run leaves an earlier one as it was
     case = next(iter(bench.MODES[mode].cases()))
-    assert list(result["cases"]) == [case]
-    passes, ratios = result["cases"][case]["passes"], result["cases"][case]["pair_ratios"]
-    assert [p["side"] for p in passes] == ["parent", "change", "change", "parent"]
-    assert result["outputs_equal"] is True
-    if mode == "eval":
-        assert [p["questions"] for p in passes] == [5] * 4
-        assert ratios["calls_per_question"] == ratios["tokens_per_question"] == [1.0, 1.0]
-    else:
-        assert [p["entries"] for p in passes] == [300] * 4
-        assert ratios["store_bytes"] == [1.0, 1.0]
-    assert set(result["verdicts"][case]) == set(bench.MODES[mode].metrics)
-    assert set(result["verdicts"][case].values()) <= {"higher", "lower", "unresolved"}
-    assert "verdicts" not in runs["parent_over_parent"]
+    for result in runs.values():
+        assert list(result["cases"]) == [case]
+        found = result["cases"][case]
+        passes, ratios = found["passes"], found["pair_ratios"]
+        assert [p["side"] for p in passes] == ["parent", "change", "change", "parent"]
+        assert result["outputs_equal"] is True
+        if mode == "eval":
+            assert [p["questions"] for p in passes] == [5] * 4
+            assert ratios["calls_per_question"] == ratios["tokens_per_question"] == [1.0, 1.0]
+            count = found["metrics"]["calls_per_question"]
+        else:
+            assert [p["entries"] for p in passes] == [300] * 4
+            assert ratios["store_bytes"] == [1.0, 1.0]
+            count = found["metrics"]["store_bytes"]
+        assert (count["above"], count["below"], count["verdict"]) == (0, 0, "unresolved")
+        assert set(found["metrics"]) == set(bench.MODES[mode].metrics)
+        for key, metric in found["metrics"].items():
+            assert metric["parent"]["median"] == statistics.median(
+                p[key] for p in passes if p["side"] == "parent")
+            assert metric["above"] + metric["below"] <= 2
+            assert metric["verdict"] in {"higher", "lower", "unresolved"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json"]
+
+
+PARENT = [10, 11, 12, 13, 14] * 2  # quartiles 10.75 and 13.25, median 12
+
+
+@pytest.mark.parametrize("change, verdict", [
+    ([2 * p for p in PARENT], "higher"),
+    ([p / 2 for p in PARENT], "lower"),
+    # nine pairs one way, one 2.92x outlier pair the other
+    ([2 * p for p in PARENT[:9]] + [PARENT[9] / 2.92], "higher"),
+    ([p / 2 for p in PARENT[:9]] + [PARENT[9] * 2.92], "lower"),
+    # eight pairs one way is too few, however wide the gap
+    ([2 * p for p in PARENT[:8]] + [p / 2 for p in PARENT[8:]], "unresolved"),
+    # every pair one way, but the medians 1 apart, inside the parent's quartiles
+    ([p + 1 for p in PARENT], "unresolved"),
+    # every pair tied, as a count metric's are
+    (list(PARENT), "unresolved"),
+], ids=["all-above", "all-below", "nine-above", "nine-below", "eight-above",
+        "gap-inside-quartiles", "all-tied"])
+def test_a_verdict_needs_nine_pairs_in_ten_and_a_gap_past_the_parents_quartiles(
+        change, verdict):
+    found = bench.compare(PARENT, change)
+    assert found["verdict"] == verdict
+    assert (found["parent"]["q1"], found["parent"]["median"], found["parent"]["q3"]) == \
+        (10.75, 12, 13.25)
+    assert found["change"]["median"] == statistics.median(change)
+    assert found["above"] == sum(c > p for p, c in zip(PARENT, change))
+    assert found["below"] == sum(c < p for p, c in zip(PARENT, change))
 
 
 @pytest.mark.parametrize("mode", ["eval", "store"])
@@ -80,18 +121,4 @@ def test_a_pass_that_imports_trimem_from_another_tree_is_refused(mode, small, tm
     refusal = f"pass over {empty} imported trimem from {Path(SRC) / 'trimem'}"
     with pytest.raises(SystemExit, match=re.escape(refusal)):
         bench.main([mode, "--parent", str(empty), "--change", SRC, "--out", str(out)])
-    assert not out.exists()
-
-
-def test_a_same_tree_run_of_two_trees_is_refused_before_any_pass(tmp_path, monkeypatch,
-                                                                  capsys):
-    monkeypatch.setattr(bench, "run_pass", lambda *args: pytest.fail("a pass ran"))
-    other = tmp_path / "other"
-    other.mkdir()
-    out = tmp_path / "bench.json"
-    with pytest.raises(SystemExit) as refused:
-        bench.main(["store", "--parent", str(other), "--change", SRC,
-                    "--run", "parent_over_parent", "--out", str(out)])
-    assert refused.value.code == 2
-    assert "--parent and --change are different directories" in capsys.readouterr().err
     assert not out.exists()
