@@ -278,7 +278,7 @@ def base_rules() -> list[dict]:
     # profile synthesis, sticky per person
     for name, text in PROFILE_TEXT.items():
         rules.append({
-            "contains": [f"Update the persona profile for {name.casefold()}"],
+            "contains": [f"Update the persona profile for {name}"],
             "response": text,
             "sticky": True,
         })

@@ -483,8 +483,8 @@ FLAGS = {
     "--round": {"dest": "prompt_round", "type": int,
                 "help": "prompt round to load (default: latest)"},
     "--k": {"dest": "top_k", "type": int, "help": "retrieval top-K"},
-    "--no-search-plan": {"dest": "use_search_plan", "action": "store_const", "const": False,
-                         "help": "retrieve with the raw question only"},
+    "--no-search-plan": {"dest": "query_cap", "action": "store_const", "const": 1,
+                         "help": "retrieve with the raw question only (query_cap 1)"},
     "--max-calls": {"type": int}, "--max-tokens": {"type": int},
 }
 COMMON_FLAGS = ["--config", "--scripted", "--prompts", "--round", "--k",

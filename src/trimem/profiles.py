@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 
 from .backend import Backend, complete_parsed
 from .errors import ParseFailure
-from .extraction import MemoryEntry, normalize_display, normalize_person_key
+from .extraction import MemoryEntry, normalize_person_key
 from .prompts import render
 
 _SECTION_RE = re.compile(r"^\[([^\]]*[^\]\s][^\]]*)\]\s*(.*)$")  # a label is not blank
@@ -88,7 +88,7 @@ def update_profile(person: str, new_entries: Sequence[MemoryEntry],
                    existing: Optional[EntityProfile],
                    profile_prompt: str, backend: Backend,
                    window_index: int = 0) -> EntityProfile:
-    """Synthesize the complete replacement profile for one person.
+    """Synthesize the replacement profile for person, named as the first new entry names them.
 
     With zero new entries no model call is made and the existing profile is
     returned unchanged. Output with no ``Entity:`` header or no populated
@@ -99,7 +99,8 @@ def update_profile(person: str, new_entries: Sequence[MemoryEntry],
             raise ValueError("no existing profile and no new entries")
         return existing
 
-    display = normalize_display(person)
+    display = next(name for e in new_entries for name in sorted(e.persons)
+                   if normalize_person_key(name) == normalize_person_key(person))
     facts = "\n".join(f"- {e.lossless_restatement}" for e in new_entries)
     existing_text = serialize_profile(existing) if existing else "No profile yet."
     prompt = render(profile_prompt, entity_name=display, facts=facts,

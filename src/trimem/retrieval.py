@@ -62,7 +62,7 @@ def analyze_question(question: str, analysis_prompt: str, backend: Backend) -> d
 
 
 def generate_queries(question: str, plan: dict, query_prompt: str,
-                     backend: Backend, query_cap: int = 3) -> SearchPlan:
+                     backend: Backend, query_cap: int) -> SearchPlan:
     """Produce the deduplicated, capped query list.
 
     The original question is always present and first; the fallback plan
@@ -127,8 +127,8 @@ def retrieve(plan: SearchPlan, store: MemoryStore, config: RetrievalConfig,
 
 def plan_for_question(question: str, prompts: dict[str, str], backend: Backend,
                       config: RetrievalConfig) -> SearchPlan:
-    """Full planning path, or the bare single-query plan when disabled."""
-    if not config.use_search_plan:
+    """Full planning path, or at a query cap of 1 the question alone, with no model call."""
+    if config.query_cap == 1:
         return SearchPlan(original_question=question, queries=(question,))
     plan = analyze_question(question, prompts["question_analysis"], backend)
     return generate_queries(question, plan, prompts["query_generation"],

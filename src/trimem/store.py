@@ -83,8 +83,7 @@ class RetrievalConfig:
     per_query_k: Optional[int] = None  # defaults to top_k
     anchor_count: int = 5
     profile_count: int = 2
-    query_cap: int = 3
-    use_search_plan: bool = True
+    query_cap: int = 3  # 1 searches with the question alone, with no planning call
 
     def __post_init__(self):
         if self.top_k < 1:

@@ -156,8 +156,8 @@ PINNED_TABLES = {
         "sticky": (bool, False)},
     "cli._CONFIG_TYPES": {
         "top_k": (int, 25), "per_query_k": ((int, NONE), None), "anchor_count": (int, 5),
-        "profile_count": (int, 2), "query_cap": (int, 3), "use_search_plan": (bool, True),
-        "window_size": (int, 40), "stride": (int, 38), "corpus": ((str, NONE), None),
+        "profile_count": (int, 2), "query_cap": (int, 3), "window_size": (int, 40),
+        "stride": (int, 38), "corpus": ((str, NONE), None),
         "store_dir": ((str, NONE), None), "prompt_dir": ((str, NONE), None),
         "prompt_round": ((int, NONE), None), "hit_k": (int, 5),
         "api_base": ((str, NONE), None), "api_key": ((str, NONE), None),
@@ -174,16 +174,8 @@ def _types(kind):
     return frozenset(kind) if isinstance(kind, (set, tuple)) else frozenset([kind])
 
 
-def _is_pair(spec) -> bool:
-    """Whether a table value is (kind, default); the store's tables once gave
-    a set of exact types instead, and cli's a bare kind."""
-    return isinstance(spec, tuple) and len(spec) == 2 and not isinstance(spec[1], type)
-
-
-def _comparable(spec, paired: bool):
-    """spec's types, and with paired its default, an empty collection as ()."""
-    if not paired:
-        return _types(spec[0] if _is_pair(spec) else spec)
+def _comparable(spec):
+    """A (kind, default) pair as its kind's types and its default, an empty collection as ()."""
     kind, default = spec
     empty = isinstance(default, (list, tuple, frozenset)) and not default
     return _types(kind), () if empty else default
@@ -196,8 +188,7 @@ def test_derived_field_tables_keep_their_kinds_and_defaults(name):
     pinned = PINNED_TABLES[name]
     assert list(table) == list(pinned)
     for field_name, spec in table.items():
-        paired = _is_pair(spec)
-        assert _comparable(spec, paired) == _comparable(pinned[field_name], paired), field_name
+        assert _comparable(spec) == _comparable(pinned[field_name]), field_name
 
 
 # -- fixture rules -----------------------------------------------------
@@ -778,7 +769,7 @@ REPAIR_SITES = {
         json.dumps({"question_type": "temporal", "minimal_queries_needed": 2}),
         json.dumps({"question_type": "temporal", "minimal_queries_needed": 2.0})),
     "queries-non-string": (
-        lambda b: generate_queries("who?", DEGENERATE_PLAN, "Queries.\n{original_query}", b),
+        lambda b: generate_queries("who?", DEGENERATE_PLAN, "Queries.\n{original_query}", b, 3),
         json.dumps({"queries": ["Ann", "Bob"]}),
         json.dumps({"queries": ["Ann", 5]})),
     "answer": (

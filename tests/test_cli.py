@@ -42,7 +42,7 @@ def build(capsys, store="store", extra=()):
 # every field but the paths, addresses, credential and caps
 OFF_DEFAULT = {
     "window_size": 50, "stride": 30, "top_k": 5, "per_query_k": 3, "anchor_count": 0,
-    "profile_count": 0, "query_cap": 1, "use_search_plan": False, "corpus": "c.json",
+    "profile_count": 0, "query_cap": 1, "corpus": "c.json",
     "store_dir": "s", "prompt_dir": "p", "prompt_round": 1, "hit_k": 3,
     "api_base": "http://localhost:9/v1", "api_key": "secret", "model_tag": "m",
     "senior_model_tag": "sm", "embedding_model": "e", "scripted_fixture": "f.jsonl",
@@ -157,7 +157,7 @@ def test_unknown_config_key_is_usage_error(work_dir, capsys, monkeypatch):
 BAD_CONFIGS = {
     "top-level-a-list": [1],
     "window-size-a-float": {"window_size": 40.5},
-    "use-search-plan-a-string": {"use_search_plan": "no"},
+    "query-cap-a-bool": {"query_cap": True},
     "top-k-a-bool": {"top_k": True},
     "hit-k-negative": {"hit_k": -1},
     "prompt-round-a-string": {"prompt_round": "1"},
@@ -183,8 +183,7 @@ def test_bad_config_file_is_one_json_usage_error(work_dir, capsys, case):
 
 def test_config_file_takes_null_for_an_optional_field(work_dir, capsys):
     (work_dir / "conf.json").write_text(json.dumps(
-        {"per_query_k": None, "use_search_plan": False, "window_size": 30,
-         "stride": 30}))
+        {"per_query_k": None, "query_cap": 1, "window_size": 30, "stride": 30}))
     code, out, _ = run(capsys, "ingest", "--corpus", "corpus.json",
                        "--config", "conf.json")
     assert code == EXIT_OK
@@ -202,7 +201,7 @@ COMMON_OPTIONS = [
     ("--prompts", "prompt_dir", None, STORE, None, False),
     ("--round", "prompt_round", int, STORE, None, False),
     ("--k", "top_k", int, STORE, None, False),
-    ("--no-search-plan", "use_search_plan", None, "_StoreConstAction", None, False),
+    ("--no-search-plan", "query_cap", None, "_StoreConstAction", None, False),
     ("--max-calls", "max_calls", int, STORE, None, False),
     ("--max-tokens", "max_tokens", int, STORE, None, False),
 ]
@@ -328,7 +327,7 @@ BAD_INPUTS = {
                                   "--out", "sweep"], EXIT_USAGE, "UsageError"),
     # --max-calls 0: a build or model call before the check would exit 3
     "ablate-value-not-json": (["ablate", "--store", "store", "--qa", "qa.jsonl",
-                               "--knob", "use_search_plan", "--values", "true,nope",
+                               "--knob", "query_cap", "--values", "1,nope",
                                "--out", "sweep", "--max-calls", "0"],
                               EXIT_USAGE, "UsageError"),
     "ablate-stride-above-window-size": (["ablate", "--corpus", "corpus.json",
@@ -782,6 +781,49 @@ def test_answer_no_search_plan_uses_single_query(work_dir, capsys):
                        "--scripted", "fixture.jsonl", "--no-search-plan")
     assert code == EXIT_OK
     assert json.loads(out)["queries"] == ["What museum did Ethan visit in March 2024?"]
+
+
+def test_no_search_plan_is_a_query_cap_of_1(work_dir, capsys):
+    # the flag and the config file make one run: its outputs, its hash, no planning call
+    build(capsys)
+    (work_dir / "conf.json").write_text(json.dumps({"query_cap": 1}))
+    outputs = []
+    for out_dir, extra in (("flag", ["--no-search-plan"]), ("conf", ["--config", "conf.json"])):
+        code, _, err = run(capsys, "eval", "--store", "store", "--qa", "qa.jsonl",
+                           "--scripted", "fixture.jsonl", "--out", out_dir, *extra)
+        assert code == EXIT_OK, err
+        report = json.loads((work_dir / out_dir / "report.json").read_text())
+        manifest = json.loads((work_dir / out_dir / "run_manifest.json").read_text())
+        assert report["metadata"]["config_hash"] == "d335572b472ec121"
+        assert manifest["backend_usage"]["calls"] == 24  # 8 questions: embed, answer, verdict
+        outputs.append([(work_dir / out_dir / name).read_bytes()
+                        for name in ("report.json", "detailed_results.jsonl")])
+    assert outputs[0] == outputs[1]
+
+
+def test_ablate_query_cap_1_makes_no_planning_call(work_dir, capsys):
+    build(capsys)
+    code, _, err = run(capsys, "ablate", "--store", "store", "--qa", "qa.jsonl",
+                       "--knob", "query_cap", "--values", "1,3",
+                       "--scripted", "fixture.jsonl", "--out", "sweep")
+    assert code == EXIT_OK, err
+    calls = [json.loads((work_dir / "sweep" / row / "run_manifest.json").read_text())
+             ["backend_usage"]["calls"] for row in ("query_cap_1", "query_cap_3")]
+    assert calls == [24, 40]  # a cap of 3 adds two planning calls per question
+
+
+def test_the_retired_plan_switch_is_no_knob(work_dir, capsys):
+    # the boolean that turned planning off; a query_cap of 1 does that now
+    retired = "_".join(("use", "search", "plan"))
+    (work_dir / "conf.json").write_text(json.dumps({retired: False}))
+    code, out, err = run(capsys, "ingest", "--corpus", "corpus.json", "--config", "conf.json")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err)["message"] == f"unknown config key {retired!r}"
+    code, out, err = run(capsys, "ablate", "--store", "store", "--qa", "qa.jsonl",
+                         "--knob", retired, "--values", "false",
+                         "--out", "sweep", "--max-calls", "0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err)["error"] == "UnknownKnob"
 
 
 def test_eval_writes_report(work_dir, capsys):
@@ -1452,7 +1494,7 @@ def test_ablate_sweeps_engine_knobs_only(work_dir, capsys):
 @pytest.mark.parametrize("knob", [field.name for field in fields(RetrievalConfig)])
 def test_ablate_without_a_store_for_a_knob_that_does_not_rebuild(work_dir, capsys, knob):
     code, out, err = run(capsys, "ablate", "--corpus", "corpus.json", "--qa", "qa.jsonl",
-                         "--knob", knob, "--values", "true" if knob == "use_search_plan" else "5",
+                         "--knob", knob, "--values", "5",
                          "--out", "sweep", "--scripted", "fixture.jsonl", "--max-calls", "0")
     assert (code, out) == (EXIT_USAGE, "")
     assert err.count("\n") == 1
@@ -1500,11 +1542,11 @@ def test_ablate_sweeps_a_granularity_on_the_one_store(work_dir, capsys, data_dir
 def test_ablate_reads_json_values_and_rebuilds_for_a_segmentation_knob(work_dir, capsys):
     build(capsys)
     code, _, _ = run(capsys, "ablate", "--store", "store", "--qa", "qa.jsonl",
-                     "--knob", "use_search_plan", "--values", "true, false",
+                     "--knob", "query_cap", "--values", "1, 3",
                      "--scripted", "fixture.jsonl", "--out", "plan")
     assert code == EXIT_OK
     sweep = json.loads((work_dir / "plan" / "sweep_report.json").read_text())
-    assert [row["value"] for row in sweep["rows"]] == [True, False]
+    assert [row["value"] for row in sweep["rows"]] == [1, 3]
     assert not list((work_dir / "plan").glob("store_*"))
     code, _, _ = run(capsys, "ablate", "--corpus", "corpus.json", "--qa", "qa.jsonl",
                      "--knob", "stride", "--values", "38",

@@ -95,6 +95,23 @@ def extraction_reply(*facts):
                         "source_dialogue_ids": [turn]} for text, turn in facts])
 
 
+def test_the_profile_prompt_names_the_person_as_the_facts_do():
+    # build groups facts by the casefolded key, "ava"; the prompt reads "Ava"
+    corpus = DialogueCorpus("c", (DialogueTurn(turn_id=1, session_id=0, speaker="Ava",
+                                               text="I moved to Rome."),))
+    backend = ScriptedBackend(rules=[
+        FixtureRule(json.dumps([{"lossless_restatement": "Ava moved to Rome.",
+                                 "persons": ["Ava"], "source_dialogue_ids": [1]}]),
+                    contains=("Extract.",)),
+        FixtureRule("Entity: Ava\n[Identity] Lives in Rome.",
+                    contains=("Update the persona profile for Ava based on",)),
+    ])
+    prompts = {"extraction": "Extract.\n{dialogue_text}", "profile": seed_prompts()["profile"]}
+    store = build_store(corpus, prompts, BackendRouter(pipeline=backend))
+    (profile,) = store.profile_history
+    assert (profile.entity_key, profile.display_name) == ("ava", "Ava")
+
+
 def test_a_repeated_restatement_feeds_its_profile_only_in_its_first_window():
     corpus = DialogueCorpus("c", tuple(
         DialogueTurn(turn_id=i, session_id=0, speaker="Alice", text=f"t{i}")
@@ -108,7 +125,7 @@ def test_a_repeated_restatement_feeds_its_profile_only_in_its_first_window():
         FixtureRule(extraction_reply(("Alice adopted a cat.", 6)),
                     contains=("Extract.", "[ID:5]")),
         FixtureRule("Entity: Alice\n[Identity] Lives in Rome.",
-                    contains=("Profile alice",), sticky=True),
+                    contains=("Profile Alice",), sticky=True),
     ])
     prompts = {"extraction": "Extract.\n{dialogue_text}",
                "profile": "Profile {entity_name}.\n{facts}"}
@@ -116,8 +133,8 @@ def test_a_repeated_restatement_feeds_its_profile_only_in_its_first_window():
                         SegmentationConfig(window_size=2, stride=2))
 
     profile_prompts = [p for p in backend.request_log if p.startswith("Profile")]
-    assert profile_prompts == ["Profile alice.\n- Alice moved to Rome.",
-                               "Profile alice.\n- Alice adopted a cat."]
+    assert profile_prompts == ["Profile Alice.\n- Alice moved to Rome.",
+                               "Profile Alice.\n- Alice adopted a cat."]
     assert [(p.version, p.window) for p in store.profile_history] == \
         [(1, 1), (2, 2)]
     assert [(e.lossless_restatement, e.origin_window, sorted(e.source_dialogue_ids))
@@ -131,7 +148,7 @@ def test_a_profile_that_repeats_a_label_loads_as_it_was_built(tmp_path):
     backend = ScriptedBackend(rules=[
         FixtureRule(extraction_reply(("Alice plays chess.", 1)), contains=("Extract.",)),
         FixtureRule("Entity: Alice\n[Interests] chess\n[Career] nurse\n"
-                    "[Interests] hiking", contains=("Profile alice",)),
+                    "[Interests] hiking", contains=("Profile Alice",)),
     ])
     prompts = {"extraction": "Extract.\n{dialogue_text}",
                "profile": "Profile {entity_name}.\n{facts}"}

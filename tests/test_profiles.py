@@ -168,7 +168,7 @@ def test_update_profile_without_existing_requires_entries():
 
 def test_update_profile_versions_increment():
     backend = ScriptedBackend(rules=[
-        FixtureRule(response=PROFILE_REPLY, contains=("alice",), sticky=True)])
+        FixtureRule(response=PROFILE_REPLY, contains=("profile for Alice",), sticky=True)])
     v1 = update_profile("alice", [entry("Alice moved.", ["Alice"])], None,
                         PROFILE_PROMPT, backend, window_index=1)
     assert (v1.version, v1.window) == (1, 1)
@@ -181,7 +181,7 @@ def test_update_profile_versions_increment():
 
 
 def test_a_fact_holding_a_slot_reaches_the_profile_prompt_as_written():
-    backend = ScriptedBackend(rules=[FixtureRule(response=PROFILE_REPLY, contains=("alice",))])
+    backend = ScriptedBackend(rules=[FixtureRule(response=PROFILE_REPLY, contains=("profile for Alice",))])
     existing = EntityProfile(entity_key="alice", display_name="Alice",
                              sections={"Identity": "Traveler."}, version=1)
     update_profile("alice", [entry("Alice wrote {existing_profile} on a card.", ["Alice"])],
@@ -193,8 +193,8 @@ def test_a_fact_holding_a_slot_reaches_the_profile_prompt_as_written():
 
 def test_update_profile_repair_retry():
     backend = ScriptedBackend(rules=[
-        FixtureRule(response="no labels at all", contains=("alice",)),
-        FixtureRule(response=PROFILE_REPLY, contains=("alice",)),
+        FixtureRule(response="no labels at all", contains=("profile for Alice",)),
+        FixtureRule(response=PROFILE_REPLY, contains=("profile for Alice",)),
     ])
     result = update_profile("alice", [entry("x", ["Alice"])], None,
                             PROFILE_PROMPT, backend)

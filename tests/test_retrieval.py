@@ -97,7 +97,7 @@ def test_analyze_question_falls_back_on_malformed_field(field, value):
 def test_generate_queries_falls_back_on_malformed_field():
     backend = ScriptedBackend(rules=[FixtureRule(
         response='{"queries": ["a", 5]}', contains=("targeted",), sticky=True)])
-    plan = generate_queries("who?", DEGENERATE_PLAN, QUERY_PROMPT, backend)
+    plan = generate_queries("who?", DEGENERATE_PLAN, QUERY_PROMPT, backend, query_cap=3)
     assert plan.queries == ("who?",)
     assert len(backend.request_log) == 2  # the reply and its one repair
 
@@ -142,16 +142,16 @@ def test_generate_queries_full_fallback():
     backend = ScriptedBackend(rules=[
         FixtureRule(response="garbage", contains=("",), sticky=True)])
     plan = generate_queries("who?", DEGENERATE_PLAN, QUERY_PROMPT,
-                            backend)
+                            backend, query_cap=3)
     assert plan.queries == ("who?",)
     # the first reply and its one repair; nothing else is asked
     assert backend.usage.calls == 2
 
 
-def test_plan_for_question_disabled_search_plan():
+def test_plan_for_question_at_query_cap_1_makes_no_call():
+    # a cap of 1 keeps only the question, so neither planning call is made
     backend = ScriptedBackend()  # would raise on any chat call
-    config = RetrievalConfig(use_search_plan=False)
-    plan = plan_for_question("q?", PROMPTS, backend, config)
+    plan = plan_for_question("q?", PROMPTS, backend, RetrievalConfig(query_cap=1))
     assert plan.queries == ("q?",)
     assert backend.usage.calls == 0
 

@@ -64,7 +64,6 @@ def test_retrieval_config_defaults():
     assert (config.top_k, config.anchor_count, config.profile_count,
             config.query_cap) == (25, 5, 2, 3)
     assert config.effective_per_query_k == 25
-    assert config.use_search_plan
 
 
 def test_retrieval_config_validation():
