@@ -14,10 +14,10 @@ script reproduces identical bytes.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
-import os
 import shutil
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +26,7 @@ REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "tests" / "data"
 sys.path.insert(0, str(REPO / "src"))
 
+from trimem import cli  # noqa: E402
 from trimem.corpus import SegmentationConfig, load_corpus, segment  # noqa: E402
 from trimem.prompts import seed_prompts  # noqa: E402
 
@@ -385,21 +386,17 @@ def write_jsonl(path: Path, records) -> None:
 
 
 def make_golden() -> None:
-    """Freeze report.json by running build + eval through the CLI."""
+    """Freeze report.json by running build + eval through the checkout's CLI,
+    in this process; neither file holds a path, so where they run is free."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name in ("corpus.json", "fixture.jsonl", "qa.jsonl"):
-            shutil.copy(DATA / name, tmp / name)
-        env_cmd = [sys.executable, "-m", "trimem.cli"]
-        # run the checkout's engine, installed or not
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
-        subprocess.run(env_cmd + ["build", "--corpus", "corpus.json",
-                                  "--store", "store", "--scripted", "fixture.jsonl"],
-                       cwd=tmp, env=env, check=True, capture_output=True)
-        subprocess.run(env_cmd + ["eval", "--store", "store", "--qa", "qa.jsonl",
-                                  "--scripted", "fixture.jsonl", "--out", "eval"],
-                       cwd=tmp, env=env, check=True, capture_output=True)
+        for argv in (["build", "--corpus", DATA / "corpus.json", "--store", tmp / "store"],
+                     ["eval", "--store", tmp / "store", "--qa", DATA / "qa.jsonl",
+                      "--out", tmp / "eval"]):
+            with contextlib.redirect_stdout(io.StringIO()):  # drop the result object it prints
+                code = cli.main([*map(str, argv), "--scripted", str(DATA / "fixture.jsonl")])
+            if code:
+                raise SystemExit(f"trimem {argv[0]} exited {code}")
         shutil.copy(tmp / "eval" / "report.json", DATA / "golden_report.json")
         shutil.copy(tmp / "eval" / "detailed_results.jsonl",
                     DATA / "golden_detailed.jsonl")

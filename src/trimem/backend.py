@@ -348,8 +348,8 @@ class Backend:
         raise NotImplementedError
 
 
-def hash_embedding(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
-    """Deterministic unit vector derived from the text content.
+def hash_embedding(text: str) -> np.ndarray:
+    """Deterministic unit vector of ``DEFAULT_EMBED_DIM`` derived from the text content.
 
     Bytes come from chained SHA-256 digests of ``text || counter``, mapped
     to floats in [-1, 1] and L2-normalized. Stable across platforms and
@@ -357,8 +357,8 @@ def hash_embedding(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
     """
     raw = text.encode("utf-8")
     digests = b"".join(hashlib.sha256(raw + b"\x00" + str(counter).encode()).digest()
-                       for counter in range((dim + 7) // 8))
-    vec = np.frombuffer(digests, dtype=">u4")[:dim] / 2147483648.0 - 1.0
+                       for counter in range((DEFAULT_EMBED_DIM + 7) // 8))
+    vec = np.frombuffer(digests, dtype=">u4")[:DEFAULT_EMBED_DIM] / 2147483648.0 - 1.0
     return (vec / np.linalg.norm(vec)).astype(np.float32)
 
 
@@ -415,7 +415,7 @@ class ScriptedBackend(Backend):
                     rec.update((name, [rec[name]]) for name in ("contains", "not_contains")
                                if isinstance(rec.get(name), str))
                 rule = read_object(rec, _FIXTURE_FIELDS)
-            except ValueError as exc:  # a JSON or UTF-8 decode error is a ValueError
+            except (ValueError, RecursionError) as exc:  # JSON, UTF-8 or nesting fault
                 raise TransportError(f"{path}:{line_no}: bad fixture record: {exc}")
             rules.append(FixtureRule(rule["response"], tuple(rule["contains"]),
                                      tuple(rule["not_contains"]), rule["sticky"]))
@@ -487,7 +487,7 @@ class HttpBackend(Backend):
             raise TransportError(f"{url}: HTTP {resp.status_code}: {resp.text[:200]}")
         try:
             return resp.json()
-        except ValueError:
+        except (ValueError, RecursionError):
             raise TransportError(f"{url}: reply is not JSON: {resp.text[:200]}")
 
     def _complete(self, request: ChatRequest) -> str:

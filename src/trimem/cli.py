@@ -109,7 +109,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if config_path:
         try:
             values = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # not UTF-8, or not JSON
+        except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
             raise errors.UsageError(f"bad config file {config_path}: {exc}")
         if not isinstance(values, dict):
             raise errors.UsageError(f"bad config file {config_path}: not a JSON object")
@@ -247,7 +247,7 @@ def load_qa_set(path) -> list[QaItem]:
                 where = f"{path}:{number}"
                 if line.strip():
                     items.append(QaItem.from_dict(json.loads(line)))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # a bad record, JSON or nesting
         raise errors.MalformedDocument(f"{where}: bad QA record: {exc}")
     return items
 
@@ -396,7 +396,7 @@ def cmd_ablate(args, config: RunConfig) -> dict:
             f"unknown knob {knob!r}; choose from {sorted(ABLATION_KNOBS)}")
     try:
         values = [json.loads(raw) for raw in args.values.split(",")]
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         values = None
     if values is None or not all(has_type(v, _CONFIG_TYPES[knob][0]) for v in values):
         raise errors.UsageError(

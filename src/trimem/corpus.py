@@ -96,6 +96,8 @@ def load_corpus(path) -> DialogueCorpus:
         doc = json.loads(read_input(path).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except RecursionError as exc:  # nested too deep to decode
+        raise MalformedDocument(f"{path}: invalid JSON: {exc}")
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"{path}: not UTF-8: {exc}")
 

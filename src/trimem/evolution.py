@@ -190,7 +190,7 @@ def replay_gradients(prompt_dir) -> list[PromptSet]:
                 raise ValueError(f"a JSON {type(rec).__name__}, not an object")
             if not rec.get("no_op"):
                 rec = _read_gradient(rec)
-        except (ValueError, ParseFailure) as exc:  # JSON and UTF-8 faults are ValueErrors
+        except (ValueError, RecursionError, ParseFailure) as exc:  # JSON, UTF-8, nesting
             raise ParseFailure(f"{log_path} line {number}: {exc}")
         current = apply_gradient(current, rec)
         trajectory.append(current)

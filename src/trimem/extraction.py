@@ -22,10 +22,8 @@ logger = logging.getLogger(__name__)
 
 PRONOUNS = frozenset({"he", "she", "it", "they", "this", "that"})
 
-# timestamp shapes entry_from_record will coerce to full ISO 8601
-_DATE_ONLY = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-_DATE_HM = re.compile(r"^\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}$")
-_DATE_HMS = re.compile(r"^\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}")
+# an event time's date, then its HH:MM and :SS, each if given
+_DATE_TIME = re.compile(r"(\d{4}-\d{2}-\d{2})(?:[T ](\d{2}:\d{2})(:\d{2})?)?")
 
 
 @dataclass(frozen=True)
@@ -56,15 +54,14 @@ normalize_display = restatement_key
 
 def _coerce_event_time(value: str) -> Optional[str]:
     value = value.strip()
-    if _DATE_ONLY.match(value):
-        value += "T00:00:00"
-    elif _DATE_HM.match(value):
-        value += ":00"
+    shape = _DATE_TIME.match(value)
+    if shape and not shape[3] and shape.end() == len(value):  # a whole date, or date and HH:MM
+        value = f"{shape[1]}T{shape[2] or '00:00'}:00"
     try:
         datetime.fromisoformat(value)
     except ValueError:
         return None
-    if _DATE_HMS.match(value):  # "T" between date and time, no space before an offset
+    if shape and shape[3]:  # "T" between date and time, no space before an offset
         return value[:10] + "T" + value[11:].replace(" ", "")
     return value
 

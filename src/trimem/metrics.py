@@ -46,17 +46,17 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(prediction: str, reference: str, max_n: int = 4) -> float:
+def bleu(prediction: str, reference: str) -> float:
     """Smoothed sentence BLEU with add-one smoothing on zero n-gram counts.
 
-    Uniform weights over n = 1..min(max_n, |prediction|); standard brevity
+    Uniform weights over n = 1..min(4, |prediction|); standard brevity
     penalty. Empty prediction scores 0.0.
     """
     pred = normalize_tokens(prediction)
     ref = normalize_tokens(reference)
     if not pred or not ref:
         return 0.0
-    top_n = min(max_n, len(pred))
+    top_n = min(4, len(pred))
     log_precision = 0.0
     for n in range(1, top_n + 1):
         pred_ngrams = _ngram_counts(pred, n)

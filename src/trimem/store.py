@@ -477,7 +477,7 @@ class MemoryStore:
                 raise SchemaVersionMismatch(
                     f"store schema {version} != {SCHEMA_VERSION}; {REBUILD}")
             manifest = read_object(manifest, _MANIFEST_FIELDS)
-        except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        except (OSError, ValueError, RecursionError) as exc:  # a file, JSON or nesting fault
             raise StoreIOError(f"{manifest_path}: {exc}")
 
         try:
@@ -510,7 +510,8 @@ class MemoryStore:
                           enumerate(zip(*entries.values()), 1)], lambda: vectors)
             for profile in itertools.starmap(EntityProfile, zip(*profiles.values())):
                 store.add_profile(profile)
-        except (OSError, EOFError, zlib.error, KeyError, TypeError, ValueError) as exc:
+        except (OSError, EOFError, zlib.error, KeyError, TypeError, ValueError,
+                RecursionError) as exc:
             hint = "" if isinstance(exc, OSError) else f"; {REBUILD}"  # a data fault, not a disk's
             raise StoreIOError(f"{path}: {type(exc).__name__}: {exc}{hint}")
         if manifest["sealed"]:

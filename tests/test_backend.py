@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from trimem.backend import (
+    DEFAULT_EMBED_DIM,
     EMBED_BATCH,
     REQUIRED,
     Backend,
@@ -64,10 +65,10 @@ def test_hash_embedding_distinct_texts_differ():
     assert not np.array_equal(hash_embedding("hello"), hash_embedding("world"))
 
 
-def test_hash_embedding_custom_dim():
-    v = hash_embedding("x", dim=16)
-    assert v.shape == (16,)
-    assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-6
+def test_hash_embedding_is_the_scripted_backends_row():
+    v = hash_embedding("x")
+    assert v.shape == (DEFAULT_EMBED_DIM,)
+    assert ScriptedBackend().embed(["x"])[0].tobytes() == v.tobytes()
 
 
 def test_hash_embedding_platform_stable_golden():
@@ -425,14 +426,15 @@ class ProviderHandler(http.server.BaseHTTPRequestHandler):
     connection, with Nagle's algorithm off so that a reply is not held back.
     Each POST is logged in ``posts`` as (path, Authorization header). It
     takes its status and headers from the front of ``script`` while that
-    lasts, and is otherwise a 200 with a well-formed body. A status of None
-    sends nothing until ``release`` is set."""
+    lasts, and is otherwise a 200 with a well-formed body, or with ``body``'s
+    bytes when set. A status of None sends nothing until ``release`` is set."""
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
     connections: list = []
     posts: list = []
     script: list = []
     release = threading.Event()
+    body = None
 
     def setup(self):
         super().setup()
@@ -452,7 +454,7 @@ class ProviderHandler(http.server.BaseHTTPRequestHandler):
                              for i in range(len(request["input"]))]}
         else:
             body = {"choices": [{"message": {"content": "ok"}}]}
-        data = json.dumps(body).encode()
+        data = self.body or json.dumps(body).encode()
         self.send_response(status)
         for name, value in {**headers, "Content-Type": "application/json",
                             "Content-Length": str(len(data))}.items():
@@ -550,6 +552,16 @@ def test_http_backend_gives_up_on_a_stalled_reply(provider, waits, monkeypatch):
     assert time.monotonic() - started < 5
     assert len(ProviderHandler.posts) == 3
     assert backend.usage.calls == 0
+
+
+@pytest.mark.parametrize("call", [lambda b: b.complete(ChatRequest(prompt="q")),
+                                  lambda b: b.embed(["a"])], ids=["chat", "embeddings"])
+def test_http_backend_refuses_a_reply_nested_too_deep(provider, monkeypatch, call):
+    monkeypatch.setattr(ProviderHandler, "body", b"[" * 10_000 + b"]" * 10_000)
+    backend = HttpBackend(provider)
+    with pytest.raises(TransportError, match="reply is not JSON"):
+        call(backend)
+    backend._session.close()
 
 
 def test_http_backend_gives_up_on_a_refused_connection(monkeypatch, waits):

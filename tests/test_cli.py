@@ -409,6 +409,41 @@ def test_bad_input_is_one_json_error(work_dir, capsys, case):
     assert json.loads(err)["error"] == want_error
 
 
+# a JSON array nested 10,000 levels deep, which json.loads refuses with a RecursionError
+DEEP_JSON = "[" * 10_000 + "]" * 10_000
+# each input file that holds DEEP_JSON, the command that reads it, and what it exits with
+DEEP_INPUTS = {
+    "corpus": ("deep.json", ["ingest", "--corpus", "deep.json"], EXIT_DATA, "MalformedDocument"),
+    "config": ("deep.json", ["ingest", "--corpus", "corpus.json", "--config", "deep.json"],
+               EXIT_USAGE, "UsageError"),
+    "qa-array": ("deep.json", ["eval", "--store", "store", "--qa", "deep.json",
+                               "--scripted", "fixture.jsonl"], EXIT_DATA, "MalformedDocument"),
+    "qa-lines": ("deep.jsonl", ["eval", "--store", "store", "--qa", "deep.jsonl",
+                                "--scripted", "fixture.jsonl"], EXIT_DATA, "MalformedDocument"),
+    "fixture": ("deep.jsonl", ["eval", "--store", "store", "--qa", "qa.jsonl",
+                               "--scripted", "deep.jsonl"], EXIT_BACKEND, "TransportError"),
+    "ablate-values": (None, ["ablate", "--store", "store", "--qa", "qa.jsonl", "--knob",
+                             "top_k", "--values", f"5,{DEEP_JSON}", "--out", "sweep"],
+                      EXIT_USAGE, "UsageError"),
+    "store-manifest": ("store/manifest.json", ["inspect", "--store", "store"],
+                       EXIT_DATA, "StoreIOError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_INPUTS))
+def test_json_nested_too_deep_is_one_json_error(work_dir, capsys, case):
+    name, argv, want_code, want_error = DEEP_INPUTS[case]
+    if name:
+        (work_dir / name).parent.mkdir(exist_ok=True)
+        # a QA file whose text starts with no "[" is read as JSON lines
+        deep = f'{{"deep": {DEEP_JSON}}}' if name == "deep.jsonl" else DEEP_JSON
+        (work_dir / name).write_text(deep + "\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (want_code, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == want_error
+
+
 BAD_COMMAND_LINES = {
     "no-command": [],
     "unknown-command": ["bogus"],

@@ -309,6 +309,14 @@ def test_replay_rejects_a_hand_edited_log_line(tmp_path, edit):
         replay_gradients(tmp_path)
 
 
+def test_replay_names_a_line_nested_too_deep(tmp_path):
+    PromptSet.seed().persist(tmp_path)
+    good = json.dumps({"round": 0, "loss": -0.5, **gradient()})
+    (tmp_path / "gradients.jsonl").write_text(f"{good}\n{'[' * 10_000}{']' * 10_000}\n")
+    with pytest.raises(ParseFailure, match=r"gradients\.jsonl line 2: .*recursion"):
+        replay_gradients(tmp_path)
+
+
 def test_replay_ends_a_line_only_at_a_newline(tmp_path):
     # a JSON string may hold a raw U+2028, which str.splitlines splits at
     PromptSet.seed().persist(tmp_path)

@@ -1,5 +1,7 @@
 import json
+import re
 import tempfile
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,9 +96,57 @@ def test_person_key_normalization():
     ("20240508", "20240508"),
     ("2024-05-08 14:30:15 +00:00", "2024-05-08T14:30:15+00:00"),
     ("2024-05-08T14:30:15 +00:00", "2024-05-08T14:30:15+00:00"),
+    ("2024-05-08T14", "2024-05-08T14"),
+    (" 2024-05-08 ", "2024-05-08T00:00:00"),
+    ("2024-02-30", None),
+    ("2024-05-08T14:30:15.5Z", "2024-05-08T14:30:15.5Z"),
+    # a date and HH:MM with an offset keeps its space: a stored time must stay
+    # what the rule makes of it, so changing this would refuse stores that hold one
+    ("2024-05-08 14:30Z", "2024-05-08 14:30Z"),
+    ("2024-05-08 14:30 +01:00", "2024-05-08 14:30 +01:00"),
 ])
 def test_event_time_coercion(raw, expected):
     assert _coerce_event_time(raw) == expected
+
+
+# the three-pattern coercion that the one-pattern _coerce_event_time replaced
+_DATE_ONLY = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_DATE_HM = re.compile(r"^\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}$")
+_DATE_HMS = re.compile(r"^\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}")
+
+
+def _reference_event_time(value):
+    value = value.strip()
+    if _DATE_ONLY.match(value):
+        value += "T00:00:00"
+    elif _DATE_HM.match(value):
+        value += ":00"
+    try:
+        datetime.fromisoformat(value)
+    except ValueError:
+        return None
+    if _DATE_HMS.match(value):
+        return value[:10] + "T" + value[11:].replace(" ", "")
+    return value
+
+
+# digits, the date-time punctuation, whitespace and a non-ASCII digit that \d matches
+_TIME_CHARS = st.sampled_from("0123456789-: TZ+.\t\n\u0663")
+
+
+# a real date-time cut to a date, HH, HH:MM, seconds or a fraction, then a tail
+_ISO_SHAPES = st.builds(
+    lambda when, sep, cut, tail: when.isoformat(sep)[:cut] + "".join(tail),
+    st.datetimes(), st.sampled_from("T "), st.sampled_from([10, 13, 16, 19, 21, 26]),
+    st.lists(st.sampled_from(["Z", "+01:00", " +01:00", " ", ":15", ".5", "-", "\u0663"]),
+             max_size=2))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.text(), st.text(_TIME_CHARS, max_size=40), _ISO_SHAPES,
+                 st.tuples(_TIME_CHARS, _ISO_SHAPES).map("".join)))
+def test_event_time_coercion_matches_the_three_pattern_reference(value):
+    assert _coerce_event_time(value) == _reference_event_time(value)
 
 
 # -- validation --------------------------------------------------------

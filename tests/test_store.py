@@ -680,6 +680,27 @@ def test_load_refuses_a_dimension_without_rows(tmp_path):
         MemoryStore.load(tmp_path / "s")
 
 
+DEEP_JSON = b"[" * 10_000 + b"]" * 10_000  # past what json.loads can decode
+
+
+def test_load_refuses_a_manifest_nested_too_deep(tmp_path):
+    MemoryStore(turns=make_turns(1)).persist(tmp_path / "s")
+    (tmp_path / "s" / "manifest.json").write_bytes(DEEP_JSON)
+    with pytest.raises(StoreIOError, match="manifest.json: .*recursion"):
+        MemoryStore.load(tmp_path / "s")
+
+
+def test_load_refuses_records_nested_too_deep(tmp_path):
+    MemoryStore(turns=make_turns(1)).persist(tmp_path / "s")
+    records, manifest_path = tmp_path / "s" / "records.json.gz", tmp_path / "s" / "manifest.json"
+    records.write_bytes(gzip.compress(DEEP_JSON))
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sha256"]["records.json.gz"] = hashlib.sha256(records.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(StoreIOError, match="RecursionError: .*trimem build --force"):
+        MemoryStore.load(tmp_path / "s")
+
+
 def test_column_tables_follow_the_field_order():
     """load builds every kind from its columns by position."""
     assert [*_ENTRY_TYPES, "entry_id"] == [f.name for f in fields(MemoryEntry)]
