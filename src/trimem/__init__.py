@@ -5,6 +5,8 @@ facts with embedding retrieval, and synthesized per-person profiles —
 plus a prompt-evolution loop that improves the extraction and profile
 prompts from answer-quality feedback.
 """
+from types import ModuleType as _ModuleType
+
 from .backend import (
     Backend,
     BackendRouter,
@@ -43,49 +45,6 @@ from .store import MemoryStore, RetrievalConfig
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Answer",
-    "Backend",
-    "BackendRouter",
-    "ChatRequest",
-    "DialogueCorpus",
-    "DialogueTurn",
-    "EntityProfile",
-    "EvalRecord",
-    "HttpBackend",
-    "MemoryEntry",
-    "MemoryStore",
-    "PromptSet",
-    "QaItem",
-    "RetrievalConfig",
-    "RetrievedContext",
-    "ScriptedBackend",
-    "SearchPlan",
-    "SegmentationConfig",
-    "TriMemError",
-    "Usage",
-    "Window",
-    "answer",
-    "answer_question",
-    "assemble_context",
-    "best_round",
-    "bleu",
-    "build_report",
-    "build_store",
-    "coverage",
-    "estimate_tokens",
-    "evolve",
-    "extract_entries",
-    "hash_embedding",
-    "hit_at_k",
-    "load_corpus",
-    "plan_for_question",
-    "render_window",
-    "replay_gradients",
-    "retrieve",
-    "run_eval",
-    "segment",
-    "token_f1",
-    "update_profile",
-    "window_count",
-]
+# each public name the imports bind, less the submodules importing binds here too
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -29,7 +29,7 @@ from . import errors
 from .backend import (BackendRouter, HttpBackend, ScriptedBackend, fields_of, has_type,
                       read_input)
 from .corpus import DialogueCorpus, SegmentationConfig, load_corpus, segment
-from .errors import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE  # noqa: F401 (re-exported)
+from .errors import EXIT_OK
 from .extraction import normalize_person_key
 from .evolution import PromptSet, best_round, evolve
 from .metrics import build_report, write_report
@@ -44,7 +44,9 @@ ENV_API_BASE = "TRIMEM_API_BASE"
 ENV_API_KEY = "TRIMEM_API_KEY"
 ENV_CONFIG = "TRIMEM_CONFIG"
 
-EVAL_OUTPUTS = ("report.json", "detailed_results.jsonl", "run_manifest.json")  # an eval's files
+REPORT, DETAILED, RUN_MANIFEST = "report.json", "detailed_results.jsonl", "run_manifest.json"
+EVAL_OUTPUTS = (REPORT, DETAILED, RUN_MANIFEST)  # an eval's files
+SWEEP_REPORT = "sweep_report.json"  # ablate's, beside its rows
 UNHASHED = {"hashed": False}  # a field config_hash omits: it cannot change what a run writes
 EVOLVE_ONLY = {"hashed": "evolve"}  # a field only evolve reads, so only its hash covers
 
@@ -276,7 +278,7 @@ def cmd_ingest(args, config: RunConfig) -> dict:
 
 def cmd_build(args, config: RunConfig) -> dict:
     store_dir = Path(config.store_dir)
-    refuse_squatted(*store_paths(store_dir), store_dir / "run_manifest.json")
+    refuse_squatted(*store_paths(store_dir), store_dir / RUN_MANIFEST)
     if not args.force:
         refuse_non_empty(store_dir, "pass --force to rebuild")
     router = make_router(config)
@@ -284,7 +286,7 @@ def cmd_build(args, config: RunConfig) -> dict:
     prompts = load_prompts(config)
     with store_lock(store_dir):  # the run manifest beside the store it describes
         store = _build_and_persist(config, corpus, prompts, router, store_dir)
-        write_manifest(store_dir / "run_manifest.json", config, prompts.round, router)
+        write_manifest(store_dir / RUN_MANIFEST, config, prompts.round, router)
     return {"store": str(store_dir), "entries": len(store),
             "profiles": len(store.profile_history)}
 
@@ -348,9 +350,8 @@ def _eval_to_dir(config: RunConfig, qa_set: list[QaItem], store: MemoryStore,
     report = build_report(records, evidence=_evidence_by_question(qa_set), hit_k=config.hit_k,
                           metadata={"prompt_round": prompts.round,
                                     "config_hash": config.config_hash()})
-    write_report(report, records, out_dir / "report.json",
-                 out_dir / "detailed_results.jsonl")
-    write_manifest(out_dir / "run_manifest.json", config, prompts.round, router)
+    write_report(report, records, out_dir / REPORT, out_dir / DETAILED)
+    write_manifest(out_dir / RUN_MANIFEST, config, prompts.round, router)
     return report
 
 
@@ -361,7 +362,7 @@ def cmd_eval(args, config: RunConfig) -> dict:
     qa_set = load_qa_set(args.qa)
     store = MemoryStore.load(config.store_dir)
     report = _eval_to_dir(config, qa_set, store, load_prompts(config), out_dir, router)
-    return {"report": str(out_dir / "report.json"), "overall": report["overall"]}
+    return {"report": str(out_dir / REPORT), "overall": report["overall"]}
 
 
 def cmd_evolve(args, config: RunConfig) -> dict:
@@ -380,7 +381,7 @@ def cmd_evolve(args, config: RunConfig) -> dict:
         "prompt_dir": str(out_dir),
     }
     write_json(out_dir / "evolution_summary.json", summary)
-    write_manifest(out_dir / "run_manifest.json", config, best.round, router, "evolve")
+    write_manifest(out_dir / RUN_MANIFEST, config, best.round, router, "evolve")
     return summary
 
 
@@ -413,7 +414,7 @@ def cmd_ablate(args, config: RunConfig) -> dict:
     sweeps = [run_config({**vars(config), knob: value}) for value in values]
     out_dir = Path(args.out)
     rebuilt = row_names if rebuilds else []
-    refuse_squatted(out_dir / "sweep_report.json",
+    refuse_squatted(out_dir / SWEEP_REPORT,
                     *(out_dir / row / name for row in row_names for name in EVAL_OUTPUTS),
                     *(path for row in rebuilt for path in store_paths(out_dir / f"store_{row}")))
     # every input is read once, before --out is made: a row rebuilds from
@@ -435,7 +436,7 @@ def cmd_ablate(args, config: RunConfig) -> dict:
         rows.append({"knob": knob, "value": value,
                      "overall": report["overall"]})
     sweep_report = {"knob": knob, "rows": rows}
-    write_json(out_dir / "sweep_report.json", sweep_report)
+    write_json(out_dir / SWEEP_REPORT, sweep_report)
     return sweep_report
 
 

@@ -6,10 +6,16 @@ enclosing key after each item, also when a body raises; ``Backend._gate``
 counts n, also past a round-trip that raises; a thread starts at the
 default key. An eval whose questions run on a pool of threads, the last
 submitted first, makes the calls a serial eval makes, under the same keys,
-and writes the same records.
+and writes the same report and records: on 4 threads, and on 4 and 8
+threads under five seeded schedules, each of which delays every round-trip
+by 0-3 ms chosen by a hash of the seed and the call's key. A pool that
+returns records in the order they complete writes other records under
+some seed, so the byte comparison sees a mixed-up pool.
 """
+import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import pytest
 
@@ -86,23 +92,35 @@ def test_a_fresh_thread_reads_the_default_key():
     assert seen == [CallKey()] == [(0, "", 0, 1)]
 
 
-def pooled(stage, items, body):
-    """``run_items`` on a pool of 4 threads, the last item submitted first."""
-    round_ = call_key().round
+def pooled(workers, in_completion_order=False):
+    """``run_items`` on a pool of workers threads, the last item submitted
+    first, returning the results in item order or, as a pool that mixes up
+    its records would, in the order they complete."""
+    def run_items(stage, items, body):
+        round_ = call_key().round
 
-    def run(number, item):
-        with call_scope(round=round_, stage=stage, item=number):
-            return body(item)
+        def run(number, item):
+            with call_scope(round=round_, stage=stage, item=number):
+                return body(item)
 
-    numbered = list(enumerate(items, 1))
-    with ThreadPoolExecutor(4) as pool:
-        futures = [pool.submit(run, number, item) for number, item in reversed(numbered)]
-    return [future.result() for future in reversed(futures)]
+        numbered = list(enumerate(items, 1))
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(run, number, item) for number, item in reversed(numbered)]
+            done = as_completed(futures) if in_completion_order else reversed(futures)
+            return [future.result() for future in done]
+    return run_items
 
 
-def keyed_eval(data_dir, store, qa_items, out_dir):
-    """run_eval over the fixture: each call's key -> (kind, prompt), the
-    threads that made them, and the detailed records' bytes as written."""
+def delay(seed, key) -> float:
+    """The sleep in seconds, 0 to 3 ms, before the round-trip keyed key in
+    seed's schedule: a hash of both, so a seed gives the same delays in every run."""
+    return random.Random(f"{seed}/{key}").uniform(0, 3e-3)
+
+
+def keyed_eval(data_dir, store, qa_items, out_dir, seed=None):
+    """run_eval over the fixture, each round-trip after seed's delay, if a
+    seed is given: each call's key -> (kind, prompt), the threads that made
+    them, and the report's and the detailed records' bytes as written."""
     backend = ScriptedBackend.from_fixture_file(data_dir / "fixture.jsonl")
     calls, threads, lock = {}, set(), threading.Lock()
 
@@ -111,6 +129,8 @@ def keyed_eval(data_dir, store, qa_items, out_dir):
             assert key not in calls, f"two calls keyed {key}"
             calls[key] = value
             threads.add(threading.current_thread().name)
+        if seed is not None:
+            time.sleep(delay(seed, key))
 
     real_complete, real_embed = backend._complete, backend._embed
 
@@ -126,20 +146,38 @@ def keyed_eval(data_dir, store, qa_items, out_dir):
     records = pipeline.run_eval(qa_items, store, seed_prompts(),
                                 BackendRouter(pipeline=backend), RetrievalConfig())
     out_dir.mkdir()
-    write_report(build_report(records), records, out_dir / "report.json",
-                 out_dir / "detailed.jsonl")
-    return calls, threads, (out_dir / "detailed.jsonl").read_bytes()
+    outputs = [out_dir / "report.json", out_dir / "detailed_results.jsonl"]
+    write_report(build_report(records), records, *outputs)
+    return calls, threads, [path.read_bytes() for path in outputs]
 
 
 def test_an_eval_on_a_pool_in_reverse_order_keys_and_records_as_a_serial_one(
         data_dir, built_store, qa_items, tmp_path, monkeypatch):
-    serial, serial_threads, serial_records = keyed_eval(
+    serial, serial_threads, serial_outputs = keyed_eval(
         data_dir, built_store, qa_items, tmp_path / "serial")
-    monkeypatch.setattr(pipeline, "run_items", pooled)
-    pooled_calls, pool_threads, pooled_records = keyed_eval(
+    monkeypatch.setattr(pipeline, "run_items", pooled(4))
+    pooled_calls, pool_threads, pooled_outputs = keyed_eval(
         data_dir, built_store, qa_items, tmp_path / "pooled")
     assert serial_threads == {threading.current_thread().name}
     assert threading.current_thread().name not in pool_threads
     assert len(serial) == 40
     assert pooled_calls == serial
-    assert pooled_records == serial_records
+    assert pooled_outputs == serial_outputs
+
+
+def test_an_eval_on_4_and_8_threads_under_seeded_schedules_writes_as_a_serial_one(
+        data_dir, built_store, qa_items, tmp_path, monkeypatch):
+    serial_calls, _, serial_outputs = keyed_eval(data_dir, built_store, qa_items,
+                                                 tmp_path / "serial")
+    mixed_up = []
+    for seed in range(5):
+        for workers in (4, 8):
+            monkeypatch.setattr(pipeline, "run_items", pooled(workers))
+            calls, _, outputs = keyed_eval(data_dir, built_store, qa_items,
+                                           tmp_path / f"{seed}-{workers}", seed)
+            assert (calls, outputs) == (serial_calls, serial_outputs), (seed, workers)
+        # the control: a pool that keeps completion order must show in the outputs
+        monkeypatch.setattr(pipeline, "run_items", pooled(8, in_completion_order=True))
+        mixed_up.append(keyed_eval(data_dir, built_store, qa_items,
+                                   tmp_path / f"{seed}-unordered", seed)[2] != serial_outputs)
+    assert any(mixed_up)

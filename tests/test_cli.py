@@ -17,8 +17,8 @@ import pytest
 
 from trimem import cli, errors
 from trimem.backend import BackendRouter, ChatRequest, HttpBackend, ScriptedBackend
-from trimem.cli import (EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig,
-                        build_parser, load_qa_set, main, make_router, write_manifest)
+from trimem.cli import RunConfig, build_parser, load_qa_set, main, make_router, write_manifest
+from trimem.errors import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE
 from trimem.evolution import PromptSet
 from trimem.qa import estimate_tokens
 from trimem.store import (DATA_FILES, SCHEMA_VERSION, STORE_FILES, MemoryStore, RetrievalConfig,

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trimem.cli import EXIT_DATA, main
+from trimem.cli import main
 from trimem.corpus import (
     DialogueCorpus,
     DialogueTurn,
@@ -16,8 +16,8 @@ from trimem.corpus import (
     segment,
     window_count,
 )
-from trimem.errors import (DuplicateTurnId, EmptyCorpus, MalformedDocument, MissingFile,
-                           StoreIOError)
+from trimem.errors import (EXIT_DATA, DuplicateTurnId, EmptyCorpus, MalformedDocument,
+                           MissingFile, StoreIOError)
 from trimem.store import MemoryStore
 
 

@@ -4,10 +4,13 @@ Every model call of ``trimem build`` on the fixture fails in turn, with
 each fault the backend can raise, and two unreadable chat replies in a row
 (a reply and its one repair). A call is picked by its ``call_key``, so a
 case names the same call in any order the work items run; each case's id
-keeps the call's number in the serial run. Each run must end in the
-fault's documented exit code, a fresh directory must hold no store
-afterwards, and a built store that ``build --force`` was replacing must
-still load, byte for byte.
+keeps the call's number in the serial run. An unfaulted build, eval and
+evolve each make the serial run's calls in its order: window k's
+extraction and profile updates before window k+1's extraction, the
+build's one embed last. Each faulted run must end in the fault's
+documented exit code, a fresh directory must hold no store afterwards,
+and a built store that ``build --force`` was replacing must still load,
+byte for byte.
 A kill at any build call, which no ``except`` of the engine catches, leaves
 that store byte for byte and its ``.lock`` gone.
 Every call of ``trimem eval`` fails in turn the same way: a raised fault
@@ -35,13 +38,15 @@ from pathlib import Path
 import pytest
 
 from trimem.backend import BackendRouter, ScriptedBackend, call_key
-from trimem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, main
-from trimem.errors import AuthError, BudgetExceeded, StoreIOError, TransportError
+from trimem.cli import main
+from trimem.errors import (EXIT_BACKEND, EXIT_DATA, EXIT_OK, AuthError, BudgetExceeded,
+                           StoreIOError, TransportError)
 from trimem.evolution import PromptSet, evolve, replay_gradients
 from trimem.store import STAGED_FILES, STORE_FILES, MemoryStore
 
-# each build call's key (round, stage, item, n) and kind: an extraction and
-# two profile updates per window, then the one embed, outside any window
+# each build call's key (round, stage, item, n) and kind, in the serial call
+# order: window k's extraction and its two profile updates come before window
+# k+1's extraction, and the one embed, outside any window, comes last
 BUILD_CALLS = {**{(0, "build", window, n): "chat" for window in range(1, 9) for n in (1, 2, 3)},
                (0, "build", 0, 1): "embed"}
 UNREADABLE = "no JSON and no 'Entity:' header"  # fails every build-time parser
@@ -119,7 +124,7 @@ def snapshot(store):
 def test_the_fixture_build_makes_24_chat_calls_then_one_embed(work_dir, capsys, monkeypatch):
     calls = inject(monkeypatch)
     assert build(capsys, "store")[0] == EXIT_OK
-    assert calls == BUILD_CALLS
+    assert list(calls.items()) == list(BUILD_CALLS.items())  # order too: dict == ignores it
 
 
 @pytest.mark.parametrize("fault,key", CASES,
@@ -178,7 +183,7 @@ def test_the_fixture_eval_makes_32_chat_calls_and_8_embeds(work_dir, capsys, mon
                                                            built):
     calls = inject(monkeypatch)
     assert evaluate(capsys, built)[0] == EXIT_OK
-    assert calls == EVAL_CALLS
+    assert list(calls.items()) == list(EVAL_CALLS.items())  # order too: dict == ignores it
     assert sorted(p.name for p in (work_dir / "out").iterdir()) == EVAL_OUTPUTS
 
 
@@ -349,7 +354,7 @@ def assert_log_replays(prompt_dir):
 def test_the_gate_6_evolve_makes_170_chat_calls_and_27_embeds(work_dir, capsys, monkeypatch):
     calls = inject(monkeypatch)
     assert run_evolve(capsys)[0] == EXIT_OK
-    assert calls == EVOLVE_CALLS
+    assert list(calls.items()) == list(EVOLVE_CALLS.items())  # order too: dict == ignores it
     kinds = list(calls.values())
     assert (kinds.count("chat"), kinds.count("embed")) == (170, 27)
     assert len(replay_gradients(work_dir / "evolved")) == 3

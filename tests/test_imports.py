@@ -13,6 +13,7 @@ place decides how a file is written and what its failure is. No module in
 ``.tmp`` suffix, so the paths a command checks before its first model call
 are the ones ``persist`` writes. Only ``MemoryStore._admit`` adds entries and
 their rows, so ``insert_entries`` and ``load`` take in what one rule allows.
+The package's ``__all__`` is the names its ``__init__.py`` imports, sorted.
 """
 import ast
 import os
@@ -244,3 +245,18 @@ def test_importing_the_package_loads_no_http_client():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_the_public_api_is_the_names_the_package_imports():
+    """``trimem.__all__`` is, sorted, each name ``__init__.py`` imports from a
+    submodule, so the imports declare the API once; it names no submodule, and
+    ``from trimem import *`` binds just those names."""
+    import trimem
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    assert trimem.__all__ == sorted(imported)
+    assert {path.stem for path in SRC.glob("*.py")}.isdisjoint(trimem.__all__)
+    namespace = {}
+    exec("from trimem import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == trimem.__all__
